@@ -87,17 +87,14 @@ from .caloron import (
     CurvatureSamples,
     GaugeLoop,
     LatticeConnection,
-    LoopHiggsPair,
     b_field,
     curvature,
-    from_caloron,
     higgs_gauge_law_check,
     index_curvature,
     ms_identity_check,
     pontryagin_density,
     rho_scaling_check,
     sample_connection,
-    to_caloron,
 )
 from .presets import (
     connection_preset,

@@ -1,9 +1,10 @@
-"""Sampled connections on S1 x T^d and their loop-space counterparts.
+"""Sampled connections on S1 x T^d, read directly as caloron-side data.
 
-A connection is stored as matrix samples: the dtheta component (the would-be
-Higgs field after the correspondence) and d base components.  The
-correspondence maps are componentwise rebags of the same arrays, so the
-round trip is exact.  Curvature splits into base-base components
+A connection is stored as matrix samples: phi, the dtheta component, is the
+Higgs field of the caloron correspondence, and a holds the d base
+components, which at fixed theta are the loop-algebra gauge field.  The
+correspondence is this reading of the same arrays, so no second type is
+needed.  Curvature splits into base-base components
 F_ab = d_a A_b - d_b A_a + [A_a, A_b] and mixed components
 G_a = dtheta A_a - d_a Phi + [Phi, A_a]; theta-derivatives are spectral,
 base derivatives 4th-order central.
@@ -12,9 +13,9 @@ The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
 circle-integrated Pontryagin density -(1/8 pi^2) <F~ ^ F~> exactly in the
 continuum; the pair of pipelines is the identity checked by
-ms_identity_check.  Pairing throughout is <X, Y> = -trace(XY); every
-produced form is checked to be real to 1e-10 before the imaginary part is
-discarded.
+ms_identity_check, which builds dtheta A and F_ab once per grid and feeds
+both.  Pairing throughout is <X, Y> = -trace(XY); every produced form is
+checked to be real to 1e-10 before the imaginary part is discarded.
 """
 
 from dataclasses import dataclass
@@ -30,14 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridForm, central_diff4, spectral_theta_derivative
-from .liealg import (
-    LieAlgebraSpec,
-    Representation,
-    dynkin_index,
-    inner,
-    su_algebra,
-    su_basis,
-)
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -107,52 +100,6 @@ class LatticeConnection:
         )
 
 
-@dataclass
-class LoopHiggsPair:
-    """The caloron-side data: base gauge field samples and a Higgs field.
-
-    Arrays are shared with the source connection; a(x, axis) at fixed theta
-    is the loop-algebra value of the base component, phi the Higgs field.
-    """
-
-    n: int
-    base_dim: int
-    theta_points: int
-    base_points: int
-    phi: np.ndarray
-    a: np.ndarray
-    family: AnalyticConnection = None
-    ghost_margin: int = 0
-
-
-def to_caloron(conn):
-    """Read the connection as (gauge field, Higgs field); exact rebag."""
-    return LoopHiggsPair(
-        conn.n,
-        conn.base_dim,
-        conn.theta_points,
-        conn.base_points,
-        conn.phi,
-        conn.a,
-        conn.family,
-        conn.ghost_margin,
-    )
-
-
-def from_caloron(pair):
-    """Inverse rebag; from_caloron(to_caloron(c)) shares c's arrays."""
-    return LatticeConnection(
-        pair.n,
-        pair.base_dim,
-        pair.theta_points,
-        pair.base_points,
-        pair.phi,
-        pair.a,
-        pair.family,
-        pair.ghost_margin,
-    )
-
-
 def _grid_coords(base_dim, theta_points, base_points, ghost_margin):
     thetas = np.arange(theta_points) / theta_points
     ext = base_points + 2 * ghost_margin
@@ -220,18 +167,24 @@ class CurvatureSamples:
         return worst
 
 
-def curvature(conn):
-    """All curvature components by spectral/4th-order differentiation."""
+def _components(conn, with_mixed=True):
+    """dtheta A_a, mixed F_{theta a} and base F_ab (a < b) of a connection.
+
+    The curving needs only dtheta A and F_ab, so mixed is None unless
+    with_mixed; curvature() drops dtheta A.  Building mixed before F_ab
+    keeps peak memory at that of separate curvature and curving passes.
+    """
     h = conn.spacing()
     d = conn.base_dim
     d_theta_a = [spectral_theta_derivative(conn.a[x], axis=0) for x in range(d)]
-    mixed = {}
-    for x in range(d):
-        mixed[x] = (
-            d_theta_a[x]
+    mixed = None
+    if with_mixed:
+        mixed = {
+            x: d_theta_a[x]
             - central_diff4(conn.phi, 1 + x, h)
             + _commutator(conn.phi, conn.a[x])
-        )
+            for x in range(d)
+        }
     base = {}
     for x, y in itertools.combinations(range(d), 2):
         base[(x, y)] = (
@@ -239,22 +192,44 @@ def curvature(conn):
             - central_diff4(conn.a[x], 1 + y, h)
             + _commutator(conn.a[x], conn.a[y])
         )
+    return d_theta_a, mixed, base
+
+
+def curvature(conn):
+    """All curvature components by spectral/4th-order differentiation."""
+    _, mixed, base = _components(conn)
     return CurvatureSamples(conn, mixed, base)
 
 
 def _realize(arrays, where):
-    """Check an array (or dict of arrays) is real to 1e-10 and strip imag."""
+    """Check an array (or dict of arrays) is real to 1e-10 and strip imag.
+
+    A non-finite imaginary residue is rejected too, so NaN never passes.
+    """
     if isinstance(arrays, dict):
         return {k: _realize(v, where) for k, v in arrays.items()}
     worst = float(np.abs(arrays.imag).max()) if arrays.size else 0.0
-    if worst > 1e-10:
+    if not worst <= 1e-10:
         raise ConsistencyError(
-            f"{where}: imaginary residue {worst:.3e} exceeds 1e-10"
+            f"{where}: imaginary residue {worst:.3e} is not within 1e-10"
         )
     return arrays.real
 
 
-def b_field(pair):
+def _curving(conn, d_theta_a, base):
+    """The curving 2-form of b_field from already computed dtheta A and F_ab."""
+    comps = {}
+    for (x, y), f_xy in base.items():
+        integrand = 0.5 * (
+            _pair_trace(conn.a[x], d_theta_a[y])
+            - _pair_trace(conn.a[y], d_theta_a[x])
+        ) - _pair_trace(f_xy, conn.phi)
+        comps[(x, y)] = -np.mean(integrand, axis=0) / FOUR_PI_SQ
+    comps = _realize(comps, "b_field")
+    return GridForm(2, conn.base_dim, comps, conn.ghost_margin)
+
+
+def b_field(conn):
     """Degree-2 curving on the base from the loop-space data.
 
     B_ab = -(1/4 pi^2) Int_0^1 [ 1/2 (<A_a, A_b'> - <A_b, A_a'>)
@@ -262,35 +237,21 @@ def b_field(pair):
     with A' the circle derivative; the circle integral is the grid mean
     (trapezoid rule on a periodic grid).  Requires periodic sampling.
     """
-    if pair.ghost_margin:
+    if conn.ghost_margin:
         raise ArgumentError("curving needs a periodic (ghost-free) sampling")
-    conn = from_caloron(pair)
-    h = conn.spacing()
-    d = conn.base_dim
-    a_prime = [spectral_theta_derivative(conn.a[x], axis=0) for x in range(d)]
-    comps = {}
-    for x, y in itertools.combinations(range(d), 2):
-        f_xy = (
-            central_diff4(conn.a[y], 1 + x, h)
-            - central_diff4(conn.a[x], 1 + y, h)
-            + _commutator(conn.a[x], conn.a[y])
-        )
-        integrand = 0.5 * (
-            _pair_trace(conn.a[x], a_prime[y]) - _pair_trace(conn.a[y], a_prime[x])
-        ) - _pair_trace(f_xy, conn.phi)
-        comps[(x, y)] = -np.mean(integrand, axis=0) / FOUR_PI_SQ
-    comps = _realize(comps, "b_field")
-    return GridForm(2, d, comps, conn.ghost_margin)
+    d_theta_a, _, base = _components(conn, with_mixed=False)
+    return _curving(conn, d_theta_a, base)
 
 
-def _density_from_components(mixed, base):
-    """Circle-mean density -(1/4 pi^2) Int <F ^ G> dtheta from component arrays."""
+def _density(conn, mixed, base):
+    """Circle-mean density -(1/4 pi^2) Int <F ^ G> dtheta as a real 3-form."""
     total = (
         _pair_trace(base[(0, 1)], mixed[2])
         - _pair_trace(base[(0, 2)], mixed[1])
         + _pair_trace(base[(1, 2)], mixed[0])
     )
-    return -np.mean(total, axis=0) / FOUR_PI_SQ
+    comp = _realize(-np.mean(total, axis=0) / FOUR_PI_SQ, "pontryagin_density")
+    return GridForm(3, 3, {(0, 1, 2): comp}, conn.ghost_margin)
 
 
 def pontryagin_density(conn, rho=None):
@@ -308,9 +269,7 @@ def pontryagin_density(conn, rho=None):
     if rho is not None and not rho.is_fundamental():
         mixed = {k: rho.matrix_image(v) for k, v in mixed.items()}
         base = {k: rho.matrix_image(v) for k, v in base.items()}
-    comp = _density_from_components(mixed, base)
-    comp = _realize(comp, "pontryagin_density")
-    return GridForm(3, 3, {(0, 1, 2): comp}, conn.ghost_margin)
+    return _density(conn, mixed, base)
 
 
 def index_curvature(conn, rho):
@@ -324,7 +283,8 @@ def ms_identity_check(conn, refine_factor=2):
     Returns (residual at the input resolution, measured convergence order
     between base grids M and refine_factor*M).  The identity is exact in
     the continuum, so the residual is pure discretization error and the
-    order reflects the base stencils.  Needs an analytic family to resample.
+    order reflects the base stencils.  Each grid's dtheta A and F_ab are
+    computed once and feed both sides.  Needs an analytic family to resample.
     """
     if conn.base_dim != 3:
         raise DimensionError("the identity compares 3-forms; need a 3-dimensional base")
@@ -332,8 +292,9 @@ def ms_identity_check(conn, refine_factor=2):
         raise ArgumentError("identity check needs a periodic sampling")
 
     def residual(c):
-        lhs = pontryagin_density(c)
-        rhs = b_field(to_caloron(c)).exterior_derivative()
+        d_theta_a, mixed, base = _components(c)
+        lhs = _density(c, mixed, base)
+        rhs = _curving(c, d_theta_a, base).exterior_derivative()
         return (lhs - rhs).max_norm()
 
     res_coarse = residual(conn)
@@ -371,7 +332,7 @@ class GaugeLoop:
             raise ValidationError(f"gauge samples non-unitary by {worst:.3e}")
 
 
-def higgs_gauge_law_check(pair, gauge):
+def higgs_gauge_law_check(conn, gauge):
     """Residual between the two routes to the transformed Higgs field.
 
     Route one transforms the underlying connection, differentiating the
@@ -380,43 +341,45 @@ def higgs_gauge_law_check(pair, gauge):
     with the loop's closed-form derivative.  The gap is the stencil error,
     contracting at 4th order in the circle spacing.
     """
-    p = pair.theta_points
-    if gauge.samples.shape[0] != p or gauge.samples.shape[1] != pair.n:
-        raise ArgumentError("gauge loop sampled on a different grid than the pair")
-    extra = (1,) * pair.base_dim
-    g = gauge.samples.reshape((p,) + extra + (pair.n, pair.n))
+    p = conn.theta_points
+    if gauge.samples.shape[0] != p or gauge.samples.shape[1] != conn.n:
+        raise ArgumentError(
+            "gauge loop sampled on a different grid than the connection"
+        )
+    extra = (1,) * conn.base_dim
+    g = gauge.samples.reshape((p,) + extra + (conn.n, conn.n))
     g_inv = np.swapaxes(g.conj(), -1, -2)
     numeric = central_diff4(gauge.samples, 0, 1.0 / p).reshape(g.shape)
     exact = gauge.derivative.reshape(g.shape)
-    transported = g_inv @ pair.phi @ g
+    transported = g_inv @ conn.phi @ g
     route_one = transported + g_inv @ numeric
     route_two = transported + g_inv @ exact
     return float(np.abs(route_one - route_two).max())
 
 
-def rho_scaling_check(pair, rho):
+def rho_scaling_check(conn, rho):
     """Max residual of (curving, 3-curvature) scaling under a representation.
 
-    Pushes the pair through the representation's matrix images, rebuilds
+    Pushes the connection through the representation's matrix images, rebuilds
     the curving B_rho and (on a 3-dimensional base) H_rho = d B_rho, and
     compares with dynkin_index(rho) times the fundamental-route forms.
     The identity holds pointwise in the samples, so the residual is
     roundoff-level.
     """
     iota = float(rho.index)
-    pushed = LoopHiggsPair(
-        rho.matrix_image(np.zeros((pair.n, pair.n))).shape[-1],
-        pair.base_dim,
-        pair.theta_points,
-        pair.base_points,
-        rho.matrix_image(pair.phi),
-        np.stack([rho.matrix_image(pair.a[x]) for x in range(pair.base_dim)]),
-        ghost_margin=pair.ghost_margin,
+    pushed = LatticeConnection(
+        rho.dim,
+        conn.base_dim,
+        conn.theta_points,
+        conn.base_points,
+        rho.matrix_image(conn.phi),
+        np.stack([rho.matrix_image(conn.a[x]) for x in range(conn.base_dim)]),
+        ghost_margin=conn.ghost_margin,
     )
-    b_fund = b_field(pair)
+    b_fund = b_field(conn)
     b_rho = b_field(pushed)
     worst = (b_rho - iota * b_fund).max_norm()
-    if pair.base_dim == 3:
+    if conn.base_dim == 3:
         h_fund = b_fund.exterior_derivative()
         h_rho = b_rho.exterior_derivative()
         worst = max(worst, (h_rho - iota * h_fund).max_norm())

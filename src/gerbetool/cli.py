@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .caloron import (
     pontryagin_density,
     higgs_gauge_law_check,
     rho_scaling_check,
-    to_caloron,
 )
 from .detline import CechTriple, compose, delta_triviality, det_line
 from .errors import ConfigError, GerbeToolError
@@ -46,7 +46,6 @@ from .liealg import Representation, dynkin_index
 from .moduli import (
     LoopWord,
     ModuliFamily,
-    SurfaceGroupRep,
     conjugate,
     holonomy,
     holonomy_path,
@@ -63,7 +62,6 @@ from .spectral import (
     band,
     dirac_spectrum,
     in_cover,
-    rational,
     spectral_flow,
 )
 from .version import __version__
@@ -115,6 +113,17 @@ _PARAM_SCHEMAS = {
 _RAISED = 1e300
 
 
+def _finite(where, value):
+    """float(value), rejecting NaN, infinities and ints too large for a float."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{where} must be a finite number")
+    return out
+
+
 def _coerce(command, key, default, value):
     where = f"key '{key}' in params for command '{command}'"
     if isinstance(default, bool):
@@ -126,7 +135,7 @@ def _coerce(command, key, default, value):
     if isinstance(default, float):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where} must be a number")
-        return float(value)
+        return _finite(where, value)
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string")
@@ -149,7 +158,7 @@ def _coerce(command, key, default, value):
         for item in value:
             if not isinstance(item, (int, float)) or isinstance(item, bool):
                 raise ConfigError(f"{where} must contain only numbers")
-            out.append(float(item))
+            out.append(_finite(where, item))
         return out
     raise ConfigError(f"{where} has an unsupported schema type")
 
@@ -518,20 +527,20 @@ def _battery_caloron(params, seed):
         base_points=params["base_points"],
         amplitude=params["amplitude"],
     )
-    pair = to_caloron(conn)
 
     def ms_order():
         _, order = ms_identity_check(conn, refine_factor=params["refine_factor"])
-        return max(0.0, 1.9 - order)
+        # no max() here: max(0.0, 1.9 - nan) is 0.0, and a NaN order must fail
+        return 0.0 if order >= 1.9 else 1.9 - order
 
     def gauge_law():
         gauge = winding_gauge(params["theta_points"], params["winding"], conn.n)
-        return higgs_gauge_law_check(pair, gauge)
+        return higgs_gauge_law_check(conn, gauge)
 
     def rho_scaling():
         rho = Representation.adjoint(conn.n)
-        worst = rho_scaling_check(pair, rho)
-        b_fund = b_field(pair)
+        worst = rho_scaling_check(conn, rho)
+        b_fund = b_field(conn)
         scale = float(rho.index) * max(
             b_fund.max_norm(), b_fund.exterior_derivative().max_norm()
         )

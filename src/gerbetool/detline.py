@@ -27,7 +27,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .spectral import EigenMode, Spectrum, SpectralCut, band, in_cover
+from .spectral import Spectrum, SpectralCut, band, in_cover
 
 _PHASE_TOL = 1e-12
 

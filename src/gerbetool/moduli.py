@@ -22,12 +22,7 @@ import math
 
 import numpy as np
 
-from .caloron import (
-    AnalyticConnection,
-    LatticeConnection,
-    index_curvature,
-    sample_connection,
-)
+from .caloron import AnalyticConnection, index_curvature, sample_connection
 from .errors import ArgumentError, ValidationError
 from .spectral import Holonomy
 

@@ -22,7 +22,6 @@ from gerbetool.caloron import (
     ms_identity_check,
     pontryagin_density,
     rho_scaling_check,
-    to_caloron,
 )
 from gerbetool.cli import _car_residual, holonomy_suite
 from gerbetool.detline import CechTriple, compose, delta_triviality, det_line
@@ -147,7 +146,7 @@ def test_criterion_5_density_equals_curving_derivative():
 
 def test_criterion_6_representation_scaling_and_indices():
     with gate(6, "adjoint forms scale by 4, indices {1,1,1,4,0}", 60.0):
-        pair = to_caloron(connection_preset("su2-family", theta_points=12, base_points=16))
+        pair = connection_preset("su2-family", theta_points=12, base_points=16)
         adjoint = Representation.adjoint(2)
         worst = rho_scaling_check(pair, adjoint)
         b = b_field(pair)

@@ -20,17 +20,14 @@ import pytest
 from gerbetool.caloron import (
     GaugeLoop,
     LatticeConnection,
-    LoopHiggsPair,
     b_field,
     curvature,
-    from_caloron,
     higgs_gauge_law_check,
     index_curvature,
     ms_identity_check,
     pontryagin_density,
     rho_scaling_check,
     sample_connection,
-    to_caloron,
 )
 from gerbetool.errors import (
     ArgumentError,
@@ -126,13 +123,6 @@ class TestCurvature:
 
 
 class TestRebagging:
-    def test_round_trip_shares_arrays(self):
-        conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        back = from_caloron(to_caloron(conn))
-        assert back.phi is conn.phi
-        assert back.a is conn.a
-        assert back.family is conn.family
-
     def test_resample_needs_a_family(self):
         conn = connection_preset("zero", theta_points=8, base_points=8)
         bare = LatticeConnection(
@@ -157,28 +147,28 @@ class TestRebagging:
 
 class TestBField:
     def test_zero_preset(self):
-        pair = to_caloron(connection_preset("zero", theta_points=8, base_points=8))
+        pair = connection_preset("zero", theta_points=8, base_points=8)
         assert b_field(pair).max_norm() == 0.0
 
     def test_abelian_preset_has_no_curving(self):
         # no theta dependence and no Higgs, so both integrand terms vanish
-        pair = to_caloron(connection_preset("abelian", theta_points=12, base_points=16))
+        pair = connection_preset("abelian", theta_points=12, base_points=16)
         assert b_field(pair).max_norm() == 0.0
 
     def test_axial_family_is_structurally_zero(self):
         # T1 and T2 never meet in the pairing, so every term is exactly zero
-        pair = to_caloron(connection_preset("su2-axial", theta_points=12, base_points=16))
+        pair = connection_preset("su2-axial", theta_points=12, base_points=16)
         assert b_field(pair).max_norm() == 0.0
 
     def test_generic_family_has_nonzero_curving(self):
-        pair = to_caloron(connection_preset("su2-family", theta_points=12, base_points=16))
+        pair = connection_preset("su2-family", theta_points=12, base_points=16)
         assert b_field(pair).max_norm() > 1e-2
 
     def test_ghost_sampling_rejected(self):
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
         ghosted = sample_connection(conn.family, 3, 8, 8, ghost_margin=2)
         with pytest.raises(ArgumentError, match="periodic"):
-            b_field(to_caloron(ghosted))
+            b_field(ghosted)
 
     def test_complex_integrand_rejected(self):
         # a Hermitian (not anti-Hermitian) component leaks an imaginary part
@@ -190,9 +180,23 @@ class TestBField:
         a[1] = np.broadcast_to(
             np.cos(TWO_PI * th)[..., None, None] * np.array([[0, 1], [1, 0]]), shape
         )
-        pair = LoopHiggsPair(2, 2, p, m, np.zeros(shape, dtype=complex), a)
+        pair = LatticeConnection(2, 2, p, m, np.zeros(shape, dtype=complex), a)
         with pytest.raises(ConsistencyError, match="imaginary"):
             b_field(pair)
+
+    def test_non_finite_samples_rejected(self):
+        # NaN compares false against the 1e-10 reality bound; it must not pass
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        conn.phi[0, 0, 0, 0] = complex(math.nan, math.nan)
+        with pytest.raises(ConsistencyError, match="imaginary"):
+            b_field(conn)
+        with pytest.raises(ConsistencyError, match="imaginary"):
+            pontryagin_density(conn)
+        nan_family = connection_preset(
+            "su2-family", theta_points=8, base_points=8, amplitude=math.nan
+        )
+        with pytest.raises(ConsistencyError, match="imaginary"):
+            ms_identity_check(nan_family)
 
 
 class TestDensityAndIdentity:
@@ -212,6 +216,20 @@ class TestDensityAndIdentity:
         assert res <= 5e-3
         assert order >= 3.5
 
+    def test_identity_differentiates_each_grid_once(self, monkeypatch):
+        # the density and the curving share dtheta A: one spectral derivative
+        # per base axis on the coarse grid and on the refined one
+        calls = []
+
+        def counting(arr, axis=0, period=1.0):
+            calls.append(arr.shape[1])
+            return spectral_theta_derivative(arr, axis=axis, period=period)
+
+        monkeypatch.setattr("gerbetool.caloron.spectral_theta_derivative", counting)
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        ms_identity_check(conn, refine_factor=2)
+        assert sorted(calls) == [8, 8, 8, 16, 16, 16]
+
     def test_identity_on_zero_preset_is_exact(self):
         conn = connection_preset("zero", theta_points=8, base_points=8)
         res, order = ms_identity_check(conn)
@@ -227,16 +245,14 @@ class TestDensityAndIdentity:
 
 class TestGaugeLaw:
     def test_constant_gauge_routes_agree_exactly(self):
-        pair = to_caloron(connection_preset("su2-family", theta_points=12, base_points=12))
+        pair = connection_preset("su2-family", theta_points=12, base_points=12)
         gauge = constant_gauge(12, np.diag([1j, -1j]))
         assert higgs_gauge_law_check(pair, gauge) == 0.0
 
     def test_winding_gauge_matches_stencil_error_oracle(self):
         # leading stencil error h^4 |f^(5)| / 30 with f = exp(2 pi i theta)
         for p in (12, 24):
-            pair = to_caloron(
-                connection_preset("su2-family", theta_points=p, base_points=12)
-            )
+            pair = connection_preset("su2-family", theta_points=p, base_points=12)
             res = higgs_gauge_law_check(pair, winding_gauge(p))
             pred = TWO_PI**5 * (1.0 / p) ** 4 / 30.0
             assert 0.9 <= res / pred <= 1.05
@@ -244,14 +260,12 @@ class TestGaugeLaw:
     def test_winding_gauge_error_contracts_at_fourth_order(self):
         res = {}
         for p in (12, 24):
-            pair = to_caloron(
-                connection_preset("su2-family", theta_points=p, base_points=12)
-            )
+            pair = connection_preset("su2-family", theta_points=p, base_points=12)
             res[p] = higgs_gauge_law_check(pair, winding_gauge(p))
         assert math.log2(res[12] / res[24]) >= 3.5
 
     def test_mismatched_grid_rejected(self):
-        pair = to_caloron(connection_preset("su2-family", theta_points=12, base_points=12))
+        pair = connection_preset("su2-family", theta_points=12, base_points=12)
         with pytest.raises(ArgumentError, match="different grid"):
             higgs_gauge_law_check(pair, winding_gauge(16))
 
@@ -301,20 +315,20 @@ class TestDynkinIndex:
 
 class TestRhoScaling:
     def test_fundamental_route_is_bitwise_neutral(self):
-        pair = to_caloron(connection_preset("su2-family", theta_points=12, base_points=16))
+        pair = connection_preset("su2-family", theta_points=12, base_points=16)
         assert rho_scaling_check(pair, Representation.fundamental(2)) == 0.0
 
     def test_adjoint_scales_by_its_index(self):
         # measured 8.2e-15; the identity is pointwise in the samples
-        pair = to_caloron(connection_preset("su2-family", theta_points=12, base_points=16))
+        pair = connection_preset("su2-family", theta_points=12, base_points=16)
         assert rho_scaling_check(pair, Representation.adjoint(2)) <= 1e-10
 
     def test_trivial_representation_kills_everything(self):
-        pair = to_caloron(connection_preset("su2-family", theta_points=12, base_points=16))
+        pair = connection_preset("su2-family", theta_points=12, base_points=16)
         assert rho_scaling_check(pair, Representation.trivial(2)) == 0.0
 
     def test_zero_connection(self):
-        pair = to_caloron(connection_preset("zero", theta_points=8, base_points=8))
+        pair = connection_preset("zero", theta_points=8, base_points=8)
         assert rho_scaling_check(pair, Representation.adjoint(2)) == 0.0
 
 

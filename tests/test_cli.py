@@ -6,6 +6,7 @@ which are the only nondeterministic bytes by design.
 """
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from gerbetool import cli
 from gerbetool.cli import (
     COMMANDS,
     emit_schema,
@@ -96,6 +98,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="must be one of"):
             validate_scenario({"command": "caloron", "params": {"preset": "nahm"}})
 
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, 10**400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ConfigError, match="'amplitude' .* must be a finite number"):
+            validate_scenario({"command": "caloron", "params": {"amplitude": value}})
+
+    def test_non_finite_list_entry_rejected(self):
+        with pytest.raises(ConfigError, match="'phases' .* must be a finite number"):
+            validate_scenario(
+                {"command": "spectrum", "params": {"phases": [0.15, math.nan]}}
+            )
+
     def test_bad_seed(self):
         with pytest.raises(ConfigError, match="'seed' must be an integer"):
             validate_scenario({"command": "spectrum", "seed": 1.5})
@@ -134,6 +151,19 @@ class TestReports:
         reseeded = run_scenario("spectrum", params, seed + 1)["config_sha256"]
         assert base != reseeded and len(base) == 64
 
+    def test_nan_convergence_order_fails(self, monkeypatch):
+        # max(0.0, 1.9 - nan) is 0.0, so a NaN order must not reach a max()
+        monkeypatch.setattr(
+            cli, "ms_identity_check", lambda conn, refine_factor: (0.0, math.nan)
+        )
+        _, params, seed, _ = validate_scenario(
+            {"command": "caloron", "params": {"theta_points": 8, "base_points": 8}}
+        )
+        report = run_scenario("caloron", params, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "ms-identity-order"]
+        assert record["status"] == "fail"
+        assert report["status"] == "fail"
+
 
 class TestExitCodes:
     def test_passing_battery_exits_zero(self, tmp_path):
@@ -148,6 +178,18 @@ class TestExitCodes:
         proc = run_cli("spectrum", "--config", "/nonexistent/scenario.json")
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
+        assert proc.stdout == ""
+
+    def test_nan_config_exits_two(self, tmp_path):
+        # json.load accepts the NaN token, so the schema has to reject it
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(
+            '{"command": "caloron", "params": {"amplitude": NaN, "base_points": 8}}'
+        )
+        proc = run_cli("caloron", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
     def test_malformed_json_exits_two(self, tmp_path):
