@@ -54,14 +54,19 @@ from .fock import (
     FockState,
     FockVector,
     FockWindow,
+    GradedBasis,
     ModeOperator,
     SparseOperator,
     apply_mode,
+    basis_dimension,
     bogoliubov_vacuum,
+    car_residual,
+    check_basis_cost,
     commutator_check,
     cut_shift_check,
     elementary_action,
     enumerate_states,
+    graded_basis,
     mode_operator_matrix,
     normal_ordered_pair,
     projective_equality_check,

@@ -163,8 +163,8 @@ class CurvatureSamples:
             slice(g, -g) if g else slice(None) for _ in range(self.conn.base_dim)
         )
         for arr in itertools.chain(self.mixed.values(), self.base.values()):
-            worst = max(worst, float(np.abs(arr[trim]).max()))
-        return worst
+            worst = np.maximum(worst, np.abs(arr[trim]).max())
+        return float(worst)
 
 
 def _components(conn, with_mixed=True):
@@ -382,5 +382,5 @@ def rho_scaling_check(conn, rho):
     if conn.base_dim == 3:
         h_fund = b_fund.exterior_derivative()
         h_rho = b_rho.exterior_derivative()
-        worst = max(worst, (h_rho - iota * h_fund).max_norm())
+        worst = float(np.maximum(worst, (h_rho - iota * h_fund).max_norm()))
     return worst

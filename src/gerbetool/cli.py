@@ -28,17 +28,15 @@ from .caloron import (
     rho_scaling_check,
 )
 from .detline import CechTriple, compose, delta_triviality, det_line
-from .errors import ConfigError, GerbeToolError
+from .errors import ConfigError, GerbeToolError, ResourceError
 from .fock import (
     FockWindow,
     bogoliubov_vacuum,
+    car_residual,
+    check_basis_cost,
     commutator_check,
     cut_shift_check,
-    enumerate_states,
-    mode_operator_matrix,
     projective_equality_check,
-    psi,
-    psibar,
     sigma,
     vacuum,
 )
@@ -188,6 +186,8 @@ def validate_scenario(obj, cli_command=None):
         if key not in schema:
             raise ConfigError(f"unknown key '{key}' in params for command '{command}'")
         params[key] = _coerce(command, key, schema[key], value)
+    if command == "fock":
+        _check_fock(params)
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("key 'seed' must be an integer")
@@ -195,6 +195,45 @@ def validate_scenario(obj, cli_command=None):
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("key 'output_path' must be a string")
     return command, params, seed, output_path
+
+
+def _check_fock(params):
+    """Ranges and cross-field rules under which every fock check is meaningful.
+
+    The commutator sweep needs a window margin of 2 * sweep around the cut,
+    the central term and the projective exponential a margin of 1; mu must
+    lie above the cut with its band (cut, mu] inside the window; the
+    off-diagonal projective generator needs two colors; and the largest
+    basis (pair_cap + 1) must fit the cost model.
+    """
+
+    def bad(key, rule):
+        return ConfigError(f"key '{key}' in params for command 'fock' {rule}")
+
+    for key, low in (("n_colors", 2), ("n_max", 1), ("sweep", 0), ("pair_cap", 1)):
+        if params[key] < low:
+            raise bad(key, f"must be >= {low}")
+    n_max, sweep = params["n_max"], params["sweep"]
+    cut, mu = Fraction(params["cut"]), Fraction(params["mu"])
+    for key, value in (("cut", cut), ("mu", mu)):
+        if value.denominator == 1:
+            raise bad(key, f"must be non-integer, got {value}")
+    margin = max(2 * sweep, 1)
+    if math.ceil(cut) + margin > n_max or math.floor(cut) - margin < -n_max:
+        raise bad(
+            "n_max",
+            f"must leave a margin of {margin} (sweep {sweep}) on both sides of "
+            f"the cut {cut}: need ceil(cut) + {margin} <= n_max and "
+            f"floor(cut) - {margin} >= -n_max",
+        )
+    if not cut < mu:
+        raise bad("mu", f"must exceed the cut {cut}, got {mu}")
+    if math.floor(mu) > n_max:
+        raise bad("mu", f"band (cut, {mu}] exits the window |m| <= {n_max}")
+    try:
+        check_basis_cost(params["n_colors"] * (2 * n_max + 1), params["pair_cap"] + 1)
+    except ResourceError as exc:
+        raise ConfigError(f"params for command 'fock': {exc}") from None
 
 
 def emit_schema():
@@ -388,7 +427,7 @@ def _battery_cocycle(params, seed):
             out = 0.0
             for lam, mu, tau in itertools.combinations(admissible, 3):
                 delta = delta_triviality(CechTriple(spec, lam, mu, tau))
-                out = max(out, abs(delta - 1.0))
+                out = np.maximum(out, abs(delta - 1.0))
             return out
 
         _timed(records, f"delta-triviality-{label}", tol, worst)
@@ -404,53 +443,13 @@ def _battery_cocycle(params, seed):
             ]
             left = compose(compose(lines[0], lines[1]), lines[2])
             right = compose(lines[0], compose(lines[1], lines[2]))
-            out = max(out, abs(left.canonical_phase() - right.canonical_phase()))
+            out = np.maximum(
+                out, abs(left.canonical_phase() - right.canonical_phase())
+            )
         return out
 
     _timed(records, "associativity", 1e-12, associativity)
     return records
-
-
-def _car_residual(window, pair_cap=2):
-    """Max residual of the four anticommutator identities as matrices.
-
-    The graded basis caps the excitation count; the products are exact on
-    columns whose intermediate states stay inside the cap, so the residual
-    is measured on states with count <= pair_cap - 1 and must be exactly 0.
-    """
-    basis = enumerate_states(window, pair_cap)
-    index = {st.mask: k for k, st in enumerate(basis)}
-    keep = [k for k, st in enumerate(basis) if st.pair_count <= pair_cap - 1]
-    labels = [
-        (c, m)
-        for c in range(1, window.n_colors + 1)
-        for m in range(-window.N, window.N + 1)
-    ]
-    mats_psi = {
-        lab: mode_operator_matrix(psi(*lab), basis, index) for lab in labels
-    }
-    mats_psibar = {
-        lab: mode_operator_matrix(psibar(lab[0], -lab[1]), basis, index)
-        for lab in labels
-    }
-    eye = np.eye(len(basis))
-    worst = 0.0
-    for a in labels:
-        for b in labels:
-            pairs = (
-                (mats_psi[a], mats_psi[b], 0.0),
-                (mats_psibar[a], mats_psibar[b], 0.0),
-                (mats_psi[a], mats_psibar[b], 1.0 if a == b else 0.0),
-                (mats_psibar[a], mats_psi[b], 1.0 if a == b else 0.0),
-            )
-            for left, right, want in pairs:
-                anti = (left @ right + right @ left).toarray()
-                if want:
-                    anti = anti - want * eye
-                bad = float(np.abs(anti[:, keep]).max()) if keep else 0.0
-                if bad > worst:
-                    worst = bad
-    return worst
 
 
 def _battery_fock(params, seed):
@@ -461,7 +460,7 @@ def _battery_fock(params, seed):
     cap = params["pair_cap"]
     t = params["exp_time"]
 
-    _timed(records, "car-relations", 0.0, lambda: _car_residual(window, cap))
+    _timed(records, "car-relations", 0.0, lambda: car_residual(window, cap))
 
     def commutator_sweep():
         colors = range(1, window.n_colors + 1)
@@ -469,7 +468,7 @@ def _battery_fock(params, seed):
         for i, j, k, l in itertools.product(colors, repeat=4):
             for m in range(-sweep, sweep + 1):
                 for n in range(-sweep, sweep + 1):
-                    worst = max(
+                    worst = np.maximum(
                         worst, commutator_check(i, j, k, l, m, n, window, cap)
                     )
         return worst
@@ -484,7 +483,7 @@ def _battery_fock(params, seed):
             lhs = op_a.apply_masks(op_b.apply_masks(probe))
             for mask, amp in op_b.apply_masks(op_a.apply_masks(probe)).items():
                 lhs[mask] = lhs.get(mask, 0j) - amp
-            worst = max(worst, abs(lhs.get(vac_mask, 0j) - m))
+            worst = np.maximum(worst, abs(lhs.get(vac_mask, 0j) - m))
         return worst
 
     def bogoliubov():
@@ -505,7 +504,7 @@ def _battery_fock(params, seed):
             [(0.5, 1, 2, 0), (0.5, 2, 1, 0)],
             [(1.0, 1, 1, 0)],
         ):
-            worst = max(
+            worst = np.maximum(
                 worst,
                 projective_equality_check(terms, t, window, mu, pair_cap=cap + 1),
             )
@@ -541,7 +540,7 @@ def _battery_caloron(params, seed):
         rho = Representation.adjoint(conn.n)
         worst = rho_scaling_check(conn, rho)
         b_fund = b_field(conn)
-        scale = float(rho.index) * max(
+        scale = float(rho.index) * np.maximum(
             b_fund.max_norm(), b_fund.exterior_derivative().max_norm()
         )
         return worst / scale if scale > 0 else worst
@@ -591,9 +590,9 @@ def _battery_moduli(params, seed):
         for _ in range(params["conjugations"]):
             h = random_special_unitary(rep.n, rng)
             moved = conjugate(rep, h)
-            worst = max(worst, abs(relation_check(moved) - base))
+            worst = np.maximum(worst, abs(relation_check(moved) - base))
             if irreducibility_check(moved) != base_verdict:
-                worst = max(worst, 1.0)
+                worst = np.maximum(worst, 1.0)
         return worst
 
     def word_homomorphism():

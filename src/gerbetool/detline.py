@@ -244,9 +244,7 @@ def hodge_dual_iso(dim, seed=0):
         cogram = mat @ mat.conj().T
         eye_g = np.eye(gram.shape[0])
         eye_c = np.eye(cogram.shape[0])
-        worst = max(
-            worst,
-            float(np.abs(gram - eye_g).max()),
-            float(np.abs(cogram - eye_c).max()),
+        worst = np.max(
+            [worst, np.abs(gram - eye_g).max(), np.abs(cogram - eye_c).max()]
         )
-    return worst
+    return float(worst)

@@ -12,11 +12,18 @@ Current operators sigma(e^{ij}_n) are truncated sums of normal-ordered
 pairs.  Identities that fail near the window edge are checked on the safe
 subspace: states whose excitations keep a declared margin from the
 boundary, where the truncated operators agree with the untruncated ones.
+
+Every check works on one graded basis per (window, pair_cap), cached as an
+int64 occupation-mask array with a sorted lookup (graded_basis).  The exact
+identities apply each operator once to the whole block of safe columns
+through the mask -> amplitude dict engine, with the column index packed
+above the window's slots; the exponential runs on blocks of probe columns.
+The basis size is bounded by a declared cost model (check_basis_cost).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 import itertools
 import math
 
@@ -29,6 +36,7 @@ from .errors import (
     PrecisionError,
     RangeError,
     ResolutionError,
+    ResourceError,
     ValidationError,
 )
 from .spectral import rational
@@ -37,6 +45,18 @@ PSI = "psi"
 PSIBAR = "psibar"
 
 _ZERO_TOL = 1e-14
+
+# Cost model: the largest graded basis a check may allocate, and the slots
+# an int64 occupation mask may use, clear of the sign bit.
+MAX_BASIS_DIM = 50_000
+MASK_BITS = 62
+# One scaled Taylor exponential of a probe block may take at most this many
+# sparse products (2^scale * n_terms, each with a fixed call overhead) and
+# this many multiply-adds (products * nnz * block columns).
+MAX_EXPM_PRODUCTS = 2**16
+MAX_EXPM_WORK = 2**28
+# Probe columns per block in projective_equality_check.
+_PROBE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -81,13 +101,14 @@ class FockWindow:
         return min(max(math.floor(lam) + self.N + 1, 0), 2 * self.N + 1)
 
     def sea_mask(self, cut=None):
+        """Occupation mask of every slot whose mode lies strictly below the cut.
+
+        The sea is the contiguous run of the lowest slots, so the mask is a
+        closed form rather than a loop over modes.
+        """
         lam = self.cut if cut is None else rational(cut)
-        mask = 0
-        for m in range(-self.N, self.N + 1):
-            if m < lam:
-                for c in range(1, self.n_colors + 1):
-                    mask |= 1 << self.slot(c, m)
-        return mask
+        modes = min(max(math.ceil(lam) + self.N, 0), 2 * self.N + 1)
+        return (1 << (modes * self.n_colors)) - 1
 
     def above_slots(self):
         return [
@@ -180,35 +201,11 @@ class FockVector:
         mask = state.mask if isinstance(state, FockState) else int(state)
         return self.amps.get(mask, 0j)
 
-    def terms(self):
-        """(FockState, amplitude) pairs in deterministic mask order."""
-        w = self.window
-        return [(FockState.from_mask(w, m), a) for m, a in sorted(self.amps.items())]
-
     def norm_max(self):
         return max((abs(a) for a in self.amps.values()), default=0.0)
 
     def norm2(self):
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def __add__(self, other):
-        out = dict(self.amps)
-        for m, a in other.amps.items():
-            out[m] = out.get(m, 0j) + a
-        return FockVector(self.window, out)
-
-    def __sub__(self, other):
-        out = dict(self.amps)
-        for m, a in other.amps.items():
-            out[m] = out.get(m, 0j) - a
-        return FockVector(self.window, out)
-
-    def __rmul__(self, scalar):
-        return FockVector(self.window, {m: scalar * a for m, a in self.amps.items()})
-
-    def prune(self):
-        self.amps = {m: a for m, a in self.amps.items() if abs(a) > _ZERO_TOL}
-        return self
 
 
 @dataclass(frozen=True)
@@ -261,13 +258,147 @@ def apply_mode(op, vec):
     return FockVector(w, out)
 
 
+def basis_dimension(n_slots, pair_cap):
+    """Number of graded basis states: at most pair_cap particles plus holes.
+
+    Particles sit above the cut and holes below it, so choosing k excited
+    slots out of all n_slots counts them (Vandermonde): sum_k C(n_slots, k).
+    """
+    return sum(math.comb(n_slots, k) for k in range(pair_cap + 1))
+
+
+def check_basis_cost(n_slots, pair_cap):
+    """Dimension of the graded basis; ResourceError beyond the cost model."""
+    if n_slots > MASK_BITS:
+        raise ResourceError(
+            f"{n_slots} slots exceed the {MASK_BITS}-bit occupation mask"
+        )
+    dim = basis_dimension(n_slots, pair_cap)
+    if dim > MAX_BASIS_DIM:
+        raise ResourceError(
+            f"graded basis of {dim} states (n_slots {n_slots}, pair_cap {pair_cap}) "
+            f"exceeds the cap of {MAX_BASIS_DIM}"
+        )
+    return dim
+
+
+class GradedBasis:
+    """Occupation masks of a graded basis as an int64 array with sorted lookup.
+
+    Column k holds the mask of the k-th state of the enumeration; rows()
+    maps arbitrary masks back to columns through a sorted copy.
+    """
+
+    def __init__(self, window, masks):
+        self.window = window
+        self.masks = masks
+        self.masks.flags.writeable = False
+        self._order = np.argsort(masks, kind="stable")
+        self._sorted = masks[self._order]
+
+    def __len__(self):
+        return len(self.masks)
+
+    def rows(self, masks):
+        """Column of each mask in the basis, -1 where the mask lies outside it."""
+        if not len(self._sorted):
+            return np.full(len(masks), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._sorted, masks), len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == masks, self._order[pos], -1)
+
+
+def _subset_masks(slots, max_size):
+    """Masks of the size-k subsets of `slots` in lexicographic order, k <= max_size."""
+    return [
+        np.array(
+            [sum(1 << s for s in combo) for combo in itertools.combinations(slots, k)],
+            dtype=np.int64,
+        )
+        for k in range(min(max_size, len(slots)) + 1)
+    ]
+
+
+@lru_cache(maxsize=32)
+def graded_basis(window, pair_cap):
+    """The graded basis of enumerate_states(window, pair_cap) as cached masks.
+
+    Same order as enumerate_states: excitation count ascending, then
+    particles above holes lexicographically.  Because the order is graded,
+    the states with at most c excitations are the first
+    basis_dimension(n_slots, c) columns of every basis with a larger cap.
+    """
+    check_basis_cost(window.n_slots, pair_cap)
+    above = _subset_masks(window.above_slots(), pair_cap)
+    below = _subset_masks(window.below_slots(), pair_cap)
+    sea = np.int64(window.sea_mask())
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for total in range(pair_cap + 1):
+        for n_p in range(total, -1, -1):
+            n_h = total - n_p
+            if n_p < len(above) and n_h < len(below):
+                grid = above[n_p][:, None] | (sea ^ below[n_h])[None, :]
+                chunks.append(grid.ravel())
+    return GradedBasis(window, np.concatenate(chunks))
+
+
+def _as_basis(basis):
+    """A GradedBasis, or one built from a list of FockStates."""
+    if isinstance(basis, GradedBasis):
+        return basis
+    masks = np.array([st.mask for st in basis], dtype=np.int64)
+    return GradedBasis(basis[0].window, masks)
+
+
+def _compress(basis, terms, scalar=0j):
+    """CSR matrix of sum amp c^dag(s_to) c(s_from) + scalar on a basis.
+
+    Either slot of a term may be None, for a lone creator or destroyer.
+    Images outside the basis are dropped, so a column whose exact image
+    stays inside the basis is represented exactly.
+    """
+    masks = basis.masks
+    dim = len(masks)
+    cols = np.arange(dim)
+    rows_out, cols_out, data_out = [cols[:0]], [cols[:0]], [np.zeros(0, dtype=complex)]
+    for amp, s_to, s_from in terms:
+        image, odd = masks, np.zeros(dim, dtype=np.int64)
+        ok = np.ones(dim, dtype=bool)
+        if s_from is not None:
+            bit = np.int64(1 << s_from)
+            ok &= (image & bit) != 0
+            odd += np.bitwise_count(image & (bit - 1))
+            image = image ^ bit
+        if s_to is not None:
+            bit = np.int64(1 << s_to)
+            ok &= (image & bit) == 0
+            odd += np.bitwise_count(image & (bit - 1))
+            image = image | bit
+        rows = basis.rows(image)
+        ok &= rows >= 0
+        rows_out.append(rows[ok])
+        cols_out.append(cols[ok])
+        data_out.append(np.where(odd[ok] & 1, -1.0, 1.0) * complex(amp))
+    if scalar:
+        rows_out.append(cols)
+        cols_out.append(cols)
+        data_out.append(np.full(dim, complex(scalar)))
+    coo = sp.coo_matrix(
+        (
+            np.concatenate(data_out),
+            (np.concatenate(rows_out), np.concatenate(cols_out)),
+        ),
+        shape=(dim, dim),
+    )
+    return sp.csr_matrix(coo)
+
+
 class SparseOperator:
     """Quadratic operator: sum of hops amp * c^dag(slot_to) c(slot_from) + scalar.
 
     The hop list plus scalar is the exact (window-truncated) operator; the
-    matrix() view compresses it onto the graded basis enumeration.
-    safe_margin records how far truncation artifacts can reach (in modes)
-    from the window boundary.
+    matrix() view compresses it onto a graded basis.  safe_margin records
+    how far truncation artifacts can reach (in modes) from the window
+    boundary.
     """
 
     __slots__ = ("window", "hops", "scalar", "safe_margin")
@@ -285,25 +416,31 @@ class SparseOperator:
         self.safe_margin = safe_margin
 
     def apply_masks(self, amps):
-        """Hot path: dict mask->amp in, dict mask->amp out (exact arithmetic)."""
+        """Exact action on a dict mask -> amplitude.
+
+        Keys may carry extra bits above the window's slots (a packed column
+        index): hops and signs only read the slot bits, so such bits ride
+        along unchanged and one call applies the operator to a whole block.
+        """
+        moves = [
+            (a, 1 << s_from, (1 << s_from) - 1, 1 << s_to, (1 << s_to) - 1)
+            for a, s_to, s_from in self.hops
+        ]
         out = {}
         scalar = self.scalar
         for mask, amp in amps.items():
-            for a, s_to, s_from in self.hops:
-                bf = 1 << s_from
+            for a, bf, below_f, bt, below_t in moves:
                 if not mask & bf:
                     continue
                 m1 = mask ^ bf
-                bt = 1 << s_to
                 if m1 & bt:
                     continue
-                sign = 1.0
-                if (mask & (bf - 1)).bit_count() & 1:
-                    sign = -sign
-                if (m1 & (bt - 1)).bit_count() & 1:
-                    sign = -sign
                 m2 = m1 | bt
-                out[m2] = out.get(m2, 0j) + a * sign * amp
+                # parity of the two sign counts is the parity of their XOR
+                if ((mask & below_f) ^ (m1 & below_t)).bit_count() & 1:
+                    out[m2] = out.get(m2, 0j) - a * amp
+                else:
+                    out[m2] = out.get(m2, 0j) + a * amp
             if scalar:
                 out[mask] = out.get(mask, 0j) + scalar * amp
         return out
@@ -341,46 +478,14 @@ class SparseOperator:
     def identity(cls, window, scalar=1.0):
         return cls(window, (), scalar)
 
-    def matrix(self, basis, index=None):
-        """Compression onto an enumerated basis as a scipy CSR matrix.
-
-        Image components outside the basis are dropped; columns whose exact
-        image stays inside the basis are represented exactly.
-        """
-        if index is None:
-            index = {st.mask: k for k, st in enumerate(basis)}
-        rows, cols, data = [], [], []
-        for col, st in enumerate(basis):
-            for mask, amp in self.apply_masks({st.mask: 1.0}).items():
-                row = index.get(mask)
-                if row is not None:
-                    rows.append(row)
-                    cols.append(col)
-                    data.append(amp)
-        dim = len(basis)
-        return sp.csr_matrix(
-            sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex)
-        )
-
-    def boundary_states(self, basis, margin=None):
-        """Basis states whose support violates the safety margin."""
-        margin = self.safe_margin if margin is None else margin
-        return [st for st in basis if not _is_safe(st, margin)]
-
-
-def _is_safe(state, margin):
-    w = state.window
-    for _, m in state.particles:
-        if w.N - m < margin:
-            return False
-    for _, m in state.holes:
-        if m + w.N < margin:
-            return False
-    return True
+    def matrix(self, basis):
+        """Compression onto a graded basis (or a list of FockStates) as CSR."""
+        return _compress(_as_basis(basis), self.hops, self.scalar)
 
 
 def enumerate_states(window, pair_cap):
     """Graded basis: particle+hole count ascending, then lexicographic slots."""
+    check_basis_cost(window.n_slots, pair_cap)
     above = window.above_slots()
     below = window.below_slots()
     out = []
@@ -402,8 +507,22 @@ def enumerate_states(window, pair_cap):
 
 
 def safe_states(window, pair_cap, margin):
-    """Graded basis states whose excitations keep `margin` modes from the edge."""
-    return [st for st in enumerate_states(window, pair_cap) if _is_safe(st, margin)]
+    """Columns of graded_basis(window, pair_cap) clear of the edge by `margin`.
+
+    A particle in mode m is unsafe when N - m < margin, a hole when
+    m + N < margin; both tests are bit masks over the slot layout.
+    """
+    masks = graded_basis(window, pair_cap).masks
+    n_modes = 2 * window.N + 1
+    edge = min(max(margin, 0), n_modes)
+    width = window.n_colors
+    full = (1 << window.n_slots) - 1
+    top = np.int64(full ^ ((1 << ((n_modes - edge) * width)) - 1))
+    bottom = np.int64((1 << (edge * width)) - 1)
+    sea = np.int64(window.sea_mask())
+    particles = masks & ~sea
+    holes = sea & ~masks
+    return np.flatnonzero(((particles & top) == 0) & ((holes & bottom) == 0))
 
 
 def _require_interior(window, margin):
@@ -413,6 +532,25 @@ def _require_interior(window, margin):
             f"window N={window.N} too small for margin {margin} around cut {lam}; "
             "increase N"
         )
+
+
+def _safe_block(window, pair_cap, margin):
+    """Packed dict {mask | k << n_slots: 1} over the safe columns of the basis."""
+    _require_interior(window, margin)
+    cols = safe_states(window, pair_cap, margin)
+    if not len(cols):
+        raise ResolutionError(
+            f"safe subspace empty for margin {margin} at N={window.N}; increase N"
+        )
+    masks = graded_basis(window, pair_cap).masks[cols].tolist()
+    shift = window.n_slots
+    return {mask | (k << shift): 1.0 for k, mask in enumerate(masks)}
+
+
+def _max_abs(amps):
+    """Largest |amplitude| of a mask dict; NaN propagates."""
+    values = np.fromiter(amps.values(), dtype=complex, count=len(amps))
+    return float(np.abs(values).max(initial=0.0))
 
 
 def normal_ordered_pair(i, j, m, n, window):
@@ -473,15 +611,9 @@ def commutator_check(i, j, k, l, m, n, window, pair_cap=2):
     must vanish exactly (amplitudes are signed integers) on states whose
     excitations stay |m|+|n| modes clear of the window boundary.  The probe
     basis caps the excitation count at pair_cap; the identity itself is
-    count-independent.
+    count-independent.  Each operator acts once on the whole safe block.
     """
-    margin = abs(m) + abs(n)
-    _require_interior(window, margin)
-    states = safe_states(window, pair_cap, margin)
-    if not states:
-        raise ResolutionError(
-            f"safe subspace empty for margin {margin} at N={window.N}; increase N"
-        )
+    block = _safe_block(window, pair_cap, abs(m) + abs(n))
     op_a = sigma(i, j, m, window)
     op_b = sigma(k, l, n, window)
     rhs = SparseOperator(window)
@@ -490,20 +622,15 @@ def commutator_check(i, j, k, l, m, n, window, pair_cap=2):
     if i == l:
         rhs = rhs - sigma(k, j, m + n, window)
     central = float(m) if (j == k and i == l and m + n == 0) else 0.0
-    residual = 0.0
-    for st in states:
-        x = {st.mask: 1.0}
-        lhs = op_a.apply_masks(op_b.apply_masks(x))
-        for mask, amp in op_b.apply_masks(op_a.apply_masks(x)).items():
-            lhs[mask] = lhs.get(mask, 0j) - amp
-        for mask, amp in rhs.apply_masks(x).items():
-            lhs[mask] = lhs.get(mask, 0j) - amp
-        if central:
-            lhs[st.mask] = lhs.get(st.mask, 0j) - central
-        bad = max((abs(a) for a in lhs.values()), default=0.0)
-        if bad > residual:
-            residual = bad
-    return residual
+    lhs = op_a.apply_masks(op_b.apply_masks(block))
+    for key, amp in op_b.apply_masks(op_a.apply_masks(block)).items():
+        lhs[key] = lhs.get(key, 0j) - amp
+    for key, amp in rhs.apply_masks(block).items():
+        lhs[key] = lhs.get(key, 0j) - amp
+    if central:
+        for key in block:
+            lhs[key] = lhs.get(key, 0j) - central
+    return _max_abs(lhs)
 
 
 def _transport_modes(window, mu):
@@ -562,51 +689,54 @@ def cut_shift_check(i, j, n, window, mu, pair_cap=2):
     diff = op_mu - op_lam
     if i == j and n == 0:
         diff = diff + SparseOperator.identity(window, float(n_shift))
-    margin = abs(n)
-    _require_interior(window, margin)
-    states = safe_states(window, pair_cap, margin)
-    if not states:
-        raise ResolutionError("safe subspace empty; increase N")
-    residual = 0.0
-    for st in states:
-        out = diff.apply_masks({st.mask: 1.0})
-        bad = max((abs(a) for a in out.values()), default=0.0)
-        residual = max(residual, bad)
-    return residual, n_shift
+    block = _safe_block(window, pair_cap, abs(n))
+    return _max_abs(diff.apply_masks(block)), n_shift
 
 
-def _expm_multiply(mat, vec, t, tol=1e-12):
-    """exp(t*mat) @ vec by scaling plus truncated Taylor series.
+def _expm_multiply(mat, block, t, tol=1e-12):
+    """exp(t*mat) @ block by scaling plus truncated Taylor series, in place.
 
     The scaling s keeps theta = |t| * ||mat||_1 / 2^s <= 0.5, the series is
     summed until its a-priori tail bound theta^(K+1)/((K+1)!(1-theta)) drops
-    below tol; failure to reach that bound raises PrecisionError.
+    below tol; failure to reach that bound, or a non-finite result, raises
+    PrecisionError.  Work beyond MAX_EXPM_PRODUCTS or MAX_EXPM_WORK raises
+    ResourceError before the first product.
     """
     if t == 0:
-        return vec.copy()
+        return block.copy()
     norm1 = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
+    if not math.isfinite(abs(t) * norm1):
+        raise PrecisionError(f"operator norm {norm1:.3e} at time {t} is not finite")
     theta_target = 0.5
     scale = max(0, math.ceil(math.log2(max(abs(t) * norm1, 1e-300) / theta_target)))
-    if scale > 64:
-        raise PrecisionError(
-            f"series tail bound {tol} unreachable: operator norm {norm1:.3e} too large"
-        )
-    theta = abs(t) * norm1 / 2**scale
+    theta = math.ldexp(abs(t) * norm1, -scale)
     n_terms, bound = 1, theta
     while bound / (1.0 - theta) > tol:
         n_terms += 1
         bound *= theta / n_terms
         if n_terms > 60:
             raise PrecisionError("series tail bound not met within 60 terms")
+    products = 2**scale * n_terms
+    work = products * mat.nnz * block.shape[1]
+    if products > MAX_EXPM_PRODUCTS or work > MAX_EXPM_WORK:
+        raise ResourceError(
+            f"exponential needs 2^{scale} x {n_terms} products of a "
+            f"{mat.nnz}-entry matrix on {block.shape[1]} columns "
+            f"(|t| * ||mat||_1 = {abs(t) * norm1:.3e}), over the cap of "
+            f"{MAX_EXPM_PRODUCTS} products or {MAX_EXPM_WORK} multiply-adds"
+        )
     step = t / 2**scale
-    out = vec.astype(complex)
+    out = block.astype(np.result_type(mat.dtype, block.dtype, step))
     for _ in range(2**scale):
         term = out
-        acc = out.copy()
         for k in range(1, n_terms + 1):
-            term = mat.dot(term) * (step / k)
-            acc = acc + term
-        out = acc
+            term = mat @ term
+            term *= step / k
+            out += term
+        if not np.isfinite(out).all():
+            raise PrecisionError(
+                f"exponential overflowed: |t| * ||mat||_1 = {abs(t) * norm1:.3e}"
+            )
     return out
 
 
@@ -616,7 +746,8 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=1e-12):
     K is a finite combination [(coeff, i, j, n), ...] of elementary loop
     generators; Tr uses the window-independent convention Tr e^{ii}_0 = 1.
     Both exponentials act on the graded-basis compression (identical bases,
-    so the matrices differ exactly by the scalar) applied to safe states.
+    so the matrices differ exactly by the scalar) applied to blocks of safe
+    probe columns, in real arithmetic when every matrix entry and t are real.
     """
     mu, modes = _transport_modes(window, mu)
     n_shift = len(modes)
@@ -628,36 +759,103 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=1e-12):
         op_lam = op_lam + c * sigma(i, j, n, window)
         op_mu = op_mu + c * sigma(i, j, n, window, cut=mu)
         max_n = max(max_n, abs(n))
-    basis = enumerate_states(window, pair_cap)
-    index = {st.mask: kk for kk, st in enumerate(basis)}
-    mat_lam = op_lam.matrix(basis, index)
-    mat_mu = op_mu.matrix(basis, index)
+    basis = graded_basis(window, pair_cap)
+    mat_lam = op_lam.matrix(basis)
+    mat_mu = op_mu.matrix(basis)
+    if not (np.iscomplexobj(t) or mat_lam.data.imag.any() or mat_mu.data.imag.any()):
+        mat_lam, mat_mu = mat_lam.real, mat_mu.real
     factor = np.exp(-t * n_shift * trace_k)
     _require_interior(window, max_n)
+    # the basis is graded, so probe columns at the lower cap index it too
     probes = safe_states(window, min(2, pair_cap), max_n)
     residual = 0.0
-    for st in probes:
-        e = np.zeros(len(basis), dtype=complex)
-        e[index[st.mask]] = 1.0
-        lhs = _expm_multiply(mat_mu, e, t, tail_tol)
-        rhs = factor * _expm_multiply(mat_lam, e, t, tail_tol)
-        residual = max(residual, float(np.abs(lhs - rhs).max()))
-    return residual
+    for start in range(0, len(probes), _PROBE_BLOCK):
+        cols = probes[start:start + _PROBE_BLOCK]
+        block = np.zeros((len(basis), len(cols)), dtype=mat_mu.dtype)
+        block[cols, np.arange(len(cols))] = 1.0
+        lhs = _expm_multiply(mat_mu, block, t, tail_tol)
+        rhs = _expm_multiply(mat_lam, block, t, tail_tol)
+        rhs *= factor
+        lhs -= rhs
+        residual = np.maximum(residual, np.abs(lhs).max())
+    return float(residual)
 
 
 def mode_operator_matrix(op, basis, index=None):
-    """Matrix of a single mode operator on an enumerated basis (CSR)."""
-    window = basis[0].window
-    if index is None:
-        index = {st.mask: k for k, st in enumerate(basis)}
-    rows, cols, data = [], [], []
-    for col, st in enumerate(basis):
-        out = apply_mode(op, FockVector(window, {st.mask: 1.0}))
-        for mask, amp in out.amps.items():
-            row = index.get(mask)
-            if row is not None:
-                rows.append(row)
-                cols.append(col)
-                data.append(amp)
+    """Matrix of a single mode operator on a graded basis (CSR).
+
+    `basis` is a GradedBasis or a list of FockStates.  `index`, a mask ->
+    row dict, is accepted for callers that built one; rows are found by a
+    sorted search of the basis masks.
+    """
+    basis = _as_basis(basis)
+    s = basis.window.slot(op.color, op.slot_mode())
+    term = (1.0, s, None) if op.kind == PSI else (1.0, None, s)
+    return _compress(basis, (term,))
+
+
+def car_residual(window, pair_cap=2):
+    """Max residual of the four anticommutator identities as matrices.
+
+    The graded basis caps the excitation count; the products are exact on
+    columns whose intermediate states stay inside the cap, so the residual
+    is measured on states with count <= pair_cap - 1 (the first columns of
+    the graded basis) and must be exactly 0.  Every label pair is formed at
+    once: stacking the mode matrices turns the products X_a Y_b on the kept
+    columns into one sparse product whose (a, b) block is X_a Y_b.
+    """
+    basis = graded_basis(window, pair_cap)
     dim = len(basis)
-    return sp.csr_matrix(sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex))
+    keep = basis_dimension(window.n_slots, pair_cap - 1)
+    if not keep:
+        return 0.0
+    labels = [
+        (c, m)
+        for c in range(1, window.n_colors + 1)
+        for m in range(-window.N, window.N + 1)
+    ]
+    n_lab = len(labels)
+    creators = _stack([mode_operator_matrix(psi(c, m), basis) for c, m in labels], keep)
+    destroyers = _stack(
+        [mode_operator_matrix(psibar(c, -m), basis) for c, m in labels], keep
+    )
+    # delta_{ab} times the kept columns of the identity, on the diagonal blocks
+    blocks = np.arange(n_lab)[:, None]
+    kept = np.arange(keep)
+    delta = sp.csr_matrix(
+        (
+            np.ones(n_lab * keep),
+            ((blocks * dim + kept).ravel(), (blocks * keep + kept).ravel()),
+        ),
+        shape=(n_lab * dim, n_lab * keep),
+    )
+    worst = 0.0
+    for left, right, want in (
+        (creators, creators, False),
+        (destroyers, destroyers, False),
+        (creators, destroyers, True),
+        (destroyers, creators, True),
+    ):
+        anti = left[0] @ right[1] + _swap_blocks(right[0] @ left[1], dim, keep)
+        if want:
+            anti = anti - delta
+        worst = np.maximum(worst, np.abs(anti.data).max(initial=0.0))
+    return float(worst)
+
+
+def _stack(mats, keep):
+    """(vstack of mats, hstack of their first `keep` columns), both CSR."""
+    return (
+        sp.vstack(mats, format="csr"),
+        sp.hstack([x[:, :keep] for x in mats], format="csr"),
+    )
+
+
+def _swap_blocks(mat, rows, cols):
+    """Block transpose: block (b, a) of rows x cols blocks moves to (a, b)."""
+    coo = mat.tocoo()
+    block_r, r = np.divmod(coo.row, rows)
+    block_c, c = np.divmod(coo.col, cols)
+    return sp.csr_matrix(
+        (coo.data, (block_c * rows + r, block_r * cols + c)), shape=mat.shape
+    )

@@ -73,8 +73,8 @@ class LieAlgebraSpec:
                 raise ValidationError(f"basis element {a} is not traceless")
             for b, tb in enumerate(self.basis):
                 want = 2.0 if a == b else 0.0
-                worst = max(worst, abs(inner(ta, tb) - want))
-        if worst > self.tolerance:
+                worst = np.maximum(worst, abs(inner(ta, tb) - want))
+        if not worst <= self.tolerance:
             raise ValidationError(f"basis orthogonality residual {worst:.3e}")
         coroot = np.zeros((self.n, self.n), dtype=complex)
         coroot[0, 0], coroot[1, 1] = 1j, -1j

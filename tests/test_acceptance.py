@@ -23,11 +23,12 @@ from gerbetool.caloron import (
     pontryagin_density,
     rho_scaling_check,
 )
-from gerbetool.cli import _car_residual, holonomy_suite
+from gerbetool.cli import holonomy_suite
 from gerbetool.detline import CechTriple, compose, delta_triviality, det_line
 from gerbetool.fock import (
     FockWindow,
     apply_mode,
+    car_residual as _car_residual,
     bogoliubov_vacuum,
     commutator_check,
     cut_shift_check,

@@ -111,6 +111,12 @@ class TestCurvature:
             errs[m] = np.abs(curvature(conn).base[(0, 1)] - want).max()
         assert math.log2(errs[16] / errs[32]) >= 3.5
 
+    def test_max_norm_propagates_nan(self):
+        # max(worst, nan) keeps worst, so one NaN sample must reach the norm
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        conn.a[2, 0, 4, 4, 4, 0, 0] = math.nan
+        assert math.isnan(curvature(conn).max_norm())
+
     def test_flat_preset_contracts_at_fourth_order(self):
         # measured 0.9305 at M=16 and 0.06145 at M=32, order 3.92
         res = {}

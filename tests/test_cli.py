@@ -121,6 +121,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="does not match subcommand"):
             validate_scenario({"command": "cover"}, cli_command="spectrum")
 
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"n_colors": 1}, "key 'n_colors' .* must be >= 2"),
+            ({"pair_cap": 0}, "key 'pair_cap' .* must be >= 1"),
+            ({"mu": "15/2"}, "band .* exits the window"),
+            ({"sweep": 0, "n_max": 1}, "margin of 1"),
+            ({"cut": "-11/2"}, "margin of 4"),
+        ],
+        ids=["one-color", "pair-cap", "mu-band", "sweep-0", "low-cut"],
+    )
+    def test_fock_cross_field_rules(self, params, match):
+        with pytest.raises(ConfigError, match=match):
+            validate_scenario({"command": "fock", "params": params})
+
+    def test_fock_cost_model_admits_three_colors(self):
+        _, params, _, _ = validate_scenario(
+            {"command": "fock", "params": {"n_colors": 3, "n_max": 8}}
+        )
+        assert params["n_colors"] == 3
+
     def test_defaults_fill_missing_params(self):
         _, params, seed, out = validate_scenario({"command": "spectrum"})
         assert params == {"n_max": 6, "phases": [0.15, 0.55]}
@@ -165,6 +186,39 @@ class TestReports:
         assert report["status"] == "fail"
 
 
+    @pytest.mark.parametrize(
+        "command, params, name, check",
+        [
+            ("fock", {"n_max": 4, "sweep": 1}, "commutator-sweep", "commutator_check"),
+            ("fock", {"n_max": 4, "sweep": 1}, "projective-exponential",
+             "projective_equality_check"),
+            ("cocycle", {"suite": "trivial"}, "delta-triviality-u1-trivial",
+             "delta_triviality"),
+        ],
+        ids=["commutator-sweep", "projective", "cocycle-worst"],
+    )
+    def test_nan_term_fails_its_accumulator(
+        self, monkeypatch, command, params, name, check
+    ):
+        # one NaN among finite terms: max(acc, nan) would keep acc and pass
+        real = getattr(cli, check)
+        calls = []
+
+        def first_nan(*args, **kwargs):
+            value = real(*args, **kwargs)
+            calls.append(value)
+            if len(calls) != 1:
+                return value
+            return (math.nan, *value[1:]) if isinstance(value, tuple) else math.nan
+
+        monkeypatch.setattr(cli, check, first_nan)
+        _, params, seed, _ = validate_scenario({"command": command, "params": params})
+        report = run_scenario(command, params, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == name]
+        assert len(calls) > 1
+        assert record["status"] == "fail"
+
+
 class TestExitCodes:
     def test_passing_battery_exits_zero(self, tmp_path):
         cfg = tmp_path / "s.json"
@@ -189,6 +243,31 @@ class TestExitCodes:
         proc = run_cli("caloron", "--config", str(cfg))
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"n_max": -1}, "key 'n_max' .* must be >= 1"),
+            ({"n_colors": 0}, "key 'n_colors' .* must be >= 2"),
+            ({"cut": "1"}, "key 'cut' .* must be non-integer"),
+            ({"n_max": 3}, "margin of 4 \\(sweep 2\\)"),
+            ({"n_max": 4}, "margin of 4 \\(sweep 2\\)"),
+            ({"mu": "1/4"}, "key 'mu' .* must exceed the cut"),
+            ({"sweep": -1}, "key 'sweep' .* must be >= 0"),
+            ({"pair_cap": 9}, "exceeds the cap of 50000"),
+        ],
+        ids=["n_max", "n_colors", "cut", "n_max-3", "n_max-4", "mu", "sweep", "pair_cap"],
+    )
+    def test_meaningless_fock_config_exits_two(self, tmp_path, params, match):
+        # each passes the types but left a check without a meaningful verdict
+        cfg = tmp_path / "fock.json"
+        cfg.write_text(json.dumps({"command": "fock", "params": params}))
+        proc = run_cli("fock", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert re.search(match, proc.stderr)
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 

@@ -19,28 +19,36 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
+from gerbetool import fock
 from gerbetool.errors import (
     ArgumentError,
+    PrecisionError,
     RangeError,
     ResolutionError,
+    ResourceError,
     ValidationError,
 )
 from gerbetool.fock import (
+    MAX_BASIS_DIM,
     FockState,
     FockVector,
     FockWindow,
     SparseOperator,
     apply_mode,
+    basis_dimension,
     bogoliubov_vacuum,
+    car_residual,
     commutator_check,
     cut_shift_check,
     elementary_action,
     enumerate_states,
+    graded_basis,
     mode_operator_matrix,
     normal_ordered_pair,
     projective_equality_check,
     psi,
     psibar,
+    safe_states,
     sigma,
     vacuum,
 )
@@ -481,3 +489,92 @@ class TestProjectiveEquality:
             [(1.0, 1, 1, 0), (0.5, 1, 1, 1), (0.5, 1, 1, -1)], 0.25, W31, "5/2"
         )
         assert res <= 1e-10
+
+
+class TestGradedBasisEngine:
+    @pytest.mark.parametrize(
+        "window", [W31, W22, FockWindow(2, 6, "1/2")], ids=["c1N3", "c2N2", "c2N6"]
+    )
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_cached_masks_follow_enumeration(self, window, cap):
+        masks = graded_basis(window, cap).masks
+        assert masks.dtype == np.int64
+        assert masks.tolist() == [st.mask for st in enumerate_states(window, cap)]
+        assert len(masks) == basis_dimension(window.n_slots, cap)
+        assert graded_basis(window, cap) is graded_basis(window, cap)
+
+    @pytest.mark.parametrize("margin", [0, 1, 2, 3])
+    def test_safe_columns_match_oracle_predicate(self, margin):
+        w = FockWindow(2, 3, "1/2")
+        masks = graded_basis(w, 3).masks.tolist()
+        want = [k for k, mask in enumerate(masks) if mask_is_safe(w, mask, margin)]
+        assert safe_states(w, 3, margin).tolist() == want
+
+    def test_rows_find_members_and_reject_outsiders(self):
+        basis = graded_basis(W22, 2)
+        masks = basis.masks
+        assert basis.rows(masks[::-1]).tolist() == list(range(len(masks)))[::-1]
+        full = np.int64((1 << W22.n_slots) - 1)
+        assert basis.rows(np.array([full], dtype=np.int64)).tolist() == [-1]
+
+    def test_planted_sign_defect_is_caught(self, monkeypatch):
+        # one hop of every current flips sign: the block check must see it
+        real = fock.sigma
+
+        def flipped(i, j, n, window, cut=None):
+            op = real(i, j, n, window, cut)
+            hops = list(op.hops)
+            a, s_to, s_from = hops[len(hops) // 2]
+            hops[len(hops) // 2] = (-a, s_to, s_from)
+            return SparseOperator(window, hops, op.scalar, op.safe_margin)
+
+        w = FockWindow(1, 4, "1/2")
+        assert commutator_check(1, 1, 1, 1, 1, 0, w) == 0.0
+        monkeypatch.setattr(fock, "sigma", flipped)
+        assert commutator_check(1, 1, 1, 1, 1, 0, w) > 0.0
+
+    def test_probe_block_width_does_not_change_the_residual(self, monkeypatch):
+        w = FockWindow(2, 4, "1/2")
+        terms = [(1.0, 1, 1, 1), (-1.0, 1, 1, -1), (0.5, 1, 2, 0)]
+        wide = projective_equality_check(terms, 0.35, w, "5/2")
+        monkeypatch.setattr(fock, "_PROBE_BLOCK", 1)
+        assert projective_equality_check(terms, 0.35, w, "5/2") == wide
+
+    def test_car_residual_exact(self):
+        assert car_residual(FockWindow(2, 3, "1/2"), 2) == 0.0
+        assert car_residual(FockWindow(1, 3, "-1/2"), 3) == 0.0
+
+
+class TestCostModel:
+    def test_dimension_formula(self):
+        assert basis_dimension(26, 3) == 2952
+        assert basis_dimension(51, 3) == 22152
+        assert basis_dimension(W22.n_slots, 2) == len(enumerate_states(W22, 2))
+
+    def test_oversized_basis_rejected_before_allocating(self):
+        w = FockWindow(2, 6, "1/2")
+        assert basis_dimension(w.n_slots, 9) > MAX_BASIS_DIM
+        with pytest.raises(ResourceError, match="cap"):
+            graded_basis(w, 9)
+        with pytest.raises(ResourceError, match="cap"):
+            enumerate_states(w, 9)
+
+    def test_mask_width_bounded(self):
+        with pytest.raises(ResourceError, match="62-bit"):
+            graded_basis(FockWindow(3, 11, "1/2"), 0)
+
+    @pytest.mark.parametrize(
+        "window, t, cap",
+        [(W31, 1e6, 2), (FockWindow(2, 6, "1/2"), 50.0, 3)],
+        ids=["products", "work"],
+    )
+    def test_exponential_work_bounded(self, window, t, cap):
+        # t = 50 on the CLI's default window would take minutes of products
+        terms = [(1.0, 1, 1, 1), (-1.0, 1, 1, -1)]
+        with pytest.raises(ResourceError, match="over the cap"):
+            projective_equality_check(terms, t, window, "5/2", pair_cap=cap)
+
+    def test_overflowing_exponential_raises(self):
+        # the Taylor steps overflow to inf and NaN; that must not read as a pass
+        with pytest.raises(PrecisionError, match="overflow"):
+            projective_equality_check([(1.0, 1, 1, 0)], 400.0, W31, "5/2", pair_cap=2)
