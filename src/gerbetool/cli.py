@@ -28,9 +28,11 @@ from .caloron import (
     rho_scaling_check,
 )
 from .detline import CechTriple, compose, delta_triviality, det_line
-from .errors import ConfigError, GerbeToolError, ResourceError
+from .errors import ConfigError, GerbeToolError
 from .fock import (
     FockWindow,
+    _require_interior,
+    _transport_modes,
     bogoliubov_vacuum,
     car_residual,
     check_basis_cost,
@@ -200,39 +202,24 @@ def validate_scenario(obj, cli_command=None):
 def _check_fock(params):
     """Ranges and cross-field rules under which every fock check is meaningful.
 
-    The commutator sweep needs a window margin of 2 * sweep around the cut,
-    the central term and the projective exponential a margin of 1; mu must
-    lie above the cut with its band (cut, mu] inside the window; the
-    off-diagonal projective generator needs two colors; and the largest
-    basis (pair_cap + 1) must fit the cost model.
+    The library's own rules (window, margin, band and cost model) are asked
+    of the library: the commutator sweep needs a window margin of 2 * sweep
+    around the cut, the central term and the projective exponential a
+    margin of 1, and the largest basis is built at pair_cap + 1.  Only the
+    rules the library lacks are written here: the off-diagonal projective
+    generator needs two colors, and the sweep and pair cap are counts.
     """
-
-    def bad(key, rule):
-        return ConfigError(f"key '{key}' in params for command 'fock' {rule}")
-
-    for key, low in (("n_colors", 2), ("n_max", 1), ("sweep", 0), ("pair_cap", 1)):
+    for key, low in (("n_colors", 2), ("sweep", 0), ("pair_cap", 1)):
         if params[key] < low:
-            raise bad(key, f"must be >= {low}")
-    n_max, sweep = params["n_max"], params["sweep"]
-    cut, mu = Fraction(params["cut"]), Fraction(params["mu"])
-    for key, value in (("cut", cut), ("mu", mu)):
-        if value.denominator == 1:
-            raise bad(key, f"must be non-integer, got {value}")
-    margin = max(2 * sweep, 1)
-    if math.ceil(cut) + margin > n_max or math.floor(cut) - margin < -n_max:
-        raise bad(
-            "n_max",
-            f"must leave a margin of {margin} (sweep {sweep}) on both sides of "
-            f"the cut {cut}: need ceil(cut) + {margin} <= n_max and "
-            f"floor(cut) - {margin} >= -n_max",
-        )
-    if not cut < mu:
-        raise bad("mu", f"must exceed the cut {cut}, got {mu}")
-    if math.floor(mu) > n_max:
-        raise bad("mu", f"band (cut, {mu}] exits the window |m| <= {n_max}")
+            raise ConfigError(
+                f"key '{key}' in params for command 'fock' must be >= {low}"
+            )
     try:
-        check_basis_cost(params["n_colors"] * (2 * n_max + 1), params["pair_cap"] + 1)
-    except ResourceError as exc:
+        window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
+        _require_interior(window, max(2 * params["sweep"], 1))
+        _transport_modes(window, params["mu"])
+        check_basis_cost(window.n_slots, params["pair_cap"] + 1)
+    except GerbeToolError as exc:
         raise ConfigError(f"params for command 'fock': {exc}") from None
 
 

@@ -50,11 +50,11 @@ _ZERO_TOL = 1e-14
 # an int64 occupation mask may use, clear of the sign bit.
 MAX_BASIS_DIM = 50_000
 MASK_BITS = 62
-# One scaled Taylor exponential of a probe block may take at most this many
-# sparse products (2^scale * n_terms, each with a fixed call overhead) and
-# this many multiply-adds (products * nnz * block columns).
-MAX_EXPM_PRODUCTS = 2**16
+# One scaled Taylor exponential of a probe block may cost at most this many
+# multiply-adds: 2^scale * n_terms sparse products, each nnz * block columns
+# plus a fixed call cost of the order of 10 us, counted as _PRODUCT_OVERHEAD.
 MAX_EXPM_WORK = 2**28
+_PRODUCT_OVERHEAD = 4096
 # Probe columns per block in projective_equality_check.
 _PROBE_BLOCK = 16
 
@@ -236,6 +236,13 @@ def _parity(bits):
     return -1.0 if bits.bit_count() & 1 else 1.0
 
 
+def _parities(masks):
+    """Bit parity (0 or 1) of each non-negative int64 mask, by xor folding."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        masks = masks ^ (masks >> shift)
+    return masks & 1
+
+
 def apply_mode(op, vec):
     """Apply a single mode operator; fermionic sign from slots preceding the target."""
     if isinstance(vec, FockState):
@@ -366,18 +373,18 @@ def _compress(basis, terms, scalar=0j):
         if s_from is not None:
             bit = np.int64(1 << s_from)
             ok &= (image & bit) != 0
-            odd += np.bitwise_count(image & (bit - 1))
+            odd ^= _parities(image & (bit - 1))
             image = image ^ bit
         if s_to is not None:
             bit = np.int64(1 << s_to)
             ok &= (image & bit) == 0
-            odd += np.bitwise_count(image & (bit - 1))
+            odd ^= _parities(image & (bit - 1))
             image = image | bit
         rows = basis.rows(image)
         ok &= rows >= 0
         rows_out.append(rows[ok])
         cols_out.append(cols[ok])
-        data_out.append(np.where(odd[ok] & 1, -1.0, 1.0) * complex(amp))
+        data_out.append(np.where(odd[ok], -1.0, 1.0) * complex(amp))
     if scalar:
         rows_out.append(cols)
         cols_out.append(cols)
@@ -507,6 +514,13 @@ def enumerate_states(window, pair_cap):
 
 
 def safe_states(window, pair_cap, margin):
+    """Graded basis states whose excitations keep `margin` modes from the edge."""
+    masks = graded_basis(window, pair_cap).masks
+    cols = _safe_columns(window, pair_cap, margin)
+    return [FockState.from_mask(window, mask) for mask in masks[cols].tolist()]
+
+
+def _safe_columns(window, pair_cap, margin):
     """Columns of graded_basis(window, pair_cap) clear of the edge by `margin`.
 
     A particle in mode m is unsafe when N - m < margin, a hole when
@@ -537,7 +551,7 @@ def _require_interior(window, margin):
 def _safe_block(window, pair_cap, margin):
     """Packed dict {mask | k << n_slots: 1} over the safe columns of the basis."""
     _require_interior(window, margin)
-    cols = safe_states(window, pair_cap, margin)
+    cols = _safe_columns(window, pair_cap, margin)
     if not len(cols):
         raise ResolutionError(
             f"safe subspace empty for margin {margin} at N={window.N}; increase N"
@@ -699,8 +713,8 @@ def _expm_multiply(mat, block, t, tol=1e-12):
     The scaling s keeps theta = |t| * ||mat||_1 / 2^s <= 0.5, the series is
     summed until its a-priori tail bound theta^(K+1)/((K+1)!(1-theta)) drops
     below tol; failure to reach that bound, or a non-finite result, raises
-    PrecisionError.  Work beyond MAX_EXPM_PRODUCTS or MAX_EXPM_WORK raises
-    ResourceError before the first product.
+    PrecisionError.  Work beyond MAX_EXPM_WORK raises ResourceError before
+    the first product.
     """
     if t == 0:
         return block.copy()
@@ -716,14 +730,13 @@ def _expm_multiply(mat, block, t, tol=1e-12):
         bound *= theta / n_terms
         if n_terms > 60:
             raise PrecisionError("series tail bound not met within 60 terms")
-    products = 2**scale * n_terms
-    work = products * mat.nnz * block.shape[1]
-    if products > MAX_EXPM_PRODUCTS or work > MAX_EXPM_WORK:
+    work = 2**scale * n_terms * (mat.nnz * block.shape[1] + _PRODUCT_OVERHEAD)
+    if work > MAX_EXPM_WORK:
         raise ResourceError(
             f"exponential needs 2^{scale} x {n_terms} products of a "
             f"{mat.nnz}-entry matrix on {block.shape[1]} columns "
             f"(|t| * ||mat||_1 = {abs(t) * norm1:.3e}), over the cap of "
-            f"{MAX_EXPM_PRODUCTS} products or {MAX_EXPM_WORK} multiply-adds"
+            f"{MAX_EXPM_WORK} multiply-adds"
         )
     step = t / 2**scale
     out = block.astype(np.result_type(mat.dtype, block.dtype, step))
@@ -747,7 +760,8 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=1e-12):
     generators; Tr uses the window-independent convention Tr e^{ii}_0 = 1.
     Both exponentials act on the graded-basis compression (identical bases,
     so the matrices differ exactly by the scalar) applied to blocks of safe
-    probe columns, in real arithmetic when every matrix entry and t are real.
+    probe columns, in real arithmetic when every matrix entry and the scalar
+    factor are real.
     """
     mu, modes = _transport_modes(window, mu)
     n_shift = len(modes)
@@ -762,12 +776,14 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=1e-12):
     basis = graded_basis(window, pair_cap)
     mat_lam = op_lam.matrix(basis)
     mat_mu = op_mu.matrix(basis)
-    if not (np.iscomplexobj(t) or mat_lam.data.imag.any() or mat_mu.data.imag.any()):
-        mat_lam, mat_mu = mat_lam.real, mat_mu.real
     factor = np.exp(-t * n_shift * trace_k)
+    if not (
+        np.iscomplexobj(factor) or mat_lam.data.imag.any() or mat_mu.data.imag.any()
+    ):
+        mat_lam, mat_mu = mat_lam.real, mat_mu.real
     _require_interior(window, max_n)
     # the basis is graded, so probe columns at the lower cap index it too
-    probes = safe_states(window, min(2, pair_cap), max_n)
+    probes = _safe_columns(window, min(2, pair_cap), max_n)
     residual = 0.0
     for start in range(0, len(probes), _PROBE_BLOCK):
         cols = probes[start:start + _PROBE_BLOCK]

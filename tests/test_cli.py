@@ -127,8 +127,8 @@ class TestValidation:
             ({"n_colors": 1}, "key 'n_colors' .* must be >= 2"),
             ({"pair_cap": 0}, "key 'pair_cap' .* must be >= 1"),
             ({"mu": "15/2"}, "band .* exits the window"),
-            ({"sweep": 0, "n_max": 1}, "margin of 1"),
-            ({"cut": "-11/2"}, "margin of 4"),
+            ({"sweep": 0, "n_max": 1}, "too small for margin 1 "),
+            ({"cut": "-11/2"}, "too small for margin 4 "),
         ],
         ids=["one-color", "pair-cap", "mu-band", "sweep-0", "low-cut"],
     )
@@ -249,12 +249,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "params, match",
         [
-            ({"n_max": -1}, "key 'n_max' .* must be >= 1"),
+            ({"n_max": -1}, "window size N must be >= 1"),
             ({"n_colors": 0}, "key 'n_colors' .* must be >= 2"),
-            ({"cut": "1"}, "key 'cut' .* must be non-integer"),
-            ({"n_max": 3}, "margin of 4 \\(sweep 2\\)"),
-            ({"n_max": 4}, "margin of 4 \\(sweep 2\\)"),
-            ({"mu": "1/4"}, "key 'mu' .* must exceed the cut"),
+            ({"cut": "1"}, "cut must be non-integer"),
+            ({"n_max": 3}, "N=3 too small for margin 4 "),
+            ({"n_max": 4}, "N=4 too small for margin 4 "),
+            ({"mu": "1/4"}, "target cut 1/4 must exceed the window cut"),
             ({"sweep": -1}, "key 'sweep' .* must be >= 0"),
             ({"pair_cap": 9}, "exceeds the cap of 50000"),
         ],

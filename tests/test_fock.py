@@ -508,7 +508,29 @@ class TestGradedBasisEngine:
         w = FockWindow(2, 3, "1/2")
         masks = graded_basis(w, 3).masks.tolist()
         want = [k for k, mask in enumerate(masks) if mask_is_safe(w, mask, margin)]
-        assert safe_states(w, 3, margin).tolist() == want
+        assert fock._safe_columns(w, 3, margin).tolist() == want
+
+    @pytest.mark.parametrize("margin", [0, 2])
+    def test_safe_states_are_the_safe_fock_states(self, margin):
+        w = FockWindow(2, 3, "1/2")
+        want = [
+            st for st in enumerate_states(w, 3) if mask_is_safe(w, st.mask, margin)
+        ]
+        assert safe_states(w, 3, margin) == want
+
+    def test_parities_match_bit_counts(self):
+        rng = np.random.default_rng(0)
+        masks = rng.integers(0, 1 << 62, size=200, dtype=np.int64)
+        want = [bin(m).count("1") & 1 for m in masks.tolist()]
+        assert fock._parities(masks).tolist() == want
+
+    def test_matrices_need_no_numpy_2_api(self, monkeypatch):
+        # numpy >= 1.24 is supported; bitwise_count exists only from 2.0
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert car_residual(W22, 2) == 0.0
+        basis = graded_basis(W22, 2)
+        assert mode_operator_matrix(psi(2, 1), basis).nnz > 0
+        assert sigma(1, 2, 1, W22).matrix(basis).nnz > 0
 
     def test_rows_find_members_and_reject_outsiders(self):
         basis = graded_basis(W22, 2)
@@ -540,6 +562,15 @@ class TestGradedBasisEngine:
         monkeypatch.setattr(fock, "_PROBE_BLOCK", 1)
         assert projective_equality_check(terms, 0.35, w, "5/2") == wide
 
+    @pytest.mark.parametrize(
+        "terms",
+        [[(1 + 0j, 1, 1, 0)], [(1.0, 1, 1, 0), (1j, 2, 2, 0), (-1j, 2, 2, 0)]],
+        ids=["complex-typed", "cancelling-imaginary"],
+    )
+    def test_complex_typed_real_generator(self, terms):
+        # the matrices are real but the trace factor is complex-typed
+        assert projective_equality_check(terms, 0.35, W22, "3/2") <= 1e-12
+
     def test_car_residual_exact(self):
         assert car_residual(FockWindow(2, 3, "1/2"), 2) == 0.0
         assert car_residual(FockWindow(1, 3, "-1/2"), 3) == 0.0
@@ -566,7 +597,7 @@ class TestCostModel:
     @pytest.mark.parametrize(
         "window, t, cap",
         [(W31, 1e6, 2), (FockWindow(2, 6, "1/2"), 50.0, 3)],
-        ids=["products", "work"],
+        ids=["small-matrix", "default-window"],
     )
     def test_exponential_work_bounded(self, window, t, cap):
         # t = 50 on the CLI's default window would take minutes of products
