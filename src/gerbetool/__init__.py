@@ -93,6 +93,7 @@ from .caloron import (
     GaugeLoop,
     LatticeConnection,
     b_field,
+    check_grid,
     curvature,
     higgs_gauge_law_check,
     index_curvature,
@@ -105,12 +106,14 @@ from .presets import (
     connection_preset,
     connection_preset_names,
     constant_gauge,
+    preset_family,
     winding_gauge,
 )
 from .moduli import (
     LoopWord,
     ModuliFamily,
     SurfaceGroupRep,
+    check_sampling,
     conjugate,
     holonomy,
     holonomy_path,

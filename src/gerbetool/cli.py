@@ -21,6 +21,7 @@ import numpy as np
 
 from .caloron import (
     b_field,
+    check_grid,
     index_curvature,
     ms_identity_check,
     pontryagin_density,
@@ -46,6 +47,7 @@ from .liealg import Representation, dynkin_index
 from .moduli import (
     LoopWord,
     ModuliFamily,
+    check_sampling,
     conjugate,
     holonomy,
     holonomy_path,
@@ -55,7 +57,12 @@ from .moduli import (
     relation_check,
     standard_genus2_su2,
 )
-from .presets import connection_preset, connection_preset_names, winding_gauge
+from .presets import (
+    connection_preset,
+    connection_preset_names,
+    preset_family,
+    winding_gauge,
+)
 from .spectral import (
     Holonomy,
     SpectralCut,
@@ -188,8 +195,13 @@ def validate_scenario(obj, cli_command=None):
         if key not in schema:
             raise ConfigError(f"unknown key '{key}' in params for command '{command}'")
         params[key] = _coerce(command, key, schema[key], value)
-    if command == "fock":
-        _check_fock(params)
+    if command in _RANGE_RULES:
+        try:
+            _RANGE_RULES[command](params)
+        except ConfigError:
+            raise
+        except GerbeToolError as exc:
+            raise ConfigError(f"params for command '{command}': {exc}") from None
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("key 'seed' must be an integer")
@@ -197,6 +209,13 @@ def validate_scenario(obj, cli_command=None):
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("key 'output_path' must be a string")
     return command, params, seed, output_path
+
+
+def _require_at_least(command, params, key, low):
+    if params[key] < low:
+        raise ConfigError(
+            f"key '{key}' in params for command '{command}' must be >= {low}"
+        )
 
 
 def _check_fock(params):
@@ -210,17 +229,44 @@ def _check_fock(params):
     generator needs two colors, and the sweep and pair cap are counts.
     """
     for key, low in (("n_colors", 2), ("sweep", 0), ("pair_cap", 1)):
-        if params[key] < low:
-            raise ConfigError(
-                f"key '{key}' in params for command 'fock' must be >= {low}"
-            )
-    try:
-        window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
-        _require_interior(window, max(2 * params["sweep"], 1))
-        _transport_modes(window, params["mu"])
-        check_basis_cost(window.n_slots, params["pair_cap"] + 1)
-    except GerbeToolError as exc:
-        raise ConfigError(f"params for command 'fock': {exc}") from None
+        _require_at_least("fock", params, key, low)
+    window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
+    _require_interior(window, max(2 * params["sweep"], 1))
+    _transport_modes(window, params["mu"])
+    check_basis_cost(window.n_slots, params["pair_cap"] + 1)
+
+
+def _check_caloron(params):
+    """Grid rules of the caloron battery, asked of the library for both grids.
+
+    ms-identity-order measures its order between base grids M and
+    refine_factor * M, so it needs a refinement; the fine grid is the one
+    the cost cap binds.
+    """
+    _require_at_least("caloron", params, "refine_factor", 2)
+    n = preset_family(params["preset"], params["amplitude"]).n
+    coarse = params["base_points"]
+    for base_points in (coarse, params["refine_factor"] * coarse):
+        check_grid(params["theta_points"], base_points, 3, n)
+
+
+def _check_pairing(params):
+    """Grid rules of the pairing battery's su(2) family samplings."""
+    check_sampling(
+        params["theta_points"],
+        params["base_points"],
+        params["ghost_margin"],
+        standard_genus2_su2().n,
+    )
+
+
+# Each rule raises ConfigError, or a library GerbeToolError that
+# validate_scenario turns into one.
+_RANGE_RULES = {
+    "fock": _check_fock,
+    "caloron": _check_caloron,
+    "pairing": _check_pairing,
+}
 
 
 def emit_schema():
@@ -239,9 +285,9 @@ def _timed(records, name, tolerance, func):
     start = time.perf_counter()
     try:
         value = func()
-    except GerbeToolError as exc:
+    except Exception as exc:  # any raised check is a fail, never a traceback
         ms = (time.perf_counter() - start) * 1000.0
-        print(f"check {name!r} raised: {exc}", file=sys.stderr)
+        print(f"check {name!r} raised {type(exc).__name__}: {exc}", file=sys.stderr)
         records.append(
             {
                 "name": name,
@@ -647,7 +693,9 @@ def _battery_pairing(params, seed):
     def adjoint_scaling():
         v_fund = pontryagin_pairing(winding, gamma, fund, **sizes)
         v_adj = pontryagin_pairing(winding, gamma, adjoint, **sizes)
-        return abs(v_adj - 4.0 * v_fund) / abs(4.0 * v_fund)
+        gap = abs(v_adj - 4.0 * v_fund)
+        # with a zero model value -2 w1 w2 both pairings are roundoff
+        return gap if w1 * w2 == 0 else gap / abs(4.0 * v_fund)
 
     _timed(records, "winding-model-value", 0.15, winding_value)
     _timed(records, "adjoint-scaling", 1e-6, adjoint_scaling)

@@ -13,6 +13,7 @@ coroot, cross-checked on a second coroot.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import itertools
 import math
 
@@ -43,6 +44,21 @@ def su_basis(n):
             d[t, t] = 1j * scale
         d[k, k] = -1j * k * scale
         out.append(d)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _adjoint_map(n):
+    """Linear map X -> ad(X) in the normalized su_basis frame, (n^2, (n^2-1)^2).
+
+    ad(X)_ab = <T_a, [X, T_b]> = sum_ij X_ij [T_a, T_b]_ji, so row (i, j)
+    holds the (j, i) entries of the frame commutators.
+    """
+    frame = np.stack(su_basis(n)) / math.sqrt(2.0)
+    products = np.einsum("aij,bjk->abik", frame, frame)
+    brackets = products - products.transpose(1, 0, 2, 3)
+    out = brackets.transpose(3, 2, 0, 1).reshape(n * n, -1)
+    out.flags.writeable = False
     return out
 
 
@@ -267,11 +283,8 @@ class Representation:
         if self.is_fundamental():
             return samples.copy()
         if self.is_adjoint():
-            frame = np.stack(su_basis(self.n)) / math.sqrt(2.0)
-            # ad(X)_{ab} = <T_a, [X, T_b]> = -tr(T_a X T_b) + tr(T_a T_b X)
-            first = np.einsum("aij,...jk,bki->...ab", frame, samples, frame)
-            second = np.einsum("aij,bjk,...ki->...ab", frame, frame, samples)
-            return second - first
+            flat = samples.reshape(-1, self.n * self.n) @ _adjoint_map(self.n)
+            return flat.reshape(samples.shape[:-2] + (self.dim, self.dim))
         raise CapabilityError(
             f"matrix images not implemented for partition {self.partition}"
         )

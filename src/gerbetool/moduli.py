@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .caloron import AnalyticConnection, index_curvature, sample_connection
-from .errors import ArgumentError, ValidationError
+from .caloron import AnalyticConnection, check_grid, index_curvature, sample_connection
+from .errors import ArgumentError, ResolutionError, ValidationError
 from .spectral import Holonomy
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -287,10 +287,25 @@ class ModuliFamily:
         return AnalyticConnection(self.rep.n, phi, base, f"moduli-{kind}")
 
     def connection(self, word, theta_points=8, base_points=12, ghost_margin=4):
+        check_sampling(theta_points, base_points, ghost_margin, self.rep.n)
         fam = self.family(word)
         conn = sample_connection(fam, 3, theta_points, base_points, ghost_margin)
         _seam_check(conn, fam)
         return conn
+
+
+def check_sampling(theta_points, base_points, ghost_margin, n):
+    """Grid rules of a covering-space family sampling, checked before allocation.
+
+    The sampled potentials are not periodic, so the 5-point base stencil of
+    every core cell must stay inside the ghost margin: ghost_margin >= 2.
+    The rest is caloron.check_grid on S1 x T3.
+    """
+    if ghost_margin < 2:
+        raise ResolutionError(
+            f"ghost margin {ghost_margin} is below the stencil half-width 2"
+        )
+    check_grid(theta_points, base_points, 3, n, ghost_margin)
 
 
 def _seam_check(conn, fam, tolerance=1e-10):

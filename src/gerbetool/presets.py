@@ -152,15 +152,21 @@ _FAMILIES = {
 }
 
 
-def connection_preset(name, theta_points=12, base_points=16, base_dim=3, amplitude=0.7):
-    """Sample a named analytic family; the result carries it for resampling."""
+def preset_family(name, amplitude=0.7):
+    """The named analytic family, unsampled."""
     try:
         factory = _FAMILIES[name]
     except KeyError:
         raise ArgumentError(
             f"unknown connection preset {name!r}; choose from {sorted(_FAMILIES)}"
         ) from None
-    return sample_connection(factory(amplitude), base_dim, theta_points, base_points)
+    return factory(amplitude)
+
+
+def connection_preset(name, theta_points=12, base_points=16, base_dim=3, amplitude=0.7):
+    """Sample a named analytic family; the result carries it for resampling."""
+    family = preset_family(name, amplitude)
+    return sample_connection(family, base_dim, theta_points, base_points)
 
 
 def connection_preset_names():

@@ -7,7 +7,10 @@ Oracles, each independent of the code under test:
     winding-gauge law (f = exp(2 pi i theta), so |f^(5)| = (2 pi)^5);
   * su(2) ladder weights and su(3) root values for Dynkin indices, as
     Cartan-eigenvalue square sums normalized by the defining module;
-  * trace ratios tr_rho(X^2)/tr(X^2) through the adjoint matrix images.
+  * trace ratios tr_rho(X^2)/tr(X^2) through the adjoint matrix images;
+  * the plain formulas the batched kernels replace: x @ y - y @ x for the
+    commutator, ad(X)_ab = <T_a, [X, T_b]> element by element for the
+    adjoint image.
 Convergence tolerances are frozen from two-grid measurements quoted in the
 assertions.
 """
@@ -18,8 +21,10 @@ import numpy as np
 import pytest
 
 from gerbetool.caloron import (
+    MAX_GRID_ENTRIES,
     GaugeLoop,
     LatticeConnection,
+    _commutator,
     b_field,
     curvature,
     higgs_gauge_law_check,
@@ -33,10 +38,12 @@ from gerbetool.errors import (
     ArgumentError,
     ConsistencyError,
     DimensionError,
+    ResolutionError,
+    ResourceError,
     ValidationError,
 )
 from gerbetool.grids import GridForm, central_diff4, spectral_theta_derivative
-from gerbetool.liealg import Representation, dynkin_index
+from gerbetool.liealg import Representation, dynkin_index, su_basis
 from gerbetool.presets import (
     connection_preset,
     connection_preset_names,
@@ -117,6 +124,17 @@ class TestCurvature:
         conn.a[2, 0, 4, 4, 4, 0, 0] = math.nan
         assert math.isnan(curvature(conn).max_norm())
 
+    def test_nan_reaches_the_norm_through_the_commutator(self):
+        # at cell (4, 4, 4) F_02 reads a_2 only through [A_0, A_2]: the
+        # stencil d_0 A_2 skips the centre and d_2 A_0 does not read A_2
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        conn.a[2, 0, 4, 4, 4, 0, 0] = math.nan
+        cur = curvature(conn)
+        assert np.isnan(cur.base[(0, 2)][0, 4, 4, 4]).any()
+        stencil = central_diff4(conn.a[2], 1, conn.spacing())
+        assert np.isfinite(stencil[0, 4, 4, 4]).all()
+        assert math.isnan(cur.max_norm())
+
     def test_flat_preset_contracts_at_fourth_order(self):
         # measured 0.9305 at M=16 and 0.06145 at M=32, order 3.92
         res = {}
@@ -140,6 +158,20 @@ class TestRebagging:
     def test_too_few_circle_points_rejected(self):
         with pytest.raises(ValidationError, match="circle points"):
             connection_preset("zero", theta_points=4, base_points=8)
+
+    def test_stencil_needs_five_base_points(self):
+        with pytest.raises(ResolutionError, match="5-point stencil"):
+            connection_preset("zero", theta_points=8, base_points=4)
+
+    def test_grid_over_the_cap_raises_before_allocating(self):
+        # 12 * 400^3 * 4 entries would need 46 GiB; the cap answers at once
+        with pytest.raises(ResourceError, match="over the cap"):
+            connection_preset("su2-family", theta_points=12, base_points=400)
+        # the ghost margin counts: 45^3 cells fit the cap, 53^3 do not
+        assert 8 * 45**3 * 4 <= MAX_GRID_ENTRIES < 8 * 53**3 * 4
+        family = connection_preset("zero", 8, 8).family
+        with pytest.raises(ResourceError, match="over the cap"):
+            sample_connection(family, 3, 8, 45, ghost_margin=4)
 
     def test_bad_base_dimension_rejected(self):
         with pytest.raises(DimensionError):
@@ -317,6 +349,46 @@ class TestDynkinIndex:
             lhs = rho.matrix_image(x @ y - y @ x)
             img_x, img_y = rho.matrix_image(x), rho.matrix_image(y)
             assert np.abs(lhs - (img_x @ img_y - img_y @ img_x)).max() <= 1e-12
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("block", [4096, 7])
+    def test_commutator_matches_matmul(self, monkeypatch, n, block):
+        # a 7-sample block cuts the 60 samples into 8 passes, the last partial
+        monkeypatch.setattr("gerbetool.caloron._COMMUTATOR_BLOCK", block)
+        rng = np.random.default_rng(10 + n)
+        shape = (3, 5, 4, n, n)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.abs(_commutator(x, y) - (x @ y - y @ x)).max() <= 1e-13
+        single = _commutator(x[0, 0, 0], y[0, 0, 0])
+        assert np.abs(single - (x @ y - y @ x)[0, 0, 0]).max() <= 1e-13
+
+    def test_large_fields_stay_real(self):
+        # the density's imaginary part is roundoff at the field's own scale;
+        # a commutator that lost its anti-Hermitian symmetry left 1.5e7 here
+        conn = connection_preset(
+            "su2-family", theta_points=8, base_points=8, amplitude=1e6
+        )
+        assert np.isfinite(pontryagin_density(conn).max_norm())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_adjoint_image_matches_elementwise_formula(self, n):
+        # ad(X)_ab = <T_a, [X, T_b]> = -tr(T_a (X T_b - T_b X)), frame T / sqrt 2
+        frame = [t / math.sqrt(2.0) for t in su_basis(n)]
+        rng = np.random.default_rng(20 + n)
+        x = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+        rho = Representation.adjoint(n)
+        got = rho.matrix_image(x)
+        assert got.shape == (2, 3, n * n - 1, n * n - 1)
+        for idx in np.ndindex(2, 3):
+            bracket = [x[idx] @ tb - tb @ x[idx] for tb in frame]
+            want = np.array([[-np.trace(ta @ c) for c in bracket] for ta in frame])
+            assert np.abs(got[idx] - want).max() <= 1e-13
+        single = rho.matrix_image(x[1, 2])
+        assert single.shape == (n * n - 1, n * n - 1)
+        assert np.abs(single - got[1, 2]).max() <= 1e-13
 
 
 class TestRhoScaling:

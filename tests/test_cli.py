@@ -186,6 +186,28 @@ class TestReports:
         assert report["status"] == "fail"
 
 
+    def test_any_raised_exception_is_a_named_fail(self, capsys):
+        # refine_factor 1 divides by log(1) in the order estimate; the
+        # schema forbids it, so the battery is run past validate_scenario
+        _, params, seed, _ = validate_scenario(
+            {"command": "caloron", "params": {"theta_points": 8, "base_points": 8}}
+        )
+        report = run_scenario("caloron", {**params, "refine_factor": 1}, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "ms-identity-order"]
+        assert record["status"] == "fail" and record["residual"] == 1e300
+        assert report["status"] == "fail"
+        err = capsys.readouterr().err
+        assert "check 'ms-identity-order' raised ZeroDivisionError" in err
+
+    def test_zero_winding_scales_by_absolute_error(self):
+        # the model value -2 w1 w2 is 0, so a relative error divided by
+        # roundoff (it read 4.2 on this grid)
+        small = {"w1": 0, "base_points": 8, "ghost_margin": 2}
+        _, params, seed, _ = validate_scenario({"command": "pairing", "params": small})
+        report = run_scenario("pairing", params, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "adjoint-scaling"]
+        assert record["status"] == "pass" and record["residual"] <= 1e-12
+
     @pytest.mark.parametrize(
         "command, params, name, check",
         [
@@ -265,6 +287,41 @@ class TestExitCodes:
         cfg = tmp_path / "fock.json"
         cfg.write_text(json.dumps({"command": "fock", "params": params}))
         proc = run_cli("fock", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert re.search(match, proc.stderr)
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, params, match",
+        [
+            ("caloron", {"theta_points": 4}, "need at least 8 circle points"),
+            ("caloron", {"refine_factor": 1}, "key 'refine_factor' .* must be >= 2"),
+            ("caloron", {"base_points": 2}, "at least 5 base points"),
+            ("caloron", {"base_points": 400}, "over the cap of"),
+            ("caloron", {"base_points": 24}, "5308416 complex entries .* over the cap"),
+            ("pairing", {"ghost_margin": 0}, "below the stencil half-width 2"),
+            ("pairing", {"theta_points": 4}, "need at least 8 circle points"),
+            ("pairing", {"base_points": 4}, "at least 5 base points"),
+        ],
+        ids=[
+            "caloron-theta",
+            "refine-factor",
+            "caloron-base",
+            "caloron-cost",
+            "fine-grid-cost",
+            "ghost-margin",
+            "pairing-theta",
+            "pairing-base",
+        ],
+    )
+    def test_meaningless_grid_config_exits_two(self, tmp_path, command, params, match):
+        # each passed the types but left a traceback, a memory error or a
+        # verdict without meaning (base_points 2 read an order of 53.9)
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"command": command, "params": params}))
+        proc = run_cli(command, "--config", str(cfg))
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
         assert re.search(match, proc.stderr)

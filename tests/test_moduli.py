@@ -18,7 +18,7 @@ import pytest
 from scipy.linalg import expm
 
 from gerbetool.caloron import index_curvature
-from gerbetool.errors import ArgumentError, ValidationError
+from gerbetool.errors import ArgumentError, ResolutionError, ValidationError
 from gerbetool.liealg import Representation
 from gerbetool.moduli import (
     LoopWord,
@@ -288,6 +288,15 @@ class TestPairing:
         x0, _, x2 = np.meshgrid(xs, xs, xs, indexing="ij")
         want = -2.0 + eps**2 * np.sin(TWO_PI * x0) * np.sin(TWO_PI * x2)
         assert np.abs(core - want).max() <= 5e-4
+
+    @pytest.mark.parametrize("margin", [0, 1])
+    def test_ghost_margin_must_cover_the_stencil(self, margin):
+        # covering-space samples are not periodic, so a stencil that leaves
+        # the margin reads across the seam: the model value -2 came out as
+        # 2.5e-17 at margin 0 and -2.85 at margin 1
+        fam = ModuliFamily("winding", standard_genus2_su2())
+        with pytest.raises(ResolutionError, match="stencil half-width 2"):
+            fam.connection(WORD, 8, 12, margin)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ArgumentError, match="kind"):
