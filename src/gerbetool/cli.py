@@ -29,7 +29,7 @@ from .caloron import (
     rho_scaling_check,
 )
 from .detline import CechTriple, compose, delta_triviality, det_line
-from .errors import ConfigError, GerbeToolError
+from .errors import ConfigError, CoverViolationError, GerbeToolError
 from .fock import (
     FockWindow,
     _require_interior,
@@ -66,6 +66,7 @@ from .presets import (
 from .spectral import (
     Holonomy,
     SpectralCut,
+    _require_window,
     band,
     dirac_spectrum,
     in_cover,
@@ -260,9 +261,47 @@ def _check_pairing(params):
     )
 
 
+def _check_spectrum(params):
+    """The battery's cuts -1/2 and 1/2 must lie in the window, asked of the library."""
+    _require_window(SpectralCut(Fraction(1, 2)), params["n_max"])
+
+
+def _check_cover(params):
+    """The cover battery's rejected triple puts a cut at 2, inside (-3, 3).
+
+    Its non-integer cuts need a denominator 2 at least, or none are tested.
+    """
+    _require_at_least("cover", params, "n_max", 3)
+    _require_at_least("cover", params, "denominator_cap", 2)
+
+
+def _check_cocycle(params):
+    """The half-integer cuts of the cocycle battery form a triple from n_max 3.
+
+    n_max 3 gives the cuts -3/2 .. 3/2: four triples and one quadruple.
+    """
+    _require_at_least("cocycle", params, "n_max", 3)
+    _require_at_least("cocycle", params, "tolerance", 0.0)
+
+
+def _check_moduli(params):
+    """The flow checks need the cut 1/2 in the window, asked of the library.
+
+    A path of flow_steps samples moves each phase 1/flow_steps modes per
+    step, and su2-balanced is first resolved at 5 steps.
+    """
+    _require_at_least("moduli", params, "conjugations", 1)
+    _require_at_least("moduli", params, "flow_steps", 5)
+    _require_window(SpectralCut(Fraction(1, 2)), params["n_max"])
+
+
 # Each rule raises ConfigError, or a library GerbeToolError that
 # validate_scenario turns into one.
 _RANGE_RULES = {
+    "spectrum": _check_spectrum,
+    "cover": _check_cover,
+    "cocycle": _check_cocycle,
+    "moduli": _check_moduli,
     "fock": _check_fock,
     "caloron": _check_caloron,
     "pairing": _check_pairing,
@@ -394,7 +433,7 @@ def _battery_cover(params, seed):
                 SpectralCut(Fraction(1, 2)),
                 SpectralCut(Fraction(2)),
             )
-        except GerbeToolError:
+        except CoverViolationError:
             return 0.0
         return 1.0
 

@@ -36,23 +36,25 @@ def _mode_key(mode):
     return (mode.eigenvalue, mode.color, mode.mode)
 
 
+def _sort_with_sign(items, key=_mode_key):
+    """(items sorted by key, sign of that permutation); each key is computed once."""
+    keys = [key(item) for item in items]
+    order = sorted(range(len(items)), key=keys.__getitem__)
+    seen = [False] * len(order)
+    cycles = 0
+    for start in range(len(order)):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = order[k]
+    return tuple(map(items.__getitem__, order)), -1 if (len(order) - cycles) % 2 else 1
+
+
 def permutation_sign(items, key=_mode_key):
     """Sign of the permutation sorting `items` by `key` (cycle decomposition)."""
-    order = sorted(range(len(items)), key=lambda k: key(items[k]))
-    seen = [False] * len(order)
-    sign = 1
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return _sort_with_sign(items, key)[1]
 
 
 @dataclass(frozen=True)
@@ -74,10 +76,14 @@ class DetLine:
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "phase", complex(self.phase))
-        if abs(abs(self.phase) - 1.0) > _PHASE_TOL:
+        if not abs(abs(self.phase) - 1.0) <= _PHASE_TOL:
             raise ValidationError(f"phase must be unimodular, |phase| = {abs(self.phase)}")
         expected = band(self.spectrum, self.lo, self.hi)
-        if len(self.basis) != len(expected) or set(self.basis) != set(expected):
+        # tuple equality short-circuits on identical modes, so only a
+        # reordered or foreign basis pays for the set comparison
+        if self.basis != expected and (
+            len(self.basis) != len(expected) or set(self.basis) != set(expected)
+        ):
             raise ValidationError("basis is not a permutation of the band's modes")
 
     def canonical_phase(self):
@@ -85,13 +91,8 @@ class DetLine:
         return self.phase * permutation_sign(self.basis)
 
     def canonical(self):
-        return DetLine(
-            self.spectrum,
-            self.lo,
-            self.hi,
-            band(self.spectrum, self.lo, self.hi),
-            self.canonical_phase(),
-        )
+        basis, sign = _sort_with_sign(self.basis)
+        return DetLine(self.spectrum, self.lo, self.hi, basis, self.phase * sign)
 
 
 def det_line(spectrum, lo, hi):
@@ -107,15 +108,13 @@ def compose(a, b):
     result's phase carries the sign of the permutation that interleaves the
     concatenated modes into ascending order.
     """
-    if a.spectrum != b.spectrum:
+    if a.spectrum is not b.spectrum and a.spectrum != b.spectrum:
         raise CompositionError("lines live over different spectra")
     if a.hi.value != b.lo.value:
         raise CompositionError(
             f"bands are not adjacent: first ends at {a.hi.value}, second starts at {b.lo.value}"
         )
-    merged = a.basis + b.basis
-    sign = permutation_sign(merged)
-    canonical = tuple(sorted(merged, key=_mode_key))
+    canonical, sign = _sort_with_sign(a.basis + b.basis)
     return DetLine(a.spectrum, a.lo, b.hi, canonical, a.phase * b.phase * sign)
 
 

@@ -8,6 +8,7 @@ eigenvalues are exact rationals; membership tests are strict with a
 gap tolerance so float eigenvalues can never sit ambiguously on a cut.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
@@ -34,11 +35,7 @@ _PHASE_SNAP = 1e-12
 
 def rational(x):
     """Coerce x to an exact Fraction; floats are rejected, strings allowed."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise ArgumentError(
         f"cut positions must be exact rationals (Fraction, int or 'p/q' string), got {type(x).__name__}"
@@ -54,19 +51,22 @@ class Holonomy:
     special: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.tolerance < math.inf:
+            raise ValidationError(f"tolerance must be finite and >= 0, got {self.tolerance}")
         u = np.asarray(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValidationError(f"holonomy must be a square matrix, got shape {u.shape}")
         object.__setattr__(self, "matrix", u)
-        n = u.shape[0]
-        defect = np.abs(u.conj().T @ u - np.eye(n)).max()
-        if defect > self.tolerance:
+        # with a finite tolerance, "not <=" also rejects the NaN or inf
+        # defect of a matrix with non-finite entries
+        defect = np.abs(u.conj().T @ u - np.eye(len(u))).max()
+        if not defect <= self.tolerance:
             raise ValidationError(
                 f"holonomy is not unitary within tolerance: defect {defect:.3e} > {self.tolerance:.3e}"
             )
         if self.special:
             det_defect = abs(np.linalg.det(u) - 1.0)
-            if det_defect > self.tolerance:
+            if not det_defect <= self.tolerance:
                 raise ValidationError(
                     f"holonomy flagged special-unitary but |det(U)-1| = {det_defect:.3e}"
                 )
@@ -117,32 +117,33 @@ class Spectrum:
     """All (2N+1)*n eigenmodes for a holonomy, in canonical order.
 
     Canonical order sorts by eigenvalue, breaking exact ties (degenerate
-    phases) by (color, mode) so the order is total and deterministic.
+    phases) by (color, mode), so the eigenvalues in_cover and band bisect ascend.
     """
 
     holonomy: Holonomy
     N: int
-    modes: tuple = field(default=None)
+    modes: tuple = field(init=False)
+    _eigenvalues: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError(f"window size N must be >= 1, got {self.N}")
-        if self.modes is None:
-            phases = self.holonomy.phases()
-            items = [
-                EigenMode(c + 1, m, m + phases[c] / TWO_PI)
-                for c in range(self.holonomy.n)
-                for m in range(-self.N, self.N + 1)
-            ]
-            items.sort(key=lambda em: (em.eigenvalue, em.color, em.mode))
-            object.__setattr__(self, "modes", tuple(items))
+        phases = self.holonomy.phases().tolist()
+        items = [
+            EigenMode(c + 1, m, m + phases[c] / TWO_PI)
+            for c in range(self.holonomy.n)
+            for m in range(-self.N, self.N + 1)
+        ]
+        items.sort(key=lambda em: (em.eigenvalue, em.color, em.mode))
+        object.__setattr__(self, "modes", tuple(items))
+        object.__setattr__(self, "_eigenvalues", tuple(em.eigenvalue for em in items))
 
     @property
     def n(self):
         return self.holonomy.n
 
     def eigenvalues(self):
-        return np.array([em.eigenvalue for em in self.modes])
+        return np.array(self._eigenvalues)
 
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
@@ -159,9 +160,11 @@ class SpectralCut:
 
     value: Fraction
     gap_tolerance: float = 1e-9
+    point: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "value", rational(self.value))
+        object.__setattr__(self, "point", float(self.value))
         if not self.gap_tolerance > 0:
             raise ValidationError("gap_tolerance must be positive")
 
@@ -171,20 +174,24 @@ def dirac_spectrum(holonomy, N):
     return Spectrum(holonomy, N)
 
 
+def _require_window(cut, N):
+    """RangeError unless -N < cut < N, tested exactly as -N*q < p < N*q."""
+    p, q = cut.value.numerator, cut.value.denominator
+    if not -N * q < p < N * q:
+        raise RangeError(f"cut {cut.value} outside the certified window (-{N}, {N})")
+
+
 def in_cover(spectrum, cut):
     """True iff every eigenvalue keeps a distance > gap_tolerance from the cut.
 
     The cut must lie strictly inside (-N, N); outside that range the
-    truncation cannot certify membership and a RangeError is raised.
+    truncation cannot certify membership and a RangeError is raised.  Only
+    the two eigenvalues around the cut can be nearest (rounding is monotone).
     """
-    N = spectrum.N
-    if not (-N < cut.value < N):
-        raise RangeError(
-            f"cut {cut.value} outside the certified window (-{N}, {N})"
-        )
-    lam = float(cut.value)
-    dist = np.abs(spectrum.eigenvalues() - lam).min()
-    return dist > cut.gap_tolerance
+    _require_window(cut, spectrum.N)
+    eigs, lam = spectrum._eigenvalues, cut.point
+    k = bisect_left(eigs, lam)
+    return min(abs(e - lam) for e in eigs[max(k - 1, 0) : k + 1]) > cut.gap_tolerance
 
 
 def band(spectrum, lo, hi):
@@ -193,19 +200,16 @@ def band(spectrum, lo, hi):
         raise ArgumentError(f"cuts out of order: {lo.value} >= {hi.value}")
     for cut in (lo, hi):
         if not in_cover(spectrum, cut):
-            raise CoverViolationError(
-                f"cut {cut.value} lies on the spectrum (within gap tolerance)"
-            )
-    a, b = float(lo.value), float(hi.value)
-    return tuple(em for em in spectrum.modes if a < em.eigenvalue < b)
+            raise CoverViolationError(f"cut {cut.value} lies on the spectrum (within gap tolerance)")
+    eigs = spectrum._eigenvalues
+    return spectrum.modes[bisect_right(eigs, lo.point) : bisect_left(eigs, hi.point)]
 
 
 def _track_phases(path):
     """Unwrapped per-color phase paths along a sequence of holonomies."""
-    current = np.asarray(path[0].phases(), dtype=float)
-    unwrapped = current.copy()
+    unwrapped = path[0].phases()
     for hol in path[1:]:
-        incoming = np.asarray(hol.phases(), dtype=float)
+        incoming = hol.phases()
         diff = incoming[None, :] - np.mod(unwrapped[:, None], TWO_PI)
         delta = np.mod(diff + math.pi, TWO_PI) - math.pi
         cost = np.abs(delta)
@@ -234,16 +238,11 @@ def spectral_flow(path, cut, N):
     u0, u1 = path[0].matrix, path[-1].matrix
     if u0.shape != u1.shape or np.abs(u0 - u1).max() > 1e-12:
         raise ArgumentError("path is not closed: first and last holonomy differ")
-    if not (-N < cut.value < N):
-        raise RangeError(f"cut {cut.value} outside the certified window (-{N}, {N})")
     for which, hol in (("start", path[0]), ("end", path[-1])):
         if not in_cover(dirac_spectrum(hol, N), cut):
-            raise CoverViolationError(
-                f"cut {cut.value} touches the spectrum at the path {which}point"
-            )
+            raise CoverViolationError(f"cut {cut.value} touches the spectrum at the path {which}point")
     start, end = _track_phases(path)
-    lam = float(cut.value)
     flow = 0
     for a0, a1 in zip(start, end):
-        flow += math.floor(lam - a0 / TWO_PI) - math.floor(lam - a1 / TWO_PI)
+        flow += math.floor(cut.point - a0 / TWO_PI) - math.floor(cut.point - a1 / TWO_PI)
     return flow

@@ -22,7 +22,8 @@ from gerbetool.cli import (
     run_scenario,
     validate_scenario,
 )
-from gerbetool.errors import ConfigError
+from gerbetool.errors import ConfigError, RangeError
+from gerbetool.spectral import Spectrum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -142,6 +143,31 @@ class TestValidation:
         )
         assert params["n_colors"] == 3
 
+    def test_benchmark_spectral_params_validate(self):
+        # the cocycle-dense workload's sizes
+        for command, params in (
+            ("cocycle", {"suite": "standard", "n_max": 8}),
+            ("moduli", {"flow_steps": 2000, "conjugations": 400, "n_max": 8}),
+        ):
+            assert validate_scenario({"command": command, "params": params})[1] == {
+                **cli._PARAM_SCHEMAS[command],
+                **params,
+            }
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("spectrum", {"n_max": 1}),
+            ("cover", {"n_max": 3, "denominator_cap": 2}),
+            ("cocycle", {"n_max": 3}),
+            ("moduli", {"flow_steps": 5, "conjugations": 1, "n_max": 1}),
+        ],
+        ids=["spectrum", "cover", "cocycle", "moduli"],
+    )
+    def test_smallest_spectral_configs_pass(self, command, params):
+        _, params, seed, _ = validate_scenario({"command": command, "params": params})
+        assert run_scenario(command, params, seed)["status"] == "pass"
+
     def test_defaults_fill_missing_params(self):
         _, params, seed, out = validate_scenario({"command": "spectrum"})
         assert params == {"n_max": 6, "phases": [0.15, 0.55]}
@@ -240,6 +266,29 @@ class TestReports:
         assert len(calls) > 1
         assert record["status"] == "fail"
 
+    def test_only_a_cover_violation_counts_as_rejection(self, monkeypatch):
+        # a RangeError (cut outside the window) is not the rejection tested
+        def out_of_window(*args, **kwargs):
+            raise RangeError("cut 2 outside the certified window (-2, 2)")
+
+        monkeypatch.setattr(cli, "CechTriple", out_of_window)
+        _, params, seed, _ = validate_scenario({"command": "cover"})
+        report = run_scenario("cover", params, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "triple-rejects-spectrum-cut"]
+        assert record["status"] == "fail" and record["residual"] == 1e300
+
+    @pytest.mark.parametrize("command", ["cover", "cocycle"])
+    def test_cover_tests_build_no_eigenvalue_array(self, monkeypatch, command):
+        # in_cover and band bisect the spectrum's cached eigenvalues; an
+        # array rebuilt on every call was once the layer's largest cost
+        def forbidden(self):
+            raise AssertionError("Spectrum.eigenvalues() on the cover hot path")
+
+        monkeypatch.setattr(Spectrum, "eigenvalues", forbidden)
+        _, params, seed, _ = validate_scenario({"command": command})
+        report = run_scenario(command, params, seed)
+        assert [r["name"] for r in report["checks"] if r["status"] != "pass"] == []
+
 
 class TestExitCodes:
     def test_passing_battery_exits_zero(self, tmp_path):
@@ -328,6 +377,41 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "command, params, match",
+        [
+            ("spectrum", {"n_max": 0}, "cut 1/2 outside the certified window"),
+            ("cover", {"n_max": 1}, "key 'n_max' .* must be >= 3"),
+            ("cover", {"denominator_cap": 1}, "key 'denominator_cap' .* must be >= 2"),
+            ("cocycle", {"n_max": 2}, "key 'n_max' .* must be >= 3"),
+            ("cocycle", {"tolerance": -1.0}, "key 'tolerance' .* must be >= 0"),
+            ("moduli", {"conjugations": -1}, "key 'conjugations' .* must be >= 1"),
+            ("moduli", {"n_max": 0}, "cut 1/2 outside the certified window"),
+            ("moduli", {"flow_steps": 4}, "key 'flow_steps' .* must be >= 5"),
+        ],
+        ids=[
+            "spectrum-n_max",
+            "cover-n_max",
+            "cover-denominator",
+            "cocycle-n_max",
+            "cocycle-tolerance",
+            "moduli-conjugations",
+            "moduli-n_max",
+            "moduli-flow-steps",
+        ],
+    )
+    def test_meaningless_spectral_config_exits_two(self, tmp_path, command, params, match):
+        # each left a traceback, a raised fail or a vacuous pass (zero
+        # triples, zero conjugations, no non-integer cut)
+        cfg = tmp_path / "spectral.json"
+        cfg.write_text(json.dumps({"command": command, "params": params}))
+        proc = run_cli(command, "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert re.search(match, proc.stderr)
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_malformed_json_exits_two(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -342,17 +426,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "does not match subcommand" in proc.stderr
 
-    def test_raised_check_exits_one_with_sentinel(self, tmp_path):
+    def test_raised_check_exits_one_with_sentinel(self, tmp_path, monkeypatch, capsys):
         # a 3-step flow path is too coarse to track and must raise inside
-        # the battery, which reports the failure instead of crashing
+        # the battery, which reports the failure instead of crashing; the
+        # schema refuses flow_steps < 5, so the coarse path is planted
+        real = cli.holonomy_path
+        monkeypatch.setattr(cli, "holonomy_path", lambda name, steps: real(name, 3))
         cfg = tmp_path / "m.json"
         cfg.write_text(
-            json.dumps({"command": "moduli", "params": {"flow_steps": 3}, "seed": 7})
+            json.dumps({"command": "moduli", "params": {"flow_steps": 5}, "seed": 7})
         )
-        proc = run_cli("moduli", "--config", str(cfg))
-        assert proc.returncode == 1
-        assert "raised" in proc.stderr
-        report = json.loads(proc.stdout)
+        code = cli.main(["moduli", "--config", str(cfg)])
+        proc = capsys.readouterr()
+        assert code == 1
+        assert "raised" in proc.err
+        report = json.loads(proc.out)
         assert report["status"] == "fail"
         raised = [r for r in report["checks"] if r["residual"] == 1e300]
         assert raised and all(r["status"] == "fail" for r in raised)

@@ -308,3 +308,82 @@ class TestHodgeDualIso:
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(ArgumentError):
             hodge_dual_iso(0)
+
+
+def diag_phases(*phases):
+    return np.diag(np.exp(2j * np.pi * np.asarray(phases)))
+
+
+class TestBasisValidation:
+    def test_reordered_basis_is_accepted(self):
+        spec = dirac_spectrum(Holonomy(random_unitary(3, 5)), N=3)
+        modes = band(spec, cut("-3/2"), cut("3/2"))
+        line = DetLine(spec, cut("-3/2"), cut("3/2"), modes[::-1], 1.0)
+        assert line.canonical().basis == modes
+
+    def test_permuted_basis_with_a_repeated_mode_rejected(self):
+        spec = dirac_spectrum(Holonomy(np.eye(2)), N=3)
+        modes = list(band(spec, cut("-1/2"), cut("3/2")))
+        modes[0] = modes[-1]
+        with pytest.raises(ValidationError, match="permutation"):
+            DetLine(spec, cut("-1/2"), cut("3/2"), modes[::-1], 1.0)
+
+    def test_permuted_basis_of_another_band_rejected(self):
+        spec = dirac_spectrum(Holonomy(np.eye(2)), N=3)
+        modes = band(spec, cut("1/2"), cut("5/2"))
+        with pytest.raises(ValidationError, match="permutation"):
+            DetLine(spec, cut("-1/2"), cut("3/2"), modes[::-1], 1.0)
+
+    def test_foreign_basis_of_the_same_size_rejected(self):
+        spec = dirac_spectrum(Holonomy(diag_phases(0.3, 0.3)), N=3)
+        other = dirac_spectrum(Holonomy(diag_phases(0.2, 0.4)), N=3)
+        lo, hi = cut("-1/2"), cut("3/2")
+        foreign = band(other, lo, hi)
+        assert len(foreign) == len(band(spec, lo, hi))
+        for basis in (foreign, foreign[::-1]):
+            with pytest.raises(ValidationError, match="permutation"):
+                DetLine(spec, lo, hi, basis, 1.0)
+
+    def test_nan_phase_rejected(self):
+        spec = dirac_spectrum(Holonomy(np.eye(1)), N=2)
+        modes = band(spec, cut("-1/2"), cut("1/2"))
+        with pytest.raises(ValidationError, match="unimodular"):
+            DetLine(spec, cut("-1/2"), cut("1/2"), modes, complex(math.nan, 0.0))
+
+
+class TestComposeSign:
+    @pytest.mark.parametrize(
+        "u",
+        [random_unitary(3, 23), diag_phases(0.08, 0.08, 0.84), diag_phases(1 / 3, 1 / 3, 1 / 3)],
+        ids=["su3-random", "su3-repeated", "su3-central"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuted_lines_carry_the_inversion_sign(self, u, seed):
+        spec = dirac_spectrum(Holonomy(u), N=3)
+        lo, mid, hi = cut("-5/2"), cut("1/2"), cut("5/2")
+        rng = random.Random(seed)
+        lines = []
+        for a, b in ((lo, mid), (mid, hi)):
+            modes = list(band(spec, a, b))
+            rng.shuffle(modes)
+            lines.append(DetLine(spec, a, b, modes, np.exp(2j * np.pi * rng.random())))
+        out = compose(*lines)
+        want = (
+            lines[0].phase
+            * lines[1].phase
+            * inversion_sign(mode_keys(lines[0].basis + lines[1].basis))
+        )
+        assert out.basis == band(spec, lo, hi)
+        assert abs(out.phase - want) <= 1e-15
+        assert abs(out.canonical_phase() - want) <= 1e-15
+
+    def test_equal_spectra_built_apart_compose(self):
+        hol = Holonomy(diag_phases(0.2, 0.45, 0.8))
+        s1, s2 = dirac_spectrum(hol, N=3), dirac_spectrum(hol, N=3)
+        assert s1 is not s2 and s1 == s2
+        modes = band(s1, cut("-1/2"), cut("1/2"))
+        a = DetLine(s1, cut("-1/2"), cut("1/2"), modes[::-1], 1.0)
+        b = det_line(s2, cut("1/2"), cut("3/2"))
+        out = compose(a, b)
+        assert out.basis == band(s1, cut("-1/2"), cut("3/2"))
+        assert out.phase == inversion_sign(mode_keys(a.basis + b.basis))

@@ -13,6 +13,7 @@ Oracle for spectral flow: closed-form per-color phase paths, flow =
 sum_c floor(lam - a_c(0)) - floor(lam - a_c(1)) on the unwrapped phases.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from gerbetool.errors import (
 from gerbetool.spectral import (
     Holonomy,
     SpectralCut,
+    Spectrum,
     band,
     dirac_spectrum,
     in_cover,
@@ -258,3 +260,104 @@ class TestSpectralFlow:
         loop = u1_loop(64)
         reverse = list(reversed(loop))
         assert spectral_flow(reverse, SpectralCut(Fraction(1, 2)), N=3) == -1
+
+
+def special_unitary(n, seed):
+    u = random_unitary(n, seed)
+    return u / np.linalg.det(u) ** (1.0 / n)
+
+
+def diag_phases(*phases):
+    return np.diag(np.exp(2j * np.pi * np.asarray(phases)))
+
+
+# seeded SU(2) and SU(3) holonomies plus the degenerate cocycle-suite entries
+ORACLE_HOLONOMIES = [
+    *[(f"su{n}-seed{seed}", special_unitary(n, seed)) for n in (2, 3) for seed in (1, 4, 7)],
+    ("su2-degenerate", diag_phases(0.3, 0.3)),
+    ("su3-repeated", diag_phases(0.08, 0.08, 0.84)),
+    ("su3-central", diag_phases(1 / 3, 1 / 3, 1 / 3)),
+]
+
+
+def scan_in_cover(spec, cut):
+    """The full scan: float distance from the cut to every eigenvalue."""
+    return np.abs(spec.eigenvalues() - float(cut.value)).min() > cut.gap_tolerance
+
+
+def filter_band(spec, lo, hi):
+    """The strict filter over every mode, in canonical order."""
+    a, b = float(lo.value), float(hi.value)
+    return tuple(em for em in spec.modes if a < em.eigenvalue < b)
+
+
+def probe_cuts(spec, tol):
+    """Integer and half-integer cuts, and cuts within 3/2 tol of each eigenvalue."""
+    N = spec.N
+    values = {Fraction(k, 2) for k in range(-2 * N + 1, 2 * N)}
+    for e in spec.eigenvalues():
+        for k in range(-3, 4):
+            values.add(Fraction(float(e)) + Fraction(tol) * Fraction(k, 2))
+    return [SpectralCut(v, gap_tolerance=tol) for v in sorted(values) if -N < v < N]
+
+
+class TestSortedSpectrumOracles:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    @pytest.mark.parametrize("label,u", ORACLE_HOLONOMIES, ids=[h[0] for h in ORACLE_HOLONOMIES])
+    def test_in_cover_matches_full_scan(self, label, u, tol):
+        spec = dirac_spectrum(Holonomy(u), N=3)
+        verdicts = []
+        for cut in probe_cuts(spec, tol):
+            verdicts.append(in_cover(spec, cut))
+            assert verdicts[-1] == scan_in_cover(spec, cut), cut.value
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    @pytest.mark.parametrize("label,u", ORACLE_HOLONOMIES, ids=[h[0] for h in ORACLE_HOLONOMIES])
+    def test_band_matches_strict_filter(self, label, u, tol):
+        spec = dirac_spectrum(Holonomy(u), N=3)
+        covered = [c for c in probe_cuts(spec, tol) if scan_in_cover(spec, c)]
+        for lo, hi in itertools.combinations(covered, 2):
+            assert band(spec, lo, hi) == filter_band(spec, lo, hi), (lo.value, hi.value)
+
+    def test_eigenvalues_is_a_fresh_ascending_array(self):
+        spec = dirac_spectrum(Holonomy(special_unitary(3, 2)), N=2)
+        first = spec.eigenvalues()
+        first[:] = 0.0
+        again = spec.eigenvalues()
+        assert np.array_equal(again, [em.eigenvalue for em in spec.modes])
+        assert np.all(np.diff(again) >= 0)
+
+    def test_modes_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Spectrum(Holonomy(np.eye(1)), 2, modes=())
+
+    def test_cut_keeps_its_exact_value(self):
+        cut = SpectralCut("1/3")
+        assert cut.value == Fraction(1, 3) and cut.point == float(Fraction(1, 3))
+        assert cut == SpectralCut(Fraction(1, 3)) and hash(cut) == hash(SpectralCut("1/3"))
+
+    def test_window_is_tested_exactly(self):
+        spec = dirac_spectrum(Holonomy(diag_phases(0.25)), N=2)
+        below = Fraction(2) - Fraction(1, 10**30)  # rounds to 2.0 as a float
+        assert in_cover(spec, SpectralCut(below)) == scan_in_cover(spec, SpectralCut(below))
+        with pytest.raises(RangeError):
+            in_cover(spec, SpectralCut(Fraction(2)))
+
+
+class TestHolonomyFiniteness:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("special", [False, True])
+    def test_non_finite_entry_rejected(self, bad, special):
+        # nan > tolerance is False, so a NaN defect once passed the check
+        u = np.eye(2, dtype=complex)
+        u[1, 1] = bad
+        with pytest.raises(ValidationError, match="not unitary"):
+            Holonomy(u, special=special)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance compared False with every defect and admitted all
+        with pytest.raises(ValidationError, match="tolerance"):
+            Holonomy(np.eye(2), tolerance=tol)
