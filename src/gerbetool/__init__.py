@@ -61,6 +61,7 @@ from .fock import (
     basis_dimension,
     bogoliubov_vacuum,
     car_residual,
+    central_term_check,
     check_basis_cost,
     commutator_check,
     cut_shift_check,

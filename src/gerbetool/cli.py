@@ -36,12 +36,11 @@ from .fock import (
     _transport_modes,
     bogoliubov_vacuum,
     car_residual,
+    central_term_check,
     check_basis_cost,
     commutator_check,
     cut_shift_check,
     projective_equality_check,
-    sigma,
-    vacuum,
 )
 from .liealg import Representation, dynkin_index
 from .moduli import (
@@ -545,19 +544,6 @@ def _battery_fock(params, seed):
                     )
         return worst
 
-    def central_term():
-        vac_mask = vacuum(window).mask
-        worst = 0.0
-        for m in (1, 2):
-            op_a = sigma(1, 1, m, window)
-            op_b = sigma(1, 1, -m, window)
-            probe = {vac_mask: 1.0 + 0j}
-            lhs = op_a.apply_masks(op_b.apply_masks(probe))
-            for mask, amp in op_b.apply_masks(op_a.apply_masks(probe)).items():
-                lhs[mask] = lhs.get(mask, 0j) - amp
-            worst = np.maximum(worst, abs(lhs.get(vac_mask, 0j) - m))
-        return worst
-
     def bogoliubov():
         vec = bogoliubov_vacuum(window, mu)
         return abs(vec.norm2() - 1.0)
@@ -583,7 +569,7 @@ def _battery_fock(params, seed):
         return worst
 
     _timed(records, "commutator-sweep", 0.0, commutator_sweep)
-    _timed(records, "central-term", 0.0, central_term)
+    _timed(records, "central-term", 0.0, lambda: central_term_check(window))
     _timed(records, "bogoliubov-vacuum", 1e-12, bogoliubov)
     _timed(records, "cut-shift", 0.0, cut_shift)
     _timed(records, "projective-exponential", 1e-10, projective)

@@ -14,11 +14,12 @@ subspace: states whose excitations keep a declared margin from the
 boundary, where the truncated operators agree with the untruncated ones.
 
 Every check works on one graded basis per (window, pair_cap), cached as an
-int64 occupation-mask array with a sorted lookup (graded_basis).  The exact
-identities apply each operator once to the whole block of safe columns
-through the mask -> amplitude dict engine, with the column index packed
-above the window's slots; the exponential runs on blocks of probe columns.
-The basis size is bounded by a declared cost model (check_basis_cost).
+int64 occupation-mask array with a sorted lookup (graded_basis).  One int64
+hop kernel (_hop), broadcast over keys x hops, builds the matrices, applies
+mode operators, and applies operators to blocks of (mask, column, amplitude)
+arrays whose images are never truncated, so exact identities stay exact.
+The exponential runs on blocks of probe columns.  The basis size is bounded
+by a declared cost model (check_basis_cost).
 """
 
 from dataclasses import dataclass
@@ -50,11 +51,16 @@ _ZERO_TOL = 1e-14
 # an int64 occupation mask may use, clear of the sign bit.
 MAX_BASIS_DIM = 50_000
 MASK_BITS = 62
-# One scaled Taylor exponential of a probe block may cost at most this many
-# multiply-adds: 2^scale * n_terms sparse products, each nnz * block columns
+# One Taylor exponential of a probe block may cost at most this many
+# multiply-adds: steps * degree sparse products, each nnz * block columns
 # plus a fixed call cost of the order of 10 us, counted as _PRODUCT_OVERHEAD.
 MAX_EXPM_WORK = 2**28
 _PRODUCT_OVERHEAD = 4096
+# Largest theta = |t| * ||mat||_1 / steps of one Taylor step: beyond it the
+# alternating terms lose accuracy to cancellation.  The series is cut at a
+# tail bound of one unit roundoff, below the rounding error.
+_THETA_MAX = 2.0
+_UNIT_ROUNDOFF = 2.0**-53
 # Probe columns per block in projective_equality_check.
 _PROBE_BLOCK = 16
 
@@ -162,14 +168,12 @@ class FockState:
     @classmethod
     def from_mask(cls, window, mask):
         sea = window.sea_mask()
-        particles, holes = [], []
-        for s in range(window.n_slots):
-            bit = 1 << s
-            if mask & bit and not sea & bit:
-                particles.append(window.slot_label(s))
-            elif sea & bit and not mask & bit:
-                holes.append(window.slot_label(s))
-        return cls(window, frozenset(particles), frozenset(holes))
+        slots = range(window.n_slots)
+        particles, holes = (
+            frozenset(window.slot_label(s) for s in slots if bits >> s & 1)
+            for bits in (mask & ~sea, sea & ~mask)
+        )
+        return cls(window, particles, holes)
 
 
 def vacuum(window):
@@ -207,6 +211,11 @@ class FockVector:
     def norm2(self):
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
 
+    def _block(self):
+        """The vector as a one-column block (masks, cols, amps)."""
+        masks = np.array(list(self.amps), dtype=np.int64)
+        return masks, np.zeros_like(masks), np.array(list(self.amps.values()), complex)
+
 
 @dataclass(frozen=True)
 class ModeOperator:
@@ -232,10 +241,6 @@ def psibar(color, mode):
     return ModeOperator(PSIBAR, color, mode)
 
 
-def _parity(bits):
-    return -1.0 if bits.bit_count() & 1 else 1.0
-
-
 def _parities(masks):
     """Bit parity (0 or 1) of each non-negative int64 mask, by xor folding."""
     for shift in (32, 16, 8, 4, 2, 1):
@@ -243,26 +248,76 @@ def _parities(masks):
     return masks & 1
 
 
+def _bits(slots, other):
+    """(bit, mask of the lower slots) of int64 slots; zeros like `other` for None."""
+    if slots is None:
+        return (np.zeros(len(other), dtype=np.int64),) * 2
+    bit = np.left_shift(np.int64(1), slots)
+    return bit, bit - 1
+
+
+def _hop(masks, s_to, s_from):
+    """Hops c^dag(s_to[h]) c(s_from[h]) on int64 masks, broadcast over keys x hops.
+
+    The slots are int64 arrays of one length; either may be None, for lone
+    creators or destroyers.  Returns (keys, hops, images, odd) of the
+    (mask, hop) pairs the hop does not annihilate, odd = 1 where the sign
+    is -1.  Each sign counts the occupied slots below the slot it acts on;
+    the two counts add up to the parity of their XOR.
+    """
+    bit_f, low_f = _bits(s_from, s_to)
+    bit_t, low_t = _bits(s_to, s_from)
+    col = masks[:, None]
+    # the source occupied, the target empty once the source is cleared
+    keys, hops = np.nonzero(((col & bit_f) == bit_f) & ((col & (bit_t & ~bit_f)) == 0))
+    masks = masks[keys]
+    cleared = masks ^ bit_f[hops]
+    odd = _parities((masks & low_f[hops]) ^ (cleared & low_t[hops]))
+    return keys, hops, cleared | bit_t[hops], odd
+
+
+def _hop_parts(block, amps, s_to, s_from, hop_weight=0):
+    """Block (masks, cols, amps) under sum_h amps[h] c^dag(s_to[h]) c(s_from[h]).
+
+    The images are exact, never truncated to a basis, and the column index
+    rides in its own array (plus hop_weight * h, to keep the hops apart);
+    equal keys are left for _sum_keys to add.
+    """
+    masks, cols, values = block
+    keys, hops, images, odd = _hop(masks, s_to, s_from)
+    values = values[keys] * np.where(odd, -amps[hops], amps[hops])
+    return images, cols[keys] + hop_weight * hops, values
+
+
+def _sum_keys(parts):
+    """One block from (masks, cols, amps) parts, equal (mask, col) keys summed."""
+    masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((masks, cols))
+    masks, cols, amps = masks[order], cols[order], amps[order]
+    first = np.ones(len(masks), dtype=bool)
+    first[1:] = (masks[1:] != masks[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    if not len(starts):
+        return masks, cols, amps
+    return masks[starts], cols[starts], np.add.reduceat(amps, starts)
+
+
+def _unit_block(masks):
+    """Block with state k of `masks` in column k."""
+    return masks, np.arange(len(masks)), np.ones(len(masks))
+
+
+def _mode_parts(op, window, block):
+    s = np.array([window.slot(op.color, op.slot_mode())])
+    return _hop_parts(block, np.ones(1), *((s, None) if op.kind == PSI else (None, s)))
+
+
 def apply_mode(op, vec):
     """Apply a single mode operator; fermionic sign from slots preceding the target."""
     if isinstance(vec, FockState):
         vec = FockVector.from_state(vec)
-    w = vec.window
-    s = w.slot(op.color, op.slot_mode())
-    bit = 1 << s
-    below = bit - 1
-    out = {}
-    if op.kind == PSI:
-        for mask, amp in vec.amps.items():
-            if mask & bit:
-                continue
-            out[mask | bit] = _parity(mask & below) * amp
-    else:
-        for mask, amp in vec.amps.items():
-            if not mask & bit:
-                continue
-            out[mask ^ bit] = _parity(mask & below) * amp
-    return FockVector(w, out)
+    masks, _, amps = _mode_parts(op, vec.window, vec._block())
+    return FockVector(vec.window, dict(zip(masks.tolist(), amps.tolist())))
 
 
 def basis_dimension(n_slots, pair_cap):
@@ -356,47 +411,17 @@ def _as_basis(basis):
     return GradedBasis(basis[0].window, masks)
 
 
-def _compress(basis, terms, scalar=0j):
-    """CSR matrix of sum amp c^dag(s_to) c(s_from) + scalar on a basis.
+def _compress(basis, parts):
+    """CSR matrix on a basis from the image parts of its unit block.
 
-    Either slot of a term may be None, for a lone creator or destroyer.
     Images outside the basis are dropped, so a column whose exact image
     stays inside the basis is represented exactly.
     """
-    masks = basis.masks
-    dim = len(masks)
-    cols = np.arange(dim)
-    rows_out, cols_out, data_out = [cols[:0]], [cols[:0]], [np.zeros(0, dtype=complex)]
-    for amp, s_to, s_from in terms:
-        image, odd = masks, np.zeros(dim, dtype=np.int64)
-        ok = np.ones(dim, dtype=bool)
-        if s_from is not None:
-            bit = np.int64(1 << s_from)
-            ok &= (image & bit) != 0
-            odd ^= _parities(image & (bit - 1))
-            image = image ^ bit
-        if s_to is not None:
-            bit = np.int64(1 << s_to)
-            ok &= (image & bit) == 0
-            odd ^= _parities(image & (bit - 1))
-            image = image | bit
-        rows = basis.rows(image)
-        ok &= rows >= 0
-        rows_out.append(rows[ok])
-        cols_out.append(cols[ok])
-        data_out.append(np.where(odd[ok], -1.0, 1.0) * complex(amp))
-    if scalar:
-        rows_out.append(cols)
-        cols_out.append(cols)
-        data_out.append(np.full(dim, complex(scalar)))
-    coo = sp.coo_matrix(
-        (
-            np.concatenate(data_out),
-            (np.concatenate(rows_out), np.concatenate(cols_out)),
-        ),
-        shape=(dim, dim),
-    )
-    return sp.csr_matrix(coo)
+    masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
+    rows = basis.rows(masks)
+    inside = rows >= 0
+    data = amps[inside].astype(complex)
+    return sp.csr_matrix((data, (rows[inside], cols[inside])), shape=(len(basis),) * 2)
 
 
 class SparseOperator:
@@ -408,7 +433,7 @@ class SparseOperator:
     boundary.
     """
 
-    __slots__ = ("window", "hops", "scalar", "safe_margin")
+    __slots__ = ("window", "hops", "scalar", "safe_margin", "_amps", "_to", "_from")
 
     def __init__(self, window, hops=(), scalar=0j, safe_margin=0):
         self.window = window
@@ -421,41 +446,24 @@ class SparseOperator:
         )
         self.scalar = complex(scalar)
         self.safe_margin = safe_margin
+        amps = np.array([a for a, _, _ in self.hops], dtype=complex)
+        self._amps = amps if amps.imag.any() else amps.real
+        slots = np.array([(t, f) for _, t, f in self.hops], dtype=np.int64)
+        self._to, self._from = slots.reshape(-1, 2).T
 
-    def apply_masks(self, amps):
-        """Exact action on a dict mask -> amplitude.
-
-        Keys may carry extra bits above the window's slots (a packed column
-        index): hops and signs only read the slot bits, so such bits ride
-        along unchanged and one call applies the operator to a whole block.
-        """
-        moves = [
-            (a, 1 << s_from, (1 << s_from) - 1, 1 << s_to, (1 << s_to) - 1)
-            for a, s_to, s_from in self.hops
-        ]
-        out = {}
-        scalar = self.scalar
-        for mask, amp in amps.items():
-            for a, bf, below_f, bt, below_t in moves:
-                if not mask & bf:
-                    continue
-                m1 = mask ^ bf
-                if m1 & bt:
-                    continue
-                m2 = m1 | bt
-                # parity of the two sign counts is the parity of their XOR
-                if ((mask & below_f) ^ (m1 & below_t)).bit_count() & 1:
-                    out[m2] = out.get(m2, 0j) - a * amp
-                else:
-                    out[m2] = out.get(m2, 0j) + a * amp
-            if scalar:
-                out[mask] = out.get(mask, 0j) + scalar * amp
-        return out
+    def _image_parts(self, block, coeff=1.0):
+        """Parts of coeff * self applied to a block; see _hop_parts."""
+        parts = [_hop_parts(block, coeff * self._amps, self._to, self._from)]
+        if self.scalar:
+            masks, cols, amps = block
+            parts.append((masks, cols, amps * (coeff * self.scalar)))
+        return parts
 
     def apply(self, vec):
         if isinstance(vec, FockState):
             vec = FockVector.from_state(vec)
-        return FockVector(self.window, self.apply_masks(vec.amps))
+        masks, _, amps = _sum_keys(self._image_parts(vec._block()))
+        return FockVector(self.window, dict(zip(masks.tolist(), amps.tolist())))
 
     def __add__(self, other):
         self._check_window(other)
@@ -487,7 +495,8 @@ class SparseOperator:
 
     def matrix(self, basis):
         """Compression onto a graded basis (or a list of FockStates) as CSR."""
-        return _compress(_as_basis(basis), self.hops, self.scalar)
+        basis = _as_basis(basis)
+        return _compress(basis, self._image_parts(_unit_block(basis.masks)))
 
 
 def enumerate_states(window, pair_cap):
@@ -498,18 +507,13 @@ def enumerate_states(window, pair_cap):
     out = []
     for total in range(pair_cap + 1):
         for n_p in range(total, -1, -1):
-            n_h = total - n_p
-            if n_p > len(above) or n_h > len(below):
-                continue
-            for ps in itertools.combinations(above, n_p):
-                for hs in itertools.combinations(below, n_h):
-                    out.append(
-                        FockState(
-                            window,
-                            frozenset(window.slot_label(s) for s in ps),
-                            frozenset(window.slot_label(s) for s in hs),
-                        )
-                    )
+            pairs = itertools.product(
+                itertools.combinations(above, n_p),
+                itertools.combinations(below, total - n_p),
+            )
+            for ps, hs in pairs:
+                labels = [frozenset(map(window.slot_label, x)) for x in (ps, hs)]
+                out.append(FockState(window, *labels))
     return out
 
 
@@ -549,22 +553,19 @@ def _require_interior(window, margin):
 
 
 def _safe_block(window, pair_cap, margin):
-    """Packed dict {mask | k << n_slots: 1} over the safe columns of the basis."""
+    """Block (masks, cols, amps) of the safe basis states, state k in column k."""
     _require_interior(window, margin)
     cols = _safe_columns(window, pair_cap, margin)
     if not len(cols):
         raise ResolutionError(
             f"safe subspace empty for margin {margin} at N={window.N}; increase N"
         )
-    masks = graded_basis(window, pair_cap).masks[cols].tolist()
-    shift = window.n_slots
-    return {mask | (k << shift): 1.0 for k, mask in enumerate(masks)}
+    return _unit_block(graded_basis(window, pair_cap).masks[cols])
 
 
-def _max_abs(amps):
-    """Largest |amplitude| of a mask dict; NaN propagates."""
-    values = np.fromiter(amps.values(), dtype=complex, count=len(amps))
-    return float(np.abs(values).max(initial=0.0))
+def _max_abs(block):
+    """Largest |amplitude| of a block; NaN propagates."""
+    return float(np.abs(block[2]).max(initial=0.0))
 
 
 def normal_ordered_pair(i, j, m, n, window):
@@ -576,12 +577,8 @@ def normal_ordered_pair(i, j, m, n, window):
     """
     s_to = window.slot(i, m)
     s_from = window.slot(j, -n)
-    scalar = 0j
-    if m < window.cut and i == j and m == -n:
-        scalar = -1.0 + 0j
-    return SparseOperator(
-        window, ((1.0, s_to, s_from),), scalar, safe_margin=abs(m + n)
-    )
+    scalar = -1.0 if m < window.cut and i == j and m == -n else 0.0
+    return SparseOperator(window, ((1.0, s_to, s_from),), scalar, safe_margin=abs(m + n))
 
 
 def sigma(i, j, n, window, cut=None):
@@ -601,12 +598,11 @@ def sigma(i, j, n, window, cut=None):
     lam = window.cut if cut is None else rational(cut)
     if lam.denominator == 1:
         raise ValidationError(f"normal-ordering cut must be non-integer, got {lam}")
-    hops = []
-    for m in range(max(-N, -n - N), min(N, N - n) + 1):
-        hops.append((1.0, window.slot(i, m), window.slot(j, m + n)))
-    scalar = 0j
-    if i == j and n == 0:
-        scalar = -float(window.sea_count(lam))
+    hops = [
+        (1.0, window.slot(i, m), window.slot(j, m + n))
+        for m in range(max(-N, -n - N), min(N, N - n) + 1)
+    ]
+    scalar = -float(window.sea_count(lam)) if i == j and n == 0 else 0.0
     return SparseOperator(window, tuple(hops), scalar, safe_margin=abs(n))
 
 
@@ -635,16 +631,33 @@ def commutator_check(i, j, k, l, m, n, window, pair_cap=2):
         rhs = rhs + sigma(i, l, m + n, window)
     if i == l:
         rhs = rhs - sigma(k, j, m + n, window)
-    central = float(m) if (j == k and i == l and m + n == 0) else 0.0
-    lhs = op_a.apply_masks(op_b.apply_masks(block))
-    for key, amp in op_b.apply_masks(op_a.apply_masks(block)).items():
-        lhs[key] = lhs.get(key, 0j) - amp
-    for key, amp in rhs.apply_masks(block).items():
-        lhs[key] = lhs.get(key, 0j) - amp
-    if central:
-        for key in block:
-            lhs[key] = lhs.get(key, 0j) - central
-    return _max_abs(lhs)
+    if j == k and i == l and m + n == 0:
+        rhs = rhs + SparseOperator.identity(window, float(m))
+    lhs = _commutator_parts(op_a, op_b, block)
+    return _max_abs(_sum_keys(lhs + rhs._image_parts(block, -1.0)))
+
+
+def _commutator_parts(op_a, op_b, block):
+    """Parts of [op_a, op_b] applied to a block."""
+    ax = _sum_keys(op_a._image_parts(block))
+    bx = _sum_keys(op_b._image_parts(block))
+    return op_a._image_parts(bx) + op_b._image_parts(ax, -1.0)
+
+
+def central_term_check(window):
+    """Worst |<vac| [sigma(e^{11}_m), sigma(e^{11}_{-m})] |vac> - m| for m = 1, 2.
+
+    The vacuum expectation of the commutator is the central term m of the
+    extension; amplitudes are signed integers, so 0.0 is exact.
+    """
+    vac = vacuum(window).mask
+    probe = _unit_block(np.array([vac], dtype=np.int64))
+    worst = 0.0
+    for m in (1, 2):
+        parts = _commutator_parts(sigma(1, 1, m, window), sigma(1, 1, -m, window), probe)
+        masks, _, amps = _sum_keys(parts)
+        worst = np.maximum(worst, abs(amps[masks == vac].sum() - m))
+    return float(worst)
 
 
 def _transport_modes(window, mu):
@@ -678,14 +691,12 @@ def bogoliubov_vacuum(window, mu):
         raise ConsistencyError("transported vacuum is not a unit product state")
     for c in range(1, window.n_colors + 1):
         for kmode in range(-window.N, window.N + 1):
-            if kmode < mu and apply_mode(psi(c, kmode), vec).norm_max() > 0:
-                raise ConsistencyError(
-                    f"transported vacuum not annihilated by psi^{c}_{kmode}"
-                )
-            if kmode <= -mu and apply_mode(psibar(c, kmode), vec).norm_max() > 0:
-                raise ConsistencyError(
-                    f"transported vacuum not annihilated by psibar^{c}_{kmode}"
-                )
+            checks = ((psi(c, kmode), kmode < mu), (psibar(c, kmode), kmode <= -mu))
+            for op, kills in checks:
+                if kills and apply_mode(op, vec).norm_max() > 0:
+                    raise ConsistencyError(
+                        f"transported vacuum not annihilated by {op.kind}^{c}_{kmode}"
+                    )
     return vec
 
 
@@ -704,56 +715,80 @@ def cut_shift_check(i, j, n, window, mu, pair_cap=2):
     if i == j and n == 0:
         diff = diff + SparseOperator.identity(window, float(n_shift))
     block = _safe_block(window, pair_cap, abs(n))
-    return _max_abs(diff.apply_masks(block)), n_shift
+    return _max_abs(_sum_keys(diff._image_parts(block))), n_shift
 
 
-def _expm_multiply(mat, block, t, tol=1e-12):
-    """exp(t*mat) @ block by scaling plus truncated Taylor series, in place.
+def _tail_bound(theta, degree):
+    """Bound on sum_{k > degree} theta^k / k!, valid for theta < degree + 2."""
+    first = theta ** (degree + 1) / math.factorial(degree + 1)
+    return first / (1.0 - theta / (degree + 2))
 
-    The scaling s keeps theta = |t| * ||mat||_1 / 2^s <= 0.5, the series is
-    summed until its a-priori tail bound theta^(K+1)/((K+1)!(1-theta)) drops
-    below tol; failure to reach that bound, or a non-finite result, raises
-    PrecisionError.  Work beyond MAX_EXPM_WORK raises ResourceError before
-    the first product.
+
+@lru_cache(maxsize=8)
+def _theta_table(tol):
+    """Largest theta <= _THETA_MAX with _tail_bound <= tol, by degree 1..60."""
+    table = []
+    for degree in range(1, 61):
+        low, high = 0.0, _THETA_MAX
+        while _tail_bound(high, degree) > tol and high - low > 1e-15:
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if _tail_bound(mid, degree) <= tol else (low, mid)
+        table.append(high if _tail_bound(high, degree) <= tol else low)
+    return tuple(table)
+
+
+def _taylor_schedule(norm_t, tol):
+    """(steps, degree) of least product count steps * degree for exp(t*mat).
+
+    Every step has theta = norm_t / steps <= _THETA_MAX and a degree whose
+    tail bound is at most tol: the (m, s) selection of Al-Mohy and Higham
+    (SIAM J. Sci. Comput. 33, 2011) on the bound of _tail_bound.
+    """
+    table = enumerate(_theta_table(tol), 1)
+    options = [(max(1, math.ceil(norm_t / th)), k) for k, th in table if th > 0]
+    if not options:
+        raise PrecisionError(f"series tail bound {tol} not met within 60 terms")
+    return min(options, key=lambda option: option[0] * option[1])
+
+
+def _expm_multiply(mat, block, t, tol=_UNIT_ROUNDOFF):
+    """exp(t*mat) @ block by steps of a truncated Taylor series.
+
+    _taylor_schedule picks the steps and the degree; a non-finite step
+    raises PrecisionError.  Work beyond MAX_EXPM_WORK raises ResourceError
+    before the first product.
     """
     if t == 0:
         return block.copy()
     norm1 = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
-    if not math.isfinite(abs(t) * norm1):
+    norm_t = abs(t) * norm1
+    if not math.isfinite(norm_t):
         raise PrecisionError(f"operator norm {norm1:.3e} at time {t} is not finite")
-    theta_target = 0.5
-    scale = max(0, math.ceil(math.log2(max(abs(t) * norm1, 1e-300) / theta_target)))
-    theta = math.ldexp(abs(t) * norm1, -scale)
-    n_terms, bound = 1, theta
-    while bound / (1.0 - theta) > tol:
-        n_terms += 1
-        bound *= theta / n_terms
-        if n_terms > 60:
-            raise PrecisionError("series tail bound not met within 60 terms")
-    work = 2**scale * n_terms * (mat.nnz * block.shape[1] + _PRODUCT_OVERHEAD)
+    steps, degree = _taylor_schedule(norm_t, tol)
+    work = steps * degree * (mat.nnz * block.shape[1] + _PRODUCT_OVERHEAD)
     if work > MAX_EXPM_WORK:
         raise ResourceError(
-            f"exponential needs 2^{scale} x {n_terms} products of a "
-            f"{mat.nnz}-entry matrix on {block.shape[1]} columns "
-            f"(|t| * ||mat||_1 = {abs(t) * norm1:.3e}), over the cap of "
-            f"{MAX_EXPM_WORK} multiply-adds"
+            f"exponential needs {steps} x {degree} products of a {mat.nnz}-entry "
+            f"matrix on {block.shape[1]} columns (|t| * ||mat||_1 = {norm_t:.3e}), "
+            f"over the cap of {MAX_EXPM_WORK} multiply-adds"
         )
-    step = t / 2**scale
+    step = t / steps
     out = block.astype(np.result_type(mat.dtype, block.dtype, step))
-    for _ in range(2**scale):
+    for _ in range(steps):
         term = out
-        for k in range(1, n_terms + 1):
-            term = mat @ term
-            term *= step / k
-            out += term
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            for k in range(1, degree + 1):
+                term = mat @ term
+                term *= step / k
+                out += term
         if not np.isfinite(out).all():
             raise PrecisionError(
-                f"exponential overflowed: |t| * ||mat||_1 = {abs(t) * norm1:.3e}"
+                f"exponential overflowed: |t| * ||mat||_1 = {norm_t:.3e}"
             )
     return out
 
 
-def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=1e-12):
+def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_ROUNDOFF):
     """Residual of exp(t sigma_mu(K)) = exp(t sigma_lam(K)) exp(-t n_{lam,mu} Tr K).
 
     K is a finite combination [(coeff, i, j, n), ...] of elementary loop
@@ -766,13 +801,11 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=1e-12):
     mu, modes = _transport_modes(window, mu)
     n_shift = len(modes)
     trace_k = sum(c for c, i, j, n in terms if i == j and n == 0)
-    op_lam = SparseOperator(window)
-    op_mu = SparseOperator(window)
-    max_n = 0
+    op_lam = op_mu = SparseOperator(window)
     for c, i, j, n in terms:
         op_lam = op_lam + c * sigma(i, j, n, window)
         op_mu = op_mu + c * sigma(i, j, n, window, cut=mu)
-        max_n = max(max_n, abs(n))
+    max_n = max((abs(n) for *_, n in terms), default=0)
     basis = graded_basis(window, pair_cap)
     mat_lam = op_lam.matrix(basis)
     mat_mu = op_mu.matrix(basis)
@@ -800,78 +833,43 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=1e-12):
 def mode_operator_matrix(op, basis, index=None):
     """Matrix of a single mode operator on a graded basis (CSR).
 
-    `basis` is a GradedBasis or a list of FockStates.  `index`, a mask ->
-    row dict, is accepted for callers that built one; rows are found by a
-    sorted search of the basis masks.
+    `basis` is a GradedBasis or a list of FockStates.  `index` (a mask -> row
+    dict) is accepted and unused: rows come from a sorted search.
     """
     basis = _as_basis(basis)
-    s = basis.window.slot(op.color, op.slot_mode())
-    term = (1.0, s, None) if op.kind == PSI else (1.0, None, s)
-    return _compress(basis, (term,))
+    return _compress(basis, [_mode_parts(op, basis.window, _unit_block(basis.masks))])
 
 
 def car_residual(window, pair_cap=2):
-    """Max residual of the four anticommutator identities as matrices.
+    """Max residual of the four anticommutator identities on the block engine.
 
-    The graded basis caps the excitation count; the products are exact on
-    columns whose intermediate states stay inside the cap, so the residual
-    is measured on states with count <= pair_cap - 1 (the first columns of
-    the graded basis) and must be exactly 0.  Every label pair is formed at
-    once: stacking the mode matrices turns the products X_a Y_b on the kept
-    columns into one sparse product whose (a, b) block is X_a Y_b.
+    Label (c, m) sits on slot(c, m): psi^c_m creates it and psibar^c_{-m}
+    destroys it.  Every label pair is formed at once: column
+    k + keep * (a + n_slots * b) of the block holds {X_a, Y_b} applied to
+    basis state k, for the states with count <= pair_cap - 1 (the first
+    `keep` columns of the graded basis).  Amplitudes are signed integers,
+    so the residual must be exactly 0.
     """
-    basis = graded_basis(window, pair_cap)
-    dim = len(basis)
     keep = basis_dimension(window.n_slots, pair_cap - 1)
     if not keep:
         return 0.0
-    labels = [
-        (c, m)
-        for c in range(1, window.n_colors + 1)
-        for m in range(-window.N, window.N + 1)
-    ]
-    n_lab = len(labels)
-    creators = _stack([mode_operator_matrix(psi(c, m), basis) for c, m in labels], keep)
-    destroyers = _stack(
-        [mode_operator_matrix(psibar(c, -m), basis) for c, m in labels], keep
-    )
-    # delta_{ab} times the kept columns of the identity, on the diagonal blocks
-    blocks = np.arange(n_lab)[:, None]
-    kept = np.arange(keep)
-    delta = sp.csr_matrix(
-        (
-            np.ones(n_lab * keep),
-            ((blocks * dim + kept).ravel(), (blocks * keep + kept).ravel()),
-        ),
-        shape=(n_lab * dim, n_lab * keep),
-    )
+    n = window.n_slots
+    slots, ones = np.arange(n), np.ones(n)
+    block = _unit_block(graded_basis(window, pair_cap).masks[:keep])
+
+    def each_label(block, create, weight):
+        # creators (or destroyers) of every slot a at once, a weighted into the column
+        to, source = (slots, None) if create else (None, slots)
+        return _hop_parts(block, ones, to, source, weight)
+
+    diag = np.tile(block[0], n), np.add.outer(keep * (n + 1) * slots, block[1]).ravel()
     worst = 0.0
-    for left, right, want in (
-        (creators, creators, False),
-        (destroyers, destroyers, False),
-        (creators, destroyers, True),
-        (destroyers, creators, True),
-    ):
-        anti = left[0] @ right[1] + _swap_blocks(right[0] @ left[1], dim, keep)
-        if want:
-            anti = anti - delta
-        worst = np.maximum(worst, np.abs(anti.data).max(initial=0.0))
+    for x_creates, y_creates in itertools.product((True, False), repeat=2):
+        parts = [
+            each_label(each_label(block, y_creates, keep * n), x_creates, keep),
+            each_label(each_label(block, x_creates, keep), y_creates, keep * n),
+        ]
+        if x_creates != y_creates:
+            parts.append((*diag, -np.ones(n * keep)))
+        worst = np.maximum(worst, _max_abs(_sum_keys(parts)))
     return float(worst)
-
-
-def _stack(mats, keep):
-    """(vstack of mats, hstack of their first `keep` columns), both CSR."""
-    return (
-        sp.vstack(mats, format="csr"),
-        sp.hstack([x[:, :keep] for x in mats], format="csr"),
-    )
-
-
-def _swap_blocks(mat, rows, cols):
-    """Block transpose: block (b, a) of rows x cols blocks moves to (a, b)."""
-    coo = mat.tocoo()
-    block_r, r = np.divmod(coo.row, rows)
-    block_c, c = np.divmod(coo.col, cols)
-    return sp.csr_matrix(
-        (coo.data, (block_c * rows + r, block_r * cols + c)), shape=mat.shape
-    )

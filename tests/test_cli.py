@@ -10,9 +10,11 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gerbetool import cli
 from gerbetool.cli import (
@@ -471,3 +473,63 @@ class TestDeterminism:
         proc = run_cli("cover", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0
         assert out.read_text() == proc.stdout
+
+
+# Small fock windows: n_max <= 4 and at most two colors, with bounded
+# exp_time and sweep.  One branch draws every key around its valid range,
+# so rejected configs come up; the other stays near the valid region, so
+# most of its configs run the battery.
+_CUTS = st.sampled_from(["1/2", "-1/2", "3/2", "5/2", "7/2", "1/4", "-3/4", "2/3", "1", "0"])
+_EXP_TIME = st.floats(-2.0, 2.0, allow_nan=False)
+_FOCK_PARAMS = st.one_of(
+    st.fixed_dictionaries(
+        {"n_max": st.integers(-1, 4)},
+        optional={
+            "n_colors": st.integers(0, 2),
+            "cut": _CUTS,
+            "mu": _CUTS,
+            "sweep": st.integers(-1, 2),
+            "pair_cap": st.integers(0, 3),
+            "exp_time": _EXP_TIME,
+        },
+    ),
+    st.fixed_dictionaries(
+        {
+            "n_max": st.integers(2, 4),
+            "cut": st.sampled_from(["1/2", "-1/2", "1/4", "-3/4"]),
+            "mu": st.sampled_from(["3/2", "5/2", "3/4", "7/4"]),
+            "sweep": st.integers(0, 1),
+            "pair_cap": st.integers(1, 2),
+            "exp_time": _EXP_TIME,
+        }
+    ),
+)
+
+
+class TestFockConfigProperty:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(params=_FOCK_PARAMS, seed=st.integers(0, 3))
+    def test_verdict_or_config_error(self, params, seed, capsys):
+        scenario = {"command": "fock", "params": params, "seed": seed}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "fock.json"
+            cfg.write_text(json.dumps(scenario))
+            code = cli.main(["fock", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        try:
+            validate_scenario(scenario)
+        except ConfigError:
+            assert code == 2 and out == ""
+            assert err.startswith("config error:") and err.count("\n") == 1
+            return
+        assert code in (0, 1), err
+        report = json.loads(out)
+        assert report["command"] == "fock" and len(report["checks"]) == 6
+        assert report["status"] == ("pass" if code == 0 else "fail")
+        assert all(math.isfinite(r["residual"]) for r in report["checks"])

@@ -609,3 +609,206 @@ class TestCostModel:
         # the Taylor steps overflow to inf and NaN; that must not read as a pass
         with pytest.raises(PrecisionError, match="overflow"):
             projective_equality_check([(1.0, 1, 1, 0)], 400.0, W31, "5/2", pair_cap=2)
+
+
+def flip_middle_hop(op):
+    """The operator with the sign of its middle hop flipped (a planted defect)."""
+    hops = list(op.hops)
+    a, s_to, s_from = hops[len(hops) // 2]
+    hops[len(hops) // 2] = (-a, s_to, s_from)
+    return SparseOperator(op.window, hops, op.scalar, op.safe_margin)
+
+
+# 62 slots: the widest occupation mask the cost model admits.  A column
+# index packed above the slot bits would wrap in int64 here.
+W62 = FockWindow(2, 15, "1/2")
+
+
+class TestWidestMask:
+    def test_window_is_admitted(self):
+        assert W62.n_slots == fock.MASK_BITS
+        assert len(graded_basis(W62, 2)) == basis_dimension(W62.n_slots, 2)
+        assert len(fock._safe_columns(W62, 2, 2)) > 2**10
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1, 1, 1, 1, 1, -1), (1, 2, 2, 1, 2, -2), (2, 1, 1, 2, 1, 1), (1, 2, 2, 1, 0, 0)],
+    )
+    def test_commutator_exact(self, args):
+        assert commutator_check(*args, W62) == 0.0
+
+    @pytest.mark.parametrize("i, j, n", [(1, 1, 0), (1, 2, 1)])
+    def test_cut_shift_exact(self, i, j, n):
+        assert cut_shift_check(i, j, n, W62, "7/2") == (0.0, 3)
+
+    def test_block_keeps_columns_apart(self):
+        # an exact identity reads 0.0 even when columns merge, so compare
+        # the block image with each column applied on its own
+        masks, cols, amps = fock._safe_block(W62, 2, 2)
+        op = sigma(1, 2, 1, W62) + sigma(2, 1, -1, W62) + sigma(2, 2, 0, W62)
+        image = fock._sum_keys(op._image_parts((masks, cols, amps)))
+        got = sorted((c, m, a) for m, c, a in zip(*map(np.ndarray.tolist, image)) if a)
+        want = sorted(
+            (k, m, a.real)
+            for k, mask in enumerate(masks.tolist())
+            for m, a in op.apply(FockVector(W62, {mask: 1.0})).amps.items()
+        )
+        assert len(got) > len(masks) and got == want
+
+    def test_planted_sign_defect_is_caught(self, monkeypatch):
+        real = fock.sigma
+        monkeypatch.setattr(fock, "sigma", lambda *a, **kw: flip_middle_hop(real(*a, **kw)))
+        for args in [(1, 1, 1, 1, 1, 0), (1, 2, 2, 1, 2, -2), (2, 1, 1, 2, 1, 1)]:
+            assert commutator_check(*args, W62) == 2.0
+
+    def test_planted_cut_shift_defect_is_caught(self, monkeypatch):
+        real = fock.sigma
+
+        def flip_mu_current(i, j, n, window, cut=None):
+            op = real(i, j, n, window, cut)
+            return op if cut is None else flip_middle_hop(op)
+
+        monkeypatch.setattr(fock, "sigma", flip_mu_current)
+        for i, j, n in [(1, 1, 0), (1, 2, 1)]:
+            residual, _ = cut_shift_check(i, j, n, W62, "7/2")
+            assert residual > 0.0
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("window", [W31, FockWindow(2, 6, "1/2")], ids=["c1N3", "c2N6"])
+    def test_central_term_exact(self, window):
+        assert fock.central_term_check(window) == 0.0
+
+    def test_reversed_current_orientation_is_caught(self, monkeypatch):
+        # [sigma_{-m}, sigma_m] has vacuum expectation -m: residual 2m, 4 at m = 2
+        real = fock.sigma
+        monkeypatch.setattr(
+            fock, "sigma", lambda i, j, n, window, cut=None: real(i, j, -n, window, cut)
+        )
+        assert fock.central_term_check(W31) == 4.0
+
+    def test_apply_sums_equal_keys_like_the_oracle(self):
+        rng = np.random.default_rng(3)
+        w = W22
+        dim = 2**w.n_slots
+        v = rng.standard_normal(dim)
+        fv = FockVector(w, {mask: v[mask] for mask in range(dim)})
+        for op in (sigma(1, 1, 0, w), sigma(1, 2, 1, w) + sigma(2, 1, -1, w)):
+            got = np.zeros(dim, dtype=complex)
+            for mask, amp in op.apply(fv).amps.items():
+                got[mask] = amp
+            assert np.abs(got - operator_matrix(op) @ v).max() <= 1e-12
+
+
+# The CLI's default fock window and its three projective generators.
+W26 = FockWindow(2, 6, "1/2")
+GENERATORS = {
+    "transfer-pair": [(1.0, 1, 1, 1), (-1.0, 1, 1, -1)],
+    "color-mixing": [(0.5, 1, 2, 0), (0.5, 2, 1, 0)],
+    "charge": [(1.0, 1, 1, 0)],
+}
+
+
+def generator_matrix(name, cut):
+    op = SparseOperator(W26)
+    for c, i, j, n in GENERATORS[name]:
+        op = op + c * sigma(i, j, n, W26, cut=cut)
+    return op.matrix(graded_basis(W26, 3))
+
+
+class TestTaylorSchedule:
+    @pytest.mark.parametrize("cut", [None, "5/2"], ids=["lam", "mu"])
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    def test_matches_scipy_expm_multiply(self, name, cut):
+        from scipy.sparse.linalg import expm_multiply
+
+        mat = generator_matrix(name, cut)
+        probes = fock._safe_columns(W26, 2, 1)[:16]
+        block = np.zeros((mat.shape[0], len(probes)))
+        block[probes, np.arange(len(probes))] = 1.0
+        got = fock._expm_multiply(mat, block, 0.35)
+        want = expm_multiply(0.35 * mat, block)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "name, cut, schedule",
+        [
+            ("transfer-pair", None, (2, 18)),
+            ("transfer-pair", "5/2", (2, 18)),
+            ("color-mixing", None, (1, 14)),
+            ("color-mixing", "5/2", (1, 14)),
+            ("charge", None, (1, 18)),
+            ("charge", "5/2", (1, 22)),
+        ],
+    )
+    def test_schedule_is_pinned(self, name, cut, schedule):
+        # (steps, degree); power-of-two steps at theta <= 0.5 took (8, 10),
+        # (2, 10), (4, 10) and (4, 12)
+        mat = generator_matrix(name, cut)
+        norm_t = 0.35 * float(np.abs(mat).sum(axis=0).max())
+        assert fock._taylor_schedule(norm_t, fock._UNIT_ROUNDOFF) == schedule
+
+    def test_battery_product_count(self, monkeypatch):
+        real = fock._taylor_schedule
+        seen = []
+
+        def spy(norm_t, tol):
+            seen.append(real(norm_t, tol))
+            return seen[-1]
+
+        monkeypatch.setattr(fock, "_taylor_schedule", spy)
+        for terms in GENERATORS.values():
+            assert projective_equality_check(terms, 0.35, W26, "5/2", pair_cap=3) <= 1e-14
+        assert len(seen) == 120
+        assert sum(steps * degree for steps, degree in seen) == 2648
+
+    @pytest.mark.parametrize("tol", [1e-12, 2.0**-53])
+    @pytest.mark.parametrize("norm_t", [0.0, 1e-9, 0.5, 2.0, 2.1, 37.0, 1e4])
+    def test_schedule_meets_its_bounds(self, norm_t, tol):
+        steps, degree = fock._taylor_schedule(norm_t, tol)
+        theta = norm_t / steps
+        assert steps >= 1 and 1 <= degree <= 60
+        assert theta <= fock._THETA_MAX
+        assert fock._tail_bound(theta, degree) <= tol
+        # fewer steps break a condition at this degree
+        for fewer in range(max(1, steps - 3), steps):
+            theta = norm_t / fewer
+            assert theta > fock._THETA_MAX or fock._tail_bound(theta, degree) > tol
+        # no pair at another degree meets both conditions for fewer products:
+        # the most steps that would cost less leave theta too large
+        for other in range(1, 61):
+            most = (steps * degree - 1) // other
+            if other != degree and most >= 1:
+                theta = norm_t / most
+                assert theta > fock._THETA_MAX or fock._tail_bound(theta, other) > tol
+
+
+# Three colors at N = 8: 51 slots, 1 327 states at pair cap 2, 22 152 at 3.
+W51 = FockWindow(3, 8, "1/2")
+
+
+class TestThreeColorWindow:
+    def test_basis_sizes(self):
+        assert len(graded_basis(W51, 2)) == 1327
+        assert len(graded_basis(W51, 3)) == 22152
+
+    @pytest.mark.parametrize(
+        "args, cap",
+        [
+            ((1, 2, 2, 3, 1, -1), 2),
+            ((1, 2, 2, 1, 2, -2), 2),
+            ((3, 3, 3, 3, 1, 0), 2),
+            ((1, 3, 3, 1, 0, 0), 2),
+            ((1, 2, 2, 1, 1, -1), 3),
+        ],
+    )
+    def test_commutator_exact(self, args, cap):
+        assert commutator_check(*args, W51, pair_cap=cap) == 0.0
+
+    @pytest.mark.parametrize("i, j, n", [(1, 1, 0), (2, 3, 1), (3, 3, -2)])
+    def test_cut_shift_exact(self, i, j, n):
+        assert cut_shift_check(i, j, n, W51, "5/2") == (0.0, 2)
+
+    def test_projective_exponential(self):
+        terms = [(1.0, 1, 1, 0), (0.5, 2, 3, 1), (0.5, 3, 2, -1)]
+        assert projective_equality_check(terms, 0.35, W51, "5/2", pair_cap=2) <= 1e-10
