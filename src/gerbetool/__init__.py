@@ -5,7 +5,7 @@ Modules
 spectral   twisted circle Dirac spectra, spectral cuts, flow counting
 detline    determinant lines over spectral bands and the cocycle check
 fock       truncated fermionic Fock space, currents, Bogoliubov transport
-liealg     su(n) bases, weight multiplicities, exact Dynkin indices
+liealg     su(n) bases and coefficients, weight multiplicities, Dynkin indices
 grids      periodic grid forms, stencil derivatives, exterior derivative
 caloron    sampled connections over S1 x T^d and curvature identities
 presets    named analytic connection families and gauge loops
@@ -78,12 +78,13 @@ from .fock import (
     vacuum,
 )
 from .liealg import (
-    LieAlgebraSpec,
     Representation,
     dynkin_index,
-    inner,
-    su_algebra,
     su_basis,
+    su_coefficients,
+    su_frame,
+    su_matrices,
+    su_structure_constants,
     weight_multiplicities,
     weyl_dimension,
 )

@@ -9,13 +9,19 @@ F_ab = d_a A_b - d_b A_a + [A_a, A_b] and mixed components
 G_a = dtheta A_a - d_a Phi + [Phi, A_a]; theta-derivatives are spectral,
 base derivatives 4th-order central.
 
+Each pipeline call converts the samples once to real su(n) coefficients
+(liealg.su_coefficients, trailing axis n^2 - 1) and works there: the
+bracket contracts with the structure constants, <X, Y> = -trace(XY) is
+2 c(X).c(Y), and the forms are real by construction.  The form-producing
+pipelines reject samples lying off su(n) (imaginary residue and trace) by
+NaN or over MEMBERSHIP_TOLERANCE of their scale.
+
 The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
 circle-integrated Pontryagin density -(1/8 pi^2) <F~ ^ F~> exactly in the
 continuum; the pair of pipelines is the identity checked by
 ms_identity_check, which builds dtheta A and F_ab once per grid and feeds
-both.  Pairing throughout is <X, Y> = -trace(XY); every produced form is
-checked to be real to 1e-10 before the imaginary part is discarded.
+both.
 """
 
 from dataclasses import dataclass
@@ -33,16 +39,18 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridForm, central_diff4, spectral_theta_derivative
+from .liealg import su_coefficients, su_matrices, su_structure_constants
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
-# Samples per pass of _commutator: its per-block buffers stay in cache.
-_COMMUTATOR_BLOCK = 4096
+# Largest off-su(n) part of the samples relative to their su(n) part
+# (liealg.su_coefficients) that the form-producing pipelines accept.
+MEMBERSHIP_TOLERANCE = 1e-10
 
 # Cap on the complex entries of one sampled field array,
-# theta_points * (base_points + 2 ghost_margin)^base_dim * n^2.  The caloron
-# battery holds about 18 arrays of that size at its peak (1.6M entries on its
-# default fine grid), so the cap keeps a run near 1.2 GB.
+# theta_points * (base_points + 2 ghost_margin)^base_dim * n^2 (1.6M on the
+# caloron battery's default fine grid).  At its peak the battery holds about
+# 16 su(2) coefficient arrays, each 3/8 the size of such an array.
 MAX_GRID_ENTRIES = 2**22
 
 
@@ -152,66 +160,58 @@ def _grid_coords(base_dim, theta_points, base_points, ghost_margin):
 def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=0):
     """Evaluate an analytic family on the (theta, base) grid."""
     check_grid(theta_points, base_points, base_dim, family.n, ghost_margin)
-    coords = _grid_coords(base_dim, theta_points, base_points, ghost_margin)
-    th, xs = coords[0], coords[1:]
+    th, *xs = _grid_coords(base_dim, theta_points, base_points, ghost_margin)
     ext = base_points + 2 * ghost_margin
     shape = (theta_points,) + (ext,) * base_dim + (family.n, family.n)
     phi = np.broadcast_to(np.asarray(family.phi(th, xs), dtype=complex), shape).copy()
-    comps = [
-        np.broadcast_to(np.asarray(family.base(th, xs, axis), dtype=complex), shape).copy()
-        for axis in range(base_dim)
-    ]
+    a = np.empty((base_dim,) + shape, dtype=complex)
+    for axis in range(base_dim):
+        a[axis] = family.base(th, xs, axis)
     return LatticeConnection(
         family.n,
         base_dim,
         theta_points,
         base_points,
         phi,
-        np.stack(comps),
+        a,
         family=family,
         ghost_margin=ghost_margin,
     )
 
 
-def _commutator(x, y):
-    """[x, y] = xy - yx over the trailing (n, n) axes of equal-shape arrays.
+def _fields(conn, where=None):
+    """phi and a as real su(n) coefficient arrays, one GEMM per field.
 
-    matmul makes one BLAS call per tiny matrix, so both products are summed
-    entrywise instead, n rank-one terms x[:, k] y[k, :] each, on blocks of
-    _COMMUTATOR_BLOCK samples.  The two sums are kept apart until the last
-    subtraction, as matmul keeps them: subtracting term by term rounds the
-    (i, j) and (j, i) entries differently, and the lost anti-Hermitian
-    symmetry surfaced as an imaginary residue of 1.5e7 in the density at
-    amplitude 1e6.  Only the output is full size; the sum of yx and the
-    scratch term are one block each.
+    With where given, samples off su(n) raise ConsistencyError.
     """
-    n = x.shape[-1]
-    shape = x.shape
-    x, y = x.reshape(-1, n, n), y.reshape(-1, n, n)
-    out = np.empty(x.shape, dtype=np.result_type(x, y))
-    yx = np.empty((min(len(x), _COMMUTATOR_BLOCK), n, n), dtype=out.dtype)
-    scratch = np.empty_like(yx)
-    for lo in range(0, len(x), _COMMUTATOR_BLOCK):
-        hi = lo + _COMMUTATOR_BLOCK
-        xb, yb, xy = x[lo:hi], y[lo:hi], out[lo:hi]
-        yxb, tmp = yx[: len(xb)], scratch[: len(xb)]
-        np.multiply(xb[:, :, 0, None], yb[:, None, 0, :], out=xy)
-        np.multiply(yb[:, :, 0, None], xb[:, None, 0, :], out=yxb)
-        for k in range(1, n):
-            xy += np.multiply(xb[:, :, k, None], yb[:, None, k, :], out=tmp)
-            yxb += np.multiply(yb[:, :, k, None], xb[:, None, k, :], out=tmp)
-        xy -= yxb
-    return out.reshape(shape)
+    phi, off_phi = su_coefficients(conn.phi)
+    a, off_a = su_coefficients(conn.a)
+    off = np.maximum(off_phi, off_a)
+    if where is not None and not off <= MEMBERSHIP_TOLERANCE:
+        raise ConsistencyError(
+            f"{where}: imaginary residue and trace at {off:.3e} of the field "
+            f"scale, over {MEMBERSHIP_TOLERANCE:g}"
+        )
+    return phi, a
 
 
-def _pair_trace(x, y):
-    """<X, Y> = -trace(XY), vectorized over leading axes."""
-    return -np.einsum("...ij,...ji->...", x, y)
+def _bracket(x, y, structure):
+    """[X, Y] on coefficient arrays: sum_ab x_a y_b f_abc."""
+    m = len(structure)
+    if m == 3:  # su(2): f_abc = k eps_abc
+        return structure[0, 1, 2] * np.cross(x, y)
+    outer = x[..., :, None] * y[..., None, :]
+    return outer.reshape(x.shape[:-1] + (m * m,)) @ structure.reshape(m * m, m)
+
+
+def _circle_pairing(x, y):
+    """Circle mean of <X, Y> = 2 x.y, over axis 0 and the coefficient axis."""
+    return np.einsum("t...a,t...a->...", x, y) * (2.0 / len(x))
 
 
 @dataclass
 class CurvatureSamples:
-    """Curvature components of a sampled connection.
+    """Curvature components of a sampled connection, as matrix samples.
 
     mixed[a] holds F_{theta a} = dtheta A_a - d_a Phi + [Phi, A_a];
     base[(a, b)] holds F_ab for a < b.
@@ -232,66 +232,52 @@ class CurvatureSamples:
         return float(worst)
 
 
-def _components(conn, with_mixed=True):
-    """dtheta A_a, mixed F_{theta a} and base F_ab (a < b) of a connection.
+def _components(phi, a, n, spacing, with_mixed=True):
+    """dtheta A_a, mixed F_{theta a} and base F_ab (a < b), as coefficients.
 
     The curving needs only dtheta A and F_ab, so mixed is None unless
     with_mixed; curvature() drops dtheta A.  Building mixed before F_ab
     keeps peak memory at that of separate curvature and curving passes.
     """
-    h = conn.spacing()
-    d = conn.base_dim
-    d_theta_a = [spectral_theta_derivative(conn.a[x], axis=0) for x in range(d)]
+    structure = su_structure_constants(n)
+    d_theta_a = [spectral_theta_derivative(a[x], axis=0) for x in range(len(a))]
     mixed = None
     if with_mixed:
         mixed = {
             x: d_theta_a[x]
-            - central_diff4(conn.phi, 1 + x, h)
-            + _commutator(conn.phi, conn.a[x])
-            for x in range(d)
+            - central_diff4(phi, 1 + x, spacing)
+            + _bracket(phi, a[x], structure)
+            for x in range(len(a))
         }
     base = {}
-    for x, y in itertools.combinations(range(d), 2):
+    for x, y in itertools.combinations(range(len(a)), 2):
         base[(x, y)] = (
-            central_diff4(conn.a[y], 1 + x, h)
-            - central_diff4(conn.a[x], 1 + y, h)
-            + _commutator(conn.a[x], conn.a[y])
+            central_diff4(a[y], 1 + x, spacing)
+            - central_diff4(a[x], 1 + y, spacing)
+            + _bracket(a[x], a[y], structure)
         )
     return d_theta_a, mixed, base
 
 
 def curvature(conn):
-    """All curvature components by spectral/4th-order differentiation."""
-    _, mixed, base = _components(conn)
+    """All curvature components by spectral/4th-order differentiation.
+
+    Unchecked for su(n) membership: a NaN sample reaches the norm.
+    """
+    _, mixed, base = _components(*_fields(conn), conn.n, conn.spacing())
+    mixed, base = ({k: su_matrices(v, conn.n) for k, v in c.items()} for c in (mixed, base))
     return CurvatureSamples(conn, mixed, base)
 
 
-def _realize(arrays, where):
-    """Check an array (or dict of arrays) is real to 1e-10 and strip imag.
-
-    A non-finite imaginary residue is rejected too, so NaN never passes.
-    """
-    if isinstance(arrays, dict):
-        return {k: _realize(v, where) for k, v in arrays.items()}
-    worst = float(np.abs(arrays.imag).max()) if arrays.size else 0.0
-    if not worst <= 1e-10:
-        raise ConsistencyError(
-            f"{where}: imaginary residue {worst:.3e} is not within 1e-10"
-        )
-    return arrays.real
-
-
-def _curving(conn, d_theta_a, base):
+def _curving(phi, a, d_theta_a, base, ghost_margin):
     """The curving 2-form of b_field from already computed dtheta A and F_ab."""
     comps = {}
     for (x, y), f_xy in base.items():
         integrand = 0.5 * (
-            _pair_trace(conn.a[x], d_theta_a[y])
-            - _pair_trace(conn.a[y], d_theta_a[x])
-        ) - _pair_trace(f_xy, conn.phi)
-        comps[(x, y)] = -np.mean(integrand, axis=0) / FOUR_PI_SQ
-    comps = _realize(comps, "b_field")
-    return GridForm(2, conn.base_dim, comps, conn.ghost_margin)
+            _circle_pairing(a[x], d_theta_a[y]) - _circle_pairing(a[y], d_theta_a[x])
+        ) - _circle_pairing(f_xy, phi)
+        comps[(x, y)] = -integrand / FOUR_PI_SQ
+    return GridForm(2, len(a), comps, ghost_margin)
 
 
 def b_field(conn):
@@ -304,19 +290,27 @@ def b_field(conn):
     """
     if conn.ghost_margin:
         raise ArgumentError("curving needs a periodic (ghost-free) sampling")
-    d_theta_a, _, base = _components(conn, with_mixed=False)
-    return _curving(conn, d_theta_a, base)
+    phi, a = _fields(conn, "b_field")
+    d_theta_a, _, base = _components(phi, a, conn.n, conn.spacing(), with_mixed=False)
+    return _curving(phi, a, d_theta_a, base, 0)
 
 
-def _density(conn, mixed, base):
-    """Circle-mean density -(1/4 pi^2) Int <F ^ G> dtheta as a real 3-form."""
+def _density(mixed, base, ghost_margin):
+    """Circle-mean density -(1/4 pi^2) Int <F ^ G> dtheta as a 3-form."""
     total = (
-        _pair_trace(base[(0, 1)], mixed[2])
-        - _pair_trace(base[(0, 2)], mixed[1])
-        + _pair_trace(base[(1, 2)], mixed[0])
+        _circle_pairing(base[(0, 1)], mixed[2])
+        - _circle_pairing(base[(0, 2)], mixed[1])
+        + _circle_pairing(base[(1, 2)], mixed[0])
     )
-    comp = _realize(-np.mean(total, axis=0) / FOUR_PI_SQ, "pontryagin_density")
-    return GridForm(3, 3, {(0, 1, 2): comp}, conn.ghost_margin)
+    return GridForm(3, 3, {(0, 1, 2): -total / FOUR_PI_SQ}, ghost_margin)
+
+
+def _pushed(comps, n, rho):
+    """Coefficient arrays through rho's matrix images, as su(rho.dim) coefficients."""
+    return {
+        k: su_coefficients(rho.matrix_image(su_matrices(v, n)))[0]
+        for k, v in comps.items()
+    }
 
 
 def pontryagin_density(conn, rho=None):
@@ -329,12 +323,11 @@ def pontryagin_density(conn, rho=None):
     """
     if conn.base_dim != 3:
         raise DimensionError("the density is a 3-form; need a 3-dimensional base")
-    curv = curvature(conn)
-    mixed, base = curv.mixed, curv.base
+    phi, a = _fields(conn, "pontryagin_density")
+    _, mixed, base = _components(phi, a, conn.n, conn.spacing())
     if rho is not None and not rho.is_fundamental():
-        mixed = {k: rho.matrix_image(v) for k, v in mixed.items()}
-        base = {k: rho.matrix_image(v) for k, v in base.items()}
-    return _density(conn, mixed, base)
+        mixed, base = _pushed(mixed, conn.n, rho), _pushed(base, conn.n, rho)
+    return _density(mixed, base, conn.ghost_margin)
 
 
 def index_curvature(conn, rho):
@@ -356,20 +349,20 @@ def ms_identity_check(conn, refine_factor=2):
     if conn.ghost_margin:
         raise ArgumentError("identity check needs a periodic sampling")
 
-    def residual(c):
-        d_theta_a, mixed, base = _components(c)
-        lhs = _density(c, mixed, base)
-        rhs = _curving(c, d_theta_a, base).exterior_derivative()
+    def residual(phi, a, base_points):
+        d_theta_a, mixed, base = _components(phi, a, conn.n, 1.0 / base_points)
+        lhs = _density(mixed, base, 0)
+        rhs = _curving(phi, a, d_theta_a, base, 0).exterior_derivative()
         return (lhs - rhs).max_norm()
 
-    res_coarse = residual(conn)
-    fine = conn.resample(base_points=refine_factor * conn.base_points)
-    res_fine = residual(fine)
+    res_coarse = residual(*_fields(conn, "ms_identity_check"), conn.base_points)
+    fine_points = refine_factor * conn.base_points
+    # the refined matrix samples are a temporary, freed once converted
+    fine = _fields(conn.resample(base_points=fine_points), "ms_identity_check")
+    res_fine = residual(*fine, fine_points)
     if res_fine <= 1e-13:
-        order = math.inf
-    else:
-        order = math.log(res_coarse / res_fine, refine_factor)
-    return res_coarse, order
+        return res_coarse, math.inf
+    return res_coarse, math.log(res_coarse / res_fine, refine_factor)
 
 
 @dataclass(frozen=True)
@@ -422,14 +415,16 @@ def higgs_gauge_law_check(conn, gauge):
     return float(np.abs(route_one - route_two).max())
 
 
-def rho_scaling_check(conn, rho):
+def rho_scaling_check(conn, rho, relative=False):
     """Max residual of (curving, 3-curvature) scaling under a representation.
 
     Pushes the connection through the representation's matrix images, rebuilds
     the curving B_rho and (on a 3-dimensional base) H_rho = d B_rho, and
     compares with dynkin_index(rho) times the fundamental-route forms.
     The identity holds pointwise in the samples, so the residual is
-    roundoff-level.
+    roundoff-level.  With relative, the residual is divided by
+    dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, unless that
+    scale is zero.
     """
     iota = float(rho.index)
     pushed = LatticeConnection(
@@ -438,14 +433,17 @@ def rho_scaling_check(conn, rho):
         conn.theta_points,
         conn.base_points,
         rho.matrix_image(conn.phi),
-        np.stack([rho.matrix_image(conn.a[x]) for x in range(conn.base_dim)]),
+        rho.matrix_image(conn.a),
         ghost_margin=conn.ghost_margin,
     )
     b_fund = b_field(conn)
     b_rho = b_field(pushed)
     worst = (b_rho - iota * b_fund).max_norm()
+    scale = b_fund.max_norm()
     if conn.base_dim == 3:
         h_fund = b_fund.exterior_derivative()
         h_rho = b_rho.exterior_derivative()
         worst = float(np.maximum(worst, (h_rho - iota * h_fund).max_norm()))
-    return worst
+        scale = np.maximum(scale, h_fund.max_norm())
+    scale = iota * scale
+    return worst / scale if relative and scale > 0 else worst

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from .caloron import (
-    b_field,
     check_grid,
     index_curvature,
     ms_identity_check,
@@ -595,13 +594,7 @@ def _battery_caloron(params, seed):
         return higgs_gauge_law_check(conn, gauge)
 
     def rho_scaling():
-        rho = Representation.adjoint(conn.n)
-        worst = rho_scaling_check(conn, rho)
-        b_fund = b_field(conn)
-        scale = float(rho.index) * np.maximum(
-            b_fund.max_norm(), b_fund.exterior_derivative().max_norm()
-        )
-        return worst / scale if scale > 0 else worst
+        return rho_scaling_check(conn, Representation.adjoint(conn.n), relative=True)
 
     def index_vs_pontryagin():
         lhs = index_curvature(conn, Representation.fundamental(conn.n))

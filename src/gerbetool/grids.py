@@ -1,11 +1,11 @@
 """Derivatives and differential forms on uniform periodic grids.
 
-The circle direction uses the spectral derivative (exact for band-limited
-samples); base-torus directions use 4th-order central differences.  Forms
-store only ordered axis multi-indices, so antisymmetry is exact by
-construction, and the discrete exterior derivative applies the same
-stencils per axis (translation-invariant stencils commute, so d(d(w)) is
-roundoff-level zero).
+The circle direction uses the spectral derivative of real samples (exact
+for band-limited samples); base-torus directions use 4th-order central
+differences.  Forms store only ordered axis multi-indices, so antisymmetry
+is exact by construction, and the discrete exterior derivative applies the
+same stencils per axis (translation-invariant stencils commute, so d(d(w))
+is roundoff-level zero).
 """
 
 from dataclasses import dataclass
@@ -17,16 +17,17 @@ from .errors import ArgumentError, DimensionError, ValidationError
 
 
 def spectral_theta_derivative(arr, axis=0, period=1.0):
-    """Derivative along a periodic axis via FFT; Nyquist mode dropped."""
-    arr = np.asarray(arr, dtype=complex)
+    """rfft derivative of real samples along a periodic axis; Nyquist mode dropped."""
+    arr = np.asarray(arr, dtype=float)
     p = arr.shape[axis]
-    wavenumbers = np.fft.fftfreq(p, d=1.0 / p)
+    wavenumbers = np.arange(p // 2 + 1, dtype=float)
     if p % 2 == 0:
         wavenumbers[p // 2] = 0.0
     factor = (2j * np.pi / period) * wavenumbers
     shape = [1] * arr.ndim
-    shape[axis] = p
-    return np.fft.ifft(np.fft.fft(arr, axis=axis) * factor.reshape(shape), axis=axis)
+    shape[axis] = len(factor)
+    spectrum = np.fft.rfft(arr, axis=axis) * factor.reshape(shape)
+    return np.fft.irfft(spectrum, n=p, axis=axis)
 
 
 def central_diff4(arr, axis, spacing):

@@ -3,7 +3,10 @@
 Conventions: algebra elements are anti-Hermitian traceless n x n matrices,
 paired by <X, Y> = -trace(XY).  The standard basis below is normalized to
 <T_a, T_b> = 2 delta_ab, which gives the coroot h = i diag(1, -1, 0, ...)
-squared length 2 (long roots have length sqrt 2).
+squared length 2 (long roots have length sqrt 2).  An element is also
+stored as its real coefficients c_a in X = sum_a c_a T_a, a trailing axis
+of length n^2 - 1: there <X, Y> = 2 c(X).c(Y), and the bracket contracts
+the coefficients with the structure constants.
 
 The Dynkin index of an irreducible representation with highest weight
 given by a partition is computed exactly over the rationals from the
@@ -19,15 +22,22 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, ConsistencyError, ValidationError
+from .errors import ArgumentError, CapabilityError, ConsistencyError
 
 _DIM_CAP = 200
 
+# Samples per product in su_coefficients: one block's output stays small.
+_COEFFICIENT_BLOCK = 2**15
+
 
 def su_basis(n):
-    """Anti-Hermitian basis of su(n) with -tr(T_a T_b) = 2 delta_ab."""
-    if n < 2:
-        raise ArgumentError("su(n) needs n >= 2")
+    """Anti-Hermitian basis of su(n) with -tr(T_a T_b) = 2 delta_ab.
+
+    su(1) = 0 has the empty basis; it is the image of the trivial
+    representation.
+    """
+    if n < 1:
+        raise ArgumentError("su(n) needs n >= 1")
     out = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -47,59 +57,114 @@ def su_basis(n):
     return out
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+def _basis_array(n):
+    return np.array(su_basis(n), dtype=complex).reshape(-1, n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def su_frame(n):
+    """Orthonormal frame e_a = T_a / sqrt 2 of su(n), <e_a, e_b> = delta_ab.
+
+    A read-only (n^2 - 1, n, n) array, built once per n.
+    """
+    return _read_only(_basis_array(n) / math.sqrt(2.0))
+
+
+def _brackets(basis):
+    """[X_a, X_b] for every pair of basis elements, shape (m, m, n, n)."""
+    products = np.einsum("aij,bjk->abik", basis, basis)
+    return products - products.transpose(1, 0, 2, 3)
+
+
+@functools.lru_cache(maxsize=None)
+def su_structure_constants(n):
+    """Real f_abc with [T_a, T_b] = sum_c f_abc T_c in the su_basis frame.
+
+    f_abc = <T_c, [T_a, T_b]> / 2; for su(2) it is 2 eps_abc.  A read-only
+    (m, m, m) array, m = n^2 - 1.
+    """
+    basis = _basis_array(n)
+    pairs = -np.einsum("cji,abij->abc", basis, _brackets(basis)) / 2.0
+    return _read_only(pairs.real)
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficient_map(n):
+    """Real (2 n^2, 2 n^2) map from (Re, Im)-interleaved entries of X.
+
+    Columns: the m coefficients Re <T_a, X> / 2, then Re tr X, the m
+    imaginary parts Im <T_a, X> / 2 and Im tr X.  The last n^2 + 1 vanish
+    exactly when X lies in su(n).
+    """
+    basis = _basis_array(n)
+    m = len(basis)
+    weights = np.empty((n, n, m + 1), dtype=complex)
+    weights[..., :m] = -basis.transpose(2, 1, 0) / 2.0
+    weights[..., m] = np.eye(n)
+    weights = weights.reshape(n * n, m + 1)
+    out = np.empty((n * n, 2, 2 * m + 2))
+    out[:, 0, : m + 1], out[:, 1, : m + 1] = weights.real, -weights.imag
+    out[:, 0, m + 1 :], out[:, 1, m + 1 :] = weights.imag, weights.real
+    return _read_only(out.reshape(2 * n * n, 2 * m + 2))
+
+
+def su_coefficients(samples):
+    """Coefficients of (..., n, n) samples in the su_basis frame, by one GEMM.
+
+    Returns (coeffs, off): coeffs has shape (..., n^2 - 1) and holds
+    Re <T_a, X> / 2.  off measures how far the samples lie from su(n): the
+    largest |Im <T_a, X> / 2| or |tr X| relative to the largest coefficient
+    (0 for zero samples, inf for a nonzero part off su(n) alone); a NaN
+    sample makes it NaN.  The product runs on blocks of
+    _COEFFICIENT_BLOCK samples, so its output stays small.
+    """
+    samples = np.ascontiguousarray(samples, dtype=complex)
+    n = samples.shape[-1]
+    m = n * n - 1
+    flat = samples.reshape(-1, n * n).view(float)
+    coeffs = np.empty((len(flat), m))
+    rest = scale = 0.0
+    for lo in range(0, len(flat), _COEFFICIENT_BLOCK):
+        out = flat[lo : lo + _COEFFICIENT_BLOCK] @ _coefficient_map(n)
+        coeffs[lo : lo + _COEFFICIENT_BLOCK] = out[:, :m]
+        rest = np.maximum(rest, np.abs(out[:, m:]).max())
+        scale = np.maximum(scale, np.abs(out[:, :m]).max(initial=0.0))
+    if scale == 0.0:
+        off = 0.0 if rest == 0.0 else math.inf
+    else:
+        off = float(rest / scale)
+    return coeffs.reshape(samples.shape[:-2] + (m,)), off
+
+
+@functools.lru_cache(maxsize=None)
+def _matrix_map(n):
+    """Real (n^2 - 1, 2 n^2) map from coefficients to (Re, Im)-interleaved entries."""
+    basis = _basis_array(n).reshape(-1, n * n)
+    entries = np.stack([basis.real, basis.imag], axis=-1)
+    return _read_only(entries.reshape(-1, 2 * n * n))
+
+
+def su_matrices(coeffs, n):
+    """The (..., n, n) matrices sum_a c_a T_a of coefficient arrays (..., n^2 - 1)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    flat = coeffs.reshape(math.prod(coeffs.shape[:-1]), n * n - 1) @ _matrix_map(n)
+    return flat.view(complex).reshape(coeffs.shape[:-1] + (n, n))
+
+
 @functools.lru_cache(maxsize=None)
 def _adjoint_map(n):
     """Linear map X -> ad(X) in the normalized su_basis frame, (n^2, (n^2-1)^2).
 
-    ad(X)_ab = <T_a, [X, T_b]> = sum_ij X_ij [T_a, T_b]_ji, so row (i, j)
+    ad(X)_ab = <e_a, [X, e_b]> = sum_ij X_ij [e_a, e_b]_ji, so row (i, j)
     holds the (j, i) entries of the frame commutators.
     """
-    frame = np.stack(su_basis(n)) / math.sqrt(2.0)
-    products = np.einsum("aij,bjk->abik", frame, frame)
-    brackets = products - products.transpose(1, 0, 2, 3)
-    out = brackets.transpose(3, 2, 0, 1).reshape(n * n, -1)
-    out.flags.writeable = False
-    return out
-
-
-def inner(x, y):
-    """Pairing <X, Y> = -trace(XY)."""
-    return -np.trace(x @ y)
-
-
-@dataclass(frozen=True)
-class LieAlgebraSpec:
-    """su(n) with a fixed orthogonal basis and the -trace pairing."""
-
-    n: int
-    basis: tuple
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if len(self.basis) != self.n * self.n - 1:
-            raise ValidationError(
-                f"su({self.n}) basis needs {self.n * self.n - 1} elements"
-            )
-        worst = 0.0
-        for a, ta in enumerate(self.basis):
-            if np.abs(ta + ta.conj().T).max() > self.tolerance:
-                raise ValidationError(f"basis element {a} is not anti-Hermitian")
-            if abs(np.trace(ta)) > self.tolerance:
-                raise ValidationError(f"basis element {a} is not traceless")
-            for b, tb in enumerate(self.basis):
-                want = 2.0 if a == b else 0.0
-                worst = np.maximum(worst, abs(inner(ta, tb) - want))
-        if not worst <= self.tolerance:
-            raise ValidationError(f"basis orthogonality residual {worst:.3e}")
-        coroot = np.zeros((self.n, self.n), dtype=complex)
-        coroot[0, 0], coroot[1, 1] = 1j, -1j
-        if abs(inner(coroot, coroot) - 2.0) > self.tolerance:
-            raise ValidationError("coroot squared length is not 2")
-
-
-def su_algebra(n):
-    return LieAlgebraSpec(n, su_basis(n))
+    out = _brackets(su_frame(n)).transpose(3, 2, 0, 1).reshape(n * n, -1)
+    return _read_only(out)
 
 
 def _pad_partition(n, part):

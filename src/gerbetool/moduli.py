@@ -313,8 +313,10 @@ def _seam_check(conn, fam, tolerance=1e-10):
 
     For each base axis, the jump field(x + 1) - field(x) must itself be
     constant over the probe grid (the covering-space formula descends to
-    the torus up to a rigid gauge shift).  A varying jump means the
-    sampled family is not a closed connection family.
+    the torus up to a rigid gauge shift).  A jump that varies by more than
+    tolerance times the largest field value it is the difference of (its
+    roundoff scale), or by NaN, means the sampled family is not a closed
+    connection family.
     """
     d = conn.base_dim
     thetas = (np.arange(conn.theta_points) / conn.theta_points).reshape(
@@ -333,10 +335,12 @@ def _seam_check(conn, fam, tolerance=1e-10):
         shifted = list(coords)
         shifted[axis] = shifted[axis] + 1.0
         for label, field in fields:
-            jump = field(thetas, shifted) - field(thetas, coords)
+            there, here = field(thetas, shifted), field(thetas, coords)
+            jump = there - here
             mean = jump.reshape((-1,) + jump.shape[-2:]).mean(axis=0)
             spread = float(np.abs(jump - mean).max())
-            if spread > tolerance:
+            scale = max(float(np.abs(there).max()), float(np.abs(here).max()))
+            if not spread <= tolerance * scale:
                 raise ValidationError(
                     f"family {fam.label}: {label} jump across axis {axis} "
                     f"varies by {spread:.3e}; not a closed family"

@@ -8,8 +8,9 @@ Oracles, each independent of the code under test:
   * su(2) ladder weights and su(3) root values for Dynkin indices, as
     Cartan-eigenvalue square sums normalized by the defining module;
   * trace ratios tr_rho(X^2)/tr(X^2) through the adjoint matrix images;
-  * the plain formulas the batched kernels replace: x @ y - y @ x for the
-    commutator, ad(X)_ab = <T_a, [X, T_b]> element by element for the
+  * the plain matrix formulas the coefficient kernels replace: x @ y - y @ x
+    for the bracket, -trace(XY) for the pairing, sum_a c_a T_a for the
+    coefficients, ad(X)_ab = <T_a, [X, T_b]> element by element for the
     adjoint image.
 Convergence tolerances are frozen from two-grid measurements quoted in the
 assertions.
@@ -24,7 +25,7 @@ from gerbetool.caloron import (
     MAX_GRID_ENTRIES,
     GaugeLoop,
     LatticeConnection,
-    _commutator,
+    _bracket,
     b_field,
     curvature,
     higgs_gauge_law_check,
@@ -43,7 +44,15 @@ from gerbetool.errors import (
     ValidationError,
 )
 from gerbetool.grids import GridForm, central_diff4, spectral_theta_derivative
-from gerbetool.liealg import Representation, dynkin_index, su_basis
+from gerbetool.liealg import (
+    Representation,
+    dynkin_index,
+    su_basis,
+    su_coefficients,
+    su_frame,
+    su_matrices,
+    su_structure_constants,
+)
 from gerbetool.presets import (
     connection_preset,
     connection_preset_names,
@@ -69,6 +78,14 @@ def su3_adjoint_index():
     roots = [2, 1, -1, -2, -1, 1]  # (e_i - e_j)(h) over i != j
     fund = [1, -1, 0]
     return sum(r * r for r in roots) / sum(w * w for w in fund)
+
+
+def random_su(rng, shape, n):
+    """Random anti-Hermitian traceless (..., n, n) samples."""
+    z = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    x = z - np.swapaxes(z.conj(), -1, -2)
+    trace = np.trace(x, axis1=-2, axis2=-1)[..., None, None]
+    return x - trace / n * np.eye(n)
 
 
 def trace_index(rho, x):
@@ -351,19 +368,72 @@ class TestDynkinIndex:
             assert np.abs(lhs - (img_x @ img_y - img_y @ img_x)).max() <= 1e-12
 
 
+class TestSuFrame:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_frame_is_orthonormal(self, n):
+        frame = su_frame(n)
+        assert frame.shape == (n * n - 1, n, n)
+        gram = -np.einsum("aij,bji->ab", frame, frame)
+        assert np.abs(gram - np.eye(n * n - 1)).max() <= 1e-15
+        assert np.abs(frame + np.swapaxes(frame.conj(), 1, 2)).max() == 0.0
+        assert np.abs(np.trace(frame, axis1=1, axis2=2)).max() <= 1e-15
+        assert su_frame(n) is frame and not frame.flags.writeable
+
+    def test_su2_structure_constants_are_twice_epsilon(self):
+        eps = np.zeros((3, 3, 3))
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            eps[a, b, c], eps[b, a, c] = 1.0, -1.0
+        assert np.array_equal(su_structure_constants(2), 2.0 * eps)
+
+    def test_su1_is_zero(self):
+        coeffs, off = su_coefficients(np.zeros((4, 1, 1)))
+        assert coeffs.shape == (4, 0) and off == 0.0
+        assert su_matrices(coeffs, 1).shape == (4, 1, 1)
+
+
 class TestBatchedKernels:
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("block", [4096, 7])
-    def test_commutator_matches_matmul(self, monkeypatch, n, block):
-        # a 7-sample block cuts the 60 samples into 8 passes, the last partial
-        monkeypatch.setattr("gerbetool.caloron._COMMUTATOR_BLOCK", block)
+    def test_bracket_matches_matmul(self, n):
         rng = np.random.default_rng(10 + n)
-        shape = (3, 5, 4, n, n)
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.abs(_commutator(x, y) - (x @ y - y @ x)).max() <= 1e-13
-        single = _commutator(x[0, 0, 0], y[0, 0, 0])
-        assert np.abs(single - (x @ y - y @ x)[0, 0, 0]).max() <= 1e-13
+        x, y = random_su(rng, (3, 5, 4), n), random_su(rng, (3, 5, 4), n)
+        (cx, _), (cy, _) = su_coefficients(x), su_coefficients(y)
+        structure = su_structure_constants(n)
+        want = x @ y - y @ x
+        got = su_matrices(_bracket(cx, cy, structure), n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        single = su_matrices(_bracket(cx[0, 0, 0], cy[0, 0, 0], structure), n)
+        assert np.abs(single - want[0, 0, 0]).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coefficient_round_trip(self, n):
+        rng = np.random.default_rng(30 + n)
+        x, y = random_su(rng, (2, 7), n), random_su(rng, (2, 7), n)
+        scale = np.abs(x).max()
+        coeffs, off = su_coefficients(x)
+        assert coeffs.shape == (2, 7, n * n - 1) and coeffs.dtype == float
+        assert off <= 1e-15
+        assert np.abs(su_matrices(coeffs, n) - x).max() <= 1e-14 * scale
+        # <X, Y> = -trace(XY) is twice the coefficient dot product
+        pair = -np.einsum("...ij,...ji->...", x, y)
+        dot = 2.0 * (coeffs * su_coefficients(y)[0]).sum(axis=-1)
+        assert np.abs(pair - dot).max() <= 1e-13 * np.abs(pair).max()
+        # off is the part off su(n) relative to the largest coefficient: a
+        # trace part counts as |tr X| and leaves the coefficients alone
+        largest = np.abs(coeffs).max()
+        shifted, shift_off = su_coefficients(x + 0.25j * np.eye(n))
+        assert np.abs(shifted - coeffs).max() <= 1e-15 * scale
+        assert shift_off == pytest.approx(0.25 * n / largest, rel=1e-14)
+        # the Hermitian i X: Im <T_a, iX> / 2 is X's coefficient c_a
+        tilted, tilt_off = su_coefficients(x + 1e-3j * x)
+        assert np.abs(tilted - coeffs).max() <= 1e-15 * scale
+        assert tilt_off == pytest.approx(1e-3, rel=1e-12)
+        # nothing in su(n) at all
+        herm, herm_off = su_coefficients(1j * x)
+        assert np.abs(herm).max() <= 1e-15 * scale and herm_off == math.inf
+        assert su_coefficients(np.zeros((3, n, n)))[1] == 0.0
+        nan = x.copy()
+        nan[1, 3, 0, 0] = complex(math.nan, 0.0)
+        assert math.isnan(su_coefficients(nan)[1])
 
     def test_large_fields_stay_real(self):
         # the density's imaginary part is roundoff at the field's own scale;
@@ -372,6 +442,22 @@ class TestBatchedKernels:
             "su2-family", theta_points=8, base_points=8, amplitude=1e6
         )
         assert np.isfinite(pontryagin_density(conn).max_norm())
+
+    def test_membership_bound_is_relative_to_the_field(self):
+        # at amplitude 1e8 the absolute 1e-10 reality bound failed on an
+        # imaginary residue of 3.5e7; the same family passes relative to its scale
+        conn = connection_preset(
+            "su2-family", theta_points=8, base_points=8, amplitude=1e8
+        )
+        assert np.isfinite(b_field(conn).max_norm())
+        assert np.isfinite(pontryagin_density(conn).max_norm())
+        res, order = ms_identity_check(conn)
+        assert math.isfinite(res) and order >= 1.9
+        assert rho_scaling_check(conn, Representation.adjoint(2), relative=True) <= 1e-12
+        # an off-algebra part of 1e-6 of the field scale is still rejected
+        conn.a[1] += 1e2 * np.eye(2)
+        with pytest.raises(ConsistencyError, match="imaginary"):
+            b_field(conn)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_adjoint_image_matches_elementwise_formula(self, n):
@@ -408,6 +494,16 @@ class TestRhoScaling:
     def test_zero_connection(self):
         pair = connection_preset("zero", theta_points=8, base_points=8)
         assert rho_scaling_check(pair, Representation.adjoint(2)) == 0.0
+
+    def test_relative_residual_divides_by_the_fundamental_scale(self):
+        pair = connection_preset("su2-family", theta_points=12, base_points=16)
+        adjoint = Representation.adjoint(2)
+        b = b_field(pair)
+        scale = 4.0 * max(b.max_norm(), b.exterior_derivative().max_norm())
+        worst = rho_scaling_check(pair, adjoint)
+        assert rho_scaling_check(pair, adjoint, relative=True) == worst / scale
+        zero = connection_preset("zero", theta_points=8, base_points=8)
+        assert rho_scaling_check(zero, adjoint, relative=True) == 0.0
 
 
 class TestIndexCurvature:

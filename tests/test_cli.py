@@ -227,6 +227,22 @@ class TestReports:
         err = capsys.readouterr().err
         assert "check 'ms-identity-order' raised ZeroDivisionError" in err
 
+    @pytest.mark.parametrize(
+        "command,params",
+        [
+            ("caloron", {"amplitude": 1e8, "base_points": 8}),
+            ("pairing", {"modulation": 1e6}),
+        ],
+    )
+    def test_large_fields_get_a_verdict(self, command, params, capsys):
+        # absolute 1e-10 roundoff bounds raised here: an imaginary residue
+        # of 3.5e7 in the caloron density, a seam jump varying by 2.4e-10
+        _, full, seed, _ = validate_scenario({"command": command, "params": params})
+        report = run_scenario(command, full, seed)
+        assert capsys.readouterr().err == ""
+        assert all(math.isfinite(r["residual"]) for r in report["checks"])
+        assert report["status"] == "pass"
+
     def test_zero_winding_scales_by_absolute_error(self):
         # the model value -2 w1 w2 is 0, so a relative error divided by
         # roundoff (it read 4.2 on this grid)
@@ -531,5 +547,57 @@ class TestFockConfigProperty:
         assert code in (0, 1), err
         report = json.loads(out)
         assert report["command"] == "fock" and len(report["checks"]) == 6
+        assert report["status"] == ("pass" if code == 0 else "fail")
+        assert all(math.isfinite(r["residual"]) for r in report["checks"])
+
+
+# Small caloron grids on every preset, with the amplitude drawn over
+# twenty-four decades of either sign; a non-finite amplitude or an unknown
+# preset is the rejected case.
+_AMPLITUDE = st.one_of(
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-12.0, 12.0)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    ),
+    st.sampled_from([math.nan, math.inf]),
+)
+_CALORON_PARAMS = st.fixed_dictionaries(
+    {
+        "preset": st.sampled_from(
+            ["abelian", "flat", "su2-axial", "su2-family", "zero", "nahm"]
+        ),
+        "theta_points": st.integers(8, 10),
+        "base_points": st.integers(5, 8),
+        "refine_factor": st.just(2),
+        "amplitude": _AMPLITUDE,
+    },
+    optional={"winding": st.integers(-2, 2)},
+)
+
+
+class TestCaloronConfigProperty:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(params=_CALORON_PARAMS)
+    def test_verdict_or_config_error(self, params, capsys):
+        scenario = {"command": "caloron", "params": params}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "caloron.json"
+            cfg.write_text(json.dumps(scenario))
+            code = cli.main(["caloron", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        try:
+            validate_scenario(scenario)
+        except ConfigError:
+            assert code == 2 and out == ""
+            assert err.startswith("config error:") and err.count("\n") == 1
+            return
+        assert code in (0, 1) and "raised" not in err, err
+        report = json.loads(out)
+        assert report["command"] == "caloron" and len(report["checks"]) == 5
         assert report["status"] == ("pass" if code == 0 else "fail")
         assert all(math.isfinite(r["residual"]) for r in report["checks"])
