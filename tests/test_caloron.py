@@ -393,9 +393,12 @@ class TestSuFrame:
 
 class TestBatchedKernels:
     @pytest.mark.parametrize("n", [2, 3])
-    def test_bracket_matches_matmul(self, n):
+    @pytest.mark.parametrize("samples", [4096, 7])
+    def test_commutator_matches_matmul(self, n, samples):
+        # the coefficient bracket is the matrix commutator, on a batch of
+        # 4096 x 20 samples and on one of 7 x 20
         rng = np.random.default_rng(10 + n)
-        x, y = random_su(rng, (3, 5, 4), n), random_su(rng, (3, 5, 4), n)
+        x, y = random_su(rng, (samples, 5, 4), n), random_su(rng, (samples, 5, 4), n)
         (cx, _), (cy, _) = su_coefficients(x), su_coefficients(y)
         structure = su_structure_constants(n)
         want = x @ y - y @ x
