@@ -81,10 +81,6 @@ from .liealg import (
     Representation,
     dynkin_index,
     su_basis,
-    su_coefficients,
-    su_frame,
-    su_matrices,
-    su_structure_constants,
     weight_multiplicities,
     weyl_dimension,
 )

@@ -269,7 +269,7 @@ def curvature(conn):
     return CurvatureSamples(conn, mixed, base)
 
 
-def _curving(phi, a, d_theta_a, base, ghost_margin):
+def _curving(phi, a, d_theta_a, base):
     """The curving 2-form of b_field from already computed dtheta A and F_ab."""
     comps = {}
     for (x, y), f_xy in base.items():
@@ -277,7 +277,7 @@ def _curving(phi, a, d_theta_a, base, ghost_margin):
             _circle_pairing(a[x], d_theta_a[y]) - _circle_pairing(a[y], d_theta_a[x])
         ) - _circle_pairing(f_xy, phi)
         comps[(x, y)] = -integrand / FOUR_PI_SQ
-    return GridForm(2, len(a), comps, ghost_margin)
+    return GridForm(2, len(a), comps, 0)
 
 
 def b_field(conn):
@@ -292,7 +292,7 @@ def b_field(conn):
         raise ArgumentError("curving needs a periodic (ghost-free) sampling")
     phi, a = _fields(conn, "b_field")
     d_theta_a, _, base = _components(phi, a, conn.n, conn.spacing(), with_mixed=False)
-    return _curving(phi, a, d_theta_a, base, 0)
+    return _curving(phi, a, d_theta_a, base)
 
 
 def _density(mixed, base, ghost_margin):
@@ -352,7 +352,7 @@ def ms_identity_check(conn, refine_factor=2):
     def residual(phi, a, base_points):
         d_theta_a, mixed, base = _components(phi, a, conn.n, 1.0 / base_points)
         lhs = _density(mixed, base, 0)
-        rhs = _curving(phi, a, d_theta_a, base, 0).exterior_derivative()
+        rhs = _curving(phi, a, d_theta_a, base).exterior_derivative()
         return (lhs - rhs).max_norm()
 
     res_coarse = residual(*_fields(conn, "ms_identity_check"), conn.base_points)
@@ -415,16 +415,16 @@ def higgs_gauge_law_check(conn, gauge):
     return float(np.abs(route_one - route_two).max())
 
 
-def rho_scaling_check(conn, rho, relative=False):
+def rho_scaling_check(conn, rho):
     """Max residual of (curving, 3-curvature) scaling under a representation.
 
     Pushes the connection through the representation's matrix images, rebuilds
     the curving B_rho and (on a 3-dimensional base) H_rho = d B_rho, and
     compares with dynkin_index(rho) times the fundamental-route forms.
     The identity holds pointwise in the samples, so the residual is
-    roundoff-level.  With relative, the residual is divided by
-    dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, unless that
-    scale is zero.
+    roundoff-level.  Returns (worst, scale): the absolute residual and
+    dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the scale a
+    relative residual divides by.
     """
     iota = float(rho.index)
     pushed = LatticeConnection(
@@ -445,5 +445,4 @@ def rho_scaling_check(conn, rho, relative=False):
         h_rho = b_rho.exterior_derivative()
         worst = float(np.maximum(worst, (h_rho - iota * h_fund).max_norm()))
         scale = np.maximum(scale, h_fund.max_norm())
-    scale = iota * scale
-    return worst / scale if relative and scale > 0 else worst
+    return worst, float(iota * scale)

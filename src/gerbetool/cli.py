@@ -594,7 +594,8 @@ def _battery_caloron(params, seed):
         return higgs_gauge_law_check(conn, gauge)
 
     def rho_scaling():
-        return rho_scaling_check(conn, Representation.adjoint(conn.n), relative=True)
+        worst, scale = rho_scaling_check(conn, Representation.adjoint(conn.n))
+        return worst / scale if scale > 0 else worst
 
     def index_vs_pontryagin():
         lhs = index_curvature(conn, Representation.fundamental(conn.n))

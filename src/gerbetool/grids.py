@@ -17,7 +17,13 @@ from .errors import ArgumentError, DimensionError, ValidationError
 
 
 def spectral_theta_derivative(arr, axis=0, period=1.0):
-    """rfft derivative of real samples along a periodic axis; Nyquist mode dropped."""
+    """rfft derivative of real samples along a periodic axis; Nyquist mode dropped.
+
+    Complex samples raise ArgumentError (differentiate their real and
+    imaginary parts separately).
+    """
+    if np.iscomplexobj(arr):
+        raise ArgumentError("spectral_theta_derivative takes real samples")
     arr = np.asarray(arr, dtype=float)
     p = arr.shape[axis]
     wavenumbers = np.arange(p // 2 + 1, dtype=float)

@@ -27,6 +27,8 @@ from .errors import ArgumentError, CapabilityError, ConsistencyError
 _DIM_CAP = 200
 
 # Samples per product in su_coefficients: one block's output stays small.
+# A single product over all samples holds the (N, 2 n^2) output at once and
+# raised the caloron battery's peak RSS from 243 to 384 MB.
 _COEFFICIENT_BLOCK = 2**15
 
 

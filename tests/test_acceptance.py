@@ -149,7 +149,7 @@ def test_criterion_6_representation_scaling_and_indices():
     with gate(6, "adjoint forms scale by 4, indices {1,1,1,4,0}", 60.0):
         pair = connection_preset("su2-family", theta_points=12, base_points=16)
         adjoint = Representation.adjoint(2)
-        worst = rho_scaling_check(pair, adjoint)
+        worst, _ = rho_scaling_check(pair, adjoint)
         b = b_field(pair)
         scale = max(b.max_norm(), b.exterior_derivative().max_norm())
         assert worst / scale <= 1e-8, (worst, scale)

@@ -456,7 +456,8 @@ class TestBatchedKernels:
         assert np.isfinite(pontryagin_density(conn).max_norm())
         res, order = ms_identity_check(conn)
         assert math.isfinite(res) and order >= 1.9
-        assert rho_scaling_check(conn, Representation.adjoint(2), relative=True) <= 1e-12
+        worst, scale = rho_scaling_check(conn, Representation.adjoint(2))
+        assert worst <= 1e-12 * scale
         # an off-algebra part of 1e-6 of the field scale is still rejected
         conn.a[1] += 1e2 * np.eye(2)
         with pytest.raises(ConsistencyError, match="imaginary"):
@@ -483,30 +484,26 @@ class TestBatchedKernels:
 class TestRhoScaling:
     def test_fundamental_route_is_bitwise_neutral(self):
         pair = connection_preset("su2-family", theta_points=12, base_points=16)
-        assert rho_scaling_check(pair, Representation.fundamental(2)) == 0.0
+        assert rho_scaling_check(pair, Representation.fundamental(2))[0] == 0.0
 
     def test_adjoint_scales_by_its_index(self):
         # measured 8.2e-15; the identity is pointwise in the samples
         pair = connection_preset("su2-family", theta_points=12, base_points=16)
-        assert rho_scaling_check(pair, Representation.adjoint(2)) <= 1e-10
+        assert rho_scaling_check(pair, Representation.adjoint(2))[0] <= 1e-10
 
     def test_trivial_representation_kills_everything(self):
         pair = connection_preset("su2-family", theta_points=12, base_points=16)
-        assert rho_scaling_check(pair, Representation.trivial(2)) == 0.0
+        assert rho_scaling_check(pair, Representation.trivial(2)) == (0.0, 0.0)
 
     def test_zero_connection(self):
         pair = connection_preset("zero", theta_points=8, base_points=8)
-        assert rho_scaling_check(pair, Representation.adjoint(2)) == 0.0
+        assert rho_scaling_check(pair, Representation.adjoint(2)) == (0.0, 0.0)
 
-    def test_relative_residual_divides_by_the_fundamental_scale(self):
+    def test_scale_is_the_index_times_the_fundamental_forms(self):
         pair = connection_preset("su2-family", theta_points=12, base_points=16)
-        adjoint = Representation.adjoint(2)
         b = b_field(pair)
-        scale = 4.0 * max(b.max_norm(), b.exterior_derivative().max_norm())
-        worst = rho_scaling_check(pair, adjoint)
-        assert rho_scaling_check(pair, adjoint, relative=True) == worst / scale
-        zero = connection_preset("zero", theta_points=8, base_points=8)
-        assert rho_scaling_check(zero, adjoint, relative=True) == 0.0
+        want = 4.0 * max(b.max_norm(), b.exterior_derivative().max_norm())
+        assert rho_scaling_check(pair, Representation.adjoint(2))[1] == want
 
 
 class TestIndexCurvature:
@@ -534,6 +531,10 @@ class TestGrids:
             got = spectral_theta_derivative(np.sin(TWO_PI * k * th))
             want = TWO_PI * k * np.cos(TWO_PI * k * th)
             assert np.abs(got - want).max() <= 1e-11
+
+    def test_spectral_derivative_rejects_complex_samples(self):
+        with pytest.raises(ArgumentError, match="real samples"):
+            spectral_theta_derivative(np.exp(1j * TWO_PI * np.arange(12) / 12))
 
     def test_central_diff4_is_exact_on_cubics(self):
         m = 16
