@@ -6,9 +6,13 @@ canonically ordered keys, so a fixed (scenario, seed, version) reproduces
 the same bytes apart from the measured runtime_ms fields.  Exit status is
 0 when every check passes, 1 when any check fails or is indeterminate,
 and 2 on configuration errors.
+
+Each command is declared once in COMMANDS: its param defaults, its
+battery and its config rules.
 """
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -16,6 +20,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,9 @@ from .caloron import (
     rho_scaling_check,
 )
 from .detline import CechTriple, compose, delta_triviality, det_line
-from .errors import ConfigError, CoverViolationError, GerbeToolError
+from .errors import (
+    ConfigError, CoverViolationError, GerbeToolError, ResolutionError, ResourceError
+)
 from .fock import (
     FockWindow,
     _require_interior,
@@ -56,8 +63,11 @@ from .moduli import (
     standard_genus2_su2,
 )
 from .presets import (
+    HOLONOMY_SUITES,
     connection_preset,
     connection_preset_names,
+    diagonal_holonomy,
+    holonomy_suite,
     preset_family,
     winding_gauge,
 )
@@ -72,68 +82,37 @@ from .spectral import (
 )
 from .version import __version__
 
-COMMANDS = (
-    "spectrum",
-    "cover",
-    "cocycle",
-    "fock",
-    "caloron",
-    "moduli",
-    "pairing",
-    "all",
-)
-
-_PARAM_SCHEMAS = {
-    "spectrum": {"n_max": 6, "phases": [0.15, 0.55]},
-    "cover": {"n_max": 6, "denominator_cap": 4},
-    "cocycle": {"n_max": 4, "suite": "standard", "tolerance": 1e-12},
-    "fock": {
-        "n_colors": 2,
-        "n_max": 6,
-        "cut": "1/2",
-        "mu": "5/2",
-        "sweep": 2,
-        "pair_cap": 2,
-        "exp_time": 0.35,
-    },
-    "caloron": {
-        "preset": "su2-family",
-        "theta_points": 12,
-        "base_points": 16,
-        "refine_factor": 2,
-        "amplitude": 0.7,
-        "winding": 1,
-    },
-    "moduli": {"conjugations": 10, "flow_steps": 48, "n_max": 4},
-    "pairing": {
-        "w1": 1,
-        "w2": 1,
-        "modulation": 0.2,
-        "theta_points": 8,
-        "base_points": 12,
-        "ghost_margin": 4,
-    },
-    "all": {},
-}
-
 _RAISED = 1e300
 
+# Cost model of the cocycle battery: the standard suite's Cech triples on
+# the 2 n_max - 2 half-integer cuts.  n_max 12 (30 800 triples) takes about
+# 3 s on a 2-core x86 machine with Python 3.11; n_max 16 would make 81 200.
+MAX_CECH_TRIPLES = 32_000
 
-def _finite(where, value):
-    """float(value), rejecting NaN, infinities and ints too large for a float."""
-    try:
-        out = float(value)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise ConfigError(f"{where} must be a finite number")
-    return out
+# higgs-gauge-law's tolerance, which the caloron rule holds the stencil to
+_GAUGE_LAW_TOLERANCE = 5e-2
+
+# the cuts -1/2 and 1/2 of the spectrum, cover and moduli batteries
+_HALVES = (SpectralCut(Fraction(-1, 2)), SpectralCut(Fraction(1, 2)))
 
 
-def _coerce(command, key, default, value):
-    where = f"key '{key}' in params for command '{command}'"
-    if isinstance(default, bool):
-        raise ConfigError(f"{where} has no boolean schema")
+class _Command(NamedTuple):
+    """One command: its param defaults, its battery and its config rules.
+
+    battery(params, seed) returns (name, tolerance, thunk) triples; a thunk
+    returns a residual, or a (residual, status) pair for a verdict it sets
+    itself.  bounds maps a key to (low, high), None for no limit; key_tests
+    maps a key to a test of its value alone; rule checks the whole params.
+    """
+
+    defaults: dict
+    battery: object
+    bounds: dict = {}
+    key_tests: dict = {}
+    rule: object = None
+
+
+def _coerce(where, default, value):
     if isinstance(default, int):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{where} must be an integer")
@@ -141,32 +120,37 @@ def _coerce(command, key, default, value):
     if isinstance(default, float):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where} must be a number")
-        return _finite(where, value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int too large for a float
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be a finite number")
+        return value
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"{where} must be a string")
-        if key in ("cut", "mu"):
-            try:
-                Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(f"{where} is not a rational: {value!r}") from None
-        if key == "suite" and value not in ("trivial", "standard"):
-            raise ConfigError(f"{where} must be 'trivial' or 'standard'")
-        if key == "preset" and value not in connection_preset_names():
-            raise ConfigError(
-                f"{where} must be one of {connection_preset_names()}"
-            )
         return value
-    if isinstance(default, list):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{where} must be a nonempty list of numbers")
-        out = []
-        for item in value:
-            if not isinstance(item, (int, float)) or isinstance(item, bool):
-                raise ConfigError(f"{where} must contain only numbers")
-            out.append(_finite(where, item))
-        return out
-    raise ConfigError(f"{where} has an unsupported schema type")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a nonempty list of numbers")
+    return [_coerce(where, 0.0, item) for item in value]
+
+
+def _rational(where, value):
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{where} is not a rational: {value!r}") from None
+
+
+def _suite(where, value):
+    if value not in HOLONOMY_SUITES:
+        raise ConfigError(f"{where} must be 'trivial' or 'standard'")
+
+
+def _preset(where, value):
+    if value not in connection_preset_names():
+        raise ConfigError(f"{where} must be one of {connection_preset_names()}")
 
 
 def validate_scenario(obj, cli_command=None):
@@ -179,7 +163,7 @@ def validate_scenario(obj, cli_command=None):
     command = obj.get("command", cli_command)
     if command is None:
         raise ConfigError("missing key 'command'")
-    if command not in _PARAM_SCHEMAS:
+    if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
     if cli_command is not None and command != cli_command:
         raise ConfigError(
@@ -188,17 +172,24 @@ def validate_scenario(obj, cli_command=None):
     raw = obj.get("params", {})
     if not isinstance(raw, dict):
         raise ConfigError("key 'params' must be an object")
-    schema = _PARAM_SCHEMAS[command]
-    params = {k: (list(v) if isinstance(v, list) else v) for k, v in schema.items()}
+    decl = COMMANDS[command]
+    params = {k: (list(v) if isinstance(v, list) else v) for k, v in decl.defaults.items()}
     for key, value in raw.items():
-        if key not in schema:
-            raise ConfigError(f"unknown key '{key}' in params for command '{command}'")
-        params[key] = _coerce(command, key, schema[key], value)
-    if command in _RANGE_RULES:
+        where = f"key '{key}' in params for command '{command}'"
+        if key not in params:
+            raise ConfigError(f"unknown {where}")
+        params[key] = _coerce(where, decl.defaults[key], value)
+        if key in decl.key_tests:
+            decl.key_tests[key](where, params[key])
+    for key, (low, high) in decl.bounds.items():
+        where = f"key '{key}' in params for command '{command}'"
+        if low is not None and params[key] < low:
+            raise ConfigError(f"{where} must be >= {low}")
+        if high is not None and params[key] > high:
+            raise ConfigError(f"{where} must be <= {high}")
+    if decl.rule is not None:
         try:
-            _RANGE_RULES[command](params)
-        except ConfigError:
-            raise
+            decl.rule(params)
         except GerbeToolError as exc:
             raise ConfigError(f"params for command '{command}': {exc}") from None
     seed = obj.get("seed", 0)
@@ -210,25 +201,35 @@ def validate_scenario(obj, cli_command=None):
     return command, params, seed, output_path
 
 
-def _require_at_least(command, params, key, low):
-    if params[key] < low:
-        raise ConfigError(
-            f"key '{key}' in params for command '{command}' must be >= {low}"
+def _check_spectrum(params):
+    """The battery's cuts 1/2 and -1/2 must lie in the window and off the spectrum.
+
+    Both are asked of the library: a phase on a cut leaves half-cut-covered
+    failing, and the band and flow checks raising.
+    """
+    _require_window(_HALVES[1], params["n_max"])
+    spec = dirac_spectrum(diagonal_holonomy(params["phases"]), params["n_max"])
+    for cut in _HALVES:
+        if not in_cover(spec, cut):
+            raise CoverViolationError(f"phases put an eigenvalue on the cut {cut.value}")
+
+
+def _check_cocycle(params):
+    triples = len(HOLONOMY_SUITES["standard"]) * math.comb(2 * params["n_max"] - 2, 3)
+    if triples > MAX_CECH_TRIPLES:
+        raise ResourceError(
+            f"n_max {params['n_max']} needs {triples} Cech triples, "
+            f"over the cap of {MAX_CECH_TRIPLES}"
         )
 
 
 def _check_fock(params):
-    """Ranges and cross-field rules under which every fock check is meaningful.
+    """Window, margin, band and cost rules of the fock battery, asked of the library.
 
-    The library's own rules (window, margin, band and cost model) are asked
-    of the library: the commutator sweep needs a window margin of 2 * sweep
-    around the cut, the central term and the projective exponential a
-    margin of 1, and the largest basis is built at pair_cap + 1.  Only the
-    rules the library lacks are written here: the off-diagonal projective
-    generator needs two colors, and the sweep and pair cap are counts.
+    The commutator sweep needs a window margin of 2 * sweep around the cut,
+    the central term and the projective exponential a margin of 1, and the
+    largest basis is built at pair_cap + 1.
     """
-    for key, low in (("n_colors", 2), ("sweep", 0), ("pair_cap", 1)):
-        _require_at_least("fock", params, key, low)
     window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
     _require_interior(window, max(2 * params["sweep"], 1))
     _transport_modes(window, params["mu"])
@@ -236,17 +237,30 @@ def _check_fock(params):
 
 
 def _check_caloron(params):
-    """Grid rules of the caloron battery, asked of the library for both grids.
+    """Grid rules of the caloron battery, and the circle points of its gauge law.
 
-    ms-identity-order measures its order between base grids M and
-    refine_factor * M, so it needs a refinement; the fine grid is the one
-    the cost cap binds.
+    The grid rules are asked of the library for both grids; the fine grid,
+    refine_factor times the base grid, is the one the cost cap binds.  The
+    4th-order circle stencil differentiates exp(2 pi i w theta) with the
+    leading error 2 pi |w| (2 pi |w| / P)^4 / 30, which must stay within
+    the higgs-gauge-law tolerance.
     """
-    _require_at_least("caloron", params, "refine_factor", 2)
     n = preset_family(params["preset"], params["amplitude"]).n
     coarse = params["base_points"]
     for base_points in (coarse, params["refine_factor"] * coarse):
         check_grid(params["theta_points"], base_points, 3, n)
+    w, p = abs(params["winding"]), params["theta_points"]
+    # exact int-float comparison: no overflow for a huge winding
+    if w**5 > 30 * _GAUGE_LAW_TOLERANCE * p**4 / (2 * math.pi) ** 5:
+        raise ResolutionError(
+            f"theta_points {p} too few for winding {params['winding']}: the circle "
+            f"stencil error 2 pi |w| (2 pi |w| / P)^4 / 30 exceeds {_GAUGE_LAW_TOLERANCE}"
+        )
+
+
+def _check_moduli(params):
+    """The flow checks need the cut 1/2 in the window, asked of the library."""
+    _require_window(_HALVES[1], params["n_max"])
 
 
 def _check_pairing(params):
@@ -259,56 +273,9 @@ def _check_pairing(params):
     )
 
 
-def _check_spectrum(params):
-    """The battery's cuts -1/2 and 1/2 must lie in the window, asked of the library."""
-    _require_window(SpectralCut(Fraction(1, 2)), params["n_max"])
-
-
-def _check_cover(params):
-    """The cover battery's rejected triple puts a cut at 2, inside (-3, 3).
-
-    Its non-integer cuts need a denominator 2 at least, or none are tested.
-    """
-    _require_at_least("cover", params, "n_max", 3)
-    _require_at_least("cover", params, "denominator_cap", 2)
-
-
-def _check_cocycle(params):
-    """The half-integer cuts of the cocycle battery form a triple from n_max 3.
-
-    n_max 3 gives the cuts -3/2 .. 3/2: four triples and one quadruple.
-    """
-    _require_at_least("cocycle", params, "n_max", 3)
-    _require_at_least("cocycle", params, "tolerance", 0.0)
-
-
-def _check_moduli(params):
-    """The flow checks need the cut 1/2 in the window, asked of the library.
-
-    A path of flow_steps samples moves each phase 1/flow_steps modes per
-    step, and su2-balanced is first resolved at 5 steps.
-    """
-    _require_at_least("moduli", params, "conjugations", 1)
-    _require_at_least("moduli", params, "flow_steps", 5)
-    _require_window(SpectralCut(Fraction(1, 2)), params["n_max"])
-
-
-# Each rule raises ConfigError, or a library GerbeToolError that
-# validate_scenario turns into one.
-_RANGE_RULES = {
-    "spectrum": _check_spectrum,
-    "cover": _check_cover,
-    "cocycle": _check_cocycle,
-    "moduli": _check_moduli,
-    "fock": _check_fock,
-    "caloron": _check_caloron,
-    "pairing": _check_pairing,
-}
-
-
 def emit_schema():
     return {
-        "commands": {name: {"params": _PARAM_SCHEMAS[name]} for name in COMMANDS},
+        "commands": {name: {"params": decl.defaults} for name, decl in COMMANDS.items()},
         "scenario": {
             "command": list(COMMANDS),
             "output_path": "string, optional; report is also printed to stdout",
@@ -318,78 +285,53 @@ def emit_schema():
     }
 
 
-def _timed(records, name, tolerance, func):
-    start = time.perf_counter()
-    try:
-        value = func()
-    except Exception as exc:  # any raised check is a fail, never a traceback
+def _run_checks(checks):
+    """Time each (name, tolerance, thunk) triple and record its verdict.
+
+    A thunk that raises is a fail with the residual _RAISED and one stderr
+    line naming it, never a traceback.
+    """
+    records = []
+    for name, tolerance, thunk in checks:
+        start = time.perf_counter()
+        try:
+            value = thunk()
+        except Exception as exc:  # any raised check is a fail, never a traceback
+            print(f"check {name!r} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            value = (_RAISED, "fail")
         ms = (time.perf_counter() - start) * 1000.0
-        print(f"check {name!r} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(value, tuple):
+            residual, status = value
+        else:
+            residual = float(value)
+            status = "pass" if residual <= tolerance else "fail"
         records.append(
             {
                 "name": name,
-                "residual": _RAISED,
+                "residual": float(residual),
                 "runtime_ms": round(ms, 3),
-                "status": "fail",
+                "status": status,
                 "tolerance": float(tolerance),
             }
         )
-        return
-    ms = (time.perf_counter() - start) * 1000.0
-    if isinstance(value, tuple):
-        residual, status = value
-    else:
-        residual = float(value)
-        status = "pass" if residual <= tolerance else "fail"
-    records.append(
-        {
-            "name": name,
-            "residual": float(residual),
-            "runtime_ms": round(ms, 3),
-            "status": status,
-            "tolerance": float(tolerance),
-        }
-    )
-
-
-def _diag_holonomy(phases):
-    return Holonomy(np.diag(np.exp(2j * np.pi * np.asarray(phases, dtype=float))))
-
-
-def _battery_spectrum(params, seed):
-    records = []
-    n_max = params["n_max"]
-    phases = params["phases"]
-    hol = _diag_holonomy(phases)
-    spec = dirac_spectrum(hol, n_max)
-    half = SpectralCut(Fraction(1, 2))
-
-    _timed(
-        records,
-        "mode-count",
-        0.0,
-        lambda: abs(len(spec.modes) - (2 * n_max + 1) * len(phases)),
-    )
-    _timed(records, "half-cut-covered", 0.0, lambda: 0.0 if in_cover(spec, half) else 1.0)
-    _timed(
-        records,
-        "unit-band-per-color",
-        0.0,
-        lambda: abs(
-            len(band(spec, SpectralCut(Fraction(-1, 2)), half)) - len(phases)
-        ),
-    )
-    _timed(
-        records,
-        "constant-path-flow",
-        0.0,
-        lambda: abs(spectral_flow([hol, hol], half, n_max)),
-    )
     return records
 
 
+def _battery_spectrum(params, seed):
+    n_max = params["n_max"]
+    phases = params["phases"]
+    hol = diagonal_holonomy(phases)
+    spec = dirac_spectrum(hol, n_max)
+    half = _HALVES[1]
+    return [
+        ("mode-count", 0.0, lambda: abs(len(spec.modes) - (2 * n_max + 1) * len(phases))),
+        ("half-cut-covered", 0.0, lambda: 0.0 if in_cover(spec, half) else 1.0),
+        ("unit-band-per-color", 0.0, lambda: abs(len(band(spec, *_HALVES)) - len(phases))),
+        ("constant-path-flow", 0.0, lambda: abs(spectral_flow([hol, hol], half, n_max))),
+    ]
+
+
 def _battery_cover(params, seed):
-    records = []
     n_max = params["n_max"]
     cap = params["denominator_cap"]
     hol = Holonomy(np.eye(2, dtype=complex))
@@ -415,78 +357,27 @@ def _battery_cover(params, seed):
         )
 
     def triple_valid():
-        triple = CechTriple(
-            spec,
-            SpectralCut(Fraction(-1, 2)),
-            SpectralCut(Fraction(1, 2)),
-            SpectralCut(Fraction(3, 2)),
-        )
+        triple = CechTriple(spec, *_HALVES, SpectralCut(Fraction(3, 2)))
         return abs(delta_triviality(triple) - 1.0)
 
     def triple_rejects_spectrum_cut():
         try:
-            CechTriple(
-                spec,
-                SpectralCut(Fraction(-1, 2)),
-                SpectralCut(Fraction(1, 2)),
-                SpectralCut(Fraction(2)),
-            )
+            CechTriple(spec, *_HALVES, SpectralCut(Fraction(2)))
         except CoverViolationError:
             return 0.0
         return 1.0
 
-    _timed(records, "noninteger-cuts-covered", 0.0, noninteger_covered)
-    _timed(records, "integer-cuts-excluded", 0.0, integers_excluded)
-    _timed(records, "triple-delta-trivial", 1e-12, triple_valid)
-    _timed(records, "triple-rejects-spectrum-cut", 0.0, triple_rejects_spectrum_cut)
-    return records
-
-
-_TRIVIAL_SUITE = (
-    ("u1-trivial", (0.0,)),
-    ("su2-trivial", (0.0, 0.0)),
-    ("su3-trivial", (0.0, 0.0, 0.0)),
-)
-
-_STANDARD_SUITE = (
-    ("u1-trivial", (0.0,)),
-    ("u1-generic-a", (0.23,)),
-    ("u1-generic-b", (0.77,)),
-    ("u1-generic-c", (0.41,)),
-    ("su2-trivial", (0.0, 0.0)),
-    ("su2-split", (0.25, 0.75)),
-    ("su2-degenerate", (0.3, 0.3)),
-    ("su2-generic", (0.11, 0.87)),
-    ("su2-degenerate-high", (0.6, 0.6)),
-    ("su2-near-trivial", (0.02, 0.98)),
-    ("su3-trivial", (0.0, 0.0, 0.0)),
-    ("su3-central", (1 / 3, 1 / 3, 1 / 3)),
-    ("su3-generic-a", (0.2, 0.45, 0.8)),
-    ("su3-clustered", (0.4, 0.41, 0.42)),
-    ("su3-rational", (1 / 7, 2 / 7, 4 / 7)),
-    ("su3-generic-b", (0.05, 0.55, 0.95)),
-    ("su3-generic-c", (0.15, 0.35, 0.85)),
-    ("su3-generic-d", (0.9, 0.27, 0.63)),
-    ("su3-generic-e", (0.33, 0.66, 0.99)),
-    ("su3-repeated", (0.08, 0.08, 0.84)),
-)
-
-
-def holonomy_suite(name):
-    """Named catalog of diagonal test holonomies: (label, Holonomy) pairs."""
-    if name == "trivial":
-        cases = _TRIVIAL_SUITE
-    elif name == "standard":
-        cases = _STANDARD_SUITE
-    else:
-        raise ConfigError(f"unknown suite '{name}'")
-    return [(label, _diag_holonomy(ph)) for label, ph in cases]
+    return [
+        ("noninteger-cuts-covered", 0.0, noninteger_covered),
+        ("integer-cuts-excluded", 0.0, integers_excluded),
+        ("triple-delta-trivial", 1e-12, triple_valid),
+        ("triple-rejects-spectrum-cut", 0.0, triple_rejects_spectrum_cut),
+    ]
 
 
 def _battery_cocycle(params, seed):
-    records = []
+    checks = []
     n_max = params["n_max"]
-    tol = params["tolerance"]
     cuts = [SpectralCut(Fraction(2 * k + 1, 2)) for k in range(-n_max + 1, n_max - 1)]
 
     for label, hol in holonomy_suite(params["suite"]):
@@ -500,10 +391,10 @@ def _battery_cocycle(params, seed):
                 out = np.maximum(out, abs(delta - 1.0))
             return out
 
-        _timed(records, f"delta-triviality-{label}", tol, worst)
+        checks.append((f"delta-triviality-{label}", params["tolerance"], worst))
 
     def associativity():
-        hol = _diag_holonomy((0.2, 0.45, 0.8))
+        hol = diagonal_holonomy((0.2, 0.45, 0.8))
         spec = dirac_spectrum(hol, n_max)
         admissible = [c for c in cuts if in_cover(spec, c)]
         out = 0.0
@@ -518,19 +409,16 @@ def _battery_cocycle(params, seed):
             )
         return out
 
-    _timed(records, "associativity", 1e-12, associativity)
-    return records
+    checks.append(("associativity", 1e-12, associativity))
+    return checks
 
 
 def _battery_fock(params, seed):
-    records = []
     window = FockWindow(params["n_colors"], params["n_max"], Fraction(params["cut"]))
     mu = Fraction(params["mu"])
     sweep = params["sweep"]
     cap = params["pair_cap"]
     t = params["exp_time"]
-
-    _timed(records, "car-relations", 0.0, lambda: car_residual(window, cap))
 
     def commutator_sweep():
         colors = range(1, window.n_colors + 1)
@@ -567,16 +455,17 @@ def _battery_fock(params, seed):
             )
         return worst
 
-    _timed(records, "commutator-sweep", 0.0, commutator_sweep)
-    _timed(records, "central-term", 0.0, lambda: central_term_check(window))
-    _timed(records, "bogoliubov-vacuum", 1e-12, bogoliubov)
-    _timed(records, "cut-shift", 0.0, cut_shift)
-    _timed(records, "projective-exponential", 1e-10, projective)
-    return records
+    return [
+        ("car-relations", 0.0, lambda: car_residual(window, cap)),
+        ("commutator-sweep", 0.0, commutator_sweep),
+        ("central-term", 0.0, lambda: central_term_check(window)),
+        ("bogoliubov-vacuum", 1e-12, bogoliubov),
+        ("cut-shift", 0.0, cut_shift),
+        ("projective-exponential", 1e-10, projective),
+    ]
 
 
 def _battery_caloron(params, seed):
-    records = []
     conn = connection_preset(
         params["preset"],
         theta_points=params["theta_points"],
@@ -610,22 +499,20 @@ def _battery_caloron(params, seed):
         bad += dynkin_index(3, ()) != 0
         return float(bad)
 
-    _timed(records, "ms-identity-order", 0.0, ms_order)
-    _timed(records, "higgs-gauge-law", 5e-2, gauge_law)
-    _timed(records, "rho-scaling-adjoint", 1e-8, rho_scaling)
-    _timed(records, "index-vs-pontryagin", 0.0, index_vs_pontryagin)
-    _timed(records, "dynkin-values", 0.0, dynkin_values)
-    return records
+    return [
+        ("ms-identity-order", 0.0, ms_order),
+        ("higgs-gauge-law", _GAUGE_LAW_TOLERANCE, gauge_law),
+        ("rho-scaling-adjoint", 1e-8, rho_scaling),
+        ("index-vs-pontryagin", 0.0, index_vs_pontryagin),
+        ("dynkin-values", 0.0, dynkin_values),
+    ]
 
 
 def _battery_moduli(params, seed):
-    records = []
     rep = standard_genus2_su2()
     steps = params["flow_steps"]
     n_max = params["n_max"]
-    half = SpectralCut(Fraction(1, 2))
-
-    _timed(records, "relation-residual", 1e-12, lambda: relation_check(rep))
+    half = _HALVES[1]
 
     def irreducibility():
         verdict, dim = irreducibility_check(rep)
@@ -654,26 +541,20 @@ def _battery_moduli(params, seed):
         gap = holonomy(rep, joined) - holonomy(rep, w1) @ holonomy(rep, w2)
         return float(np.abs(gap).max())
 
-    _timed(records, "irreducibility", 0.0, irreducibility)
-    _timed(records, "conjugation-invariance", 1e-12, conjugation_invariance)
-    _timed(records, "word-homomorphism", 1e-14, word_homomorphism)
-    _timed(
-        records,
-        "flow-u1-winding",
-        0.0,
-        lambda: abs(spectral_flow(holonomy_path("u1-winding", steps), half, n_max) - 1),
-    )
-    _timed(
-        records,
-        "flow-su2-balanced",
-        0.0,
-        lambda: abs(spectral_flow(holonomy_path("su2-balanced", steps), half, n_max)),
-    )
-    return records
+    def flow(name, expected):
+        return lambda: abs(spectral_flow(holonomy_path(name, steps), half, n_max) - expected)
+
+    return [
+        ("relation-residual", 1e-12, lambda: relation_check(rep)),
+        ("irreducibility", 0.0, irreducibility),
+        ("conjugation-invariance", 1e-12, conjugation_invariance),
+        ("word-homomorphism", 1e-14, word_homomorphism),
+        ("flow-u1-winding", 0.0, flow("u1-winding", 1)),
+        ("flow-su2-balanced", 0.0, flow("su2-balanced", 0)),
+    ]
 
 
 def _battery_pairing(params, seed):
-    records = []
     rep = standard_genus2_su2()
     gamma = LoopWord(((1, 1),))
     fund = Representation.fundamental(2)
@@ -688,63 +569,126 @@ def _battery_pairing(params, seed):
         "winding", rep, w1=w1, w2=w2, modulation=params["modulation"]
     )
 
-    _timed(
-        records,
-        "constant-family-zero",
-        1e-12,
-        lambda: abs(
-            pontryagin_pairing(ModuliFamily("constant", rep), gamma, fund, **sizes)
-        ),
-    )
-    _timed(
-        records,
-        "static-family-zero",
-        1e-12,
-        lambda: abs(
-            pontryagin_pairing(ModuliFamily("static", rep), gamma, fund, **sizes)
-        ),
-    )
-
-    def winding_value():
-        value = pontryagin_pairing(winding, gamma, fund, **sizes)
-        return abs(value - (-2.0 * w1 * w2))
+    @functools.cache
+    def winding_pairing():
+        # shared by winding-model-value and adjoint-scaling; a raise is not cached
+        return pontryagin_pairing(winding, gamma, fund, **sizes)
 
     def adjoint_scaling():
-        v_fund = pontryagin_pairing(winding, gamma, fund, **sizes)
+        v_fund = winding_pairing()
         v_adj = pontryagin_pairing(winding, gamma, adjoint, **sizes)
         gap = abs(v_adj - 4.0 * v_fund)
         # with a zero model value -2 w1 w2 both pairings are roundoff
         return gap if w1 * w2 == 0 else gap / abs(4.0 * v_fund)
 
-    _timed(records, "winding-model-value", 0.15, winding_value)
-    _timed(records, "adjoint-scaling", 1e-6, adjoint_scaling)
-    return records
+    def zero_family(kind):
+        return lambda: abs(pontryagin_pairing(ModuliFamily(kind, rep), gamma, fund, **sizes))
+
+    return [
+        ("constant-family-zero", 1e-12, zero_family("constant")),
+        ("static-family-zero", 1e-12, zero_family("static")),
+        ("winding-model-value", 0.15, lambda: abs(winding_pairing() - (-2.0 * w1 * w2))),
+        ("adjoint-scaling", 1e-6, adjoint_scaling),
+    ]
 
 
-def _battery_all(params, seed):
-    records = []
-    for command in COMMANDS[:-1]:
-        sub = _BATTERIES[command](dict(_PARAM_SCHEMAS[command]), seed)
-        for record in sub:
-            records.append({**record, "name": f"{command}:{record['name']}"})
-    return records
-
-
-_BATTERIES = {
-    "spectrum": _battery_spectrum,
-    "cover": _battery_cover,
-    "cocycle": _battery_cocycle,
-    "fock": _battery_fock,
-    "caloron": _battery_caloron,
-    "moduli": _battery_moduli,
-    "pairing": _battery_pairing,
-    "all": _battery_all,
+COMMANDS = {
+    "spectrum": _Command(
+        {"n_max": 6, "phases": [0.15, 0.55]},
+        _battery_spectrum,
+        rule=_check_spectrum,
+    ),
+    "cover": _Command(
+        {"n_max": 6, "denominator_cap": 4},
+        _battery_cover,
+        # the rejected triple puts a cut at 2, inside (-3, 3); the
+        # non-integer cuts need a denominator 2 at least, or none are tested
+        bounds={"n_max": (3, None), "denominator_cap": (2, None)},
+    ),
+    "cocycle": _Command(
+        {"n_max": 4, "suite": "standard", "tolerance": 1e-12},
+        _battery_cocycle,
+        # n_max 3 gives the half-integer cuts -3/2 .. 3/2: four triples and
+        # one quadruple
+        bounds={"n_max": (3, None), "tolerance": (0.0, None)},
+        key_tests={"suite": _suite},
+        rule=_check_cocycle,
+    ),
+    "fock": _Command(
+        {
+            "n_colors": 2,
+            "n_max": 6,
+            "cut": "1/2",
+            "mu": "5/2",
+            "sweep": 2,
+            "pair_cap": 2,
+            "exp_time": 0.35,
+        },
+        _battery_fock,
+        # the off-diagonal projective generator needs two colors; the sweep
+        # and the pair cap are counts
+        bounds={"n_colors": (2, None), "sweep": (0, None), "pair_cap": (1, None)},
+        key_tests={"cut": _rational, "mu": _rational},
+        rule=_check_fock,
+    ),
+    "caloron": _Command(
+        {
+            "preset": "su2-family",
+            "theta_points": 12,
+            "base_points": 16,
+            "refine_factor": 2,
+            "amplitude": 0.7,
+            "winding": 1,
+        },
+        _battery_caloron,
+        # ms-identity-order measures its order between two base grids
+        bounds={"refine_factor": (2, None)},
+        key_tests={"preset": _preset},
+        rule=_check_caloron,
+    ),
+    "moduli": _Command(
+        {"conjugations": 10, "flow_steps": 48, "n_max": 4},
+        _battery_moduli,
+        # a path of flow_steps samples moves each phase 1/flow_steps modes
+        # per step, and su2-balanced is first resolved at 5 steps
+        bounds={"conjugations": (1, None), "flow_steps": (5, None)},
+        rule=_check_moduli,
+    ),
+    "pairing": _Command(
+        {
+            "w1": 1,
+            "w2": 1,
+            "modulation": 0.2,
+            "theta_points": 8,
+            "base_points": 12,
+            "ghost_margin": 4,
+        },
+        _battery_pairing,
+        # the pairing is -2 w1 w2 out of density terms of order
+        # modulation^2; past 1e6 roundoff cancels it
+        bounds={"modulation": (-1e6, 1e6)},
+        rule=_check_pairing,
+    ),
+    "all": _Command({}, None),
 }
+
+
+def _battery_all(seed):
+    """Every other command's battery at its defaults, named '<command>:<check>'."""
+    return [
+        {**record, "name": f"{command}:{record['name']}"}
+        for command, decl in COMMANDS.items()
+        if decl.battery is not None
+        for record in _run_checks(decl.battery(dict(decl.defaults), seed))
+    ]
 
 
 def run_scenario(command, params, seed):
     """Execute one command's battery and assemble the report structure."""
-    records = _BATTERIES[command](params, seed)
+    if command == "all":
+        records = _battery_all(seed)
+    else:
+        records = _run_checks(COMMANDS[command].battery(params, seed))
     status = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     canonical = json.dumps(
         {"command": command, "params": params, "seed": seed},

@@ -830,11 +830,11 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
     return float(residual)
 
 
-def mode_operator_matrix(op, basis, index=None):
+def mode_operator_matrix(op, basis):
     """Matrix of a single mode operator on a graded basis (CSR).
 
-    `basis` is a GradedBasis or a list of FockStates.  `index` (a mask -> row
-    dict) is accepted and unused: rows come from a sorted search.
+    `basis` is a GradedBasis or a list of FockStates; rows come from a
+    sorted search.
     """
     basis = _as_basis(basis)
     return _compress(basis, [_mode_parts(op, basis.window, _unit_block(basis.masks))])

@@ -16,6 +16,8 @@ Preset catalog:
               it serves as an exact-zero fixture.
   su2-family  a three-generator family with theta dependence in every
               slot; generic, used for convergence-order measurements.
+
+HOLONOMY_SUITES names the diagonal test holonomies of the cocycle battery.
 """
 
 import math
@@ -24,6 +26,7 @@ import numpy as np
 
 from .caloron import AnalyticConnection, GaugeLoop, sample_connection
 from .errors import ArgumentError
+from .spectral import Holonomy
 
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -198,3 +201,44 @@ def constant_gauge(theta_points, matrix):
         np.asarray(matrix, dtype=complex), (theta_points,) + np.shape(matrix)
     ).copy()
     return GaugeLoop(samples, np.zeros_like(samples))
+
+
+_STANDARD_SUITE = (
+    ("u1-trivial", (0.0,)),
+    ("u1-generic-a", (0.23,)),
+    ("u1-generic-b", (0.77,)),
+    ("u1-generic-c", (0.41,)),
+    ("su2-trivial", (0.0, 0.0)),
+    ("su2-split", (0.25, 0.75)),
+    ("su2-degenerate", (0.3, 0.3)),
+    ("su2-generic", (0.11, 0.87)),
+    ("su2-degenerate-high", (0.6, 0.6)),
+    ("su2-near-trivial", (0.02, 0.98)),
+    ("su3-trivial", (0.0, 0.0, 0.0)),
+    ("su3-central", (1 / 3, 1 / 3, 1 / 3)),
+    ("su3-generic-a", (0.2, 0.45, 0.8)),
+    ("su3-clustered", (0.4, 0.41, 0.42)),
+    ("su3-rational", (1 / 7, 2 / 7, 4 / 7)),
+    ("su3-generic-b", (0.05, 0.55, 0.95)),
+    ("su3-generic-c", (0.15, 0.35, 0.85)),
+    ("su3-generic-d", (0.9, 0.27, 0.63)),
+    ("su3-generic-e", (0.33, 0.66, 0.99)),
+    ("su3-repeated", (0.08, 0.08, 0.84)),
+)
+
+# (label, phases in turns); the trivial suite is the standard suite's
+# three identity holonomies.
+HOLONOMY_SUITES = {
+    "trivial": tuple(case for case in _STANDARD_SUITE if not any(case[1])),
+    "standard": _STANDARD_SUITE,
+}
+
+
+def diagonal_holonomy(phases):
+    """The holonomy diag(exp(2 pi i phase)), one phase (in turns) per color."""
+    return Holonomy(np.diag(np.exp(2j * np.pi * np.asarray(phases, dtype=float))))
+
+
+def holonomy_suite(name):
+    """The named suite of HOLONOMY_SUITES as (label, Holonomy) pairs."""
+    return [(label, diagonal_holonomy(phases)) for label, phases in HOLONOMY_SUITES[name]]

@@ -203,6 +203,61 @@ def test_criterion_8_moduli_point_and_flows():
         assert got_su2 == oracle_flow([(0.0, 1.0), (0.0, -1.0)], 0.5) == 0
 
 
+# The 50 checks of `gerbetool all`, in report order.
+ALL_CHECK_NAMES = [
+    "spectrum:mode-count",
+    "spectrum:half-cut-covered",
+    "spectrum:unit-band-per-color",
+    "spectrum:constant-path-flow",
+    "cover:noninteger-cuts-covered",
+    "cover:integer-cuts-excluded",
+    "cover:triple-delta-trivial",
+    "cover:triple-rejects-spectrum-cut",
+    "cocycle:delta-triviality-u1-trivial",
+    "cocycle:delta-triviality-u1-generic-a",
+    "cocycle:delta-triviality-u1-generic-b",
+    "cocycle:delta-triviality-u1-generic-c",
+    "cocycle:delta-triviality-su2-trivial",
+    "cocycle:delta-triviality-su2-split",
+    "cocycle:delta-triviality-su2-degenerate",
+    "cocycle:delta-triviality-su2-generic",
+    "cocycle:delta-triviality-su2-degenerate-high",
+    "cocycle:delta-triviality-su2-near-trivial",
+    "cocycle:delta-triviality-su3-trivial",
+    "cocycle:delta-triviality-su3-central",
+    "cocycle:delta-triviality-su3-generic-a",
+    "cocycle:delta-triviality-su3-clustered",
+    "cocycle:delta-triviality-su3-rational",
+    "cocycle:delta-triviality-su3-generic-b",
+    "cocycle:delta-triviality-su3-generic-c",
+    "cocycle:delta-triviality-su3-generic-d",
+    "cocycle:delta-triviality-su3-generic-e",
+    "cocycle:delta-triviality-su3-repeated",
+    "cocycle:associativity",
+    "fock:car-relations",
+    "fock:commutator-sweep",
+    "fock:central-term",
+    "fock:bogoliubov-vacuum",
+    "fock:cut-shift",
+    "fock:projective-exponential",
+    "caloron:ms-identity-order",
+    "caloron:higgs-gauge-law",
+    "caloron:rho-scaling-adjoint",
+    "caloron:index-vs-pontryagin",
+    "caloron:dynkin-values",
+    "moduli:relation-residual",
+    "moduli:irreducibility",
+    "moduli:conjugation-invariance",
+    "moduli:word-homomorphism",
+    "moduli:flow-u1-winding",
+    "moduli:flow-su2-balanced",
+    "pairing:constant-family-zero",
+    "pairing:static-family-zero",
+    "pairing:winding-model-value",
+    "pairing:adjoint-scaling",
+]
+
+
 def test_criterion_9_full_run_deterministic(tmp_path):
     with gate(9, "full battery exits 0, byte-stable modulo runtimes", 300.0):
         cfg = tmp_path / "all.json"
@@ -217,6 +272,7 @@ def test_criterion_9_full_run_deterministic(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         report = json.loads(outputs[0])
+        assert [r["name"] for r in report["checks"]] == ALL_CHECK_NAMES
         assert report["status"] == "pass"
         assert all(r["status"] == "pass" for r in report["checks"])
         masked = [

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gerbetool import cli
 from gerbetool.cli import (
@@ -25,6 +25,7 @@ from gerbetool.cli import (
     validate_scenario,
 )
 from gerbetool.errors import ConfigError, RangeError
+from gerbetool.presets import HOLONOMY_SUITES
 from gerbetool.spectral import Spectrum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -152,7 +153,7 @@ class TestValidation:
             ("moduli", {"flow_steps": 2000, "conjugations": 400, "n_max": 8}),
         ):
             assert validate_scenario({"command": command, "params": params})[1] == {
-                **cli._PARAM_SCHEMAS[command],
+                **cli.COMMANDS[command].defaults,
                 **params,
             }
 
@@ -169,6 +170,36 @@ class TestValidation:
     def test_smallest_spectral_configs_pass(self, command, params):
         _, params, seed, _ = validate_scenario({"command": command, "params": params})
         assert run_scenario(command, params, seed)["status"] == "pass"
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("cocycle", {"n_max": 12}),
+            ("pairing", {"modulation": 1e6}),
+            ("pairing", {"modulation": -1e6}),
+            ("caloron", {"theta_points": 9}),
+            ("caloron", {"theta_points": 22, "winding": -2}),
+        ],
+        ids=["cocycle-cost", "modulation-top", "modulation-bottom", "stencil-1", "stencil-2"],
+    )
+    def test_admitted_edges_validate(self, command, params):
+        assert validate_scenario({"command": command, "params": params})[1] == {
+            **cli.COMMANDS[command].defaults,
+            **params,
+        }
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"theta_points": 9, "base_points": 8},
+            {"theta_points": 22, "winding": 2, "base_points": 8},
+        ],
+        ids=["winding-1", "winding-2"],
+    )
+    def test_smallest_stencil_grids_pass(self, params):
+        _, params, seed, _ = validate_scenario({"command": "caloron", "params": params})
+        report = run_scenario("caloron", params, seed)
+        assert report["status"] == "pass"
 
     def test_defaults_fill_missing_params(self):
         _, params, seed, out = validate_scenario({"command": "spectrum"})
@@ -206,7 +237,7 @@ class TestReports:
             cli, "ms_identity_check", lambda conn, refine_factor: (0.0, math.nan)
         )
         _, params, seed, _ = validate_scenario(
-            {"command": "caloron", "params": {"theta_points": 8, "base_points": 8}}
+            {"command": "caloron", "params": {"theta_points": 9, "base_points": 8}}
         )
         report = run_scenario("caloron", params, seed)
         (record,) = [r for r in report["checks"] if r["name"] == "ms-identity-order"]
@@ -218,7 +249,7 @@ class TestReports:
         # refine_factor 1 divides by log(1) in the order estimate; the
         # schema forbids it, so the battery is run past validate_scenario
         _, params, seed, _ = validate_scenario(
-            {"command": "caloron", "params": {"theta_points": 8, "base_points": 8}}
+            {"command": "caloron", "params": {"theta_points": 9, "base_points": 8}}
         )
         report = run_scenario("caloron", {**params, "refine_factor": 1}, seed)
         (record,) = [r for r in report["checks"] if r["name"] == "ms-identity-order"]
@@ -371,6 +402,11 @@ class TestExitCodes:
             ("pairing", {"ghost_margin": 0}, "below the stencil half-width 2"),
             ("pairing", {"theta_points": 4}, "need at least 8 circle points"),
             ("pairing", {"base_points": 4}, "at least 5 base points"),
+            ("caloron", {"theta_points": 8}, "theta_points 8 too few for winding 1: .* exceeds 0.05"),
+            ("caloron", {"theta_points": 16, "winding": 2}, "too few for winding 2"),
+            ("caloron", {"theta_points": 21, "winding": -2}, "too few for winding -2"),
+            ("pairing", {"modulation": math.nextafter(1e6, math.inf)}, "must be <= 1000000.0"),
+            ("pairing", {"modulation": -1e7}, "'modulation' .* must be >= -1000000.0"),
         ],
         ids=[
             "caloron-theta",
@@ -381,6 +417,11 @@ class TestExitCodes:
             "ghost-margin",
             "pairing-theta",
             "pairing-base",
+            "stencil-winding-1",
+            "stencil-winding-2",
+            "stencil-winding-2-edge",
+            "modulation-above",
+            "modulation-below",
         ],
     )
     def test_meaningless_grid_config_exits_two(self, tmp_path, command, params, match):
@@ -406,6 +447,9 @@ class TestExitCodes:
             ("moduli", {"conjugations": -1}, "key 'conjugations' .* must be >= 1"),
             ("moduli", {"n_max": 0}, "cut 1/2 outside the certified window"),
             ("moduli", {"flow_steps": 4}, "key 'flow_steps' .* must be >= 5"),
+            ("spectrum", {"phases": [0.5, 0.1]}, "phases put an eigenvalue on the cut -1/2"),
+            ("spectrum", {"phases": [0.15, -0.5 - 1e-12]}, "on the cut -1/2"),
+            ("cocycle", {"n_max": 13}, "n_max 13 needs 40480 Cech triples, over the cap of 32000"),
         ],
         ids=[
             "spectrum-n_max",
@@ -416,11 +460,15 @@ class TestExitCodes:
             "moduli-conjugations",
             "moduli-n_max",
             "moduli-flow-steps",
+            "spectrum-phase-on-cut",
+            "spectrum-phase-near-cut",
+            "cocycle-cost",
         ],
     )
     def test_meaningless_spectral_config_exits_two(self, tmp_path, command, params, match):
         # each left a traceback, a raised fail or a vacuous pass (zero
-        # triples, zero conjugations, no non-integer cut)
+        # triples, zero conjugations, no non-integer cut), a fail from a
+        # phase on a battery cut, or a run past the cost model
         cfg = tmp_path / "spectral.json"
         cfg.write_text(json.dumps({"command": command, "params": params}))
         proc = run_cli(command, "--config", str(cfg))
@@ -491,10 +539,16 @@ class TestDeterminism:
         assert out.read_text() == proc.stdout
 
 
-# Small fock windows: n_max <= 4 and at most two colors, with bounded
-# exp_time and sweep.  One branch draws every key around its valid range,
-# so rejected configs come up; the other stays near the valid region, so
-# most of its configs run the battery.
+# One derandomized property over every command's small configs: each
+# strategy draws the scenario's params (and, where the battery uses it, the
+# seed) around the schema's edges, so rejected and accepted configs both
+# come up.  An accepted config exits 0 or 1 with a parseable report, finite
+# residuals and no raised check; a rejected one exits 2 with one line.
+#
+# fock: n_max <= 4 and at most two colors, with bounded exp_time and sweep.
+# One branch draws every key around its valid range, so rejected configs
+# come up; the other stays near the valid region, so most of its configs
+# run the battery.
 _CUTS = st.sampled_from(["1/2", "-1/2", "3/2", "5/2", "7/2", "1/4", "-3/4", "2/3", "1", "0"])
 _EXP_TIME = st.floats(-2.0, 2.0, allow_nan=False)
 _FOCK_PARAMS = st.one_of(
@@ -521,37 +575,7 @@ _FOCK_PARAMS = st.one_of(
     ),
 )
 
-
-class TestFockConfigProperty:
-    @settings(
-        max_examples=60,
-        deadline=None,
-        derandomize=True,
-        database=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(params=_FOCK_PARAMS, seed=st.integers(0, 3))
-    def test_verdict_or_config_error(self, params, seed, capsys):
-        scenario = {"command": "fock", "params": params, "seed": seed}
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "fock.json"
-            cfg.write_text(json.dumps(scenario))
-            code = cli.main(["fock", "--config", str(cfg)])
-        out, err = capsys.readouterr()
-        try:
-            validate_scenario(scenario)
-        except ConfigError:
-            assert code == 2 and out == ""
-            assert err.startswith("config error:") and err.count("\n") == 1
-            return
-        assert code in (0, 1), err
-        report = json.loads(out)
-        assert report["command"] == "fock" and len(report["checks"]) == 6
-        assert report["status"] == ("pass" if code == 0 else "fail")
-        assert all(math.isfinite(r["residual"]) for r in report["checks"])
-
-
-# Small caloron grids on every preset, with the amplitude drawn over
+# caloron: small grids on every preset, with the amplitude drawn over
 # twenty-four decades of either sign; a non-finite amplitude or an unknown
 # preset is the rejected case.
 _AMPLITUDE = st.one_of(
@@ -573,31 +597,112 @@ _CALORON_PARAMS = st.fixed_dictionaries(
     optional={"winding": st.integers(-2, 2)},
 )
 
+# The other commands as fock: a wide branch around each key's valid range
+# and a branch near the valid region.  spectrum draws phases on and near
+# the battery's cuts +-1/2.
+def _wide_or_valid(wide, valid):
+    return st.one_of(st.fixed_dictionaries(wide), st.fixed_dictionaries(valid))
 
-class TestCaloronConfigProperty:
-    @settings(
-        max_examples=40,
-        deadline=None,
-        derandomize=True,
-        database=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(params=_CALORON_PARAMS)
-    def test_verdict_or_config_error(self, params, capsys):
-        scenario = {"command": "caloron", "params": params}
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "caloron.json"
-            cfg.write_text(json.dumps(scenario))
-            code = cli.main(["caloron", "--config", str(cfg)])
-        out, err = capsys.readouterr()
-        try:
-            validate_scenario(scenario)
-        except ConfigError:
-            assert code == 2 and out == ""
-            assert err.startswith("config error:") and err.count("\n") == 1
-            return
-        assert code in (0, 1) and "raised" not in err, err
-        report = json.loads(out)
-        assert report["command"] == "caloron" and len(report["checks"]) == 5
-        assert report["status"] == ("pass" if code == 0 else "fail")
-        assert all(math.isfinite(r["residual"]) for r in report["checks"])
+
+_VALID_PHASES = st.lists(st.sampled_from([0.0, 0.15, 0.25, 0.55, 0.999]), min_size=1, max_size=3)
+_SPECTRUM_PARAMS = _wide_or_valid(
+    {
+        "n_max": st.integers(-1, 3),
+        "phases": st.lists(
+            st.sampled_from([0.15, 0.5, -0.5, 0.55, 1.5, 0.5 + 1e-12, math.nan]),
+            max_size=3,
+        ),
+    },
+    {"n_max": st.integers(1, 3), "phases": _VALID_PHASES},
+)
+_COVER_PARAMS = _wide_or_valid(
+    {"n_max": st.integers(0, 7), "denominator_cap": st.integers(0, 5)},
+    {"n_max": st.integers(3, 7), "denominator_cap": st.integers(2, 5)},
+)
+_COCYCLE_PARAMS = _wide_or_valid(
+    {
+        "n_max": st.integers(1, 5),
+        "suite": st.sampled_from(["trivial", "standard", "exotic"]),
+        "tolerance": st.sampled_from([-1.0, 0.0, 1e-12, math.inf]),
+    },
+    {
+        "n_max": st.integers(3, 5),
+        "suite": st.sampled_from(["trivial", "standard"]),
+        "tolerance": st.sampled_from([0.0, 1e-12, 1.0]),
+    },
+)
+_MODULI_PARAMS = _wide_or_valid(
+    {
+        "conjugations": st.integers(-1, 3),
+        "flow_steps": st.integers(3, 12),
+        "n_max": st.integers(0, 3),
+    },
+    {
+        "conjugations": st.integers(1, 3),
+        "flow_steps": st.integers(5, 12),
+        "n_max": st.integers(1, 3),
+    },
+)
+_PAIRING_PARAMS = _wide_or_valid(
+    {
+        "w1": st.integers(-2, 2),
+        "w2": st.integers(-2, 2),
+        "modulation": st.sampled_from([0.0, 0.2, -3.0, 1e6, -1e6, 1e7, math.nan]),
+        "theta_points": st.integers(7, 9),
+        "base_points": st.integers(4, 6),
+        "ghost_margin": st.integers(1, 2),
+    },
+    {
+        "w1": st.integers(-2, 2),
+        "w2": st.integers(-2, 2),
+        "modulation": st.sampled_from([0.0, 0.2, -3.0, 1e6, -1e6]),
+        "theta_points": st.integers(8, 9),
+        "base_points": st.integers(5, 6),
+        "ghost_margin": st.just(2),
+    },
+)
+_SEED = st.integers(0, 3)
+
+# command: (scenario strategy without the command, examples, checks per report)
+_PROPERTY = {
+    "spectrum": (st.fixed_dictionaries({"params": _SPECTRUM_PARAMS}), 40, 4),
+    "cover": (st.fixed_dictionaries({"params": _COVER_PARAMS}), 20, 4),
+    "cocycle": (st.fixed_dictionaries({"params": _COCYCLE_PARAMS}), 20, None),
+    "fock": (st.fixed_dictionaries({"params": _FOCK_PARAMS, "seed": _SEED}), 60, 6),
+    "caloron": (st.fixed_dictionaries({"params": _CALORON_PARAMS}), 40, 5),
+    "moduli": (st.fixed_dictionaries({"params": _MODULI_PARAMS, "seed": _SEED}), 20, 6),
+    "pairing": (st.fixed_dictionaries({"params": _PAIRING_PARAMS}), 20, 4),
+}
+
+
+class TestConfigProperty:
+    @pytest.mark.parametrize("command", list(_PROPERTY))
+    def test_verdict_or_config_error(self, command, capsys):
+        strategy, examples, n_checks = _PROPERTY[command]
+
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @given(drawn=strategy)
+        def verdict_or_config_error(drawn):
+            scenario = {"command": command, **drawn}
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = Path(tmp) / "scenario.json"
+                cfg.write_text(json.dumps(scenario))
+                code = cli.main([command, "--config", str(cfg)])
+            out, err = capsys.readouterr()
+            try:
+                validate_scenario(scenario)
+            except ConfigError:
+                assert code == 2 and out == ""
+                assert err.startswith("config error:") and err.count("\n") == 1
+                return
+            assert code in (0, 1) and "raised" not in err, err
+            report = json.loads(out)
+            if n_checks is None:  # cocycle: one check per suite holonomy, one more
+                expected = len(HOLONOMY_SUITES[report["params"]["suite"]]) + 1
+            else:
+                expected = n_checks
+            assert report["command"] == command and len(report["checks"]) == expected
+            assert report["status"] == ("pass" if code == 0 else "fail")
+            assert all(math.isfinite(r["residual"]) for r in report["checks"])
+
+        verdict_or_config_error()

@@ -247,15 +247,14 @@ class TestModeOperators:
     @pytest.mark.parametrize("window", [FockWindow(1, 3, "1/2"), W22], ids=["c1N3", "c2N2"])
     def test_car_relations_exact(self, window):
         basis = enumerate_states(window, window.n_slots)
-        index = {st.mask: k for k, st in enumerate(basis)}
         eye = sp.identity(len(basis), format="csr", dtype=complex)
         ops = [
             (c, mode)
             for c in range(1, window.n_colors + 1)
             for mode in range(-window.N, window.N + 1)
         ]
-        creators = {km: mode_operator_matrix(psi(*km), basis, index) for km in ops}
-        destroyers = {km: mode_operator_matrix(psibar(*km), basis, index) for km in ops}
+        creators = {km: mode_operator_matrix(psi(*km), basis) for km in ops}
+        destroyers = {km: mode_operator_matrix(psibar(*km), basis) for km in ops}
         for c1, m1 in ops:
             p1 = creators[(c1, m1)]
             for c2, m2 in ops:
