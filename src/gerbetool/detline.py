@@ -14,7 +14,7 @@ how far those contraction matrices are from unitary for a seeded random
 orthonormal frame.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import itertools
 import math
 
@@ -64,7 +64,8 @@ class DetLine:
     basis is an ordered tuple of the band's eigenmodes (any order; the set
     must match the band exactly) and phase a unit complex scalar.  The
     canonical representative sorts the basis ascending and folds the
-    permutation sign into the phase.
+    permutation sign into the phase; that sign is fixed once, when the
+    basis is checked against the band.
     """
 
     spectrum: Spectrum
@@ -72,6 +73,7 @@ class DetLine:
     hi: SpectralCut
     basis: tuple
     phase: complex
+    _sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -80,19 +82,22 @@ class DetLine:
             raise ValidationError(f"phase must be unimodular, |phase| = {abs(self.phase)}")
         expected = band(self.spectrum, self.lo, self.hi)
         # tuple equality short-circuits on identical modes, so only a
-        # reordered or foreign basis pays for the set comparison
-        if self.basis != expected and (
-            len(self.basis) != len(expected) or set(self.basis) != set(expected)
-        ):
-            raise ValidationError("basis is not a permutation of the band's modes")
+        # reordered or foreign basis pays for the set comparison and a sort;
+        # the band is in canonical order, so its own sign is +1
+        sign = 1
+        if self.basis != expected:
+            if len(self.basis) != len(expected) or set(self.basis) != set(expected):
+                raise ValidationError("basis is not a permutation of the band's modes")
+            sign = permutation_sign(self.basis)
+        object.__setattr__(self, "_sign", sign)
 
     def canonical_phase(self):
         """Phase after re-sorting the basis into canonical band order."""
-        return self.phase * permutation_sign(self.basis)
+        return self.phase * self._sign
 
     def canonical(self):
-        basis, sign = _sort_with_sign(self.basis)
-        return DetLine(self.spectrum, self.lo, self.hi, basis, self.phase * sign)
+        basis = band(self.spectrum, self.lo, self.hi)
+        return DetLine(self.spectrum, self.lo, self.hi, basis, self.canonical_phase())
 
 
 def det_line(spectrum, lo, hi):

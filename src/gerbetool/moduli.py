@@ -111,6 +111,21 @@ def relation_check(rep):
     return float(np.abs(acc - rep.z * np.eye(n)).max())
 
 
+def _sylvester_stack(generators):
+    """The maps X -> X g - g X of m generators, stacked: an (m n^2, n^2) matrix.
+
+    Block b is kron(g_b.T, 1) - kron(1, g_b), built for every generator at
+    once; entry [b, i, k, j, l] is g_b[j, i] 1[k, l] - 1[i, j] g_b[k, l].
+    """
+    gens = np.stack(generators)
+    n = gens.shape[-1]
+    eye = np.eye(n)
+    return (
+        gens.transpose(0, 2, 1)[:, :, None, :, None] * eye[:, None, :]
+        - eye[:, None, :, None] * gens[:, None, :, None, :]
+    ).reshape(-1, n * n)
+
+
 def irreducibility_check(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
     """Joint-commutant dimension via the null space of stacked Sylvester maps.
 
@@ -119,17 +134,10 @@ def irreducibility_check(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
     singular value falls inside the indeterminate band around the
     threshold.
     """
-    n = rep.n
-    eye = np.eye(n)
-    blocks = [
-        np.kron(g.T, eye) - np.kron(eye, g) for g in rep.generators
-    ]
-    stacked = np.vstack(blocks)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if np.any((svals >= band[0]) & (svals <= band[1])):
-        dim = int(np.sum(svals < null_threshold))
-        return None, dim
+    svals = np.linalg.svd(_sylvester_stack(rep.generators), compute_uv=False)
     dim = int(np.sum(svals < null_threshold))
+    if np.any((svals >= band[0]) & (svals <= band[1])):
+        return None, dim
     return dim == 1, dim
 
 

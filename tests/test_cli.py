@@ -5,18 +5,20 @@ determinism is checked byte for byte after masking the runtime_ms fields,
 which are the only nondeterministic bytes by design.
 """
 
+import collections
 import json
 import math
 import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gerbetool import cli
+from gerbetool import cli, detline
 from gerbetool.cli import (
     COMMANDS,
     emit_schema,
@@ -25,7 +27,8 @@ from gerbetool.cli import (
     validate_scenario,
 )
 from gerbetool.errors import ConfigError, RangeError
-from gerbetool.presets import HOLONOMY_SUITES
+from gerbetool.detline import DetLine
+from gerbetool.presets import HOLONOMY_SUITES, diagonal_holonomy
 from gerbetool.spectral import Spectrum
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -145,6 +148,14 @@ class TestValidation:
             {"command": "fock", "params": {"n_colors": 3, "n_max": 8}}
         )
         assert params["n_colors"] == 3
+
+    def test_phase_count_is_refused_before_any_holonomy(self, monkeypatch):
+        monkeypatch.setattr(
+            cli, "diagonal_holonomy", lambda phases: pytest.fail("built a holonomy")
+        )
+        phases = [0.15] * (cli.MAX_PHASES + 1)
+        with pytest.raises(ConfigError, match=f"{len(phases)} phases, over the cap"):
+            validate_scenario({"command": "spectrum", "params": {"phases": phases}})
 
     def test_benchmark_spectral_params_validate(self):
         # the cocycle-dense workload's sizes
@@ -338,6 +349,54 @@ class TestReports:
         report = run_scenario(command, params, seed)
         assert [r["name"] for r in report["checks"] if r["status"] != "pass"] == []
 
+    def test_cocycle_builds_each_pair_line_once(self, monkeypatch):
+        # the battery shares one line per cut pair among its triples and
+        # quadruples; per-triple lines once made 24 846 det_line calls
+        built = collections.Counter()
+        spectra = []  # kept alive, so their ids stay distinct
+        sorted_signs = []
+        real_line, real_sign = detline.det_line, detline.permutation_sign
+
+        def counted(spec, lo, hi):
+            spectra.append(spec)
+            built[id(spec), lo.value, hi.value] += 1
+            return real_line(spec, lo, hi)
+
+        def watched(items, key=detline._mode_key):
+            if list(items) == sorted(items, key=key):
+                sorted_signs.append(items)
+            return real_sign(items, key)
+
+        for module in (cli, detline):
+            monkeypatch.setattr(module, "det_line", counted)
+        monkeypatch.setattr(detline, "permutation_sign", watched)
+        _, params, seed, _ = validate_scenario({"command": "cocycle"})
+        report = run_scenario("cocycle", params, seed)
+        assert report["status"] == "pass"
+        assert built and max(built.values()) == 1
+        # n_max 4: six admissible cuts, fifteen pairs per spectrum
+        assert len(built) == 15 * (len(HOLONOMY_SUITES["standard"]) + 1)
+        assert sorted_signs == []
+
+    def test_a_bad_shared_line_fails_its_checks(self, monkeypatch):
+        # one line of su3-generic-a, the associativity spectrum too, gets
+        # phase -1; every triple and quadruple that shares it must see it
+        target = diagonal_holonomy((0.2, 0.45, 0.8))
+        real = cli.det_line
+
+        def planted(spec, lo, hi):
+            line = real(spec, lo, hi)
+            if spec.holonomy == target and (lo.value, hi.value) == (Fraction(-1, 2), Fraction(1, 2)):
+                return DetLine(spec, lo, hi, line.basis, -1.0)
+            return line
+
+        monkeypatch.setattr(cli, "det_line", planted)
+        _, params, seed, _ = validate_scenario({"command": "cocycle"})
+        report = run_scenario("cocycle", params, seed)
+        failed = {r["name"]: r["residual"] for r in report["checks"] if r["status"] != "pass"}
+        assert failed == {"delta-triviality-su3-generic-a": 2.0, "associativity": 2.0}
+        assert len(report["checks"]) == len(HOLONOMY_SUITES["standard"]) + 1
+
 
 class TestExitCodes:
     def test_passing_battery_exits_zero(self, tmp_path):
@@ -477,6 +536,20 @@ class TestExitCodes:
         assert re.search(match, proc.stderr)
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("extra, codes", [(0, (0, 1)), (1, (2,))], ids=["cap", "cap+1"])
+    def test_phase_count_cap_edges(self, tmp_path, extra, codes):
+        # a dense holonomy per phase count: 1 000 phases took 0.8 s and 138 MB
+        phases = [0.15, 0.55] * (cli.MAX_PHASES // 2) + [0.35] * extra
+        cfg = tmp_path / "phases.json"
+        cfg.write_text(json.dumps({"command": "spectrum", "params": {"phases": phases}}))
+        proc = run_cli("spectrum", "--config", str(cfg))
+        assert proc.returncode in codes
+        if extra:
+            assert proc.stderr.startswith("config error:")
+            assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        else:
+            assert json.loads(proc.stdout)["params"]["phases"] == phases
 
     def test_malformed_json_exits_two(self, tmp_path):
         cfg = tmp_path / "bad.json"

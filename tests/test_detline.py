@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gerbetool import detline
 from gerbetool.detline import (
     CechTriple,
     DetLine,
@@ -349,6 +350,42 @@ class TestBasisValidation:
         modes = band(spec, cut("-1/2"), cut("1/2"))
         with pytest.raises(ValidationError, match="unimodular"):
             DetLine(spec, cut("-1/2"), cut("1/2"), modes, complex(math.nan, 0.0))
+
+
+class TestSignAtConstruction:
+    @pytest.mark.parametrize(
+        "u",
+        [np.eye(2), random_unitary(3, 29), diag_phases(0.08, 0.08, 0.84)],
+        ids=["u2-trivial", "su3-random", "su3-repeated"],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_basis_sign_is_the_inversion_sign(self, u, seed):
+        spec = dirac_spectrum(Holonomy(u), N=3)
+        lo, hi = cut("-5/2"), cut("3/2")
+        modes = band(spec, lo, hi)
+        rng = random.Random(seed)
+        shuffled = list(modes)
+        rng.shuffle(shuffled)
+        phase = np.exp(2j * np.pi * rng.random())
+        line = DetLine(spec, lo, hi, shuffled, phase)
+        want = line.phase * inversion_sign(mode_keys(shuffled))
+        assert line.canonical_phase() == want
+        canonical = line.canonical()
+        assert canonical.basis == modes
+        assert canonical.phase == want and canonical.canonical_phase() == want
+
+    def test_band_basis_needs_no_sort(self, monkeypatch):
+        # a basis equal to its band is in canonical order: sign +1, no sort
+        spec = dirac_spectrum(Holonomy(diag_phases(0.2, 0.45, 0.8)), N=3)
+        monkeypatch.setattr(
+            detline, "permutation_sign", lambda *a, **k: pytest.fail("sorted a band")
+        )
+        monkeypatch.setattr(
+            detline, "_sort_with_sign", lambda *a, **k: pytest.fail("sorted a band")
+        )
+        line = DetLine(spec, cut("-5/2"), cut("5/2"), band(spec, cut("-5/2"), cut("5/2")), -1j)
+        assert line.canonical_phase() == -1j
+        assert line.canonical() == line
 
 
 class TestComposeSign:

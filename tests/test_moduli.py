@@ -33,7 +33,7 @@ from gerbetool.moduli import (
     relation_check,
     standard_genus2_su2,
 )
-from gerbetool.moduli import _loop_direction
+from gerbetool.moduli import _loop_direction, _sylvester_stack
 from gerbetool.spectral import SpectralCut, spectral_flow
 
 TWO_PI = 2.0 * math.pi
@@ -59,12 +59,22 @@ def oracle_holonomy(rep, letters):
     return acc
 
 
-def oracle_commutant_dim(rep):
+def oracle_sylvester_stack(rep):
     eye = np.eye(rep.n)
-    stacked = np.vstack(
-        [np.kron(g.T, eye) - np.kron(eye, g) for g in rep.generators]
-    )
-    return rep.n**2 - np.linalg.matrix_rank(stacked, tol=1e-8)
+    return np.vstack([np.kron(g.T, eye) - np.kron(eye, g) for g in rep.generators])
+
+
+def oracle_commutant_dim(rep):
+    return rep.n**2 - np.linalg.matrix_rank(oracle_sylvester_stack(rep), tol=1e-8)
+
+
+def oracle_irreducibility(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
+    """irreducibility_check's verdict rule on the np.kron stack."""
+    svals = np.linalg.svd(oracle_sylvester_stack(rep), compute_uv=False)
+    dim = int(np.sum(svals < null_threshold))
+    if np.any((svals >= band[0]) & (svals <= band[1])):
+        return None, dim
+    return dim == 1, dim
 
 
 def identity_rep(n=2):
@@ -138,6 +148,51 @@ class TestIrreducibility:
         verdict, dim = irreducibility_check(rep)
         assert verdict is False and dim == 4
         assert oracle_commutant_dim(rep) == 4
+
+
+def random_su3_rep(seed):
+    rng = np.random.default_rng(seed)
+    gens = tuple(random_special_unitary(3, rng) for _ in range(4))
+    return SurfaceGroupRep(2, 3, 1.0 + 0j, gens)
+
+
+def near_identity_rep(eps):
+    """The identity point with A_1 moved by exp(i eps sigma_1): singular values ~ eps."""
+    eye = np.eye(2, dtype=complex)
+    return SurfaceGroupRep(2, 2, 1.0 + 0j, (expm(1j * eps * SIGMA1), eye, eye, eye))
+
+
+class TestSylvesterStack:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_conjugated_su2_stack_equals_kron_stack(self, seed):
+        h = random_special_unitary(2, np.random.default_rng(seed))
+        rep = conjugate(standard_genus2_su2(), h)
+        got, want = _sylvester_stack(rep.generators), oracle_sylvester_stack(rep)
+        assert got.shape == want.shape == (16, 4)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_su3_stack_equals_kron_stack(self, seed):
+        rep = random_su3_rep(seed)
+        got, want = _sylvester_stack(rep.generators), oracle_sylvester_stack(rep)
+        assert got.shape == want.shape == (36, 9)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "rep, verdict",
+        [
+            (standard_genus2_su2(), True),
+            (identity_rep(), False),
+            (reducible_su4(), False),
+            (random_su3_rep(0), True),
+            (near_identity_rep(3e-8), None),
+            (near_identity_rep(1e-3), False),
+        ],
+        ids=["irreducible", "identity", "su4-block", "su3-random", "indeterminate", "near-identity"],
+    )
+    def test_verdicts_match_the_kron_oracle(self, rep, verdict):
+        assert irreducibility_check(rep) == oracle_irreducibility(rep)
+        assert irreducibility_check(rep)[0] is verdict
 
 
 class TestConjugation:
