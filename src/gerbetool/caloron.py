@@ -14,7 +14,9 @@ Each pipeline call converts the samples once to real su(n) coefficients
 bracket contracts with the structure constants, <X, Y> = -trace(XY) is
 2 c(X).c(Y), and the forms are real by construction.  The form-producing
 pipelines reject samples lying off su(n) (imaginary residue and trace) by
-NaN or over MEMBERSHIP_TOLERANCE of their scale.
+NaN or over MEMBERSHIP_TOLERANCE of their scale.  A representation acts on
+these coefficients by one real product with its coefficient_map, whose
+result lies in su(dim) by construction, so no matrix image is formed.
 
 The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
@@ -195,6 +197,20 @@ def _fields(conn, where=None):
     return phi, a
 
 
+def _periodic_fields(conn, where):
+    """_fields(conn, where) of a periodic sampling, as the curving needs."""
+    if conn.ghost_margin:
+        raise ArgumentError(f"{where} needs a periodic (ghost-free) sampling")
+    return _fields(conn, where)
+
+
+def _representation_map(conn, rho):
+    """rho.coefficient_map(), for a representation of the connection's su(n)."""
+    if rho.n != conn.n:
+        raise ArgumentError(f"a representation of su({rho.n}) on an su({conn.n}) connection")
+    return rho.coefficient_map()
+
+
 def _bracket(x, y, structure):
     """[X, Y] on coefficient arrays: sum_ab x_a y_b f_abc."""
     m = len(structure)
@@ -222,14 +238,10 @@ class CurvatureSamples:
     base: dict
 
     def max_norm(self):
-        worst = 0.0
         g = self.conn.ghost_margin
-        trim = (slice(None),) + tuple(
-            slice(g, -g) if g else slice(None) for _ in range(self.conn.base_dim)
-        )
-        for arr in itertools.chain(self.mixed.values(), self.base.values()):
-            worst = np.maximum(worst, np.abs(arr[trim]).max())
-        return float(worst)
+        trim = (slice(None),) + (slice(g, -g or None),) * self.conn.base_dim
+        comps = itertools.chain(self.mixed.values(), self.base.values())
+        return float(np.max([np.abs(arr[trim]).max() for arr in comps]))
 
 
 def _components(phi, a, n, spacing, with_mixed=True):
@@ -280,6 +292,12 @@ def _curving(phi, a, d_theta_a, base):
     return GridForm(2, len(a), comps, 0)
 
 
+def _curving_form(phi, a, n, spacing):
+    """The curving 2-form of su(n) coefficient fields phi and a."""
+    d_theta_a, _, base = _components(phi, a, n, spacing, with_mixed=False)
+    return _curving(phi, a, d_theta_a, base)
+
+
 def b_field(conn):
     """Degree-2 curving on the base from the loop-space data.
 
@@ -288,11 +306,7 @@ def b_field(conn):
     with A' the circle derivative; the circle integral is the grid mean
     (trapezoid rule on a periodic grid).  Requires periodic sampling.
     """
-    if conn.ghost_margin:
-        raise ArgumentError("curving needs a periodic (ghost-free) sampling")
-    phi, a = _fields(conn, "b_field")
-    d_theta_a, _, base = _components(phi, a, conn.n, conn.spacing(), with_mixed=False)
-    return _curving(phi, a, d_theta_a, base)
+    return _curving_form(*_periodic_fields(conn, "b_field"), conn.n, conn.spacing())
 
 
 def _density(mixed, base, ghost_margin):
@@ -303,14 +317,6 @@ def _density(mixed, base, ghost_margin):
         + _circle_pairing(base[(1, 2)], mixed[0])
     )
     return GridForm(3, 3, {(0, 1, 2): -total / FOUR_PI_SQ}, ghost_margin)
-
-
-def _pushed(comps, n, rho):
-    """Coefficient arrays through rho's matrix images, as su(rho.dim) coefficients."""
-    return {
-        k: su_coefficients(rho.matrix_image(su_matrices(v, n)))[0]
-        for k, v in comps.items()
-    }
 
 
 def pontryagin_density(conn, rho=None):
@@ -326,7 +332,8 @@ def pontryagin_density(conn, rho=None):
     phi, a = _fields(conn, "pontryagin_density")
     _, mixed, base = _components(phi, a, conn.n, conn.spacing())
     if rho is not None and not rho.is_fundamental():
-        mixed, base = _pushed(mixed, conn.n, rho), _pushed(base, conn.n, rho)
+        m = _representation_map(conn, rho)
+        mixed, base = ({k: v @ m for k, v in c.items()} for c in (mixed, base))
     return _density(mixed, base, conn.ghost_margin)
 
 
@@ -346,8 +353,6 @@ def ms_identity_check(conn, refine_factor=2):
     """
     if conn.base_dim != 3:
         raise DimensionError("the identity compares 3-forms; need a 3-dimensional base")
-    if conn.ghost_margin:
-        raise ArgumentError("identity check needs a periodic sampling")
 
     def residual(phi, a, base_points):
         d_theta_a, mixed, base = _components(phi, a, conn.n, 1.0 / base_points)
@@ -355,7 +360,7 @@ def ms_identity_check(conn, refine_factor=2):
         rhs = _curving(phi, a, d_theta_a, base).exterior_derivative()
         return (lhs - rhs).max_norm()
 
-    res_coarse = residual(*_fields(conn, "ms_identity_check"), conn.base_points)
+    res_coarse = residual(*_periodic_fields(conn, "ms_identity_check"), conn.base_points)
     fine_points = refine_factor * conn.base_points
     # the refined matrix samples are a temporary, freed once converted
     fine = _fields(conn.resample(base_points=fine_points), "ms_identity_check")
@@ -386,7 +391,7 @@ class GaugeLoop:
             raise ArgumentError("gauge loop needs matching (P, n, n) sample arrays")
         eye = np.eye(s.shape[1])
         worst = float(np.abs(np.swapaxes(s.conj(), 1, 2) @ s - eye).max())
-        if worst > self.tolerance:
+        if not worst <= self.tolerance:
             raise ValidationError(f"gauge samples non-unitary by {worst:.3e}")
 
 
@@ -418,26 +423,20 @@ def higgs_gauge_law_check(conn, gauge):
 def rho_scaling_check(conn, rho):
     """Max residual of (curving, 3-curvature) scaling under a representation.
 
-    Pushes the connection through the representation's matrix images, rebuilds
-    the curving B_rho and (on a 3-dimensional base) H_rho = d B_rho, and
+    Converts the connection once, pushes its coefficients through the
+    representation's coefficient_map, builds the curving B_rho from the
+    pushed fields and (on a 3-dimensional base) H_rho = d B_rho, and
     compares with dynkin_index(rho) times the fundamental-route forms.
     The identity holds pointwise in the samples, so the residual is
     roundoff-level.  Returns (worst, scale): the absolute residual and
     dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the scale a
     relative residual divides by.
     """
+    phi, a = _periodic_fields(conn, "rho_scaling_check")
+    m = _representation_map(conn, rho)
     iota = float(rho.index)
-    pushed = LatticeConnection(
-        rho.dim,
-        conn.base_dim,
-        conn.theta_points,
-        conn.base_points,
-        rho.matrix_image(conn.phi),
-        rho.matrix_image(conn.a),
-        ghost_margin=conn.ghost_margin,
-    )
-    b_fund = b_field(conn)
-    b_rho = b_field(pushed)
+    b_fund = _curving_form(phi, a, conn.n, conn.spacing())
+    b_rho = _curving_form(phi @ m, a @ m, rho.dim, conn.spacing())
     worst = (b_rho - iota * b_fund).max_norm()
     scale = b_fund.max_norm()
     if conn.base_dim == 3:

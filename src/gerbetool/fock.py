@@ -183,7 +183,8 @@ def vacuum(window):
 class FockVector:
     """Sparse complex linear combination of FockStates on one window.
 
-    Amplitudes with |a| <= 1e-14 are treated as exact zeros and dropped.
+    Amplitudes with |a| <= 1e-14 are treated as exact zeros and dropped; a
+    NaN amplitude is kept, so the norms read NaN.
     """
 
     __slots__ = ("window", "amps")
@@ -194,7 +195,7 @@ class FockVector:
         if amps:
             for key, val in amps.items():
                 mask = key.mask if isinstance(key, FockState) else int(key)
-                if abs(val) > _ZERO_TOL:
+                if not abs(val) <= _ZERO_TOL:
                     self.amps[mask] = self.amps.get(mask, 0j) + complex(val)
 
     @classmethod
@@ -206,7 +207,7 @@ class FockVector:
         return self.amps.get(mask, 0j)
 
     def norm_max(self):
-        return max((abs(a) for a in self.amps.values()), default=0.0)
+        return float(np.max(np.abs(list(self.amps.values())), initial=0.0))
 
     def norm2(self):
         return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))

@@ -81,10 +81,7 @@ class GridForm:
 
     def _core(self, arr):
         g = self.ghost_margin
-        if g == 0:
-            return arr
-        sl = tuple(slice(g, -g) for _ in range(self.base_dim))
-        return arr[sl]
+        return arr[(slice(g, -g or None),) * self.base_dim]
 
     def spacing(self):
         return 1.0 / (self.shape[0] - 2 * self.ghost_margin)
@@ -105,10 +102,8 @@ class GridForm:
         return GridForm(self.degree + 1, self.base_dim, out, self.ghost_margin)
 
     def max_norm(self):
-        return max(
-            (float(np.abs(self._core(v)).max()) for v in self.comps.values()),
-            default=0.0,
-        )
+        # np.max, unlike max(), keeps a NaN found in any component
+        return float(np.max([np.abs(self._core(v)).max() for v in self.comps.values()]))
 
     def integrate(self):
         """Integral over the unit torus of a top-degree form (mean value)."""
@@ -117,31 +112,15 @@ class GridForm:
         (comp,) = self.comps.values()
         return float(np.mean(self._core(comp)))
 
+    def _with(self, comps):
+        return GridForm(self.degree, self.base_dim, comps, self.ghost_margin)
+
     def __sub__(self, other):
         self._check_compatible(other)
-        return GridForm(
-            self.degree,
-            self.base_dim,
-            {k: v - other.comps[k] for k, v in self.comps.items()},
-            self.ghost_margin,
-        )
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return GridForm(
-            self.degree,
-            self.base_dim,
-            {k: v + other.comps[k] for k, v in self.comps.items()},
-            self.ghost_margin,
-        )
+        return self._with({k: v - other.comps[k] for k, v in self.comps.items()})
 
     def __rmul__(self, scalar):
-        return GridForm(
-            self.degree,
-            self.base_dim,
-            {k: scalar * v for k, v in self.comps.items()},
-            self.ghost_margin,
-        )
+        return self._with({k: scalar * v for k, v in self.comps.items()})
 
     def _check_compatible(self, other):
         if (

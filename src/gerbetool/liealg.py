@@ -294,7 +294,9 @@ class Representation:
 
     Matrix images are available for the trivial, fundamental, and adjoint
     cases (all the sampled-connection pipelines need); the Dynkin index is
-    available for any partition within the dimension cap.
+    available for any partition within the dimension cap.  The pipelines,
+    which hold su(n) coefficients, apply the images as coefficient_map, the
+    real linear map they induce from su(n) to su(dim) coefficients.
     """
 
     n: int
@@ -355,3 +357,15 @@ class Representation:
         raise CapabilityError(
             f"matrix images not implemented for partition {self.partition}"
         )
+
+    @functools.lru_cache(maxsize=None)
+    def coefficient_map(self):
+        """matrix_image on coefficients: a read-only real (n^2 - 1, dim^2 - 1) map.
+
+        Row a holds the su(dim) coefficients of matrix_image(T_a), so a
+        coefficient array c maps to c @ coefficient_map().  The fundamental's
+        map is exactly the identity, where the conversion would round.
+        """
+        if self.is_fundamental():
+            return _read_only(np.eye(self.n * self.n - 1))
+        return _read_only(su_coefficients(self.matrix_image(_basis_array(self.n)))[0])

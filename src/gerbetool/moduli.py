@@ -36,9 +36,9 @@ def _check_special_unitary(mat, tolerance, what):
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{what} is not square")
     n = mat.shape[0]
-    if np.abs(mat.conj().T @ mat - np.eye(n)).max() > tolerance:
+    if not np.abs(mat.conj().T @ mat - np.eye(n)).max() <= tolerance:
         raise ValidationError(f"{what} is not unitary within {tolerance}")
-    if abs(np.linalg.det(mat) - 1.0) > max(tolerance, 1e-9):
+    if not abs(np.linalg.det(mat) - 1.0) <= max(tolerance, 1e-9):
         raise ValidationError(f"{what} does not have unit determinant")
     return mat
 
@@ -76,7 +76,7 @@ class SurfaceGroupRep:
             if g.shape[0] != self.n:
                 raise ValidationError(f"generator {idx + 1} is not {self.n} x {self.n}")
         object.__setattr__(self, "generators", gens)
-        if abs(abs(self.z) - 1.0) > self.tolerance:
+        if not abs(abs(self.z) - 1.0) <= self.tolerance:
             raise ValidationError("central defect z must be a unit scalar")
 
     def generates_center(self):

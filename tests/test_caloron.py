@@ -11,7 +11,9 @@ Oracles, each independent of the code under test:
   * the plain matrix formulas the coefficient kernels replace: x @ y - y @ x
     for the bracket, -trace(XY) for the pairing, sum_a c_a T_a for the
     coefficients, ad(X)_ab = <T_a, [X, T_b]> element by element for the
-    adjoint image.
+    adjoint image;
+  * the matrix route a coefficient map replaces: curvature matrices through
+    matrix_image and back to coefficients.
 Convergence tolerances are frozen from two-grid measurements quoted in the
 assertions.
 """
@@ -21,11 +23,13 @@ import math
 import numpy as np
 import pytest
 
+from gerbetool import caloron
 from gerbetool.caloron import (
     MAX_GRID_ENTRIES,
     GaugeLoop,
     LatticeConnection,
     _bracket,
+    _density,
     b_field,
     curvature,
     higgs_gauge_law_check,
@@ -37,6 +41,7 @@ from gerbetool.caloron import (
 )
 from gerbetool.errors import (
     ArgumentError,
+    CapabilityError,
     ConsistencyError,
     DimensionError,
     ResolutionError,
@@ -329,6 +334,12 @@ class TestGaugeLaw:
         with pytest.raises(ValidationError, match="non-unitary"):
             GaugeLoop(samples, np.zeros_like(samples))
 
+    def test_nan_loop_rejected(self):
+        samples = np.stack([np.eye(2, dtype=complex)] * 8)
+        samples[3, 0, 0] = math.nan
+        with pytest.raises(ValidationError, match="non-unitary"):
+            GaugeLoop(samples, np.zeros_like(samples))
+
     def test_fractional_winding_rejected(self):
         with pytest.raises(ArgumentError, match="integer"):
             winding_gauge(12, winding=1.5)
@@ -580,3 +591,85 @@ class TestGrids:
         arr[0, 0] = 7.0  # ghost cell, must not count
         form = GridForm(0, 2, {(): arr}, ghost_margin=g)
         assert form.max_norm() == 0.0
+
+    def test_max_norm_keeps_nan_in_any_component(self):
+        ones, nan = np.ones((8, 8, 8)), np.full((8, 8, 8), math.nan)
+        for comps in (
+            {(0, 1): ones, (0, 2): nan, (1, 2): ones},
+            {(0, 1): nan, (0, 2): ones, (1, 2): ones},
+        ):
+            assert math.isnan(GridForm(2, 3, comps).max_norm())
+
+
+class TestCoefficientMap:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_are_coefficients_of_the_images(self, n):
+        m = n * n - 1
+        for rho in (
+            Representation.trivial(n),
+            Representation.fundamental(n),
+            Representation.adjoint(n),
+        ):
+            got = rho.coefficient_map()
+            assert got.shape == (m, rho.dim**2 - 1) and not got.flags.writeable
+            for a, t in enumerate(su_basis(n)):
+                want = su_coefficients(rho.matrix_image(t))[0]
+                assert np.abs(got[a] - want).max(initial=0.0) <= 1e-15
+        assert np.array_equal(Representation.fundamental(n).coefficient_map(), np.eye(m))
+        assert Representation.trivial(n).coefficient_map().shape == (m, 0)
+
+    def test_other_partitions_raise(self):
+        with pytest.raises(CapabilityError):
+            Representation(2, (3,)).coefficient_map()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_map_preserves_brackets(self, n):
+        rng = np.random.default_rng(50 + n)
+        x, y = rng.standard_normal((2, 64, n * n - 1))
+        for rho in (Representation.fundamental(n), Representation.adjoint(n)):
+            m = rho.coefficient_map()
+            want = _bracket(x, y, su_structure_constants(n)) @ m
+            got = _bracket(x @ m, y @ m, su_structure_constants(rho.dim))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_density_matches_the_matrix_route(self):
+        conn = connection_preset("su2-family", theta_points=12, base_points=16)
+        rho = Representation.adjoint(2)
+        curv = curvature(conn)  # su_matrices of the coefficient components
+
+        def through_images(comps):
+            return {k: su_coefficients(rho.matrix_image(v))[0] for k, v in comps.items()}
+
+        want = _density(through_images(curv.mixed), through_images(curv.base), 0)
+        got = pontryagin_density(conn, rho)
+        assert (got - want).max_norm() <= 1e-13 * want.max_norm()
+
+    def test_pipelines_stay_on_coefficients(self, monkeypatch):
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        rho = Representation.adjoint(2)
+        rho.coefficient_map()  # built through matrix_image once, then cached
+
+        def fail(*args, **kwargs):
+            raise AssertionError("left the coefficient frame")
+
+        calls = []
+
+        def counted(samples):
+            calls.append(samples.shape)
+            return su_coefficients(samples)
+
+        monkeypatch.setattr(caloron, "su_matrices", fail)
+        monkeypatch.setattr(caloron, "LatticeConnection", fail)
+        monkeypatch.setattr(Representation, "matrix_image", fail)
+        monkeypatch.setattr(caloron, "su_coefficients", counted)
+        for run in (pontryagin_density, rho_scaling_check):
+            calls.clear()
+            run(conn, rho)
+            assert len(calls) == 2
+
+    def test_representation_of_another_algebra_rejected(self):
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        with pytest.raises(ArgumentError, match="su\\(3\\)"):
+            rho_scaling_check(conn, Representation.adjoint(3))
+        with pytest.raises(ArgumentError, match="su\\(3\\)"):
+            pontryagin_density(conn, Representation.adjoint(3))

@@ -13,6 +13,7 @@ library are exact.
 """
 
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ class TestWindowAndStates:
         assert len(basis) == 2**W31.n_slots
         counts = [st.pair_count for st in basis]
         assert counts == sorted(counts)
+
+
+class TestNanAmplitudes:
+    def test_nan_amplitude_is_kept(self):
+        w = FockWindow(1, 2, "1/2")
+        vec = FockVector(w, {w.sea_mask(): math.nan})
+        assert len(vec.amps) == 1
+        assert math.isnan(vec.norm2()) and math.isnan(vec.norm_max())
+        moved = apply_mode(psi(1, 1), vec)
+        assert len(moved.amps) == 1
+        assert math.isnan(moved.norm2()) and math.isnan(moved.norm_max())
+        # a NaN behind a finite amplitude reaches the max norm too
+        behind = FockVector(w, {w.sea_mask(): 1.0, 5: math.nan})
+        assert math.isnan(behind.norm_max())
 
 
 class TestModeOperators:

@@ -1,7 +1,9 @@
-"""Every module in src/gerbetool uses each name it imports.
+"""Every module in src/gerbetool uses each name it imports and defines.
 
-The package __init__ is exempt: its imports are the public re-exports.
-The scan is a plain ast walk, so it needs neither pyflakes nor ruff.
+The package __init__ is exempt from the import scan: its imports are the
+public re-exports.  Each module-level private name (a function, class or
+assignment named _x) must be read somewhere in the package.  The scans are
+plain ast walks, so they need neither pyflakes nor ruff.
 """
 
 import ast
@@ -26,9 +28,37 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
+def unreferenced_private_names(sources):
+    """Module-level _names defined in `sources` that none of them reads."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(
+                    t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
 def test_scanner_flags_an_unused_import():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nnp.sin(pi)\n"
     assert unused_imports(source) == ["os", "tau"]
+
+
+def test_scanner_flags_an_unreferenced_private_name():
+    first = "_LIMIT = 3\n_a, _b = 1, 2\ndef _used():\n    return _LIMIT + _a\n"
+    second = "from .first import _used\nclass _Dead:\n    pass\ndef go():\n    return _used()\n"
+    assert unreferenced_private_names([first, second]) == ["_Dead", "_b"]
 
 
 def test_modules_were_found():
@@ -38,3 +68,8 @@ def test_modules_were_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_has_no_unreferenced_private_names():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_private_names(sources) == []

@@ -115,6 +115,18 @@ class TestRepresentationPoint:
         with pytest.raises(ValidationError, match="unit determinant"):
             SurfaceGroupRep(2, 2, 1.0, (1j * np.eye(2, dtype=complex),) + (np.eye(2),) * 3)
 
+    def test_nan_generator_rejected(self):
+        gens = list(standard_genus2_su2().generators)
+        gens[1] = gens[1].copy()
+        gens[1][0, 0] = math.nan
+        with pytest.raises(ValidationError, match="generator 2 is not unitary"):
+            SurfaceGroupRep(2, 2, -1.0, tuple(gens))
+
+    def test_nan_central_defect_rejected(self):
+        gens = standard_genus2_su2().generators
+        with pytest.raises(ValidationError, match="unit scalar"):
+            SurfaceGroupRep(2, 2, complex(math.nan, 0.0), gens)
+
     def test_wrong_generator_count_rejected(self):
         with pytest.raises(ValidationError, match="generators"):
             SurfaceGroupRep(2, 2, 1.0, (np.eye(2),) * 3)
@@ -217,6 +229,12 @@ class TestConjugation:
         rep = standard_genus2_su2()
         with pytest.raises(ValidationError, match="unitary"):
             conjugate(rep, 2.0 * np.eye(2))
+
+    def test_nan_conjugator_rejected(self):
+        h = np.eye(2, dtype=complex)
+        h[1, 1] = math.nan
+        with pytest.raises(ValidationError, match="conjugating element is not unitary"):
+            conjugate(standard_genus2_su2(), h)
 
 
 class TestHolonomy:
