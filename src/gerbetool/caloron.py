@@ -1,7 +1,8 @@
 """Sampled connections on S1 x T^d, read directly as caloron-side data.
 
-A connection is stored as matrix samples: phi, the dtheta component, is the
-Higgs field of the caloron correspondence, and a holds the d base
+A connection is stored as real su(n) coefficient arrays (trailing axis
+n^2 - 1 in the liealg.su_coefficients frame): phi, the dtheta component, is
+the Higgs field of the caloron correspondence, and a holds the d base
 components, which at fixed theta are the loop-algebra gauge field.  The
 correspondence is this reading of the same arrays, so no second type is
 needed.  Curvature splits into base-base components
@@ -9,13 +10,12 @@ F_ab = d_a A_b - d_b A_a + [A_a, A_b] and mixed components
 G_a = dtheta A_a - d_a Phi + [Phi, A_a]; theta-derivatives are spectral,
 base derivatives 4th-order central.
 
-Each pipeline call converts the samples once to real su(n) coefficients
-(liealg.su_coefficients, trailing axis n^2 - 1) and works there: the
-bracket contracts with the structure constants, <X, Y> = -trace(XY) is
-2 c(X).c(Y), and the forms are real by construction.  The form-producing
-pipelines reject samples lying off su(n) (imaginary residue and trace) by
-NaN or over MEMBERSHIP_TOLERANCE of their scale.  A representation acts on
-these coefficients by one real product with its coefficient_map, whose
+sample_connection converts an analytic family's matrix samples, rejecting
+fields off su(n) (imaginary residue and trace) by NaN or over
+MEMBERSHIP_TOLERANCE of their scale.  The pipelines work on the
+coefficients: the bracket contracts with the structure constants, <X, Y> =
+-trace(XY) is 2 c(X).c(Y), and the forms are real by construction.  A
+representation acts by one real product with its coefficient_map, whose
 result lies in su(dim) by construction, so no matrix image is formed.
 
 The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
@@ -45,15 +45,25 @@ from .liealg import su_coefficients, su_matrices, su_structure_constants
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
-# Largest off-su(n) part of the samples relative to their su(n) part
-# (liealg.su_coefficients) that the form-producing pipelines accept.
+# Largest off-su(n) part of a sampled field relative to its su(n) part
+# (liealg.su_coefficients) that sample_connection accepts.
 MEMBERSHIP_TOLERANCE = 1e-10
 
-# Cap on the complex entries of one sampled field array,
-# theta_points * (base_points + 2 ghost_margin)^base_dim * n^2 (1.6M on the
-# caloron battery's default fine grid).  At its peak the battery holds about
-# 16 su(2) coefficient arrays, each 3/8 the size of such an array.
+# Cap on the complex entries of the one field's matrix samples that
+# sample_connection holds at a time, theta_points * (base_points +
+# 2 ghost_margin)^base_dim * n^2 (1.6M on the caloron battery's default fine
+# grid).  At its peak the battery holds about 16 su(2) coefficient arrays,
+# each 3/8 the size of such an array.
 MAX_GRID_ENTRIES = 2**22
+
+# ms_identity_check reads a fine residual at or under
+# _ROUNDOFF_FLOOR * eps * s^2 * max(s, 1), s the largest coefficient of phi
+# and a, as the identity met at roundoff (order inf): discretization error
+# scales as s^3, roundoff as s^2 for small fields.  Flat (s = 2 pi, floor
+# 5.5e-11) reads 6.5e-13 coarse and 8.1e-13 fine; su2-family reads order 3.87
+# at amplitude 1e-4 (fine 6.5e-16, floor 2.2e-21), and at 1e-12 its roundoff
+# 6.4e-39 = 29 eps s^2 is under the floor 2.2e-37 (an s^3 floor read 0.87).
+_ROUNDOFF_FLOOR = 1e3
 
 
 def check_grid(theta_points, base_points, base_dim, n, ghost_margin=0):
@@ -84,7 +94,8 @@ class AnalyticConnection:
     """Closed-form sampler backing a LatticeConnection, used for resampling.
 
     phi(theta, xs) and base(theta, xs, axis) take broadcastable coordinate
-    arrays and return matrix sample arrays; n is the matrix size.
+    arrays and return (..., n, n) matrix sample arrays, which
+    sample_connection converts to su(n) coefficients; n is the matrix size.
     """
 
     n: int
@@ -95,13 +106,13 @@ class AnalyticConnection:
 
 @dataclass
 class LatticeConnection:
-    """Connection samples on a uniform grid over S1 x T^d.
+    """Connection samples on a uniform grid over S1 x T^d, as su(n) coefficients.
 
-    phi has shape (P, M', ..., M', n, n) and a has shape (d, P, M', ..., M', n, n)
-    where M' = base_points + 2*ghost_margin.  A nonzero ghost margin means
-    the base arrays were sampled from a covering-space formula: edge cells
-    are valid samples, not periodic wraps, and derived forms carry the
-    margin so that norms and integrals skip stencil-polluted cells.
+    phi has shape (P, M', ..., M', n^2 - 1) and a has shape (d, P, M', ...,
+    M', n^2 - 1), where M' = base_points + 2*ghost_margin.  A nonzero ghost
+    margin means the base arrays were sampled from a covering-space formula:
+    edge cells are valid samples, not periodic wraps, and derived forms
+    carry the margin so that norms and integrals skip stencil-polluted cells.
     """
 
     n: int
@@ -122,9 +133,9 @@ class LatticeConnection:
             self.ghost_margin,
         )
         ext = self.base_points + 2 * self.ghost_margin
-        want_phi = (self.theta_points,) + (ext,) * self.base_dim + (self.n, self.n)
-        self.phi = np.asarray(self.phi, dtype=complex)
-        self.a = np.asarray(self.a, dtype=complex)
+        want_phi = (self.theta_points,) + (ext,) * self.base_dim + (self.n * self.n - 1,)
+        self.phi = np.asarray(self.phi, dtype=float)
+        self.a = np.asarray(self.a, dtype=float)
         if self.phi.shape != want_phi:
             raise ArgumentError(f"phi shape {self.phi.shape}, expected {want_phi}")
         if self.a.shape != (self.base_dim,) + want_phi:
@@ -160,15 +171,29 @@ def _grid_coords(base_dim, theta_points, base_points, ghost_margin):
 
 
 def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=0):
-    """Evaluate an analytic family on the (theta, base) grid."""
+    """Evaluate an analytic family on the (theta, base) grid, one field at a time.
+
+    Each field's matrix samples become su(n) coefficients at once; a field
+    off su(n) by NaN or over MEMBERSHIP_TOLERANCE raises ConsistencyError.
+    """
     check_grid(theta_points, base_points, base_dim, family.n, ghost_margin)
     th, *xs = _grid_coords(base_dim, theta_points, base_points, ghost_margin)
     ext = base_points + 2 * ghost_margin
     shape = (theta_points,) + (ext,) * base_dim + (family.n, family.n)
-    phi = np.broadcast_to(np.asarray(family.phi(th, xs), dtype=complex), shape).copy()
-    a = np.empty((base_dim,) + shape, dtype=complex)
+
+    def coefficients(samples):
+        coeffs, off = su_coefficients(np.broadcast_to(samples, shape))
+        if not off <= MEMBERSHIP_TOLERANCE:
+            raise ConsistencyError(
+                f"family {family.label!r}: imaginary residue and trace at {off:.3e} "
+                f"of the field scale, over {MEMBERSHIP_TOLERANCE:g}"
+            )
+        return coeffs
+
+    phi = coefficients(family.phi(th, xs))
+    a = np.empty((base_dim,) + phi.shape)
     for axis in range(base_dim):
-        a[axis] = family.base(th, xs, axis)
+        a[axis] = coefficients(family.base(th, xs, axis))
     return LatticeConnection(
         family.n,
         base_dim,
@@ -181,27 +206,10 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
     )
 
 
-def _fields(conn, where=None):
-    """phi and a as real su(n) coefficient arrays, one GEMM per field.
-
-    With where given, samples off su(n) raise ConsistencyError.
-    """
-    phi, off_phi = su_coefficients(conn.phi)
-    a, off_a = su_coefficients(conn.a)
-    off = np.maximum(off_phi, off_a)
-    if where is not None and not off <= MEMBERSHIP_TOLERANCE:
-        raise ConsistencyError(
-            f"{where}: imaginary residue and trace at {off:.3e} of the field "
-            f"scale, over {MEMBERSHIP_TOLERANCE:g}"
-        )
-    return phi, a
-
-
-def _periodic_fields(conn, where):
-    """_fields(conn, where) of a periodic sampling, as the curving needs."""
+def _require_periodic(conn, where):
+    """Reject a ghosted sampling, which the curving cannot integrate."""
     if conn.ghost_margin:
         raise ArgumentError(f"{where} needs a periodic (ghost-free) sampling")
-    return _fields(conn, where)
 
 
 def _representation_map(conn, rho):
@@ -274,9 +282,9 @@ def _components(phi, a, n, spacing, with_mixed=True):
 def curvature(conn):
     """All curvature components by spectral/4th-order differentiation.
 
-    Unchecked for su(n) membership: a NaN sample reaches the norm.
+    Returns matrix components; a NaN coefficient reaches the norm.
     """
-    _, mixed, base = _components(*_fields(conn), conn.n, conn.spacing())
+    _, mixed, base = _components(conn.phi, conn.a, conn.n, conn.spacing())
     mixed, base = ({k: su_matrices(v, conn.n) for k, v in c.items()} for c in (mixed, base))
     return CurvatureSamples(conn, mixed, base)
 
@@ -306,7 +314,8 @@ def b_field(conn):
     with A' the circle derivative; the circle integral is the grid mean
     (trapezoid rule on a periodic grid).  Requires periodic sampling.
     """
-    return _curving_form(*_periodic_fields(conn, "b_field"), conn.n, conn.spacing())
+    _require_periodic(conn, "b_field")
+    return _curving_form(conn.phi, conn.a, conn.n, conn.spacing())
 
 
 def _density(mixed, base, ghost_margin):
@@ -329,8 +338,7 @@ def pontryagin_density(conn, rho=None):
     """
     if conn.base_dim != 3:
         raise DimensionError("the density is a 3-form; need a 3-dimensional base")
-    phi, a = _fields(conn, "pontryagin_density")
-    _, mixed, base = _components(phi, a, conn.n, conn.spacing())
+    _, mixed, base = _components(conn.phi, conn.a, conn.n, conn.spacing())
     if rho is not None and not rho.is_fundamental():
         m = _representation_map(conn, rho)
         mixed, base = ({k: v @ m for k, v in c.items()} for c in (mixed, base))
@@ -349,7 +357,8 @@ def ms_identity_check(conn, refine_factor=2):
     between base grids M and refine_factor*M).  The identity is exact in
     the continuum, so the residual is pure discretization error and the
     order reflects the base stencils.  Each grid's dtheta A and F_ab are
-    computed once and feed both sides.  Needs an analytic family to resample.
+    computed once and feed both sides; a fine residual under the roundoff
+    floor reads order inf.  Needs an analytic family to resample.
     """
     if conn.base_dim != 3:
         raise DimensionError("the identity compares 3-forms; need a 3-dimensional base")
@@ -360,12 +369,12 @@ def ms_identity_check(conn, refine_factor=2):
         rhs = _curving(phi, a, d_theta_a, base).exterior_derivative()
         return (lhs - rhs).max_norm()
 
-    res_coarse = residual(*_periodic_fields(conn, "ms_identity_check"), conn.base_points)
-    fine_points = refine_factor * conn.base_points
-    # the refined matrix samples are a temporary, freed once converted
-    fine = _fields(conn.resample(base_points=fine_points), "ms_identity_check")
-    res_fine = residual(*fine, fine_points)
-    if res_fine <= 1e-13:
+    _require_periodic(conn, "ms_identity_check")
+    res_coarse = residual(conn.phi, conn.a, conn.base_points)
+    fine = conn.resample(base_points=refine_factor * conn.base_points)
+    res_fine = residual(fine.phi, fine.a, fine.base_points)
+    scale = max(np.abs(conn.phi).max(), np.abs(conn.a).max())
+    if res_fine <= _ROUNDOFF_FLOOR * np.finfo(float).eps * scale**2 * max(scale, 1.0):
         return res_coarse, math.inf
     return res_coarse, math.log(res_coarse / res_fine, refine_factor)
 
@@ -414,7 +423,7 @@ def higgs_gauge_law_check(conn, gauge):
     g_inv = np.swapaxes(g.conj(), -1, -2)
     numeric = central_diff4(gauge.samples, 0, 1.0 / p).reshape(g.shape)
     exact = gauge.derivative.reshape(g.shape)
-    transported = g_inv @ conn.phi @ g
+    transported = g_inv @ su_matrices(conn.phi, conn.n) @ g
     route_one = transported + g_inv @ numeric
     route_two = transported + g_inv @ exact
     return float(np.abs(route_one - route_two).max())
@@ -423,20 +432,20 @@ def higgs_gauge_law_check(conn, gauge):
 def rho_scaling_check(conn, rho):
     """Max residual of (curving, 3-curvature) scaling under a representation.
 
-    Converts the connection once, pushes its coefficients through the
-    representation's coefficient_map, builds the curving B_rho from the
-    pushed fields and (on a 3-dimensional base) H_rho = d B_rho, and
+    Pushes the connection's coefficients through the representation's
+    coefficient_map, builds the curving B_rho from the pushed fields and
+    (on a 3-dimensional base) H_rho = d B_rho, and
     compares with dynkin_index(rho) times the fundamental-route forms.
     The identity holds pointwise in the samples, so the residual is
     roundoff-level.  Returns (worst, scale): the absolute residual and
     dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the scale a
     relative residual divides by.
     """
-    phi, a = _periodic_fields(conn, "rho_scaling_check")
+    _require_periodic(conn, "rho_scaling_check")
     m = _representation_map(conn, rho)
     iota = float(rho.index)
-    b_fund = _curving_form(phi, a, conn.n, conn.spacing())
-    b_rho = _curving_form(phi @ m, a @ m, rho.dim, conn.spacing())
+    b_fund = _curving_form(conn.phi, conn.a, conn.n, conn.spacing())
+    b_rho = _curving_form(conn.phi @ m, conn.a @ m, rho.dim, conn.spacing())
     worst = (b_rho - iota * b_fund).max_norm()
     scale = b_fund.max_norm()
     if conn.base_dim == 3:

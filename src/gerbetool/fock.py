@@ -429,14 +429,12 @@ class SparseOperator:
     """Quadratic operator: sum of hops amp * c^dag(slot_to) c(slot_from) + scalar.
 
     The hop list plus scalar is the exact (window-truncated) operator; the
-    matrix() view compresses it onto a graded basis.  safe_margin records
-    how far truncation artifacts can reach (in modes) from the window
-    boundary.
+    matrix() view compresses it onto a graded basis.
     """
 
-    __slots__ = ("window", "hops", "scalar", "safe_margin", "_amps", "_to", "_from")
+    __slots__ = ("window", "hops", "scalar", "_amps", "_to", "_from")
 
-    def __init__(self, window, hops=(), scalar=0j, safe_margin=0):
+    def __init__(self, window, hops=(), scalar=0j):
         self.window = window
         merged = {}
         for amp, s_to, s_from in hops:
@@ -446,7 +444,6 @@ class SparseOperator:
             (a, s_to, s_from) for (s_to, s_from), a in sorted(merged.items()) if a != 0
         )
         self.scalar = complex(scalar)
-        self.safe_margin = safe_margin
         amps = np.array([a for a, _, _ in self.hops], dtype=complex)
         self._amps = amps if amps.imag.any() else amps.real
         slots = np.array([(t, f) for _, t, f in self.hops], dtype=np.int64)
@@ -468,12 +465,7 @@ class SparseOperator:
 
     def __add__(self, other):
         self._check_window(other)
-        return SparseOperator(
-            self.window,
-            self.hops + other.hops,
-            self.scalar + other.scalar,
-            max(self.safe_margin, other.safe_margin),
-        )
+        return SparseOperator(self.window, self.hops + other.hops, self.scalar + other.scalar)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -483,7 +475,6 @@ class SparseOperator:
             self.window,
             tuple((scalar * a, t, f) for a, t, f in self.hops),
             scalar * self.scalar,
-            self.safe_margin,
         )
 
     def _check_window(self, other):
@@ -579,7 +570,7 @@ def normal_ordered_pair(i, j, m, n, window):
     s_to = window.slot(i, m)
     s_from = window.slot(j, -n)
     scalar = -1.0 if m < window.cut and i == j and m == -n else 0.0
-    return SparseOperator(window, ((1.0, s_to, s_from),), scalar, safe_margin=abs(m + n))
+    return SparseOperator(window, ((1.0, s_to, s_from),), scalar)
 
 
 def sigma(i, j, n, window, cut=None):
@@ -604,7 +595,7 @@ def sigma(i, j, n, window, cut=None):
         for m in range(max(-N, -n - N), min(N, N - n) + 1)
     ]
     scalar = -float(window.sea_count(lam)) if i == j and n == 0 else 0.0
-    return SparseOperator(window, tuple(hops), scalar, safe_margin=abs(n))
+    return SparseOperator(window, tuple(hops), scalar)
 
 
 def elementary_action(i, j, n, color, mode):

@@ -24,11 +24,8 @@ import numpy as np
 
 from .caloron import AnalyticConnection, check_grid, index_curvature, sample_connection
 from .errors import ArgumentError, ResolutionError, ValidationError
-from .spectral import Holonomy
-
-_SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA2 = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-TWO_PI = 2.0 * math.pi
+from .presets import T1, T2
+from .spectral import TWO_PI, Holonomy
 
 
 def _check_special_unitary(mat, tolerance, what):
@@ -174,11 +171,9 @@ def standard_genus2_su2():
     A_1 = i sigma_1 and B_1 = i sigma_2 give the group commutator
     A B A^-1 B^-1 = -I; the second handle is trivial.
     """
-    a1 = 1j * _SIGMA1
-    b1 = 1j * _SIGMA2
     eye = np.eye(2, dtype=complex)
     return SurfaceGroupRep(
-        2, 2, -1.0 + 0j, (a1, b1, eye, eye), z_exponent=1
+        2, 2, -1.0 + 0j, (T1, T2, eye, eye), z_exponent=1
     )
 
 

@@ -20,13 +20,11 @@ Preset catalog:
 HOLONOMY_SUITES names the diagonal test holonomies of the cocycle battery.
 """
 
-import math
-
 import numpy as np
 
 from .caloron import AnalyticConnection, GaugeLoop, sample_connection
 from .errors import ArgumentError
-from .spectral import Holonomy
+from .spectral import TWO_PI, Holonomy
 
 SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -35,8 +33,6 @@ SIGMA = (
 )
 T1, T2, T3 = (1j * s for s in SIGMA)
 _EYE2 = np.eye(2, dtype=complex)
-
-TWO_PI = 2.0 * math.pi
 
 
 def _mat(coeff, gen):

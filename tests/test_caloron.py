@@ -26,6 +26,7 @@ import pytest
 from gerbetool import caloron
 from gerbetool.caloron import (
     MAX_GRID_ENTRIES,
+    AnalyticConnection,
     GaugeLoop,
     LatticeConnection,
     _bracket,
@@ -143,14 +144,14 @@ class TestCurvature:
     def test_max_norm_propagates_nan(self):
         # max(worst, nan) keeps worst, so one NaN sample must reach the norm
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        conn.a[2, 0, 4, 4, 4, 0, 0] = math.nan
+        conn.a[2, 0, 4, 4, 4, 0] = math.nan
         assert math.isnan(curvature(conn).max_norm())
 
     def test_nan_reaches_the_norm_through_the_commutator(self):
         # at cell (4, 4, 4) F_02 reads a_2 only through [A_0, A_2]: the
         # stencil d_0 A_2 skips the centre and d_2 A_0 does not read A_2
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        conn.a[2, 0, 4, 4, 4, 0, 0] = math.nan
+        conn.a[2, 0, 4, 4, 4, 0] = math.nan
         cur = curvature(conn)
         assert np.isnan(cur.base[(0, 2)][0, 4, 4, 4]).any()
         stencil = central_diff4(conn.a[2], 1, conn.spacing())
@@ -232,31 +233,38 @@ class TestBField:
 
     def test_complex_integrand_rejected(self):
         # a Hermitian (not anti-Hermitian) component leaks an imaginary part
-        p, m = 8, 8
-        th = (np.arange(p) / p).reshape(p, 1, 1)
-        shape = (p, m, m, 2, 2)
-        a = np.zeros((2,) + shape, dtype=complex)
-        a[0] = np.broadcast_to(np.sin(TWO_PI * th)[..., None, None] * T1, shape)
-        a[1] = np.broadcast_to(
-            np.cos(TWO_PI * th)[..., None, None] * np.array([[0, 1], [1, 0]]), shape
-        )
-        pair = LatticeConnection(2, 2, p, m, np.zeros(shape, dtype=complex), a)
-        with pytest.raises(ConsistencyError, match="imaginary"):
-            b_field(pair)
+        def phi(th, xs):
+            return np.zeros(th.shape + (2, 2), dtype=complex)
+
+        def base(th, xs, axis):
+            if axis == 0:
+                return np.sin(TWO_PI * th)[..., None, None] * T1
+            return np.cos(TWO_PI * th)[..., None, None] * np.array([[0, 1], [1, 0]])
+
+        family = AnalyticConnection(2, phi, base, "hermitian")
+        with pytest.raises(ConsistencyError, match="'hermitian': imaginary"):
+            sample_connection(family, 2, 8, 8)
 
     def test_non_finite_samples_rejected(self):
         # NaN compares false against the 1e-10 reality bound; it must not pass
-        conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        conn.phi[0, 0, 0, 0] = complex(math.nan, math.nan)
+        good = connection_preset("su2-family", theta_points=8, base_points=8).family
+
+        def phi(th, xs):
+            out = np.array(np.broadcast_to(good.phi(th, xs), (8, 8, 8, 8, 2, 2)))
+            out[0, 0, 0, 0] = complex(math.nan, math.nan)
+            return out
+
+        def base(th, xs, axis):
+            return math.nan * good.base(th, xs, axis)
+
+        for family in (
+            AnalyticConnection(2, phi, good.base, "nan-higgs"),
+            AnalyticConnection(2, good.phi, base, "nan-gauge"),
+        ):
+            with pytest.raises(ConsistencyError, match="imaginary"):
+                sample_connection(family, 3, 8, 8)
         with pytest.raises(ConsistencyError, match="imaginary"):
-            b_field(conn)
-        with pytest.raises(ConsistencyError, match="imaginary"):
-            pontryagin_density(conn)
-        nan_family = connection_preset(
-            "su2-family", theta_points=8, base_points=8, amplitude=math.nan
-        )
-        with pytest.raises(ConsistencyError, match="imaginary"):
-            ms_identity_check(nan_family)
+            connection_preset("su2-family", theta_points=8, base_points=8, amplitude=math.nan)
 
 
 class TestDensityAndIdentity:
@@ -289,6 +297,33 @@ class TestDensityAndIdentity:
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
         ms_identity_check(conn, refine_factor=2)
         assert sorted(calls) == [8, 8, 8, 16, 16, 16]
+
+    def test_flat_preset_meets_the_identity_at_roundoff(self):
+        # coarse and fine residuals 6.5e-13 and 8.1e-13 are roundoff at the
+        # field scale 2 pi; an absolute 1e-13 floor read them as order -0.30
+        conn = connection_preset("flat", theta_points=12, base_points=16)
+        res, order = ms_identity_check(conn)
+        assert res <= 1e-11
+        assert order == math.inf
+
+    @pytest.mark.parametrize("amplitude", [1e-4, 1e-8])
+    def test_small_field_order_is_measured(self, amplitude):
+        # the residual scales as amplitude^3 (measured 9.6e-15 coarse, 6.5e-16
+        # fine at 1e-4), so its order is the default amplitude's 3.87
+        conn = connection_preset(
+            "su2-family", theta_points=12, base_points=16, amplitude=amplitude
+        )
+        res, order = ms_identity_check(conn)
+        assert res <= 1e-2 * amplitude**3
+        assert abs(order - 3.875) <= 0.01
+
+    def test_tiny_field_meets_the_identity_at_roundoff(self):
+        # at amplitude 1e-12 the fine residual 6.4e-39 is roundoff of the
+        # density's quadratic terms, 29 eps amplitude^2; measured, it read order 0.87
+        conn = connection_preset(
+            "su2-family", theta_points=12, base_points=16, amplitude=1e-12
+        )
+        assert ms_identity_check(conn)[1] == math.inf
 
     def test_identity_on_zero_preset_is_exact(self):
         conn = connection_preset("zero", theta_points=8, base_points=8)
@@ -470,9 +505,13 @@ class TestBatchedKernels:
         worst, scale = rho_scaling_check(conn, Representation.adjoint(2))
         assert worst <= 1e-12 * scale
         # an off-algebra part of 1e-6 of the field scale is still rejected
-        conn.a[1] += 1e2 * np.eye(2)
+        big = conn.family
+
+        def base(th, xs, axis):
+            return big.base(th, xs, axis) + (1e2 * np.eye(2) if axis == 1 else 0.0)
+
         with pytest.raises(ConsistencyError, match="imaginary"):
-            b_field(conn)
+            sample_connection(AnalyticConnection(2, big.phi, base, "shifted"), 3, 8, 8)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_adjoint_image_matches_elementwise_formula(self, n):
@@ -665,7 +704,24 @@ class TestCoefficientMap:
         for run in (pontryagin_density, rho_scaling_check):
             calls.clear()
             run(conn, rho)
-            assert len(calls) == 2
+            assert len(calls) == 0
+
+    @pytest.mark.parametrize("base_dim", [2, 3])
+    def test_sampling_converts_each_field_once(self, monkeypatch, base_dim):
+        # one matrix sample array per field: the Higgs field, then each base axis
+        family = connection_preset("zero", theta_points=8, base_points=8).family
+        calls = []
+
+        def counted(samples):
+            calls.append(samples.shape)
+            return su_coefficients(samples)
+
+        monkeypatch.setattr(caloron, "su_coefficients", counted)
+        conn = sample_connection(family, base_dim, 8, 8)
+        assert calls == [(8,) + (8,) * base_dim + (2, 2)] * (1 + base_dim)
+        assert conn.phi.shape == (8,) + (8,) * base_dim + (3,)
+        assert conn.a.shape == (base_dim,) + conn.phi.shape
+        assert conn.phi.dtype == conn.a.dtype == float
 
     def test_representation_of_another_algebra_rejected(self):
         conn = connection_preset("su2-family", theta_points=8, base_points=8)

@@ -285,6 +285,19 @@ class TestReports:
         assert all(math.isfinite(r["residual"]) for r in report["checks"])
         assert report["status"] == "pass"
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"preset": "flat"}, {"amplitude": 1e-4}, {"amplitude": -1e-12}],
+    )
+    def test_roundoff_level_identity_passes(self, params):
+        # flat failed at order -0.30 from roundoff residuals; amplitude 1e-4
+        # passed only by an absolute floor; both are relative to the field now
+        _, full, seed, _ = validate_scenario({"command": "caloron", "params": params})
+        report = run_scenario("caloron", full, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "ms-identity-order"]
+        assert record["status"] == "pass" and record["residual"] == 0.0
+        assert report["status"] == "pass"
+
     def test_zero_winding_scales_by_absolute_error(self):
         # the model value -2 w1 w2 is 0, so a relative error divided by
         # roundoff (it read 4.2 on this grid)

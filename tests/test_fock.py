@@ -562,7 +562,7 @@ class TestGradedBasisEngine:
             hops = list(op.hops)
             a, s_to, s_from = hops[len(hops) // 2]
             hops[len(hops) // 2] = (-a, s_to, s_from)
-            return SparseOperator(window, hops, op.scalar, op.safe_margin)
+            return SparseOperator(window, hops, op.scalar)
 
         w = FockWindow(1, 4, "1/2")
         assert commutator_check(1, 1, 1, 1, 1, 0, w) == 0.0
@@ -630,7 +630,7 @@ def flip_middle_hop(op):
     hops = list(op.hops)
     a, s_to, s_from = hops[len(hops) // 2]
     hops[len(hops) // 2] = (-a, s_to, s_from)
-    return SparseOperator(op.window, hops, op.scalar, op.safe_margin)
+    return SparseOperator(op.window, hops, op.scalar)
 
 
 # 62 slots: the widest occupation mask the cost model admits.  A column
