@@ -1,7 +1,7 @@
 """Sampled connections on S1 x T^d, read directly as caloron-side data.
 
 A connection is stored as real su(n) coefficient arrays (trailing axis
-n^2 - 1 in the liealg.su_coefficients frame): phi, the dtheta component, is
+n^2 - 1 in the liealg.su_basis frame): phi, the dtheta component, is
 the Higgs field of the caloron correspondence, and a holds the d base
 components, which at fixed theta are the loop-algebra gauge field.  The
 correspondence is this reading of the same arrays, so no second type is
@@ -10,13 +10,15 @@ F_ab = d_a A_b - d_b A_a + [A_a, A_b] and mixed components
 G_a = dtheta A_a - d_a Phi + [Phi, A_a]; theta-derivatives are spectral,
 base derivatives 4th-order central.
 
-sample_connection converts an analytic family's matrix samples, rejecting
-fields off su(n) (imaginary residue and trace) by NaN or over
-MEMBERSHIP_TOLERANCE of their scale.  The pipelines work on the
-coefficients: the bracket contracts with the structure constants, <X, Y> =
--trace(XY) is 2 c(X).c(Y), and the forms are real by construction.  A
-representation acts by one real product with its coefficient_map, whose
-result lies in su(dim) by construction, so no matrix image is formed.
+An analytic family returns each field as real coefficients in the same
+frame, and sample_connection broadcasts them to the grid, rejecting a
+field that is complex, non-finite or of another trailing length, so no
+matrix sample is formed between a family and the forms.  The pipelines
+work on the coefficients: the bracket contracts with the structure
+constants, <X, Y> = -trace(XY) is 2 c(X).c(Y), and the forms are real by
+construction.  A representation acts by one real product with its
+coefficient_map, whose result lies in su(dim) by construction, so no
+matrix image is formed.
 
 The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
@@ -41,19 +43,15 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridForm, central_diff4, spectral_theta_derivative
-from .liealg import su_coefficients, su_matrices, su_structure_constants
+from .liealg import su_matrices, su_structure_constants
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
-# Largest off-su(n) part of a sampled field relative to its su(n) part
-# (liealg.su_coefficients) that sample_connection accepts.
-MEMBERSHIP_TOLERANCE = 1e-10
-
-# Cap on the complex entries of the one field's matrix samples that
-# sample_connection holds at a time, theta_points * (base_points +
-# 2 ghost_margin)^base_dim * n^2 (1.6M on the caloron battery's default fine
-# grid).  At its peak the battery holds about 16 su(2) coefficient arrays,
-# each 3/8 the size of such an array.
+# Cap on theta_points * (base_points + 2 ghost_margin)^base_dim * n^2, the
+# complex entries of one field as n x n matrices (1.6M on the caloron
+# battery's default fine grid).  A field is sampled as n^2 - 1 real
+# coefficients per cell, so an su(2) field holds 3/4 as many floats; at its
+# peak the caloron battery holds about 16 such arrays.
 MAX_GRID_ENTRIES = 2**22
 
 # ms_identity_check reads a fine residual at or under
@@ -94,8 +92,8 @@ class AnalyticConnection:
     """Closed-form sampler backing a LatticeConnection, used for resampling.
 
     phi(theta, xs) and base(theta, xs, axis) take broadcastable coordinate
-    arrays and return (..., n, n) matrix sample arrays, which
-    sample_connection converts to su(n) coefficients; n is the matrix size.
+    arrays and return real su(n) coefficient arrays (..., n^2 - 1) in the
+    liealg.su_basis frame, broadcastable to the grid; n is the matrix size.
     """
 
     n: int
@@ -173,34 +171,38 @@ def _grid_coords(base_dim, theta_points, base_points, ghost_margin):
 def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=0):
     """Evaluate an analytic family on the (theta, base) grid, one field at a time.
 
-    Each field's matrix samples become su(n) coefficients at once; a field
-    off su(n) by NaN or over MEMBERSHIP_TOLERANCE raises ConsistencyError.
+    Each field is broadcast to the grid as it is; a field that is complex,
+    non-finite or not (..., n^2 - 1) raises ConsistencyError.
     """
     check_grid(theta_points, base_points, base_dim, family.n, ghost_margin)
     th, *xs = _grid_coords(base_dim, theta_points, base_points, ghost_margin)
     ext = base_points + 2 * ghost_margin
-    shape = (theta_points,) + (ext,) * base_dim + (family.n, family.n)
+    m = family.n * family.n - 1
+    fields = np.empty((1 + base_dim, theta_points) + (ext,) * base_dim + (m,))
 
-    def coefficients(samples):
-        coeffs, off = su_coefficients(np.broadcast_to(samples, shape))
-        if not off <= MEMBERSHIP_TOLERANCE:
+    def fill(out, samples, what):
+        samples = np.asarray(samples)
+        if (
+            np.iscomplexobj(samples)
+            or samples.shape[-1:] != (m,)
+            or not np.isfinite(samples).all()
+        ):
             raise ConsistencyError(
-                f"family {family.label!r}: imaginary residue and trace at {off:.3e} "
-                f"of the field scale, over {MEMBERSHIP_TOLERANCE:g}"
+                f"family {family.label!r}: {what} is not a finite real (..., {m}) "
+                f"coefficient field, got {samples.dtype} {samples.shape}"
             )
-        return coeffs
+        out[...] = samples
 
-    phi = coefficients(family.phi(th, xs))
-    a = np.empty((base_dim,) + phi.shape)
+    fill(fields[0], family.phi(th, xs), "phi")
     for axis in range(base_dim):
-        a[axis] = coefficients(family.base(th, xs, axis))
+        fill(fields[1 + axis], family.base(th, xs, axis), f"base[{axis}]")
     return LatticeConnection(
         family.n,
         base_dim,
         theta_points,
         base_points,
-        phi,
-        a,
+        fields[0],
+        fields[1:],
         family=family,
         ghost_margin=ghost_margin,
     )

@@ -671,8 +671,10 @@ COMMANDS = {
             "winding": 1,
         },
         _battery_caloron,
-        # ms-identity-order measures its order between two base grids
-        bounds={"refine_factor": (2, None)},
+        # ms-identity-order measures its order between two base grids, and
+        # from |amplitude| 1e13 roundoff in the density overtakes the
+        # stencil error it measures (1e77 reads NaN)
+        bounds={"refine_factor": (2, None), "amplitude": (-1e8, 1e8)},
         key_tests={"preset": _preset},
         rule=_check_caloron,
     ),

@@ -20,14 +20,8 @@ import math
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    CompositionError,
-    CoverViolationError,
-    ResourceError,
-    ValidationError,
-)
-from .spectral import Spectrum, SpectralCut, band, in_cover
+from .errors import ArgumentError, CompositionError, ResourceError, ValidationError
+from .spectral import Spectrum, SpectralCut, band
 
 _PHASE_TOL = 1e-12
 
@@ -129,6 +123,9 @@ class CechTriple:
 
     lines defaults to the three canonical det_line values; callers may
     substitute permuted-basis or phase-tampered lines over the same bands.
+    Every line checked its own cuts against its spectrum when it was built,
+    so a handed line must lie over this spectrum and these cuts (value and
+    gap tolerance), and the cuts are not tested again.
     """
 
     spectrum: Spectrum
@@ -143,28 +140,23 @@ class CechTriple:
                 f"cuts must be strictly increasing, got "
                 f"{self.lam.value}, {self.mu.value}, {self.tau.value}"
             )
-        for cut in (self.lam, self.mu, self.tau):
-            if not in_cover(self.spectrum, cut):
-                raise CoverViolationError(f"cut {cut.value} hits the spectrum")
+        pairs = ((self.lam, self.mu), (self.mu, self.tau), (self.lam, self.tau))
         if self.lines is None:
-            object.__setattr__(
-                self,
-                "lines",
-                (
-                    det_line(self.spectrum, self.lam, self.mu),
-                    det_line(self.spectrum, self.mu, self.tau),
-                    det_line(self.spectrum, self.lam, self.tau),
-                ),
-            )
-        else:
-            object.__setattr__(self, "lines", tuple(self.lines))
-            pairs = ((self.lam, self.mu), (self.mu, self.tau), (self.lam, self.tau))
-            for line, (lo, hi) in zip(self.lines, pairs, strict=True):
-                if line.lo.value != lo.value or line.hi.value != hi.value:
-                    raise ArgumentError(
-                        f"line over ({line.lo.value}, {line.hi.value}) does not "
-                        f"match the cut pair ({lo.value}, {hi.value})"
-                    )
+            # band raises CoverViolationError for a cut on the spectrum
+            lines = tuple(det_line(self.spectrum, lo, hi) for lo, hi in pairs)
+            object.__setattr__(self, "lines", lines)
+            return
+        object.__setattr__(self, "lines", tuple(self.lines))
+        for line, (lo, hi) in zip(self.lines, pairs, strict=True):
+            if line.spectrum is not self.spectrum and line.spectrum != self.spectrum:
+                raise ArgumentError(
+                    f"line over ({line.lo.value}, {line.hi.value}) lives over another spectrum"
+                )
+            if line.lo != lo or line.hi != hi:
+                raise ArgumentError(
+                    f"line over ({line.lo.value}, {line.hi.value}) does not "
+                    f"match the cut pair ({lo.value}, {hi.value})"
+                )
 
 
 def delta_triviality(triple):

@@ -788,7 +788,9 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
     Both exponentials act on the graded-basis compression (identical bases,
     so the matrices differ exactly by the scalar) applied to blocks of safe
     probe columns, in real arithmetic when every matrix entry and the scalar
-    factor are real.
+    factor are real.  The exponentials grow as e^{|t| ||sigma||}, so the
+    residual is the largest entry of the difference of the two sides over
+    max(1, the largest entry of either exponential); a NaN stays NaN.
     """
     mu, modes = _transport_modes(window, mu)
     n_shift = len(modes)
@@ -809,17 +811,18 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
     _require_interior(window, max_n)
     # the basis is graded, so probe columns at the lower cap index it too
     probes = _safe_columns(window, min(2, pair_cap), max_n)
-    residual = 0.0
+    residual = scale = 0.0
     for start in range(0, len(probes), _PROBE_BLOCK):
         cols = probes[start:start + _PROBE_BLOCK]
         block = np.zeros((len(basis), len(cols)), dtype=mat_mu.dtype)
         block[cols, np.arange(len(cols))] = 1.0
         lhs = _expm_multiply(mat_mu, block, t, tail_tol)
         rhs = _expm_multiply(mat_lam, block, t, tail_tol)
+        scale = np.maximum(scale, np.maximum(np.abs(lhs).max(), np.abs(rhs).max()))
         rhs *= factor
         lhs -= rhs
         residual = np.maximum(residual, np.abs(lhs).max())
-    return float(residual)
+    return float(residual / np.maximum(1.0, scale))
 
 
 def mode_operator_matrix(op, basis):

@@ -26,11 +26,6 @@ from .errors import ArgumentError, CapabilityError, ConsistencyError
 
 _DIM_CAP = 200
 
-# Samples per product in su_coefficients: one block's output stays small.
-# A single product over all samples holds the (N, 2 n^2) output at once and
-# raised the caloron battery's peak RSS from 243 to 384 MB.
-_COEFFICIENT_BLOCK = 2**15
-
 
 def su_basis(n):
     """Anti-Hermitian basis of su(n) with -tr(T_a T_b) = 2 delta_ab.
@@ -122,25 +117,19 @@ def su_coefficients(samples):
     Re <T_a, X> / 2.  off measures how far the samples lie from su(n): the
     largest |Im <T_a, X> / 2| or |tr X| relative to the largest coefficient
     (0 for zero samples, inf for a nonzero part off su(n) alone); a NaN
-    sample makes it NaN.  The product runs on blocks of
-    _COEFFICIENT_BLOCK samples, so its output stays small.
+    sample makes it NaN.
     """
     samples = np.ascontiguousarray(samples, dtype=complex)
     n = samples.shape[-1]
     m = n * n - 1
-    flat = samples.reshape(-1, n * n).view(float)
-    coeffs = np.empty((len(flat), m))
-    rest = scale = 0.0
-    for lo in range(0, len(flat), _COEFFICIENT_BLOCK):
-        out = flat[lo : lo + _COEFFICIENT_BLOCK] @ _coefficient_map(n)
-        coeffs[lo : lo + _COEFFICIENT_BLOCK] = out[:, :m]
-        rest = np.maximum(rest, np.abs(out[:, m:]).max())
-        scale = np.maximum(scale, np.abs(out[:, :m]).max(initial=0.0))
+    out = samples.reshape(-1, n * n).view(float) @ _coefficient_map(n)
+    rest = np.abs(out[:, m:]).max(initial=0.0)
+    scale = np.abs(out[:, :m]).max(initial=0.0)
     if scale == 0.0:
         off = 0.0 if rest == 0.0 else math.inf
     else:
         off = float(rest / scale)
-    return coeffs.reshape(samples.shape[:-2] + (m,)), off
+    return out[:, :m].reshape(samples.shape[:-2] + (m,)), off
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .caloron import AnalyticConnection, check_grid, index_curvature, sample_connection
 from .errors import ArgumentError, ResolutionError, ValidationError
+from .liealg import su_coefficients
 from .presets import T1, T2
 from .spectral import TWO_PI, Holonomy
 
@@ -252,39 +253,39 @@ class ModuliFamily:
             raise ValidationError("windings must be integers")
 
     def family(self, word):
-        k = _loop_direction(self.rep, word)
+        k = su_coefficients(_loop_direction(self.rep, word))[0]
         eps = self.modulation
         w1, w2 = self.w1, self.w2
         kind = self.kind
 
-        def mat(coeff):
-            return np.asarray(coeff)[..., None, None] * k
+        def along_k(coeff):
+            return np.asarray(coeff)[..., None] * k
 
         def phi(th, xs):
             if kind == "constant":
-                return mat(0.8 + 0.0 * (th + xs[0]))
+                return along_k(0.8 + 0.0 * (th + xs[0]))
             if kind == "static":
-                return mat(0.0 * (th + xs[0]))
+                return along_k(0.0 * (th + xs[0]))
             lin = TWO_PI * w1 * xs[0]
             wave = eps * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[1])
-            return mat(lin + wave)
+            return along_k(lin + wave)
 
         def base(th, xs, axis):
-            zero = mat(0.0 * (th + xs[axis]))
+            zero = along_k(0.0 * (th + xs[axis]))
             if kind == "constant":
                 return zero
             if kind == "static":
                 if axis == 0:
-                    return mat(np.sin(TWO_PI * xs[1]) + 0.0 * th)
+                    return along_k(np.sin(TWO_PI * xs[1]) + 0.0 * th)
                 if axis == 1:
-                    return mat(TWO_PI * w2 * xs[2] + 0.0 * th)
+                    return along_k(TWO_PI * w2 * xs[2] + 0.0 * th)
                 return zero
             if axis == 0:
-                return mat(eps * np.cos(TWO_PI * th) * np.cos(TWO_PI * xs[2]))
+                return along_k(eps * np.cos(TWO_PI * th) * np.cos(TWO_PI * xs[2]))
             if axis == 1:
                 lin = TWO_PI * w2 * xs[2] + 0.0 * th
                 wave = eps * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[0])
-                return mat(lin + wave)
+                return along_k(lin + wave)
             return zero
 
         return AnalyticConnection(self.rep.n, phi, base, f"moduli-{kind}")
@@ -340,7 +341,7 @@ def _seam_check(conn, fam, tolerance=1e-10):
         for label, field in fields:
             there, here = field(thetas, shifted), field(thetas, coords)
             jump = there - here
-            mean = jump.reshape((-1,) + jump.shape[-2:]).mean(axis=0)
+            mean = jump.reshape((-1,) + jump.shape[-1:]).mean(axis=0)
             spread = float(np.abs(jump - mean).max())
             scale = max(float(np.abs(there).max()), float(np.abs(here).max()))
             if not spread <= tolerance * scale:

@@ -3,13 +3,17 @@
 Every preset is a closed-form periodic field on S1 x T^d, so connections
 can be resampled at any resolution for convergence studies.  All su(2)
 presets use the anti-Hermitian generators T_j = i * sigma_j, normalized to
-<T_a, T_b> = 2 delta_ab.
+<T_a, T_b> = 2 delta_ab, and return real coefficient fields (..., 3) in the
+su_basis(2) frame, which lists T2 before T1: T1 -> (0, 1, 0),
+T2 -> (1, 0, 0), T3 -> (0, 0, 1).
 
 Preset catalog:
   zero        vanishing connection.
   abelian     single diagonal generator, curvature known in closed form.
   flat        pure-gauge g^-1 dg for a product of winding rotations; the
-              analytic curvature vanishes identically.
+              analytic curvature vanishes identically.  Its transports
+              u^-1 X u act on coefficients: Ad of exp(2 pi t T_j) turns
+              them by 4 pi t about T_j.
   su2-axial   the two-generator axial family sin(2 pi theta) a(x) T1 dx1
               + b(x) T2 dtheta; its curving and 3-curvature vanish
               identically (the generators never meet in the pairing), so
@@ -26,83 +30,76 @@ from .caloron import AnalyticConnection, GaugeLoop, sample_connection
 from .errors import ArgumentError
 from .spectral import TWO_PI, Holonomy
 
-SIGMA = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1j], [1j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
-T1, T2, T3 = (1j * s for s in SIGMA)
-_EYE2 = np.eye(2, dtype=complex)
+T1 = np.array([[0.0, 1j], [1j, 0.0]])
+T2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+
+# Ad(exp(2 pi t T_j)) turns the plane of the cyclically next generators,
+# from T_k toward T_l: their su_basis(2) slots, keyed by j
+_PLANES = {1: (0, 2), 2: (2, 1), 3: (1, 0)}
 
 
-def _mat(coeff, gen):
-    """coefficient field (broadcast array) times a fixed generator."""
-    return np.asarray(coeff)[..., None, None] * gen
+def _su2(t1=0.0, t2=0.0, t3=0.0):
+    """Coefficients of t1 T1 + t2 T2 + t3 T3, for broadcastable t1, t2, t3."""
+    return np.stack(np.broadcast_arrays(t2, t1, t3), axis=-1)
 
 
-def _rotation(t, gen):
-    """exp(2 pi t K) for K with K^2 = -1: cos(2 pi t) I + sin(2 pi t) K."""
-    t = np.asarray(t)[..., None, None]
-    return np.cos(TWO_PI * t) * _EYE2 + np.sin(TWO_PI * t) * gen
-
-
-def _adjoint_transport(u, x):
-    """u^-1 x u for unitary sample arrays."""
-    u_inv = np.swapaxes(u.conj(), -1, -2)
-    return u_inv @ x @ u
+def _conjugate(coeffs, t, j):
+    """Coefficients of u^-1 X u, u = exp(2 pi t T_j), from those of X: a turn by 4 pi t."""
+    k, l = _PLANES[j]
+    c, s = np.cos(2.0 * TWO_PI * t), np.sin(2.0 * TWO_PI * t)
+    out = list(np.moveaxis(coeffs, -1, 0))
+    out[k], out[l] = c * out[k] - s * out[l], s * out[k] + c * out[l]
+    return np.stack(np.broadcast_arrays(*out), axis=-1)
 
 
 def _zero_family():
     def phi(th, xs):
-        return np.zeros(np.broadcast_shapes(th.shape, xs[0].shape) + (2, 2), complex)
+        return _su2()
 
     def base(th, xs, axis):
-        return phi(th, xs)
+        return _su2()
 
     return AnalyticConnection(2, phi, base, "zero")
 
 
 def _abelian_family(amplitude):
     def phi(th, xs):
-        return np.zeros(np.broadcast_shapes(th.shape, xs[0].shape) + (2, 2), complex)
+        return _su2()
 
     def base(th, xs, axis):
         if axis == 1:
-            return _mat(amplitude * np.sin(TWO_PI * xs[0]) + 0.0 * th, T3)
-        return phi(th, xs)
+            return _su2(t3=amplitude * np.sin(TWO_PI * xs[0]))
+        return _su2()
 
     return AnalyticConnection(2, phi, base, "abelian")
 
 
 def _flat_family():
-    gens = {0: T1, 1: T2, 2: T3}
-
     def phi(th, xs):
-        u = _rotation(xs[0], T1) @ _rotation(xs[1], T2) @ _rotation(xs[2], T3)
-        out = _adjoint_transport(u, TWO_PI * T3)
-        return out + 0.0 * th[..., None, None]
+        # u = exp(2 pi x_0 T1) exp(2 pi x_1 T2) exp(2 pi x_2 T3)
+        out = _su2(t3=TWO_PI)
+        for j in (1, 2, 3):
+            out = _conjugate(out, xs[j - 1], j)
+        return out
 
     def base(th, xs, axis):
-        if axis == 0:
-            u = _rotation(xs[1], T2) @ _rotation(xs[2], T3)
-        elif axis == 1:
-            u = _rotation(xs[2], T3)
-        else:
-            u = np.broadcast_to(_EYE2, xs[2].shape + (2, 2))
-        out = _adjoint_transport(u, TWO_PI * gens[axis])
-        return out + 0.0 * (th + xs[0])[..., None, None]
+        # u = exp(2 pi x_(axis+1) T_(axis+2)) ... exp(2 pi x_2 T3)
+        out = _su2(**{f"t{axis + 1}": TWO_PI})
+        for j in range(axis + 2, 4):
+            out = _conjugate(out, xs[j - 1], j)
+        return out
 
     return AnalyticConnection(2, phi, base, "flat")
 
 
 def _axial_family(amplitude):
     def phi(th, xs):
-        return _mat(amplitude * np.cos(TWO_PI * xs[2]) + 0.0 * th, T2)
+        return _su2(t2=amplitude * np.cos(TWO_PI * xs[2]))
 
     def base(th, xs, axis):
         if axis == 0:
-            return _mat(amplitude * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[1]), T1)
-        return np.zeros(np.broadcast_shapes(th.shape, xs[axis].shape) + (2, 2), complex)
+            return _su2(t1=amplitude * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[1]))
+        return _su2()
 
     return AnalyticConnection(2, phi, base, "su2-axial")
 
@@ -114,29 +111,29 @@ def _generic_family(amplitude):
     s, c = np.sin, np.cos
 
     def phi(th, xs):
-        return amplitude * (
-            _mat(s(TWO_PI * xs[0]) + 0.0 * th, T3)
-            + _mat(c(TWO_PI * th) * s(TWO_PI * xs[1]), T1)
-            + _mat(s(TWO_PI * th) * c(TWO_PI * xs[2]), T2)
+        return amplitude * _su2(
+            t1=c(TWO_PI * th) * s(TWO_PI * xs[1]),
+            t2=s(TWO_PI * th) * c(TWO_PI * xs[2]),
+            t3=s(TWO_PI * xs[0]),
         )
 
     def base(th, xs, axis):
         if axis == 0:
-            return amplitude * (
-                _mat(s(TWO_PI * th) * s(TWO_PI * xs[1]), T1)
-                + _mat(c(TWO_PI * th) * c(TWO_PI * xs[2]), T2)
-                + _mat(c(TWO_PI * xs[1]) + 0.0 * th, T3)
+            return amplitude * _su2(
+                t1=s(TWO_PI * th) * s(TWO_PI * xs[1]),
+                t2=c(TWO_PI * th) * c(TWO_PI * xs[2]),
+                t3=c(TWO_PI * xs[1]),
             )
         if axis == 1:
-            return amplitude * (
-                _mat(c(TWO_PI * th) * s(TWO_PI * xs[2]), T1)
-                + _mat(s(TWO_PI * th) * s(TWO_PI * xs[0]), T3)
-                + _mat(s(TWO_PI * xs[2]) + 0.0 * th, T2)
+            return amplitude * _su2(
+                t1=c(TWO_PI * th) * s(TWO_PI * xs[2]),
+                t2=s(TWO_PI * xs[2]),
+                t3=s(TWO_PI * th) * s(TWO_PI * xs[0]),
             )
-        return amplitude * (
-            _mat(s(TWO_PI * th) * c(TWO_PI * xs[0]), T2)
-            + _mat(c(TWO_PI * th) * c(TWO_PI * xs[1]), T3)
-            + _mat(s(TWO_PI * xs[0]) + 0.0 * th, T1)
+        return amplitude * _su2(
+            t1=s(TWO_PI * xs[0]),
+            t2=s(TWO_PI * th) * c(TWO_PI * xs[0]),
+            t3=c(TWO_PI * th) * c(TWO_PI * xs[1]),
         )
 
     return AnalyticConnection(2, phi, base, "su2-family")

@@ -13,7 +13,10 @@ Oracles, each independent of the code under test:
     coefficients, ad(X)_ab = <T_a, [X, T_b]> element by element for the
     adjoint image;
   * the matrix route a coefficient map replaces: curvature matrices through
-    matrix_image and back to coefficients.
+    matrix_image and back to coefficients;
+  * the presets' closed-form matrix fields, built here from i sigma_j (for
+    flat, the transports u^-1 X u of matrix rotations), read back as
+    coefficients.
 Convergence tolerances are frozen from two-grid measurements quoted in the
 assertions.
 """
@@ -63,11 +66,13 @@ from gerbetool.presets import (
     connection_preset,
     connection_preset_names,
     constant_gauge,
+    preset_family,
     winding_gauge,
 )
 
 TWO_PI = 2.0 * math.pi
 T1 = 1j * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+T2 = 1j * np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 T3 = 1j * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -94,6 +99,45 @@ def random_su(rng, shape, n):
     return x - trace / n * np.eye(n)
 
 
+def matrix_preset_fields(name, amp, th, xs):
+    """A preset's (phi, base_0, base_1, base_2) as closed-form matrix fields."""
+    s, c = np.sin, np.cos
+    t, x0, x1, x2 = (TWO_PI * v for v in (th, *xs))
+
+    def m(coeff, gen):
+        return np.asarray(coeff)[..., None, None] * gen
+
+    zero = m(0.0 * t, T3)
+    if name == "zero":
+        return [zero] * 4
+    if name == "abelian":
+        return [zero, zero, m(amp * s(x0), T3), zero]
+    if name == "su2-axial":
+        return [m(amp * c(x2), T2), m(amp * s(t) * s(x1), T1), zero, zero]
+    if name == "su2-family":
+        return [
+            amp * (m(s(x0), T3) + m(c(t) * s(x1), T1) + m(s(t) * c(x2), T2)),
+            amp * (m(s(t) * s(x1), T1) + m(c(t) * c(x2), T2) + m(c(x1), T3)),
+            amp * (m(c(t) * s(x2), T1) + m(s(t) * s(x0), T3) + m(s(x2), T2)),
+            amp * (m(s(t) * c(x0), T2) + m(c(t) * c(x1), T3) + m(s(x0), T1)),
+        ]
+    # flat: u^-1 (2 pi T) u, u a product of rotations exp(2 pi x_j T_j)
+    r1, r2, r3 = (
+        m(c(x), np.eye(2)) + m(s(x), gen) for x, gen in ((x0, T1), (x1, T2), (x2, T3))
+    )
+    one = m(1.0 + 0.0 * t, np.eye(2))
+
+    def transport(u, gen):
+        return np.swapaxes(u.conj(), -1, -2) @ (TWO_PI * gen) @ u
+
+    return [
+        transport(r1 @ r2 @ r3, T3),
+        transport(r2 @ r3, T1),
+        transport(r3, T2),
+        transport(one, T3),
+    ]
+
+
 def trace_index(rho, x):
     img = rho.matrix_image(x)
     return np.trace(img @ img).real / np.trace(x @ x).real
@@ -112,6 +156,19 @@ class TestPresetCatalog:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ArgumentError, match="unknown connection preset"):
             connection_preset("instanton")
+
+    @pytest.mark.parametrize("amplitude", [0.7, 1e8])
+    @pytest.mark.parametrize("name", ["zero", "abelian", "flat", "su2-axial", "su2-family"])
+    def test_fields_match_closed_form_matrices(self, name, amplitude):
+        rng = np.random.default_rng(60)
+        th, *xs = rng.random((4, 256))
+        family = preset_family(name, amplitude)
+        got = [family.phi(th, xs)] + [family.base(th, xs, axis) for axis in range(3)]
+        for field, matrices in zip(got, matrix_preset_fields(name, amplitude, th, xs)):
+            want, off = su_coefficients(matrices)
+            assert off <= 1e-15
+            field = np.broadcast_to(field, want.shape)
+            assert np.abs(field - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestCurvature:
@@ -232,38 +289,43 @@ class TestBField:
             b_field(ghosted)
 
     def test_complex_integrand_rejected(self):
-        # a Hermitian (not anti-Hermitian) component leaks an imaginary part
+        # a Hermitian (not anti-Hermitian) component is an imaginary
+        # coefficient; the sampler rejects it instead of dropping it
         def phi(th, xs):
-            return np.zeros(th.shape + (2, 2), dtype=complex)
+            return np.zeros(th.shape + (3,))
 
         def base(th, xs, axis):
-            if axis == 0:
-                return np.sin(TWO_PI * th)[..., None, None] * T1
-            return np.cos(TWO_PI * th)[..., None, None] * np.array([[0, 1], [1, 0]])
+            out = np.zeros(th.shape + (3,), dtype=complex if axis else float)
+            out[..., 1] = np.sin(TWO_PI * th) + (1j * np.cos(TWO_PI * th) if axis else 0.0)
+            return out
 
         family = AnalyticConnection(2, phi, base, "hermitian")
-        with pytest.raises(ConsistencyError, match="'hermitian': imaginary"):
+        with pytest.raises(ConsistencyError, match="'hermitian': base\\[1\\] is not a finite real"):
             sample_connection(family, 2, 8, 8)
 
     def test_non_finite_samples_rejected(self):
-        # NaN compares false against the 1e-10 reality bound; it must not pass
+        # one NaN or inf coefficient anywhere must not reach the pipelines
         good = connection_preset("su2-family", theta_points=8, base_points=8).family
 
         def phi(th, xs):
-            out = np.array(np.broadcast_to(good.phi(th, xs), (8, 8, 8, 8, 2, 2)))
-            out[0, 0, 0, 0] = complex(math.nan, math.nan)
+            out = np.array(np.broadcast_to(good.phi(th, xs), (8, 8, 8, 8, 3)))
+            out[0, 0, 0, 0, 1] = math.nan
             return out
 
-        def base(th, xs, axis):
+        def nan_base(th, xs, axis):
             return math.nan * good.base(th, xs, axis)
 
-        for family in (
-            AnalyticConnection(2, phi, good.base, "nan-higgs"),
-            AnalyticConnection(2, good.phi, base, "nan-gauge"),
+        def inf_base(th, xs, axis):
+            return good.base(th, xs, axis) + (math.inf if axis == 2 else 0.0)
+
+        for family, what in (
+            (AnalyticConnection(2, phi, good.base, "nan-higgs"), "phi"),
+            (AnalyticConnection(2, good.phi, nan_base, "nan-gauge"), "base\\[0\\]"),
+            (AnalyticConnection(2, good.phi, inf_base, "inf-gauge"), "base\\[2\\]"),
         ):
-            with pytest.raises(ConsistencyError, match="imaginary"):
+            with pytest.raises(ConsistencyError, match=f"{family.label}': {what} is not a finite"):
                 sample_connection(family, 3, 8, 8)
-        with pytest.raises(ConsistencyError, match="imaginary"):
+        with pytest.raises(ConsistencyError, match="'su2-family': phi is not a finite"):
             connection_preset("su2-family", theta_points=8, base_points=8, amplitude=math.nan)
 
 
@@ -493,8 +555,8 @@ class TestBatchedKernels:
         assert np.isfinite(pontryagin_density(conn).max_norm())
 
     def test_membership_bound_is_relative_to_the_field(self):
-        # at amplitude 1e8 the absolute 1e-10 reality bound failed on an
-        # imaginary residue of 3.5e7; the same family passes relative to its scale
+        # at amplitude 1e8 an absolute 1e-10 reality bound on matrix samples
+        # failed on an imaginary residue of 3.5e7; coefficient fields have none
         conn = connection_preset(
             "su2-family", theta_points=8, base_points=8, amplitude=1e8
         )
@@ -504,14 +566,15 @@ class TestBatchedKernels:
         assert math.isfinite(res) and order >= 1.9
         worst, scale = rho_scaling_check(conn, Representation.adjoint(2))
         assert worst <= 1e-12 * scale
-        # an off-algebra part of 1e-6 of the field scale is still rejected
+        # the same field as (..., 2, 2) matrices, in su(2) exactly, is
+        # rejected, not converted
         big = conn.family
 
         def base(th, xs, axis):
-            return big.base(th, xs, axis) + (1e2 * np.eye(2) if axis == 1 else 0.0)
+            return su_matrices(big.base(th, xs, axis), 2)
 
-        with pytest.raises(ConsistencyError, match="imaginary"):
-            sample_connection(AnalyticConnection(2, big.phi, base, "shifted"), 3, 8, 8)
+        with pytest.raises(ConsistencyError, match="'matrices': base\\[0\\] is not .* complex128"):
+            sample_connection(AnalyticConnection(2, big.phi, base, "matrices"), 3, 8, 8)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_adjoint_image_matches_elementwise_formula(self, n):
@@ -691,34 +754,31 @@ class TestCoefficientMap:
         def fail(*args, **kwargs):
             raise AssertionError("left the coefficient frame")
 
-        calls = []
-
-        def counted(samples):
-            calls.append(samples.shape)
-            return su_coefficients(samples)
-
+        # families return coefficients, so caloron has no converter at all
+        assert not hasattr(caloron, "su_coefficients")
         monkeypatch.setattr(caloron, "su_matrices", fail)
         monkeypatch.setattr(caloron, "LatticeConnection", fail)
         monkeypatch.setattr(Representation, "matrix_image", fail)
-        monkeypatch.setattr(caloron, "su_coefficients", counted)
         for run in (pontryagin_density, rho_scaling_check):
-            calls.clear()
             run(conn, rho)
-            assert len(calls) == 0
 
     @pytest.mark.parametrize("base_dim", [2, 3])
-    def test_sampling_converts_each_field_once(self, monkeypatch, base_dim):
-        # one matrix sample array per field: the Higgs field, then each base axis
-        family = connection_preset("zero", theta_points=8, base_points=8).family
+    def test_sampling_converts_each_field_once(self, base_dim):
+        # one evaluation per field: the Higgs field, then each base axis
+        good = connection_preset("abelian", theta_points=8, base_points=8).family
         calls = []
 
-        def counted(samples):
-            calls.append(samples.shape)
-            return su_coefficients(samples)
+        def phi(th, xs):
+            calls.append("phi")
+            return good.phi(th, xs)
 
-        monkeypatch.setattr(caloron, "su_coefficients", counted)
+        def base(th, xs, axis):
+            calls.append(axis)
+            return good.base(th, xs, axis)
+
+        family = AnalyticConnection(2, phi, base, "counted")
         conn = sample_connection(family, base_dim, 8, 8)
-        assert calls == [(8,) + (8,) * base_dim + (2, 2)] * (1 + base_dim)
+        assert calls == ["phi"] + list(range(base_dim))
         assert conn.phi.shape == (8,) + (8,) * base_dim + (3,)
         assert conn.a.shape == (base_dim,) + conn.phi.shape
         assert conn.phi.dtype == conn.a.dtype == float

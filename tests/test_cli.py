@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gerbetool import cli, detline
+from gerbetool import cli, detline, fock
 from gerbetool.cli import (
     COMMANDS,
     emit_schema,
@@ -190,8 +190,18 @@ class TestValidation:
             ("pairing", {"modulation": -1e6}),
             ("caloron", {"theta_points": 9}),
             ("caloron", {"theta_points": 22, "winding": -2}),
+            ("caloron", {"amplitude": 1e8}),
+            ("caloron", {"amplitude": -1e8}),
         ],
-        ids=["cocycle-cost", "modulation-top", "modulation-bottom", "stencil-1", "stencil-2"],
+        ids=[
+            "cocycle-cost",
+            "modulation-top",
+            "modulation-bottom",
+            "stencil-1",
+            "stencil-2",
+            "amplitude-top",
+            "amplitude-bottom",
+        ],
     )
     def test_admitted_edges_validate(self, command, params):
         assert validate_scenario({"command": command, "params": params})[1] == {
@@ -268,6 +278,31 @@ class TestReports:
         assert report["status"] == "fail"
         err = capsys.readouterr().err
         assert "check 'ms-identity-order' raised ZeroDivisionError" in err
+
+    def test_projective_residual_is_relative_to_the_exponentials(self):
+        # at exp_time -3 the exponentials reach 1.6e5 and the absolute
+        # residual read 1.16e-10, over the tolerance 1e-10 by a few ulps
+        _, params, seed, _ = validate_scenario({"command": "fock", "params": {"exp_time": -3}})
+        report = run_scenario("fock", params, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "projective-exponential"]
+        assert record["status"] == "pass" and record["residual"] <= 1e-14
+
+    def test_projective_shift_off_by_one_fails(self, monkeypatch):
+        # one mode too many in the band turns the trace factor e^-0.7 of the
+        # diagonal generator into e^-1.05: the residual is their gap over
+        # the largest entry of exp(0.35 sigma_lam), 2.01
+        real = fock._transport_modes
+
+        def one_more(window, mu):
+            mu, modes = real(window, mu)
+            return mu, modes + [modes[-1] + 1]
+
+        monkeypatch.setattr(fock, "_transport_modes", one_more)
+        _, params, seed, _ = validate_scenario({"command": "fock"})
+        report = run_scenario("fock", params, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "projective-exponential"]
+        assert record["status"] == "fail"
+        assert record["residual"] == pytest.approx(math.exp(-0.7) - math.exp(-1.05), rel=1e-9)
 
     @pytest.mark.parametrize(
         "command,params",
@@ -479,6 +514,8 @@ class TestExitCodes:
             ("caloron", {"theta_points": 21, "winding": -2}, "too few for winding -2"),
             ("pairing", {"modulation": math.nextafter(1e6, math.inf)}, "must be <= 1000000.0"),
             ("pairing", {"modulation": -1e7}, "'modulation' .* must be >= -1000000.0"),
+            ("caloron", {"amplitude": math.nextafter(1e8, math.inf)}, "must be <= 100000000.0"),
+            ("caloron", {"amplitude": math.nextafter(-1e8, -math.inf)}, "must be >= -100000000.0"),
         ],
         ids=[
             "caloron-theta",
@@ -494,6 +531,8 @@ class TestExitCodes:
             "stencil-winding-2-edge",
             "modulation-above",
             "modulation-below",
+            "amplitude-above",
+            "amplitude-below",
         ],
     )
     def test_meaningless_grid_config_exits_two(self, tmp_path, command, params, match):

@@ -229,6 +229,32 @@ class TestDeltaTriviality:
         with pytest.raises(ArgumentError, match="cut pair"):
             CechTriple(spec, lam, mu, tau, bad)
 
+    def test_line_over_another_spectrum_rejected(self):
+        # the cuts are admissible for both spectra, so only the spectrum
+        # tells the lines apart; the triple no longer re-tests its cuts
+        spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
+        other = dirac_spectrum(Holonomy(np.diag([np.exp(0.4j * np.pi)])), N=3)
+        lam, mu, tau = cut("-1/2"), cut("1/2"), cut("3/2")
+        assert all(in_cover(s, c) for s in (spec, other) for c in (lam, mu, tau))
+        lines = (det_line(other, lam, mu), det_line(spec, mu, tau), det_line(spec, lam, tau))
+        with pytest.raises(ArgumentError, match="another spectrum"):
+            CechTriple(spec, lam, mu, tau, lines)
+        # an equal spectrum built apart is the same spectrum
+        twin = dirac_spectrum(Holonomy(np.eye(1)), N=3)
+        lines = (det_line(twin, lam, mu), det_line(spec, mu, tau), det_line(spec, lam, tau))
+        assert abs(delta_triviality(CechTriple(spec, lam, mu, tau, lines)) - 1.0) <= 1e-12
+
+    def test_line_with_another_gap_tolerance_rejected(self):
+        # mu = 1/2 with gap tolerance 0.6 touches the eigenvalues 0 and 1
+        # that the lines' default tolerance passes
+        spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
+        lam, mu, tau = cut("-1/2"), cut("1/2"), cut("3/2")
+        lines = (det_line(spec, lam, mu), det_line(spec, mu, tau), det_line(spec, lam, tau))
+        wide = SpectralCut(Fraction(1, 2), gap_tolerance=0.6)
+        assert not in_cover(spec, wide)
+        with pytest.raises(ArgumentError, match="cut pair"):
+            CechTriple(spec, lam, wide, tau, lines)
+
 
 def seeded_frame(dim, seed):
     """Rebuild the orthonormal frame hodge_dual_iso derives from its seed."""

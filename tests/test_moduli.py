@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from gerbetool.caloron import index_curvature
 from gerbetool.errors import ArgumentError, ResolutionError, ValidationError
-from gerbetool.liealg import Representation
+from gerbetool.liealg import Representation, su_coefficients
 from gerbetool.moduli import (
     LoopWord,
     ModuliFamily,
@@ -385,9 +385,11 @@ class TestPairing:
                 fam = super().family(word)
                 inner = fam.phi
 
+                k = su_coefficients(_loop_direction(self.rep, word))[0]
+
                 def phi(th, xs):
-                    bump = (xs[0] ** 2 + 0.0 * th)[..., None, None]
-                    return inner(th, xs) + bump * np.diag([1j, -1j])
+                    bump = (xs[0] ** 2 + 0.0 * th)[..., None]
+                    return inner(th, xs) + bump * k
 
                 return type(fam)(fam.n, phi, fam.base, fam.label)
 
