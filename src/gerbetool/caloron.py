@@ -47,8 +47,8 @@ from .liealg import su_matrices, su_structure_constants
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
-# Cap on theta_points * (base_points + 2 ghost_margin)^base_dim * n^2, the
-# complex entries of one field as n x n matrices (1.6M on the caloron
+# Cap on theta_points * (base_points + 2 ghost_margin)^base_dim * n^2, one
+# field's count of matrix entries, n^2 per cell (1.6M on the caloron
 # battery's default fine grid).  A field is sampled as n^2 - 1 real
 # coefficients per cell, so an su(2) field holds 3/4 as many floats; at its
 # peak the caloron battery holds about 16 such arrays.
@@ -82,7 +82,7 @@ def check_grid(theta_points, base_points, base_dim, n, ghost_margin=0):
     entries = theta_points * (base_points + 2 * ghost_margin) ** base_dim * n * n
     if entries > MAX_GRID_ENTRIES:
         raise ResourceError(
-            f"grid needs {entries} complex entries per field, "
+            f"grid needs {entries} matrix entries per field, {n * n} per cell, "
             f"over the cap of {MAX_GRID_ENTRIES}"
         )
 

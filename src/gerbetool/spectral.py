@@ -14,7 +14,6 @@ from fractions import Fraction
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ArgumentError,
@@ -205,33 +204,38 @@ def band(spectrum, lo, hi):
     return spectrum.modes[bisect_right(eigs, lo.point) : bisect_left(eigs, hi.point)]
 
 
-def _track_phases(path):
-    """Unwrapped per-color phase paths along a sequence of holonomies."""
-    unwrapped = path[0].phases()
-    for hol in path[1:]:
-        incoming = hol.phases()
-        diff = incoming[None, :] - np.mod(unwrapped[:, None], TWO_PI)
-        delta = np.mod(diff + math.pi, TWO_PI) - math.pi
-        cost = np.abs(delta)
-        rows, cols = linear_sum_assignment(cost)
-        step = delta[rows, cols]
-        if np.abs(step).max() > _MAX_STEP * TWO_PI:
-            raise ResolutionError(
-                "holonomy path too coarse: eigenvalue moved "
-                f"{np.abs(step).max() / TWO_PI:.3f} modes in one step (cap {_MAX_STEP}); "
-                "refine the sampling"
-            )
-        unwrapped = unwrapped + step
-    return path[0].phases(), unwrapped
+def _winding(path):
+    """Summed step of the least-motion cyclic shifts of the sorted phases, in radians."""
+    phases = np.array([hol.phases() for hol in path])
+    n = phases.shape[1]
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n
+    steps = np.mod(phases[1:, shifts] - phases[:-1, None] + math.pi, TWO_PI) - math.pi
+    size, sums = np.abs(steps), steps.sum(axis=2)
+    motion, largest = size.sum(axis=2), size.max(axis=2)
+    tied = motion <= motion.min(axis=1, keepdims=True) + 1e-9  # equal up to roundoff
+    rows, best = np.arange(len(steps)), np.where(tied, largest, np.inf).argmin(axis=1)
+    chosen, moved = sums[rows, best], largest[rows, best]
+    over = np.flatnonzero(moved > _MAX_STEP * TWO_PI)
+    if over.size:
+        raise ResolutionError(
+            f"holonomy path too coarse: eigenvalue moved {moved[over[0]] / TWO_PI:.3f} modes in "
+            f"one step (cap {_MAX_STEP}); refine the sampling"
+        )
+    if (tied & (np.abs(sums - chosen[:, None]) > math.pi)).any():
+        raise ResolutionError(
+            "holonomy path too coarse: tied shifts wind differently; refine the sampling"
+        )
+    return chosen.sum()
 
 
 def spectral_flow(path, cut, N):
     """Net signed eigenvalue flow through the cut along a closed holonomy path.
 
-    Implemented as below-cut counting in telescoped form: each color's phase
-    is tracked continuously (unwrapped), and the count of lattice points
-    below the cut changes by floor(lambda - a) increments.  Robust near
-    tangencies because nothing tries to detect individual crossings.
+    On a closed path the flow is the net eigenphase winding, at every cut that
+    misses both endpoint spectra (Atiyah, Patodi & Singer 1976).  Each step
+    takes the least-motion cyclic shift of the sorted phases (Rabin, Delon &
+    Gousseau 2011), ties going to the smaller largest step; tied shifts that
+    wind differently leave the step ambiguous and raise ResolutionError.
     """
     if len(path) < 2:
         raise ArgumentError("path needs at least two samples")
@@ -241,8 +245,4 @@ def spectral_flow(path, cut, N):
     for which, hol in (("start", path[0]), ("end", path[-1])):
         if not in_cover(dirac_spectrum(hol, N), cut):
             raise CoverViolationError(f"cut {cut.value} touches the spectrum at the path {which}point")
-    start, end = _track_phases(path)
-    flow = 0
-    for a0, a1 in zip(start, end):
-        flow += math.floor(cut.point - a0 / TWO_PI) - math.floor(cut.point - a1 / TWO_PI)
-    return flow
+    return round(_winding(path) / TWO_PI)

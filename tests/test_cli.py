@@ -505,7 +505,7 @@ class TestExitCodes:
             ("caloron", {"refine_factor": 1}, "key 'refine_factor' .* must be >= 2"),
             ("caloron", {"base_points": 2}, "at least 5 base points"),
             ("caloron", {"base_points": 400}, "over the cap of"),
-            ("caloron", {"base_points": 24}, "5308416 complex entries .* over the cap"),
+            ("caloron", {"base_points": 24}, "5308416 matrix entries per field, 4 per cell, over the cap"),
             ("pairing", {"ghost_margin": 0}, "below the stencil half-width 2"),
             ("pairing", {"theta_points": 4}, "need at least 8 circle points"),
             ("pairing", {"base_points": 4}, "at least 5 base points"),

@@ -11,6 +11,9 @@ truncations are complete.
 
 Oracle for spectral flow: closed-form per-color phase paths, flow =
 sum_c floor(lam - a_c(0)) - floor(lam - a_c(1)) on the unwrapped phases.
+On random paths the oracle is the per-color tracker that matched each step
+by a linear-sum assignment and summed those floors; scipy.optimize is
+imported here only.
 """
 
 import itertools
@@ -20,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import logm
+from scipy.optimize import linear_sum_assignment
 
 from gerbetool.errors import (
     ArgumentError,
@@ -29,6 +33,7 @@ from gerbetool.errors import (
     ValidationError,
 )
 from gerbetool.spectral import (
+    _MAX_STEP,
     Holonomy,
     SpectralCut,
     Spectrum,
@@ -260,6 +265,101 @@ class TestSpectralFlow:
         loop = u1_loop(64)
         reverse = list(reversed(loop))
         assert spectral_flow(reverse, SpectralCut(Fraction(1, 2)), N=3) == -1
+
+
+def assignment_flow(path, lam):
+    """Oracle: per-color phases matched step by step by linear_sum_assignment."""
+    start = unwrapped = path[0].phases()
+    for hol in path[1:]:
+        diff = hol.phases()[None, :] - np.mod(unwrapped[:, None], TWO_PI)
+        delta = np.mod(diff + math.pi, TWO_PI) - math.pi
+        rows, cols = linear_sum_assignment(np.abs(delta))
+        step = delta[rows, cols]
+        if np.abs(step).max() > _MAX_STEP * TWO_PI:
+            raise ResolutionError("refine the sampling")
+        unwrapped = unwrapped + step
+    return closed_form_flow(zip(start / TWO_PI, unwrapped / TWO_PI), lam)
+
+
+def diagonal_loop(turns):
+    """Closed path of diagonal holonomies with the given phases in turns."""
+    mats = [np.diag(np.exp(2j * np.pi * row)) for row in turns]
+    mats.append(mats[0].copy())
+    return [Holonomy(m) for m in mats]
+
+
+def random_closed_path(rng):
+    """1-5 colors, often degenerate at the start, permuted and wound -2..2."""
+    n = int(rng.integers(1, 6))
+    if rng.random() < 0.5:
+        start = rng.choice(rng.uniform(0, 1, size=3), size=n)
+    else:
+        start = rng.uniform(0, 1, size=n)
+    ends = start[rng.permutation(n)] + rng.integers(-2, 3, size=n)
+    steps = int(rng.integers(4, 40))
+    ts = np.arange(steps)[:, None] / steps
+    wobble = rng.uniform(-0.3, 0.3, size=n)
+    return diagonal_loop(start + ts * (ends - start) + np.sin(np.pi * ts) * wobble)
+
+
+def flow_or_none(flow, *args):
+    try:
+        return flow(*args)
+    except ResolutionError:
+        return None
+
+
+class TestFlowAgainstAssignmentOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_flow_wherever_the_oracle_has_one(self, seed):
+        rng = np.random.default_rng(seed)
+        cut = SpectralCut(Fraction(1, 2))
+        compared = 0
+        for _ in range(150):
+            path = random_closed_path(rng)
+            want = flow_or_none(assignment_flow, path, 0.5)
+            if want is None:
+                continue
+            assert flow_or_none(spectral_flow, path, cut, 3) == want
+            compared += 1
+        assert compared >= 100
+
+
+def three_colors_turning(steps):
+    """Colors at 0.05 + k/3 turns, each turning once over the loop."""
+    ts = np.arange(steps)[:, None] / steps
+    return diagonal_loop(0.05 + np.arange(3) / 3 + ts)
+
+
+class TestFlowIsNetWinding:
+    def test_tied_shifts_that_wind_differently_raise(self):
+        # at 1/6 turn per step, moving every color forward or backward by
+        # 1/6 turn is the same motion, so the step's winding is undetermined
+        with pytest.raises(ResolutionError, match="wind differently"):
+            spectral_flow(three_colors_turning(6), SpectralCut(Fraction(1, 2)), N=3)
+
+    def test_equal_motion_goes_to_the_smaller_largest_step(self):
+        # colors at 0.9 and 0 turns moving 0.2 turn per step: the shift that
+        # moves them 0.1 and 0.3 turn costs the same motion but breaks the cap
+        ts = np.arange(5)[:, None] / 5
+        path = diagonal_loop(np.array([0.9, 0.0]) + ts)
+        assert spectral_flow(path, SpectralCut(Fraction(1, 2)), N=3) == 2
+
+    def test_finer_steps_read_every_color_winding(self):
+        assert spectral_flow(three_colors_turning(12), SpectralCut(Fraction(1, 2)), N=3) == 3
+
+    CUTS = [Fraction(k, 2) for k in range(-5, 6, 2)]
+
+    @pytest.mark.parametrize("cut", CUTS, ids=str)
+    def test_u1_winding_same_at_every_cut(self, cut):
+        assert spectral_flow(u1_loop(64), SpectralCut(cut), N=3) == 1
+
+    @pytest.mark.parametrize("cut", CUTS, ids=str)
+    def test_crossing_colors_same_at_every_cut(self, cut):
+        # windings (1, -2, 0) from 0.1, 0.4, 0.7 turns: the colors cross
+        ts = np.arange(64)[:, None] / 64
+        path = diagonal_loop(np.array([0.1, 0.4, 0.7]) + ts * np.array([1, -2, 0]))
+        assert spectral_flow(path, SpectralCut(cut), N=3) == -1
 
 
 def special_unitary(n, seed):
