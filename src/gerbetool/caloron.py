@@ -24,8 +24,7 @@ The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
 circle-integrated Pontryagin density -(1/8 pi^2) <F~ ^ F~> exactly in the
 continuum; the pair of pipelines is the identity checked by
-ms_identity_check, which builds dtheta A and F_ab once per grid and feeds
-both.
+ms_identity_check, which feeds both one circle point at a time.
 """
 
 from dataclasses import dataclass
@@ -51,7 +50,7 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 # field's count of matrix entries, n^2 per cell (1.6M on the caloron
 # battery's default fine grid).  A field is sampled as n^2 - 1 real
 # coefficients per cell, so an su(2) field holds 3/4 as many floats; at its
-# peak the caloron battery holds about 16 such arrays.
+# peak the caloron battery's traced memory is 8.7 such su(2) fields.
 MAX_GRID_ENTRIES = 2**22
 
 # ms_identity_check reads a fine residual at or under
@@ -225,7 +224,7 @@ def _bracket(x, y, structure):
     """[X, Y] on coefficient arrays: sum_ab x_a y_b f_abc."""
     m = len(structure)
     if m == 3:  # su(2): f_abc = k eps_abc
-        return structure[0, 1, 2] * np.cross(x, y)
+        return np.multiply(out := np.cross(x, y), structure[0, 1, 2], out=out)
     outer = x[..., :, None] * y[..., None, :]
     return outer.reshape(x.shape[:-1] + (m * m,)) @ structure.reshape(m * m, m)
 
@@ -254,31 +253,40 @@ class CurvatureSamples:
         return float(np.max([np.abs(arr[trim]).max() for arr in comps]))
 
 
-def _components(phi, a, n, spacing, with_mixed=True):
-    """dtheta A_a, mixed F_{theta a} and base F_ab (a < b), as coefficients.
+def _curvature_slices(phi, a, n, spacing):
+    """Yield (phi, a, dtheta A, F_{theta a}, F_ab (a < b)) at each circle point.
 
-    The curving needs only dtheta A and F_ab, so mixed is None unless
-    with_mixed; curvature() drops dtheta A.  Building mixed before F_ab
-    keeps peak memory at that of separate curvature and curving passes.
+    Each array keeps a theta axis of length 1; only dtheta A, which couples
+    the circle points, is taken on the full grid, one base component at a
+    time.  F_{theta a}, which the curving does not read, comes as its builder.
     """
     structure = su_structure_constants(n)
-    d_theta_a = [spectral_theta_derivative(a[x], axis=0) for x in range(len(a))]
-    mixed = None
-    if with_mixed:
-        mixed = {
-            x: d_theta_a[x]
-            - central_diff4(phi, 1 + x, spacing)
-            + _bracket(phi, a[x], structure)
-            for x in range(len(a))
-        }
-    base = {}
-    for x, y in itertools.combinations(range(len(a)), 2):
-        base[(x, y)] = (
-            central_diff4(a[y], 1 + x, spacing)
-            - central_diff4(a[x], 1 + y, spacing)
-            + _bracket(a[x], a[y], structure)
-        )
-    return d_theta_a, mixed, base
+    d_theta_a = [spectral_theta_derivative(a_x, axis=0) for a_x in a]
+    for t in range(len(phi)):
+        ph, ax, dx = phi[t : t + 1], a[:, t : t + 1], [d[t : t + 1] for d in d_theta_a]
+
+        def mixed(ph=ph, ax=ax, dx=dx):
+            comps = {x: dx[x] - central_diff4(ph, 1 + x, spacing) for x in range(len(ax))}
+            for x, comp in comps.items():
+                comp += _bracket(ph, ax[x], structure)
+            return comps
+
+        base = {}
+        for x, y in itertools.combinations(range(len(a)), 2):
+            base[(x, y)] = central_diff4(ax[y], 1 + x, spacing)
+            base[(x, y)] -= central_diff4(ax[x], 1 + y, spacing)
+            base[(x, y)] += _bracket(ax[x], ax[y], structure)
+        yield ph, ax, dx, mixed, base
+
+
+def _circle_means(per_slice):
+    """Circle means of the form tuples per_slice yields, summed as they arrive."""
+    sums, count = next(per_slice), 1
+    for count, forms in enumerate(per_slice, 2):
+        for total, form in zip(sums, forms):
+            for key, comp in total.comps.items():
+                comp += form.comps[key]
+    return [(1.0 / count) * total for total in sums]
 
 
 def curvature(conn):
@@ -286,8 +294,12 @@ def curvature(conn):
 
     Returns matrix components; a NaN coefficient reaches the norm.
     """
-    _, mixed, base = _components(conn.phi, conn.a, conn.n, conn.spacing())
-    mixed, base = ({k: su_matrices(v, conn.n) for k, v in c.items()} for c in (mixed, base))
+    slices = _curvature_slices(conn.phi, conn.a, conn.n, conn.spacing())
+    mixed, base = zip(*((mixed(), base) for *_, mixed, base in slices))
+    mixed, base = (  # each component's slices, concatenated over the circle
+        {k: su_matrices(np.concatenate([s[k] for s in c]), conn.n) for k in c[0]}
+        for c in (mixed, base)
+    )
     return CurvatureSamples(conn, mixed, base)
 
 
@@ -304,8 +316,8 @@ def _curving(phi, a, d_theta_a, base):
 
 def _curving_form(phi, a, n, spacing):
     """The curving 2-form of su(n) coefficient fields phi and a."""
-    d_theta_a, _, base = _components(phi, a, n, spacing, with_mixed=False)
-    return _curving(phi, a, d_theta_a, base)
+    slices = _curvature_slices(phi, a, n, spacing)
+    return _circle_means((_curving(ph, ax, dx, base),) for ph, ax, dx, _, base in slices)[0]
 
 
 def b_field(conn):
@@ -320,8 +332,10 @@ def b_field(conn):
     return _curving_form(conn.phi, conn.a, conn.n, conn.spacing())
 
 
-def _density(mixed, base, ghost_margin):
-    """Circle-mean density -(1/4 pi^2) Int <F ^ G> dtheta as a 3-form."""
+def _density(mixed, base, ghost_margin, m=None):
+    """Circle-mean density -(1/4 pi^2) Int <F ^ G> dtheta as a 3-form, F pushed by m if given."""
+    if m is not None:
+        mixed, base = ({k: v @ m for k, v in c.items()} for c in (mixed, base))
     total = (
         _circle_pairing(base[(0, 1)], mixed[2])
         - _circle_pairing(base[(0, 2)], mixed[1])
@@ -340,11 +354,11 @@ def pontryagin_density(conn, rho=None):
     """
     if conn.base_dim != 3:
         raise DimensionError("the density is a 3-form; need a 3-dimensional base")
-    _, mixed, base = _components(conn.phi, conn.a, conn.n, conn.spacing())
-    if rho is not None and not rho.is_fundamental():
-        m = _representation_map(conn, rho)
-        mixed, base = ({k: v @ m for k, v in c.items()} for c in (mixed, base))
-    return _density(mixed, base, conn.ghost_margin)
+    m = None if rho is None or rho.is_fundamental() else _representation_map(conn, rho)
+    slices = _curvature_slices(conn.phi, conn.a, conn.n, conn.spacing())
+    return _circle_means(
+        (_density(mixed(), base, conn.ghost_margin, m),) for *_, mixed, base in slices
+    )[0]
 
 
 def index_curvature(conn, rho):
@@ -366,10 +380,11 @@ def ms_identity_check(conn, refine_factor=2):
         raise DimensionError("the identity compares 3-forms; need a 3-dimensional base")
 
     def residual(phi, a, base_points):
-        d_theta_a, mixed, base = _components(phi, a, conn.n, 1.0 / base_points)
-        lhs = _density(mixed, base, 0)
-        rhs = _curving(phi, a, d_theta_a, base).exterior_derivative()
-        return (lhs - rhs).max_norm()
+        lhs, rhs = _circle_means(
+            (_density(mixed(), base, 0), _curving(ph, ax, dx, base))
+            for ph, ax, dx, mixed, base in _curvature_slices(phi, a, conn.n, 1.0 / base_points)
+        )
+        return (lhs - rhs.exterior_derivative()).max_norm()
 
     _require_periodic(conn, "ms_identity_check")
     res_coarse = residual(conn.phi, conn.a, conn.base_points)

@@ -600,16 +600,22 @@ def _battery_pairing(params, seed):
     )
 
     @functools.cache
+    def winding_conn():
+        # sampled once for winding-model-value and adjoint-scaling; a raise is not cached
+        return winding.connection(gamma, **sizes)
+
+    @functools.cache
     def winding_pairing():
-        # shared by winding-model-value and adjoint-scaling; a raise is not cached
-        return pontryagin_pairing(winding, gamma, fund, **sizes)
+        return pontryagin_density(winding_conn()).integrate()
 
     def adjoint_scaling():
         v_fund = winding_pairing()
-        v_adj = pontryagin_pairing(winding, gamma, adjoint, **sizes)
-        gap = abs(v_adj - 4.0 * v_fund)
-        # with a zero model value -2 w1 w2 both pairings are roundoff
-        return gap if w1 * w2 == 0 else gap / abs(4.0 * v_fund)
+        adj_form = pontryagin_density(winding_conn(), adjoint)
+        gap = abs(adj_form.integrate() - 4.0 * v_fund)
+        # the pairings are sums of density terms that cancel to -2 w1 w2
+        # (0 at w1 w2 = 0), so their roundoff follows the terms' size
+        scale = max(abs(4.0 * v_fund), abs(adj_form).integrate())
+        return gap / scale if scale > 0 else gap
 
     def zero_family(kind):
         return lambda: abs(pontryagin_pairing(ModuliFamily(kind, rep), gamma, fund, **sizes))

@@ -32,18 +32,20 @@ def spectral_theta_derivative(arr, axis=0, period=1.0):
     factor = (2j * np.pi / period) * wavenumbers
     shape = [1] * arr.ndim
     shape[axis] = len(factor)
-    spectrum = np.fft.rfft(arr, axis=axis) * factor.reshape(shape)
+    spectrum = np.fft.rfft(arr, axis=axis)
+    spectrum *= factor.reshape(shape)
     return np.fft.irfft(spectrum, n=p, axis=axis)
 
 
 def central_diff4(arr, axis, spacing):
-    """4th-order central difference with periodic wrap-around."""
-    return (
-        -np.roll(arr, -2, axis=axis)
-        + 8.0 * np.roll(arr, -1, axis=axis)
-        - 8.0 * np.roll(arr, 1, axis=axis)
-        + np.roll(arr, 2, axis=axis)
-    ) / (12.0 * spacing)
+    """4th-order central difference with periodic wrap-around, from one padded copy."""
+    p = np.shape(arr)[axis]
+    a = np.moveaxis(np.take(arr, np.arange(-2, p + 2), axis=axis, mode="wrap"), axis, 0)
+    out = -a[4:] + 8.0 * a[3:-1]  # a[k : k + p] holds arr[i + k - 2]
+    out -= 8.0 * a[1:-3]
+    out += a[:-4]
+    out /= 12.0 * spacing
+    return np.moveaxis(out, 0, axis)
 
 
 @dataclass
@@ -118,6 +120,9 @@ class GridForm:
     def __sub__(self, other):
         self._check_compatible(other)
         return self._with({k: v - other.comps[k] for k, v in self.comps.items()})
+
+    def __abs__(self):
+        return self._with({k: np.abs(v) for k, v in self.comps.items()})
 
     def __rmul__(self, scalar):
         return self._with({k: scalar * v for k, v in self.comps.items()})

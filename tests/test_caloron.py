@@ -22,6 +22,7 @@ assertions.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,23 @@ class TestDensityAndIdentity:
         ms_identity_check(conn, refine_factor=2)
         assert sorted(calls) == [8, 8, 8, 16, 16, 16]
 
+    def test_identity_peak_memory_is_bounded(self):
+        # traced peak in fine-grid coefficient fields (8 x 24^3 x 3 floats):
+        # 16.3 while every F_{theta a} and F_ab was held on the full grid, 8.5
+        # with the curvature streamed one circle point at a time (the fine
+        # connection's 4 fields, dtheta A's 3 and one transform's temporaries)
+        conn = connection_preset("su2-family", theta_points=8, base_points=12)
+        field = 8 * 24**3 * 3 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            ms_identity_check(conn, refine_factor=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / field <= 10.0
+
     def test_flat_preset_meets_the_identity_at_roundoff(self):
         # coarse and fine residuals 6.5e-13 and 8.1e-13 are roundoff at the
         # field scale 2 pi; an absolute 1e-13 floor read them as order -0.30
@@ -657,6 +675,29 @@ class TestGrids:
         got = central_diff4(arr, 0, 1.0)[3 : m - 3]
         want = (3 * xs**2)[3 : m - 3]
         assert np.abs(got - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_central_diff4_matches_the_rolled_formula_bit_for_bit(self, length, dtype):
+        def rolled(arr, axis, spacing):
+            return (
+                -np.roll(arr, -2, axis=axis)
+                + 8.0 * np.roll(arr, -1, axis=axis)
+                - 8.0 * np.roll(arr, 1, axis=axis)
+                + np.roll(arr, 2, axis=axis)
+            ) / (12.0 * spacing)
+
+        rng = np.random.default_rng(80 + length)
+        for axis in range(3):
+            shape = [2, 3, 4]
+            shape[axis] = length
+            arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            if dtype is complex:
+                arr = arr + 1j * rng.standard_normal(shape)
+            for ax in (axis, axis - 3):
+                got, want = central_diff4(arr, ax, 0.37), rolled(arr, ax, 0.37)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_double_exterior_derivative_vanishes(self):
         m = 16

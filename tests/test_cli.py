@@ -343,6 +343,49 @@ class TestReports:
         assert record["status"] == "pass" and record["residual"] <= 1e-12
 
     @pytest.mark.parametrize(
+        "params",
+        [
+            {"modulation": -1e6},
+            {"w1": 0, "modulation": 1e6},
+            {"w1": 1, "w2": -2, "modulation": -1e6, "base_points": 5, "ghost_margin": 2},
+        ],
+        ids=["modulation-bottom", "zero-winding-top", "small-grid-bottom"],
+    )
+    def test_adjoint_scaling_is_relative_to_the_density_terms(self, params):
+        # the gap over |4 v_fund| read 1.9e-6, 3.1e-6 and 2.2e-6 here: both
+        # pairings are roundoff of density terms of order modulation^2
+        _, full, seed, _ = validate_scenario({"command": "pairing", "params": params})
+        report = run_scenario("pairing", full, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "adjoint-scaling"]
+        assert record["residual"] <= 1e-12
+        assert report["status"] == "pass"
+
+    def test_vanishing_density_scales_exactly(self):
+        # w1 = 0 without modulation makes every density term 0: no scale, raw gap
+        small = {"w1": 0, "modulation": 0.0}
+        _, params, seed, _ = validate_scenario({"command": "pairing", "params": small})
+        report = run_scenario("pairing", params, seed)
+        (record,) = [r for r in report["checks"] if r["name"] == "adjoint-scaling"]
+        assert record["residual"] == 0.0 and record["status"] == "pass"
+
+    @pytest.mark.parametrize("poisoned", ["fundamental", "adjoint"])
+    def test_nan_density_fails_the_winding_checks(self, monkeypatch, poisoned):
+        real = cli.pontryagin_density
+
+        def with_nan(conn, rho=None):
+            form = real(conn, rho)
+            if (rho is None) == (poisoned == "fundamental"):
+                g = conn.ghost_margin
+                form.comps[(0, 1, 2)][g, g, g] = math.nan
+            return form
+
+        monkeypatch.setattr(cli, "pontryagin_density", with_nan)
+        _, params, seed, _ = validate_scenario({"command": "pairing"})
+        status = {r["name"]: r["status"] for r in run_scenario("pairing", params, seed)["checks"]}
+        assert status["adjoint-scaling"] == "fail"
+        assert status["winding-model-value"] == ("fail" if poisoned == "fundamental" else "pass")
+
+    @pytest.mark.parametrize(
         "command, params, name, check",
         [
             ("fock", {"n_max": 4, "sweep": 1}, "commutator-sweep", "commutator_check"),
