@@ -24,7 +24,7 @@ The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
 circle-integrated Pontryagin density -(1/8 pi^2) <F~ ^ F~> exactly in the
 continuum; the pair of pipelines is the identity checked by
-ms_identity_check, which feeds both one circle point at a time.
+ms_identity_check, which feeds both a run of circle points at a time.
 """
 
 from dataclasses import dataclass
@@ -61,6 +61,10 @@ MAX_GRID_ENTRIES = 2**22
 # at amplitude 1e-4 (fine 6.5e-16, floor 2.2e-21), and at 1e-12 its roundoff
 # 6.4e-39 = 29 eps s^2 is under the floor 2.2e-37 (an s^3 floor read 0.87).
 _ROUNDOFF_FLOOR = 1e3
+
+# A curvature run spans this many base cells at least, or one circle point,
+# so its fixed count of numpy calls acts on many cells on small base grids.
+_RUN_CELLS = 4096
 
 
 def check_grid(theta_points, base_points, base_dim, n, ghost_margin=0):
@@ -230,8 +234,8 @@ def _bracket(x, y, structure):
 
 
 def _circle_pairing(x, y):
-    """Circle mean of <X, Y> = 2 x.y, over axis 0 and the coefficient axis."""
-    return np.einsum("t...a,t...a->...", x, y) * (2.0 / len(x))
+    """Circle sum of <X, Y> = 2 x.y, over axis 0 and the coefficient axis."""
+    return np.einsum("t...a,t...a->...", x, y) * 2.0
 
 
 @dataclass
@@ -254,22 +258,22 @@ class CurvatureSamples:
 
 
 def _curvature_slices(phi, a, n, spacing):
-    """Yield (phi, a, dtheta A, F_{theta a}, F_ab (a < b)) at each circle point.
+    """Yield (phi, a, dtheta A, F_{theta a}, F_ab (a < b)) on runs of circle points.
 
-    Each array keeps a theta axis of length 1; only dtheta A, which couples
-    the circle points, is taken on the full grid, one base component at a
-    time.  F_{theta a}, which the curving does not read, comes as its builder.
+    Each array keeps a theta axis of the run's length; only dtheta A, which
+    couples the circle points, is taken on the full grid, one base component
+    at a time.  F_{theta a}, which the curving does not read, comes as its builder.
     """
     structure = su_structure_constants(n)
     d_theta_a = [spectral_theta_derivative(a_x, axis=0) for a_x in a]
-    for t in range(len(phi)):
-        ph, ax, dx = phi[t : t + 1], a[:, t : t + 1], [d[t : t + 1] for d in d_theta_a]
+    width = max(1, _RUN_CELLS // math.prod(phi.shape[1:-1]))
+    for t in range(0, len(phi), width):
+        s = slice(t, t + width)
+        ph, ax, dx = phi[s], a[:, s], [d[s] for d in d_theta_a]
 
         def mixed(ph=ph, ax=ax, dx=dx):
             comps = {x: dx[x] - central_diff4(ph, 1 + x, spacing) for x in range(len(ax))}
-            for x, comp in comps.items():
-                comp += _bracket(ph, ax[x], structure)
-            return comps
+            return {x: np.add(c, _bracket(ph, ax[x], structure), out=c) for x, c in comps.items()}
 
         base = {}
         for x, y in itertools.combinations(range(len(a)), 2):
@@ -279,14 +283,14 @@ def _curvature_slices(phi, a, n, spacing):
         yield ph, ax, dx, mixed, base
 
 
-def _circle_means(per_slice):
-    """Circle means of the form tuples per_slice yields, summed as they arrive."""
-    sums, count = next(per_slice), 1
-    for count, forms in enumerate(per_slice, 2):
+def _circle_means(per_slice, points):
+    """Means over points circle points of the circle-sum form tuples per_slice yields."""
+    sums = next(per_slice)
+    for forms in per_slice:
         for total, form in zip(sums, forms):
             for key, comp in total.comps.items():
                 comp += form.comps[key]
-    return [(1.0 / count) * total for total in sums]
+    return [(1.0 / points) * total for total in sums]
 
 
 def curvature(conn):
@@ -304,7 +308,7 @@ def curvature(conn):
 
 
 def _curving(phi, a, d_theta_a, base):
-    """The curving 2-form of b_field from already computed dtheta A and F_ab."""
+    """The circle sum of b_field's curving from already computed dtheta A and F_ab."""
     comps = {}
     for (x, y), f_xy in base.items():
         integrand = 0.5 * (
@@ -317,7 +321,8 @@ def _curving(phi, a, d_theta_a, base):
 def _curving_form(phi, a, n, spacing):
     """The curving 2-form of su(n) coefficient fields phi and a."""
     slices = _curvature_slices(phi, a, n, spacing)
-    return _circle_means((_curving(ph, ax, dx, base),) for ph, ax, dx, _, base in slices)[0]
+    curvings = ((_curving(ph, ax, dx, base),) for ph, ax, dx, _, base in slices)
+    return _circle_means(curvings, len(phi))[0]
 
 
 def b_field(conn):
@@ -333,7 +338,7 @@ def b_field(conn):
 
 
 def _density(mixed, base, ghost_margin, m=None):
-    """Circle-mean density -(1/4 pi^2) Int <F ^ G> dtheta as a 3-form, F pushed by m if given."""
+    """Circle sum of the density -(1/4 pi^2) <F ^ G> as a 3-form, F pushed by m if given."""
     if m is not None:
         mixed, base = ({k: v @ m for k, v in c.items()} for c in (mixed, base))
     total = (
@@ -356,9 +361,8 @@ def pontryagin_density(conn, rho=None):
         raise DimensionError("the density is a 3-form; need a 3-dimensional base")
     m = None if rho is None or rho.is_fundamental() else _representation_map(conn, rho)
     slices = _curvature_slices(conn.phi, conn.a, conn.n, conn.spacing())
-    return _circle_means(
-        (_density(mixed(), base, conn.ghost_margin, m),) for *_, mixed, base in slices
-    )[0]
+    densities = ((_density(mixed(), base, conn.ghost_margin, m),) for *_, mixed, base in slices)
+    return _circle_means(densities, conn.theta_points)[0]
 
 
 def index_curvature(conn, rho):
@@ -380,10 +384,11 @@ def ms_identity_check(conn, refine_factor=2):
         raise DimensionError("the identity compares 3-forms; need a 3-dimensional base")
 
     def residual(phi, a, base_points):
-        lhs, rhs = _circle_means(
+        sides = (
             (_density(mixed(), base, 0), _curving(ph, ax, dx, base))
             for ph, ax, dx, mixed, base in _curvature_slices(phi, a, conn.n, 1.0 / base_points)
         )
+        lhs, rhs = _circle_means(sides, len(phi))
         return (lhs - rhs.exterior_derivative()).max_norm()
 
     _require_periodic(conn, "ms_identity_check")

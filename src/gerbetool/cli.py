@@ -98,6 +98,9 @@ MAX_PHASES = 256
 # higgs-gauge-law's tolerance, which the caloron rule holds the stencil to
 _GAUGE_LAW_TOLERANCE = 5e-2
 
+# adjoint-scaling's tolerance on the gap relative to max(|4 v_fund|, 1)
+_ADJOINT_TOLERANCE = 1e-6
+
 # the cuts -1/2 and 1/2 of the spectrum, cover and moduli batteries
 _HALVES = (SpectralCut(Fraction(-1, 2)), SpectralCut(Fraction(1, 2)))
 
@@ -612,10 +615,12 @@ def _battery_pairing(params, seed):
         v_fund = winding_pairing()
         adj_form = pontryagin_density(winding_conn(), adjoint)
         gap = abs(adj_form.integrate() - 4.0 * v_fund)
-        # the pairings are sums of density terms that cancel to -2 w1 w2
-        # (0 at w1 w2 = 0), so their roundoff follows the terms' size
-        scale = max(abs(4.0 * v_fund), abs(adj_form).integrate())
-        return gap / scale if scale > 0 else gap
+        # the model values are integers, 4 (-2 w1 w2) and 0 at w1 w2 = 0, and
+        # the pairings are sums of density terms that cancel to them: the gap
+        # may reach the tolerance's share of max(|4 v_fund|, 1) or eps times
+        # the terms' mean size, their roundoff, whichever is larger
+        roundoff = np.finfo(float).eps * abs(adj_form).integrate()
+        return gap / max(abs(4.0 * v_fund), 1.0, roundoff / _ADJOINT_TOLERANCE)
 
     def zero_family(kind):
         return lambda: abs(pontryagin_pairing(ModuliFamily(kind, rep), gamma, fund, **sizes))
@@ -624,7 +629,7 @@ def _battery_pairing(params, seed):
         ("constant-family-zero", 1e-12, zero_family("constant")),
         ("static-family-zero", 1e-12, zero_family("static")),
         ("winding-model-value", 0.15, lambda: abs(winding_pairing() - (-2.0 * w1 * w2))),
-        ("adjoint-scaling", 1e-6, adjoint_scaling),
+        ("adjoint-scaling", _ADJOINT_TOLERANCE, adjoint_scaling),
     ]
 
 

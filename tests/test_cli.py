@@ -353,15 +353,44 @@ class TestReports:
     )
     def test_adjoint_scaling_is_relative_to_the_density_terms(self, params):
         # the gap over |4 v_fund| read 1.9e-6, 3.1e-6 and 2.2e-6 here: both
-        # pairings are roundoff of density terms of order modulation^2
+        # pairings are roundoff of density terms of order modulation^2, and
+        # the gap is 2e-2 to 3e-2 of eps times the terms' mean size
         _, full, seed, _ = validate_scenario({"command": "pairing", "params": params})
         report = run_scenario("pairing", full, seed)
         (record,) = [r for r in report["checks"] if r["name"] == "adjoint-scaling"]
-        assert record["residual"] <= 1e-12
+        assert record["residual"] <= 1e-7
         assert report["status"] == "pass"
 
+    @pytest.mark.parametrize(
+        "params, error",
+        [
+            ({"modulation": 1e6}, "scale"),
+            ({"modulation": -1e6}, "scale"),
+            ({"w1": 0, "modulation": 1e6}, "shift"),
+        ],
+        ids=["scaled-top", "scaled-bottom", "shifted-zero-winding"],
+    )
+    def test_large_fields_still_catch_a_wrong_adjoint(self, monkeypatch, params, error):
+        # the terms' mean size is about 1.5e12 at |modulation| 1e6: a gap judged
+        # against 1e-6 of that size would pass an adjoint pairing that is 3/4
+        # of its value, or off by 0.01 where it should be 0
+        real = cli.pontryagin_density
+
+        def wrong(conn, rho=None):
+            form = real(conn, rho)
+            if rho is not None:
+                comp = form.comps[(0, 1, 2)]
+                comp[...] = 0.75 * comp if error == "scale" else comp + 0.01
+            return form
+
+        monkeypatch.setattr(cli, "pontryagin_density", wrong)
+        _, full, seed, _ = validate_scenario({"command": "pairing", "params": params})
+        status = {r["name"]: r["status"] for r in run_scenario("pairing", full, seed)["checks"]}
+        assert status["adjoint-scaling"] == "fail"
+        assert status["winding-model-value"] == "pass"
+
     def test_vanishing_density_scales_exactly(self):
-        # w1 = 0 without modulation makes every density term 0: no scale, raw gap
+        # w1 = 0 without modulation makes every density term 0: the scale is 1
         small = {"w1": 0, "modulation": 0.0}
         _, params, seed, _ = validate_scenario({"command": "pairing", "params": small})
         report = run_scenario("pairing", params, seed)
