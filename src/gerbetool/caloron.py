@@ -257,12 +257,15 @@ class CurvatureSamples:
         return float(np.max([np.abs(arr[trim]).max() for arr in comps]))
 
 
-def _curvature_slices(phi, a, n, spacing):
+def _curvature_slices(phi, a, n, spacing, m=None):
     """Yield (phi, a, dtheta A, F_{theta a}, F_ab (a < b)) on runs of circle points.
 
     Each array keeps a theta axis of the run's length; only dtheta A, which
     couples the circle points, is taken on the full grid, one base component
     at a time.  F_{theta a}, which the curving does not read, comes as its builder.
+    Given a coefficient map m, each run's phi, a and dtheta A are pushed
+    through it as they are sliced (dtheta (A m) = (dtheta A) m), and su(n) is
+    the algebra of the pushed fields, whose brackets build F_ab.
     """
     structure = su_structure_constants(n)
     d_theta_a = [spectral_theta_derivative(a_x, axis=0) for a_x in a]
@@ -270,6 +273,8 @@ def _curvature_slices(phi, a, n, spacing):
     for t in range(0, len(phi), width):
         s = slice(t, t + width)
         ph, ax, dx = phi[s], a[:, s], [d[s] for d in d_theta_a]
+        if m is not None:
+            ph, ax, dx = ph @ m, ax @ m, [d @ m for d in dx]
 
         def mixed(ph=ph, ax=ax, dx=dx):
             comps = {x: dx[x] - central_diff4(ph, 1 + x, spacing) for x in range(len(ax))}
@@ -318,9 +323,13 @@ def _curving(phi, a, d_theta_a, base):
     return GridForm(2, len(a), comps, 0)
 
 
-def _curving_form(phi, a, n, spacing):
-    """The curving 2-form of su(n) coefficient fields phi and a."""
-    slices = _curvature_slices(phi, a, n, spacing)
+def _curving_form(phi, a, n, spacing, m=None):
+    """The curving 2-form of coefficient fields phi and a, pushed by m if given.
+
+    n is the algebra su(n) of the fields the curving is built from: of phi
+    and a themselves, or of their images under m.
+    """
+    slices = _curvature_slices(phi, a, n, spacing, m)
     curvings = ((_curving(ph, ax, dx, base),) for ph, ax, dx, _, base in slices)
     return _circle_means(curvings, len(phi))[0]
 
@@ -455,9 +464,10 @@ def rho_scaling_check(conn, rho):
     """Max residual of (curving, 3-curvature) scaling under a representation.
 
     Pushes the connection's coefficients through the representation's
-    coefficient_map, builds the curving B_rho from the pushed fields and
-    (on a 3-dimensional base) H_rho = d B_rho, and
-    compares with dynkin_index(rho) times the fundamental-route forms.
+    coefficient_map one run of circle points at a time, builds the curving
+    B_rho from the pushed fields with su(rho.dim) brackets and (on a
+    3-dimensional base) H_rho = d B_rho, and compares with dynkin_index(rho)
+    times the fundamental-route forms.
     The identity holds pointwise in the samples, so the residual is
     roundoff-level.  Returns (worst, scale): the absolute residual and
     dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the scale a
@@ -467,7 +477,7 @@ def rho_scaling_check(conn, rho):
     m = _representation_map(conn, rho)
     iota = float(rho.index)
     b_fund = _curving_form(conn.phi, conn.a, conn.n, conn.spacing())
-    b_rho = _curving_form(conn.phi @ m, conn.a @ m, rho.dim, conn.spacing())
+    b_rho = _curving_form(conn.phi, conn.a, rho.dim, conn.spacing(), m)
     worst = (b_rho - iota * b_fund).max_norm()
     scale = b_fund.max_norm()
     if conn.base_dim == 3:

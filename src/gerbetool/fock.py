@@ -20,6 +20,12 @@ mode operators, and applies operators to blocks of (mask, column, amplitude)
 arrays whose images are never truncated, so exact identities stay exact.
 The exponential runs on blocks of probe columns.  The basis size is bounded
 by a declared cost model (check_basis_cost).
+
+Compressions onto a basis are scipy.sparse CSR matrices, and scipy.sparse is
+imported on the first compression (_compress): it costs about 0.3 s of
+start-up on a 2-core x86 VM, which code that builds no matrix never pays.
+Each truncated current, safe probe block and image of such a block under a
+current is built once per key and shared, with read-only arrays.
 """
 
 from dataclasses import dataclass
@@ -29,7 +35,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ArgumentError,
@@ -61,7 +66,14 @@ _PRODUCT_OVERHEAD = 4096
 # tail bound of one unit roundoff, below the rounding error.
 _THETA_MAX = 2.0
 _UNIT_ROUNDOFF = 2.0**-53
-# Probe columns per block in projective_equality_check.
+# Probe columns per block in projective_equality_check.  The three default
+# projective checks (2 952 states, 2 648 products) measured, warm, median of
+# 5 on a 2-core x86 VM:
+#   block width               16    32    64   128   400
+#   time (s)                0.41  0.53  0.49  0.58  0.60
+#   tracemalloc peak (MB)    3.1   5.0   9.5  18.6  42.0
+# Wider blocks save little call cost per product and their dense columns
+# hold memory in proportion, so 16 is both the fastest and the smallest.
 _PROBE_BLOCK = 16
 
 
@@ -416,8 +428,12 @@ def _compress(basis, parts):
     """CSR matrix on a basis from the image parts of its unit block.
 
     Images outside the basis are dropped, so a column whose exact image
-    stays inside the basis is represented exactly.
+    stays inside the basis is represented exactly.  scipy.sparse is imported
+    here, on the first compression, so commands that build no matrix never
+    load scipy.
     """
+    import scipy.sparse as sp
+
     masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
     rows = basis.rows(masks)
     inside = rows >= 0
@@ -448,6 +464,8 @@ class SparseOperator:
         self._amps = amps if amps.imag.any() else amps.real
         slots = np.array([(t, f) for _, t, f in self.hops], dtype=np.int64)
         self._to, self._from = slots.reshape(-1, 2).T
+        for arr in (self._amps, self._to, self._from):
+            arr.flags.writeable = False
 
     def _image_parts(self, block, coeff=1.0):
         """Parts of coeff * self applied to a block; see _hop_parts."""
@@ -544,15 +562,22 @@ def _require_interior(window, margin):
         )
 
 
+@lru_cache(maxsize=32)
 def _safe_block(window, pair_cap, margin):
-    """Block (masks, cols, amps) of the safe basis states, state k in column k."""
+    """Block (masks, cols, amps) of the safe basis states, state k in column k.
+
+    Cached per key and shared by every check, so its arrays are read-only.
+    """
     _require_interior(window, margin)
     cols = _safe_columns(window, pair_cap, margin)
     if not len(cols):
         raise ResolutionError(
             f"safe subspace empty for margin {margin} at N={window.N}; increase N"
         )
-    return _unit_block(graded_basis(window, pair_cap).masks[cols])
+    block = _unit_block(graded_basis(window, pair_cap).masks[cols])
+    for arr in block:
+        arr.flags.writeable = False
+    return block
 
 
 def _max_abs(block):
@@ -583,13 +608,24 @@ def sigma(i, j, n, window, cut=None):
     +m delta_{m+n,0} (the opposite orientation flips its sign).  The
     normal-ordering cut defaults to the window's cut; passing mu builds the
     mu-ordered current on the same window (used by the cut-shift identity).
+    Each current is built once per (i, j, n, window, cut) and shared.
     """
-    N = window.N
-    if abs(n) > 2 * N:
-        raise RangeError(f"transfer index |{n}| exceeds 2N = {2 * N}")
+    if abs(n) > 2 * window.N:
+        raise RangeError(f"transfer index |{n}| exceeds 2N = {2 * window.N}")
     lam = window.cut if cut is None else rational(cut)
     if lam.denominator == 1:
         raise ValidationError(f"normal-ordering cut must be non-integer, got {lam}")
+    return _current(i, j, n, window, lam)
+
+
+@lru_cache(maxsize=1024)
+def _current(i, j, n, window, lam):
+    """The current sigma(e^{ij}_n) at cut lam, built once per key.
+
+    The operator is shared by every caller, so its arrays are read-only and
+    its sums and scalar multiples are new operators.
+    """
+    N = window.N
     hops = [
         (1.0, window.slot(i, m), window.slot(j, m + n))
         for m in range(max(-N, -n - N), min(N, N - n) + 1)
@@ -613,26 +649,39 @@ def commutator_check(i, j, k, l, m, n, window, pair_cap=2):
     must vanish exactly (amplitudes are signed integers) on states whose
     excitations stay |m|+|n| modes clear of the window boundary.  The probe
     basis caps the excitation count at pair_cap; the identity itself is
-    count-independent.  Each operator acts once on the whole safe block.
+    count-independent.  The images of the safe block under the two currents
+    are cached (_block_image), the right-hand terms add their images, and no
+    operator sum is built.
     """
-    block = _safe_block(window, pair_cap, abs(m) + abs(n))
-    op_a = sigma(i, j, m, window)
-    op_b = sigma(k, l, n, window)
-    rhs = SparseOperator(window)
+    margin = abs(m) + abs(n)
+    block = _safe_block(window, pair_cap, margin)
+    ops = sigma(i, j, m, window), sigma(k, l, n, window)
+    parts = _commutator_parts(*ops, *(_block_image(op, pair_cap, margin) for op in ops))
     if j == k:
-        rhs = rhs + sigma(i, l, m + n, window)
+        parts += sigma(i, l, m + n, window)._image_parts(block, -1.0)
     if i == l:
-        rhs = rhs - sigma(k, j, m + n, window)
+        parts += sigma(k, j, m + n, window)._image_parts(block)
     if j == k and i == l and m + n == 0:
-        rhs = rhs + SparseOperator.identity(window, float(m))
-    lhs = _commutator_parts(op_a, op_b, block)
-    return _max_abs(_sum_keys(lhs + rhs._image_parts(block, -1.0)))
+        parts += SparseOperator.identity(window, float(m))._image_parts(block, -1.0)
+    return _max_abs(_sum_keys(parts))
 
 
-def _commutator_parts(op_a, op_b, block):
-    """Parts of [op_a, op_b] applied to a block."""
-    ax = _sum_keys(op_a._image_parts(block))
-    bx = _sum_keys(op_b._image_parts(block))
+@lru_cache(maxsize=256)
+def _block_image(op, pair_cap, margin):
+    """op applied to _safe_block(op.window, pair_cap, margin), equal keys summed.
+
+    Keyed by the operator object itself (by identity; the cache holds it, so
+    no other operator can reuse the key), so an equal but rebuilt operator
+    gets its own image.  Shared by every check, so its arrays are read-only.
+    """
+    image = _sum_keys(op._image_parts(_safe_block(op.window, pair_cap, margin)))
+    for arr in image:
+        arr.flags.writeable = False
+    return image
+
+
+def _commutator_parts(op_a, op_b, ax, bx):
+    """Parts of [op_a, op_b] applied to a block, from its images ax and bx under each."""
     return op_a._image_parts(bx) + op_b._image_parts(ax, -1.0)
 
 
@@ -646,7 +695,8 @@ def central_term_check(window):
     probe = _unit_block(np.array([vac], dtype=np.int64))
     worst = 0.0
     for m in (1, 2):
-        parts = _commutator_parts(sigma(1, 1, m, window), sigma(1, 1, -m, window), probe)
+        ops = sigma(1, 1, m, window), sigma(1, 1, -m, window)
+        parts = _commutator_parts(*ops, *(_sum_keys(op._image_parts(probe)) for op in ops))
         masks, _, amps = _sum_keys(parts)
         worst = np.maximum(worst, abs(amps[masks == vac].sum() - m))
     return float(worst)
@@ -743,16 +793,22 @@ def _taylor_schedule(norm_t, tol):
     return min(options, key=lambda option: option[0] * option[1])
 
 
-def _expm_multiply(mat, block, t, tol=_UNIT_ROUNDOFF):
+def _norm1(mat):
+    """||mat||_1 of a sparse matrix, the largest absolute column sum."""
+    return float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
+
+
+def _expm_multiply(mat, block, t, tol=_UNIT_ROUNDOFF, norm1=None):
     """exp(t*mat) @ block by steps of a truncated Taylor series.
 
-    _taylor_schedule picks the steps and the degree; a non-finite step
-    raises PrecisionError.  Work beyond MAX_EXPM_WORK raises ResourceError
-    before the first product.
+    norm1 is ||mat||_1, taken from mat when not given.  _taylor_schedule
+    picks the steps and the degree; a non-finite step raises PrecisionError.
+    Work beyond MAX_EXPM_WORK raises ResourceError before the first product.
     """
     if t == 0:
         return block.copy()
-    norm1 = float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
+    if norm1 is None:
+        norm1 = _norm1(mat)
     norm_t = abs(t) * norm1
     if not math.isfinite(norm_t):
         raise PrecisionError(f"operator norm {norm1:.3e} at time {t} is not finite")
@@ -811,13 +867,14 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
     _require_interior(window, max_n)
     # the basis is graded, so probe columns at the lower cap index it too
     probes = _safe_columns(window, min(2, pair_cap), max_n)
+    norm_mu, norm_lam = _norm1(mat_mu), _norm1(mat_lam)
     residual = scale = 0.0
     for start in range(0, len(probes), _PROBE_BLOCK):
         cols = probes[start:start + _PROBE_BLOCK]
         block = np.zeros((len(basis), len(cols)), dtype=mat_mu.dtype)
         block[cols, np.arange(len(cols))] = 1.0
-        lhs = _expm_multiply(mat_mu, block, t, tail_tol)
-        rhs = _expm_multiply(mat_lam, block, t, tail_tol)
+        lhs = _expm_multiply(mat_mu, block, t, tail_tol, norm_mu)
+        rhs = _expm_multiply(mat_lam, block, t, tail_tol, norm_lam)
         scale = np.maximum(scale, np.maximum(np.abs(lhs).max(), np.abs(rhs).max()))
         rhs *= factor
         lhs -= rhs

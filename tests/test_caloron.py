@@ -636,6 +636,23 @@ class TestRhoScaling:
         want = 4.0 * max(b.max_norm(), b.exterior_derivative().max_norm())
         assert rho_scaling_check(pair, Representation.adjoint(2))[1] == want
 
+    def test_adjoint_peak_memory_is_bounded(self):
+        # traced peak in su(2) coefficient fields (12 x 16^3 x 3 floats): 22.3
+        # while the whole connection was pushed into 8 adjoint coefficients,
+        # 9.9 with each run of circle points pushed as it is sliced (b_field
+        # alone peaks at 4.2: dtheta A's 3 fields and one run's temporaries)
+        conn = connection_preset("su2-family", theta_points=12, base_points=16)
+        field = 12 * 16**3 * 3 * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            rho_scaling_check(conn, Representation.adjoint(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / field <= 12.0
+
 
 class TestIndexCurvature:
     def test_fundamental_equals_plain_density(self):

@@ -826,3 +826,71 @@ class TestThreeColorWindow:
     def test_projective_exponential(self):
         terms = [(1.0, 1, 1, 0), (0.5, 2, 3, 1), (0.5, 3, 2, -1)]
         assert projective_equality_check(terms, 0.35, W51, "5/2", pair_cap=2) <= 1e-10
+
+
+def operator_arrays(op):
+    return op._amps, op._to, op._from
+
+
+class TestCaches:
+    """sigma and _safe_block hand out shared, cached objects that no caller may change."""
+
+    @pytest.mark.parametrize("cut", [None, "5/2"], ids=["lam", "mu"])
+    def test_repeated_currents_are_shared_and_read_only(self, cut):
+        first = sigma(1, 2, 1, W26, cut=cut)
+        again = sigma(1, 2, 1, W26, cut=cut)
+        assert again is first
+        assert not any(arr.flags.writeable for arr in operator_arrays(first))
+        with pytest.raises(ValueError, match="read-only"):
+            first._amps[0] = 5.0
+
+    def test_cut_at_the_window_cut_shares_the_default_current(self):
+        assert sigma(1, 1, 0, W26, cut="1/2") is sigma(1, 1, 0, W26)
+
+    def test_arithmetic_leaves_the_cached_current_unchanged(self):
+        op = sigma(1, 1, 0, W26, cut="5/2")
+        hops, scalar = op.hops, op.scalar
+        arrays = [arr.copy() for arr in operator_arrays(op)]
+        other = sigma(1, 1, 0, W26)
+        results = [op + other, op - other, other - op, 2.0 * op, -1.0 * op, (1 + 1j) * op]
+        assert all(r is not op for r in results)
+        assert op.hops == hops and op.scalar == scalar
+        assert all(np.array_equal(a, b) for a, b in zip(operator_arrays(op), arrays))
+        assert sigma(1, 1, 0, W26, cut="5/2") is op
+        assert (2.0 * op).hops == tuple((2.0 * a, t, f) for a, t, f in hops)
+
+    def test_safe_block_and_its_images_are_shared_and_read_only(self):
+        block = fock._safe_block(W26, 2, 1)
+        assert fock._safe_block(W26, 2, 1) is block
+        assert not any(arr.flags.writeable for arr in block)
+        assert block[0].tolist() == graded_basis(W26, 2).masks[fock._safe_columns(W26, 2, 1)].tolist()
+        op = sigma(1, 2, 1, W26)
+        image = fock._block_image(op, 2, 1)
+        assert fock._block_image(op, 2, 1) is image
+        assert not any(arr.flags.writeable for arr in image)
+        fresh = fock._sum_keys(op._image_parts(block))
+        assert all(np.array_equal(a, b) for a, b in zip(image, fresh))
+
+    def test_an_equal_but_distinct_operator_gets_its_own_image(self):
+        # images are keyed by the operator object: a rebuilt (or planted)
+        # operator never reads the image of the cached current
+        op = sigma(1, 2, 1, W26)
+        copy = SparseOperator(W26, op.hops, op.scalar)
+        assert fock._block_image(copy, 2, 1) is not fock._block_image(op, 2, 1)
+
+    def test_default_battery_builds_each_current_once(self, monkeypatch):
+        from gerbetool.cli import run_scenario, validate_scenario
+
+        real = fock.sigma
+        asked = []
+
+        def spy(i, j, n, window, cut=None):
+            asked.append((i, j, n, window, window.cut if cut is None else Fraction(cut)))
+            return real(i, j, n, window, cut)
+
+        monkeypatch.setattr(fock, "sigma", spy)
+        fock._current.cache_clear()
+        report = run_scenario(*validate_scenario({"command": "fock"})[:3])
+        assert report["status"] == "pass"
+        built = fock._current.cache_info().misses
+        assert built == len(set(asked)) and len(asked) > 10 * built

@@ -5,7 +5,9 @@ public re-exports.  Each module-level private name (a function, class or
 assignment named _x) must be read somewhere in the package.  The scans are
 plain ast walks, so they need neither pyflakes nor ruff.  Importing the CLI
 in a fresh interpreter must leave scipy.optimize unloaded: it took about
-0.6 s of a 1 s process start.
+0.6 s of a 1 s process start.  It must leave every scipy module unloaded,
+and so must every battery but fock's: scipy.sparse took about 0.28 s of a
+0.5 s start, and only the Fock matrix compression uses it.
 """
 
 import ast
@@ -91,3 +93,57 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert "'scipy.optimize'" not in proc.stdout
     assert "'gerbetool.cli'" in proc.stdout
+
+
+def modules_after(script):
+    """Names of the modules loaded after `script` runs in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script + "\nimport sys\nprint(' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return proc.stdout.splitlines()[-1].split()
+
+
+def scipy_modules(names):
+    return sorted(name for name in names if name.split(".")[0] == "scipy")
+
+
+RUN_DEFAULTS = """
+import gerbetool.cli as cli
+for command in {commands!r}:
+    job = cli.validate_scenario({{"command": command, "params": {{}}, "seed": 1}})[:3]
+    assert cli.run_scenario(*job)["status"] == "pass", command
+"""
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = modules_after("import gerbetool.cli")
+    assert "gerbetool.cli" in loaded
+    assert scipy_modules(loaded) == []
+
+
+def test_batteries_without_fock_load_no_scipy():
+    commands = ["spectrum", "cover", "cocycle", "moduli", "caloron", "pairing"]
+    loaded = modules_after(RUN_DEFAULTS.format(commands=commands))
+    assert "gerbetool.moduli" in loaded
+    assert scipy_modules(loaded) == []
+
+
+def test_fock_battery_loads_scipy_sparse():
+    assert "scipy.sparse" in modules_after(RUN_DEFAULTS.format(commands=["fock"]))
+
+
+def test_fock_matrices_stay_scipy_csr():
+    import scipy.sparse as sp
+
+    from gerbetool.fock import FockWindow, graded_basis, mode_operator_matrix, psi, sigma
+
+    window = FockWindow(2, 2, "1/2")
+    basis = graded_basis(window, 2)
+    for mat in (mode_operator_matrix(psi(1, 1), basis), sigma(1, 2, 1, window).matrix(basis)):
+        assert isinstance(mat, sp.csr_matrix)
+        assert mat.shape == (len(basis), len(basis)) and mat.nnz > 0
