@@ -8,7 +8,7 @@ fock       truncated fermionic Fock space, currents, Bogoliubov transport
 liealg     su(n) bases and coefficients, weight multiplicities, Dynkin indices
 grids      periodic grid forms, stencil derivatives, exterior derivative
 caloron    sampled connections over S1 x T^d and curvature identities
-presets    named analytic connection families and gauge loops
+presets    named analytic connection families and test holonomies
 moduli     surface-group representations and the curvature pairing
 cli        scenario runner with JSON reports (`gerbetool` entry point)
 """
@@ -63,6 +63,7 @@ from .fock import (
     car_residual,
     central_term_check,
     check_basis_cost,
+    check_expm_cost,
     commutator_check,
     cut_shift_check,
     elementary_action,
@@ -88,12 +89,10 @@ from .grids import GridForm, central_diff4, spectral_theta_derivative
 from .caloron import (
     AnalyticConnection,
     CurvatureSamples,
-    GaugeLoop,
     LatticeConnection,
     b_field,
     check_grid,
     curvature,
-    higgs_gauge_law_check,
     index_curvature,
     ms_identity_check,
     pontryagin_density,
@@ -103,9 +102,7 @@ from .caloron import (
 from .presets import (
     connection_preset,
     connection_preset_names,
-    constant_gauge,
     preset_family,
-    winding_gauge,
 )
 from .moduli import (
     LoopWord,

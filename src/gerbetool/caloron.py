@@ -410,56 +410,6 @@ def ms_identity_check(conn, refine_factor=2):
     return res_coarse, math.log(res_coarse / res_fine, refine_factor)
 
 
-@dataclass(frozen=True)
-class GaugeLoop:
-    """Loop-group element sampled on the circle grid with its exact derivative.
-
-    samples[k] = gamma(k / P); derivative[k] = gamma'(k / P) from the
-    closed form, used as the reference route in the transformation-law check.
-    """
-
-    samples: np.ndarray
-    derivative: np.ndarray
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
-        d = np.asarray(self.derivative, dtype=complex)
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "derivative", d)
-        if s.ndim != 3 or s.shape[1] != s.shape[2] or s.shape != d.shape:
-            raise ArgumentError("gauge loop needs matching (P, n, n) sample arrays")
-        eye = np.eye(s.shape[1])
-        worst = float(np.abs(np.swapaxes(s.conj(), 1, 2) @ s - eye).max())
-        if not worst <= self.tolerance:
-            raise ValidationError(f"gauge samples non-unitary by {worst:.3e}")
-
-
-def higgs_gauge_law_check(conn, gauge):
-    """Residual between the two routes to the transformed Higgs field.
-
-    Route one transforms the underlying connection, differentiating the
-    gauge samples with the 4th-order circle stencil, and re-extracts the
-    Higgs field; route two applies conj(gamma) Phi gamma + gamma^-1 gamma'
-    with the loop's closed-form derivative.  The gap is the stencil error,
-    contracting at 4th order in the circle spacing.
-    """
-    p = conn.theta_points
-    if gauge.samples.shape[0] != p or gauge.samples.shape[1] != conn.n:
-        raise ArgumentError(
-            "gauge loop sampled on a different grid than the connection"
-        )
-    extra = (1,) * conn.base_dim
-    g = gauge.samples.reshape((p,) + extra + (conn.n, conn.n))
-    g_inv = np.swapaxes(g.conj(), -1, -2)
-    numeric = central_diff4(gauge.samples, 0, 1.0 / p).reshape(g.shape)
-    exact = gauge.derivative.reshape(g.shape)
-    transported = g_inv @ su_matrices(conn.phi, conn.n) @ g
-    route_one = transported + g_inv @ numeric
-    route_two = transported + g_inv @ exact
-    return float(np.abs(route_one - route_two).max())
-
-
 def rho_scaling_check(conn, rho):
     """Max residual of (curving, 3-curvature) scaling under a representation.
 

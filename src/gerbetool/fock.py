@@ -19,7 +19,8 @@ hop kernel (_hop), broadcast over keys x hops, builds the matrices, applies
 mode operators, and applies operators to blocks of (mask, column, amplitude)
 arrays whose images are never truncated, so exact identities stay exact.
 The exponential runs on blocks of probe columns.  The basis size is bounded
-by a declared cost model (check_basis_cost).
+by a declared cost model (check_basis_cost), and so are the exponential's
+work and growth (check_expm_cost).
 
 Compressions onto a basis are scipy.sparse CSR matrices, and scipy.sparse is
 imported on the first compression (_compress): it costs about 0.3 s of
@@ -66,6 +67,10 @@ _PRODUCT_OVERHEAD = 4096
 # tail bound of one unit roundoff, below the rounding error.
 _THETA_MAX = 2.0
 _UNIT_ROUNDOFF = 2.0**-53
+# Largest |t| * ||mat||_1 of an exponential.  It bounds the log of every
+# entry of exp(t*mat) on a unit column, and e^700 (about 1e304) keeps that
+# bound four decades inside the float range.
+_MAX_NORM_T = 700.0
 # Probe columns per block in projective_equality_check.  The three default
 # projective checks (2 952 states, 2 648 products) measured, warm, median of
 # 5 on a 2-core x86 VM:
@@ -798,28 +803,47 @@ def _norm1(mat):
     return float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
 
 
+def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK, tol=_UNIT_ROUNDOFF):
+    """(steps, degree) of exp(t*mat) @ block at |t| * ||mat||_1 = norm_t, within the cost model.
+
+    _taylor_schedule picks the steps and the degree.  Each product costs nnz
+    multiply-adds per block column plus _PRODUCT_OVERHEAD, and work beyond
+    MAX_EXPM_WORK raises ResourceError.  A norm_t that is not finite, or
+    over _MAX_NORM_T, where the exponential may overflow, raises
+    PrecisionError.  columns defaults to the probe block width of
+    projective_equality_check.
+    """
+    if not math.isfinite(norm_t):
+        raise PrecisionError(f"|t| * ||mat||_1 = {norm_t} is not finite")
+    steps, degree = _taylor_schedule(norm_t, tol)
+    work = steps * degree * (nnz * columns + _PRODUCT_OVERHEAD)
+    if work > MAX_EXPM_WORK:
+        raise ResourceError(
+            f"exponential needs {steps} x {degree} products of a {nnz}-entry "
+            f"matrix on {columns} columns (|t| * ||mat||_1 = {norm_t:.3e}), "
+            f"over the cap of {MAX_EXPM_WORK} multiply-adds"
+        )
+    if norm_t > _MAX_NORM_T:
+        raise PrecisionError(
+            f"exponential may overflow: |t| * ||mat||_1 = {norm_t:.3e} exceeds {_MAX_NORM_T}"
+        )
+    return steps, degree
+
+
 def _expm_multiply(mat, block, t, tol=_UNIT_ROUNDOFF, norm1=None):
     """exp(t*mat) @ block by steps of a truncated Taylor series.
 
-    norm1 is ||mat||_1, taken from mat when not given.  _taylor_schedule
-    picks the steps and the degree; a non-finite step raises PrecisionError.
-    Work beyond MAX_EXPM_WORK raises ResourceError before the first product.
+    norm1 is ||mat||_1, taken from mat when not given.  check_expm_cost
+    picks the steps and the degree, and refuses work or growth beyond the
+    cost model before the first product; a non-finite step raises
+    PrecisionError.
     """
     if t == 0:
         return block.copy()
     if norm1 is None:
         norm1 = _norm1(mat)
     norm_t = abs(t) * norm1
-    if not math.isfinite(norm_t):
-        raise PrecisionError(f"operator norm {norm1:.3e} at time {t} is not finite")
-    steps, degree = _taylor_schedule(norm_t, tol)
-    work = steps * degree * (mat.nnz * block.shape[1] + _PRODUCT_OVERHEAD)
-    if work > MAX_EXPM_WORK:
-        raise ResourceError(
-            f"exponential needs {steps} x {degree} products of a {mat.nnz}-entry "
-            f"matrix on {block.shape[1]} columns (|t| * ||mat||_1 = {norm_t:.3e}), "
-            f"over the cap of {MAX_EXPM_WORK} multiply-adds"
-        )
+    steps, degree = check_expm_cost(norm_t, mat.nnz, block.shape[1], tol)
     step = t / steps
     out = block.astype(np.result_type(mat.dtype, block.dtype, step))
     for _ in range(steps):

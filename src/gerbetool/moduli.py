@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .caloron import AnalyticConnection, check_grid, index_curvature, sample_connection
+from .caloron import AnalyticConnection, check_grid, pontryagin_density, sample_connection
 from .errors import ArgumentError, ResolutionError, ValidationError
 from .liealg import su_coefficients
 from .presets import T1, T2
@@ -368,5 +368,4 @@ def pontryagin_pairing(
     the torus integral.
     """
     conn = family.connection(word, theta_points, base_points, ghost_margin)
-    form = index_curvature(conn, rho)
-    return form.integrate()
+    return pontryagin_density(conn, rho).integrate()

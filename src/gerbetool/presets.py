@@ -26,7 +26,7 @@ HOLONOMY_SUITES names the diagonal test holonomies of the cocycle battery.
 
 import numpy as np
 
-from .caloron import AnalyticConnection, GaugeLoop, sample_connection
+from .caloron import AnalyticConnection, sample_connection
 from .errors import ArgumentError
 from .spectral import TWO_PI, Holonomy
 
@@ -167,33 +167,6 @@ def connection_preset(name, theta_points=12, base_points=16, base_dim=3, amplitu
 
 def connection_preset_names():
     return sorted(_FAMILIES)
-
-
-def winding_gauge(theta_points, winding=1, n=2):
-    """Periodic gauge loop exp(2 pi theta w K) with K = diag(i, -i, 0, ...).
-
-    Carries both the samples and the closed-form derivative
-    2 pi w K gamma(theta) for the transformation-law check.
-    """
-    if int(winding) != winding:
-        raise ArgumentError(f"winding must be an integer, got {winding}")
-    thetas = np.arange(theta_points) / theta_points
-    k = np.zeros((n, n), dtype=complex)
-    k[0, 0], k[1, 1] = 1j, -1j
-    phases = TWO_PI * winding * thetas
-    samples = np.stack([np.eye(n, dtype=complex)] * theta_points)
-    samples[:, 0, 0] = np.exp(1j * phases)
-    samples[:, 1, 1] = np.exp(-1j * phases)
-    derivative = TWO_PI * winding * np.einsum("ij,tjk->tik", k, samples)
-    return GaugeLoop(samples, derivative)
-
-
-def constant_gauge(theta_points, matrix):
-    """Constant gauge loop (derivative identically zero)."""
-    samples = np.broadcast_to(
-        np.asarray(matrix, dtype=complex), (theta_points,) + np.shape(matrix)
-    ).copy()
-    return GaugeLoop(samples, np.zeros_like(samples))
 
 
 _STANDARD_SUITE = (

@@ -203,12 +203,11 @@ def test_criterion_8_moduli_point_and_flows():
         assert got_su2 == oracle_flow([(0.0, 1.0), (0.0, -1.0)], 0.5) == 0
 
 
-# The 50 checks of `gerbetool all`, in report order.
+# The 46 checks of `gerbetool all`, in report order.
 ALL_CHECK_NAMES = [
     "spectrum:mode-count",
     "spectrum:half-cut-covered",
     "spectrum:unit-band-per-color",
-    "spectrum:constant-path-flow",
     "cover:noninteger-cuts-covered",
     "cover:integer-cuts-excluded",
     "cover:triple-delta-trivial",
@@ -241,10 +240,7 @@ ALL_CHECK_NAMES = [
     "fock:cut-shift",
     "fock:projective-exponential",
     "caloron:ms-identity-order",
-    "caloron:higgs-gauge-law",
     "caloron:rho-scaling-adjoint",
-    "caloron:index-vs-pontryagin",
-    "caloron:dynkin-values",
     "moduli:relation-residual",
     "moduli:irreducibility",
     "moduli:conjugation-invariance",

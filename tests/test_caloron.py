@@ -3,8 +3,6 @@
 Oracles, each independent of the code under test:
   * the abelian preset's curvature in closed form,
     F_01 = amp * 2 pi * cos(2 pi x0) T3, evaluated on the grid directly;
-  * the 4th-order stencil's leading error term h^4 f^(5)/30 for the
-    winding-gauge law (f = exp(2 pi i theta), so |f^(5)| = (2 pi)^5);
   * su(2) ladder weights and su(3) root values for Dynkin indices, as
     Cartan-eigenvalue square sums normalized by the defining module;
   * trace ratios tr_rho(X^2)/tr(X^2) through the adjoint matrix images;
@@ -31,13 +29,11 @@ from gerbetool import caloron
 from gerbetool.caloron import (
     MAX_GRID_ENTRIES,
     AnalyticConnection,
-    GaugeLoop,
     LatticeConnection,
     _bracket,
     _density,
     b_field,
     curvature,
-    higgs_gauge_law_check,
     index_curvature,
     ms_identity_check,
     pontryagin_density,
@@ -66,9 +62,7 @@ from gerbetool.liealg import (
 from gerbetool.presets import (
     connection_preset,
     connection_preset_names,
-    constant_gauge,
     preset_family,
-    winding_gauge,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -418,53 +412,12 @@ class TestDensityAndIdentity:
             ms_identity_check(ghosted)
 
 
-class TestGaugeLaw:
-    def test_constant_gauge_routes_agree_exactly(self):
-        pair = connection_preset("su2-family", theta_points=12, base_points=12)
-        gauge = constant_gauge(12, np.diag([1j, -1j]))
-        assert higgs_gauge_law_check(pair, gauge) == 0.0
-
-    def test_winding_gauge_matches_stencil_error_oracle(self):
-        # leading stencil error h^4 |f^(5)| / 30 with f = exp(2 pi i theta)
-        for p in (12, 24):
-            pair = connection_preset("su2-family", theta_points=p, base_points=12)
-            res = higgs_gauge_law_check(pair, winding_gauge(p))
-            pred = TWO_PI**5 * (1.0 / p) ** 4 / 30.0
-            assert 0.9 <= res / pred <= 1.05
-
-    def test_winding_gauge_error_contracts_at_fourth_order(self):
-        res = {}
-        for p in (12, 24):
-            pair = connection_preset("su2-family", theta_points=p, base_points=12)
-            res[p] = higgs_gauge_law_check(pair, winding_gauge(p))
-        assert math.log2(res[12] / res[24]) >= 3.5
-
-    def test_mismatched_grid_rejected(self):
-        pair = connection_preset("su2-family", theta_points=12, base_points=12)
-        with pytest.raises(ArgumentError, match="different grid"):
-            higgs_gauge_law_check(pair, winding_gauge(16))
-
-    def test_non_unitary_loop_rejected(self):
-        samples = np.stack([2.0 * np.eye(2, dtype=complex)] * 8)
-        with pytest.raises(ValidationError, match="non-unitary"):
-            GaugeLoop(samples, np.zeros_like(samples))
-
-    def test_nan_loop_rejected(self):
-        samples = np.stack([np.eye(2, dtype=complex)] * 8)
-        samples[3, 0, 0] = math.nan
-        with pytest.raises(ValidationError, match="non-unitary"):
-            GaugeLoop(samples, np.zeros_like(samples))
-
-    def test_fractional_winding_rejected(self):
-        with pytest.raises(ArgumentError, match="integer"):
-            winding_gauge(12, winding=1.5)
-
-
 class TestDynkinIndex:
     def test_su2_modules_match_ladder_oracle(self):
         assert Representation.fundamental(2).index == su2_ladder_index(2) == 1
         assert Representation.adjoint(2).index == su2_ladder_index(3) == 4
         assert Representation.trivial(2).index == 0
+        assert dynkin_index(3, ()) == 0
         assert dynkin_index(2, (4,)) == su2_ladder_index(5) == 20
 
     def test_larger_fundamentals(self):

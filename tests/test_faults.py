@@ -1,0 +1,216 @@
+"""Fault table: every check of `gerbetool all` fails under a planted library fault.
+
+Each row names one check of criterion 9's list and one fault: a library
+function replaced, wherever a gerbetool module bound it by name, by a
+version with a single defect.  The check's battery runs under the fault and
+the check must report `fail`.  Rows that share a fault and a battery share
+one run.  The row set must equal criterion 9's list, so a check added
+without a row fails this table.
+
+A faulted run could leave faulty bases, currents, probe blocks or images
+in the Fock caches, so they are cleared before and after every run; the
+table ends with the unfaulted `all` battery passing in the same process.
+"""
+
+import dataclasses
+import sys
+
+import numpy as np
+import pytest
+
+from gerbetool import fock, grids, liealg, moduli, spectral
+from gerbetool.cli import run_scenario, validate_scenario
+from gerbetool.moduli import LoopWord, ModuliFamily
+from gerbetool.presets import HOLONOMY_SUITES
+from gerbetool.spectral import Holonomy, SpectralCut
+
+from test_acceptance import ALL_CHECK_NAMES
+from test_fock import flip_middle_hop
+
+FOCK_CACHES = (fock.graded_basis, fock._current, fock._safe_block, fock._block_image)
+
+
+def plant(monkeypatch, owner, name, fault):
+    """Replace owner.name, and every gerbetool module's binding of it, by fault(real)."""
+    real = getattr(owner, name)
+    modules = [
+        module
+        for key, module in sys.modules.items()
+        if key.split(".")[0] == "gerbetool" and getattr(module, name, None) is real
+    ]
+    for target in {owner, *modules}:
+        monkeypatch.setattr(target, name, fault(real))
+
+
+def one_more_band_mode(real):
+    def fault(window, mu):
+        mu, modes = real(window, mu)
+        return mu, modes + [modes[-1] + 1]
+
+    return fault
+
+
+def first_generator_only(real):
+    def fault(rep, h):
+        return dataclasses.replace(rep, generators=real(rep, h).generators[:1] + rep.generators[1:])
+
+    return fault
+
+
+def repeated_first_generator(real):
+    def fault():
+        rep = real()
+        return dataclasses.replace(rep, generators=rep.generators[:1] * 2 + rep.generators[2:])
+
+    return fault
+
+
+# (fault, (owner, name, fault of the real function), [(command, params, checks)])
+FAULTS = [
+    (
+        "dirac_spectrum builds the window one mode short",
+        (spectral, "dirac_spectrum", lambda real: lambda hol, n: real(hol, n - 1)),
+        [("spectrum", {}, ["mode-count"])],
+    ),
+    (
+        "in_cover takes a gap tolerance of 0.3 modes",
+        (spectral, "in_cover", lambda real: lambda spec, cut: real(spec, SpectralCut(cut.value, 0.3))),
+        [
+            ("spectrum", {}, ["half-cut-covered"]),
+            ("cover", {}, ["noninteger-cuts-covered"]),
+        ],
+    ),
+    (
+        "holonomy_phases turns every phase by 0.1 rad",
+        (spectral, "holonomy_phases", lambda real: lambda u: real(u) + 0.1),
+        [("cover", {}, ["integer-cuts-excluded", "triple-rejects-spectrum-cut"])],
+    ),
+    (
+        "band drops each band's top mode",
+        (spectral, "band", lambda real: lambda spec, lo, hi: real(spec, lo, hi)[:-1]),
+        [
+            ("spectrum", {}, ["unit-band-per-color"]),
+            ("cover", {}, ["triple-delta-trivial"]),
+            (
+                "cocycle",
+                {},
+                [f"delta-triviality-{label}" for label, _ in HOLONOMY_SUITES["standard"]]
+                + ["associativity"],
+            ),
+        ],
+    ),
+    (
+        "_parities reads every slot parity as even",
+        (fock, "_parities", lambda real: lambda masks: masks & 0),
+        [("fock", {}, ["car-relations"])],
+    ),
+    (
+        "sigma flips the sign of its middle hop",
+        (fock, "sigma", lambda real: lambda *a, **kw: flip_middle_hop(real(*a, **kw))),
+        [("fock", {}, ["commutator-sweep"])],
+    ),
+    (
+        "sigma moves modes up by n, not down",
+        (fock, "sigma", lambda real: lambda i, j, n, window, cut=None: real(i, j, -n, window, cut)),
+        [("fock", {}, ["central-term"])],
+    ),
+    (
+        "_transport_modes counts one mode too many",
+        (fock, "_transport_modes", one_more_band_mode),
+        [("fock", {}, ["bogoliubov-vacuum", "cut-shift", "projective-exponential"])],
+    ),
+    (
+        "central_diff4 weighs the point i + 1 by 7, not 8",
+        (
+            grids,
+            "central_diff4",
+            lambda real: lambda arr, axis, h: real(arr, axis, h) - np.roll(arr, -1, axis) / (12 * h),
+        ),
+        [
+            ("caloron", {}, ["ms-identity-order"]),
+            ("pairing", {}, ["winding-model-value"]),
+        ],
+    ),
+    (
+        "coefficient_map scales every non-fundamental image by 3/4",
+        (
+            liealg.Representation,
+            "coefficient_map",
+            lambda real: lambda rho: real(rho) if rho.is_fundamental() else 0.75 * real(rho),
+        ),
+        [
+            ("caloron", {}, ["rho-scaling-adjoint"]),
+            ("pairing", {}, ["adjoint-scaling"]),
+        ],
+    ),
+    (
+        "ModuliFamily.family builds the winding family whatever its kind",
+        (
+            ModuliFamily,
+            "family",
+            lambda real: lambda fam, word: real(dataclasses.replace(fam, kind="winding"), word),
+        ),
+        [("pairing", {}, ["constant-family-zero", "static-family-zero"])],
+    ),
+    (
+        "standard_genus2_su2 repeats A_1 as B_1",
+        (moduli, "standard_genus2_su2", repeated_first_generator),
+        [("moduli", {}, ["relation-residual", "irreducibility"])],
+    ),
+    (
+        "conjugate moves the first generator only",
+        (moduli, "conjugate", first_generator_only),
+        [("moduli", {}, ["conjugation-invariance"])],
+    ),
+    (
+        "holonomy multiplies a word's letters in reverse",
+        (moduli, "holonomy", lambda real: lambda rep, word: real(rep, LoopWord(word.letters[::-1]))),
+        [("moduli", {}, ["word-homomorphism"])],
+    ),
+    (
+        "spectral_flow walks the path backwards",
+        (spectral, "spectral_flow", lambda real: lambda path, cut, n: real(path[::-1], cut, n)),
+        [("moduli", {}, ["flow-u1-winding"])],
+    ),
+    (
+        "spectral_flow follows the first color only",
+        (
+            spectral,
+            "spectral_flow",
+            lambda real: lambda path, cut, n: real([Holonomy(h.matrix[:1, :1]) for h in path], cut, n),
+        ),
+        [("moduli", {}, ["flow-su2-balanced"])],
+    ),
+]
+
+RUNS = [
+    pytest.param(patch, command, params, checks, id=f"{command}: {fault}")
+    for fault, patch, runs in FAULTS
+    for command, params, checks in runs
+]
+
+
+def test_rows_are_the_checks_of_all():
+    rows = [f"{command}:{check}" for _, _, runs in FAULTS for command, _, checks in runs for check in checks]
+    assert sorted(rows) == sorted(ALL_CHECK_NAMES)
+
+
+@pytest.mark.parametrize("patch, command, params, checks", RUNS)
+def test_fault_fails_its_checks(monkeypatch, patch, command, params, checks):
+    _, params, seed, _ = validate_scenario({"command": command, "params": params})
+    for cache in FOCK_CACHES:
+        cache.cache_clear()
+    try:
+        plant(monkeypatch, *patch)
+        report = run_scenario(command, params, seed)
+    finally:
+        for cache in FOCK_CACHES:
+            cache.cache_clear()
+    status = {r["name"]: r["status"] for r in report["checks"]}
+    assert {check: status[check] for check in checks} == dict.fromkeys(checks, "fail")
+
+
+def test_unfaulted_all_battery_passes():
+    report = run_scenario("all", {}, 7)
+    assert [r["name"] for r in report["checks"]] == ALL_CHECK_NAMES
+    assert report["status"] == "pass"

@@ -133,6 +133,13 @@ def test_batteries_without_fock_load_no_scipy():
     assert scipy_modules(loaded) == []
 
 
+def test_fock_validation_loads_no_scipy():
+    # the exp_time rule takes ||sigma||_1 in closed form and builds no matrix
+    loaded = modules_after("import gerbetool.cli as cli\ncli.validate_scenario({'command': 'fock'})")
+    assert "gerbetool.fock" in loaded
+    assert scipy_modules(loaded) == []
+
+
 def test_fock_battery_loads_scipy_sparse():
     assert "scipy.sparse" in modules_after(RUN_DEFAULTS.format(commands=["fock"]))
 
