@@ -113,7 +113,6 @@ from .moduli import (
     holonomy,
     holonomy_path,
     irreducibility_check,
-    pontryagin_pairing,
     random_special_unitary,
     relation_check,
     standard_genus2_su2,

@@ -870,7 +870,8 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
     probe columns, in real arithmetic when every matrix entry and the scalar
     factor are real.  The exponentials grow as e^{|t| ||sigma||}, so the
     residual is the largest entry of the difference of the two sides over
-    max(1, the largest entry of either exponential); a NaN stays NaN.
+    max(1, the largest entry of either side, trace factor included); a NaN
+    stays NaN.
     """
     mu, modes = _transport_modes(window, mu)
     n_shift = len(modes)
@@ -899,8 +900,8 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
         block[cols, np.arange(len(cols))] = 1.0
         lhs = _expm_multiply(mat_mu, block, t, tail_tol, norm_mu)
         rhs = _expm_multiply(mat_lam, block, t, tail_tol, norm_lam)
-        scale = np.maximum(scale, np.maximum(np.abs(lhs).max(), np.abs(rhs).max()))
         rhs *= factor
+        scale = np.maximum(scale, np.maximum(np.abs(lhs).max(), np.abs(rhs).max()))
         lhs -= rhs
         residual = np.maximum(residual, np.abs(lhs).max())
     return float(residual / np.maximum(1.0, scale))

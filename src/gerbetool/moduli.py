@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .caloron import AnalyticConnection, check_grid, pontryagin_density, sample_connection
+from .caloron import AnalyticConnection, check_grid, sample_connection
 from .errors import ArgumentError, ResolutionError, ValidationError
 from .liealg import su_coefficients
 from .presets import T1, T2
@@ -228,27 +228,20 @@ def _loop_direction(rep, word):
 
 @dataclass(frozen=True)
 class ModuliFamily:
-    """Named 3-parameter connection family attached to a representation point.
+    """The winding 3-parameter connection family attached to a representation point.
 
-    kind "constant": parameter-independent Higgs field, vanishing gauge
-    field; both curvature blocks vanish, the pairing is exactly zero.
-    kind "static": no circle component and no circle dependence; the
-    mixed curvature vanishes, the pairing is exactly zero.
-    kind "winding": Higgs field winding w1 times across the first
-    parameter and a gauge component winding w2 times across the third,
-    all along the holonomy direction of the chosen loop, plus a smooth
-    modulation; the pairing converges to a nonzero model value.
+    A Higgs field winding w1 times across the first parameter and a gauge
+    component winding w2 times across the third, all along the holonomy
+    direction of the chosen loop, plus a smooth modulation; the pairing
+    converges to the model value -2 w1 w2.
     """
 
-    kind: str
     rep: SurfaceGroupRep
     w1: int = 1
     w2: int = 1
     modulation: float = 0.2
 
     def __post_init__(self):
-        if self.kind not in ("constant", "static", "winding"):
-            raise ArgumentError(f"unknown family kind {self.kind!r}")
         if int(self.w1) != self.w1 or int(self.w2) != self.w2:
             raise ValidationError("windings must be integers")
 
@@ -256,39 +249,25 @@ class ModuliFamily:
         k = su_coefficients(_loop_direction(self.rep, word))[0]
         eps = self.modulation
         w1, w2 = self.w1, self.w2
-        kind = self.kind
 
         def along_k(coeff):
             return np.asarray(coeff)[..., None] * k
 
         def phi(th, xs):
-            if kind == "constant":
-                return along_k(0.8 + 0.0 * (th + xs[0]))
-            if kind == "static":
-                return along_k(0.0 * (th + xs[0]))
             lin = TWO_PI * w1 * xs[0]
             wave = eps * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[1])
             return along_k(lin + wave)
 
         def base(th, xs, axis):
-            zero = along_k(0.0 * (th + xs[axis]))
-            if kind == "constant":
-                return zero
-            if kind == "static":
-                if axis == 0:
-                    return along_k(np.sin(TWO_PI * xs[1]) + 0.0 * th)
-                if axis == 1:
-                    return along_k(TWO_PI * w2 * xs[2] + 0.0 * th)
-                return zero
             if axis == 0:
                 return along_k(eps * np.cos(TWO_PI * th) * np.cos(TWO_PI * xs[2]))
             if axis == 1:
                 lin = TWO_PI * w2 * xs[2] + 0.0 * th
                 wave = eps * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[0])
                 return along_k(lin + wave)
-            return zero
+            return along_k(0.0 * (th + xs[axis]))
 
-        return AnalyticConnection(self.rep.n, phi, base, f"moduli-{kind}")
+        return AnalyticConnection(self.rep.n, phi, base, "moduli-winding")
 
     def connection(self, word, theta_points=8, base_points=12, ghost_margin=4):
         check_sampling(theta_points, base_points, ghost_margin, self.rep.n)
@@ -350,22 +329,3 @@ def _seam_check(conn, fam, tolerance=1e-10):
                     f"varies by {spread:.3e}; not a closed family"
                 )
 
-
-def pontryagin_pairing(
-    family,
-    word,
-    rho,
-    theta_points=8,
-    base_points=12,
-    ghost_margin=4,
-):
-    """Integral over the parameter torus of the representation curvature density.
-
-    Builds the family's connection over S1 x T3 (covering-space sampling
-    with ghost margins), pushes it through the representation, and
-    integrates the circle-integrated density; the density is
-    gauge-invariant and hence genuinely periodic, so the core-grid mean is
-    the torus integral.
-    """
-    conn = family.connection(word, theta_points, base_points, ghost_margin)
-    return pontryagin_density(conn, rho).integrate()

@@ -203,7 +203,7 @@ def test_criterion_8_moduli_point_and_flows():
         assert got_su2 == oracle_flow([(0.0, 1.0), (0.0, -1.0)], 0.5) == 0
 
 
-# The 46 checks of `gerbetool all`, in report order.
+# The 44 checks of `gerbetool all`, in report order.
 ALL_CHECK_NAMES = [
     "spectrum:mode-count",
     "spectrum:half-cut-covered",
@@ -247,8 +247,6 @@ ALL_CHECK_NAMES = [
     "moduli:word-homomorphism",
     "moduli:flow-u1-winding",
     "moduli:flow-su2-balanced",
-    "pairing:constant-family-zero",
-    "pairing:static-family-zero",
     "pairing:winding-model-value",
     "pairing:adjoint-scaling",
 ]

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gerbetool import cli, detline, fock
+from gerbetool import cli, detline, fock, moduli
 from gerbetool.cli import (
     COMMANDS,
     emit_schema,
@@ -52,6 +52,20 @@ class TestSchema:
         schema = emit_schema()
         assert sorted(schema["commands"]) == sorted(COMMANDS)
         assert schema["scenario"]["command"] == list(COMMANDS)
+
+    def test_param_keys_of_every_command(self):
+        # adding or removing a knob must edit this table
+        keys = {name: set(cmd["params"]) for name, cmd in emit_schema()["commands"].items()}
+        assert keys == {
+            "spectrum": {"n_max", "phases"},
+            "cover": {"n_max", "denominator_cap"},
+            "cocycle": {"n_max", "suite"},
+            "fock": {"n_colors", "n_max", "cut", "mu", "sweep", "pair_cap", "exp_time"},
+            "caloron": {"preset", "amplitude", "theta_points", "base_points", "refine_factor"},
+            "moduli": {"conjugations", "flow_steps", "n_max"},
+            "pairing": {"w1", "w2", "modulation", "theta_points", "base_points", "ghost_margin"},
+            "all": set(),
+        }
 
     def test_schema_subcommand_prints_json(self):
         proc = run_cli("schema")
@@ -308,10 +322,12 @@ class TestReports:
         (record,) = [r for r in report["checks"] if r["name"] == "projective-exponential"]
         assert record["status"] == "pass" and record["residual"] <= 1e-14
 
-    def test_projective_shift_off_by_one_fails(self, monkeypatch):
-        # one mode too many in the band turns the trace factor e^-0.7 of the
-        # diagonal generator into e^-1.05: the residual is their gap over
-        # the largest entry of exp(0.35 sigma_lam), 2.01
+    @pytest.mark.parametrize("exp_time", [0.35, 15.0, 30.0, -30.0])
+    def test_projective_shift_off_by_one_fails(self, monkeypatch, exp_time):
+        # one mode too many in the band puts an extra e^-t on the trace
+        # factor, so the two sides differ by 1 - e^-|t| of the larger one.
+        # A scale taken before the factor was the lambda side's e^{3t}: the
+        # residual read 9.4e-14 at t = 15 and 8.8e-27 at t = 30, a pass
         real = fock._transport_modes
 
         def one_more(window, mu):
@@ -319,11 +335,11 @@ class TestReports:
             return mu, modes + [modes[-1] + 1]
 
         monkeypatch.setattr(fock, "_transport_modes", one_more)
-        _, params, seed, _ = validate_scenario({"command": "fock"})
+        _, params, seed, _ = validate_scenario({"command": "fock", "params": {"exp_time": exp_time}})
         report = run_scenario("fock", params, seed)
         (record,) = [r for r in report["checks"] if r["name"] == "projective-exponential"]
         assert record["status"] == "fail"
-        assert record["residual"] == pytest.approx(math.exp(-0.7) - math.exp(-1.05), rel=1e-9)
+        assert record["residual"] == pytest.approx(1.0 - math.exp(-abs(exp_time)), rel=1e-9)
 
     @pytest.mark.parametrize(
         "command,params",
@@ -409,6 +425,21 @@ class TestReports:
         status = {r["name"]: r["status"] for r in run_scenario("pairing", full, seed)["checks"]}
         assert status["adjoint-scaling"] == "fail"
         assert status["winding-model-value"] == "pass"
+
+    def test_pairing_battery_samples_one_connection(self, monkeypatch):
+        # both checks read the one winding sample
+        real = moduli.sample_connection
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].label)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(moduli, "sample_connection", spy)
+        _, params, seed, _ = validate_scenario({"command": "pairing"})
+        report = run_scenario("pairing", params, seed)
+        assert report["status"] == "pass"
+        assert calls == ["moduli-winding"]
 
     def test_vanishing_density_scales_exactly(self):
         # w1 = 0 without modulation makes every density term 0: the scale is 1
@@ -645,7 +676,7 @@ class TestExitCodes:
             ("cover", {"n_max": 1}, "key 'n_max' .* must be >= 3"),
             ("cover", {"denominator_cap": 1}, "key 'denominator_cap' .* must be >= 2"),
             ("cocycle", {"n_max": 2}, "key 'n_max' .* must be >= 3"),
-            ("cocycle", {"tolerance": -1.0}, "key 'tolerance' .* must be >= 0"),
+            ("cocycle", {"tolerance": 1e-12}, "unknown key 'tolerance' in params for command 'cocycle'"),
             ("moduli", {"conjugations": -1}, "key 'conjugations' .* must be >= 1"),
             ("moduli", {"n_max": 0}, "cut 1/2 outside the certified window"),
             ("moduli", {"flow_steps": 4}, "key 'flow_steps' .* must be >= 5"),
@@ -838,12 +869,10 @@ _COCYCLE_PARAMS = _wide_or_valid(
     {
         "n_max": st.integers(1, 5),
         "suite": st.sampled_from(["trivial", "standard", "exotic"]),
-        "tolerance": st.sampled_from([-1.0, 0.0, 1e-12, math.inf]),
     },
     {
         "n_max": st.integers(3, 5),
         "suite": st.sampled_from(["trivial", "standard"]),
-        "tolerance": st.sampled_from([0.0, 1e-12, 1.0]),
     },
 )
 _MODULI_PARAMS = _wide_or_valid(
@@ -886,7 +915,7 @@ _PROPERTY = {
     "fock": (st.fixed_dictionaries({"params": _FOCK_PARAMS, "seed": _SEED}), 60, 6),
     "caloron": (st.fixed_dictionaries({"params": _CALORON_PARAMS}), 40, 2),
     "moduli": (st.fixed_dictionaries({"params": _MODULI_PARAMS, "seed": _SEED}), 20, 6),
-    "pairing": (st.fixed_dictionaries({"params": _PAIRING_PARAMS}), 20, 4),
+    "pairing": (st.fixed_dictionaries({"params": _PAIRING_PARAMS}), 20, 2),
 }
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from gerbetool import fock, grids, liealg, moduli, spectral
 from gerbetool.cli import run_scenario, validate_scenario
-from gerbetool.moduli import LoopWord, ModuliFamily
+from gerbetool.moduli import LoopWord
 from gerbetool.presets import HOLONOMY_SUITES
 from gerbetool.spectral import Holonomy, SpectralCut
 
@@ -142,15 +142,6 @@ FAULTS = [
             ("caloron", {}, ["rho-scaling-adjoint"]),
             ("pairing", {}, ["adjoint-scaling"]),
         ],
-    ),
-    (
-        "ModuliFamily.family builds the winding family whatever its kind",
-        (
-            ModuliFamily,
-            "family",
-            lambda real: lambda fam, word: real(dataclasses.replace(fam, kind="winding"), word),
-        ),
-        [("pairing", {}, ["constant-family-zero", "static-family-zero"])],
     ),
     (
         "standard_genus2_su2 repeats A_1 as B_1",

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gerbetool.caloron import index_curvature
+from gerbetool.caloron import index_curvature, pontryagin_density
 from gerbetool.errors import ArgumentError, ResolutionError, ValidationError
 from gerbetool.liealg import Representation, su_coefficients
 from gerbetool.moduli import (
@@ -28,7 +28,6 @@ from gerbetool.moduli import (
     holonomy,
     holonomy_path,
     irreducibility_check,
-    pontryagin_pairing,
     random_special_unitary,
     relation_check,
     standard_genus2_su2,
@@ -330,30 +329,22 @@ ADJ = Representation.adjoint(2)
 
 
 class TestPairing:
-    def test_constant_family_pairs_to_zero(self):
-        fam = ModuliFamily("constant", standard_genus2_su2())
-        assert abs(pontryagin_pairing(fam, WORD, FUND)) <= 1e-12
-
-    def test_static_family_pairs_to_zero(self):
-        fam = ModuliFamily("static", standard_genus2_su2())
-        assert abs(pontryagin_pairing(fam, WORD, FUND)) <= 1e-12
-
     @pytest.mark.parametrize("w1,w2", [(1, 1), (2, 1), (1, -1)])
     def test_winding_family_hits_model_value(self, w1, w2):
-        fam = ModuliFamily("winding", standard_genus2_su2(), w1=w1, w2=w2)
-        got = pontryagin_pairing(fam, WORD, FUND)
+        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD)
+        got = pontryagin_density(conn, FUND).integrate()
         assert abs(got - (-2.0 * w1 * w2)) <= 1e-10
 
     @pytest.mark.parametrize("w1,w2", [(1, 1), (1, -1)])
     def test_adjoint_pairing_scales_by_four(self, w1, w2):
-        fam = ModuliFamily("winding", standard_genus2_su2(), w1=w1, w2=w2)
-        got = pontryagin_pairing(fam, WORD, ADJ)
+        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD)
+        got = pontryagin_density(conn, ADJ).integrate()
         assert abs(got - (-8.0 * w1 * w2)) <= 1e-10
 
     def test_density_matches_closed_form_pointwise(self):
         # stencil error measured at 9.7e-5 on a density of scale 2
         eps, m, g = 0.2, 12, 4
-        fam = ModuliFamily("winding", standard_genus2_su2(), w1=1, w2=1)
+        fam = ModuliFamily(standard_genus2_su2(), w1=1, w2=1)
         conn = fam.connection(WORD, 8, m, g)
         comp = index_curvature(conn, FUND).comps[(0, 1, 2)]
         core = comp[g:-g, g:-g, g:-g]
@@ -367,17 +358,13 @@ class TestPairing:
         # covering-space samples are not periodic, so a stencil that leaves
         # the margin reads across the seam: the model value -2 came out as
         # 2.5e-17 at margin 0 and -2.85 at margin 1
-        fam = ModuliFamily("winding", standard_genus2_su2())
+        fam = ModuliFamily(standard_genus2_su2())
         with pytest.raises(ResolutionError, match="stencil half-width 2"):
             fam.connection(WORD, 8, 12, margin)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ArgumentError, match="kind"):
-            ModuliFamily("oscillating", standard_genus2_su2())
-
     def test_fractional_winding_rejected(self):
         with pytest.raises(ValidationError, match="integer"):
-            ModuliFamily("winding", standard_genus2_su2(), w1=1.5)
+            ModuliFamily(standard_genus2_su2(), w1=1.5)
 
     def test_open_family_rejected_by_seam_check(self):
         class QuadraticFamily(ModuliFamily):
@@ -393,6 +380,6 @@ class TestPairing:
 
                 return type(fam)(fam.n, phi, fam.base, fam.label)
 
-        fam = QuadraticFamily("winding", standard_genus2_su2())
+        fam = QuadraticFamily(standard_genus2_su2())
         with pytest.raises(ValidationError, match="higgs jump across axis 0"):
             fam.connection(WORD)
