@@ -101,7 +101,6 @@ from .caloron import (
 )
 from .presets import (
     connection_preset,
-    connection_preset_names,
     preset_family,
 )
 from .moduli import (

@@ -37,7 +37,6 @@ from .fock import (
     car_residual,
     central_term_check,
     check_basis_cost,
-    check_expm_cost,
     commutator_check,
     cut_shift_check,
     projective_equality_check,
@@ -58,7 +57,6 @@ from .moduli import (
 from .presets import (
     HOLONOMY_SUITES,
     connection_preset,
-    connection_preset_names,
     diagonal_holonomy,
     holonomy_suite,
     preset_family,
@@ -87,11 +85,27 @@ MAX_CECH_TRIPLES = 32_000
 # about 0.1 s and 86 MB at n_max 2, 1 000 take 0.8 s and 138 MB.
 MAX_PHASES = 256
 
+# Cost model of a Dirac spectrum, (2 n_max + 1) modes per color, each a
+# Python object: at 65 536 modes the spectrum battery takes about 0.2 s and
+# 16 MB, the cover and moduli batteries 0.5 s and 20 MB (2-core x86, Python
+# 3.11); 200 002 modes took 2 s and 100 MB.
+MAX_MODES = 65_536
+
+# Cost model of the moduli flow checks: each path holds flow_steps + 1
+# holonomies; 32 768 steps take about 2 s and 23 MB, 200 000 took 12 s and
+# 112 MB.
+MAX_FLOW_STEPS = 32_768
+
 # adjoint-scaling's tolerance on the gap relative to max(|4 v_fund|, 1)
 _ADJOINT_TOLERANCE = 1e-6
 
-# the projective check's generator K = e^{11}_0, the color-1 number operator
+# the projective check's generator K = e^{11}_0, the color-1 number operator,
+# exponentiated at the time 0.35
 _NUMBER_OPERATOR = [(1.0, 1, 1, 0)]
+_EXP_TIME = 0.35
+
+# the caloron battery's connection, sampled at its default amplitude 0.7
+_CALORON_PRESET = "su2-family"
 
 # the cuts -1/2 and 1/2 of the spectrum, cover and moduli batteries
 _HALVES = (SpectralCut(Fraction(-1, 2)), SpectralCut(Fraction(1, 2)))
@@ -149,9 +163,14 @@ def _suite(where, value):
         raise ConfigError(f"{where} must be 'trivial' or 'standard'")
 
 
-def _preset(where, value):
-    if value not in connection_preset_names():
-        raise ConfigError(f"{where} must be one of {connection_preset_names()}")
+def _require_modes(n_max, colors):
+    """ResourceError when a spectrum of n_max and colors exceeds MAX_MODES."""
+    modes = (2 * n_max + 1) * colors
+    if modes > MAX_MODES:
+        raise ResourceError(
+            f"n_max {n_max} with {colors} colors makes {modes} modes, "
+            f"over the cap of {MAX_MODES}"
+        )
 
 
 def validate_scenario(obj, cli_command=None):
@@ -196,6 +215,8 @@ def validate_scenario(obj, cli_command=None):
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("key 'seed' must be an integer")
+    if seed < 0:  # np.random.default_rng refuses it
+        raise ConfigError("key 'seed' must be >= 0")
     output_path = obj.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("key 'output_path' must be a string")
@@ -203,19 +224,21 @@ def validate_scenario(obj, cli_command=None):
 
 
 def _check_spectrum(params):
-    """At most MAX_PHASES phases, and the battery's cuts 1/2 and -1/2 in the
-    window and off the spectrum.
+    """At most MAX_PHASES phases and MAX_MODES modes, and the battery's cuts
+    1/2 and -1/2 in the window and off the spectrum.
 
-    The phase count is checked before any holonomy is built; the cuts are
-    asked of the library: a phase on a cut leaves half-cut-covered failing,
-    and the band and flow checks raising.
+    Both caps are checked before any holonomy is built; the cuts are asked
+    of the library: a phase on a cut leaves half-cut-covered failing, and
+    the band and flow checks raising.  The eigenvalues nearest +-1/2 have
+    modes -1 and 0, so n_max 1 answers for every n_max.
     """
     if len(params["phases"]) > MAX_PHASES:
         raise ResourceError(
             f"{len(params['phases'])} phases, over the cap of {MAX_PHASES}"
         )
+    _require_modes(params["n_max"], len(params["phases"]))
     _require_window(_HALVES[1], params["n_max"])
-    spec = dirac_spectrum(diagonal_holonomy(params["phases"]), params["n_max"])
+    spec = dirac_spectrum(diagonal_holonomy(params["phases"]), 1)
     for cut in _HALVES:
         if not in_cover(spec, cut):
             raise CoverViolationError(f"phases put an eigenvalue on the cut {cut.value}")
@@ -235,20 +258,14 @@ def _check_fock(params):
 
     The commutator sweep needs a window margin of 2 * sweep around the cut,
     the central term and the projective exponential a margin of 1, and the
-    largest basis is built at pair_cap + 1.  On that basis the current of
-    e^{11}_0 is diagonal, color-1 particles minus holes, at most p =
-    pair_cap + 1 of either; at mu it is shifted down by the band's modes.
-    So ||sigma||_1 is known without building a matrix, and the basis
-    dimension bounds its entry count.
+    largest basis is built at pair_cap + 1.  The exponential at _EXP_TIME
+    stays inside check_expm_cost on every basis check_basis_cost admits, so
+    only _expm_multiply asks it.
     """
     window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
     _require_interior(window, max(2 * params["sweep"], 1))
-    _, modes = _transport_modes(window, params["mu"])
-    p = params["pair_cap"] + 1
-    dim = check_basis_cost(window.n_slots, p)
-    sea = window.sea_count()
-    norm = max(min(p, 2 * window.N + 1 - sea), min(p, sea) + len(modes))
-    check_expm_cost(abs(params["exp_time"]) * norm, dim)
+    _transport_modes(window, params["mu"])
+    check_basis_cost(window.n_slots, params["pair_cap"] + 1)
 
 
 def _check_caloron(params):
@@ -257,14 +274,15 @@ def _check_caloron(params):
     The fine grid, refine_factor times the base grid, is the one the cost
     cap binds.
     """
-    n = preset_family(params["preset"], params["amplitude"]).n
+    n = preset_family(_CALORON_PRESET).n
     coarse = params["base_points"]
     for base_points in (coarse, params["refine_factor"] * coarse):
         check_grid(params["theta_points"], base_points, 3, n)
 
 
 def _check_moduli(params):
-    """The flow checks need the cut 1/2 in the window, asked of the library."""
+    """The cut 1/2 in the window and the su2-balanced path's spectra in MAX_MODES."""
+    _require_modes(params["n_max"], 2)
     _require_window(_HALVES[1], params["n_max"])
 
 
@@ -438,7 +456,6 @@ def _battery_fock(params, seed):
     mu = Fraction(params["mu"])
     sweep = params["sweep"]
     cap = params["pair_cap"]
-    t = params["exp_time"]
 
     def commutator_sweep():
         colors = range(1, window.n_colors + 1)
@@ -456,7 +473,9 @@ def _battery_fock(params, seed):
         return abs(vec.norm2() - 1.0)
 
     def projective():
-        return projective_equality_check(_NUMBER_OPERATOR, t, window, mu, pair_cap=cap + 1)
+        return projective_equality_check(
+            _NUMBER_OPERATOR, _EXP_TIME, window, mu, pair_cap=cap + 1
+        )
 
     def cut_shift():
         residual, n_shift = cut_shift_check(1, 1, 0, window, mu, cap)
@@ -477,10 +496,9 @@ def _battery_fock(params, seed):
 
 def _battery_caloron(params, seed):
     conn = connection_preset(
-        params["preset"],
+        _CALORON_PRESET,
         theta_points=params["theta_points"],
         base_points=params["base_points"],
-        amplitude=params["amplitude"],
     )
 
     def ms_order():
@@ -548,8 +566,7 @@ def _battery_pairing(params, seed):
     rep = standard_genus2_su2()
     gamma = LoopWord(((1, 1),))
     adjoint = Representation.adjoint(2)
-    w1, w2 = params["w1"], params["w2"]
-    winding = ModuliFamily(rep, w1=w1, w2=w2, modulation=params["modulation"])
+    winding = ModuliFamily(rep, modulation=params["modulation"])
 
     @functools.cache
     def winding_conn():
@@ -566,15 +583,16 @@ def _battery_pairing(params, seed):
         v_fund = winding_pairing()
         adj_form = pontryagin_density(winding_conn(), adjoint)
         gap = abs(adj_form.integrate() - 4.0 * v_fund)
-        # the model values are integers, 4 (-2 w1 w2) and 0 at w1 w2 = 0, and
-        # the pairings are sums of density terms that cancel to them: the gap
-        # may reach the tolerance's share of max(|4 v_fund|, 1) or eps times
-        # the terms' mean size, their roundoff, whichever is larger
+        # the model values are the integers -8 and -2, and the pairings are
+        # sums of density terms that cancel to them: the gap may reach the
+        # tolerance's share of max(|4 v_fund|, 1) or eps times the terms'
+        # mean size, their roundoff, whichever is larger; the 1 keeps the
+        # scale where a faulted fundamental pairing vanishes
         roundoff = np.finfo(float).eps * abs(adj_form).integrate()
         return gap / max(abs(4.0 * v_fund), 1.0, roundoff / _ADJOINT_TOLERANCE)
 
     return [
-        ("winding-model-value", 0.15, lambda: abs(winding_pairing() - (-2.0 * w1 * w2))),
+        ("winding-model-value", 0.15, lambda: abs(winding_pairing() + 2.0)),
         ("adjoint-scaling", _ADJOINT_TOLERANCE, adjoint_scaling),
     ]
 
@@ -591,6 +609,8 @@ COMMANDS = {
         # the rejected triple puts a cut at 2, inside (-3, 3); the
         # non-integer cuts need a denominator 2 at least, or none are tested
         bounds={"n_max": (3, None), "denominator_cap": (2, None)},
+        # the spectrum of the 2 x 2 identity holonomy
+        rule=lambda params: _require_modes(params["n_max"], 2),
     ),
     "cocycle": _Command(
         {"n_max": 4, "suite": "standard"},
@@ -602,15 +622,7 @@ COMMANDS = {
         rule=_check_cocycle,
     ),
     "fock": _Command(
-        {
-            "n_colors": 2,
-            "n_max": 6,
-            "cut": "1/2",
-            "mu": "5/2",
-            "sweep": 2,
-            "pair_cap": 2,
-            "exp_time": 0.35,
-        },
+        {"n_colors": 2, "n_max": 6, "cut": "1/2", "mu": "5/2", "sweep": 2, "pair_cap": 2},
         _battery_fock,
         # two colors, so the commutator sweep meets the brackets of e^{ij}
         # with i != j; the sweep and the pair cap are counts
@@ -619,19 +631,10 @@ COMMANDS = {
         rule=_check_fock,
     ),
     "caloron": _Command(
-        {
-            "preset": "su2-family",
-            "theta_points": 12,
-            "base_points": 16,
-            "refine_factor": 2,
-            "amplitude": 0.7,
-        },
+        {"theta_points": 12, "base_points": 16, "refine_factor": 2},
         _battery_caloron,
-        # ms-identity-order measures its order between two base grids, and
-        # from |amplitude| 1e13 roundoff in the density overtakes the
-        # stencil error it measures (1e77 reads NaN)
-        bounds={"refine_factor": (2, None), "amplitude": (-1e8, 1e8)},
-        key_tests={"preset": _preset},
+        # ms-identity-order measures its order between two base grids
+        bounds={"refine_factor": (2, None)},
         rule=_check_caloron,
     ),
     "moduli": _Command(
@@ -639,20 +642,13 @@ COMMANDS = {
         _battery_moduli,
         # a path of flow_steps samples moves each phase 1/flow_steps modes
         # per step, and su2-balanced is first resolved at 5 steps
-        bounds={"conjugations": (1, None), "flow_steps": (5, None)},
+        bounds={"conjugations": (1, None), "flow_steps": (5, MAX_FLOW_STEPS)},
         rule=_check_moduli,
     ),
     "pairing": _Command(
-        {
-            "w1": 1,
-            "w2": 1,
-            "modulation": 0.2,
-            "theta_points": 8,
-            "base_points": 12,
-            "ghost_margin": 4,
-        },
+        {"modulation": 0.2, "theta_points": 8, "base_points": 12, "ghost_margin": 4},
         _battery_pairing,
-        # the pairing is -2 w1 w2 out of density terms of order
+        # the pairing is -2 out of density terms of order
         # modulation^2; past 1e6 roundoff cancels it
         bounds={"modulation": (-1e6, 1e6)},
         rule=_check_pairing,
@@ -726,9 +722,9 @@ def main(argv=None):
                 raise ConfigError(f"cannot read config file: {exc}") from None
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        if args.seed is not None and isinstance(scenario, dict):
+            scenario["seed"] = args.seed  # checked as the config's seed is
         command, params, seed, output_path = validate_scenario(scenario, args.command)
-        if args.seed is not None:
-            seed = args.seed
         if args.out:
             output_path = args.out
     except ConfigError as exc:
@@ -737,10 +733,14 @@ def main(argv=None):
 
     report = run_scenario(command, params, seed)
     text = render_report(report)
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     sys.stdout.write(text)
+    if output_path:
+        try:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report["status"] == "pass" else 1
 
 

@@ -165,10 +165,6 @@ def connection_preset(name, theta_points=12, base_points=16, base_dim=3, amplitu
     return sample_connection(family, base_dim, theta_points, base_points)
 
 
-def connection_preset_names():
-    return sorted(_FAMILIES)
-
-
 _STANDARD_SUITE = (
     ("u1-trivial", (0.0,)),
     ("u1-generic-a", (0.23,)),

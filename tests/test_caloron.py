@@ -20,6 +20,7 @@ assertions.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -61,7 +62,6 @@ from gerbetool.liealg import (
 )
 from gerbetool.presets import (
     connection_preset,
-    connection_preset_names,
     preset_family,
 )
 
@@ -140,13 +140,10 @@ def trace_index(rho, x):
 
 class TestPresetCatalog:
     def test_names(self):
-        assert connection_preset_names() == [
-            "abelian",
-            "flat",
-            "su2-axial",
-            "su2-family",
-            "zero",
-        ]
+        names = ["abelian", "flat", "su2-axial", "su2-family", "zero"]
+        assert [preset_family(name).label for name in names] == names
+        with pytest.raises(ArgumentError, match=re.escape(f"choose from {names}")):
+            preset_family("nahm")
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ArgumentError, match="unknown connection preset"):

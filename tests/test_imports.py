@@ -134,7 +134,7 @@ def test_batteries_without_fock_load_no_scipy():
 
 
 def test_fock_validation_loads_no_scipy():
-    # the exp_time rule takes ||sigma||_1 in closed form and builds no matrix
+    # the window, band and basis rules build no matrix
     loaded = modules_after("import gerbetool.cli as cli\ncli.validate_scenario({'command': 'fock'})")
     assert "gerbetool.fock" in loaded
     assert scipy_modules(loaded) == []
