@@ -96,6 +96,15 @@ MAX_MODES = 65_536
 # 112 MB.
 MAX_FLOW_STEPS = 32_768
 
+# Cost model of the cover battery's noninteger-cuts-covered: about
+# 4 denominator_cap^2 cuts, each an in_cover call; cap 384 takes about 2 s,
+# 512 took 3.9 s (2-core x86, Python 3.11), in a flat 36 MB.
+MAX_DENOMINATOR_CAP = 384
+
+# Cost model of the moduli battery's conjugation-invariance: each conjugation
+# costs about 0.4 ms; 4 096 take about 1.7 s, in a flat 40 MB.
+MAX_CONJUGATIONS = 4_096
+
 # adjoint-scaling's tolerance on the gap relative to max(|4 v_fund|, 1)
 _ADJOINT_TOLERANCE = 1e-6
 
@@ -608,7 +617,7 @@ COMMANDS = {
         _battery_cover,
         # the rejected triple puts a cut at 2, inside (-3, 3); the
         # non-integer cuts need a denominator 2 at least, or none are tested
-        bounds={"n_max": (3, None), "denominator_cap": (2, None)},
+        bounds={"n_max": (3, None), "denominator_cap": (2, MAX_DENOMINATOR_CAP)},
         # the spectrum of the 2 x 2 identity holonomy
         rule=lambda params: _require_modes(params["n_max"], 2),
     ),
@@ -642,7 +651,7 @@ COMMANDS = {
         _battery_moduli,
         # a path of flow_steps samples moves each phase 1/flow_steps modes
         # per step, and su2-balanced is first resolved at 5 steps
-        bounds={"conjugations": (1, None), "flow_steps": (5, MAX_FLOW_STEPS)},
+        bounds={"conjugations": (1, MAX_CONJUGATIONS), "flow_steps": (5, MAX_FLOW_STEPS)},
         rule=_check_moduli,
     ),
     "pairing": _Command(

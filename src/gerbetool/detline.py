@@ -4,9 +4,9 @@ A determinant line is a one-dimensional space spanned by the ordered wedge
 of the eigenmodes in a band between two cuts.  Reordering the wedge costs
 the sign of the permutation, so a line value is (ordered basis, phase) and
 two values agree when their canonical representatives match.  Composition
-concatenates adjacent bands and re-sorts into canonical order, picking up
-that permutation sign; on triples of cuts the cocycle ratio must be exactly
-one.
+concatenates the canonical bases of adjacent bands, already in canonical
+order since the lower band's modes lie below the shared cut, a cut in the
+cover; on triples of cuts the cocycle ratio must be exactly one.
 
 The Hodge pairing sends the degree-k duals into the complementary wedge
 power via contraction with a fixed volume form; hodge_dual_iso measures
@@ -30,8 +30,8 @@ def _mode_key(mode):
     return (mode.eigenvalue, mode.color, mode.mode)
 
 
-def _sort_with_sign(items, key=_mode_key):
-    """(items sorted by key, sign of that permutation); each key is computed once."""
+def permutation_sign(items, key=_mode_key):
+    """Sign of the permutation sorting `items` by `key`; each key is computed once."""
     keys = [key(item) for item in items]
     order = sorted(range(len(items)), key=keys.__getitem__)
     seen = [False] * len(order)
@@ -43,12 +43,7 @@ def _sort_with_sign(items, key=_mode_key):
             while not seen[k]:
                 seen[k] = True
                 k = order[k]
-    return tuple(map(items.__getitem__, order)), -1 if (len(order) - cycles) % 2 else 1
-
-
-def permutation_sign(items, key=_mode_key):
-    """Sign of the permutation sorting `items` by `key` (cycle decomposition)."""
-    return _sort_with_sign(items, key)[1]
+    return -1 if (len(order) - cycles) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class DetLine:
     must match the band exactly) and phase a unit complex scalar.  The
     canonical representative sorts the basis ascending and folds the
     permutation sign into the phase; that sign is fixed once, when the
-    basis is checked against the band.
+    basis is checked against the band, and the band is kept for canonical().
     """
 
     spectrum: Spectrum
@@ -68,6 +63,7 @@ class DetLine:
     basis: tuple
     phase: complex
     _sign: int = field(init=False, repr=False, compare=False)
+    _band: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -84,37 +80,37 @@ class DetLine:
                 raise ValidationError("basis is not a permutation of the band's modes")
             sign = permutation_sign(self.basis)
         object.__setattr__(self, "_sign", sign)
+        object.__setattr__(self, "_band", expected)
 
     def canonical_phase(self):
         """Phase after re-sorting the basis into canonical band order."""
         return self.phase * self._sign
 
     def canonical(self):
-        basis = band(self.spectrum, self.lo, self.hi)
-        return DetLine(self.spectrum, self.lo, self.hi, basis, self.canonical_phase())
+        return DetLine(self.spectrum, self.lo, self.hi, self._band, self.canonical_phase())
 
 
 def det_line(spectrum, lo, hi):
     """Canonical determinant-line value for the band between two cuts."""
-    modes = band(spectrum, lo, hi)
-    return DetLine(spectrum, lo, hi, modes, 1.0 + 0j)
+    return DetLine(spectrum, lo, hi, band(spectrum, lo, hi), 1.0 + 0j)
 
 
 def compose(a, b):
-    """Concatenate adjacent band lines: wedge of a then b, re-sorted canonically.
+    """Concatenate adjacent band lines: wedge of a then b, in canonical form.
 
-    Requires a.hi == b.lo (same rational cut) and the same spectrum; the
-    result's phase carries the sign of the permutation that interleaves the
-    concatenated modes into ascending order.
+    Requires a.hi == b.lo (same rational cut) and the same spectrum.  a's
+    band lies below the shared cut, so the two canonical bases joined are in
+    canonical order with no sort; building the result checks them against
+    the joined band.
     """
     if a.spectrum is not b.spectrum and a.spectrum != b.spectrum:
         raise CompositionError("lines live over different spectra")
-    if a.hi.value != b.lo.value:
+    if not (a.hi is b.lo or a.hi.value == b.lo.value):
         raise CompositionError(
             f"bands are not adjacent: first ends at {a.hi.value}, second starts at {b.lo.value}"
         )
-    canonical, sign = _sort_with_sign(a.basis + b.basis)
-    return DetLine(a.spectrum, a.lo, b.hi, canonical, a.phase * b.phase * sign)
+    phase = a.canonical_phase() * b.canonical_phase()
+    return DetLine(a.spectrum, a.lo, b.hi, a._band + b._band, phase)
 
 
 @dataclass(frozen=True)
@@ -135,12 +131,15 @@ class CechTriple:
     lines: tuple = None
 
     def __post_init__(self):
-        if not (self.lam.value < self.mu.value < self.tau.value):
+        lam, mu, tau = self.lam, self.mu, self.tau
+        # a float "<" that holds is exact: float() of a Fraction is monotone
+        if not (lam.point < mu.point or lam.value < mu.value) or not (
+            mu.point < tau.point or mu.value < tau.value
+        ):
             raise ArgumentError(
-                f"cuts must be strictly increasing, got "
-                f"{self.lam.value}, {self.mu.value}, {self.tau.value}"
+                f"cuts must be strictly increasing, got {lam.value}, {mu.value}, {tau.value}"
             )
-        pairs = ((self.lam, self.mu), (self.mu, self.tau), (self.lam, self.tau))
+        pairs = ((lam, mu), (mu, tau), (lam, tau))
         if self.lines is None:
             # band raises CoverViolationError for a cut on the spectrum
             lines = tuple(det_line(self.spectrum, lo, hi) for lo, hi in pairs)
@@ -152,7 +151,7 @@ class CechTriple:
                 raise ArgumentError(
                     f"line over ({line.lo.value}, {line.hi.value}) lives over another spectrum"
                 )
-            if line.lo != lo or line.hi != hi:
+            if not ((line.lo is lo or line.lo == lo) and (line.hi is hi or line.hi == hi)):
                 raise ArgumentError(
                     f"line over ({line.lo.value}, {line.hi.value}) does not "
                     f"match the cut pair ({lo.value}, {hi.value})"

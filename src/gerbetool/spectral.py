@@ -90,7 +90,7 @@ class Holonomy:
 
 
 def holonomy_phases(u):
-    """Sorted phases of the unitary u in [0, 2*pi).
+    """Sorted phases of the unitary u in [0, 2*pi); a stack of unitaries sorts each.
 
     Phases within 1e-12 of 2*pi are snapped to 0 so that the branch choice
     is stable for holonomies with an eigenvalue at 1.
@@ -174,7 +174,13 @@ def dirac_spectrum(holonomy, N):
 
 
 def _require_window(cut, N):
-    """RangeError unless -N < cut < N, tested exactly as -N*q < p < N*q."""
+    """RangeError unless -N < cut < N, tested exactly as -N*q < p < N*q.
+
+    A float strictly inside settles it first: N is an exact float (no
+    spectrum holds 2**53 modes) and float() of a Fraction is monotone.
+    """
+    if -N < cut.point < N:
+        return
     p, q = cut.value.numerator, cut.value.denominator
     if not -N * q < p < N * q:
         raise RangeError(f"cut {cut.value} outside the certified window (-{N}, {N})")
@@ -185,17 +191,18 @@ def in_cover(spectrum, cut):
 
     The cut must lie strictly inside (-N, N); outside that range the
     truncation cannot certify membership and a RangeError is raised.  Only
-    the two eigenvalues around the cut can be nearest (rounding is monotone).
+    the two eigenvalues around the cut can be nearest (rounding is monotone),
+    and one lies above it, as the largest eigenvalue is at least N.
     """
     _require_window(cut, spectrum.N)
-    eigs, lam = spectrum._eigenvalues, cut.point
+    eigs, lam, tol = spectrum._eigenvalues, cut.point, cut.gap_tolerance
     k = bisect_left(eigs, lam)
-    return min(abs(e - lam) for e in eigs[max(k - 1, 0) : k + 1]) > cut.gap_tolerance
+    return (k == 0 or lam - eigs[k - 1] > tol) and eigs[k] - lam > tol
 
 
 def band(spectrum, lo, hi):
     """Eigenmodes strictly between two cuts, in the spectrum's canonical order."""
-    if not lo.value < hi.value:
+    if not (lo.point < hi.point or lo.value < hi.value):  # a float "<" that holds is exact
         raise ArgumentError(f"cuts out of order: {lo.value} >= {hi.value}")
     for cut in (lo, hi):
         if not in_cover(spectrum, cut):
@@ -206,7 +213,7 @@ def band(spectrum, lo, hi):
 
 def _winding(path):
     """Summed step of the least-motion cyclic shifts of the sorted phases, in radians."""
-    phases = np.array([hol.phases() for hol in path])
+    phases = holonomy_phases(np.stack([hol.matrix for hol in path]))
     n = phases.shape[1]
     shifts = (np.arange(n)[:, None] + np.arange(n)) % n
     steps = np.mod(phases[1:, shifts] - phases[:-1, None] + math.pi, TWO_PI) - math.pi

@@ -454,29 +454,36 @@ class TestReports:
         # quadruples; per-triple lines once made 24 846 det_line calls
         built = collections.Counter()
         spectra = []  # kept alive, so their ids stay distinct
-        sorted_signs = []
-        real_line, real_sign = detline.det_line, detline.permutation_sign
+        sorts = []
+        real_line = detline.det_line
 
         def counted(spec, lo, hi):
             spectra.append(spec)
             built[id(spec), lo.value, hi.value] += 1
             return real_line(spec, lo, hi)
 
-        def watched(items, key=detline._mode_key):
-            if list(items) == sorted(items, key=key):
-                sorted_signs.append(items)
-            return real_sign(items, key)
+        def watched(name, real):
+            def spy(*args, **kwargs):
+                sorts.append(name)
+                return real(*args, **kwargs)
+
+            return spy
 
         for module in (cli, detline):
             monkeypatch.setattr(module, "det_line", counted)
-        monkeypatch.setattr(detline, "permutation_sign", watched)
+        # every line and every composition is canonical, and adjacent bands
+        # are already in canonical order: nothing in detline may sort
+        monkeypatch.setattr(
+            detline, "permutation_sign", watched("permutation_sign", detline.permutation_sign)
+        )
+        monkeypatch.setattr(detline, "sorted", watched("sorted", sorted), raising=False)
         _, params, seed, _ = validate_scenario({"command": "cocycle"})
         report = run_scenario("cocycle", params, seed)
         assert report["status"] == "pass"
         assert built and max(built.values()) == 1
         # n_max 4: six admissible cuts, fifteen pairs per spectrum
         assert len(built) == 15 * (len(HOLONOMY_SUITES["standard"]) + 1)
-        assert sorted_signs == []
+        assert sorts == []
 
     def test_a_bad_shared_line_fails_its_checks(self, monkeypatch):
         # one line of su3-generic-a, the associativity spectrum too, gets
@@ -600,6 +607,8 @@ class TestExitCodes:
             ("moduli", {"conjugations": -1}, "key 'conjugations' .* must be >= 1"),
             ("moduli", {"n_max": 0}, "cut 1/2 outside the certified window"),
             ("moduli", {"flow_steps": 4}, "key 'flow_steps' .* must be >= 5"),
+            ("cover", {"denominator_cap": 385}, "key 'denominator_cap' .* must be <= 384"),
+            ("moduli", {"conjugations": 4097}, "key 'conjugations' .* must be <= 4096"),
             ("spectrum", {"phases": [0.5, 0.1]}, "phases put an eigenvalue on the cut -1/2"),
             ("spectrum", {"phases": [0.15, -0.5 - 1e-12]}, "on the cut -1/2"),
             ("cocycle", {"n_max": 13}, "n_max 13 needs 40480 Cech triples, over the cap of 32000"),
@@ -613,6 +622,8 @@ class TestExitCodes:
             "moduli-conjugations",
             "moduli-n_max",
             "moduli-flow-steps",
+            "cover-denominator-cap",
+            "moduli-conjugations-cap",
             "spectrum-phase-on-cut",
             "spectrum-phase-near-cut",
             "cocycle-cost",
@@ -695,15 +706,19 @@ class TestExitCodes:
             ("cover", "n_max", 16383, {}),
             ("moduli", "n_max", 16383, {}),
             ("moduli", "flow_steps", cli.MAX_FLOW_STEPS, {}),
+            ("cover", "denominator_cap", cli.MAX_DENOMINATOR_CAP, {}),
+            ("moduli", "conjugations", cli.MAX_CONJUGATIONS, {}),
         ],
         ids=[
             "spectrum-modes", "spectrum-colors", "cover-modes", "moduli-modes",
-            "moduli-flow-steps",
+            "moduli-flow-steps", "cover-denominator-cap", "moduli-conjugations",
         ],
     )
     def test_spectral_size_cap_edges(self, monkeypatch, command, key, largest, params):
         # (2 n_max + 1) modes per color and flow_steps holonomies per path,
         # each a Python object: spectrum at n_max 1e5 took 2 s and 100 MB.
+        # About 4 denominator_cap^2 in_cover calls, and 0.4 ms a conjugation:
+        # denominator_cap 512 took 3.9 s.
         # The largest admitted size validates and the next is refused; no
         # spectrum wider than n_max 1 is built to tell
         real = cli.dirac_spectrum

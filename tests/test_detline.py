@@ -106,6 +106,20 @@ class TestDetLine:
             DetLine(spec, cut("-1/2"), cut("1/2"), modes, 1.0)
 
 
+class TestExactCutOrder:
+    def test_same_float_cuts_are_ordered_by_value(self):
+        # distinct rationals with one float: the float "<" cannot settle
+        # their order, the Fractions do
+        a, b = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)
+        assert float(a) == float(b)
+        spec = dirac_spectrum(Holonomy(np.eye(2)), N=2)
+        triple = CechTriple(spec, cut(a), cut(b), cut("1/2"))
+        assert [line.basis for line in triple.lines] == [(), (), ()]
+        for cuts in ((b, a, "1/2"), ("-1/2", b, a), (a, a, "1/2")):
+            with pytest.raises(ArgumentError, match="strictly increasing"):
+                CechTriple(spec, *map(cut, cuts))
+
+
 class TestCompose:
     def test_adjacent_bands_merge_canonically(self):
         spec = dirac_spectrum(Holonomy(np.eye(2)), N=3)
@@ -407,7 +421,7 @@ class TestSignAtConstruction:
             detline, "permutation_sign", lambda *a, **k: pytest.fail("sorted a band")
         )
         monkeypatch.setattr(
-            detline, "_sort_with_sign", lambda *a, **k: pytest.fail("sorted a band")
+            detline, "sorted", lambda *a, **k: pytest.fail("sorted a band"), raising=False
         )
         line = DetLine(spec, cut("-5/2"), cut("5/2"), band(spec, cut("-5/2"), cut("5/2")), -1j)
         assert line.canonical_phase() == -1j

@@ -18,6 +18,7 @@ imported here only.
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -261,6 +262,21 @@ class TestSpectralFlow:
         with pytest.raises(CoverViolationError):
             spectral_flow(path, SpectralCut(Fraction(1)), N=3)
 
+    def test_path_phases_come_from_one_stacked_solve(self, monkeypatch):
+        # one eigvals call per path point once made 4 002 calls per moduli
+        # battery; now each endpoint spectrum and the stacked path take one
+        path = su2_balanced_loop(64)
+        shapes = []
+        real = np.linalg.eigvals
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        assert spectral_flow(path, SpectralCut(Fraction(1, 2)), N=3) == 0
+        assert sorted(shapes) == [(2, 2), (2, 2), (len(path), 2, 2)]
+
     def test_winding_negative_direction(self):
         loop = u1_loop(64)
         reverse = list(reversed(loop))
@@ -443,6 +459,57 @@ class TestSortedSpectrumOracles:
         assert in_cover(spec, SpectralCut(below)) == scan_in_cover(spec, SpectralCut(below))
         with pytest.raises(RangeError):
             in_cover(spec, SpectralCut(Fraction(2)))
+
+
+def two_neighbour_in_cover(spec, cut):
+    """The earlier in_cover: the least distance to the bisected neighbours."""
+    eigs, lam = spec._eigenvalues, cut.point
+    k = bisect_left(eigs, lam)
+    return min(abs(e - lam) for e in eigs[max(k - 1, 0) : k + 1]) > cut.gap_tolerance
+
+
+class TestExactShortcuts:
+    SAME_FLOAT = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
+
+    def test_same_float_cuts_are_ordered_exactly(self):
+        lo, hi = (SpectralCut(v) for v in self.SAME_FLOAT)
+        assert lo.point == hi.point and lo.value < hi.value
+        spec = dirac_spectrum(Holonomy(np.eye(2)), N=2)
+        assert band(spec, lo, hi) == ()
+        with pytest.raises(ArgumentError, match="out of order"):
+            band(spec, hi, lo)
+        with pytest.raises(ArgumentError, match="out of order"):
+            band(spec, lo, lo)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_in_cover_matches_the_two_neighbour_minimum(self, seed):
+        # random spectra and tolerances; cuts at random rationals, below
+        # the lowest eigenvalue, on each eigenvalue and at the tolerance's
+        # edges around it, each also one ulp either side
+        rng = np.random.default_rng(seed)
+        verdicts, lowest = set(), 0
+        for _ in range(8):
+            n, N = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            spec = dirac_spectrum(Holonomy(random_unitary(n, int(rng.integers(2**31)))), N)
+            tol = float(10.0 ** rng.uniform(-15, -0.5))
+            points = [float(x) for x in rng.uniform(-N, N, 16)]
+            points.append(np.nextafter(float(-N), math.inf))
+            for e in spec._eigenvalues:
+                points += [e, e - tol, e + tol]
+            values = {
+                Fraction(float(q))
+                for p in points
+                for q in (np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf))
+            }
+            for value in values:
+                if not -N < value < N:
+                    continue
+                cut = SpectralCut(value, gap_tolerance=tol)
+                got = in_cover(spec, cut)
+                assert got == two_neighbour_in_cover(spec, cut), (seed, value, tol)
+                verdicts.add(got)
+                lowest += cut.point < spec._eigenvalues[0]
+        assert verdicts == {True, False} and lowest
 
 
 class TestHolonomyFiniteness:
