@@ -91,9 +91,10 @@ MAX_PHASES = 256
 # 3.11); 200 002 modes took 2 s and 100 MB.
 MAX_MODES = 65_536
 
-# Cost model of the moduli flow checks: each path holds flow_steps + 1
-# holonomies; 32 768 steps take about 2 s and 23 MB, 200 000 took 12 s and
-# 112 MB.
+# Cost model of the moduli flow checks: each path is one (flow_steps + 1,
+# n, n) array, checked once and diagonalized in one call; both paths at
+# 32 768 steps take about 0.1 s and 10 MB, at 200 000 about 0.6 s and 53 MB
+# (2-core x86, Python 3.11).
 MAX_FLOW_STEPS = 32_768
 
 # Cost model of the cover battery's noninteger-cuts-covered: about

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ArgumentError, CompositionError, ResourceError, ValidationError
-from .spectral import Spectrum, SpectralCut, band
+from .spectral import Spectrum, SpectralCut, _unitarity_defect, band
 
 _PHASE_TOL = 1e-12
 
@@ -235,11 +235,5 @@ def hodge_dual_iso(dim, seed=0):
                 deg -= 1
             cols.append(vec)
         mat = np.column_stack(cols) if cols else np.zeros((len(subsets[dim - k]), 0))
-        gram = mat.conj().T @ mat
-        cogram = mat @ mat.conj().T
-        eye_g = np.eye(gram.shape[0])
-        eye_c = np.eye(cogram.shape[0])
-        worst = np.max(
-            [worst, np.abs(gram - eye_g).max(), np.abs(cogram - eye_c).max()]
-        )
+        worst = np.max([worst, _unitarity_defect(mat), _unitarity_defect(mat.conj().T)])
     return float(worst)

@@ -17,7 +17,7 @@ reported quantities are built from the gauge-invariant density, which is
 genuinely periodic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -25,20 +25,8 @@ import numpy as np
 from .caloron import AnalyticConnection, check_grid, sample_connection
 from .errors import ArgumentError, ResolutionError, ValidationError
 from .liealg import su_coefficients
-from .presets import T1, T2
-from .spectral import TWO_PI, Holonomy
-
-
-def _check_special_unitary(mat, tolerance, what):
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"{what} is not square")
-    n = mat.shape[0]
-    if not np.abs(mat.conj().T @ mat - np.eye(n)).max() <= tolerance:
-        raise ValidationError(f"{what} is not unitary within {tolerance}")
-    if not abs(np.linalg.det(mat) - 1.0) <= max(tolerance, 1e-9):
-        raise ValidationError(f"{what} does not have unit determinant")
-    return mat
+from .presets import T1, T2, diagonal_unitaries
+from .spectral import TWO_PI, _unitary
 
 
 @dataclass(frozen=True)
@@ -64,15 +52,13 @@ class SurfaceGroupRep:
             raise ValidationError(f"genus must be >= 2, got {self.genus}")
         if self.n < 2:
             raise ValidationError(f"need SU(n) with n >= 2, got {self.n}")
-        gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
-        if len(gens) != 2 * self.genus:
-            raise ValidationError(
-                f"need {2 * self.genus} generators, got {len(gens)}"
-            )
-        for idx, g in enumerate(gens):
-            _check_special_unitary(g, self.tolerance, f"generator {idx + 1}")
-            if g.shape[0] != self.n:
-                raise ValidationError(f"generator {idx + 1} is not {self.n} x {self.n}")
+        if len(self.generators) != 2 * self.genus:
+            raise ValidationError(f"need {2 * self.genus} generators, got {len(self.generators)}")
+        det_tolerance = max(self.tolerance, 1e-9)
+        gens = tuple(
+            _unitary(g, self.tolerance, f"generator {idx + 1}", det_tolerance, n=self.n)
+            for idx, g in enumerate(self.generators)
+        )
         object.__setattr__(self, "generators", gens)
         if not abs(abs(self.z) - 1.0) <= self.tolerance:
             raise ValidationError("central defect z must be a unit scalar")
@@ -141,16 +127,9 @@ def irreducibility_check(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
 
 def conjugate(rep, h):
     """The gauge action: every generator g becomes h g h^-1."""
-    h = _check_special_unitary(h, rep.tolerance, "conjugating element")
+    h = _unitary(h, rep.tolerance, "conjugating element", max(rep.tolerance, 1e-9), n=rep.n)
     h_inv = h.conj().T
-    return SurfaceGroupRep(
-        rep.genus,
-        rep.n,
-        rep.z,
-        tuple(h @ g @ h_inv for g in rep.generators),
-        rep.tolerance,
-        rep.z_exponent,
-    )
+    return replace(rep, generators=tuple(h @ g @ h_inv for g in rep.generators))
 
 
 def holonomy(rep, word):
@@ -187,23 +166,19 @@ def random_special_unitary(n, rng):
 
 
 def holonomy_path(name, steps=48):
-    """Closed circle-holonomy families feeding spectral flow.
+    """Closed circle-holonomy family feeding spectral flow: one (steps + 1, n, n) array.
 
     "u1-winding": the 1 x 1 loop exp(2 pi i t), one full winding.
     "su2-balanced": diag(exp(2 pi i t), exp(-2 pi i t)), net flow zero.
-    The final point repeats the first exactly so the path closes.
+    Row k is at t = k / steps, and the last row repeats the first exactly.
     """
-    ts = np.arange(steps) / steps
-    if name == "u1-winding":
-        mats = [np.array([[np.exp(2j * np.pi * t)]]) for t in ts]
-    elif name == "su2-balanced":
-        mats = [
-            np.diag([np.exp(2j * np.pi * t), np.exp(-2j * np.pi * t)]) for t in ts
-        ]
-    else:
+    windings = {"u1-winding": (1,), "su2-balanced": (1, -1)}.get(name)  # turns per color
+    if windings is None:
         raise ArgumentError(f"unknown holonomy path {name!r}")
-    mats.append(mats[0].copy())
-    return [Holonomy(m) for m in mats]
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 2:
+        raise ArgumentError(f"a holonomy path needs an integer steps >= 2, got {steps!r}")
+    ts = np.arange(steps + 1) % steps / steps
+    return diagonal_unitaries(ts[:, None] * np.array(windings))
 
 
 def _loop_direction(rep, word):

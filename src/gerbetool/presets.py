@@ -196,9 +196,16 @@ HOLONOMY_SUITES = {
 }
 
 
+def diagonal_unitaries(phases):
+    """diag(exp(2 pi i phase)) over the last axis of phases (in turns): (..., n) -> (..., n, n)."""
+    entries = np.exp(2j * np.pi * np.asarray(phases, dtype=float))
+    on_diagonal = np.eye(entries.shape[-1] if entries.ndim else 0, dtype=bool)
+    return np.where(on_diagonal, entries[..., None], 0j)
+
+
 def diagonal_holonomy(phases):
     """The holonomy diag(exp(2 pi i phase)), one phase (in turns) per color."""
-    return Holonomy(np.diag(np.exp(2j * np.pi * np.asarray(phases, dtype=float))))
+    return Holonomy(diagonal_unitaries(phases))
 
 
 def holonomy_suite(name):

@@ -41,6 +41,43 @@ def rational(x):
     )
 
 
+def _unitary(u, tolerance, what, det_tolerance=None, stack=False, n=None):
+    """u as a complex array of unitaries: an (n, n) matrix, or a (k, n, n) stack.
+
+    One batched U^dag U - I product checks a whole stack, and an error names
+    the first index that fails.  det_tolerance, if given, bounds |det U - 1|
+    too, and n, if given, fixes the matrix size.
+    """
+    if not 0 <= tolerance < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a numeric array: {exc}") from None
+    size = u.shape[-1] if u.ndim == 2 + stack else 0
+    if size < 1 or u.shape[-2] != size or n not in (None, size):
+        kind = "a stack of square matrices" if stack else "a square matrix"
+        want = f"{n} x {n}" if n else "n x n with n >= 1"
+        raise ValidationError(f"{what} must be {kind}, {want}, got shape {u.shape}")
+
+    def refuse_over(defect, bound, failure):
+        fine = defect <= bound  # with a finite bound, False also for a NaN or inf defect
+        if not fine.all():
+            at = np.unravel_index(fine.argmin(), fine.shape)
+            where = "".join(f"[{i}]" for i in at)
+            raise ValidationError(f"{what}{where} {failure}: defect {defect[at]:.3e} > {bound:.3e}")
+
+    refuse_over(_unitarity_defect(u), tolerance, "is not unitary within tolerance")
+    if det_tolerance is not None:
+        refuse_over(abs(np.linalg.det(u) - 1.0), det_tolerance, "does not have unit determinant")
+    return u
+
+
+def _unitarity_defect(u):
+    """max |U^dag U - I| of each matrix of a (..., n, n) stack."""
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class Holonomy:
     """A unitary n x n holonomy matrix with a validation tolerance."""
@@ -50,33 +87,12 @@ class Holonomy:
     special: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.tolerance < math.inf:
-            raise ValidationError(f"tolerance must be finite and >= 0, got {self.tolerance}")
-        u = np.asarray(self.matrix, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValidationError(f"holonomy must be a square matrix, got shape {u.shape}")
-        object.__setattr__(self, "matrix", u)
-        # with a finite tolerance, "not <=" also rejects the NaN or inf
-        # defect of a matrix with non-finite entries
-        defect = np.abs(u.conj().T @ u - np.eye(len(u))).max()
-        if not defect <= self.tolerance:
-            raise ValidationError(
-                f"holonomy is not unitary within tolerance: defect {defect:.3e} > {self.tolerance:.3e}"
-            )
-        if self.special:
-            det_defect = abs(np.linalg.det(u) - 1.0)
-            if not det_defect <= self.tolerance:
-                raise ValidationError(
-                    f"holonomy flagged special-unitary but |det(U)-1| = {det_defect:.3e}"
-                )
+        det = self.tolerance if self.special else None
+        object.__setattr__(self, "matrix", _unitary(self.matrix, self.tolerance, "holonomy", det))
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def phases(self):
-        """Eigenvalue phases in [0, 2*pi), ascending; color c uses phases()[c-1]."""
-        return holonomy_phases(self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, Holonomy):
@@ -90,7 +106,7 @@ class Holonomy:
 
 
 def holonomy_phases(u):
-    """Sorted phases of the unitary u in [0, 2*pi); a stack of unitaries sorts each.
+    """Sorted phases of the unitary u in [0, 2*pi), color c at [c-1]; a stack sorts each.
 
     Phases within 1e-12 of 2*pi are snapped to 0 so that the branch choice
     is stable for holonomies with an eigenvalue at 1.
@@ -127,7 +143,7 @@ class Spectrum:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError(f"window size N must be >= 1, got {self.N}")
-        phases = self.holonomy.phases().tolist()
+        phases = holonomy_phases(self.holonomy.matrix).tolist()
         items = [
             EigenMode(c + 1, m, m + phases[c] / TWO_PI)
             for c in range(self.holonomy.n)
@@ -136,10 +152,6 @@ class Spectrum:
         items.sort(key=lambda em: (em.eigenvalue, em.color, em.mode))
         object.__setattr__(self, "modes", tuple(items))
         object.__setattr__(self, "_eigenvalues", tuple(em.eigenvalue for em in items))
-
-    @property
-    def n(self):
-        return self.holonomy.n
 
     def eigenvalues(self):
         return np.array(self._eigenvalues)
@@ -213,7 +225,7 @@ def band(spectrum, lo, hi):
 
 def _winding(path):
     """Summed step of the least-motion cyclic shifts of the sorted phases, in radians."""
-    phases = holonomy_phases(np.stack([hol.matrix for hol in path]))
+    phases = holonomy_phases(path)
     n = phases.shape[1]
     shifts = (np.arange(n)[:, None] + np.arange(n)) % n
     steps = np.mod(phases[1:, shifts] - phases[:-1, None] + math.pi, TWO_PI) - math.pi
@@ -238,18 +250,20 @@ def _winding(path):
 def spectral_flow(path, cut, N):
     """Net signed eigenvalue flow through the cut along a closed holonomy path.
 
-    On a closed path the flow is the net eigenphase winding, at every cut that
-    misses both endpoint spectra (Atiyah, Patodi & Singer 1976).  Each step
-    takes the least-motion cyclic shift of the sorted phases (Rabin, Delon &
-    Gousseau 2011), ties going to the smaller largest step; tied shifts that
-    wind differently leave the step ambiguous and raise ResolutionError.
+    The path is one (k, n, n) array of unitaries, k >= 2, checked once, whose
+    last row repeats its first.  On a closed path the flow is the net
+    eigenphase winding, at every cut that misses both endpoint spectra
+    (Atiyah, Patodi & Singer 1976).  Each step takes the least-motion cyclic
+    shift of the sorted phases (Rabin, Delon & Gousseau 2011), ties going to
+    the smaller largest step; tied shifts that wind differently leave the
+    step ambiguous and raise ResolutionError.
     """
+    path = _unitary(path, Holonomy.tolerance, "path", stack=True)
     if len(path) < 2:
         raise ArgumentError("path needs at least two samples")
-    u0, u1 = path[0].matrix, path[-1].matrix
-    if u0.shape != u1.shape or np.abs(u0 - u1).max() > 1e-12:
+    if np.abs(path[0] - path[-1]).max() > 1e-12:
         raise ArgumentError("path is not closed: first and last holonomy differ")
-    for which, hol in (("start", path[0]), ("end", path[-1])):
-        if not in_cover(dirac_spectrum(hol, N), cut):
+    for which, u in (("start", path[0]), ("end", path[-1])):
+        if not in_cover(dirac_spectrum(Holonomy(u), N), cut):
             raise CoverViolationError(f"cut {cut.value} touches the spectrum at the path {which}point")
     return round(_winding(path) / TWO_PI)

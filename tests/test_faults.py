@@ -22,7 +22,7 @@ from gerbetool import fock, grids, liealg, moduli, spectral
 from gerbetool.cli import run_scenario, validate_scenario
 from gerbetool.moduli import LoopWord
 from gerbetool.presets import HOLONOMY_SUITES
-from gerbetool.spectral import Holonomy, SpectralCut
+from gerbetool.spectral import SpectralCut
 
 from test_acceptance import ALL_CHECK_NAMES
 from test_fock import flip_middle_hop
@@ -168,7 +168,7 @@ FAULTS = [
         (
             spectral,
             "spectral_flow",
-            lambda real: lambda path, cut, n: real([Holonomy(h.matrix[:1, :1]) for h in path], cut, n),
+            lambda real: lambda path, cut, n: real(path[:, :1, :1], cut, n),
         ),
         [("moduli", {}, ["flow-su2-balanced"])],
     ),

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from gerbetool import cli, spectral
 from gerbetool.caloron import index_curvature, pontryagin_density
 from gerbetool.errors import ArgumentError, ResolutionError, ValidationError
 from gerbetool.liealg import Representation, su_coefficients
@@ -126,6 +127,16 @@ class TestRepresentationPoint:
         with pytest.raises(ValidationError, match="unit scalar"):
             SurfaceGroupRep(2, 2, complex(math.nan, 0.0), gens)
 
+    def test_empty_generators_rejected(self):
+        # a 0 x 0 generator once reached numpy's max of a zero-size array
+        with pytest.raises(ValidationError, match="generator 1 must be a square matrix"):
+            SurfaceGroupRep(2, 2, -1.0, (np.zeros((0, 0)),) * 4)
+
+    def test_wrong_size_generator_rejected(self):
+        gens = standard_genus2_su2().generators[:3] + (np.eye(3),)
+        with pytest.raises(ValidationError, match="generator 4 must be a square matrix, 2 x 2"):
+            SurfaceGroupRep(2, 2, -1.0, gens)
+
     def test_wrong_generator_count_rejected(self):
         with pytest.raises(ValidationError, match="generators"):
             SurfaceGroupRep(2, 2, 1.0, (np.eye(2),) * 3)
@@ -229,6 +240,11 @@ class TestConjugation:
         with pytest.raises(ValidationError, match="unitary"):
             conjugate(rep, 2.0 * np.eye(2))
 
+    def test_wrong_size_conjugator_rejected(self):
+        # a 3 x 3 element once reached numpy's matmul against 2 x 2 generators
+        with pytest.raises(ValidationError, match="conjugating element must be a square matrix, 2 x 2"):
+            conjugate(standard_genus2_su2(), np.eye(3))
+
     def test_nan_conjugator_rejected(self):
         h = np.eye(2, dtype=complex)
         h[1, 1] = math.nan
@@ -288,9 +304,33 @@ class TestHolonomy:
 
 class TestHolonomyPaths:
     def test_paths_close_exactly(self):
-        for name in ("u1-winding", "su2-balanced"):
+        for name, n in (("u1-winding", 1), ("su2-balanced", 2)):
             path = holonomy_path(name, steps=48)
-            assert np.array_equal(path[0].matrix, path[-1].matrix)
+            assert path.shape == (49, n, n) and path.dtype == complex
+            assert np.array_equal(path[0], path[-1])
+
+    @pytest.mark.parametrize("steps", [1, 0, -3, 2.5, True])
+    def test_bad_step_counts_rejected(self, steps):
+        # one step once gave the constant path [U(0), U(0)], whose flow 0
+        # misread the u1 loop's winding; 0 and -3 raised a raw IndexError
+        with pytest.raises(ArgumentError, match="steps >= 2"):
+            holonomy_path("u1-winding", steps)
+
+    def test_flow_checks_build_two_holonomies_per_path(self, monkeypatch):
+        # a path is one array, checked once: only its endpoint spectra build
+        # a Holonomy (the per-step objects made 98 at flow_steps 48)
+        built = []
+        real = spectral.Holonomy.__post_init__
+
+        def spy(self):
+            built.append(self.matrix.shape)
+            real(self)
+
+        monkeypatch.setattr(spectral.Holonomy, "__post_init__", spy)
+        params = {"conjugations": 1, "flow_steps": 48, "n_max": 4}
+        flows = [check for check in cli._battery_moduli(params, 0) if check[0].startswith("flow-")]
+        assert [fn() for _, _, fn in flows] == [0, 0]
+        assert len(built) <= 2 * len(flows) == 4
 
     def test_u1_winding_flows_one(self):
         flow = spectral_flow(

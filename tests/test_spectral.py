@@ -33,6 +33,7 @@ from gerbetool.errors import (
     ResolutionError,
     ValidationError,
 )
+from gerbetool.presets import diagonal_holonomy
 from gerbetool.spectral import (
     _MAX_STEP,
     Holonomy,
@@ -40,6 +41,7 @@ from gerbetool.spectral import (
     Spectrum,
     band,
     dirac_spectrum,
+    holonomy_phases,
     in_cover,
     rational,
     spectral_flow,
@@ -214,19 +216,19 @@ def u1_loop(steps, closed=True):
     mats = [np.array([[np.exp(2j * np.pi * t)]]) for t in ts]
     if closed:
         mats.append(mats[0].copy())
-    return [Holonomy(m) for m in mats]
+    return np.stack(mats)
 
 
 def su2_balanced_loop(steps):
     ts = np.arange(steps) / steps
     mats = [np.diag([np.exp(2j * np.pi * t), np.exp(-2j * np.pi * t)]) for t in ts]
     mats.append(mats[0].copy())
-    return [Holonomy(m) for m in mats]
+    return np.stack(mats)
 
 
 class TestSpectralFlow:
     def test_constant_path_no_flow(self):
-        path = [Holonomy(SU2_03)] * 4
+        path = np.stack([SU2_03] * 4)
         assert spectral_flow(path, SpectralCut(Fraction(1, 2)), N=3) == 0
 
     def test_u1_winding_plus_one(self):
@@ -244,7 +246,7 @@ class TestSpectralFlow:
 
     def test_flow_additive_under_concatenation(self):
         loop = u1_loop(64)
-        doubled = loop + loop[1:]
+        doubled = np.concatenate([loop, loop[1:]])
         cut = SpectralCut(Fraction(1, 2))
         assert spectral_flow(doubled, cut, N=3) == 2 * spectral_flow(loop, cut, N=3)
 
@@ -258,7 +260,7 @@ class TestSpectralFlow:
             spectral_flow(u1_loop(3), SpectralCut(Fraction(1, 2)), N=3)
 
     def test_cut_on_endpoint_spectrum_rejected(self):
-        path = [Holonomy(np.eye(1))] * 4
+        path = np.stack([np.eye(1)] * 4)
         with pytest.raises(CoverViolationError):
             spectral_flow(path, SpectralCut(Fraction(1)), N=3)
 
@@ -277,17 +279,39 @@ class TestSpectralFlow:
         assert spectral_flow(path, SpectralCut(Fraction(1, 2)), N=3) == 0
         assert sorted(shapes) == [(2, 2), (2, 2), (len(path), 2, 2)]
 
+    @pytest.mark.parametrize("bad", [2.0, math.nan])
+    def test_path_step_that_is_not_unitary_is_named(self, bad):
+        path = u1_loop(16)
+        path[5, 0, 0] *= bad
+        with pytest.raises(ValidationError, match=r"path\[5\] is not unitary"):
+            spectral_flow(path, SpectralCut(Fraction(1, 2)), N=3)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            [np.eye(1), np.eye(2)],
+            [[["a"]], [["b"]]],
+            [Holonomy(np.eye(1))] * 4,
+            np.zeros((4, 0, 0)),
+            np.eye(2),
+        ],
+        ids=["ragged", "non-numeric", "holonomy-objects", "empty-matrices", "one-matrix"],
+    )
+    def test_malformed_path_rejected(self, path):
+        with pytest.raises(ValidationError, match="path"):
+            spectral_flow(path, SpectralCut(Fraction(1, 2)), N=3)
+
     def test_winding_negative_direction(self):
         loop = u1_loop(64)
-        reverse = list(reversed(loop))
+        reverse = loop[::-1]
         assert spectral_flow(reverse, SpectralCut(Fraction(1, 2)), N=3) == -1
 
 
 def assignment_flow(path, lam):
     """Oracle: per-color phases matched step by step by linear_sum_assignment."""
-    start = unwrapped = path[0].phases()
-    for hol in path[1:]:
-        diff = hol.phases()[None, :] - np.mod(unwrapped[:, None], TWO_PI)
+    start = unwrapped = holonomy_phases(path[0])
+    for u in path[1:]:
+        diff = holonomy_phases(u)[None, :] - np.mod(unwrapped[:, None], TWO_PI)
         delta = np.mod(diff + math.pi, TWO_PI) - math.pi
         rows, cols = linear_sum_assignment(np.abs(delta))
         step = delta[rows, cols]
@@ -301,7 +325,7 @@ def diagonal_loop(turns):
     """Closed path of diagonal holonomies with the given phases in turns."""
     mats = [np.diag(np.exp(2j * np.pi * row)) for row in turns]
     mats.append(mats[0].copy())
-    return [Holonomy(m) for m in mats]
+    return np.stack(mats)
 
 
 def random_closed_path(rng):
@@ -522,6 +546,16 @@ class TestHolonomyFiniteness:
         u[1, 1] = bad
         with pytest.raises(ValidationError, match="not unitary"):
             Holonomy(u, special=special)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Holonomy(np.zeros((0, 0))), lambda: diagonal_holonomy([])],
+        ids=["holonomy", "diagonal-holonomy"],
+    )
+    def test_empty_matrix_rejected(self, build):
+        # a 0 x 0 matrix once reached numpy's max of a zero-size array
+        with pytest.raises(ValidationError, match="square"):
+            build()
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
     def test_bad_tolerance_rejected(self, tol):
