@@ -1,11 +1,13 @@
 """Surface-group representations into SU(n) and the curvature pairing.
 
-A representation is stored by its 2g generator matrices together with the
-prescribed central defect z of the surface relation; the relation residual
-is reported rather than enforced, so deliberately perturbed points can be
-measured.  Irreducibility is decided through the dimension of the joint
-commutant (null space of a stacked Sylvester system), with an explicit
-indeterminate band around the rank threshold.
+A representation is stored by its 2g generator matrices, one array whose
+leading axes may index a stack of points, together with the prescribed
+central defect z of the surface relation; the relation residual is reported
+rather than enforced, so deliberately perturbed points can be measured.
+Irreducibility is decided through the dimension of the joint commutant
+(null space of a stacked Sylvester system), with an explicit indeterminate
+band around the rank threshold.  Conjugation, the relation and
+irreducibility each act on a whole stack in one batched pass.
 
 Parameter families built from a representation feed the sampled-geometry
 pipelines: circle-holonomy paths drive spectral flow, and winding families
@@ -29,44 +31,64 @@ from .presets import T1, T2, diagonal_unitaries
 from .spectral import TWO_PI, _unitary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceGroupRep:
     """Generators (A_1, B_1, ..., A_g, B_g) with prescribed central defect z.
 
-    Generators are validated as special-unitary; the surface relation
-    itself is measured by relation_check, not enforced, so perturbed
-    representation points are representable.  z_exponent records the k of
-    z = exp(2 pi i k / n) when known (whether z generates the center is
-    interpretive metadata, not a constraint).
+    The generators are one complex (..., 2g, n, n) array, checked once as
+    special-unitary; leading axes index a stack of points sharing genus, n
+    and z.  The surface relation itself is measured by relation_check, not
+    enforced, so perturbed representation points are representable.  An
+    array field has no generated equality, so points compare by identity.
     """
 
     genus: int
     n: int
     z: complex
-    generators: tuple
+    generators: np.ndarray
     tolerance: float = 1e-10
-    z_exponent: int = None
 
     def __post_init__(self):
         if self.genus < 2:
             raise ValidationError(f"genus must be >= 2, got {self.genus}")
         if self.n < 2:
             raise ValidationError(f"need SU(n) with n >= 2, got {self.n}")
-        if len(self.generators) != 2 * self.genus:
-            raise ValidationError(f"need {2 * self.genus} generators, got {len(self.generators)}")
-        det_tolerance = max(self.tolerance, 1e-9)
-        gens = tuple(
-            _unitary(g, self.tolerance, f"generator {idx + 1}", det_tolerance, n=self.n)
-            for idx, g in enumerate(self.generators)
+        gens = _generator_array(self.generators, self.genus, self.n)
+        gens = _unitary(
+            gens, self.tolerance, "generator", max(self.tolerance, 1e-9), gens.ndim - 2, name=_generator_name
         )
         object.__setattr__(self, "generators", gens)
         if not abs(abs(self.z) - 1.0) <= self.tolerance:
             raise ValidationError("central defect z must be a unit scalar")
 
-    def generates_center(self):
-        if self.z_exponent is None:
-            return None
-        return math.gcd(self.z_exponent % self.n, self.n) == 1
+
+def _generator_array(generators, genus, n):
+    """generators as one complex (..., 2 genus, n, n) array, its shape checked.
+
+    A ragged sequence of matrices is refused naming its first matrix that is
+    not n x n; the generators of an array share one shape, so there it is
+    generator 1.
+    """
+    want = f"must be a square matrix, {n} x {n}, got shape"
+    try:
+        gens = np.asarray(generators, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        shapes = [np.shape(g) for g in generators]
+        bad = next((idx for idx, shape in enumerate(shapes) if shape != (n, n)), None)
+        if bad is None:
+            raise ValidationError(f"generators are not a numeric array: {exc}") from None
+        raise ValidationError(f"generator {bad + 1} {want} {shapes[bad]}") from None
+    if gens.ndim < 3 or gens.shape[-3] != 2 * genus:
+        raise ValidationError(f"need {2 * genus} generators, got an array of shape {gens.shape}")
+    if gens.shape[-2:] != (n, n):
+        raise ValidationError(f"generator 1 {want} {gens.shape[-2:]}")
+    return gens
+
+
+def _generator_name(at):
+    """The name of the failing matrix at index (p..., j - 1): generator j of point [p]..."""
+    point = "".join(f"[{p}]" for p in at[:-1])
+    return f"generator {at[-1] + 1}" + (f" of point {point}" if point else "")
 
 
 @dataclass(frozen=True)
@@ -85,29 +107,33 @@ class LoopWord:
 
 
 def relation_check(rep):
-    """Max-norm residual of prod_i [A_i, B_i] = z I (group commutators)."""
-    n = rep.n
-    acc = np.eye(n, dtype=complex)
-    for i in range(rep.genus):
-        a = rep.generators[2 * i]
-        b = rep.generators[2 * i + 1]
-        acc = acc @ a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
-    return float(np.abs(acc - rep.z * np.eye(n)).max())
+    """Max-norm residual of prod_i [A_i, B_i] = z I (group commutators).
 
-
-def _sylvester_stack(generators):
-    """The maps X -> X g - g X of m generators, stacked: an (m n^2, n^2) matrix.
-
-    Block b is kron(g_b.T, 1) - kron(1, g_b), built for every generator at
-    once; entry [b, i, k, j, l] is g_b[j, i] 1[k, l] - 1[i, j] g_b[k, l].
+    A float for one point, an array of one residual per point for a stack;
+    every generator is inverted in one batched call.
     """
-    gens = np.stack(generators)
+    gens, inverses = rep.generators, np.linalg.inv(rep.generators)
+    acc = np.eye(rep.n, dtype=complex)
+    for i in range(0, 2 * rep.genus, 2):
+        acc = acc @ gens[..., i, :, :] @ gens[..., i + 1, :, :]
+        acc = acc @ inverses[..., i, :, :] @ inverses[..., i + 1, :, :]
+    residual = np.abs(acc - rep.z * np.eye(rep.n)).max(axis=(-2, -1))
+    return float(residual) if residual.ndim == 0 else residual
+
+
+def _sylvester_stack(gens):
+    """The maps X -> X g - g X of m generators, stacked: an (..., m n^2, n^2) array.
+
+    Block b is kron(g_b.T, 1) - kron(1, g_b), built for every generator of
+    every point at once; entry [..., b, i, k, j, l] is
+    g_b[j, i] 1[k, l] - 1[i, j] g_b[k, l].
+    """
     n = gens.shape[-1]
     eye = np.eye(n)
     return (
-        gens.transpose(0, 2, 1)[:, :, None, :, None] * eye[:, None, :]
-        - eye[:, None, :, None] * gens[:, None, :, None, :]
-    ).reshape(-1, n * n)
+        gens.swapaxes(-1, -2)[..., :, None, :, None] * eye[:, None, :]
+        - eye[:, None, :, None] * gens[..., None, :, None, :]
+    ).reshape(gens.shape[:-3] + (-1, n * n))
 
 
 def irreducibility_check(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
@@ -116,20 +142,29 @@ def irreducibility_check(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
     Returns (verdict, commutant_dimension): verdict True (irreducible,
     commutant is scalars only), False (reducible), or None when some
     singular value falls inside the indeterminate band around the
-    threshold.
+    threshold.  A stack of points takes one batched SVD and returns an
+    object array of verdicts and an int array of dimensions.
     """
     svals = np.linalg.svd(_sylvester_stack(rep.generators), compute_uv=False)
-    dim = int(np.sum(svals < null_threshold))
-    if np.any((svals >= band[0]) & (svals <= band[1])):
-        return None, dim
-    return dim == 1, dim
+    dims = np.sum(svals < null_threshold, axis=-1)
+    unsure = np.any((svals >= band[0]) & (svals <= band[1]), axis=-1)
+    verdicts = np.where(unsure, None, dims == 1)
+    if verdicts.ndim == 0:
+        return verdicts.item(), int(dims)
+    return verdicts, dims
 
 
 def conjugate(rep, h):
-    """The gauge action: every generator g becomes h g h^-1."""
-    h = _unitary(h, rep.tolerance, "conjugating element", max(rep.tolerance, 1e-9), n=rep.n)
-    h_inv = h.conj().T
-    return replace(rep, generators=tuple(h @ g @ h_inv for g in rep.generators))
+    """The gauge action: every generator g becomes h g h^-1.
+
+    h is one (n, n) element or an array stacking them, checked once; its
+    leading axes broadcast against the rep's, so a (k, n, n) stack of
+    elements moves one point to a (k, 2g, n, n) stack, revalidated once.
+    """
+    stack = getattr(h, "ndim", 2) > 2
+    h = _unitary(h, rep.tolerance, "conjugating element", max(rep.tolerance, 1e-9), stack, rep.n)
+    h = h[..., None, :, :]  # each element against all generators of its point
+    return replace(rep, generators=h @ rep.generators @ h.conj().swapaxes(-1, -2))
 
 
 def holonomy(rep, word):
@@ -140,7 +175,7 @@ def holonomy(rep, word):
             raise ArgumentError(
                 f"generator index {index} outside 1..{2 * rep.genus}"
             )
-        g = rep.generators[index - 1]
+        g = rep.generators[..., index - 1, :, :]
         acc = acc @ (g if exponent == 1 else np.linalg.inv(g))
     return acc
 
@@ -152,17 +187,24 @@ def standard_genus2_su2():
     A B A^-1 B^-1 = -I; the second handle is trivial.
     """
     eye = np.eye(2, dtype=complex)
-    return SurfaceGroupRep(
-        2, 2, -1.0 + 0j, (T1, T2, eye, eye), z_exponent=1
-    )
+    return SurfaceGroupRep(2, 2, -1.0 + 0j, np.stack((T1, T2, eye, eye)))
 
 
-def random_special_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+def random_special_unitary(n, rng, count=None):
+    """A Haar-random SU(n) element, or a (count, n, n) stack of them.
+
+    One standard_normal draw of shape (count, 2, n, n) consumes the stream
+    as count single draws do, each its real n x n part before its imaginary
+    part; then one batched QR, with the phases of R's diagonal moved into Q,
+    and one batched det scale each element onto SU(n).
+    """
+    x = rng.standard_normal((() if count is None else (count,)) + (2, n, n))
+    z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
     det = np.linalg.det(q)
-    return q * det ** (-1.0 / n)
+    return q * (det ** (-1.0 / n))[..., None, None]
 
 
 def holonomy_path(name, steps=48):

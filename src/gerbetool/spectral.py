@@ -41,12 +41,14 @@ def rational(x):
     )
 
 
-def _unitary(u, tolerance, what, det_tolerance=None, stack=False, n=None):
+def _unitary(u, tolerance, what, det_tolerance=None, stack=False, n=None, name=None):
     """u as a complex array of unitaries: an (n, n) matrix, or a (k, n, n) stack.
 
-    One batched U^dag U - I product checks a whole stack, and an error names
-    the first index that fails.  det_tolerance, if given, bounds |det U - 1|
-    too, and n, if given, fixes the matrix size.
+    stack counts the leading axes: False for none, True for one, an int for
+    more.  One batched U^dag U - I product checks a whole stack, and an
+    error names the first index that fails, as what[i][j] or as name(index)
+    if a name function is given.  det_tolerance, if given, bounds
+    |det U - 1| too, and n, if given, fixes the matrix size.
     """
     if not 0 <= tolerance < math.inf:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
@@ -64,8 +66,8 @@ def _unitary(u, tolerance, what, det_tolerance=None, stack=False, n=None):
         fine = defect <= bound  # with a finite bound, False also for a NaN or inf defect
         if not fine.all():
             at = np.unravel_index(fine.argmin(), fine.shape)
-            where = "".join(f"[{i}]" for i in at)
-            raise ValidationError(f"{what}{where} {failure}: defect {defect[at]:.3e} > {bound:.3e}")
+            where = name(at) if name else what + "".join(f"[{i}]" for i in at)
+            raise ValidationError(f"{where} {failure}: defect {defect[at]:.3e} > {bound:.3e}")
 
     refuse_over(_unitarity_defect(u), tolerance, "is not unitary within tolerance")
     if det_tolerance is not None:

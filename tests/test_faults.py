@@ -52,7 +52,9 @@ def one_more_band_mode(real):
 
 def first_generator_only(real):
     def fault(rep, h):
-        return dataclasses.replace(rep, generators=real(rep, h).generators[:1] + rep.generators[1:])
+        moved = real(rep, h).generators
+        kept = np.broadcast_to(rep.generators[1:], moved.shape[:-3] + rep.generators[1:].shape)
+        return dataclasses.replace(rep, generators=np.concatenate((moved[..., :1, :, :], kept), axis=-3))
 
     return fault
 
@@ -60,7 +62,8 @@ def first_generator_only(real):
 def repeated_first_generator(real):
     def fault():
         rep = real()
-        return dataclasses.replace(rep, generators=rep.generators[:1] * 2 + rep.generators[2:])
+        gens = rep.generators
+        return dataclasses.replace(rep, generators=np.concatenate((gens[:1], gens[:1], gens[2:])))
 
     return fault
 

@@ -11,6 +11,7 @@ Oracles:
     whose torus integral is the model value -2 w1 w2 (adjoint route: x4).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,9 +134,14 @@ class TestRepresentationPoint:
             SurfaceGroupRep(2, 2, -1.0, (np.zeros((0, 0)),) * 4)
 
     def test_wrong_size_generator_rejected(self):
-        gens = standard_genus2_su2().generators[:3] + (np.eye(3),)
+        # a ragged list: the three 2 x 2 generators, then a 3 x 3 one
+        gens = [*standard_genus2_su2().generators[:3], np.eye(3)]
         with pytest.raises(ValidationError, match="generator 4 must be a square matrix, 2 x 2"):
             SurfaceGroupRep(2, 2, -1.0, gens)
+
+    def test_non_numeric_generators_rejected(self):
+        with pytest.raises(ValidationError, match="generators are not a numeric array"):
+            SurfaceGroupRep(2, 2, -1.0, [[["a", "b"], ["c", "d"]]] * 4)
 
     def test_wrong_generator_count_rejected(self):
         with pytest.raises(ValidationError, match="generators"):
@@ -144,11 +150,6 @@ class TestRepresentationPoint:
     def test_low_genus_rejected(self):
         with pytest.raises(ValidationError, match="genus"):
             SurfaceGroupRep(1, 2, 1.0, (np.eye(2),) * 2)
-
-    def test_center_metadata(self):
-        assert standard_genus2_su2().generates_center() is True
-        rep = identity_rep()
-        assert rep.generates_center() is None
 
 
 class TestIrreducibility:
@@ -233,7 +234,7 @@ class TestConjugation:
         assert relation_check(out) <= 1e-12
         verdict, dim = irreducibility_check(out)
         assert verdict is True and dim == 1
-        assert out.z == rep.z and out.z_exponent == rep.z_exponent
+        assert out.z == rep.z
 
     def test_non_unitary_conjugator_rejected(self):
         rep = standard_genus2_su2()
@@ -249,6 +250,190 @@ class TestConjugation:
         h = np.eye(2, dtype=complex)
         h[1, 1] = math.nan
         with pytest.raises(ValidationError, match="conjugating element is not unitary"):
+            conjugate(standard_genus2_su2(), h)
+
+
+def loop_draw(n, rng):
+    """One Haar SU(n) draw as the per-element code made it: real normals, then imaginary."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    det = np.linalg.det(q)
+    return q * det ** (-1.0 / n)
+
+
+def loop_relation_residual(rep):
+    """The relation residual of one point as the per-element code computed it."""
+    acc = np.eye(rep.n, dtype=complex)
+    for i in range(rep.genus):
+        a, b = rep.generators[2 * i], rep.generators[2 * i + 1]
+        acc = acc @ a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)
+    return float(np.abs(acc - rep.z * np.eye(rep.n)).max())
+
+
+def loop_conjugation_invariance(rep, k, seed):
+    """conjugation-invariance one element at a time: elements, conjugates, residual."""
+    rng = np.random.default_rng(seed)
+    base, base_verdict = loop_relation_residual(rep), oracle_irreducibility(rep)
+    hs, moved, worst = [], [], 0.0
+    for _ in range(k):
+        h = loop_draw(rep.n, rng)
+        point = SurfaceGroupRep(rep.genus, rep.n, rep.z, [h @ g @ h.conj().T for g in rep.generators])
+        worst = np.maximum(worst, abs(loop_relation_residual(point) - base))
+        if oracle_irreducibility(point) != base_verdict:
+            worst = np.maximum(worst, 1.0)
+        hs.append(h)
+        moved.append(point.generators)
+    return np.stack(hs), np.stack(moved), worst
+
+
+def run_conjugation_invariance(conjugations, seed):
+    """The moduli battery's checks run in order up to conjugation-invariance; its value."""
+    params = {"conjugations": conjugations, "flow_steps": 48, "n_max": 4}
+    for name, _, thunk in cli._battery_moduli(params, seed):
+        value = thunk()
+        if name == "conjugation-invariance":
+            return value
+
+
+def reducible_point_237(real):
+    """A fault of conjugate: point 237 of the stack becomes the identity point."""
+
+    def fault(rep, h):
+        moved = real(rep, h)
+        gens = moved.generators.copy()
+        gens[237] = np.eye(2)  # the identity point: reducible, and off the relation
+        return dataclasses.replace(moved, generators=gens)
+
+    return fault
+
+
+def verdict_at_237(verdict, dim):
+    """A fault of irreducibility_check: a stack's point 237 reads (verdict, dim)."""
+
+    def plant(real):
+        def fault(rep):
+            verdicts, dims = real(rep)
+            if rep.generators.ndim == 4:
+                verdicts, dims = verdicts.copy(), dims.copy()
+                verdicts[237], dims[237] = verdict, dim
+            return verdicts, dims
+
+        return fault
+
+    return plant
+
+
+def nan_residual_at_237(real):
+    """A fault of relation_check: a stack's point 237 reads NaN."""
+
+    def fault(rep):
+        residuals = real(rep)
+        if rep.generators.ndim == 4:
+            residuals = residuals.copy()
+            residuals[237] = math.nan
+        return residuals
+
+    return fault
+
+
+class TestConjugationStack:
+    @pytest.mark.parametrize("seed", [0, 41, 97, 901])
+    @pytest.mark.parametrize("k", [1, 10, 400])
+    def test_battery_equals_the_per_element_loop_bit_for_bit(self, monkeypatch, seed, k):
+        seen = []
+        real = cli.conjugate
+
+        def spy(rep, h):
+            moved = real(rep, h)
+            seen.append((h, moved.generators))
+            return moved
+
+        monkeypatch.setattr(cli, "conjugate", spy)
+        residual = run_conjugation_invariance(k, seed)
+        want_h, want_moved, want_residual = loop_conjugation_invariance(standard_genus2_su2(), k, seed)
+        [(h, moved)] = seen
+        assert h.shape == (k, 2, 2) and moved.shape == (k, 4, 2, 2)
+        assert h.tobytes() == want_h.tobytes()
+        assert moved.tobytes() == want_moved.tobytes()
+        assert np.float64(residual).tobytes() == np.float64(want_residual).tobytes()
+        if (seed, k) == (41, 400):
+            assert residual == 1.1259076319105018e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 41, 97])
+    def test_single_draw_is_unchanged(self, n, seed):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = random_special_unitary(n, rng), loop_draw(n, loop_rng)
+            assert got.shape == (n, n) and got.tobytes() == want.tobytes()
+        assert rng.standard_normal() == loop_rng.standard_normal()
+
+    def test_stacked_draw_follows_the_single_stream(self):
+        stack = random_special_unitary(3, np.random.default_rng(5), 7)
+        rng = np.random.default_rng(5)
+        singles = np.stack([random_special_unitary(3, rng) for _ in range(7)])
+        assert stack.shape == (7, 3, 3) and stack.tobytes() == singles.tobytes()
+
+    def test_check_makes_one_call_of_each(self, monkeypatch):
+        # the base point's residual and verdict come from the two checks before it
+        calls = []
+        for name in ("random_special_unitary", "conjugate", "relation_check", "irreducibility_check"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        params = {"conjugations": 400, "flow_steps": 48, "n_max": 4}
+        checks = cli._battery_moduli(params, 41)
+        for name, tolerance, thunk in checks:
+            calls.clear()
+            value = thunk()
+            if name == "conjugation-invariance":
+                break
+        assert value <= tolerance
+        assert sorted(calls) == ["conjugate", "irreducibility_check", "random_special_unitary", "relation_check"]
+
+    @pytest.mark.parametrize(
+        "name, plant, residual",
+        [
+            ("conjugate", reducible_point_237, 2.0),
+            ("irreducibility_check", verdict_at_237(False, 4), 1.0),
+            ("irreducibility_check", verdict_at_237(None, 1), 1.0),
+            ("relation_check", nan_residual_at_237, math.nan),
+        ],
+        ids=["reducible-conjugate", "reducible-verdict", "indeterminate-verdict", "nan-relation"],
+    )
+    def test_one_bad_point_mid_stack_fails(self, monkeypatch, name, plant, residual):
+        # point 237 of 400 is neither first nor last, and NaN must not read pass
+        monkeypatch.setattr(cli, name, plant(getattr(cli, name)))
+        params = {"conjugations": 400, "flow_steps": 48, "n_max": 4}
+        records = {r["name"]: r for r in cli.run_scenario("moduli", params, 41)["checks"]}
+        got = records["conjugation-invariance"]
+        assert got["status"] == "fail"
+        assert got["residual"] == residual or (math.isnan(residual) and math.isnan(got["residual"]))
+        assert records["relation-residual"]["status"] == records["irreducibility"]["status"] == "pass"
+
+    def test_stacked_points_are_checked_per_point(self):
+        rep = standard_genus2_su2()
+        moved = conjugate(rep, random_special_unitary(2, np.random.default_rng(3), 6))
+        residuals, (verdicts, dims) = relation_check(moved), irreducibility_check(moved)
+        assert residuals.shape == verdicts.shape == dims.shape == (6,)
+        word = LoopWord(((1, 1), (2, -1), (3, 1)))
+        for p in range(6):
+            point = SurfaceGroupRep(2, 2, rep.z, moved.generators[p])
+            assert residuals[p] == relation_check(point)
+            assert holonomy(moved, word)[p].tobytes() == holonomy(point, word).tobytes()
+            assert (verdicts[p], dims[p]) == irreducibility_check(point)
+            assert _sylvester_stack(moved.generators)[p].tobytes() == _sylvester_stack(point.generators).tobytes()
+
+    def test_stack_error_names_point_and_generator(self):
+        gens = np.stack([standard_genus2_su2().generators] * 3)
+        gens[1, 2, 0, 0] = math.nan
+        with pytest.raises(ValidationError, match=r"generator 3 of point \[1\] is not unitary"):
+            SurfaceGroupRep(2, 2, -1.0, gens)
+
+    def test_stacked_conjugator_error_names_its_index(self):
+        h = random_special_unitary(2, np.random.default_rng(0), 8)
+        h[5] *= 2.0
+        with pytest.raises(ValidationError, match=r"conjugating element\[5\] is not unitary"):
             conjugate(standard_genus2_su2(), h)
 
 
