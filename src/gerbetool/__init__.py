@@ -42,6 +42,7 @@ from .spectral import (
     spectral_flow,
 )
 from .detline import (
+    CechTable,
     CechTriple,
     DetLine,
     compose,

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .caloron import check_grid, ms_identity_check, pontryagin_density, rho_scaling_check
-from .detline import CechTriple, compose, delta_triviality, det_line
+from .detline import CechTable, det_line
 from .errors import (
     ConfigError, CoverViolationError, GerbeToolError, ResourceError
 )
@@ -75,9 +75,11 @@ from .version import __version__
 _RAISED = 1e300
 
 # Cost model of the cocycle battery: the standard suite's Cech triples on
-# the 2 n_max - 2 half-integer cuts.  n_max 12 (30 800 triples) takes about
-# 2.2 s on a 2-core x86 machine with Python 3.11 (median of five runs, with
-# one line per cut pair); n_max 16 would make 81 200.
+# the 2 n_max - 2 half-integer cuts, one CechTable per spectrum.  n_max 12
+# (30 800 triples) takes about 0.04 s on a 2-core x86 machine with Python
+# 3.11.7 and numpy 2.4.6 (median of five runs; 0.43 s with one compose per
+# triple), and n_max 16 (81 200) 0.09 s.  The cap no longer binds on time;
+# it is kept so that the admitted configs do not change.
 MAX_CECH_TRIPLES = 32_000
 
 # Cost model of the spectrum battery: the phases make a dense n x n
@@ -387,12 +389,12 @@ def _battery_cover(params, seed):
         )
 
     def triple_valid():
-        triple = CechTriple(spec, *_HALVES, SpectralCut(Fraction(3, 2)))
-        return abs(delta_triviality(triple) - 1.0)
+        table = CechTable(spec, (*_HALVES, SpectralCut(Fraction(3, 2))), det_line)
+        return abs(table.deltas()[0] - 1.0)
 
     def triple_rejects_spectrum_cut():
         try:
-            CechTriple(spec, *_HALVES, SpectralCut(Fraction(2)))
+            CechTable(spec, (*_HALVES, SpectralCut(Fraction(2))), det_line)
         except CoverViolationError:
             return 0.0
         return 1.0
@@ -405,60 +407,27 @@ def _battery_cover(params, seed):
     ]
 
 
-def _pair_lines(spec, cuts):
-    """The canonical line of every cut pair, keyed (i, j) with i < j: built once."""
-    return {
-        (i, j): det_line(spec, cuts[i], cuts[j])
-        for i, j in itertools.combinations(range(len(cuts)), 2)
-    }
-
-
 def _battery_cocycle(params, seed):
-    checks = []
     n_max = params["n_max"]
     cuts = [SpectralCut(Fraction(2 * k + 1, 2)) for k in range(-n_max + 1, n_max - 1)]
 
-    for label, hol in holonomy_suite(params["suite"]):
+    def table(hol):
+        """The line of every pair of the spectrum's admissible cuts, each built once."""
         spec = dirac_spectrum(hol, n_max)
-        admissible = [c for c in cuts if in_cover(spec, c)]
+        return CechTable(spec, [c for c in cuts if in_cover(spec, c)], det_line)
 
-        def worst(spec=spec, admissible=admissible):
-            lines = _pair_lines(spec, admissible)
-            out = 0.0
-            for i, j, k in itertools.combinations(range(len(admissible)), 3):
-                triple = CechTriple(
-                    spec,
-                    admissible[i],
-                    admissible[j],
-                    admissible[k],
-                    lines=(lines[i, j], lines[j, k], lines[i, k]),
-                )
-                out = np.maximum(out, abs(delta_triviality(triple) - 1.0))
-            return out
-
-        checks.append((f"delta-triviality-{label}", 1e-12, worst))
+    def worst(hol):
+        # np.max keeps a NaN ratio, where max() would drop it
+        return lambda: np.max(np.abs(table(hol).deltas() - 1.0), initial=0.0)
 
     def associativity():
-        # both bracketings of L_ij L_jk L_kl, and the line L_il they must
-        # equal: compose is associative for any line values, so only the
-        # comparison with L_il sees a bad line in the shared table
-        hol = diagonal_holonomy((0.2, 0.45, 0.8))
-        spec = dirac_spectrum(hol, n_max)
-        admissible = [c for c in cuts if in_cover(spec, c)]
-        lines = _pair_lines(spec, admissible)
-        out = 0.0
-        for i, j, k, l in itertools.combinations(range(len(admissible)), 4):
-            first, middle, last = lines[i, j], lines[j, k], lines[k, l]
-            left = compose(compose(first, middle), last).canonical_phase()
-            right = compose(first, compose(middle, last)).canonical_phase()
-            out = np.maximum(
-                out,
-                np.maximum(abs(left - right), abs(left - lines[i, l].canonical_phase())),
-            )
-        return out
+        # both bracketings of every quadruple, and the line over its outer cuts
+        return np.max(table(diagonal_holonomy((0.2, 0.45, 0.8))).associativity(), initial=0.0)
 
-    checks.append(("associativity", 1e-12, associativity))
-    return checks
+    return [
+        (f"delta-triviality-{label}", 1e-12, worst(hol))
+        for label, hol in holonomy_suite(params["suite"])
+    ] + [("associativity", 1e-12, associativity)]
 
 
 def _battery_fock(params, seed):

@@ -3,10 +3,19 @@
 A determinant line is a one-dimensional space spanned by the ordered wedge
 of the eigenmodes in a band between two cuts.  Reordering the wedge costs
 the sign of the permutation, so a line value is (ordered basis, phase) and
-two values agree when their canonical representatives match.  Composition
-concatenates the canonical bases of adjacent bands, already in canonical
-order since the lower band's modes lie below the shared cut, a cut in the
-cover; on triples of cuts the cocycle ratio must be exactly one.
+two values agree when their canonical representatives match.  A band is a
+run of the spectrum's canonical modes, kept as its extent (start, stop).
+Composition concatenates adjacent bands: the lower band's modes lie below
+the shared cut, a cut in the cover, so two bands join into the band over
+the outer cuts with no sort, and one rule (_composed) checks that they do
+and multiplies the canonical phases.
+
+A CechTable holds the line of every pair of sorted cuts over one spectrum,
+built once, as arrays of canonical phases and band extents.  It evaluates
+the cocycle ratio compose(L_ij, L_jk) / L_ik on every triple of cuts, and
+both bracketings of L_ij L_jk L_kl against L_il on every quadruple, in a
+few array operations; for lines produced by det_line the ratio is exactly
+one.  CechTriple and delta_triviality are its three-cut case.
 
 The Hodge pairing sends the degree-k duals into the complementary wedge
 power via contraction with a fixed volume form; hodge_dual_iso measures
@@ -14,6 +23,7 @@ how far those contraction matrices are from unitary for a seeded random
 orthonormal frame.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 import itertools
 import math
@@ -46,6 +56,49 @@ def permutation_sign(items, key=_mode_key):
     return -1 if (len(order) - cycles) % 2 else 1
 
 
+def _extent(spectrum, modes):
+    """(start, stop) with modes == spectrum.modes[start:stop]; (0, 0) for no modes.
+
+    The first mode is looked up from its eigenvalue's bisected position, so
+    only modes of equal eigenvalue are passed over; modes that are no run of
+    the spectrum's canonical modes raise ValidationError.
+    """
+    modes = tuple(modes)
+    if not modes:
+        return 0, 0
+    canonical = spectrum.modes
+    try:
+        start = canonical.index(modes[0], bisect_left(spectrum._eigenvalues, modes[0].eigenvalue))
+    except ValueError:
+        start = None
+    if start is None or canonical[start : start + len(modes)] != modes:
+        raise ValidationError("band is not a run of the spectrum's modes")
+    return start, start + len(modes)
+
+
+def _composed(lower, upper, outer, name):
+    """Canonical phase of the line `lower` composed with the adjacent line `upper`.
+
+    lower and upper are (canonical phase, (start, stop)) pairs and outer the
+    extent of the band over their outer cuts, each of scalars or of arrays
+    of one shape: compose and CechTable share this one rule.  The two bands
+    must join into the outer band (an empty band is neutral, and two others
+    join where the first stops at the second's start), or CompositionError
+    names the first composition that fails, as name(index) of the raveled
+    arrays; the phases then multiply, with no sort.
+    """
+    (lower_phase, (lower_start, lower_stop)), (upper_phase, (upper_start, upper_stop)) = lower, upper
+    lower_empty, upper_empty = lower_start == lower_stop, upper_start == upper_stop
+    fine = (
+        (lower_empty | upper_empty | (lower_stop == upper_start))
+        & (np.where(lower_empty, upper_start, lower_start) == outer[0])
+        & (np.where(upper_empty, lower_stop, upper_stop) == outer[1])
+    )
+    if not np.all(fine):
+        raise CompositionError(f"{name(np.argmin(fine))}: the joined bands are not the outer band")
+    return lower_phase * upper_phase
+
+
 @dataclass(frozen=True)
 class DetLine:
     """A value in the determinant line of the band (lo, hi).
@@ -54,7 +107,8 @@ class DetLine:
     must match the band exactly) and phase a unit complex scalar.  The
     canonical representative sorts the basis ascending and folds the
     permutation sign into the phase; that sign is fixed once, when the
-    basis is checked against the band, and the band is kept for canonical().
+    basis is checked against the band, and the band's extent is kept for
+    canonical() and composition.
     """
 
     spectrum: Spectrum
@@ -63,7 +117,7 @@ class DetLine:
     basis: tuple
     phase: complex
     _sign: int = field(init=False, repr=False, compare=False)
-    _band: tuple = field(init=False, repr=False, compare=False)
+    _extent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -80,14 +134,17 @@ class DetLine:
                 raise ValidationError("basis is not a permutation of the band's modes")
             sign = permutation_sign(self.basis)
         object.__setattr__(self, "_sign", sign)
-        object.__setattr__(self, "_band", expected)
+        object.__setattr__(self, "_extent", _extent(self.spectrum, expected))
 
     def canonical_phase(self):
         """Phase after re-sorting the basis into canonical band order."""
         return self.phase * self._sign
 
     def canonical(self):
-        return DetLine(self.spectrum, self.lo, self.hi, self._band, self.canonical_phase())
+        start, stop = self._extent
+        return DetLine(
+            self.spectrum, self.lo, self.hi, self.spectrum.modes[start:stop], self.canonical_phase()
+        )
 
 
 def det_line(spectrum, lo, hi):
@@ -98,10 +155,9 @@ def det_line(spectrum, lo, hi):
 def compose(a, b):
     """Concatenate adjacent band lines: wedge of a then b, in canonical form.
 
-    Requires a.hi == b.lo (same rational cut) and the same spectrum.  a's
-    band lies below the shared cut, so the two canonical bases joined are in
-    canonical order with no sort; building the result checks them against
-    the joined band.
+    Requires a.hi == b.lo (same rational cut) and the same spectrum; the
+    bands must join into the band over (a.lo, b.hi), checked by _composed,
+    the rule CechTable applies to every triple.
     """
     if a.spectrum is not b.spectrum and a.spectrum != b.spectrum:
         raise CompositionError("lines live over different spectra")
@@ -109,64 +165,126 @@ def compose(a, b):
         raise CompositionError(
             f"bands are not adjacent: first ends at {a.hi.value}, second starts at {b.lo.value}"
         )
-    phase = a.canonical_phase() * b.canonical_phase()
-    return DetLine(a.spectrum, a.lo, b.hi, a._band + b._band, phase)
+    whole = band(a.spectrum, a.lo, b.hi)
+    phase = _composed(
+        (a.canonical_phase(), a._extent),
+        (b.canonical_phase(), b._extent),
+        _extent(a.spectrum, whole),
+        lambda _: f"lines over ({a.lo.value}, {a.hi.value}) and ({b.lo.value}, {b.hi.value})",
+    )
+    return DetLine(a.spectrum, a.lo, b.hi, whole, phase)
 
 
-@dataclass(frozen=True)
-class CechTriple:
-    """Three ordered cuts lam < mu < tau with their pairwise band lines.
+def _index_tuples(m, r):
+    """The r-subsets i < j < ... of range(m) in combinations order, as r index arrays."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), r))
+    return np.fromiter(flat, dtype=np.intp).reshape(-1, r).T
 
-    lines defaults to the three canonical det_line values; callers may
-    substitute permuted-basis or phase-tampered lines over the same bands.
-    Every line checked its own cuts against its spectrum when it was built,
-    so a handed line must lie over this spectrum and these cuts (value and
-    gap tolerance), and the cuts are not tested again.
+
+class CechTable:
+    """The line of every pair of sorted cuts over one spectrum, as arrays.
+
+    line(spectrum, lo, hi) gives the line over each pair of cuts i < j,
+    once, in combinations order: det_line by default, or lines as handed,
+    such as permuted bases (each line folded its sign in once, when it was
+    built) or tampered phases.  Every line checked its band when it was
+    built, so it must lie over this spectrum (is, then ==) and equal its
+    cut pair as SpectralCut values (value and gap tolerance); the cuts are
+    not tested again.  phases[i, j] is the canonical phase of the line over
+    (cuts[i], cuts[j]) and extents[:, i, j] its band's (start, stop);
+    entries off i < j are never read.
     """
 
-    spectrum: Spectrum
-    lam: SpectralCut
-    mu: SpectralCut
-    tau: SpectralCut
-    lines: tuple = None
-
-    def __post_init__(self):
-        lam, mu, tau = self.lam, self.mu, self.tau
+    def __init__(self, spectrum, cuts, line=None):
+        cuts = tuple(cuts)
         # a float "<" that holds is exact: float() of a Fraction is monotone
-        if not (lam.point < mu.point or lam.value < mu.value) or not (
-            mu.point < tau.point or mu.value < tau.value
-        ):
+        if not all(a.point < b.point or a.value < b.value for a, b in zip(cuts, cuts[1:])):
             raise ArgumentError(
-                f"cuts must be strictly increasing, got {lam.value}, {mu.value}, {tau.value}"
+                "cuts must be strictly increasing, got " + ", ".join(str(c.value) for c in cuts)
             )
-        pairs = ((lam, mu), (mu, tau), (lam, tau))
-        if self.lines is None:
-            # band raises CoverViolationError for a cut on the spectrum
-            lines = tuple(det_line(self.spectrum, lo, hi) for lo, hi in pairs)
-            object.__setattr__(self, "lines", lines)
-            return
-        object.__setattr__(self, "lines", tuple(self.lines))
-        for line, (lo, hi) in zip(self.lines, pairs, strict=True):
-            if line.spectrum is not self.spectrum and line.spectrum != self.spectrum:
+        line = det_line if line is None else line
+        pairs = list(itertools.combinations(cuts, 2))
+        # band raises CoverViolationError for a cut on the spectrum
+        lines = tuple(line(spectrum, lo, hi) for lo, hi in pairs)
+        for made, (lo, hi) in zip(lines, pairs):
+            if made.spectrum is not spectrum and made.spectrum != spectrum:
                 raise ArgumentError(
-                    f"line over ({line.lo.value}, {line.hi.value}) lives over another spectrum"
+                    f"line over ({made.lo.value}, {made.hi.value}) lives over another spectrum"
                 )
-            if not ((line.lo is lo or line.lo == lo) and (line.hi is hi or line.hi == hi)):
+            if not ((made.lo is lo or made.lo == lo) and (made.hi is hi or made.hi == hi)):
                 raise ArgumentError(
-                    f"line over ({line.lo.value}, {line.hi.value}) does not "
+                    f"line over ({made.lo.value}, {made.hi.value}) does not "
                     f"match the cut pair ({lo.value}, {hi.value})"
                 )
+        upper = np.triu_indices(len(cuts), 1)
+        self.spectrum, self.cuts, self.lines = spectrum, cuts, lines
+        self.phases = np.ones((len(cuts),) * 2, dtype=complex)
+        self.phases[upper] = [made.canonical_phase() for made in lines]
+        self.extents = np.zeros((2,) + self.phases.shape, dtype=np.intp)
+        self.extents[:, upper[0], upper[1]] = np.reshape([made._extent for made in lines], (-1, 2)).T
+
+    def _compose(self, i, j, k, lower, upper):
+        """Phases lower over (i, j) and upper over (j, k), composed by _composed."""
+        extents, cuts = self.extents, self.cuts
+        return _composed(
+            (lower, extents[:, i, j]),
+            (upper, extents[:, j, k]),
+            extents[:, i, k],
+            lambda at: (
+                f"lines over ({cuts[i[at]].value}, {cuts[j[at]].value}) "
+                f"and ({cuts[j[at]].value}, {cuts[k[at]].value})"
+            ),
+        )
+
+    def deltas(self):
+        """Cocycle ratio compose(L_ij, L_jk) / L_ik of every triple i < j < k, in combinations order."""
+        i, j, k = _index_tuples(len(self.cuts), 3)
+        phases = self.phases
+        return self._compose(i, j, k, phases[i, j], phases[j, k]) / phases[i, k]
+
+    def associativity(self):
+        """max(|left - right|, |left - L_il|) of every quadruple i < j < k < l.
+
+        left and right are the bracketings (L_ij L_jk) L_kl and L_ij (L_jk L_kl):
+        composition is associative for any line values, so only the
+        comparison with L_il sees a bad line in the table.
+        """
+        i, j, k, l = _index_tuples(len(self.cuts), 4)
+        phases, join = self.phases, self._compose
+        left = join(i, k, l, join(i, j, k, phases[i, j], phases[j, k]), phases[k, l])
+        right = join(i, j, l, phases[i, j], join(j, k, l, phases[j, k], phases[k, l]))
+        return np.maximum(np.abs(left - right), np.abs(left - phases[i, l]))
+
+
+class CechTriple(CechTable):
+    """Three ordered cuts lam < mu < tau with their pairwise band lines.
+
+    The table's three-cut case.  lines defaults to the three canonical
+    det_line values; callers may hand (L_lam_mu, L_mu_tau, L_lam_tau), for
+    instance permuted-basis or phase-tampered lines over the same bands,
+    each checked as the table checks a handed line.
+    """
+
+    def __init__(self, spectrum, lam, mu, tau, lines=None):
+        if lines is None:
+            super().__init__(spectrum, (lam, mu, tau))
+            return
+        handed = dict(zip(((lam, mu), (mu, tau), (lam, tau)), lines, strict=True))
+
+        def line(spectrum, lo, hi):
+            return handed[lo, hi]
+
+        super().__init__(spectrum, (lam, mu, tau), line)
 
 
 def delta_triviality(triple):
-    """Cocycle ratio compose(L_{lam,mu}, L_{mu,tau}) / L_{lam,tau}.
+    """Cocycle ratio compose(L_{lam,mu}, L_{mu,tau}) / L_{lam,tau} of a CechTriple.
 
     Returns the complex ratio of canonical phases; exactly 1 for lines
     produced by det_line, and it detects any injected sign or phase defect.
     """
-    lam_mu, mu_tau, lam_tau = triple.lines
-    composed = compose(lam_mu, mu_tau)
-    return composed.canonical_phase() / lam_tau.canonical_phase()
+    (delta,) = triple.deltas()
+    return complex(delta)
 
 
 def _random_unitary(dim, seed):

@@ -221,6 +221,17 @@ class TestValidation:
         assert seed == 0 and out is None
 
 
+def nan_first_value(value):
+    return (math.nan, *value[1:]) if isinstance(value, tuple) else math.nan
+
+
+def nan_widest_phase(table):
+    # the line over the outermost cuts is the ratio's divisor in the
+    # triples (0, j, m - 1) only, none of them the first
+    table.phases[0, -1] = math.nan
+    return table
+
+
 class TestReports:
     def test_spectrum_battery_passes(self):
         _, params, seed, _ = validate_scenario({"command": "spectrum"})
@@ -397,27 +408,27 @@ class TestReports:
         assert status["winding-model-value"] == ("fail" if poisoned == "fundamental" else "pass")
 
     @pytest.mark.parametrize(
-        "command, params, name, check",
+        "command, params, name, check, poison",
         [
-            ("fock", {"n_max": 4, "sweep": 1}, "commutator-sweep", "commutator_check"),
-            ("cocycle", {"suite": "trivial"}, "delta-triviality-u1-trivial",
-             "delta_triviality"),
+            ("fock", {"n_max": 4, "sweep": 1}, "commutator-sweep", "commutator_check",
+             nan_first_value),
+            ("cocycle", {"suite": "trivial"}, "delta-triviality-u1-trivial", "CechTable",
+             nan_widest_phase),
         ],
         ids=["commutator-sweep", "cocycle-worst"],
     )
     def test_nan_term_fails_its_accumulator(
-        self, monkeypatch, command, params, name, check
+        self, monkeypatch, command, params, name, check, poison
     ):
-        # one NaN among finite terms: max(acc, nan) would keep acc and pass
+        # one NaN among finite terms: max(acc, nan) would keep acc and pass;
+        # the first value the checked function returns gets the NaN
         real = getattr(cli, check)
         calls = []
 
         def first_nan(*args, **kwargs):
             value = real(*args, **kwargs)
             calls.append(value)
-            if len(calls) != 1:
-                return value
-            return (math.nan, *value[1:]) if isinstance(value, tuple) else math.nan
+            return poison(value) if len(calls) == 1 else value
 
         monkeypatch.setattr(cli, check, first_nan)
         _, params, seed, _ = validate_scenario({"command": command, "params": params})
@@ -425,13 +436,14 @@ class TestReports:
         (record,) = [r for r in report["checks"] if r["name"] == name]
         assert len(calls) > 1
         assert record["status"] == "fail"
+        assert math.isnan(record["residual"])
 
     def test_only_a_cover_violation_counts_as_rejection(self, monkeypatch):
         # a RangeError (cut outside the window) is not the rejection tested
         def out_of_window(*args, **kwargs):
             raise RangeError("cut 2 outside the certified window (-2, 2)")
 
-        monkeypatch.setattr(cli, "CechTriple", out_of_window)
+        monkeypatch.setattr(cli, "CechTable", out_of_window)
         _, params, seed, _ = validate_scenario({"command": "cover"})
         report = run_scenario("cover", params, seed)
         (record,) = [r for r in report["checks"] if r["name"] == "triple-rejects-spectrum-cut"]
@@ -503,6 +515,26 @@ class TestReports:
         failed = {r["name"]: r["residual"] for r in report["checks"] if r["status"] != "pass"}
         assert failed == {"delta-triviality-su3-generic-a": 2.0, "associativity": 2.0}
         assert len(report["checks"]) == len(HOLONOMY_SUITES["standard"]) + 1
+
+    def test_a_sign_on_wide_bands_fails_through_the_residual(self, monkeypatch, capfd):
+        # every line over more than one mode gets phase -1: each suite has a
+        # triple whose ratio is -1, and no composition raises (no 1e300);
+        # on su3-generic-a every band holds three modes or more, so both
+        # bracketings and L_il are all -1 and associativity cannot see it
+        real = cli.det_line
+
+        def signed(spec, lo, hi):
+            line = real(spec, lo, hi)
+            return DetLine(spec, lo, hi, line.basis, -1.0) if len(line.basis) > 1 else line
+
+        monkeypatch.setattr(cli, "det_line", signed)
+        _, params, seed, _ = validate_scenario({"command": "cocycle"})
+        report = run_scenario("cocycle", params, seed)
+        residual = {r["name"]: (r["residual"], r["status"]) for r in report["checks"]}
+        assert residual.pop("associativity") == (0.0, "pass")
+        assert set(residual.values()) == {(2.0, "fail")}
+        assert len(residual) == len(HOLONOMY_SUITES["standard"])
+        assert capfd.readouterr().err == ""
 
 
 class TestExitCodes:

@@ -18,6 +18,7 @@ import pytest
 
 from gerbetool import detline
 from gerbetool.detline import (
+    CechTable,
     CechTriple,
     DetLine,
     compose,
@@ -33,6 +34,7 @@ from gerbetool.errors import (
     ResourceError,
     ValidationError,
 )
+from gerbetool.presets import holonomy_suite
 from gerbetool.spectral import Holonomy, SpectralCut, band, dirac_spectrum, in_cover
 
 SU2_03 = np.diag([np.exp(2j * np.pi * 0.3), np.exp(-2j * np.pi * 0.3)])
@@ -268,6 +270,174 @@ class TestDeltaTriviality:
         assert not in_cover(spec, wide)
         with pytest.raises(ArgumentError, match="cut pair"):
             CechTriple(spec, lam, wide, tau, lines)
+
+
+def half_cuts(n_max):
+    """The cocycle battery's cuts: the half-integers inside (-n_max + 1, n_max - 1)."""
+    return [SpectralCut(Fraction(2 * k + 1, 2)) for k in range(-n_max + 1, n_max - 1)]
+
+
+def pair_lines(spec, cuts):
+    """The canonical line of every cut pair, keyed (i, j) with i < j."""
+    return {
+        (i, j): det_line(spec, cuts[i], cuts[j])
+        for i, j in itertools.combinations(range(len(cuts)), 2)
+    }
+
+
+def loop_residuals(lines, m):
+    """The per-triple and per-quadruple compose loop over the same lines: the oracle.
+
+    Triples give |compose(L_ij, L_jk) / L_ik - 1|, quadruples the larger of
+    |left - right| and |left - L_il| for the two bracketings of L_ij L_jk L_kl.
+    """
+    deltas = [
+        abs(compose(lines[i, j], lines[j, k]).canonical_phase() / lines[i, k].canonical_phase() - 1.0)
+        for i, j, k in itertools.combinations(range(m), 3)
+    ]
+    brackets = []
+    for i, j, k, l in itertools.combinations(range(m), 4):
+        first, middle, last = lines[i, j], lines[j, k], lines[k, l]
+        left = compose(compose(first, middle), last).canonical_phase()
+        right = compose(first, compose(middle, last)).canonical_phase()
+        brackets.append(max(abs(left - right), abs(left - lines[i, l].canonical_phase())))
+    return np.array(deltas, dtype=float), np.array(brackets, dtype=float)
+
+
+def table_residuals(spec, cuts, lines):
+    """The same residuals from one CechTable handed the same lines."""
+    table = CechTable(spec, cuts, lambda s, lo, hi: lines[cuts.index(lo), cuts.index(hi)])
+    return np.abs(table.deltas() - 1.0), table.associativity()
+
+
+def assert_same_bits(spec, cuts, lines):
+    """Table and loop residuals agree bit for bit; returns the worst of each."""
+    want = loop_residuals(lines, len(cuts))
+    got = table_residuals(spec, cuts, lines)
+    for w, g in zip(want, got):
+        assert g.dtype == np.float64 and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    return tuple(float(np.max(w, initial=0.0)) for w in want)
+
+
+class TestCechTable:
+    @pytest.mark.parametrize("n_max", [4, 8])
+    def test_standard_suite_matches_the_compose_loop(self, n_max):
+        suite = holonomy_suite("standard")
+        assert len(suite) == 20
+        for label, hol in suite:
+            spec = dirac_spectrum(hol, n_max)
+            cuts = [c for c in half_cuts(n_max) if in_cover(spec, c)]
+            assert len(cuts) >= 4, label
+            assert assert_same_bits(spec, cuts, pair_lines(spec, cuts)) == (0.0, 0.0), label
+
+    @pytest.mark.parametrize("label", ["u1-generic-a", "su2-degenerate", "su3-generic-a"])
+    def test_one_negated_line_reads_two(self, label):
+        # the line over the first two cuts is the lower factor of every
+        # triple (0, 1, k) and quadruple (0, 1, k, l)
+        spec = dirac_spectrum(dict(holonomy_suite("standard"))[label], 4)
+        cuts = [c for c in half_cuts(4) if in_cover(spec, c)]
+        lines = pair_lines(spec, cuts)
+        good = lines[0, 1]
+        lines[0, 1] = DetLine(spec, good.lo, good.hi, good.basis, -good.phase)
+        assert assert_same_bits(spec, cuts, lines) == (2.0, 2.0)
+
+    def test_generic_phases_match_the_loop_to_roundoff(self):
+        # numpy's complex products and quotients may round differently from
+        # Python's, so generic unit phases agree to a few ulp of the
+        # residuals, which are at most 2
+        spec = dirac_spectrum(Holonomy(diag_phases(0.2, 0.45, 0.8)), 4)
+        cuts = half_cuts(4)
+        rng = np.random.default_rng(5)
+        lines = {
+            key: DetLine(spec, line.lo, line.hi, line.basis, np.exp(2j * np.pi * rng.random()))
+            for key, line in pair_lines(spec, cuts).items()
+        }
+        for want, got in zip(loop_residuals(lines, len(cuts)), table_residuals(spec, cuts, lines)):
+            assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+            assert want.max() > 1.0
+
+    def test_permuted_basis_with_its_sign_reads_zero(self):
+        # a reversed basis with its inversion sign as phase is the canonical
+        # line again: the sign is folded once, when the line is built
+        spec = dirac_spectrum(Holonomy(diag_phases(0.2, 0.45, 0.8)), 4)
+        cuts = half_cuts(4)
+        lines = pair_lines(spec, cuts)
+        for key in ((0, 5), (1, 3)):
+            modes = lines[key].basis[::-1]
+            sign = inversion_sign(mode_keys(modes))
+            lines[key] = DetLine(spec, lines[key].lo, lines[key].hi, modes, sign)
+            assert sign == -1.0 and lines[key].canonical_phase() == 1.0
+        assert assert_same_bits(spec, cuts, lines) == (0.0, 0.0)
+
+    def test_empty_bands_are_neutral(self):
+        # quarter cuts leave every other adjacent band of u1 empty
+        spec = dirac_spectrum(Holonomy(np.eye(1)), 3)
+        cuts = [cut(q) for q in ("-5/4", "-3/4", "-1/4", "1/4", "3/4", "5/4", "7/4")]
+        lines = pair_lines(spec, cuts)
+        assert lines[0, 1].basis != () and lines[1, 2].basis == ()
+        assert assert_same_bits(spec, cuts, lines) == (0.0, 0.0)
+        # an empty band's line still carries a phase
+        lines[1, 2] = DetLine(spec, cuts[1], cuts[2], (), -1.0)
+        assert assert_same_bits(spec, cuts, lines) == (2.0, 2.0)
+
+    def test_band_without_its_top_mode_raises_as_the_loop_does(self, monkeypatch):
+        # the fault table's band fault: on u1 each adjacent band loses its
+        # one mode, so two adjacent empty bands join into no mode, while the
+        # band over both keeps one
+        real = detline.band
+        monkeypatch.setattr(detline, "band", lambda spec, lo, hi: real(spec, lo, hi)[:-1])
+        spec = dirac_spectrum(Holonomy(np.eye(1)), 4)
+        cuts = half_cuts(4)
+        lines = pair_lines(spec, cuts)
+        assert lines[0, 1].basis == () and len(lines[0, 2].basis) == 1
+        with pytest.raises(CompositionError) as loop:
+            loop_residuals(lines, len(cuts))
+        table = CechTable(spec, cuts, lambda s, lo, hi: lines[cuts.index(lo), cuts.index(hi)])
+        for residuals in (table.deltas, table.associativity):
+            with pytest.raises(CompositionError) as got:
+                residuals()
+            assert str(got.value) == str(loop.value)
+        assert str(loop.value) == (
+            "lines over (-5/2, -3/2) and (-3/2, -1/2): the joined bands are not the outer band"
+        )
+
+    def test_compose_shares_the_join_rule(self, monkeypatch):
+        real = detline.band
+        monkeypatch.setattr(detline, "band", lambda spec, lo, hi: real(spec, lo, hi)[:-1])
+        spec = dirac_spectrum(Holonomy(np.eye(2)), 3)
+        a = det_line(spec, cut("-1/2"), cut("1/2"))
+        b = det_line(spec, cut("1/2"), cut("3/2"))
+        with pytest.raises(CompositionError, match="joined bands"):
+            compose(a, b)
+
+    def test_index_order_and_sizes(self):
+        spec = dirac_spectrum(Holonomy(np.eye(1)), 4)
+        assert len(half_cuts(4)) == 6
+        for m in range(7):
+            table = CechTable(spec, half_cuts(4)[:m])
+            assert table.phases.shape == (m, m) and table.extents.shape == (2, m, m)
+            assert table.deltas().shape == (math.comb(m, 3),)
+            assert table.associativity().shape == (math.comb(m, 4),)
+            assert len(table.lines) == math.comb(m, 2)
+        # the lines come in combinations order, and each band is its extent's run
+        for (i, j), line in zip(itertools.combinations(range(6), 2), table.lines):
+            assert (line.lo, line.hi) == (table.cuts[i], table.cuts[j])
+            start, stop = table.extents[:, i, j]
+            assert spec.modes[start:stop] == line.basis and table.phases[i, j] == 1.0
+
+    def test_handed_lines_are_checked(self):
+        spec = dirac_spectrum(Holonomy(np.eye(1)), 4)
+        other = dirac_spectrum(Holonomy(diag_phases(0.2)), 4)
+        cuts = half_cuts(4)[:3]
+        with pytest.raises(ArgumentError, match="another spectrum"):
+            CechTable(spec, cuts, lambda s, lo, hi: det_line(other, lo, hi))
+        with pytest.raises(ArgumentError, match="cut pair"):
+            CechTable(spec, cuts, lambda s, lo, hi: det_line(s, cuts[0], cuts[2]))
+        with pytest.raises(ArgumentError, match="strictly increasing"):
+            CechTable(spec, cuts[::-1])
+        with pytest.raises(CoverViolationError):
+            CechTable(spec, [cuts[0], cut("-2"), cuts[2]])
 
 
 def seeded_frame(dim, seed):
