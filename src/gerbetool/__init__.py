@@ -89,6 +89,7 @@ from .liealg import (
 from .grids import GridForm, central_diff4, spectral_theta_derivative
 from .caloron import (
     AnalyticConnection,
+    CurvaturePass,
     CurvatureSamples,
     LatticeConnection,
     b_field,
@@ -96,6 +97,7 @@ from .caloron import (
     curvature,
     index_curvature,
     ms_identity_check,
+    pontryagin_densities,
     pontryagin_density,
     rho_scaling_check,
     sample_connection,

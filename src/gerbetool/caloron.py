@@ -14,9 +14,9 @@ An analytic family returns each field as real coefficients in the same
 frame, and sample_connection broadcasts them to the grid, rejecting a
 field that is complex, non-finite or of another trailing length, so no
 matrix sample is formed between a family and the forms.  The pipelines
-work on the coefficients: the bracket contracts with the structure
-constants, <X, Y> = -trace(XY) is 2 c(X).c(Y), and the forms are real by
-construction.  A representation acts by one real product with its
+work on the coefficients: the bracket sums the nonzero a < b terms of the
+structure constants, <X, Y> = -trace(XY) is 2 c(X).c(Y), and the forms are
+real by construction.  A representation acts by one real product with its
 coefficient_map, whose result lies in su(dim) by construction, so no
 matrix image is formed.
 
@@ -24,10 +24,18 @@ The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
 circle-integrated Pontryagin density -(1/8 pi^2) <F~ ^ F~> exactly in the
 continuum; the pair of pipelines is the identity checked by
-ms_identity_check, which feeds both a run of circle points at a time.
+ms_identity_check.
+
+Every form comes from one curvature pass (_curvature_slices): dtheta A once
+on the full grid, then F_ab and F_{theta a} on each run of circle points,
+whose circle sums of all the forms a caller reads are added as they
+arrive.  pontryagin_densities reads one density per representation from
+one pass, and a CurvaturePass the curving, the density and the curving of
+the pushed fields, which the identity and scaling checks compare.
 """
 
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 
@@ -224,13 +232,26 @@ def _representation_map(conn, rho):
     return rho.coefficient_map()
 
 
-def _bracket(x, y, structure):
-    """[X, Y] on coefficient arrays: sum_ab x_a y_b f_abc."""
-    m = len(structure)
-    if m == 3:  # su(2): f_abc = k eps_abc
-        return np.multiply(out := np.cross(x, y), structure[0, 1, 2], out=out)
-    outer = x[..., :, None] * y[..., None, :]
-    return outer.reshape(x.shape[:-1] + (m * m,)) @ structure.reshape(m * m, m)
+@functools.cache
+def _bracket_terms(n):
+    """The nonzero f_abc of su(n) with a < b, as (a, b, ((c, f_abc), ...)) per pair."""
+    structure = su_structure_constants(n)
+    terms = {}
+    for a, b, c in zip(*np.nonzero(structure)):
+        if a < b:
+            terms.setdefault((a, b), []).append((c, structure[a, b, c]))
+    return tuple((a, b, tuple(cs)) for (a, b), cs in terms.items())
+
+
+def _bracket(x, y, n):
+    """[X, Y] on su(n) coefficient arrays: sum over a < b of (x_a y_b - x_b y_a) f_abc."""
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    for a, b, cs in _bracket_terms(n):
+        cross = x[..., a] * y[..., b]
+        cross -= x[..., b] * y[..., a]
+        for c, f in cs:
+            out[..., c] += f * cross
+    return out
 
 
 def _circle_pairing(x, y):
@@ -257,45 +278,64 @@ class CurvatureSamples:
         return float(np.max([np.abs(arr[trim]).max() for arr in comps]))
 
 
-def _curvature_slices(phi, a, n, spacing, m=None):
-    """Yield (phi, a, dtheta A, F_{theta a}, F_ab (a < b)) on runs of circle points.
+class _Run:
+    """Fields, dtheta A and curvature of su(n) coefficients on one run of circle points.
 
-    Each array keeps a theta axis of the run's length; only dtheta A, which
-    couples the circle points, is taken on the full grid, one base component
-    at a time.  F_{theta a}, which the curving does not read, comes as its builder.
-    Given a coefficient map m, each run's phi, a and dtheta A are pushed
-    through it as they are sliced (dtheta (A m) = (dtheta A) m), and su(n) is
-    the algebra of the pushed fields, whose brackets build F_ab.
+    base holds F_ab (a < b); mixed, F_{theta a}, is built when first read,
+    so a pass that reads only the curving never builds it.
     """
-    structure = su_structure_constants(n)
-    d_theta_a = [spectral_theta_derivative(a_x, axis=0) for a_x in a]
-    width = max(1, _RUN_CELLS // math.prod(phi.shape[1:-1]))
-    for t in range(0, len(phi), width):
-        s = slice(t, t + width)
-        ph, ax, dx = phi[s], a[:, s], [d[s] for d in d_theta_a]
-        if m is not None:
-            ph, ax, dx = ph @ m, ax @ m, [d @ m for d in dx]
 
-        def mixed(ph=ph, ax=ax, dx=dx):
-            comps = {x: dx[x] - central_diff4(ph, 1 + x, spacing) for x in range(len(ax))}
-            return {x: np.add(c, _bracket(ph, ax[x], structure), out=c) for x, c in comps.items()}
-
-        base = {}
+    def __init__(self, phi, a, d_theta_a, n, spacing):
+        self.phi, self.a, self.d_theta_a = phi, a, d_theta_a
+        self.n, self.spacing = n, spacing
+        self.base = {}
         for x, y in itertools.combinations(range(len(a)), 2):
-            base[(x, y)] = central_diff4(ax[y], 1 + x, spacing)
-            base[(x, y)] -= central_diff4(ax[x], 1 + y, spacing)
-            base[(x, y)] += _bracket(ax[x], ax[y], structure)
-        yield ph, ax, dx, mixed, base
+            f_xy = self.base[(x, y)] = central_diff4(a[y], 1 + x, spacing)
+            f_xy -= central_diff4(a[x], 1 + y, spacing)
+            f_xy += _bracket(a[x], a[y], n)
+
+    @functools.cached_property
+    def mixed(self):
+        comps = {
+            x: d - central_diff4(self.phi, 1 + x, self.spacing)
+            for x, d in enumerate(self.d_theta_a)
+        }
+        for x, c in comps.items():
+            c += _bracket(self.phi, self.a[x], self.n)
+        return comps
+
+    def pushed(self, m, dim):
+        """The run of the fields pushed through the coefficient map m, in su(dim).
+
+        dtheta (A m) = (dtheta A) m, so no derivative is taken again.
+        """
+        return _Run(self.phi @ m, self.a @ m, [d @ m for d in self.d_theta_a], dim, self.spacing)
 
 
-def _circle_means(per_slice, points):
-    """Means over points circle points of the circle-sum form tuples per_slice yields."""
-    sums = next(per_slice)
-    for forms in per_slice:
-        for total, form in zip(sums, forms):
+def _curvature_slices(conn):
+    """Yield the connection's curvature as _Runs of circle points, in circle order.
+
+    This is the one curvature pass: only dtheta A, which couples the circle
+    points, is taken on the full grid, one base component at a time; each
+    run slices it and builds F_ab (and, when read, F_{theta a}) on the
+    run's points alone.
+    """
+    d_theta_a = [spectral_theta_derivative(a_x, axis=0) for a_x in conn.a]
+    width = max(1, _RUN_CELLS // math.prod(conn.phi.shape[1:-1]))
+    for t in range(0, conn.theta_points, width):
+        s = slice(t, t + width)
+        yield _Run(conn.phi[s], conn.a[:, s], [d[s] for d in d_theta_a], conn.n, conn.spacing())
+
+
+def _circle_means(conn, forms):
+    """Circle means of the circle-sum forms that forms(run) gives on each run of one pass."""
+    per_run = map(forms, _curvature_slices(conn))  # no run outlives its forms
+    sums = next(per_run)
+    for run_forms in per_run:
+        for total, form in zip(sums, run_forms):
             for key, comp in total.comps.items():
                 comp += form.comps[key]
-    return [(1.0 / points) * total for total in sums]
+    return [(1.0 / conn.theta_points) * total for total in sums]
 
 
 def curvature(conn):
@@ -303,35 +343,24 @@ def curvature(conn):
 
     Returns matrix components; a NaN coefficient reaches the norm.
     """
-    slices = _curvature_slices(conn.phi, conn.a, conn.n, conn.spacing())
-    mixed, base = zip(*((mixed(), base) for *_, mixed, base in slices))
-    mixed, base = (  # each component's slices, concatenated over the circle
-        {k: su_matrices(np.concatenate([s[k] for s in c]), conn.n) for k in c[0]}
-        for c in (mixed, base)
+    runs = list(_curvature_slices(conn))
+    mixed, base = (  # each component's runs, concatenated over the circle
+        {k: su_matrices(np.concatenate([c[k] for c in comps]), conn.n) for k in comps[0]}
+        for comps in ([run.mixed for run in runs], [run.base for run in runs])
     )
     return CurvatureSamples(conn, mixed, base)
 
 
-def _curving(phi, a, d_theta_a, base):
-    """The circle sum of b_field's curving from already computed dtheta A and F_ab."""
+def _curving(run):
+    """The circle sum of b_field's curving on one run."""
     comps = {}
-    for (x, y), f_xy in base.items():
+    for (x, y), f_xy in run.base.items():
         integrand = 0.5 * (
-            _circle_pairing(a[x], d_theta_a[y]) - _circle_pairing(a[y], d_theta_a[x])
-        ) - _circle_pairing(f_xy, phi)
+            _circle_pairing(run.a[x], run.d_theta_a[y])
+            - _circle_pairing(run.a[y], run.d_theta_a[x])
+        ) - _circle_pairing(f_xy, run.phi)
         comps[(x, y)] = -integrand / FOUR_PI_SQ
-    return GridForm(2, len(a), comps, 0)
-
-
-def _curving_form(phi, a, n, spacing, m=None):
-    """The curving 2-form of coefficient fields phi and a, pushed by m if given.
-
-    n is the algebra su(n) of the fields the curving is built from: of phi
-    and a themselves, or of their images under m.
-    """
-    slices = _curvature_slices(phi, a, n, spacing, m)
-    curvings = ((_curving(ph, ax, dx, base),) for ph, ax, dx, _, base in slices)
-    return _circle_means(curvings, len(phi))[0]
+    return GridForm(2, len(run.a), comps, 0)
 
 
 def b_field(conn):
@@ -343,7 +372,7 @@ def b_field(conn):
     (trapezoid rule on a periodic grid).  Requires periodic sampling.
     """
     _require_periodic(conn, "b_field")
-    return _curving_form(conn.phi, conn.a, conn.n, conn.spacing())
+    return _circle_means(conn, lambda run: (_curving(run),))[0]
 
 
 def _density(mixed, base, ghost_margin, m=None):
@@ -358,6 +387,27 @@ def _density(mixed, base, ghost_margin, m=None):
     return GridForm(3, 3, {(0, 1, 2): -total / FOUR_PI_SQ}, ghost_margin)
 
 
+def _require_base3(conn, what):
+    if conn.base_dim != 3:
+        raise DimensionError(f"{what}; need a 3-dimensional base")
+
+
+def pontryagin_densities(conn, reps):
+    """pontryagin_density(conn, rho) for each rho of reps, from one curvature pass.
+
+    Each representation pushes the same F_{theta a} and F_ab through its
+    coefficient map, so one pass serves them all, and a raise in any one
+    push fails the whole pass.
+    """
+    _require_base3(conn, "the density is a 3-form")
+    maps = [
+        None if rho is None or rho.is_fundamental() else _representation_map(conn, rho)
+        for rho in reps
+    ]
+    g = conn.ghost_margin
+    return _circle_means(conn, lambda run: [_density(run.mixed, run.base, g, m) for m in maps])
+
+
 def pontryagin_density(conn, rho=None):
     """Circle-integrated first-Pontryagin-type 3-form of the connection.
 
@@ -366,17 +416,69 @@ def pontryagin_density(conn, rho=None):
     curvature with the trace in the representation space, i.e.
     (1/8 pi^2) Int tr_rho(F^rho ^ F^rho).
     """
-    if conn.base_dim != 3:
-        raise DimensionError("the density is a 3-form; need a 3-dimensional base")
-    m = None if rho is None or rho.is_fundamental() else _representation_map(conn, rho)
-    slices = _curvature_slices(conn.phi, conn.a, conn.n, conn.spacing())
-    densities = ((_density(mixed(), base, conn.ghost_margin, m),) for *_, mixed, base in slices)
-    return _circle_means(densities, conn.theta_points)[0]
+    (density,) = pontryagin_densities(conn, [rho])
+    return density
 
 
 def index_curvature(conn, rho):
     """Representation-space curvature density (Pontryagin side pushed through rho)."""
     return pontryagin_density(conn, rho=rho)
+
+
+class CurvaturePass:
+    """The forms the caloron checks compare, from one curvature pass over a periodic connection.
+
+    curving is b_field's 2-form; density (on a 3-dimensional base) the
+    circle-integrated Pontryagin 3-form; given a representation rho, pushed
+    is the curving built from the fields pushed through rho's
+    coefficient_map, with su(rho.dim) brackets.  All of them read one
+    dtheta A and one set of F_ab per run of circle points.
+    """
+
+    def __init__(self, conn, rho=None):
+        _require_periodic(conn, "a curvature pass")
+        self.conn, self.rho = conn, rho
+        self.density = self.pushed = None
+        forms = {"curving": _curving}
+        if conn.base_dim == 3:
+            forms["density"] = lambda run: _density(run.mixed, run.base, 0)
+        if rho is not None:
+            m, dim = _representation_map(conn, rho), rho.dim
+            forms["pushed"] = lambda run: _curving(run.pushed(m, dim))
+        means = _circle_means(conn, lambda run: [form(run) for form in forms.values()])
+        for name, mean in zip(forms, means):
+            setattr(self, name, mean)
+
+    def identity_check(self, refine_factor=2):
+        """ms_identity_check of the pass's connection, from its density and curving.
+
+        The refined grid is sampled and swept here, once per call.
+        """
+        conn = self.conn
+        _require_base3(conn, "the identity compares 3-forms")
+        fine = CurvaturePass(conn.resample(base_points=refine_factor * conn.base_points))
+        res_coarse, res_fine = (
+            (p.density - p.curving.exterior_derivative()).max_norm() for p in (self, fine)
+        )
+        scale = max(np.abs(conn.phi).max(), np.abs(conn.a).max())
+        if res_fine <= _ROUNDOFF_FLOOR * np.finfo(float).eps * scale**2 * max(scale, 1.0):
+            return res_coarse, math.inf
+        return res_coarse, math.log(res_coarse / res_fine, refine_factor)
+
+    def scaling_check(self):
+        """rho_scaling_check of the pass's connection and representation."""
+        if self.rho is None:
+            raise ArgumentError("the scaling check needs a pass with a representation")
+        iota = float(self.rho.index)
+        b_fund, b_rho = self.curving, self.pushed
+        worst = (b_rho - iota * b_fund).max_norm()
+        scale = b_fund.max_norm()
+        if self.conn.base_dim == 3:
+            h_fund = b_fund.exterior_derivative()
+            h_rho = b_rho.exterior_derivative()
+            worst = float(np.maximum(worst, (h_rho - iota * h_fund).max_norm()))
+            scale = np.maximum(scale, h_fund.max_norm())
+        return worst, float(iota * scale)
 
 
 def ms_identity_check(conn, refine_factor=2):
@@ -389,25 +491,8 @@ def ms_identity_check(conn, refine_factor=2):
     computed once and feed both sides; a fine residual under the roundoff
     floor reads order inf.  Needs an analytic family to resample.
     """
-    if conn.base_dim != 3:
-        raise DimensionError("the identity compares 3-forms; need a 3-dimensional base")
-
-    def residual(phi, a, base_points):
-        sides = (
-            (_density(mixed(), base, 0), _curving(ph, ax, dx, base))
-            for ph, ax, dx, mixed, base in _curvature_slices(phi, a, conn.n, 1.0 / base_points)
-        )
-        lhs, rhs = _circle_means(sides, len(phi))
-        return (lhs - rhs.exterior_derivative()).max_norm()
-
-    _require_periodic(conn, "ms_identity_check")
-    res_coarse = residual(conn.phi, conn.a, conn.base_points)
-    fine = conn.resample(base_points=refine_factor * conn.base_points)
-    res_fine = residual(fine.phi, fine.a, fine.base_points)
-    scale = max(np.abs(conn.phi).max(), np.abs(conn.a).max())
-    if res_fine <= _ROUNDOFF_FLOOR * np.finfo(float).eps * scale**2 * max(scale, 1.0):
-        return res_coarse, math.inf
-    return res_coarse, math.log(res_coarse / res_fine, refine_factor)
+    _require_base3(conn, "the identity compares 3-forms")
+    return CurvaturePass(conn).identity_check(refine_factor)
 
 
 def rho_scaling_check(conn, rho):
@@ -423,16 +508,4 @@ def rho_scaling_check(conn, rho):
     dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the scale a
     relative residual divides by.
     """
-    _require_periodic(conn, "rho_scaling_check")
-    m = _representation_map(conn, rho)
-    iota = float(rho.index)
-    b_fund = _curving_form(conn.phi, conn.a, conn.n, conn.spacing())
-    b_rho = _curving_form(conn.phi, conn.a, rho.dim, conn.spacing(), m)
-    worst = (b_rho - iota * b_fund).max_norm()
-    scale = b_fund.max_norm()
-    if conn.base_dim == 3:
-        h_fund = b_fund.exterior_derivative()
-        h_rho = b_rho.exterior_derivative()
-        worst = float(np.maximum(worst, (h_rho - iota * h_fund).max_norm()))
-        scale = np.maximum(scale, h_fund.max_norm())
-    return worst, float(iota * scale)
+    return CurvaturePass(conn, rho).scaling_check()

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caloron import check_grid, ms_identity_check, pontryagin_density, rho_scaling_check
+from .caloron import CurvaturePass, check_grid, pontryagin_densities
 from .detline import CechTable, det_line
 from .errors import (
     ConfigError, CoverViolationError, GerbeToolError, ResourceError
@@ -480,13 +480,16 @@ def _battery_caloron(params, seed):
         base_points=params["base_points"],
     )
 
+    # one coarse curvature pass serves both checks; the fine pass is ms-identity-order's own
+    coarse = functools.cache(lambda: CurvaturePass(conn, Representation.adjoint(conn.n)))
+
     def ms_order():
-        _, order = ms_identity_check(conn, refine_factor=params["refine_factor"])
+        _, order = coarse().identity_check(params["refine_factor"])
         # no max() here: max(0.0, 1.9 - nan) is 0.0, and a NaN order must fail
         return 0.0 if order >= 1.9 else 1.9 - order
 
     def rho_scaling():
-        worst, scale = rho_scaling_check(conn, Representation.adjoint(conn.n))
+        worst, scale = coarse().scaling_check()
         return worst / scale if scale > 0 else worst
 
     return [
@@ -548,19 +551,16 @@ def _battery_pairing(params, seed):
     winding = ModuliFamily(rep, modulation=params["modulation"])
 
     @functools.cache
-    def winding_conn():
-        # sampled once for winding-model-value and adjoint-scaling; a raise is not cached
-        return winding.connection(
+    def densities():
+        # one sample and one curvature pass for both checks; a raise is not cached
+        conn = winding.connection(
             gamma, params["theta_points"], params["base_points"], params["ghost_margin"]
         )
-
-    @functools.cache
-    def winding_pairing():
-        return pontryagin_density(winding_conn()).integrate()
+        return pontryagin_densities(conn, (None, adjoint))
 
     def adjoint_scaling():
-        v_fund = winding_pairing()
-        adj_form = pontryagin_density(winding_conn(), adjoint)
+        fund, adj_form = densities()
+        v_fund = fund.integrate()
         gap = abs(adj_form.integrate() - 4.0 * v_fund)
         # the model values are the integers -8 and -2, and the pairings are
         # sums of density terms that cancel to them: the gap may reach the
@@ -571,7 +571,7 @@ def _battery_pairing(params, seed):
         return gap / max(abs(4.0 * v_fund), 1.0, roundoff / _ADJOINT_TOLERANCE)
 
     return [
-        ("winding-model-value", 0.15, lambda: abs(winding_pairing() + 2.0)),
+        ("winding-model-value", 0.15, lambda: abs(densities()[0].integrate() + 2.0)),
         ("adjoint-scaling", _ADJOINT_TOLERANCE, adjoint_scaling),
     ]
 

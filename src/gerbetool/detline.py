@@ -104,7 +104,8 @@ class DetLine:
     """A value in the determinant line of the band (lo, hi).
 
     basis is an ordered tuple of the band's eigenmodes (any order; the set
-    must match the band exactly) and phase a unit complex scalar.  The
+    must match the band exactly), or None for the band's own modes in
+    canonical order, and phase a unit complex scalar.  The
     canonical representative sorts the basis ascending and folds the
     permutation sign into the phase; that sign is fixed once, when the
     basis is checked against the band, and the band's extent is kept for
@@ -120,11 +121,12 @@ class DetLine:
     _extent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
         object.__setattr__(self, "phase", complex(self.phase))
         if not abs(abs(self.phase) - 1.0) <= _PHASE_TOL:
             raise ValidationError(f"phase must be unimodular, |phase| = {abs(self.phase)}")
         expected = band(self.spectrum, self.lo, self.hi)
+        basis = expected if self.basis is None else tuple(self.basis)
+        object.__setattr__(self, "basis", basis)
         # tuple equality short-circuits on identical modes, so only a
         # reordered or foreign basis pays for the set comparison and a sort;
         # the band is in canonical order, so its own sign is +1
@@ -141,15 +143,12 @@ class DetLine:
         return self.phase * self._sign
 
     def canonical(self):
-        start, stop = self._extent
-        return DetLine(
-            self.spectrum, self.lo, self.hi, self.spectrum.modes[start:stop], self.canonical_phase()
-        )
+        return DetLine(self.spectrum, self.lo, self.hi, None, self.canonical_phase())
 
 
 def det_line(spectrum, lo, hi):
-    """Canonical determinant-line value for the band between two cuts."""
-    return DetLine(spectrum, lo, hi, band(spectrum, lo, hi), 1.0 + 0j)
+    """Canonical determinant-line value for the band between two cuts; one band lookup."""
+    return DetLine(spectrum, lo, hi, None, 1.0 + 0j)
 
 
 def compose(a, b):

@@ -30,13 +30,16 @@ from gerbetool import caloron
 from gerbetool.caloron import (
     MAX_GRID_ENTRIES,
     AnalyticConnection,
+    CurvaturePass,
     LatticeConnection,
     _bracket,
+    _curving,
     _density,
     b_field,
     curvature,
     index_curvature,
     ms_identity_check,
+    pontryagin_densities,
     pontryagin_density,
     rho_scaling_check,
     sample_connection,
@@ -60,6 +63,7 @@ from gerbetool.liealg import (
     su_matrices,
     su_structure_constants,
 )
+from gerbetool.moduli import LoopWord, ModuliFamily, standard_genus2_su2
 from gerbetool.presets import (
     connection_preset,
     preset_family,
@@ -476,12 +480,26 @@ class TestBatchedKernels:
         rng = np.random.default_rng(10 + n)
         x, y = random_su(rng, (samples, 5, 4), n), random_su(rng, (samples, 5, 4), n)
         (cx, _), (cy, _) = su_coefficients(x), su_coefficients(y)
-        structure = su_structure_constants(n)
         want = x @ y - y @ x
-        got = su_matrices(_bracket(cx, cy, structure), n)
+        got = su_matrices(_bracket(cx, cy, n), n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        single = su_matrices(_bracket(cx[0, 0, 0], cy[0, 0, 0], structure), n)
+        single = su_matrices(_bracket(cx[0, 0, 0], cy[0, 0, 0], n), n)
         assert np.abs(single - want[0, 0, 0]).max() <= 1e-13 * np.abs(want).max()
+
+    def test_su2_bracket_is_the_cross_product(self):
+        # f_abc = 2 eps_abc: the a < b terms are the cross product's, bit for bit
+        x, y = np.random.default_rng(60).standard_normal((2, 4096, 3))
+        assert np.array_equal(_bracket(x, y, 2), np.cross(x, y) * 2.0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bracket_matches_the_full_contraction(self, n):
+        # the oracle contracts the whole m x m outer product with f_abc
+        m = n * n - 1
+        x, y = np.random.default_rng(70 + n).standard_normal((2, 5, 64, m))
+        outer = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (m * m,))
+        want = outer @ su_structure_constants(n).reshape(m * m, m)
+        got = _bracket(x, y, n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_coefficient_round_trip(self, n):
@@ -589,8 +607,10 @@ class TestRhoScaling:
     def test_adjoint_peak_memory_is_bounded(self):
         # traced peak in su(2) coefficient fields (12 x 16^3 x 3 floats): 22.3
         # while the whole connection was pushed into 8 adjoint coefficients,
-        # 9.9 with each run of circle points pushed as it is sliced (b_field
-        # alone peaks at 4.2: dtheta A's 3 fields and one run's temporaries)
+        # 9.9 with each run of circle points pushed as it is sliced, 7.0 with
+        # both curvings from one pass and the a < b bracket, which forms no
+        # m x m outer product (b_field alone peaks at 4.2: dtheta A's 3
+        # fields and one run's temporaries)
         conn = connection_preset("su2-family", theta_points=12, base_points=16)
         field = 12 * 16**3 * 3 * np.dtype(float).itemsize
         tracemalloc.start()
@@ -738,8 +758,8 @@ class TestCoefficientMap:
         x, y = rng.standard_normal((2, 64, n * n - 1))
         for rho in (Representation.fundamental(n), Representation.adjoint(n)):
             m = rho.coefficient_map()
-            want = _bracket(x, y, su_structure_constants(n)) @ m
-            got = _bracket(x @ m, y @ m, su_structure_constants(rho.dim))
+            want = _bracket(x, y, n) @ m
+            got = _bracket(x @ m, y @ m, rho.dim)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_density_matches_the_matrix_route(self):
@@ -799,3 +819,90 @@ class TestCoefficientMap:
             rho_scaling_check(conn, Representation.adjoint(3))
         with pytest.raises(ArgumentError, match="su\\(3\\)"):
             pontryagin_density(conn, Representation.adjoint(3))
+
+
+def one_form_pass(conn, form):
+    """The circle mean of one form over its own curvature pass."""
+    return caloron._circle_means(conn, lambda run: [form(run)])[0]
+
+
+def same_bits(got, want):
+    return all(
+        np.array_equal(got.comps[k], want.comps[k]) and got.comps[k].shape == want.comps[k].shape
+        for k in want.comps
+    ) and set(got.comps) == set(want.comps) and got.ghost_margin == want.ghost_margin
+
+
+class TestOneCurvaturePass:
+    """Forms read from one shared pass equal the forms of separate passes, bit for bit."""
+
+    ADJ = Representation.adjoint(2)
+
+    @staticmethod
+    def family(name):
+        if name == "winding":
+            return ModuliFamily(standard_genus2_su2(), modulation=0.2).family(LoopWord(((1, 1),)))
+        return preset_family(name)
+
+    @pytest.mark.parametrize("name", ["su2-family", "flat", "winding"])
+    @pytest.mark.parametrize("ghost_margin", [0, 4])
+    def test_densities_share_a_pass(self, name, ghost_margin):
+        conn = sample_connection(self.family(name), 3, 8, 6, ghost_margin)
+        m, g = self.ADJ.coefficient_map(), ghost_margin
+        fund, adj = pontryagin_densities(conn, (None, self.ADJ))
+        assert same_bits(fund, pontryagin_density(conn))
+        assert same_bits(adj, pontryagin_density(conn, self.ADJ))
+        assert same_bits(fund, one_form_pass(conn, lambda run: _density(run.mixed, run.base, g)))
+        assert same_bits(adj, one_form_pass(conn, lambda run: _density(run.mixed, run.base, g, m)))
+        assert fund.max_norm() > 0 or name == "flat"
+
+    @pytest.mark.parametrize("name", ["su2-family", "flat", "winding"])
+    def test_caloron_forms_share_a_pass(self, name):
+        # the winding family is a covering-space sample, not periodic: its
+        # forms mean nothing here, but their bits must still agree
+        conn = sample_connection(self.family(name), 3, 8, 6)
+        m, iota = self.ADJ.coefficient_map(), 4.0
+        forms = CurvaturePass(conn, self.ADJ)
+        pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, 3)))
+        assert same_bits(forms.curving, b_field(conn))
+        assert same_bits(forms.curving, one_form_pass(conn, _curving))
+        assert same_bits(forms.density, pontryagin_density(conn))
+        assert same_bits(forms.pushed, pushed)
+        b = b_field(conn)
+        worst = max(
+            (pushed - iota * b).max_norm(),
+            (pushed.exterior_derivative() - iota * b.exterior_derivative()).max_norm(),
+        )
+        scale = iota * max(b.max_norm(), b.exterior_derivative().max_norm())
+        assert rho_scaling_check(conn, self.ADJ) == forms.scaling_check() == (worst, scale)
+        plain = CurvaturePass(conn)
+        assert plain.pushed is None and same_bits(plain.density, forms.density)
+
+    def test_identity_check_reads_the_pass(self):
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        assert CurvaturePass(conn, self.ADJ).identity_check(2) == ms_identity_check(conn, 2)
+
+    def test_two_dimensional_base_has_no_density(self):
+        gen = preset_family("su2-family")  # read on T^2 by repeating x0 as x2
+        family = AnalyticConnection(
+            2,
+            lambda th, xs: gen.phi(th, [*xs, xs[0]]),
+            lambda th, xs, axis: gen.base(th, [*xs, xs[0]], axis),
+        )
+        conn = sample_connection(family, 2, 8, 8)
+        forms = CurvaturePass(conn, self.ADJ)
+        assert forms.density is None and forms.curving.max_norm() > 0
+        assert same_bits(forms.curving, b_field(conn))
+        assert forms.scaling_check() == rho_scaling_check(conn, self.ADJ)
+        with pytest.raises(DimensionError):
+            forms.identity_check()
+
+    def test_scaling_needs_a_representation(self):
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        with pytest.raises(ArgumentError, match="representation"):
+            CurvaturePass(conn).scaling_check()
+
+    def test_a_pass_needs_periodic_sampling(self):
+        conn = sample_connection(preset_family("su2-family"), 3, 8, 6, 2)
+        with pytest.raises(ArgumentError, match="periodic"):
+            CurvaturePass(conn)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gerbetool import cli, detline, fock, moduli
+from gerbetool import caloron, cli, detline, fock, moduli
 from gerbetool.cli import (
     COMMANDS,
     emit_schema,
@@ -259,7 +259,7 @@ class TestReports:
     def test_nan_convergence_order_fails(self, monkeypatch):
         # max(0.0, 1.9 - nan) is 0.0, so a NaN order must not reach a max()
         monkeypatch.setattr(
-            cli, "ms_identity_check", lambda conn, refine_factor: (0.0, math.nan)
+            cli.CurvaturePass, "identity_check", lambda self, refine_factor: (0.0, math.nan)
         )
         _, params, seed, _ = validate_scenario(
             {"command": "caloron", "params": {"theta_points": 9, "base_points": 8}}
@@ -360,16 +360,17 @@ class TestReports:
         # the terms' mean size is about 1.5e12 at |modulation| 1e6: a gap judged
         # against 1e-6 of that size would pass an adjoint pairing that is 3/4
         # of its value, or off by 0.01 (it reads 2.9e-5 against the 1e-6)
-        real = cli.pontryagin_density
+        real = cli.pontryagin_densities
 
-        def wrong(conn, rho=None):
-            form = real(conn, rho)
-            if rho is not None:
-                comp = form.comps[(0, 1, 2)]
-                comp[...] = 0.75 * comp if error == "scale" else comp + 0.01
-            return form
+        def wrong(conn, reps):
+            forms = real(conn, reps)
+            for rho, form in zip(reps, forms):
+                if rho is not None:
+                    comp = form.comps[(0, 1, 2)]
+                    comp[...] = 0.75 * comp if error == "scale" else comp + 0.01
+            return forms
 
-        monkeypatch.setattr(cli, "pontryagin_density", wrong)
+        monkeypatch.setattr(cli, "pontryagin_densities", wrong)
         _, full, seed, _ = validate_scenario({"command": "pairing", "params": params})
         status = {r["name"]: r["status"] for r in run_scenario("pairing", full, seed)["checks"]}
         assert status["adjoint-scaling"] == "fail"
@@ -392,20 +393,54 @@ class TestReports:
 
     @pytest.mark.parametrize("poisoned", ["fundamental", "adjoint"])
     def test_nan_density_fails_the_winding_checks(self, monkeypatch, poisoned):
-        real = cli.pontryagin_density
+        real = cli.pontryagin_densities
 
-        def with_nan(conn, rho=None):
-            form = real(conn, rho)
-            if (rho is None) == (poisoned == "fundamental"):
-                g = conn.ghost_margin
-                form.comps[(0, 1, 2)][g, g, g] = math.nan
-            return form
+        def with_nan(conn, reps):
+            forms = real(conn, reps)
+            for rho, form in zip(reps, forms):
+                if (rho is None) == (poisoned == "fundamental"):
+                    g = conn.ghost_margin
+                    form.comps[(0, 1, 2)][g, g, g] = math.nan
+            return forms
 
-        monkeypatch.setattr(cli, "pontryagin_density", with_nan)
+        monkeypatch.setattr(cli, "pontryagin_densities", with_nan)
         _, params, seed, _ = validate_scenario({"command": "pairing"})
         status = {r["name"]: r["status"] for r in run_scenario("pairing", params, seed)["checks"]}
         assert status["adjoint-scaling"] == "fail"
         assert status["winding-model-value"] == ("fail" if poisoned == "fundamental" else "pass")
+
+    @pytest.mark.parametrize("command, grids", [("caloron", [16, 32]), ("pairing", [20])])
+    def test_one_curvature_pass_per_grid(self, monkeypatch, command, grids):
+        # one circle derivative per base component on each grid: caloron's
+        # coarse pass serves both checks and the fine pass is ms-identity-order's
+        # (6 calls, 12 with a pass per form); pairing's one pass serves both
+        # densities (3 calls, 6 with a pass per density)
+        real = caloron.spectral_theta_derivative
+        calls = []
+
+        def counting(arr, axis=0, period=1.0):
+            calls.append(arr.shape[1])
+            return real(arr, axis=axis, period=period)
+
+        monkeypatch.setattr(caloron, "spectral_theta_derivative", counting)
+        _, params, seed, _ = validate_scenario({"command": command})
+        assert run_scenario(command, params, seed)["status"] == "pass"
+        assert sorted(calls) == sorted(grids * 3)
+
+    @pytest.mark.parametrize("command", ["pairing", "caloron"])
+    def test_a_raise_in_the_adjoint_push_fails_both_checks(self, monkeypatch, capsys, command):
+        # one curvature pass serves both checks of each battery, so a
+        # coefficient map that raises fails the fundamental check too
+        def broken(rho):
+            raise RuntimeError("no coefficient map")
+
+        monkeypatch.setattr(cli.Representation, "coefficient_map", broken)
+        _, params, seed, _ = validate_scenario({"command": command})
+        report = run_scenario(command, params, seed)
+        assert [r["status"] for r in report["checks"]] == ["fail", "fail"]
+        assert {r["residual"] for r in report["checks"]} == {1e300}
+        err = capsys.readouterr().err
+        assert err.count("raised RuntimeError: no coefficient map") == 2
 
     @pytest.mark.parametrize(
         "command, params, name, check, poison",

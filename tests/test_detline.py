@@ -526,6 +526,27 @@ def diag_phases(*phases):
 
 
 class TestBasisValidation:
+    def test_det_line_looks_its_band_up_once(self, monkeypatch):
+        # the basis is the band itself, so it is not looked up again to be checked
+        spec = dirac_spectrum(Holonomy(diag_phases(0.2, 0.45, 0.8)), N=4)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return band(*args)
+
+        monkeypatch.setattr(detline, "band", counting)
+        cuts = [cut(q) for q in ("-5/2", "-1/2", "3/2", "7/2")]
+        lines = [det_line(spec, lo, hi) for lo, hi in itertools.combinations(cuts, 2)]
+        assert len(calls) == len(lines) == 6
+        for line in lines:
+            assert line.basis == band(spec, line.lo, line.hi) and line.phase == 1.0
+            start, stop = line._extent
+            assert line.basis == spec.modes[start:stop] and line._sign == 1
+        handed = DetLine(spec, cuts[0], cuts[3], lines[2].basis[::-1], 1.0)
+        assert len(calls) == 7 and handed._sign == permutation_sign(lines[2].basis[::-1])
+        assert handed.canonical() == DetLine(spec, cuts[0], cuts[3], None, handed._sign)
+
     def test_reordered_basis_is_accepted(self):
         spec = dirac_spectrum(Holonomy(random_unitary(3, 5)), N=3)
         modes = band(spec, cut("-3/2"), cut("3/2"))
