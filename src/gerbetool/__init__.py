@@ -43,10 +43,8 @@ from .spectral import (
 )
 from .detline import (
     CechTable,
-    CechTriple,
     DetLine,
     compose,
-    delta_triviality,
     det_line,
     hodge_dual_iso,
     permutation_sign,
@@ -67,7 +65,6 @@ from .fock import (
     check_expm_cost,
     commutator_check,
     cut_shift_check,
-    elementary_action,
     enumerate_states,
     graded_basis,
     mode_operator_matrix,
@@ -90,16 +87,9 @@ from .grids import GridForm, central_diff4, spectral_theta_derivative
 from .caloron import (
     AnalyticConnection,
     CurvaturePass,
-    CurvatureSamples,
     LatticeConnection,
-    b_field,
     check_grid,
-    curvature,
-    index_curvature,
-    ms_identity_check,
     pontryagin_densities,
-    pontryagin_density,
-    rho_scaling_check,
     sample_connection,
 )
 from .presets import (

@@ -24,7 +24,7 @@ The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
 circle-integrated Pontryagin density -(1/8 pi^2) <F~ ^ F~> exactly in the
 continuum; the pair of pipelines is the identity checked by
-ms_identity_check.
+CurvaturePass.identity_check.
 
 Every form comes from one curvature pass (_curvature_slices): dtheta A once
 on the full grid, then F_ab and F_{theta a} on each run of circle points,
@@ -50,7 +50,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import GridForm, central_diff4, spectral_theta_derivative
-from .liealg import su_matrices, su_structure_constants
+from .liealg import su_structure_constants
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
@@ -58,10 +58,11 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 # field's count of matrix entries, n^2 per cell (1.6M on the caloron
 # battery's default fine grid).  A field is sampled as n^2 - 1 real
 # coefficients per cell, so an su(2) field holds 3/4 as many floats; at its
-# peak the caloron battery's traced memory is 8.7 such su(2) fields.
+# peak the caloron battery's traced memory (tracemalloc, at its defaults) is
+# 8.7 such su(2) fields on its fine grid, 78 MiB.
 MAX_GRID_ENTRIES = 2**22
 
-# ms_identity_check reads a fine residual at or under
+# CurvaturePass.identity_check reads a fine residual at or under
 # _ROUNDOFF_FLOOR * eps * s^2 * max(s, 1), s the largest coefficient of phi
 # and a, as the identity met at roundoff (order inf): discretization error
 # scales as s^3, roundoff as s^2 for small fields.  Flat (s = 2 pi, floor
@@ -219,12 +220,6 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
     )
 
 
-def _require_periodic(conn, where):
-    """Reject a ghosted sampling, which the curving cannot integrate."""
-    if conn.ghost_margin:
-        raise ArgumentError(f"{where} needs a periodic (ghost-free) sampling")
-
-
 def _representation_map(conn, rho):
     """rho.coefficient_map(), for a representation of the connection's su(n)."""
     if rho.n != conn.n:
@@ -257,25 +252,6 @@ def _bracket(x, y, n):
 def _circle_pairing(x, y):
     """Circle sum of <X, Y> = 2 x.y, over axis 0 and the coefficient axis."""
     return np.einsum("t...a,t...a->...", x, y) * 2.0
-
-
-@dataclass
-class CurvatureSamples:
-    """Curvature components of a sampled connection, as matrix samples.
-
-    mixed[a] holds F_{theta a} = dtheta A_a - d_a Phi + [Phi, A_a];
-    base[(a, b)] holds F_ab for a < b.
-    """
-
-    conn: LatticeConnection
-    mixed: dict
-    base: dict
-
-    def max_norm(self):
-        g = self.conn.ghost_margin
-        trim = (slice(None),) + (slice(g, -g or None),) * self.conn.base_dim
-        comps = itertools.chain(self.mixed.values(), self.base.values())
-        return float(np.max([np.abs(arr[trim]).max() for arr in comps]))
 
 
 class _Run:
@@ -338,21 +314,8 @@ def _circle_means(conn, forms):
     return [(1.0 / conn.theta_points) * total for total in sums]
 
 
-def curvature(conn):
-    """All curvature components by spectral/4th-order differentiation.
-
-    Returns matrix components; a NaN coefficient reaches the norm.
-    """
-    runs = list(_curvature_slices(conn))
-    mixed, base = (  # each component's runs, concatenated over the circle
-        {k: su_matrices(np.concatenate([c[k] for c in comps]), conn.n) for k in comps[0]}
-        for comps in ([run.mixed for run in runs], [run.base for run in runs])
-    )
-    return CurvatureSamples(conn, mixed, base)
-
-
 def _curving(run):
-    """The circle sum of b_field's curving on one run."""
+    """The circle sum of the curving B_ab's integrand on one run (see CurvaturePass)."""
     comps = {}
     for (x, y), f_xy in run.base.items():
         integrand = 0.5 * (
@@ -361,18 +324,6 @@ def _curving(run):
         ) - _circle_pairing(f_xy, run.phi)
         comps[(x, y)] = -integrand / FOUR_PI_SQ
     return GridForm(2, len(run.a), comps, 0)
-
-
-def b_field(conn):
-    """Degree-2 curving on the base from the loop-space data.
-
-    B_ab = -(1/4 pi^2) Int_0^1 [ 1/2 (<A_a, A_b'> - <A_b, A_a'>)
-                                 - <F_ab, Phi> ] dtheta,
-    with A' the circle derivative; the circle integral is the grid mean
-    (trapezoid rule on a periodic grid).  Requires periodic sampling.
-    """
-    _require_periodic(conn, "b_field")
-    return _circle_means(conn, lambda run: (_curving(run),))[0]
 
 
 def _density(mixed, base, ghost_margin, m=None):
@@ -393,11 +344,15 @@ def _require_base3(conn, what):
 
 
 def pontryagin_densities(conn, reps):
-    """pontryagin_density(conn, rho) for each rho of reps, from one curvature pass.
+    """The circle-integrated Pontryagin 3-form for each rho of reps, from one curvature pass.
 
-    Each representation pushes the same F_{theta a} and F_ab through its
-    coefficient map, so one pass serves them all, and a raise in any one
-    push fails the whole pass.
+    For rho None (or fundamental) this is -(1/8 pi^2) Int <F~ ^ F~>; for a
+    representation it is the same density of the pushed-forward curvature
+    with the trace in the representation space, (1/8 pi^2) Int
+    tr_rho(F^rho ^ F^rho).  Each representation pushes the same F_{theta a}
+    and F_ab through its coefficient map, so one pass serves them all, and
+    a raise in any one push fails the whole pass.  Needs a 3-dimensional
+    base; a ghosted sampling keeps its margin on the forms.
     """
     _require_base3(conn, "the density is a 3-form")
     maps = [
@@ -408,35 +363,24 @@ def pontryagin_densities(conn, reps):
     return _circle_means(conn, lambda run: [_density(run.mixed, run.base, g, m) for m in maps])
 
 
-def pontryagin_density(conn, rho=None):
-    """Circle-integrated first-Pontryagin-type 3-form of the connection.
-
-    With rho omitted (or fundamental) this is -(1/8 pi^2) Int <F~ ^ F~>;
-    with a representation it is the same density of the pushed-forward
-    curvature with the trace in the representation space, i.e.
-    (1/8 pi^2) Int tr_rho(F^rho ^ F^rho).
-    """
-    (density,) = pontryagin_densities(conn, [rho])
-    return density
-
-
-def index_curvature(conn, rho):
-    """Representation-space curvature density (Pontryagin side pushed through rho)."""
-    return pontryagin_density(conn, rho=rho)
-
-
 class CurvaturePass:
     """The forms the caloron checks compare, from one curvature pass over a periodic connection.
 
-    curving is b_field's 2-form; density (on a 3-dimensional base) the
-    circle-integrated Pontryagin 3-form; given a representation rho, pushed
-    is the curving built from the fields pushed through rho's
+    curving is the degree-2 curving on the base from the loop-space data,
+    B_ab = -(1/4 pi^2) Int_0^1 [ 1/2 (<A_a, A_b'> - <A_b, A_a'>)
+                                 - <F_ab, Phi> ] dtheta,
+    with A' the circle derivative and the circle integral the grid mean
+    (trapezoid rule on a periodic grid); density (on a 3-dimensional base)
+    is pontryagin_densities' fundamental 3-form; given a representation
+    rho, pushed is the curving built from the fields pushed through rho's
     coefficient_map, with su(rho.dim) brackets.  All of them read one
-    dtheta A and one set of F_ab per run of circle points.
+    dtheta A and one set of F_ab per run of circle points.  A ghosted
+    sampling raises ArgumentError: the curving cannot integrate it.
     """
 
     def __init__(self, conn, rho=None):
-        _require_periodic(conn, "a curvature pass")
+        if conn.ghost_margin:
+            raise ArgumentError("a curvature pass needs a periodic (ghost-free) sampling")
         self.conn, self.rho = conn, rho
         self.density = self.pushed = None
         forms = {"curving": _curving}
@@ -450,9 +394,15 @@ class CurvaturePass:
             setattr(self, name, mean)
 
     def identity_check(self, refine_factor=2):
-        """ms_identity_check of the pass's connection, from its density and curving.
+        """Pointwise residual of [circle-integrated Pontryagin density] = d(curving).
 
-        The refined grid is sampled and swept here, once per call.
+        Returns (residual at the input resolution, measured convergence
+        order between base grids M and refine_factor*M).  The identity is
+        exact in the continuum, so the residual is pure discretization error
+        and the order reflects the base stencils; a fine residual under the
+        roundoff floor (_ROUNDOFF_FLOOR) reads order inf.  The refined grid
+        is resampled from the connection's analytic family and swept here,
+        once per call; needs a 3-dimensional base.
         """
         conn = self.conn
         _require_base3(conn, "the identity compares 3-forms")
@@ -466,7 +416,15 @@ class CurvaturePass:
         return res_coarse, math.log(res_coarse / res_fine, refine_factor)
 
     def scaling_check(self):
-        """rho_scaling_check of the pass's connection and representation."""
+        """Max residual of (curving, 3-curvature) scaling under the pass's representation.
+
+        Compares the pushed curving B_rho and (on a 3-dimensional base)
+        H_rho = d B_rho with dynkin_index(rho) times the fundamental forms.
+        The identity holds pointwise in the samples, so the residual is
+        roundoff-level.  Returns (worst, scale): the absolute residual and
+        dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the
+        scale a relative residual divides by.
+        """
         if self.rho is None:
             raise ArgumentError("the scaling check needs a pass with a representation")
         iota = float(self.rho.index)
@@ -479,33 +437,3 @@ class CurvaturePass:
             worst = float(np.maximum(worst, (h_rho - iota * h_fund).max_norm()))
             scale = np.maximum(scale, h_fund.max_norm())
         return worst, float(iota * scale)
-
-
-def ms_identity_check(conn, refine_factor=2):
-    """Pointwise residual of [circle-integrated Pontryagin density] = d(curving).
-
-    Returns (residual at the input resolution, measured convergence order
-    between base grids M and refine_factor*M).  The identity is exact in
-    the continuum, so the residual is pure discretization error and the
-    order reflects the base stencils.  Each grid's dtheta A and F_ab are
-    computed once and feed both sides; a fine residual under the roundoff
-    floor reads order inf.  Needs an analytic family to resample.
-    """
-    _require_base3(conn, "the identity compares 3-forms")
-    return CurvaturePass(conn).identity_check(refine_factor)
-
-
-def rho_scaling_check(conn, rho):
-    """Max residual of (curving, 3-curvature) scaling under a representation.
-
-    Pushes the connection's coefficients through the representation's
-    coefficient_map one run of circle points at a time, builds the curving
-    B_rho from the pushed fields with su(rho.dim) brackets and (on a
-    3-dimensional base) H_rho = d B_rho, and compares with dynkin_index(rho)
-    times the fundamental-route forms.
-    The identity holds pointwise in the samples, so the residual is
-    roundoff-level.  Returns (worst, scale): the absolute residual and
-    dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the scale a
-    relative residual divides by.
-    """
-    return CurvaturePass(conn, rho).scaling_check()

@@ -15,7 +15,9 @@ built once, as arrays of canonical phases and band extents.  It evaluates
 the cocycle ratio compose(L_ij, L_jk) / L_ik on every triple of cuts, and
 both bracketings of L_ij L_jk L_kl against L_il on every quadruple, in a
 few array operations; for lines produced by det_line the ratio is exactly
-one.  CechTriple and delta_triviality are its three-cut case.
+one, and an injected sign or phase defect shows in it.  The table is the
+one cocycle entry point: compose, its scalar case, is the oracle the tests
+check it against.
 
 The Hodge pairing sends the degree-k duals into the complementary wedge
 power via contraction with a fixed volume form; hodge_dual_iso measures
@@ -253,37 +255,6 @@ class CechTable:
         left = join(i, k, l, join(i, j, k, phases[i, j], phases[j, k]), phases[k, l])
         right = join(i, j, l, phases[i, j], join(j, k, l, phases[j, k], phases[k, l]))
         return np.maximum(np.abs(left - right), np.abs(left - phases[i, l]))
-
-
-class CechTriple(CechTable):
-    """Three ordered cuts lam < mu < tau with their pairwise band lines.
-
-    The table's three-cut case.  lines defaults to the three canonical
-    det_line values; callers may hand (L_lam_mu, L_mu_tau, L_lam_tau), for
-    instance permuted-basis or phase-tampered lines over the same bands,
-    each checked as the table checks a handed line.
-    """
-
-    def __init__(self, spectrum, lam, mu, tau, lines=None):
-        if lines is None:
-            super().__init__(spectrum, (lam, mu, tau))
-            return
-        handed = dict(zip(((lam, mu), (mu, tau), (lam, tau)), lines, strict=True))
-
-        def line(spectrum, lo, hi):
-            return handed[lo, hi]
-
-        super().__init__(spectrum, (lam, mu, tau), line)
-
-
-def delta_triviality(triple):
-    """Cocycle ratio compose(L_{lam,mu}, L_{mu,tau}) / L_{lam,tau} of a CechTriple.
-
-    Returns the complex ratio of canonical phases; exactly 1 for lines
-    produced by det_line, and it detects any injected sign or phase defect.
-    """
-    (delta,) = triple.deltas()
-    return complex(delta)
 
 
 def _random_unitary(dim, seed):

@@ -639,13 +639,6 @@ def _current(i, j, n, window, lam):
     return SparseOperator(window, tuple(hops), scalar)
 
 
-def elementary_action(i, j, n, color, mode):
-    """Action e^{ij}_n(psi^k_m) = delta^{jk} psi^i_{m+n} on single-particle labels."""
-    if color != j:
-        return None
-    return (i, mode + n)
-
-
 def commutator_check(i, j, k, l, m, n, window, pair_cap=2):
     """Max-norm residual of the central-extension commutator on the safe subspace.
 

@@ -133,21 +133,6 @@ def su_coefficients(samples):
 
 
 @functools.lru_cache(maxsize=None)
-def _matrix_map(n):
-    """Real (n^2 - 1, 2 n^2) map from coefficients to (Re, Im)-interleaved entries."""
-    basis = _basis_array(n).reshape(-1, n * n)
-    entries = np.stack([basis.real, basis.imag], axis=-1)
-    return _read_only(entries.reshape(-1, 2 * n * n))
-
-
-def su_matrices(coeffs, n):
-    """The (..., n, n) matrices sum_a c_a T_a of coefficient arrays (..., n^2 - 1)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    flat = coeffs.reshape(math.prod(coeffs.shape[:-1]), n * n - 1) @ _matrix_map(n)
-    return flat.view(complex).reshape(coeffs.shape[:-1] + (n, n))
-
-
-@functools.lru_cache(maxsize=None)
 def _adjoint_map(n):
     """Linear map X -> ad(X) in the normalized su_basis frame, (n^2, (n^2-1)^2).
 

@@ -16,15 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from gerbetool.caloron import (
-    b_field,
-    index_curvature,
-    ms_identity_check,
-    pontryagin_density,
-    rho_scaling_check,
-)
+from gerbetool.caloron import CurvaturePass, pontryagin_densities
 from gerbetool.cli import holonomy_suite
-from gerbetool.detline import CechTriple, compose, delta_triviality, det_line
+from gerbetool.detline import CechTable, compose, det_line
 from gerbetool.fock import (
     FockWindow,
     apply_mode,
@@ -76,8 +70,7 @@ def test_criterion_1_cocycle_triviality_and_associativity():
         for _, hol in suite:
             spec = dirac_spectrum(hol, n_max)
             admissible = [c for c in cuts if in_cover(spec, c)]
-            for lam, mu, tau in itertools.combinations(admissible, 3):
-                delta = delta_triviality(CechTriple(spec, lam, mu, tau))
+            for delta in CechTable(spec, admissible).deltas():
                 worst_delta = max(worst_delta, abs(delta - 1.0))
             for quad in itertools.combinations(admissible, 4):
                 lines = [det_line(spec, quad[k], quad[k + 1]) for k in range(3)]
@@ -140,7 +133,7 @@ def test_criterion_4_vacuum_transport_and_projective_factor():
 def test_criterion_5_density_equals_curving_derivative():
     with gate(5, "3-form identity contracts with order >= 1.9 (16 -> 32)", 180.0):
         conn = connection_preset("su2-family", theta_points=12, base_points=16)
-        res, order = ms_identity_check(conn, refine_factor=2)
+        res, order = CurvaturePass(conn).identity_check(refine_factor=2)
         assert math.isfinite(res)
         assert order >= 1.9, order
 
@@ -149,8 +142,9 @@ def test_criterion_6_representation_scaling_and_indices():
     with gate(6, "adjoint forms scale by 4, indices {1,1,1,4,0}", 60.0):
         pair = connection_preset("su2-family", theta_points=12, base_points=16)
         adjoint = Representation.adjoint(2)
-        worst, _ = rho_scaling_check(pair, adjoint)
-        b = b_field(pair)
+        forms = CurvaturePass(pair, adjoint)
+        worst, _ = forms.scaling_check()
+        b = forms.curving
         scale = max(b.max_norm(), b.exterior_derivative().max_norm())
         assert worst / scale <= 1e-8, (worst, scale)
 
@@ -171,10 +165,12 @@ def test_criterion_6_representation_scaling_and_indices():
 def test_criterion_7_index_route_matches_curvature_route():
     with gate(7, "index route = curvature route (x1 exact, x4 <= 1e-8)", 60.0):
         conn = connection_preset("su2-family", theta_points=12, base_points=16)
-        density = pontryagin_density(conn)
-        diff_fund = (index_curvature(conn, Representation.fundamental(2)) - density).max_norm()
+        density, fund, adj = pontryagin_densities(
+            conn, [None, Representation.fundamental(2), Representation.adjoint(2)]
+        )
+        diff_fund = (fund - density).max_norm()
         assert diff_fund <= 1e-12, diff_fund
-        diff_adj = (index_curvature(conn, Representation.adjoint(2)) - 4.0 * density).max_norm()
+        diff_adj = (adj - 4.0 * density).max_norm()
         assert diff_adj / density.max_norm() <= 1e-8, diff_adj
 
 

@@ -19,10 +19,8 @@ import pytest
 from gerbetool import detline
 from gerbetool.detline import (
     CechTable,
-    CechTriple,
     DetLine,
     compose,
-    delta_triviality,
     det_line,
     hodge_dual_iso,
     permutation_sign,
@@ -56,6 +54,12 @@ def mode_keys(modes):
 
 def cut(q):
     return SpectralCut(Fraction(q))
+
+
+def handed(*lines):
+    """A CechTable line function handing out `lines`, one per cut pair in combinations order."""
+    supply = iter(lines)
+    return lambda spectrum, lo, hi: next(supply)
 
 
 class TestPermutationSign:
@@ -115,11 +119,11 @@ class TestExactCutOrder:
         a, b = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)
         assert float(a) == float(b)
         spec = dirac_spectrum(Holonomy(np.eye(2)), N=2)
-        triple = CechTriple(spec, cut(a), cut(b), cut("1/2"))
-        assert [line.basis for line in triple.lines] == [(), (), ()]
+        table = CechTable(spec, map(cut, (a, b, "1/2")))
+        assert [line.basis for line in table.lines] == [(), (), ()]
         for cuts in ((b, a, "1/2"), ("-1/2", b, a), (a, a, "1/2")):
             with pytest.raises(ArgumentError, match="strictly increasing"):
-                CechTriple(spec, *map(cut, cuts))
+                CechTable(spec, map(cut, cuts))
 
 
 class TestCompose:
@@ -188,26 +192,26 @@ def random_unitary(n, seed):
 class TestDeltaTriviality:
     def test_trivial_holonomy(self):
         spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
-        triple = CechTriple(spec, cut("-1/2"), cut("1/2"), cut("3/2"))
-        assert abs(delta_triviality(triple) - 1.0) <= 1e-12
+        (delta,) = CechTable(spec, map(cut, ("-1/2", "1/2", "3/2"))).deltas()
+        assert abs(delta - 1.0) <= 1e-12
 
     def test_su2_phase_family(self):
         spec = dirac_spectrum(Holonomy(SU2_03), N=3)
-        triple = CechTriple(spec, cut("-1/2"), cut("2/5"), cut("3/2"))
-        assert abs(delta_triviality(triple) - 1.0) <= 1e-12
+        (delta,) = CechTable(spec, map(cut, ("-1/2", "2/5", "3/2"))).deltas()
+        assert abs(delta - 1.0) <= 1e-12
 
     def test_tampered_line_detected(self):
         spec = dirac_spectrum(Holonomy(np.eye(2)), N=3)
         lam, mu, tau = cut("-1/2"), cut("1/2"), cut("3/2")
         modes = band(spec, lam, mu)
         swapped = (modes[1], modes[0])
-        lines = (
+        lines = handed(
             DetLine(spec, lam, mu, swapped, 1.0),
-            det_line(spec, mu, tau),
             det_line(spec, lam, tau),
+            det_line(spec, mu, tau),
         )
-        triple = CechTriple(spec, lam, mu, tau, lines)
-        assert abs(delta_triviality(triple) + 1.0) <= 1e-12
+        (delta,) = CechTable(spec, (lam, mu, tau), lines).deltas()
+        assert abs(delta + 1.0) <= 1e-12
 
     def test_sweep_over_spectra_and_cuts(self):
         spectra = [
@@ -219,57 +223,56 @@ class TestDeltaTriviality:
         for spec in spectra:
             usable = [q for q in halves if in_cover(spec, SpectralCut(q))]
             for lam, mu, tau in itertools.combinations(usable, 3):
-                triple = CechTriple(
-                    spec, SpectralCut(lam), SpectralCut(mu), SpectralCut(tau)
-                )
-                assert abs(delta_triviality(triple) - 1.0) <= 1e-12, (lam, mu, tau)
+                (delta,) = CechTable(spec, map(SpectralCut, (lam, mu, tau))).deltas()
+                assert abs(delta - 1.0) <= 1e-12, (lam, mu, tau)
 
     def test_unordered_cuts_rejected(self):
         spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
         with pytest.raises(ArgumentError, match="increasing"):
-            CechTriple(spec, cut("1/2"), cut("-1/2"), cut("3/2"))
+            CechTable(spec, map(cut, ("1/2", "-1/2", "3/2")))
 
     def test_cut_on_spectrum_rejected(self):
         spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
         with pytest.raises(CoverViolationError):
-            CechTriple(spec, cut("-1/2"), cut("1"), cut("3/2"))
+            CechTable(spec, map(cut, ("-1/2", "1", "3/2")))
 
     def test_line_over_wrong_pair_rejected(self):
         spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
         lam, mu, tau = cut("-1/2"), cut("1/2"), cut("3/2")
-        bad = (
+        bad = handed(
+            det_line(spec, lam, tau),
             det_line(spec, lam, tau),
             det_line(spec, mu, tau),
-            det_line(spec, lam, tau),
         )
         with pytest.raises(ArgumentError, match="cut pair"):
-            CechTriple(spec, lam, mu, tau, bad)
+            CechTable(spec, (lam, mu, tau), bad)
 
     def test_line_over_another_spectrum_rejected(self):
         # the cuts are admissible for both spectra, so only the spectrum
-        # tells the lines apart; the triple no longer re-tests its cuts
+        # tells the lines apart; the table does not re-test its cuts
         spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
         other = dirac_spectrum(Holonomy(np.diag([np.exp(0.4j * np.pi)])), N=3)
         lam, mu, tau = cut("-1/2"), cut("1/2"), cut("3/2")
         assert all(in_cover(s, c) for s in (spec, other) for c in (lam, mu, tau))
-        lines = (det_line(other, lam, mu), det_line(spec, mu, tau), det_line(spec, lam, tau))
+        lines = handed(det_line(other, lam, mu), det_line(spec, lam, tau), det_line(spec, mu, tau))
         with pytest.raises(ArgumentError, match="another spectrum"):
-            CechTriple(spec, lam, mu, tau, lines)
+            CechTable(spec, (lam, mu, tau), lines)
         # an equal spectrum built apart is the same spectrum
         twin = dirac_spectrum(Holonomy(np.eye(1)), N=3)
-        lines = (det_line(twin, lam, mu), det_line(spec, mu, tau), det_line(spec, lam, tau))
-        assert abs(delta_triviality(CechTriple(spec, lam, mu, tau, lines)) - 1.0) <= 1e-12
+        lines = handed(det_line(twin, lam, mu), det_line(spec, lam, tau), det_line(spec, mu, tau))
+        (delta,) = CechTable(spec, (lam, mu, tau), lines).deltas()
+        assert abs(delta - 1.0) <= 1e-12
 
     def test_line_with_another_gap_tolerance_rejected(self):
         # mu = 1/2 with gap tolerance 0.6 touches the eigenvalues 0 and 1
         # that the lines' default tolerance passes
         spec = dirac_spectrum(Holonomy(np.eye(1)), N=3)
         lam, mu, tau = cut("-1/2"), cut("1/2"), cut("3/2")
-        lines = (det_line(spec, lam, mu), det_line(spec, mu, tau), det_line(spec, lam, tau))
+        lines = handed(det_line(spec, lam, mu), det_line(spec, lam, tau), det_line(spec, mu, tau))
         wide = SpectralCut(Fraction(1, 2), gap_tolerance=0.6)
         assert not in_cover(spec, wide)
         with pytest.raises(ArgumentError, match="cut pair"):
-            CechTriple(spec, lam, wide, tau, lines)
+            CechTable(spec, (lam, wide, tau), lines)
 
 
 def half_cuts(n_max):

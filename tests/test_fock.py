@@ -41,7 +41,6 @@ from gerbetool.fock import (
     car_residual,
     commutator_check,
     cut_shift_check,
-    elementary_action,
     enumerate_states,
     graded_basis,
     mode_operator_matrix,
@@ -396,13 +395,6 @@ class TestCommutator:
     def test_margin_exceeding_window_rejected(self):
         with pytest.raises(ResolutionError, match="increase N"):
             commutator_check(1, 1, 1, 1, 2, -2, FockWindow(1, 2, "1/2"))
-
-
-class TestElementaryAction:
-    def test_label_map(self):
-        assert elementary_action(1, 2, 3, 2, -1) == (1, 2)
-        assert elementary_action(1, 2, 3, 1, -1) is None
-        assert elementary_action(2, 2, 0, 2, 5) == (2, 5)
 
 
 class TestBogoliubov:

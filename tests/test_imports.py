@@ -7,11 +7,17 @@ plain ast walks, so they need neither pyflakes nor ruff.  Importing the CLI
 in a fresh interpreter must leave scipy.optimize unloaded: it took about
 0.6 s of a 1 s process start.  It must leave every scipy module unloaded,
 and so must every battery but fock's: scipy.sparse took about 0.28 s of a
-0.5 s start, and only the Fock matrix compression uses it.
+0.5 s start, and only the Fock matrix compression uses it.  Every public
+function and method of caloron and detline is called by a battery that
+builds their forms (caloron, pairing, cover, cocycle), or is on a short
+allowlist that names why it stays.
 """
 
 import ast
+import cProfile
+import importlib
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +86,66 @@ def test_module_has_no_unused_imports(path):
 def test_package_has_no_unreferenced_private_names():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_names(sources) == []
+
+
+# The public caloron and detline names no battery calls, each with the test
+# that uses it as an oracle or the ROADMAP item it waits for.
+UNREACHED = {
+    "detline.compose": "the per-triple oracle of test_detline.py::TestCechTable and criterion 1",
+    "detline.permutation_sign": "ROADMAP item 1: no battery hands a permuted basis yet",
+    "detline.DetLine.canonical": "ROADMAP item 1: the canonical form of a permuted, gauged line",
+    "detline.hodge_dual_iso": "ROADMAP item 1 may use it for the dual line, else item 6 retires it",
+}
+
+
+def public_definitions(source):
+    """{name: first line} of the module-level public functions and public classes' public methods.
+
+    A method is named Class.method; the first line is the first decorator's,
+    as the function's code object counts it.
+    """
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            members = [(f"{node.name}.", item) for item in node.body]
+        else:
+            members = [("", node)]
+        for prefix, item in members:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                lines = [item.lineno] + [d.lineno for d in item.decorator_list]
+                found[prefix + item.name] = min(lines)
+    return found
+
+
+def test_scanner_lists_public_functions_and_methods():
+    source = (
+        "def go():\n    pass\ndef _hide():\n    pass\n"
+        "class Kit:\n    @property\n    def part(self):\n        pass\n"
+        "    def _own(self):\n        pass\n"
+        "class _Dead:\n    def run(self):\n        pass\n"
+    )
+    assert public_definitions(source) == {"go": 1, "Kit.part": 6}
+
+
+def test_batteries_reach_every_public_caloron_and_detline_name():
+    import gerbetool.cli as cli
+
+    profile = cProfile.Profile()
+    for command in ["caloron", "pairing", "cover", "cocycle"]:
+        job = cli.validate_scenario({"command": command, "params": {}, "seed": 1})[:3]
+        report = profile.runcall(cli.run_scenario, *job)
+        assert report["status"] == "pass", command
+    called = {(path, line) for path, line, _ in pstats.Stats(profile).stats}
+    unreached = []
+    for name in ("caloron", "detline"):
+        path = importlib.import_module(f"gerbetool.{name}").__file__
+        source = Path(path).read_text(encoding="utf-8")
+        unreached += [
+            f"{name}.{qualname}"
+            for qualname, line in public_definitions(source).items()
+            if (path, line) not in called
+        ]
+    assert sorted(unreached) == sorted(UNREACHED)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -19,7 +19,7 @@ import pytest
 from scipy.linalg import expm
 
 from gerbetool import cli, spectral
-from gerbetool.caloron import index_curvature, pontryagin_density
+from gerbetool.caloron import pontryagin_densities
 from gerbetool.errors import ArgumentError, ResolutionError, ValidationError
 from gerbetool.liealg import Representation, su_coefficients
 from gerbetool.moduli import (
@@ -557,13 +557,15 @@ class TestPairing:
     @pytest.mark.parametrize("w1,w2", [(1, 1), (2, 1), (1, -1)])
     def test_winding_family_hits_model_value(self, w1, w2):
         conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD)
-        got = pontryagin_density(conn, FUND).integrate()
+        (density,) = pontryagin_densities(conn, [FUND])
+        got = density.integrate()
         assert abs(got - (-2.0 * w1 * w2)) <= 1e-10
 
     @pytest.mark.parametrize("w1,w2", [(1, 1), (1, -1)])
     def test_adjoint_pairing_scales_by_four(self, w1, w2):
         conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD)
-        got = pontryagin_density(conn, ADJ).integrate()
+        (density,) = pontryagin_densities(conn, [ADJ])
+        got = density.integrate()
         assert abs(got - (-8.0 * w1 * w2)) <= 1e-10
 
     def test_density_matches_closed_form_pointwise(self):
@@ -571,7 +573,8 @@ class TestPairing:
         eps, m, g = 0.2, 12, 4
         fam = ModuliFamily(standard_genus2_su2(), w1=1, w2=1)
         conn = fam.connection(WORD, 8, m, g)
-        comp = index_curvature(conn, FUND).comps[(0, 1, 2)]
+        (density,) = pontryagin_densities(conn, [FUND])
+        comp = density.comps[(0, 1, 2)]
         core = comp[g:-g, g:-g, g:-g]
         xs = np.arange(m) / m
         x0, _, x2 = np.meshgrid(xs, xs, xs, indexing="ij")
