@@ -4,7 +4,7 @@ Modules
 -------
 spectral   twisted circle Dirac spectra, spectral cuts, flow counting
 detline    determinant lines over spectral bands and the cocycle check
-fock       truncated fermionic Fock space, currents, Bogoliubov transport
+fock       Fock space as int64 mask blocks, currents, Bogoliubov transport
 liealg     su(n) bases and coefficients, weight multiplicities, Dynkin indices
 grids      periodic grid forms, stencil derivatives, exterior derivative
 caloron    sampled connections over S1 x T^d and curvature identities
@@ -50,13 +50,9 @@ from .detline import (
     permutation_sign,
 )
 from .fock import (
-    FockState,
-    FockVector,
     FockWindow,
     GradedBasis,
-    ModeOperator,
     SparseOperator,
-    apply_mode,
     basis_dimension,
     bogoliubov_vacuum,
     car_residual,
@@ -67,12 +63,7 @@ from .fock import (
     cut_shift_check,
     enumerate_states,
     graded_basis,
-    mode_operator_matrix,
-    normal_ordered_pair,
     projective_equality_check,
-    psi,
-    psibar,
-    safe_states,
     sigma,
     vacuum,
 )

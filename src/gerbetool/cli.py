@@ -448,8 +448,8 @@ def _battery_fock(params, seed):
         return worst
 
     def bogoliubov():
-        vec = bogoliubov_vacuum(window, mu)
-        return abs(vec.norm2() - 1.0)
+        _, _, amps = bogoliubov_vacuum(window, mu)
+        return abs(float(np.linalg.norm(amps)) - 1.0)
 
     def projective():
         return projective_equality_check(

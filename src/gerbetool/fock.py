@@ -4,20 +4,22 @@ Modes live on a window |m| <= N with n_colors internal labels.  Slot (i, m)
 is occupied in the reference vacuum exactly when m < lambda (the cut, a
 non-integer rational).  psi^i_m creates slot (i, m); psibar^i_n destroys
 slot (i, -n), so {psi^i_m, psibar^j_n} = delta^{ij} delta_{m+n,0} holds
-exactly on the whole window space.  States are stored as particle/hole data
-relative to the vacuum; signs follow the canonical slot order (modes
-ascending, colors ascending within a mode).
+exactly on the whole window space.  A state is an int64 occupation mask,
+bit s set when slot s is filled; signs follow the canonical slot order
+(modes ascending, colors ascending within a mode).
 
 Current operators sigma(e^{ij}_n) are truncated sums of normal-ordered
 pairs.  Identities that fail near the window edge are checked on the safe
 subspace: states whose excitations keep a declared margin from the
 boundary, where the truncated operators agree with the untruncated ones.
 
+Vectors are blocks: (masks, cols, amps) arrays, amplitude amps[k] on state
+masks[k] in column cols[k]; vacuum() is the one-column block of the sea.
 Every check works on one graded basis per (window, pair_cap), cached as an
 int64 occupation-mask array with a sorted lookup (graded_basis).  One int64
 hop kernel (_hop), broadcast over keys x hops, builds the matrices, applies
-mode operators, and applies operators to blocks of (mask, column, amplitude)
-arrays whose images are never truncated, so exact identities stay exact.
+lone creators and destroyers, and applies operators to blocks whose images
+are never truncated, so exact identities stay exact.
 The exponential runs on blocks of probe columns.  The basis size is bounded
 by a declared cost model (check_basis_cost), and so are the exponential's
 work and growth (check_expm_cost).
@@ -31,7 +33,7 @@ current is built once per key and shared, with read-only arrays.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import itertools
 import math
 
@@ -47,11 +49,6 @@ from .errors import (
     ValidationError,
 )
 from .spectral import rational
-
-PSI = "psi"
-PSIBAR = "psibar"
-
-_ZERO_TOL = 1e-14
 
 # Cost model: the largest graded basis a check may allocate, and the slots
 # an int64 occupation mask may use, clear of the sign bit.
@@ -114,10 +111,6 @@ class FockWindow:
             raise RangeError(f"mode {mode} outside window |m| <= {self.N}")
         return (mode + self.N) * self.n_colors + (color - 1)
 
-    def slot_label(self, s):
-        mode, c = divmod(s, self.n_colors)
-        return (c + 1, mode - self.N)
-
     def sea_count(self, cut=None):
         """Number of window modes strictly below the cut (per color)."""
         lam = self.cut if cut is None else rational(cut)
@@ -146,117 +139,6 @@ class FockWindow:
             for m in range(-self.N, math.floor(self.cut) + 1)
             for c in range(1, self.n_colors + 1)
         ]
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Occupation relative to the vacuum: particles above the cut, holes below."""
-
-    window: FockWindow
-    particles: frozenset
-    holes: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "particles", frozenset(self.particles))
-        object.__setattr__(self, "holes", frozenset(self.holes))
-        w = self.window
-        for c, m in self.particles:
-            w.slot(c, m)
-            if not m > w.cut:
-                raise ValidationError(f"particle mode {m} not above the cut {w.cut}")
-        for c, m in self.holes:
-            w.slot(c, m)
-            if not m < w.cut:
-                raise ValidationError(f"hole mode {m} not below the cut {w.cut}")
-
-    @property
-    def pair_count(self):
-        return len(self.particles) + len(self.holes)
-
-    @cached_property
-    def mask(self):
-        m = self.window.sea_mask()
-        for c, mode in self.holes:
-            m ^= 1 << self.window.slot(c, mode)
-        for c, mode in self.particles:
-            m |= 1 << self.window.slot(c, mode)
-        return m
-
-    @classmethod
-    def from_mask(cls, window, mask):
-        sea = window.sea_mask()
-        slots = range(window.n_slots)
-        particles, holes = (
-            frozenset(window.slot_label(s) for s in slots if bits >> s & 1)
-            for bits in (mask & ~sea, sea & ~mask)
-        )
-        return cls(window, particles, holes)
-
-
-def vacuum(window):
-    return FockState(window, frozenset(), frozenset())
-
-
-class FockVector:
-    """Sparse complex linear combination of FockStates on one window.
-
-    Amplitudes with |a| <= 1e-14 are treated as exact zeros and dropped; a
-    NaN amplitude is kept, so the norms read NaN.
-    """
-
-    __slots__ = ("window", "amps")
-
-    def __init__(self, window, amps=None):
-        self.window = window
-        self.amps = {}
-        if amps:
-            for key, val in amps.items():
-                mask = key.mask if isinstance(key, FockState) else int(key)
-                if not abs(val) <= _ZERO_TOL:
-                    self.amps[mask] = self.amps.get(mask, 0j) + complex(val)
-
-    @classmethod
-    def from_state(cls, state, amplitude=1.0):
-        return cls(state.window, {state.mask: amplitude})
-
-    def amplitude(self, state):
-        mask = state.mask if isinstance(state, FockState) else int(state)
-        return self.amps.get(mask, 0j)
-
-    def norm_max(self):
-        return float(np.max(np.abs(list(self.amps.values())), initial=0.0))
-
-    def norm2(self):
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
-
-    def _block(self):
-        """The vector as a one-column block (masks, cols, amps)."""
-        masks = np.array(list(self.amps), dtype=np.int64)
-        return masks, np.zeros_like(masks), np.array(list(self.amps.values()), complex)
-
-
-@dataclass(frozen=True)
-class ModeOperator:
-    """psi (creator of slot (color, mode)) or psibar (destroyer of (color, -mode))."""
-
-    kind: str
-    color: int
-    mode: int
-
-    def __post_init__(self):
-        if self.kind not in (PSI, PSIBAR):
-            raise ArgumentError(f"kind must be '{PSI}' or '{PSIBAR}', got {self.kind!r}")
-
-    def slot_mode(self):
-        return self.mode if self.kind == PSI else -self.mode
-
-
-def psi(color, mode):
-    return ModeOperator(PSI, color, mode)
-
-
-def psibar(color, mode):
-    return ModeOperator(PSIBAR, color, mode)
 
 
 def _parities(masks):
@@ -325,17 +207,9 @@ def _unit_block(masks):
     return masks, np.arange(len(masks)), np.ones(len(masks))
 
 
-def _mode_parts(op, window, block):
-    s = np.array([window.slot(op.color, op.slot_mode())])
-    return _hop_parts(block, np.ones(1), *((s, None) if op.kind == PSI else (None, s)))
-
-
-def apply_mode(op, vec):
-    """Apply a single mode operator; fermionic sign from slots preceding the target."""
-    if isinstance(vec, FockState):
-        vec = FockVector.from_state(vec)
-    masks, _, amps = _mode_parts(op, vec.window, vec._block())
-    return FockVector(vec.window, dict(zip(masks.tolist(), amps.tolist())))
+def vacuum(window):
+    """The vacuum at the window's cut as a one-column block: the filled sea."""
+    return _unit_block(np.array([window.sea_mask()], dtype=np.int64))
 
 
 def basis_dimension(n_slots, pair_cap):
@@ -421,14 +295,6 @@ def graded_basis(window, pair_cap):
     return GradedBasis(window, np.concatenate(chunks))
 
 
-def _as_basis(basis):
-    """A GradedBasis, or one built from a list of FockStates."""
-    if isinstance(basis, GradedBasis):
-        return basis
-    masks = np.array([st.mask for st in basis], dtype=np.int64)
-    return GradedBasis(basis[0].window, masks)
-
-
 def _compress(basis, parts):
     """CSR matrix on a basis from the image parts of its unit block.
 
@@ -480,11 +346,9 @@ class SparseOperator:
             parts.append((masks, cols, amps * (coeff * self.scalar)))
         return parts
 
-    def apply(self, vec):
-        if isinstance(vec, FockState):
-            vec = FockVector.from_state(vec)
-        masks, _, amps = _sum_keys(self._image_parts(vec._block()))
-        return FockVector(self.window, dict(zip(masks.tolist(), amps.tolist())))
+    def apply(self, block):
+        """The operator applied to a block, equal keys summed; see _hop_parts."""
+        return _sum_keys(self._image_parts(block))
 
     def __add__(self, other):
         self._check_window(other)
@@ -509,16 +373,20 @@ class SparseOperator:
         return cls(window, (), scalar)
 
     def matrix(self, basis):
-        """Compression onto a graded basis (or a list of FockStates) as CSR."""
-        basis = _as_basis(basis)
+        """Compression onto a GradedBasis as CSR."""
         return _compress(basis, self._image_parts(_unit_block(basis.masks)))
 
 
 def enumerate_states(window, pair_cap):
-    """Graded basis: particle+hole count ascending, then lexicographic slots."""
+    """Occupation masks (Python ints) of the graded basis, one state at a time.
+
+    Particle+hole count ascending, then lexicographic slots: the order of
+    graded_basis, which builds the same masks as numpy grids.
+    """
     check_basis_cost(window.n_slots, pair_cap)
     above = window.above_slots()
     below = window.below_slots()
+    sea = window.sea_mask()
     out = []
     for total in range(pair_cap + 1):
         for n_p in range(total, -1, -1):
@@ -527,16 +395,8 @@ def enumerate_states(window, pair_cap):
                 itertools.combinations(below, total - n_p),
             )
             for ps, hs in pairs:
-                labels = [frozenset(map(window.slot_label, x)) for x in (ps, hs)]
-                out.append(FockState(window, *labels))
+                out.append(sea ^ sum(1 << s for s in ps + hs))
     return out
-
-
-def safe_states(window, pair_cap, margin):
-    """Graded basis states whose excitations keep `margin` modes from the edge."""
-    masks = graded_basis(window, pair_cap).masks
-    cols = _safe_columns(window, pair_cap, margin)
-    return [FockState.from_mask(window, mask) for mask in masks[cols].tolist()]
 
 
 def _safe_columns(window, pair_cap, margin):
@@ -588,19 +448,6 @@ def _safe_block(window, pair_cap, margin):
 def _max_abs(block):
     """Largest |amplitude| of a block; NaN propagates."""
     return float(np.abs(block[2]).max(initial=0.0))
-
-
-def normal_ordered_pair(i, j, m, n, window):
-    """Normal-ordered pair :psi^i_m psibar^j_n: at the window's cut.
-
-    Equal to psi^i_m psibar^j_n for m > cut and -psibar^j_n psi^i_m for
-    m < cut; as a quadratic operator this is a single hop minus a scalar
-    delta^{ij} delta_{m,-n} when m < cut.
-    """
-    s_to = window.slot(i, m)
-    s_from = window.slot(j, -n)
-    scalar = -1.0 if m < window.cut and i == j and m == -n else 0.0
-    return SparseOperator(window, ((1.0, s_to, s_from),), scalar)
 
 
 def sigma(i, j, n, window, cut=None):
@@ -672,7 +519,7 @@ def _block_image(op, pair_cap, margin):
     no other operator can reuse the key), so an equal but rebuilt operator
     gets its own image.  Shared by every check, so its arrays are read-only.
     """
-    image = _sum_keys(op._image_parts(_safe_block(op.window, pair_cap, margin)))
+    image = op.apply(_safe_block(op.window, pair_cap, margin))
     for arr in image:
         arr.flags.writeable = False
     return image
@@ -689,14 +536,12 @@ def central_term_check(window):
     The vacuum expectation of the commutator is the central term m of the
     extension; amplitudes are signed integers, so 0.0 is exact.
     """
-    vac = vacuum(window).mask
-    probe = _unit_block(np.array([vac], dtype=np.int64))
+    probe = vacuum(window)
     worst = 0.0
     for m in (1, 2):
         ops = sigma(1, 1, m, window), sigma(1, 1, -m, window)
-        parts = _commutator_parts(*ops, *(_sum_keys(op._image_parts(probe)) for op in ops))
-        masks, _, amps = _sum_keys(parts)
-        worst = np.maximum(worst, abs(amps[masks == vac].sum() - m))
+        masks, _, amps = _sum_keys(_commutator_parts(*ops, *(op.apply(probe) for op in ops)))
+        worst = np.maximum(worst, abs(amps[masks == probe[0][0]].sum() - m))
     return float(worst)
 
 
@@ -716,28 +561,39 @@ def _transport_modes(window, mu):
 
 
 def bogoliubov_vacuum(window, mu):
-    """Transported vacuum |mu> = (prod_{lam<n<=mu} prod_i psi^i_n)|lam>.
+    """Transported vacuum |mu> = (prod_{lam<n<=mu} prod_i psi^i_n)|lam> as a block.
 
     The operator string is ordered modes ascending, colors ascending within
-    a mode, and applied right to left.  The result is verified to satisfy
-    both mu-vacuum annihilation properties before being returned.
+    a mode, and applied right to left, one creator at a time.  The result is
+    verified to be one unit product state that satisfies both mu-vacuum
+    annihilation properties before being returned: the creators of every
+    slot below mu and the destroyers of every slot above it are each one
+    batched hop, and the first of them in slot order that does not
+    annihilate the state is named in the ConsistencyError.
     """
     mu, modes = _transport_modes(window, mu)
-    string = [(c, m) for m in modes for c in range(1, window.n_colors + 1)]
-    vec = FockVector.from_state(vacuum(window))
-    for c, m in reversed(string):
-        vec = apply_mode(psi(c, m), vec)
-    if len(vec.amps) != 1 or abs(abs(next(iter(vec.amps.values()))) - 1.0) > 1e-12:
+    one = np.ones(1)
+    block = vacuum(window)
+    for m in reversed(modes):
+        for c in range(window.n_colors, 0, -1):
+            block = _hop_parts(block, one, np.array([window.slot(c, m)]), None)
+    masks, _, amps = block
+    if len(masks) != 1 or not abs(abs(amps[0]) - 1.0) <= 1e-12:
         raise ConsistencyError("transported vacuum is not a unit product state")
-    for c in range(1, window.n_colors + 1):
-        for kmode in range(-window.N, window.N + 1):
-            checks = ((psi(c, kmode), kmode < mu), (psibar(c, kmode), kmode <= -mu))
-            for op, kills in checks:
-                if kills and apply_mode(op, vec).norm_max() > 0:
-                    raise ConsistencyError(
-                        f"transported vacuum not annihilated by {op.kind}^{c}_{kmode}"
-                    )
-    return vec
+    slots = np.arange(window.n_slots, dtype=np.int64)
+    below = window.sea_count(mu) * window.n_colors
+    for kind, to, source, sign in (
+        ("psi", slots[:below], None, 1),
+        ("psibar", None, slots[below:], -1),
+    ):
+        _, hops, _, _ = _hop(masks, to, source)
+        if len(hops):
+            ops = to if source is None else source
+            mode, c = divmod(int(ops[hops[0]]), window.n_colors)
+            raise ConsistencyError(
+                f"transported vacuum not annihilated by {kind}^{c + 1}_{sign * (mode - window.N)}"
+            )
+    return block
 
 
 def cut_shift_check(i, j, n, window, mu, pair_cap=2):
@@ -898,16 +754,6 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
         lhs -= rhs
         residual = np.maximum(residual, np.abs(lhs).max())
     return float(residual / np.maximum(1.0, scale))
-
-
-def mode_operator_matrix(op, basis):
-    """Matrix of a single mode operator on a graded basis (CSR).
-
-    `basis` is a GradedBasis or a list of FockStates; rows come from a
-    sorted search.
-    """
-    basis = _as_basis(basis)
-    return _compress(basis, [_mode_parts(op, basis.window, _unit_block(basis.masks))])
 
 
 def car_residual(window, pair_cap=2):

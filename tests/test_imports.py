@@ -8,9 +8,9 @@ in a fresh interpreter must leave scipy.optimize unloaded: it took about
 0.6 s of a 1 s process start.  It must leave every scipy module unloaded,
 and so must every battery but fock's: scipy.sparse took about 0.28 s of a
 0.5 s start, and only the Fock matrix compression uses it.  Every public
-function and method of caloron and detline is called by a battery that
-builds their forms (caloron, pairing, cover, cocycle), or is on a short
-allowlist that names why it stays.
+function and method of caloron, detline and fock is called by a battery
+that builds their forms (caloron, pairing, cover, cocycle, fock), or is on
+a short allowlist that names why it stays.
 """
 
 import ast
@@ -88,14 +88,16 @@ def test_package_has_no_unreferenced_private_names():
     assert unreferenced_private_names(sources) == []
 
 
-# The public caloron and detline names no battery calls, each with the test
-# that uses it as an oracle or the ROADMAP item it waits for.
+# The public caloron, detline and fock names no battery calls, each with the
+# test or tool that uses it, or the ROADMAP item it waits for.
 UNREACHED = {
     "detline.compose": "the per-triple oracle of test_detline.py::TestCechTable and criterion 1",
     "detline.permutation_sign": "ROADMAP item 1: no battery hands a permuted basis yet",
     "detline.DetLine.canonical": "ROADMAP item 1: the canonical form of a permuted, gauged line",
     "detline.hodge_dual_iso": "ROADMAP item 1 may use it for the dual line, else item 6 retires it",
+    "fock.enumerate_states": "perfbench's size probe and the graded-basis oracle of test_fock.py",
 }
+REACHED_MODULES = ("caloron", "detline", "fock")
 
 
 def public_definitions(source):
@@ -130,15 +132,21 @@ def test_scanner_lists_public_functions_and_methods():
 def test_batteries_reach_every_public_caloron_and_detline_name():
     import gerbetool.cli as cli
 
+    modules = [importlib.import_module(f"gerbetool.{name}") for name in REACHED_MODULES]
+    # a cached function that earlier tests filled is not called again
+    for module in modules:
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
     profile = cProfile.Profile()
-    for command in ["caloron", "pairing", "cover", "cocycle"]:
+    for command in ["caloron", "pairing", "cover", "cocycle", "fock"]:
         job = cli.validate_scenario({"command": command, "params": {}, "seed": 1})[:3]
         report = profile.runcall(cli.run_scenario, *job)
         assert report["status"] == "pass", command
     called = {(path, line) for path, line, _ in pstats.Stats(profile).stats}
     unreached = []
-    for name in ("caloron", "detline"):
-        path = importlib.import_module(f"gerbetool.{name}").__file__
+    for name, module in zip(REACHED_MODULES, modules):
+        path = module.__file__
         source = Path(path).read_text(encoding="utf-8")
         unreached += [
             f"{name}.{qualname}"
@@ -213,10 +221,10 @@ def test_fock_battery_loads_scipy_sparse():
 def test_fock_matrices_stay_scipy_csr():
     import scipy.sparse as sp
 
-    from gerbetool.fock import FockWindow, graded_basis, mode_operator_matrix, psi, sigma
+    from gerbetool.fock import FockWindow, graded_basis, sigma
 
     window = FockWindow(2, 2, "1/2")
     basis = graded_basis(window, 2)
-    for mat in (mode_operator_matrix(psi(1, 1), basis), sigma(1, 2, 1, window).matrix(basis)):
-        assert isinstance(mat, sp.csr_matrix)
-        assert mat.shape == (len(basis), len(basis)) and mat.nnz > 0
+    mat = sigma(1, 2, 1, window).matrix(basis)
+    assert isinstance(mat, sp.csr_matrix)
+    assert mat.shape == (len(basis), len(basis)) and mat.nnz > 0
