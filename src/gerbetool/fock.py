@@ -582,14 +582,12 @@ def bogoliubov_vacuum(window, mu):
         raise ConsistencyError("transported vacuum is not a unit product state")
     slots = np.arange(window.n_slots, dtype=np.int64)
     below = window.sea_count(mu) * window.n_colors
-    for kind, to, source, sign in (
-        ("psi", slots[:below], None, 1),
-        ("psibar", None, slots[below:], -1),
-    ):
-        _, hops, _, _ = _hop(masks, to, source)
-        if len(hops):
-            ops = to if source is None else source
-            mode, c = divmod(int(ops[hops[0]]), window.n_colors)
+    # the slots, ascending, whose creator (below mu) or destroyer (above) acts
+    creators = slots[_hop(masks, slots[:below], None)[1]]
+    destroyers = slots[below:][_hop(masks, None, slots[below:])[1]]
+    for kind, sign, acting in (("psi", 1, creators), ("psibar", -1, destroyers)):
+        if len(acting):
+            mode, c = divmod(int(acting[0]), window.n_colors)
             raise ConsistencyError(
                 f"transported vacuum not annihilated by {kind}^{c + 1}_{sign * (mode - window.N)}"
             )
