@@ -272,7 +272,9 @@ def _check_fock(params):
     the central term and the projective exponential a margin of 1, and the
     largest basis is built at pair_cap + 1.  The exponential at _EXP_TIME
     stays inside check_expm_cost on every basis check_basis_cost admits, so
-    only _expm_multiply asks it.
+    only _expm_multiply asks it; its work is counted on the full
+    compression, not on the rows each probe block reaches.  The rule builds
+    no matrix.
     """
     window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
     _require_interior(window, max(2 * params["sweep"], 1))

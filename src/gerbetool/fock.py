@@ -24,9 +24,13 @@ The exponential runs on blocks of probe columns.  The basis size is bounded
 by a declared cost model (check_basis_cost), and so are the exponential's
 work and growth (check_expm_cost).
 
-Compressions onto a basis are scipy.sparse CSR matrices, and scipy.sparse is
-imported on the first compression (_compress): it costs about 0.3 s of
-start-up on a 2-core x86 VM, which code that builds no matrix never pays.
+A compression onto a basis is one numpy form: (rows, cols, data) arrays
+sorted by row and then column, equal keys summed.
+The exponential of a probe block runs on the rows the block reaches: the
+smallest row set that holds its columns and is closed under the matrix's
+column -> row entries.  Every other row of exp(t*mat) @ block is exactly 0,
+so the principal submatrix on that set, stored as a padded row table, gives
+the same kept rows, summed in the same column order.
 Each truncated current, safe probe block and image of such a block under a
 current is built once per key and shared, with read-only arrays.
 """
@@ -69,13 +73,16 @@ _UNIT_ROUNDOFF = 2.0**-53
 # bound four decades inside the float range.
 _MAX_NORM_T = 700.0
 # Probe columns per block in projective_equality_check.  The three default
-# projective checks (2 952 states, 2 648 products) measured, warm, median of
-# 5 on a 2-core x86 VM:
+# projective checks (2 952 states, 2 648 products at width 16), each block
+# on the rows it reaches, measured warm, median of three medians of 5 on a
+# 2-core x86 VM:
 #   block width               16    32    64   128   400
-#   time (s)                0.41  0.53  0.49  0.58  0.60
-#   tracemalloc peak (MB)    3.1   5.0   9.5  18.6  42.0
-# Wider blocks save little call cost per product and their dense columns
-# hold memory in proportion, so 16 is both the fastest and the smallest.
+#   time (s)                0.11  0.10  0.10  0.45  1.03
+#   tracemalloc peak (MB)    4.0   4.0   4.0   7.1  15.0
+# A wider block makes fewer calls but reaches more rows; from 128 columns
+# the transfer-pair blocks reach most of their charge sector.  32 and 64
+# save under a fifth, and check_expm_cost counts each product's work per
+# block column, so a wider block would refuse configs admitted today.
 _PROBE_BLOCK = 16
 
 
@@ -190,16 +197,21 @@ def _hop_parts(block, amps, s_to, s_from, hop_weight=0):
 
 
 def _sum_keys(parts):
-    """One block from (masks, cols, amps) parts, equal (mask, col) keys summed."""
+    """One block from (masks, cols, amps) parts, equal (mask, col) keys summed.
+
+    Equal keys are added one by one in the order the parts list them, as a
+    CSR matrix sums its duplicates (np.add.reduceat adds a run of 8 or more
+    pairwise, which rounds non-integer sums differently).
+    """
     masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
     order = np.lexsort((masks, cols))
     masks, cols, amps = masks[order], cols[order], amps[order]
     first = np.ones(len(masks), dtype=bool)
     first[1:] = (masks[1:] != masks[:-1]) | (cols[1:] != cols[:-1])
     starts = np.flatnonzero(first)
-    if not len(starts):
-        return masks, cols, amps
-    return masks[starts], cols[starts], np.add.reduceat(amps, starts)
+    sums = np.zeros(len(starts), dtype=amps.dtype)
+    np.add.at(sums, np.cumsum(first) - 1, amps)
+    return masks[starts], cols[starts], sums
 
 
 def _unit_block(masks):
@@ -296,20 +308,19 @@ def graded_basis(window, pair_cap):
 
 
 def _compress(basis, parts):
-    """CSR matrix on a basis from the image parts of its unit block.
+    """Matrix (rows, cols, data) on a basis from the image parts of its unit block.
 
     Images outside the basis are dropped, so a column whose exact image
-    stays inside the basis is represented exactly.  scipy.sparse is imported
-    here, on the first compression, so commands that build no matrix never
-    load scipy.
+    stays inside the basis is represented exactly.  The entries are sorted
+    by row and then column, equal keys summed (_sum_keys), the order in
+    which a CSR product adds a row's terms; the data is complex.
     """
-    import scipy.sparse as sp
-
     masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
     rows = basis.rows(masks)
     inside = rows >= 0
-    data = amps[inside].astype(complex)
-    return sp.csr_matrix((data, (rows[inside], cols[inside])), shape=(len(basis),) * 2)
+    # _sum_keys sorts by its second array, then by its first
+    cols, rows, data = _sum_keys([(cols[inside], rows[inside], amps[inside].astype(complex))])
+    return rows, cols, data
 
 
 class SparseOperator:
@@ -373,7 +384,7 @@ class SparseOperator:
         return cls(window, (), scalar)
 
     def matrix(self, basis):
-        """Compression onto a GradedBasis as CSR."""
+        """Compression onto a GradedBasis as (rows, cols, data); see _compress."""
         return _compress(basis, self._image_parts(_unit_block(basis.masks)))
 
 
@@ -646,8 +657,55 @@ def _taylor_schedule(norm_t, tol):
 
 
 def _norm1(mat):
-    """||mat||_1 of a sparse matrix, the largest absolute column sum."""
-    return float(np.max(np.abs(mat).sum(axis=0))) if mat.nnz else 0.0
+    """||mat||_1 of a (rows, cols, data) matrix, the largest absolute column sum."""
+    _, cols, data = mat
+    return float(np.bincount(cols, weights=np.abs(data)).max()) if len(data) else 0.0
+
+
+def _reached_rows(edges, cols, dim):
+    """Smallest row set that holds `cols` and is closed under the entries `edges`.
+
+    edges is (rows, cols) of every matrix entry; the set, a boolean mask over
+    dim rows, is the fixpoint of reach[rows[reach[cols]]] = True.  A matrix
+    applied to a block supported on the set stays on it.
+    """
+    rows, sources = edges
+    reach = np.zeros(dim, dtype=bool)
+    reach[cols] = True
+    while True:
+        size = np.count_nonzero(reach)
+        reach[rows[reach[sources]]] = True
+        if np.count_nonzero(reach) == size:
+            return reach
+
+
+def _row_table(mat, reach):
+    """Principal submatrix of mat on the rows `reach` marks, as a padded row table.
+
+    Returns (cols, data), each (width, rows): slot k holds each row's k-th
+    entry in column order, by its index among the kept rows.  A row with
+    fewer entries is padded with zeros on column 0.
+    """
+    rows, cols, data = mat
+    keep = reach[rows] & reach[cols]
+    local = np.cumsum(reach) - 1
+    rows, cols, data = local[rows[keep]], local[cols[keep]], data[keep]
+    counts = np.bincount(rows, minlength=np.count_nonzero(reach))
+    slots = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    table_cols = np.zeros((counts.max(initial=0), len(counts)), dtype=np.int64)
+    table_data = np.zeros(table_cols.shape, dtype=data.dtype)
+    table_cols[slots, rows] = cols
+    table_data[slots, rows] = data
+    return table_cols, table_data
+
+
+def _row_product(table, x):
+    """table @ x for a padded row table: one gather, multiply and add per slot."""
+    cols, data = table
+    out = np.zeros(x.shape, dtype=np.result_type(data, x))
+    for col, entry in zip(cols, data):
+        out += entry[:, None] * x[col]
+    return out
 
 
 def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK, tol=_UNIT_ROUNDOFF):
@@ -677,27 +735,26 @@ def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK, tol=_UNIT_ROUNDOFF):
     return steps, degree
 
 
-def _expm_multiply(mat, block, t, tol=_UNIT_ROUNDOFF, norm1=None):
-    """exp(t*mat) @ block by steps of a truncated Taylor series.
+def _expm_multiply(table, block, t, norm1, nnz, tol=_UNIT_ROUNDOFF):
+    """exp(t*mat) @ block by steps of a truncated Taylor series on a padded row table.
 
-    norm1 is ||mat||_1, taken from mat when not given.  check_expm_cost
-    picks the steps and the degree, and refuses work or growth beyond the
-    cost model before the first product; a non-finite step raises
-    PrecisionError.
+    norm1 = ||mat||_1 and nnz are those of the full compression the table
+    was cut from, so the schedule and the cost model do not depend on the
+    rows kept.  check_expm_cost picks the steps and the degree, and refuses
+    work or growth beyond the cost model before the first product; a
+    non-finite step raises PrecisionError.
     """
     if t == 0:
         return block.copy()
-    if norm1 is None:
-        norm1 = _norm1(mat)
     norm_t = abs(t) * norm1
-    steps, degree = check_expm_cost(norm_t, mat.nnz, block.shape[1], tol)
+    steps, degree = check_expm_cost(norm_t, nnz, block.shape[1], tol)
     step = t / steps
-    out = block.astype(np.result_type(mat.dtype, block.dtype, step))
+    out = block.astype(np.result_type(table[1].dtype, block.dtype, step))
     for _ in range(steps):
         term = out
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             for k in range(1, degree + 1):
-                term = mat @ term
+                term = _row_product(table, term)
                 term *= step / k
                 out += term
         if not np.isfinite(out).all():
@@ -715,10 +772,11 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
     Both exponentials act on the graded-basis compression (identical bases,
     so the matrices differ exactly by the scalar) applied to blocks of safe
     probe columns, in real arithmetic when every matrix entry and the scalar
-    factor are real.  The exponentials grow as e^{|t| ||sigma||}, so the
-    residual is the largest entry of the difference of the two sides over
-    max(1, the largest entry of either side, trace factor included); a NaN
-    stays NaN.
+    factor are real.  Each block runs on the rows it reaches under either
+    matrix (_reached_rows); both sides are exactly 0 on every other row.
+    The exponentials grow as e^{|t| ||sigma||}, so the residual is the
+    largest entry of the difference of the two sides over max(1, the
+    largest entry of either side, trace factor included); a NaN stays NaN.
     """
     mu, modes = _transport_modes(window, mu)
     n_shift = len(modes)
@@ -729,24 +787,25 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
         op_mu = op_mu + c * sigma(i, j, n, window, cut=mu)
     max_n = max((abs(n) for *_, n in terms), default=0)
     basis = graded_basis(window, pair_cap)
-    mat_lam = op_lam.matrix(basis)
-    mat_mu = op_mu.matrix(basis)
+    mats = op_mu.matrix(basis), op_lam.matrix(basis)
     factor = np.exp(-t * n_shift * trace_k)
-    if not (
-        np.iscomplexobj(factor) or mat_lam.data.imag.any() or mat_mu.data.imag.any()
-    ):
-        mat_lam, mat_mu = mat_lam.real, mat_mu.real
+    if not (np.iscomplexobj(factor) or any(data.imag.any() for *_, data in mats)):
+        mats = tuple((rows, cols, data.real) for rows, cols, data in mats)
     _require_interior(window, max_n)
     # the basis is graded, so probe columns at the lower cap index it too
     probes = _safe_columns(window, min(2, pair_cap), max_n)
-    norm_mu, norm_lam = _norm1(mat_mu), _norm1(mat_lam)
+    costs = [(_norm1(mat), len(mat[2])) for mat in mats]
+    edges = [np.concatenate(x) for x in zip(*(mat[:2] for mat in mats))]
     residual = scale = 0.0
     for start in range(0, len(probes), _PROBE_BLOCK):
         cols = probes[start:start + _PROBE_BLOCK]
-        block = np.zeros((len(basis), len(cols)), dtype=mat_mu.dtype)
-        block[cols, np.arange(len(cols))] = 1.0
-        lhs = _expm_multiply(mat_mu, block, t, tail_tol, norm_mu)
-        rhs = _expm_multiply(mat_lam, block, t, tail_tol, norm_lam)
+        reach = _reached_rows(edges, cols, len(basis))
+        block = np.zeros((np.count_nonzero(reach), len(cols)), dtype=mats[0][2].dtype)
+        block[np.cumsum(reach)[cols] - 1, np.arange(len(cols))] = 1.0
+        lhs, rhs = (
+            _expm_multiply(_row_table(mat, reach), block, t, *cost, tail_tol)
+            for mat, cost in zip(mats, costs)
+        )
         rhs *= factor
         scale = np.maximum(scale, np.maximum(np.abs(lhs).max(), np.abs(rhs).max()))
         lhs -= rhs

@@ -147,9 +147,16 @@ def full_basis(window):
     return GradedBasis(window, np.array(masks, dtype=np.int64))
 
 
+def csr(mat, basis):
+    """The library's (rows, cols, data) matrix on a basis as a scipy CSR matrix."""
+    rows, cols, data = mat
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(basis),) * 2)
+
+
 def mode_matrix(basis, slot, create):
     """CSR compression of a lone creator (or destroyer) onto a basis."""
-    return fock._compress(basis, [lone_parts(fock._unit_block(basis.masks), slot, create)])
+    parts = [lone_parts(fock._unit_block(basis.masks), slot, create)]
+    return csr(fock._compress(basis, parts), basis)
 
 
 def vector_block(v):
@@ -295,7 +302,7 @@ class TestNormalOrderedPair:
     def test_matches_oracle(self, m, n):
         basis = full_basis(W31)
         perm = basis.masks.tolist()
-        got = library_pair(1, 1, m, n, W31).matrix(basis).toarray()
+        got = csr(library_pair(1, 1, m, n, W31).matrix(basis), basis).toarray()
         want = oracle_pair(1, 1, m, n, W31).toarray()[np.ix_(perm, perm)]
         assert exact_equal_vec(got, want)
 
@@ -585,7 +592,7 @@ class TestGradedBasisEngine:
         assert car_residual(W22, 2) == 0.0
         basis = graded_basis(W22, 2)
         assert mode_matrix(basis, W22.slot(2, 1), True).nnz > 0
-        assert sigma(1, 2, 1, W22).matrix(basis).nnz > 0
+        assert csr(sigma(1, 2, 1, W22).matrix(basis), basis).nnz > 0
 
     def test_rows_find_members_and_reject_outsiders(self):
         basis = graded_basis(W22, 2)
@@ -659,6 +666,16 @@ class TestCostModel:
         terms = [(1.0, 1, 1, 1), (-1.0, 1, 1, -1)]
         with pytest.raises(ResourceError, match="over the cap"):
             projective_equality_check(terms, t, window, "5/2", pair_cap=cap)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [[(math.nan, 1, 1, 0)], [(1.0, 1, 1, 1), (math.nan, 1, 1, -1)]],
+        ids=["charge", "transfer-pair"],
+    )
+    def test_nan_coefficient_raises(self, terms):
+        # the NaN reaches ||mat||_1, so the schedule refuses it before any product
+        with pytest.raises(PrecisionError, match="not finite"):
+            projective_equality_check(terms, 0.35, W31, "5/2", pair_cap=2)
 
     def test_overflowing_exponential_raises(self):
         # the Taylor steps overflow to inf and NaN; that must not read as a pass
@@ -762,11 +779,18 @@ GENERATORS = {
 }
 
 
-def generator_matrix(name, cut):
+def generator_matrix(terms, cut):
+    """The library compression of sum c * sigma(i, j, n) onto the cap-3 basis of W26."""
     op = SparseOperator(W26)
-    for c, i, j, n in GENERATORS[name]:
+    for c, i, j, n in terms:
         op = op + c * sigma(i, j, n, W26, cut=cut)
     return op.matrix(graded_basis(W26, 3))
+
+
+def expm_on_rows(mat, reach, block, t):
+    """The library exponential of mat's principal submatrix on the rows `reach` marks."""
+    table = fock._row_table(mat, reach)
+    return fock._expm_multiply(table, block, t, fock._norm1(mat), len(mat[2]))
 
 
 class TestTaylorSchedule:
@@ -775,12 +799,13 @@ class TestTaylorSchedule:
     def test_matches_scipy_expm_multiply(self, name, cut):
         from scipy.sparse.linalg import expm_multiply
 
-        mat = generator_matrix(name, cut)
+        basis = graded_basis(W26, 3)
+        mat = generator_matrix(GENERATORS[name], cut)
         probes = fock._safe_columns(W26, 2, 1)[:16]
-        block = np.zeros((mat.shape[0], len(probes)))
+        block = np.zeros((len(basis), len(probes)))
         block[probes, np.arange(len(probes))] = 1.0
-        got = fock._expm_multiply(mat, block, 0.35)
-        want = expm_multiply(0.35 * mat, block)
+        got = expm_on_rows(mat, np.ones(len(basis), dtype=bool), block, 0.35)
+        want = expm_multiply(0.35 * csr(mat, basis), block)
         assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -797,7 +822,7 @@ class TestTaylorSchedule:
     def test_schedule_is_pinned(self, name, cut, schedule):
         # (steps, degree); power-of-two steps at theta <= 0.5 took (8, 10),
         # (2, 10), (4, 10) and (4, 12)
-        mat = generator_matrix(name, cut)
+        mat = csr(generator_matrix(GENERATORS[name], cut), graded_basis(W26, 3))
         norm_t = 0.35 * float(np.abs(mat).sum(axis=0).max())
         assert fock._taylor_schedule(norm_t, fock._UNIT_ROUNDOFF) == schedule
 
@@ -834,6 +859,44 @@ class TestTaylorSchedule:
             if other != degree and most >= 1:
                 theta = norm_t / most
                 assert theta > fock._THETA_MAX or fock._tail_bound(theta, other) > tol
+
+
+# The real generators and a complex one, whose matrices keep complex data.
+REACH_GENERATORS = {
+    **GENERATORS,
+    "complex": [(0.5j, 1, 2, 1), (0.5j, 2, 1, -1), (0.25 - 0.5j, 1, 1, 0)],
+}
+
+
+class TestReachedRows:
+    """Each probe block's exponential on the rows it reaches, set back into every row.
+
+    The projective residual cannot see a reached set that drops a row: both
+    sides lose the same entries.  So the kept rows are compared with scipy's
+    exponential on the full matrix, which must be exactly 0 on every other row.
+    """
+
+    @pytest.mark.parametrize("cut", [None, "5/2"], ids=["lam", "mu"])
+    @pytest.mark.parametrize("name", list(REACH_GENERATORS))
+    def test_reached_rows_match_the_full_exponential(self, name, cut):
+        from scipy.sparse.linalg import expm_multiply
+
+        basis = graded_basis(W26, 3)
+        mat = generator_matrix(REACH_GENERATORS[name], cut)
+        rows, cols, _ = mat
+        probes = fock._safe_columns(W26, 2, 1)
+        unit = np.zeros((len(basis), len(probes)))
+        unit[probes, np.arange(len(probes))] = 1.0
+        want = expm_multiply(0.35 * csr(mat, basis), unit)
+        for start in range(0, len(probes), fock._PROBE_BLOCK):
+            block = slice(start, start + fock._PROBE_BLOCK)
+            reach = fock._reached_rows((rows, cols), probes[block], len(basis))
+            # closed: no entry leads from a kept column to a dropped row
+            assert reach[rows[reach[cols]]].all()
+            assert (want[~reach, block] == 0).all()
+            got = np.zeros(want[:, block].shape, dtype=complex)
+            got[reach] = expm_on_rows(mat, reach, unit[reach, block], 0.35)
+            assert np.abs(got - want[:, block]).max() <= 1e-12
 
 
 # Three colors at N = 8: 51 slots, 1 327 states at pair cap 2, 22 152 at 3.

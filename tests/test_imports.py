@@ -6,8 +6,8 @@ assignment named _x) must be read somewhere in the package.  The scans are
 plain ast walks, so they need neither pyflakes nor ruff.  Importing the CLI
 in a fresh interpreter must leave scipy.optimize unloaded: it took about
 0.6 s of a 1 s process start.  It must leave every scipy module unloaded,
-and so must every battery but fock's: scipy.sparse took about 0.28 s of a
-0.5 s start, and only the Fock matrix compression uses it.  Every public
+and so must every battery, `all` included: the package runs on numpy
+alone, and `all` passes with scipy made unimportable.  Every public
 function and method of caloron, detline and fock is called by a battery
 that builds their forms (caloron, pairing, cover, cocycle, fock), or is on
 a short allowlist that names why it stays.
@@ -16,6 +16,7 @@ a short allowlist that names why it stays.
 import ast
 import cProfile
 import importlib
+import json
 import os
 import pstats
 import subprocess
@@ -214,17 +215,21 @@ def test_fock_validation_loads_no_scipy():
     assert scipy_modules(loaded) == []
 
 
-def test_fock_battery_loads_scipy_sparse():
-    assert "scipy.sparse" in modules_after(RUN_DEFAULTS.format(commands=["fock"]))
+def test_all_loads_no_scipy():
+    loaded = modules_after(RUN_DEFAULTS.format(commands=["all"]))
+    assert "gerbetool.fock" in loaded
+    assert scipy_modules(loaded) == []
 
 
-def test_fock_matrices_stay_scipy_csr():
-    import scipy.sparse as sp
-
-    from gerbetool.fock import FockWindow, graded_basis, sigma
-
-    window = FockWindow(2, 2, "1/2")
-    basis = graded_basis(window, 2)
-    mat = sigma(1, 2, 1, window).matrix(basis)
-    assert isinstance(mat, sp.csr_matrix)
-    assert mat.shape == (len(basis), len(basis)) and mat.nnz > 0
+def test_all_passes_without_scipy():
+    # a None entry in sys.modules makes every `import scipy...` raise ImportError
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    script = 'import sys\nsys.modules["scipy"] = None\nimport gerbetool.cli as cli\nsys.exit(cli.main(["all"]))'
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
