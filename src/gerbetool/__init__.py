@@ -8,7 +8,7 @@ fock       Fock space as int64 mask blocks, currents, Bogoliubov transport
 liealg     su(n) bases and coefficients, weight multiplicities, Dynkin indices
 grids      periodic grid forms, stencil derivatives, exterior derivative
 caloron    sampled connections over S1 x T^d and curvature identities
-presets    named analytic connection families and test holonomies
+presets    the caloron battery's su(2) family and the test holonomies
 moduli     surface-group representations and the curvature pairing
 cli        scenario runner with JSON reports (`gerbetool` entry point)
 """
@@ -46,7 +46,6 @@ from .detline import (
     DetLine,
     compose,
     det_line,
-    hodge_dual_iso,
     permutation_sign,
 )
 from .fock import (
@@ -83,10 +82,7 @@ from .caloron import (
     pontryagin_densities,
     sample_connection,
 )
-from .presets import (
-    connection_preset,
-    preset_family,
-)
+from .presets import su2_family
 from .moduli import (
     LoopWord,
     ModuliFamily,

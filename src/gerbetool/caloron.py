@@ -346,19 +346,19 @@ def _require_base3(conn, what):
 def pontryagin_densities(conn, reps):
     """The circle-integrated Pontryagin 3-form for each rho of reps, from one curvature pass.
 
-    For rho None (or fundamental) this is -(1/8 pi^2) Int <F~ ^ F~>; for a
+    For the fundamental this is -(1/8 pi^2) Int <F~ ^ F~>; for another
     representation it is the same density of the pushed-forward curvature
     with the trace in the representation space, (1/8 pi^2) Int
-    tr_rho(F^rho ^ F^rho).  Each representation pushes the same F_{theta a}
-    and F_ab through its coefficient map, so one pass serves them all, and
-    a raise in any one push fails the whole pass.  Needs a 3-dimensional
-    base; a ghosted sampling keeps its margin on the forms.
+    tr_rho(F^rho ^ F^rho).  Each representation, of the connection's su(n)
+    or ArgumentError, pushes the same F_{theta a} and F_ab through its
+    coefficient map (the fundamental's is the identity, so it skips the
+    push), and one pass serves them all; a raise in any one push fails the
+    whole pass.  Needs a 3-dimensional base; a ghosted sampling keeps its
+    margin on the forms.
     """
     _require_base3(conn, "the density is a 3-form")
-    maps = [
-        None if rho is None or rho.is_fundamental() else _representation_map(conn, rho)
-        for rho in reps
-    ]
+    maps = [_representation_map(conn, rho) for rho in reps]
+    maps = [None if rho.is_fundamental() else m for rho, m in zip(reps, maps)]
     g = conn.ghost_margin
     return _circle_means(conn, lambda run: [_density(run.mixed, run.base, g, m) for m in maps])
 

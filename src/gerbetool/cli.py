@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .caloron import CurvaturePass, check_grid, pontryagin_densities
+from .caloron import CurvaturePass, check_grid, pontryagin_densities, sample_connection
 from .detline import CechTable, det_line
 from .errors import (
     ConfigError, CoverViolationError, GerbeToolError, ResourceError
@@ -54,13 +54,7 @@ from .moduli import (
     relation_check,
     standard_genus2_su2,
 )
-from .presets import (
-    HOLONOMY_SUITES,
-    connection_preset,
-    diagonal_holonomy,
-    holonomy_suite,
-    preset_family,
-)
+from .presets import HOLONOMY_SUITES, diagonal_holonomy, holonomy_suite, su2_family
 from .spectral import (
     Holonomy,
     SpectralCut,
@@ -115,9 +109,6 @@ _ADJOINT_TOLERANCE = 1e-6
 # exponentiated at the time 0.35
 _NUMBER_OPERATOR = [(1.0, 1, 1, 0)]
 _EXP_TIME = 0.35
-
-# the caloron battery's connection, sampled at its default amplitude 0.7
-_CALORON_PRESET = "su2-family"
 
 # the cuts -1/2 and 1/2 of the spectrum, cover and moduli batteries
 _HALVES = (SpectralCut(Fraction(-1, 2)), SpectralCut(Fraction(1, 2)))
@@ -288,7 +279,7 @@ def _check_caloron(params):
     The fine grid, refine_factor times the base grid, is the one the cost
     cap binds.
     """
-    n = preset_family(_CALORON_PRESET).n
+    n = su2_family().n
     coarse = params["base_points"]
     for base_points in (coarse, params["refine_factor"] * coarse):
         check_grid(params["theta_points"], base_points, 3, n)
@@ -476,11 +467,7 @@ def _battery_fock(params, seed):
 
 
 def _battery_caloron(params, seed):
-    conn = connection_preset(
-        _CALORON_PRESET,
-        theta_points=params["theta_points"],
-        base_points=params["base_points"],
-    )
+    conn = sample_connection(su2_family(), 3, params["theta_points"], params["base_points"])
 
     # one coarse curvature pass serves both checks; the fine pass is ms-identity-order's own
     coarse = functools.cache(lambda: CurvaturePass(conn, Representation.adjoint(conn.n)))
@@ -549,7 +536,7 @@ def _battery_moduli(params, seed):
 def _battery_pairing(params, seed):
     rep = standard_genus2_su2()
     gamma = LoopWord(((1, 1),))
-    adjoint = Representation.adjoint(2)
+    reps = (Representation.fundamental(2), Representation.adjoint(2))
     winding = ModuliFamily(rep, modulation=params["modulation"])
 
     @functools.cache
@@ -558,7 +545,7 @@ def _battery_pairing(params, seed):
         conn = winding.connection(
             gamma, params["theta_points"], params["base_points"], params["ghost_margin"]
         )
-        return pontryagin_densities(conn, (None, adjoint))
+        return pontryagin_densities(conn, reps)
 
     def adjoint_scaling():
         fund, adj_form = densities()

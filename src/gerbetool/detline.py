@@ -18,22 +18,16 @@ few array operations; for lines produced by det_line the ratio is exactly
 one, and an injected sign or phase defect shows in it.  The table is the
 one cocycle entry point: compose, its scalar case, is the oracle the tests
 check it against.
-
-The Hodge pairing sends the degree-k duals into the complementary wedge
-power via contraction with a fixed volume form; hodge_dual_iso measures
-how far those contraction matrices are from unitary for a seeded random
-orthonormal frame.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 import itertools
-import math
 
 import numpy as np
 
-from .errors import ArgumentError, CompositionError, ResourceError, ValidationError
-from .spectral import Spectrum, SpectralCut, _unitarity_defect, band
+from .errors import ArgumentError, CompositionError, ValidationError
+from .spectral import Spectrum, SpectralCut, band
 
 _PHASE_TOL = 1e-12
 
@@ -256,72 +250,3 @@ class CechTable:
         right = join(i, j, l, phases[i, j], join(j, k, l, phases[j, k], phases[k, l]))
         return np.maximum(np.abs(left - right), np.abs(left - phases[i, l]))
 
-
-def _random_unitary(dim, seed):
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def _annihilators(dim):
-    """Per-degree matrices of a_i: wedge^k -> wedge^(k-1) in the standard frame."""
-    subsets = [list(itertools.combinations(range(dim), k)) for k in range(dim + 1)]
-    index = [{s: p for p, s in enumerate(level)} for level in subsets]
-    ops = []
-    for i in range(dim):
-        levels = []
-        for k in range(1, dim + 1):
-            mat = np.zeros((len(subsets[k - 1]), len(subsets[k])))
-            for col, s in enumerate(subsets[k]):
-                if i not in s:
-                    continue
-                pos = s.index(i)
-                rest = s[:pos] + s[pos + 1 :]
-                mat[index[k - 1][rest], col] = (-1.0) ** pos
-            levels.append(mat)
-        ops.append(levels)
-    return subsets, ops
-
-
-def hodge_dual_iso(dim, seed=0):
-    """Max deviation from unitarity of the volume-contraction maps.
-
-    Draws a seeded random orthonormal frame f_1..f_dim, forms the volume
-    vector f_1 ^ ... ^ f_dim, and for each degree k builds the matrix that
-    sends the dual wedge basis element indexed by S (ascending) to the
-    contraction a_{f_{s_k}} ... a_{f_{s_1}} (volume).  Returns the largest
-    entrywise deviation of A A^dag and A^dag A from the identity over all
-    degrees; dimensions above 10 raise ResourceError.
-    """
-    if dim < 1:
-        raise ArgumentError("dimension must be positive")
-    if dim > 10:
-        raise ResourceError(f"dimension {dim} exceeds the supported cap of 10")
-    frame = _random_unitary(dim, seed)
-    subsets, ops = _annihilators(dim)
-    # volume = wedge of the frame columns, expressed in the standard top form
-    vol_coord = np.linalg.det(frame)
-    # contraction with conj(f_i) in the standard frame
-    def contract(vec, k, i):
-        f = frame[:, i]
-        out = np.zeros(len(subsets[k - 1]), dtype=complex)
-        for row in range(dim):
-            out += np.conj(f[row]) * (ops[row][k - 1] @ vec)
-        return out
-
-    worst = 0.0
-    for k in range(dim + 1):
-        cols = []
-        for s in itertools.combinations(range(dim), k):
-            vec = np.zeros(len(subsets[dim]), dtype=complex)
-            vec[0] = vol_coord
-            deg = dim
-            for i in s:
-                vec = contract(vec, deg, i)
-                deg -= 1
-            cols.append(vec)
-        mat = np.column_stack(cols) if cols else np.zeros((len(subsets[dim - k]), 0))
-        worst = np.max([worst, _unitarity_defect(mat), _unitarity_defect(mat.conj().T)])
-    return float(worst)

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ArgumentError, DimensionError, ValidationError
 
 
-def spectral_theta_derivative(arr, axis=0, period=1.0):
-    """rfft derivative of real samples along a periodic axis; Nyquist mode dropped.
+def spectral_theta_derivative(arr, axis=0):
+    """rfft derivative of real samples along an axis of period 1; Nyquist mode dropped.
 
     Complex samples raise ArgumentError (differentiate their real and
     imaginary parts separately).
@@ -29,7 +29,7 @@ def spectral_theta_derivative(arr, axis=0, period=1.0):
     wavenumbers = np.arange(p // 2 + 1, dtype=float)
     if p % 2 == 0:
         wavenumbers[p // 2] = 0.0
-    factor = (2j * np.pi / period) * wavenumbers
+    factor = 2j * np.pi * wavenumbers
     shape = [1] * arr.ndim
     shape[axis] = len(factor)
     spectrum = np.fft.rfft(arr, axis=axis)

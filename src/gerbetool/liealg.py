@@ -280,10 +280,6 @@ class Representation:
         object.__setattr__(self, "partition", _pad_partition(self.n, self.partition))
 
     @classmethod
-    def trivial(cls, n):
-        return cls(n, ())
-
-    @classmethod
     def fundamental(cls, n):
         return cls(n, (1,))
 

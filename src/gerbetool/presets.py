@@ -1,41 +1,24 @@
-"""Named analytic connection families for the sampled-geometry pipelines.
+"""The caloron battery's analytic connection family and the test holonomies.
 
-Every preset is a closed-form periodic field on S1 x T^d, so connections
-can be resampled at any resolution for convergence studies.  All su(2)
-presets use the anti-Hermitian generators T_j = i * sigma_j, normalized to
-<T_a, T_b> = 2 delta_ab, and return real coefficient fields (..., 3) in the
-su_basis(2) frame, which lists T2 before T1: T1 -> (0, 1, 0),
-T2 -> (1, 0, 0), T3 -> (0, 0, 1).
-
-Preset catalog:
-  zero        vanishing connection.
-  abelian     single diagonal generator, curvature known in closed form.
-  flat        pure-gauge g^-1 dg for a product of winding rotations; the
-              analytic curvature vanishes identically.  Its transports
-              u^-1 X u act on coefficients: Ad of exp(2 pi t T_j) turns
-              them by 4 pi t about T_j.
-  su2-axial   the two-generator axial family sin(2 pi theta) a(x) T1 dx1
-              + b(x) T2 dtheta; its curving and 3-curvature vanish
-              identically (the generators never meet in the pairing), so
-              it serves as an exact-zero fixture.
-  su2-family  a three-generator family with theta dependence in every
-              slot; generic, used for convergence-order measurements.
+su2_family is a closed-form periodic field on S1 x T^3, so its connection
+can be resampled at any resolution for convergence studies.  It uses the
+anti-Hermitian generators T_j = i * sigma_j, normalized to
+<T_a, T_b> = 2 delta_ab, and returns real coefficient fields (..., 3) in
+the su_basis(2) frame, which lists T2 before T1: T1 -> (0, 1, 0),
+T2 -> (1, 0, 0), T3 -> (0, 0, 1).  It has theta dependence in every slot,
+so its curving and density are generic, as a convergence-order measurement
+needs.
 
 HOLONOMY_SUITES names the diagonal test holonomies of the cocycle battery.
 """
 
 import numpy as np
 
-from .caloron import AnalyticConnection, sample_connection
-from .errors import ArgumentError
+from .caloron import AnalyticConnection
 from .spectral import TWO_PI, Holonomy
 
 T1 = np.array([[0.0, 1j], [1j, 0.0]])
 T2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-# Ad(exp(2 pi t T_j)) turns the plane of the cyclically next generators,
-# from T_k toward T_l: their su_basis(2) slots, keyed by j
-_PLANES = {1: (0, 2), 2: (2, 1), 3: (1, 0)}
 
 
 def _su2(t1=0.0, t2=0.0, t3=0.0):
@@ -43,68 +26,8 @@ def _su2(t1=0.0, t2=0.0, t3=0.0):
     return np.stack(np.broadcast_arrays(t2, t1, t3), axis=-1)
 
 
-def _conjugate(coeffs, t, j):
-    """Coefficients of u^-1 X u, u = exp(2 pi t T_j), from those of X: a turn by 4 pi t."""
-    k, l = _PLANES[j]
-    c, s = np.cos(2.0 * TWO_PI * t), np.sin(2.0 * TWO_PI * t)
-    out = list(np.moveaxis(coeffs, -1, 0))
-    out[k], out[l] = c * out[k] - s * out[l], s * out[k] + c * out[l]
-    return np.stack(np.broadcast_arrays(*out), axis=-1)
-
-
-def _zero_family():
-    def phi(th, xs):
-        return _su2()
-
-    def base(th, xs, axis):
-        return _su2()
-
-    return AnalyticConnection(2, phi, base, "zero")
-
-
-def _abelian_family(amplitude):
-    def phi(th, xs):
-        return _su2()
-
-    def base(th, xs, axis):
-        if axis == 1:
-            return _su2(t3=amplitude * np.sin(TWO_PI * xs[0]))
-        return _su2()
-
-    return AnalyticConnection(2, phi, base, "abelian")
-
-
-def _flat_family():
-    def phi(th, xs):
-        # u = exp(2 pi x_0 T1) exp(2 pi x_1 T2) exp(2 pi x_2 T3)
-        out = _su2(t3=TWO_PI)
-        for j in (1, 2, 3):
-            out = _conjugate(out, xs[j - 1], j)
-        return out
-
-    def base(th, xs, axis):
-        # u = exp(2 pi x_(axis+1) T_(axis+2)) ... exp(2 pi x_2 T3)
-        out = _su2(**{f"t{axis + 1}": TWO_PI})
-        for j in range(axis + 2, 4):
-            out = _conjugate(out, xs[j - 1], j)
-        return out
-
-    return AnalyticConnection(2, phi, base, "flat")
-
-
-def _axial_family(amplitude):
-    def phi(th, xs):
-        return _su2(t2=amplitude * np.cos(TWO_PI * xs[2]))
-
-    def base(th, xs, axis):
-        if axis == 0:
-            return _su2(t1=amplitude * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[1]))
-        return _su2()
-
-    return AnalyticConnection(2, phi, base, "su2-axial")
-
-
-def _generic_family(amplitude):
+def su2_family(amplitude=0.7):
+    """The three-generator su(2) family "su2-family", unsampled."""
     # Circle harmonics share generators across components on purpose: the
     # theta-averaged products <a_a, a_b'> and <F_ab, Phi> must survive, or
     # the curving degenerates to a constant and the density to zero.
@@ -137,32 +60,6 @@ def _generic_family(amplitude):
         )
 
     return AnalyticConnection(2, phi, base, "su2-family")
-
-
-_FAMILIES = {
-    "zero": lambda amp: _zero_family(),
-    "abelian": _abelian_family,
-    "flat": lambda amp: _flat_family(),
-    "su2-axial": _axial_family,
-    "su2-family": _generic_family,
-}
-
-
-def preset_family(name, amplitude=0.7):
-    """The named analytic family, unsampled."""
-    try:
-        factory = _FAMILIES[name]
-    except KeyError:
-        raise ArgumentError(
-            f"unknown connection preset {name!r}; choose from {sorted(_FAMILIES)}"
-        ) from None
-    return factory(amplitude)
-
-
-def connection_preset(name, theta_points=12, base_points=16, base_dim=3, amplitude=0.7):
-    """Sample a named analytic family; the result carries it for resampling."""
-    family = preset_family(name, amplitude)
-    return sample_connection(family, base_dim, theta_points, base_points)
 
 
 _STANDARD_SUITE = (

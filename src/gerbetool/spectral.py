@@ -86,11 +86,9 @@ class Holonomy:
 
     matrix: np.ndarray
     tolerance: float = 1e-10
-    special: bool = False
 
     def __post_init__(self):
-        det = self.tolerance if self.special else None
-        object.__setattr__(self, "matrix", _unitary(self.matrix, self.tolerance, "holonomy", det))
+        object.__setattr__(self, "matrix", _unitary(self.matrix, self.tolerance, "holonomy"))
 
     @property
     def n(self):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gerbetool.caloron import CurvaturePass, pontryagin_densities
+from gerbetool.caloron import CurvaturePass, pontryagin_densities, sample_connection
 from gerbetool.cli import holonomy_suite
 from gerbetool.detline import CechTable, compose, det_line
 from gerbetool.fock import (
@@ -39,7 +39,7 @@ from gerbetool.moduli import (
     relation_check,
     standard_genus2_su2,
 )
-from gerbetool.presets import connection_preset
+from gerbetool.presets import su2_family
 from gerbetool.spectral import SpectralCut, dirac_spectrum, in_cover, spectral_flow
 from test_fock import jw
 
@@ -133,7 +133,7 @@ def test_criterion_4_vacuum_transport_and_projective_factor():
 
 def test_criterion_5_density_equals_curving_derivative():
     with gate(5, "3-form identity contracts with order >= 1.9 (16 -> 32)", 180.0):
-        conn = connection_preset("su2-family", theta_points=12, base_points=16)
+        conn = sample_connection(su2_family(), 3, 12, 16)
         res, order = CurvaturePass(conn).identity_check(refine_factor=2)
         assert math.isfinite(res)
         assert order >= 1.9, order
@@ -141,7 +141,7 @@ def test_criterion_5_density_equals_curving_derivative():
 
 def test_criterion_6_representation_scaling_and_indices():
     with gate(6, "adjoint forms scale by 4, indices {1,1,1,4,0}", 60.0):
-        pair = connection_preset("su2-family", theta_points=12, base_points=16)
+        pair = sample_connection(su2_family(), 3, 12, 16)
         adjoint = Representation.adjoint(2)
         forms = CurvaturePass(pair, adjoint)
         worst, _ = forms.scaling_check()
@@ -159,15 +159,16 @@ def test_criterion_6_representation_scaling_and_indices():
             rho = Representation.fundamental(n)
             assert rho.index == 1 and abs(trace_ratio(rho, n) - 1.0) <= 1e-12
         assert adjoint.index == 4 and abs(trace_ratio(adjoint, 2) - 4.0) <= 1e-12
-        triv = Representation.trivial(2)
+        triv = Representation(2, ())
         assert triv.index == 0 and abs(trace_ratio(triv, 2)) <= 1e-12
 
 
 def test_criterion_7_index_route_matches_curvature_route():
     with gate(7, "index route = curvature route (x1 exact, x4 <= 1e-8)", 60.0):
-        conn = connection_preset("su2-family", theta_points=12, base_points=16)
-        density, fund, adj = pontryagin_densities(
-            conn, [None, Representation.fundamental(2), Representation.adjoint(2)]
+        conn = sample_connection(su2_family(), 3, 12, 16)
+        density = CurvaturePass(conn).density
+        fund, adj = pontryagin_densities(
+            conn, [Representation.fundamental(2), Representation.adjoint(2)]
         )
         diff_fund = (fund - density).max_norm()
         assert diff_fund <= 1e-12, diff_fund

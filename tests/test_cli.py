@@ -365,7 +365,7 @@ class TestReports:
         def wrong(conn, reps):
             forms = real(conn, reps)
             for rho, form in zip(reps, forms):
-                if rho is not None:
+                if not rho.is_fundamental():
                     comp = form.comps[(0, 1, 2)]
                     comp[...] = 0.75 * comp if error == "scale" else comp + 0.01
             return forms
@@ -398,7 +398,7 @@ class TestReports:
         def with_nan(conn, reps):
             forms = real(conn, reps)
             for rho, form in zip(reps, forms):
-                if (rho is None) == (poisoned == "fundamental"):
+                if rho.is_fundamental() == (poisoned == "fundamental"):
                     g = conn.ghost_margin
                     form.comps[(0, 1, 2)][g, g, g] = math.nan
             return forms
@@ -418,9 +418,9 @@ class TestReports:
         real = caloron.spectral_theta_derivative
         calls = []
 
-        def counting(arr, axis=0, period=1.0):
+        def counting(arr, axis=0):
             calls.append(arr.shape[1])
-            return real(arr, axis=axis, period=period)
+            return real(arr, axis=axis)
 
         monkeypatch.setattr(caloron, "spectral_theta_derivative", counting)
         _, params, seed, _ = validate_scenario({"command": command})
@@ -447,8 +447,12 @@ class TestReports:
         [
             ("fock", {"n_max": 4, "sweep": 1}, "commutator-sweep", "commutator_check",
              nan_first_value),
-            ("cocycle", {"suite": "trivial"}, "delta-triviality-u1-trivial", "CechTable",
-             nan_widest_phase),
+            pytest.param(
+                "cocycle", {"suite": "trivial"}, "delta-triviality-u1-trivial", "CechTable",
+                nan_widest_phase,
+                # the planted NaN phase divides the cocycle ratio
+                marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"),
+            ),
         ],
         ids=["commutator-sweep", "cocycle-worst"],
     )

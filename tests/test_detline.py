@@ -1,11 +1,9 @@
-"""Determinant lines over spectral bands and the volume-contraction map.
+"""Determinant lines over spectral bands and their composition calculus.
 
 Oracle for permutation phases: count inversions of the sort keys directly.
 Oracle for composition: the canonical phase of any composition chain equals
 the product of the input phases times the inversion sign of the bases
 concatenated in composition order.
-Oracle for the volume-contraction map: an independent bitmask model of the
-exterior algebra, with the same seeded frame, rebuilt from scratch.
 """
 
 import itertools
@@ -22,14 +20,12 @@ from gerbetool.detline import (
     DetLine,
     compose,
     det_line,
-    hodge_dual_iso,
     permutation_sign,
 )
 from gerbetool.errors import (
     ArgumentError,
     CompositionError,
     CoverViolationError,
-    ResourceError,
     ValidationError,
 )
 from gerbetool.presets import holonomy_suite
@@ -441,87 +437,6 @@ class TestCechTable:
             CechTable(spec, cuts[::-1])
         with pytest.raises(CoverViolationError):
             CechTable(spec, [cuts[0], cut("-2"), cuts[2]])
-
-
-def seeded_frame(dim, seed):
-    """Rebuild the orthonormal frame hodge_dual_iso derives from its seed."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def bitmask_hodge_deviation(frame):
-    """Independent exterior-algebra model of the volume-contraction map.
-
-    Wedge vectors are dicts mask -> coefficient over the standard frame.
-    Annihilation by e_i kills bit i with sign (-1)^(set bits below i);
-    contraction with a frame vector is the conjugate-weighted sum.
-    """
-    dim = frame.shape[0]
-
-    def annihilate_std(vec, i):
-        out = {}
-        for mask, c in vec.items():
-            if not (mask >> i) & 1:
-                continue
-            sign = -1.0 if bin(mask & ((1 << i) - 1)).count("1") % 2 else 1.0
-            out[mask & ~(1 << i)] = out.get(mask & ~(1 << i), 0.0) + sign * c
-        return out
-
-    def contract_frame(vec, i):
-        out = {}
-        for row in range(dim):
-            w = np.conj(frame[row, i])
-            if w == 0:
-                continue
-            for mask, c in annihilate_std(vec, row).items():
-                out[mask] = out.get(mask, 0.0) + w * c
-        return out
-
-    volume = {(1 << dim) - 1: np.linalg.det(frame)}
-    worst = 0.0
-    for k in range(dim + 1):
-        rows = list(itertools.combinations(range(dim), dim - k))
-        row_index = {s: p for p, s in enumerate(rows)}
-        cols = []
-        for s in itertools.combinations(range(dim), k):
-            vec = volume
-            for i in s:
-                vec = contract_frame(vec, i)
-            col = np.zeros(len(rows), dtype=complex)
-            for mask, c in vec.items():
-                bits = tuple(b for b in range(dim) if (mask >> b) & 1)
-                col[row_index[bits]] = c
-            cols.append(col)
-        mat = np.column_stack(cols)
-        worst = max(
-            worst,
-            float(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])).max()),
-            float(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0])).max()),
-        )
-    return worst
-
-
-class TestHodgeDualIso:
-    @pytest.mark.parametrize("dim,seed", [(1, 0), (2, 7), (3, 1), (4, 0)])
-    def test_contraction_map_is_unitary(self, dim, seed):
-        assert hodge_dual_iso(dim, seed=seed) <= 1e-10
-
-    @pytest.mark.parametrize("dim,seed", [(2, 7), (3, 1), (3, 5)])
-    def test_matches_bitmask_oracle(self, dim, seed):
-        got = hodge_dual_iso(dim, seed=seed)
-        want = bitmask_hodge_deviation(seeded_frame(dim, seed))
-        assert abs(got - want) <= 1e-12
-
-    def test_oversized_dimension_rejected(self):
-        with pytest.raises(ResourceError, match="cap"):
-            hodge_dual_iso(11)
-
-    def test_nonpositive_dimension_rejected(self):
-        with pytest.raises(ArgumentError):
-            hodge_dual_iso(0)
 
 
 def diag_phases(*phases):

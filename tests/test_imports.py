@@ -8,14 +8,17 @@ in a fresh interpreter must leave scipy.optimize unloaded: it took about
 0.6 s of a 1 s process start.  It must leave every scipy module unloaded,
 and so must every battery, `all` included: the package runs on numpy
 alone, and `all` passes with scipy made unimportable.  Every public
-function and method of caloron, detline and fock is called by a battery
-that builds their forms (caloron, pairing, cover, cocycle, fock), or is on
-a short allowlist that names why it stays.
+function and method of every module is called by `gerbetool <command>`
+for one of the seven commands or `gerbetool schema`, or is on a short
+allowlist that names why it stays.
 """
 
 import ast
+import contextlib
 import cProfile
 import importlib
+import inspect
+import io
 import json
 import os
 import pstats
@@ -89,17 +92,15 @@ def test_package_has_no_unreferenced_private_names():
     assert unreferenced_private_names(sources) == []
 
 
-# The public caloron, detline and fock names no battery calls, each with the
-# test or tool that uses it, or the ROADMAP item it waits for.
+# The public names no command calls, each with the test or tool that uses
+# it, or the ROADMAP item it waits for.
 UNREACHED = {
-    "detline.compose": "the per-triple oracle of test_detline.py::TestCechTable and criterion 1",
+    "detline.compose": "ROADMAP item 1; the per-triple oracle of TestCechTable and criterion 1",
     "detline.permutation_sign": "ROADMAP item 1: no battery hands a permuted basis yet",
     "detline.DetLine.canonical": "ROADMAP item 1: the canonical form of a permuted, gauged line",
-    "detline.hodge_dual_iso": "ROADMAP item 1 may use it for the dual line, else item 6 retires it",
     "fock.enumerate_states": "perfbench's size probe and the graded-basis oracle of test_fock.py",
+    "spectral.Spectrum.eigenvalues": "the array view the oracles of test_spectral.py read",
 }
-REACHED_MODULES = ("caloron", "detline", "fock")
-
 
 def public_definitions(source):
     """{name: first line} of the module-level public functions and public classes' public methods.
@@ -130,29 +131,47 @@ def test_scanner_lists_public_functions_and_methods():
     assert public_definitions(source) == {"go": 1, "Kit.part": 6}
 
 
-def test_batteries_reach_every_public_caloron_and_detline_name():
-    import gerbetool.cli as cli
+def clear_caches(modules):
+    """Empty every cache the modules hold, on module-level functions and on methods.
 
-    modules = [importlib.import_module(f"gerbetool.{name}") for name in REACHED_MODULES]
-    # a cached function that earlier tests filled is not called again
+    A cached function that earlier tests filled is not called again, so the
+    profile would miss it and every function it calls.
+    """
     for module in modules:
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                if hasattr(member, "cache_clear"):
+                    member.cache_clear()
+
+
+def test_cache_clearing_reaches_cached_methods():
+    from gerbetool.liealg import Representation
+
+    Representation.adjoint(2).coefficient_map()
+    assert Representation.coefficient_map.cache_info().currsize >= 1
+    clear_caches([importlib.import_module("gerbetool.liealg")])
+    assert Representation.coefficient_map.cache_info().currsize == 0
+
+
+def test_commands_reach_every_public_name():
+    import gerbetool.cli as cli
+
+    modules = [importlib.import_module(f"gerbetool.{path.stem}") for path in MODULES]
+    clear_caches(modules)
     profile = cProfile.Profile()
-    for command in ["caloron", "pairing", "cover", "cocycle", "fock"]:
-        job = cli.validate_scenario({"command": command, "params": {}, "seed": 1})[:3]
-        report = profile.runcall(cli.run_scenario, *job)
-        assert report["status"] == "pass", command
+    # every command but `all`, which runs the others' batteries again
+    commands = [name for name in cli.COMMANDS if name != "all"]
+    for argv in [[command] for command in commands] + [["schema"]]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert profile.runcall(cli.main, argv) == 0, argv
     called = {(path, line) for path, line, _ in pstats.Stats(profile).stats}
     unreached = []
-    for name, module in zip(REACHED_MODULES, modules):
-        path = module.__file__
-        source = Path(path).read_text(encoding="utf-8")
+    for source, module in zip(MODULES, modules):
         unreached += [
-            f"{name}.{qualname}"
-            for qualname, line in public_definitions(source).items()
-            if (path, line) not in called
+            f"{source.stem}.{qualname}"
+            for qualname, line in public_definitions(source.read_text(encoding="utf-8")).items()
+            if (module.__file__, line) not in called
         ]
     assert sorted(unreached) == sorted(UNREACHED)
 

@@ -36,6 +36,7 @@ from gerbetool.errors import (
 from gerbetool.presets import diagonal_holonomy
 from gerbetool.spectral import (
     _MAX_STEP,
+    _unitary,
     Holonomy,
     SpectralCut,
     Spectrum,
@@ -541,11 +542,14 @@ class TestHolonomyFiniteness:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("special", [False, True])
     def test_non_finite_entry_rejected(self, bad, special):
-        # nan > tolerance is False, so a NaN defect once passed the check
+        # nan > tolerance is False, so a NaN defect once passed the check;
+        # special takes the check that also bounds |det U - 1|, as the
+        # moduli generators and conjugating elements do
         u = np.eye(2, dtype=complex)
         u[1, 1] = bad
+        tol = Holonomy.tolerance
         with pytest.raises(ValidationError, match="not unitary"):
-            Holonomy(u, special=special)
+            _unitary(u, tol, "holonomy", tol) if special else Holonomy(u)
 
     @pytest.mark.parametrize(
         "build",
