@@ -1,7 +1,7 @@
 """Sampled connections on S1 x T^d, read directly as caloron-side data.
 
-A connection is stored as real su(n) coefficient arrays (trailing axis
-n^2 - 1 in the liealg.su_basis frame): phi, the dtheta component, is
+A connection is stored as real su(n) coefficient arrays, coefficient axis
+first (n^2 - 1 in the liealg.su_basis frame): phi, the dtheta component, is
 the Higgs field of the caloron correspondence, and a holds the d base
 components, which at fixed theta are the loop-algebra gauge field.  The
 correspondence is this reading of the same arrays, so no second type is
@@ -10,10 +10,10 @@ F_ab = d_a A_b - d_b A_a + [A_a, A_b] and mixed components
 G_a = dtheta A_a - d_a Phi + [Phi, A_a]; theta-derivatives are spectral,
 base derivatives 4th-order central.
 
-An analytic family returns each field as real coefficients in the same
-frame, and sample_connection broadcasts them to the grid, rejecting a
-field that is complex, non-finite or of another trailing length, so no
-matrix sample is formed between a family and the forms.  The pipelines
+An analytic family returns each field as real coefficients (..., n^2 - 1),
+and sample_connection broadcasts them to the grid and moves the axis first,
+rejecting a field that is complex, non-finite or of another trailing length,
+so no matrix sample is formed between a family and the forms.  The pipelines
 work on the coefficients: the bracket sums the nonzero a < b terms of the
 structure constants, <X, Y> = -trace(XY) is 2 c(X).c(Y), and the forms are
 real by construction.  A representation acts by one real product with its
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class AnalyticConnection:
 
     phi(theta, xs) and base(theta, xs, axis) take broadcastable coordinate
     arrays and return real su(n) coefficient arrays (..., n^2 - 1) in the
-    liealg.su_basis frame, broadcastable to the grid; n is the matrix size.
+    liealg.su_basis frame (axis last), broadcastable to the grid; n is the matrix size.
     """
 
     n: int
@@ -118,11 +119,12 @@ class AnalyticConnection:
 class LatticeConnection:
     """Connection samples on a uniform grid over S1 x T^d, as su(n) coefficients.
 
-    phi has shape (P, M', ..., M', n^2 - 1) and a has shape (d, P, M', ...,
-    M', n^2 - 1), where M' = base_points + 2*ghost_margin.  A nonzero ghost
-    margin means the base arrays were sampled from a covering-space formula:
-    edge cells are valid samples, not periodic wraps, and derived forms
-    carry the margin so that norms and integrals skip stencil-polluted cells.
+    phi has shape (n^2 - 1, P, M', ..., M') and a (d, n^2 - 1, P, M', ...,
+    M'), M' = base_points + 2*ghost_margin, so each phi[c] and a[x, c] is a
+    contiguous grid array.  A nonzero ghost margin means the base arrays
+    were sampled from a covering-space formula: edge cells are valid samples,
+    not periodic wraps, and derived forms carry the margin so that norms and
+    integrals skip stencil-polluted cells.
     """
 
     n: int
@@ -143,9 +145,9 @@ class LatticeConnection:
             self.ghost_margin,
         )
         ext = self.base_points + 2 * self.ghost_margin
-        want_phi = (self.theta_points,) + (ext,) * self.base_dim + (self.n * self.n - 1,)
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
+        want_phi = (self.n * self.n - 1, self.theta_points) + (ext,) * self.base_dim
+        self.phi = np.ascontiguousarray(self.phi, dtype=float)
+        self.a = np.ascontiguousarray(self.a, dtype=float)
         if self.phi.shape != want_phi:
             raise ArgumentError(f"phi shape {self.phi.shape}, expected {want_phi}")
         if self.a.shape != (self.base_dim,) + want_phi:
@@ -157,13 +159,14 @@ class LatticeConnection:
         return 1.0 / self.base_points
 
     def resample(self, theta_points=None, base_points=None):
+        """The family sampled again; only None keeps a count (0 meets check_grid)."""
         if self.family is None:
             raise ArgumentError("connection has no analytic family to resample from")
         return sample_connection(
             self.family,
             self.base_dim,
-            theta_points or self.theta_points,
-            base_points or self.base_points,
+            self.theta_points if theta_points is None else theta_points,
+            self.base_points if base_points is None else base_points,
             ghost_margin=self.ghost_margin,
         )
 
@@ -183,14 +186,14 @@ def _grid_coords(base_dim, theta_points, base_points, ghost_margin):
 def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=0):
     """Evaluate an analytic family on the (theta, base) grid, one field at a time.
 
-    Each field is broadcast to the grid as it is; a field that is complex,
-    non-finite or not (..., n^2 - 1) raises ConsistencyError.
+    Each field is broadcast to the grid as it is, then its axis moved first;
+    a field that is complex, non-finite or not (..., n^2 - 1) raises ConsistencyError.
     """
     check_grid(theta_points, base_points, base_dim, family.n, ghost_margin)
     th, *xs = _grid_coords(base_dim, theta_points, base_points, ghost_margin)
-    ext = base_points + 2 * ghost_margin
+    grid = (theta_points,) + (base_points + 2 * ghost_margin,) * base_dim
     m = family.n * family.n - 1
-    fields = np.empty((1 + base_dim, theta_points) + (ext,) * base_dim + (m,))
+    fields = np.empty((1 + base_dim, m) + grid)
 
     def fill(out, samples, what):
         samples = np.asarray(samples)
@@ -203,7 +206,7 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
                 f"family {family.label!r}: {what} is not a finite real (..., {m}) "
                 f"coefficient field, got {samples.dtype} {samples.shape}"
             )
-        out[...] = samples
+        out[...] = np.moveaxis(np.broadcast_to(samples, grid + (m,)), -1, 0)
 
     fill(fields[0], family.phi(th, xs), "phi")
     for axis in range(base_dim):
@@ -239,24 +242,30 @@ def _bracket_terms(n):
 
 
 def _bracket(x, y, n):
-    """[X, Y] on su(n) coefficient arrays: sum over a < b of (x_a y_b - x_b y_a) f_abc."""
+    """[X, Y] on coefficient-leading su(n) arrays: sum over a < b of (x_a y_b - x_b y_a) f_abc."""
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
     for a, b, cs in _bracket_terms(n):
-        cross = x[..., a] * y[..., b]
-        cross -= x[..., b] * y[..., a]
+        cross = x[a] * y[b]
+        cross -= x[b] * y[a]
         for c, f in cs:
-            out[..., c] += f * cross
+            out[c] += f * cross
     return out
 
 
+def _push(x, m):
+    """Coefficient-leading su(n) fields x pushed through the coefficient map m, in one product."""
+    return (m.T @ x.reshape(len(x), -1)).reshape(m.shape[1:] + x.shape[1:])
+
+
 def _circle_pairing(x, y):
-    """Circle sum of <X, Y> = 2 x.y, over axis 0 and the coefficient axis."""
-    return np.einsum("t...a,t...a->...", x, y) * 2.0
+    """Circle sum of <X, Y> = 2 x.y, over the coefficient axis 0 and the circle axis 1."""
+    return np.einsum("at...,at...->...", x, y) * 2.0
 
 
 class _Run:
     """Fields, dtheta A and curvature of su(n) coefficients on one run of circle points.
 
+    Arrays are (n^2 - 1, run, M', ...), base axis x at array axis 2 + x;
     base holds F_ab (a < b); mixed, F_{theta a}, is built when first read,
     so a pass that reads only the curving never builds it.
     """
@@ -266,26 +275,21 @@ class _Run:
         self.n, self.spacing = n, spacing
         self.base = {}
         for x, y in itertools.combinations(range(len(a)), 2):
-            f_xy = self.base[(x, y)] = central_diff4(a[y], 1 + x, spacing)
-            f_xy -= central_diff4(a[x], 1 + y, spacing)
+            f_xy = self.base[(x, y)] = central_diff4(a[y], 2 + x, spacing)
+            f_xy -= central_diff4(a[x], 2 + y, spacing)
             f_xy += _bracket(a[x], a[y], n)
 
     @functools.cached_property
     def mixed(self):
-        comps = {
-            x: d - central_diff4(self.phi, 1 + x, self.spacing)
-            for x, d in enumerate(self.d_theta_a)
-        }
+        comps = {x: d - central_diff4(self.phi, 2 + x, self.spacing) for x, d in enumerate(self.d_theta_a)}
         for x, c in comps.items():
             c += _bracket(self.phi, self.a[x], self.n)
         return comps
 
     def pushed(self, m, dim):
-        """The run of the fields pushed through the coefficient map m, in su(dim).
-
-        dtheta (A m) = (dtheta A) m, so no derivative is taken again.
-        """
-        return _Run(self.phi @ m, self.a @ m, [d @ m for d in self.d_theta_a], dim, self.spacing)
+        """The run of the fields pushed through the coefficient map m into su(dim); dtheta commutes with m."""
+        a, d_theta_a = ([_push(x, m) for x in fields] for fields in (self.a, self.d_theta_a))
+        return _Run(_push(self.phi, m), a, d_theta_a, dim, self.spacing)
 
 
 def _curvature_slices(conn):
@@ -294,13 +298,13 @@ def _curvature_slices(conn):
     This is the one curvature pass: only dtheta A, which couples the circle
     points, is taken on the full grid, one base component at a time; each
     run slices it and builds F_ab (and, when read, F_{theta a}) on the
-    run's points alone.
+    run's points alone.  A run's fields are views of the connection.
     """
-    d_theta_a = [spectral_theta_derivative(a_x, axis=0) for a_x in conn.a]
-    width = max(1, _RUN_CELLS // math.prod(conn.phi.shape[1:-1]))
+    d_theta_a = [spectral_theta_derivative(a_x, axis=1) for a_x in conn.a]
+    width = max(1, _RUN_CELLS // math.prod(conn.phi.shape[2:]))
     for t in range(0, conn.theta_points, width):
         s = slice(t, t + width)
-        yield _Run(conn.phi[s], conn.a[:, s], [d[s] for d in d_theta_a], conn.n, conn.spacing())
+        yield _Run(conn.phi[:, s], conn.a[:, :, s], [d[:, s] for d in d_theta_a], conn.n, conn.spacing())
 
 
 def _circle_means(conn, forms):
@@ -329,7 +333,7 @@ def _curving(run):
 def _density(mixed, base, ghost_margin, m=None):
     """Circle sum of the density -(1/4 pi^2) <F ^ G> as a 3-form, F pushed by m if given."""
     if m is not None:
-        mixed, base = ({k: v @ m for k, v in c.items()} for c in (mixed, base))
+        mixed, base = ({k: _push(v, m) for k, v in c.items()} for c in (mixed, base))
     total = (
         _circle_pairing(base[(0, 1)], mixed[2])
         - _circle_pairing(base[(0, 2)], mixed[1])
@@ -400,17 +404,22 @@ class CurvaturePass:
         order between base grids M and refine_factor*M).  The identity is
         exact in the continuum, so the residual is pure discretization error
         and the order reflects the base stencils; a fine residual under the
-        roundoff floor (_ROUNDOFF_FLOOR) reads order inf.  The refined grid
-        is resampled from the connection's analytic family and swept here,
-        once per call; needs a 3-dimensional base.
+        roundoff floor (_ROUNDOFF_FLOOR) reads order inf, and a residual or
+        field that is not finite reads order NaN.  The refined grid is
+        resampled from the connection's analytic family and swept here, once
+        per call; needs a 3-dimensional base and an integer refine_factor >= 2.
         """
         conn = self.conn
         _require_base3(conn, "the identity compares 3-forms")
+        if not isinstance(refine_factor, numbers.Integral) or refine_factor < 2:
+            raise ArgumentError(f"refine factor must be an integer >= 2, got {refine_factor!r}")
         fine = CurvaturePass(conn.resample(base_points=refine_factor * conn.base_points))
         res_coarse, res_fine = (
             (p.density - p.curving.exterior_derivative()).max_norm() for p in (self, fine)
         )
-        scale = max(np.abs(conn.phi).max(), np.abs(conn.a).max())
+        scale = np.maximum(np.abs(conn.phi).max(), np.abs(conn.a).max())  # max() drops a NaN
+        if not np.isfinite([res_coarse, res_fine, scale]).all():
+            return res_coarse, math.nan
         if res_fine <= _ROUNDOFF_FLOOR * np.finfo(float).eps * scale**2 * max(scale, 1.0):
             return res_coarse, math.inf
         return res_coarse, math.log(res_coarse / res_fine, refine_factor)

@@ -41,7 +41,8 @@ def central_diff4(arr, axis, spacing):
     """4th-order central difference with periodic wrap-around, from one padded copy."""
     p = np.shape(arr)[axis]
     a = np.moveaxis(np.take(arr, np.arange(-2, p + 2), axis=axis, mode="wrap"), axis, 0)
-    out = -a[4:] + 8.0 * a[3:-1]  # a[k : k + p] holds arr[i + k - 2]
+    out = 8.0 * a[3:-1]  # a[k : k + p] holds arr[i + k - 2]
+    out -= a[4:]  # rounds as -a[4:] + 8 a[3:-1] would: IEEE addition commutes
     out -= 8.0 * a[1:-3]
     out += a[:-4]
     out /= 12.0 * spacing

@@ -244,6 +244,21 @@ def su_matrices(coeffs, n):
     return flat.view(complex).reshape(coeffs.shape[:-1] + (n, n))
 
 
+def trailing(coeffs):
+    """A coefficient-leading array (n^2 - 1, ...) with its coefficient axis moved last."""
+    return np.moveaxis(coeffs, 0, -1)
+
+
+def leading(coeffs):
+    """A coefficient array (..., n^2 - 1) with its coefficient axis moved first."""
+    return np.moveaxis(coeffs, -1, 0)
+
+
+def trailing_bracket(x, y, n):
+    """_bracket on coefficient arrays (..., n^2 - 1), the axis moved at the boundary."""
+    return trailing(_bracket(leading(x), leading(y), n))
+
+
 def curvature_matrices(conn):
     """(mixed, base): F_{theta a} and F_ab (a < b) of one curvature pass, as matrix samples.
 
@@ -252,7 +267,10 @@ def curvature_matrices(conn):
     """
     runs = list(_curvature_slices(conn))
     return tuple(
-        {k: su_matrices(np.concatenate([c[k] for c in comps]), conn.n) for k in comps[0]}
+        {
+            k: su_matrices(trailing(np.concatenate([c[k] for c in comps], axis=1)), conn.n)
+            for k in comps[0]
+        }
         for comps in ([run.mixed for run in runs], [run.base for run in runs])
     )
 
@@ -322,10 +340,10 @@ class TestCurvature:
         # at cell (4, 4, 4) F_02 reads a_2 only through [A_0, A_2]: the
         # stencil d_0 A_2 skips the centre and d_2 A_0 does not read A_2
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        conn.a[2, 0, 4, 4, 4, 0] = math.nan
+        conn.a[2, 0, 0, 4, 4, 4] = math.nan
         _, base = curvature_matrices(conn)
         assert np.isnan(base[(0, 2)][0, 4, 4, 4]).any()
-        stencil = central_diff4(conn.a[2], 1, conn.spacing())
+        stencil = central_diff4(trailing(conn.a[2]), 1, conn.spacing())
         assert np.isfinite(stencil[0, 4, 4, 4]).all()
         forms = CurvaturePass(conn)
         assert math.isnan(forms.curving.max_norm())
@@ -376,7 +394,17 @@ class TestRebagging:
     def test_mismatched_shapes_rejected(self):
         conn = connection_preset("zero", theta_points=8, base_points=8)
         with pytest.raises(ArgumentError, match="shape"):
-            LatticeConnection(2, 3, 8, 8, conn.phi[:4], conn.a)
+            LatticeConnection(2, 3, 8, 8, conn.phi[:, :4], conn.a)
+
+    def test_resample_keeps_a_count_only_for_none(self):
+        # `0 or 8` is 8: a zero count was once read as "keep" and returned the input grid
+        conn = connection_preset("zero", theta_points=8, base_points=8)
+        with pytest.raises(ResolutionError, match="5-point stencil"):
+            conn.resample(base_points=0)
+        with pytest.raises(ValidationError, match="circle points"):
+            conn.resample(theta_points=0)
+        kept = conn.resample()
+        assert (kept.theta_points, kept.base_points) == (8, 8)
 
 
 class TestBField:
@@ -469,7 +497,7 @@ class TestDensityAndIdentity:
         calls = []
 
         def counting(arr, axis=0):
-            calls.append(arr.shape[1])
+            calls.append(arr.shape[2])
             return spectral_theta_derivative(arr, axis=axis)
 
         monkeypatch.setattr("gerbetool.caloron.spectral_theta_derivative", counting)
@@ -526,6 +554,22 @@ class TestDensityAndIdentity:
         res, order = CurvaturePass(conn).identity_check()
         assert res == 0.0
         assert order == math.inf
+
+    @pytest.mark.parametrize("name, amplitude", [("zero", 0.7), ("su2-family", 1e-12)])
+    def test_nan_sample_reads_a_nan_order(self, name, amplitude):
+        # the refined grid is resampled clean from the family and its residual
+        # falls under the roundoff floor; the coarse NaN once read as order inf
+        conn = connection_preset(name, theta_points=8, base_points=8, amplitude=amplitude)
+        conn.a[2, 0, 0, 4, 4, 4] = math.nan
+        res, order = CurvaturePass(conn).identity_check()
+        assert math.isnan(res) and math.isnan(order)
+
+    @pytest.mark.parametrize("factor", [1, 0, 1.5])
+    def test_refine_factor_is_an_integer_of_at_least_two(self, factor):
+        # these raised ZeroDivisionError, ValueError and TypeError
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        with pytest.raises(ArgumentError, match="refine factor must be an integer >= 2"):
+            CurvaturePass(conn).identity_check(factor)
 
     def test_identity_needs_periodic_sampling(self):
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
@@ -602,15 +646,15 @@ class TestBatchedKernels:
         x, y = random_su(rng, (samples, 5, 4), n), random_su(rng, (samples, 5, 4), n)
         (cx, _), (cy, _) = su_coefficients(x), su_coefficients(y)
         want = x @ y - y @ x
-        got = su_matrices(_bracket(cx, cy, n), n)
+        got = su_matrices(trailing_bracket(cx, cy, n), n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        single = su_matrices(_bracket(cx[0, 0, 0], cy[0, 0, 0], n), n)
+        single = su_matrices(trailing_bracket(cx[0, 0, 0], cy[0, 0, 0], n), n)
         assert np.abs(single - want[0, 0, 0]).max() <= 1e-13 * np.abs(want).max()
 
     def test_su2_bracket_is_the_cross_product(self):
         # f_abc = 2 eps_abc: the a < b terms are the cross product's, bit for bit
         x, y = np.random.default_rng(60).standard_normal((2, 4096, 3))
-        assert np.array_equal(_bracket(x, y, 2), np.cross(x, y) * 2.0)
+        assert np.array_equal(trailing_bracket(x, y, 2), np.cross(x, y) * 2.0)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_bracket_matches_the_full_contraction(self, n):
@@ -619,7 +663,7 @@ class TestBatchedKernels:
         x, y = np.random.default_rng(70 + n).standard_normal((2, 5, 64, m))
         outer = (x[..., :, None] * y[..., None, :]).reshape(x.shape[:-1] + (m * m,))
         want = outer @ su_structure_constants(n).reshape(m * m, m)
-        got = _bracket(x, y, n)
+        got = trailing_bracket(x, y, n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -809,6 +853,28 @@ class TestGrids:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_central_diff4_matches_the_negated_first_form_bit_for_bit(self, dtype):
+        # the stencil once began -a[4:] + 8 a[3:-1]; 8 a[3:-1] - a[4:] rounds the same
+        def negated_first(arr, axis, spacing):
+            p = arr.shape[axis]
+            a = np.moveaxis(np.take(arr, np.arange(-2, p + 2), axis=axis, mode="wrap"), axis, 0)
+            out = -a[4:] + 8.0 * a[3:-1]
+            out -= 8.0 * a[1:-3]
+            out += a[:-4]
+            out /= 12.0 * spacing
+            return np.moveaxis(out, 0, axis)
+
+        rng = np.random.default_rng(90)
+        shape = (3, 2, 5, 6, 7)
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        if dtype is complex:
+            arr = arr + 1j * rng.standard_normal(shape)
+        for axis in range(len(shape)):
+            got, want = central_diff4(arr, axis, 0.37), negated_first(arr, axis, 0.37)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_double_exterior_derivative_vanishes(self):
         m = 16
         xs = np.arange(m) / m
@@ -881,9 +947,12 @@ class TestCoefficientMap:
         x, y = rng.standard_normal((2, 64, n * n - 1))
         for rho in (Representation.fundamental(n), Representation.adjoint(n)):
             m = rho.coefficient_map()
-            want = _bracket(x, y, n) @ m
-            got = _bracket(x @ m, y @ m, rho.dim)
+            want = trailing_bracket(x, y, n) @ m
+            got = trailing_bracket(x @ m, y @ m, rho.dim)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            # the push of coefficient-leading fields is the trailing product x @ m
+            pushed = trailing(caloron._push(leading(x.reshape(4, 16, -1)), m)).reshape(64, -1)
+            assert np.abs(pushed - x @ m).max() <= 1e-15 * np.abs(x @ m).max()
 
     def test_density_matches_the_matrix_route(self):
         conn = connection_preset("su2-family", theta_points=12, base_points=16)
@@ -891,7 +960,7 @@ class TestCoefficientMap:
         mixed, base = curvature_matrices(conn)
 
         def through_images(comps):
-            return {k: su_coefficients(rho.matrix_image(v))[0] for k, v in comps.items()}
+            return {k: leading(su_coefficients(rho.matrix_image(v))[0]) for k, v in comps.items()}
 
         # _density returns the circle sum; the pipeline divides by the point count
         want = _density(through_images(mixed), through_images(base), 0)
@@ -932,7 +1001,7 @@ class TestCoefficientMap:
         family = AnalyticConnection(2, phi, base, "counted")
         conn = sample_connection(family, base_dim, 8, 8)
         assert calls == ["phi"] + list(range(base_dim))
-        assert conn.phi.shape == (8,) + (8,) * base_dim + (3,)
+        assert conn.phi.shape == (3, 8) + (8,) * base_dim
         assert conn.a.shape == (base_dim,) + conn.phi.shape
         assert conn.phi.dtype == conn.a.dtype == float
 
@@ -1026,3 +1095,58 @@ class TestOneCurvaturePass:
         conn = sample_connection(preset_family("su2-family"), 3, 8, 6, 2)
         with pytest.raises(ArgumentError, match="periodic"):
             CurvaturePass(conn)
+
+
+class TestLayout:
+    """The fields are coefficient-leading: each coefficient one contiguous grid array."""
+
+    def test_each_coefficient_is_a_contiguous_grid(self):
+        conn = connection_preset("su2-family", theta_points=8, base_points=6)
+        assert conn.phi.shape == (3, 8, 6, 6, 6) and conn.a.shape == (3, 3, 8, 6, 6, 6)
+        # a connection built from Fortran-ordered arrays stores C-ordered copies
+        fortran = LatticeConnection(2, 3, 8, 6, np.asfortranarray(conn.phi), np.asfortranarray(conn.a))
+        assert np.array_equal(fortran.phi, conn.phi) and np.array_equal(fortran.a, conn.a)
+        for each in (conn, fortran):
+            for c in range(3):
+                assert each.phi[c].flags.c_contiguous
+                assert all(each.a[x, c].flags.c_contiguous for x in range(3))
+
+    @pytest.mark.parametrize("theta_points, base_points, widths", [(12, 16, [1] * 12), (40, 5, [32, 8])])
+    def test_runs_are_views_of_the_connection(self, theta_points, base_points, widths):
+        # 16^3 cells give one circle point per run; 5^3 cells give runs of 32
+        conn = connection_preset("su2-family", theta_points, base_points)
+        runs = list(_curvature_slices(conn))
+        assert [run.phi.shape[1] for run in runs] == widths
+        start = 0
+        for run, width in zip(runs, widths):
+            s = slice(start, start + width)
+            start += width
+            assert np.shares_memory(run.phi, conn.phi) and np.shares_memory(run.a, conn.a)
+            assert np.array_equal(run.phi, conn.phi[:, s]) and np.array_equal(run.a, conn.a[:, :, s])
+            for field in (run.phi, *run.a, *run.d_theta_a):
+                assert all(c.flags.c_contiguous for c in field)
+
+    def test_sampling_places_every_field_shape(self):
+        # a family may return one coefficient vector (m,), a circle profile
+        # (P, 1, 1, 1, m) or the full grid; each lands coefficient first
+        coeffs = np.array([1.0, 2.0, 3.0])
+
+        def phi(th, xs):
+            return coeffs
+
+        def base(th, xs, axis):
+            if axis == 0:
+                return th[..., None] * coeffs
+            full = th + xs[0] + 10.0 * xs[1] + 100.0 * xs[2]
+            return full[..., None] * (coeffs + axis)
+
+        conn = sample_connection(AnalyticConnection(2, phi, base, "shapes"), 3, 8, 6)
+        th, x = np.arange(8) / 8, np.arange(6) / 6
+        profile = th[:, None, None, None]
+        full = profile + x[:, None, None] + 10.0 * x[:, None] + 100.0 * x
+        grid = (8, 6, 6, 6)
+        for c in range(3):
+            assert np.array_equal(conn.phi[c], np.full(grid, coeffs[c]))
+            assert np.array_equal(conn.a[0, c], np.broadcast_to(profile * coeffs[c], grid))
+            for axis in (1, 2):
+                assert np.array_equal(conn.a[axis, c], full * (coeffs[c] + axis))

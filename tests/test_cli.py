@@ -271,8 +271,9 @@ class TestReports:
 
 
     def test_any_raised_exception_is_a_named_fail(self, capsys):
-        # refine_factor 1 divides by log(1) in the order estimate; the
-        # schema forbids it, so the battery is run past validate_scenario
+        # identity_check refuses refine_factor 1, which divided by log(1) in
+        # the order estimate; the schema forbids it, so the battery is run
+        # past validate_scenario
         _, params, seed, _ = validate_scenario(
             {"command": "caloron", "params": {"theta_points": 9, "base_points": 8}}
         )
@@ -281,7 +282,7 @@ class TestReports:
         assert record["status"] == "fail" and record["residual"] == 1e300
         assert report["status"] == "fail"
         err = capsys.readouterr().err
-        assert "check 'ms-identity-order' raised ZeroDivisionError" in err
+        assert "check 'ms-identity-order' raised ArgumentError: refine factor" in err
 
     @staticmethod
     def projective_on_the_battery_window(t):
@@ -419,7 +420,7 @@ class TestReports:
         calls = []
 
         def counting(arr, axis=0):
-            calls.append(arr.shape[1])
+            calls.append(arr.shape[2])
             return real(arr, axis=axis)
 
         monkeypatch.setattr(caloron, "spectral_theta_derivative", counting)
