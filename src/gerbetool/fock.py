@@ -31,8 +31,13 @@ smallest row set that holds its columns and is closed under the matrix's
 column -> row entries.  Every other row of exp(t*mat) @ block is exactly 0,
 so the principal submatrix on that set, stored as a padded row table, gives
 the same kept rows, summed in the same column order.
-Each truncated current, safe probe block and image of such a block under a
-current is built once per key and shared, with read-only arrays.
+Equal (mask, column) keys are summed after one stable sort of an int64 key,
+the column times the number of distinct masks plus the mask's rank.
+Each truncated current and safe probe block is built once per key and
+shared, with read-only arrays.  commutator_check is the one entry point of
+the central-extension identity: it takes any number of index tuples,
+builds each current's image of a safe block once per call, and sums the
+tuples in batches of at most MAX_BATCH_ENTRIES hop-kernel entries.
 """
 
 from dataclasses import dataclass
@@ -58,6 +63,16 @@ from .spectral import rational
 # an int64 occupation mask may use, clear of the sign bit.
 MAX_BASIS_DIM = 50_000
 MASK_BITS = 62
+# Cost model of one commutator_check batch: the hop-kernel entries (keys x
+# hops of each operator on its inputs, plus the scalar parts) of the tuples
+# summed in one _sum_keys call.  The CLI's default sweep (400 tuples on a
+# 352-state basis), warm, median of three medians of 5 on a 2-core x86 VM:
+#   batch bound (entries)    1    2**15  2**16  2**17  2**18  2**19
+#   time (ms)              167      115    113     98    111     97
+#   tracemalloc peak (MB)  1.2      1.2    2.5    4.0    7.8   11.4
+# A bound of 1 sums each tuple alone.  Past 2**17 (9 to 16 tuples a batch
+# at margins 0 to 2) the time is flat and the peak keeps doubling.
+MAX_BATCH_ENTRIES = 2**17
 # One Taylor exponential of a probe block may cost at most this many
 # multiply-adds: steps * degree sparse products, each nnz * block columns
 # plus a fixed call cost of the order of 10 us, counted as _PRODUCT_OVERHEAD.
@@ -201,10 +216,28 @@ def _sum_keys(parts):
 
     Equal keys are added one by one in the order the parts list them, as a
     CSR matrix sums its duplicates (np.add.reduceat adds a run of 8 or more
-    pairwise, which rounds non-integer sums differently).
+    pairwise, which rounds non-integer sums differently).  The order is one
+    stable sort of cols * len(uniq) + ids, ids the dense ranks of the masks:
+    the permutation of np.lexsort((masks, cols)), from one sort of int64.
     """
     masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
-    order = np.lexsort((masks, cols))
+    uniq, ids = np.unique(masks, return_inverse=True)
+    # The key is below (cols.max() + 1) * len(uniq), and len(uniq) is at most
+    # the entry count E, so (cols.max() + 1) * E <= 2**63 suffices.  Per caller:
+    # - _compress sorts (basis column, row) pairs, both < MAX_BASIS_DIM: the
+    #   key is below MAX_BASIS_DIM**2 < 2**32;
+    # - apply, cut_shift_check and central_term_check take one operator to a
+    #   vacuum or safe block: cols < MAX_BASIS_DIM, and each of at most
+    #   MAX_BASIS_DIM keys gives at most MASK_BITS**2 + 1 entries (one per
+    #   distinct slot pair, and the scalar): below 2**44;
+    # - car_residual weights label pairs into the column: cols <
+    #   MAX_BASIS_DIM * MASK_BITS**2, with at most one entry per column in
+    #   each of three parts: below 3 * (MAX_BASIS_DIM * MASK_BITS**2)**2 < 2**57;
+    # - commutator_check sums a batch: cols and E are both below the batch's
+    #   entry count, at most MAX_BATCH_ENTRIES unless one tuple is the batch;
+    #   then cols < MAX_BASIS_DIM and, with at most MASK_BITS hops a current,
+    #   E <= MAX_BASIS_DIM * (2 * MASK_BITS**2 + 6 * MASK_BITS + 5): below 2**45.
+    order = np.argsort(cols * len(uniq) + ids, kind="stable")
     masks, cols, amps = masks[order], cols[order], amps[order]
     first = np.ones(len(masks), dtype=bool)
     first[1:] = (masks[1:] != masks[:-1]) | (cols[1:] != cols[:-1])
@@ -497,48 +530,76 @@ def _current(i, j, n, window, lam):
     return SparseOperator(window, tuple(hops), scalar)
 
 
-def commutator_check(i, j, k, l, m, n, window, pair_cap=2):
-    """Max-norm residual of the central-extension commutator on the safe subspace.
+def commutator_check(window, tuples, pair_cap=2):
+    """Worst max-norm residual of the central-extension commutator over tuples.
 
+    For each (i, j, k, l, m, n) of `tuples`,
     [sigma(e^{ij}_m), sigma(e^{kl}_n)] - delta^{jk} sigma(e^{il}_{m+n})
     + delta^{il} sigma(e^{kj}_{m+n}) - delta^{jk} delta^{il} m delta_{m+n,0}
     must vanish exactly (amplitudes are signed integers) on states whose
     excitations stay |m|+|n| modes clear of the window boundary.  The probe
     basis caps the excitation count at pair_cap; the identity itself is
-    count-independent.  The images of the safe block under the two currents
-    are cached (_block_image), the right-hand terms add their images, and no
-    operator sum is built.
+    count-independent.
+
+    The tuples are grouped by margin |m|+|n|, and each current's image of
+    the margin's safe block is built once per call, keyed by the operator
+    object that sigma returns.  Tuples of one margin are summed in batches
+    of at most MAX_BATCH_ENTRIES hop-kernel entries (a lone larger tuple is
+    its own batch): tuple t of a batch owns the columns from t * len(block),
+    each operator acts once on all of the batch's inputs to it, and one
+    _sum_keys call sums the batch.  A NaN in any batch survives.
     """
-    margin = abs(m) + abs(n)
-    block = _safe_block(window, pair_cap, margin)
-    ops = sigma(i, j, m, window), sigma(k, l, n, window)
-    parts = _commutator_parts(*ops, *(_block_image(op, pair_cap, margin) for op in ops))
-    if j == k:
-        parts += sigma(i, l, m + n, window)._image_parts(block, -1.0)
-    if i == l:
-        parts += sigma(k, j, m + n, window)._image_parts(block)
-    if j == k and i == l and m + n == 0:
-        parts += SparseOperator.identity(window, float(m))._image_parts(block, -1.0)
-    return _max_abs(_sum_keys(parts))
+    by_margin = {}
+    for t in tuples:
+        by_margin.setdefault(abs(t[4]) + abs(t[5]), []).append(t)
+    worst = 0.0
+    for margin, group in sorted(by_margin.items()):
+        block = _safe_block(window, pair_cap, margin)
+        images = {}
+        batches, entries = [[]], 0
+        for i, j, k, l, m, n in sorted(group, key=lambda t: t[4:]):
+            op_a, op_b = sigma(i, j, m, window), sigma(k, l, n, window)
+            for op in (op_a, op_b):
+                if op not in images:
+                    images[op] = op.apply(block)
+            # (operator, input block, sign) of each term
+            terms = [(op_a, images[op_b], 1.0), (op_b, images[op_a], -1.0)]
+            if j == k:
+                terms.append((sigma(i, l, m + n, window), block, -1.0))
+            if i == l:
+                terms.append((sigma(k, j, m + n, window), block, 1.0))
+            scalar = float(m) if j == k and i == l and m + n == 0 else 0.0
+            cost = len(block[0]) + sum(
+                len(x[0]) * (len(op.hops) + 1) for op, x, _ in terms
+            )
+            if batches[-1] and entries + cost > MAX_BATCH_ENTRIES:
+                batches.append([])
+                entries = 0
+            batches[-1].append((terms, scalar))
+            entries += cost
+        for batch in batches:
+            worst = np.maximum(worst, _max_abs(_sum_keys(_batch_parts(block, batch))))
+    return float(worst)
 
 
-@lru_cache(maxsize=256)
-def _block_image(op, pair_cap, margin):
-    """op applied to _safe_block(op.window, pair_cap, margin), equal keys summed.
+def _batch_parts(block, batch):
+    """Parts of a commutator batch: tuple t's terms shifted to the columns from t * len(block).
 
-    Keyed by the operator object itself (by identity; the cache holds it, so
-    no other operator can reuse the key), so an equal but rebuilt operator
-    gets its own image.  Shared by every check, so its arrays are read-only.
+    Each operator acts once, on its inputs of every tuple concatenated,
+    each input signed as its term is.
     """
-    image = op.apply(_safe_block(op.window, pair_cap, margin))
-    for arr in image:
-        arr.flags.writeable = False
-    return image
-
-
-def _commutator_parts(op_a, op_b, ax, bx):
-    """Parts of [op_a, op_b] applied to a block, from its images ax and bx under each."""
-    return op_a._image_parts(bx) + op_b._image_parts(ax, -1.0)
+    masks, cols, amps = block
+    inputs = {}
+    parts = []
+    for t, (terms, scalar) in enumerate(batch):
+        offset = t * len(masks)
+        for op, (x_masks, x_cols, x_amps), sign in terms:
+            inputs.setdefault(op, []).append((x_masks, x_cols + offset, sign * x_amps))
+        if scalar:
+            parts.append((masks, cols + offset, -scalar * amps))
+    for op, xs in inputs.items():
+        parts += op._image_parts(tuple(np.concatenate(x) for x in zip(*xs)))
+    return parts
 
 
 def central_term_check(window):
@@ -550,8 +611,9 @@ def central_term_check(window):
     probe = vacuum(window)
     worst = 0.0
     for m in (1, 2):
-        ops = sigma(1, 1, m, window), sigma(1, 1, -m, window)
-        masks, _, amps = _sum_keys(_commutator_parts(*ops, *(op.apply(probe) for op in ops)))
+        op_a, op_b = sigma(1, 1, m, window), sigma(1, 1, -m, window)
+        parts = op_a._image_parts(op_b.apply(probe)) + op_b._image_parts(op_a.apply(probe), -1.0)
+        masks, _, amps = _sum_keys(parts)
         worst = np.maximum(worst, abs(amps[masks == probe[0][0]].sum() - m))
     return float(worst)
 
@@ -572,15 +634,15 @@ def _transport_modes(window, mu):
 
 
 def bogoliubov_vacuum(window, mu):
-    """Transported vacuum |mu> = (prod_{lam<n<=mu} prod_i psi^i_n)|lam> as a block.
+    """Transported vacuum |mu> = (prod_{lam<n<=mu} prod_i psi^i_n)|lam> and its defects.
 
     The operator string is ordered modes ascending, colors ascending within
-    a mode, and applied right to left, one creator at a time.  The result is
-    verified to be one unit product state that satisfies both mu-vacuum
-    annihilation properties before being returned: the creators of every
-    slot below mu and the destroyers of every slot above it are each one
-    batched hop, and the first of them in slot order that does not
-    annihilate the state is named in the ConsistencyError.
+    a mode, and applied right to left, one creator at a time.  A result
+    that is not one unit product state raises ConsistencyError.  Returns
+    (block, unannihilated): the one-column block, and the names, in slot
+    order, of the creators of slots below mu and destroyers of slots above
+    it that do not annihilate the state; a mu-vacuum has none.  Each of the
+    two kinds is one batched hop.
     """
     mu, modes = _transport_modes(window, mu)
     one = np.ones(1)
@@ -596,13 +658,12 @@ def bogoliubov_vacuum(window, mu):
     # the slots, ascending, whose creator (below mu) or destroyer (above) acts
     creators = slots[_hop(masks, slots[:below], None)[1]]
     destroyers = slots[below:][_hop(masks, None, slots[below:])[1]]
+    unannihilated = []
     for kind, sign, acting in (("psi", 1, creators), ("psibar", -1, destroyers)):
-        if len(acting):
-            mode, c = divmod(int(acting[0]), window.n_colors)
-            raise ConsistencyError(
-                f"transported vacuum not annihilated by {kind}^{c + 1}_{sign * (mode - window.N)}"
-            )
-    return block
+        for slot in acting.tolist():
+            mode, c = divmod(slot, window.n_colors)
+            unannihilated.append(f"{kind}^{c + 1}_{sign * (mode - window.N)}")
+    return block, tuple(unannihilated)
 
 
 def cut_shift_check(i, j, n, window, mu, pair_cap=2):

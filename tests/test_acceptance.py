@@ -94,7 +94,7 @@ def test_criterion_3_central_extension_sweep():
         for i, j, k, l in itertools.product((1, 2), repeat=4):
             for m in range(-2, 3):
                 for n in range(-2, 3):
-                    worst = max(worst, commutator_check(i, j, k, l, m, n, window))
+                    worst = max(worst, commutator_check(window, [(i, j, k, l, m, n)]))
         assert worst == 0.0, worst
         w1 = FockWindow(1, 6, "1/2")
         for m in (1, 2):
@@ -106,7 +106,8 @@ def test_criterion_4_vacuum_transport_and_projective_factor():
     with gate(4, "transported vacuum, cut shift exact, projective <= 1e-10", 30.0):
         window = FockWindow(2, 4, "1/2")
         mu = Fraction(5, 2)
-        masks, _, amps = bogoliubov_vacuum(window, mu)
+        (masks, _, amps), unannihilated = bogoliubov_vacuum(window, mu)
+        assert unannihilated == ()
         vec = np.zeros(2**window.n_slots, dtype=complex)
         vec[masks] = amps
         # psi^c_mode creates slot (c, mode), psibar^c_mode destroys (c, -mode)

@@ -15,6 +15,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -221,15 +222,39 @@ class TestValidation:
         assert seed == 0 and out is None
 
 
-def nan_first_value(value):
-    return (math.nan, *value[1:]) if isinstance(value, tuple) else math.nan
+def nan_in_first_batch(monkeypatch):
+    """A NaN amplitude in the sum of commutator_check's first batch; returns the batches seen."""
+    real = fock._batch_parts
+    batches = []
+
+    def poisoned(block, batch):
+        parts = real(block, batch)
+        batches.append(len(batch))
+        if len(batches) == 1:
+            masks, cols, _ = block
+            parts = parts + [(masks[:1], cols[:1], np.array([math.nan]))]
+        return parts
+
+    monkeypatch.setattr(fock, "_batch_parts", poisoned)
+    return batches
 
 
-def nan_widest_phase(table):
-    # the line over the outermost cuts is the ratio's divisor in the
-    # triples (0, j, m - 1) only, none of them the first
-    table.phases[0, -1] = math.nan
-    return table
+def nan_widest_phase(monkeypatch):
+    """A NaN phase in the first CechTable the CLI builds; returns the tables built."""
+    real = cli.CechTable
+    tables = []
+
+    def poisoned(*args, **kwargs):
+        table = real(*args, **kwargs)
+        tables.append(table)
+        if len(tables) == 1:
+            # the line over the outermost cuts is the ratio's divisor in the
+            # triples (0, j, m - 1) only, none of them the first
+            table.phases[0, -1] = math.nan
+        return table
+
+    monkeypatch.setattr(cli, "CechTable", poisoned)
+    return tables
 
 
 class TestReports:
@@ -444,33 +469,21 @@ class TestReports:
         assert err.count("raised RuntimeError: no coefficient map") == 2
 
     @pytest.mark.parametrize(
-        "command, params, name, check, poison",
+        "command, params, name, plant",
         [
-            ("fock", {"n_max": 4, "sweep": 1}, "commutator-sweep", "commutator_check",
-             nan_first_value),
+            ("fock", {"n_max": 4, "sweep": 1}, "commutator-sweep", nan_in_first_batch),
             pytest.param(
-                "cocycle", {"suite": "trivial"}, "delta-triviality-u1-trivial", "CechTable",
-                nan_widest_phase,
+                "cocycle", {"suite": "trivial"}, "delta-triviality-u1-trivial", nan_widest_phase,
                 # the planted NaN phase divides the cocycle ratio
                 marks=pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning"),
             ),
         ],
         ids=["commutator-sweep", "cocycle-worst"],
     )
-    def test_nan_term_fails_its_accumulator(
-        self, monkeypatch, command, params, name, check, poison
-    ):
+    def test_nan_term_fails_its_accumulator(self, monkeypatch, command, params, name, plant):
         # one NaN among finite terms: max(acc, nan) would keep acc and pass;
-        # the first value the checked function returns gets the NaN
-        real = getattr(cli, check)
-        calls = []
-
-        def first_nan(*args, **kwargs):
-            value = real(*args, **kwargs)
-            calls.append(value)
-            return poison(value) if len(calls) == 1 else value
-
-        monkeypatch.setattr(cli, check, first_nan)
+        # the first term the accumulator takes (a batch sum, a table) gets the NaN
+        calls = plant(monkeypatch)
         _, params, seed, _ = validate_scenario({"command": command, "params": params})
         report = run_scenario(command, params, seed)
         (record,) = [r for r in report["checks"] if r["name"] == name]

@@ -13,7 +13,9 @@ library are exact.
 """
 
 from fractions import Fraction
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -241,6 +243,68 @@ class TestNanAmplitudes:
         assert math.isnan(fock._max_abs(behind))
 
 
+def lexsort_sum_keys(parts):
+    """Reference of fock._sum_keys: np.lexsort((masks, cols)), then equal keys added in order."""
+    masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((masks, cols))
+    masks, cols, amps = masks[order], cols[order], amps[order]
+    first = np.ones(len(masks), dtype=bool)
+    first[1:] = (masks[1:] != masks[:-1]) | (cols[1:] != cols[:-1])
+    sums = np.zeros(np.count_nonzero(first), dtype=amps.dtype)
+    np.add.at(sums, np.cumsum(first) - 1, amps)
+    return masks[first], cols[first], sums
+
+
+def assert_same_sums(parts):
+    got, want = fock._sum_keys(parts), lexsort_sum_keys(parts)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSumKeys:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_lexsort_bit_for_bit(self, dtype):
+        # non-integer amplitudes on heavily repeated keys: runs of equal keys
+        # longer than 8 round differently unless added one by one in order
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 40, size=(3, 600))
+        masks = np.int64(1) << rng.integers(0, fock.MASK_BITS, size=(3, 7))
+        parts = []
+        for key, bits in zip(keys, masks):
+            amps = rng.standard_normal(600) * 10.0 ** rng.integers(-8, 8, 600)
+            if dtype is complex:
+                amps = amps + 1j * rng.standard_normal(600)
+            parts.append((bits[key % 7] | (key // 7), key % 5, amps))
+        assert_same_sums(parts)
+        assert len(fock._sum_keys(parts)[0]) < 1800
+
+    def test_key_at_the_int64_limit(self):
+        # (cols.max() + 1) * len(uniq) = 2**63: the largest key is 2**63 - 1,
+        # on masks that fill all MASK_BITS slots
+        rng = np.random.default_rng(9)
+        uniq = (np.int64(1) << (fock.MASK_BITS - 1)) | rng.choice(2**40, 2**10, replace=False)
+        masks = np.concatenate([uniq, rng.choice(uniq, 3000)])
+        cols = rng.integers(0, 2**53, len(masks))
+        cols[:2] = 2**53 - 1
+        masks[1] = uniq.max()
+        amps = rng.standard_normal(len(masks))
+        assert len(np.unique(masks)) * (int(cols.max()) + 1) == 2**63
+        assert_same_sums([(masks, cols, amps), (masks[::-1], cols[::-1], amps[::-1])])
+
+    def test_callers_stay_below_the_int64_limit(self):
+        # the bounds derived beside _sum_keys's key, from the cost model's constants
+        dim, bits = fock.MAX_BASIS_DIM, fock.MASK_BITS
+        lone_tuple = dim * (2 * bits**2 + 6 * bits + 5)
+        bounds = {
+            "compress": dim * dim,
+            "apply": dim * dim * (bits**2 + 1),
+            "car_residual": 3 * (dim * bits**2) ** 2,
+            "commutator batch": fock.MAX_BATCH_ENTRIES**2,
+            "commutator lone tuple": dim * lone_tuple,
+        }
+        assert {name: bound < 2**63 for name, bound in bounds.items()} == dict.fromkeys(bounds, True)
+
+
 class TestModeOperators:
     @pytest.mark.parametrize("window", [W31, W22], ids=["c1N3", "c2N2"])
     def test_apply_mode_matches_oracle_on_random_vectors(self, window):
@@ -352,18 +416,18 @@ class TestSigma:
             sigma(1, 1, 0, W31, cut="2")
 
 
-def commutator_residual_matrix(i, j, k, l, m, n, window):
-    """Oracle residual of the centrally extended commutator identity."""
+def commutator_residual_matrix(i, j, k, l, m, n, window, cols=slice(None)):
+    """Oracle residual of the centrally extended commutator identity, on the columns `cols`."""
     lhs = (
-        oracle_sigma(i, j, m, window) @ oracle_sigma(k, l, n, window)
-        - oracle_sigma(k, l, n, window) @ oracle_sigma(i, j, m, window)
+        oracle_sigma(i, j, m, window) @ oracle_sigma(k, l, n, window)[:, cols]
+        - oracle_sigma(k, l, n, window) @ oracle_sigma(i, j, m, window)[:, cols]
     )
     if j == k:
-        lhs = lhs - oracle_sigma(i, l, m + n, window)
+        lhs = lhs - oracle_sigma(i, l, m + n, window)[:, cols]
     if i == l:
-        lhs = lhs + oracle_sigma(k, j, m + n, window)
+        lhs = lhs + oracle_sigma(k, j, m + n, window)[:, cols]
     if j == k and i == l and m + n == 0:
-        lhs = lhs - float(m) * jw_identity(window)
+        lhs = lhs - float(m) * jw_identity(window)[:, cols]
     return lhs
 
 
@@ -407,17 +471,53 @@ class TestCommutator:
                 assert_safe_columns_vanish(w, res, abs(m) + abs(n))
 
     def test_library_check_single_color(self):
-        assert commutator_check(1, 1, 1, 1, 1, -1, FockWindow(1, 4, "1/2")) == 0.0
+        assert commutator_check(FockWindow(1, 4, "1/2"), [(1, 1, 1, 1, 1, -1)]) == 0.0
 
     def test_library_check_two_color_central(self):
-        assert commutator_check(1, 2, 2, 1, 2, -2, FockWindow(2, 6, "1/2")) == 0.0
+        assert commutator_check(FockWindow(2, 6, "1/2"), [(1, 2, 2, 1, 2, -2)]) == 0.0
 
     def test_library_check_disjoint_colors(self):
-        assert commutator_check(1, 1, 2, 2, 1, 1, FockWindow(2, 4, "1/2")) == 0.0
+        assert commutator_check(FockWindow(2, 4, "1/2"), [(1, 1, 2, 2, 1, 1)]) == 0.0
 
     def test_margin_exceeding_window_rejected(self):
         with pytest.raises(ResolutionError, match="increase N"):
-            commutator_check(1, 1, 1, 1, 2, -2, FockWindow(1, 2, "1/2"))
+            commutator_check(FockWindow(1, 2, "1/2"), [(1, 1, 1, 1, 2, -2)])
+
+    @pytest.mark.parametrize(
+        "batch_entries", [fock.MAX_BATCH_ENTRIES, 2**40], ids=["declared", "one-per-margin"]
+    )
+    @pytest.mark.parametrize("planted", [False, True], ids=["clean", "sigma12-defect"])
+    def test_batched_check_is_the_worst_per_tuple_residual(self, monkeypatch, planted, batch_entries):
+        # every tuple of a two-color sweep at 1 in one call, against the max
+        # of each tuple's dense oracle residual on its own safe columns.  The
+        # defect sits in the one current sigma(e^{12}_1), so tuples differ.
+        # Swapping the two currents negates a tuple's residual and the sweep
+        # holds both, so one batch per margin that merged the tuples' columns
+        # would read 0.0.
+        w = FockWindow(2, 4, "1/2")
+        monkeypatch.setattr(fock, "MAX_BATCH_ENTRIES", batch_entries)
+        real, oracle = fock.sigma, oracle_sigma
+
+        def defective(i, j, n, window, cut=None):
+            op = real(i, j, n, window, cut)
+            return flip_middle_hop(op) if (i, j, n) == (1, 2, 1) else op
+
+        flipped = operator_matrix(flip_middle_hop(real(1, 2, 1, w)))
+
+        def oracle_defective(i, j, n, window, cut=None):
+            return flipped if (i, j, n) == (1, 2, 1) else oracle(i, j, n, window, cut)
+
+        if planted:
+            monkeypatch.setattr(fock, "sigma", defective)
+            monkeypatch.setattr(sys.modules[__name__], "oracle_sigma", oracle_defective)
+        tuples = list(itertools.product((1, 2), (1, 2), (1, 2), (1, 2), (-1, 0, 1), (-1, 0, 1)))
+        want = 0.0
+        for i, j, k, l, m, n in tuples:
+            cols = fock._safe_block(w, 2, abs(m) + abs(n))[0]
+            res = commutator_residual_matrix(i, j, k, l, m, n, w, cols)
+            want = max(want, float(np.abs(sp.csr_matrix(res).data).max(initial=0.0)))
+        assert (want > 0.0) == planted
+        assert commutator_check(w, tuples) == want
 
 
 def plant_band(monkeypatch, change):
@@ -433,30 +533,33 @@ def plant_band(monkeypatch, change):
 
 class TestBogoliubov:
     def test_trivial_shift_returns_vacuum(self):
-        vec = bogoliubov_vacuum(W31, "3/4")
+        vec, unannihilated = bogoliubov_vacuum(W31, "3/4")
+        assert unannihilated == ()
         assert amplitude(vec, W31.sea_mask()) == 1.0
         assert len(vec[0]) == 1
 
     def test_single_color_two_mode_shift(self):
-        vec = bogoliubov_vacuum(W31, "5/2")
+        vec, unannihilated = bogoliubov_vacuum(W31, "5/2")
+        assert unannihilated == ()
         mask = W31.sea_mask() | 1 << W31.slot(1, 1) | 1 << W31.slot(1, 2)
         assert amplitude(vec, mask) == 1.0
         assert len(vec[0]) == 1
 
     def test_two_color_one_mode_shift(self):
-        vec = bogoliubov_vacuum(W22, "3/2")
+        vec, unannihilated = bogoliubov_vacuum(W22, "3/2")
+        assert unannihilated == ()
         mask = W22.sea_mask() | 1 << W22.slot(1, 1) | 1 << W22.slot(2, 1)
         assert amplitude(vec, mask) == 1.0
 
     def test_reverse_string_recovers_vacuum(self):
-        vec = bogoliubov_vacuum(W31, "5/2")
+        vec, _ = bogoliubov_vacuum(W31, "5/2")
         back = lone_parts(lone_parts(vec, W31.slot(1, 1), False), W31.slot(1, 2), False)
         assert amplitude(back, W31.sea_mask()) == 1.0
         assert len(back[0]) == 1
 
     def test_oracle_annihilation_properties(self):
         # the shifted vacuum fills every mode below 5/2 and nothing above
-        masks, _, amps = bogoliubov_vacuum(W31, "5/2")
+        (masks, _, amps), _ = bogoliubov_vacuum(W31, "5/2")
         e = np.zeros(2**W31.n_slots, dtype=complex)
         e[masks] = amps
         for mode in range(-3, 4):
@@ -467,9 +570,9 @@ class TestBogoliubov:
     @pytest.mark.parametrize(
         "window, mu, change, named",
         [
-            (W31, "5/2", lambda modes: modes + [modes[-1] + 1], "psibar^1_-3"),
-            (W22, "3/2", lambda modes: modes + [modes[-1] + 1], "psibar^1_-2"),
-            (W31, "5/2", lambda modes: modes[:-1], "psi^1_2"),
+            (W31, "5/2", lambda modes: modes + [modes[-1] + 1], ("psibar^1_-3",)),
+            (W22, "3/2", lambda modes: modes + [modes[-1] + 1], ("psibar^1_-2", "psibar^2_-2")),
+            (W31, "5/2", lambda modes: modes[:-1], ("psi^1_2",)),
         ],
         ids=["extra-mode", "extra-mode-two-colors", "missing-mode"],
     )
@@ -477,11 +580,12 @@ class TestBogoliubov:
         self, monkeypatch, window, mu, change, named
     ):
         # a band one mode too wide fills a slot above mu (its destroyer does not
-        # annihilate), one mode too narrow leaves a slot below mu empty
+        # annihilate), one mode too narrow leaves a slot below mu empty; each
+        # operator that acts is named, in slot order
         plant_band(monkeypatch, change)
-        with pytest.raises(ConsistencyError) as caught:
-            bogoliubov_vacuum(window, mu)
-        assert str(caught.value) == f"transported vacuum not annihilated by {named}"
+        (masks, _, amps), unannihilated = bogoliubov_vacuum(window, mu)
+        assert unannihilated == named
+        assert len(masks) == 1 and abs(amps[0]) == 1.0
 
     def test_annihilated_string_is_not_a_unit_product_state(self, monkeypatch):
         # a creator repeated in the string annihilates the state
@@ -613,9 +717,9 @@ class TestGradedBasisEngine:
             return SparseOperator(window, hops, op.scalar)
 
         w = FockWindow(1, 4, "1/2")
-        assert commutator_check(1, 1, 1, 1, 1, 0, w) == 0.0
+        assert commutator_check(w, [(1, 1, 1, 1, 1, 0)]) == 0.0
         monkeypatch.setattr(fock, "sigma", flipped)
-        assert commutator_check(1, 1, 1, 1, 1, 0, w) > 0.0
+        assert commutator_check(w, [(1, 1, 1, 1, 1, 0)]) > 0.0
 
     def test_probe_block_width_does_not_change_the_residual(self, monkeypatch):
         w = FockWindow(2, 4, "1/2")
@@ -707,7 +811,7 @@ class TestWidestMask:
         [(1, 1, 1, 1, 1, -1), (1, 2, 2, 1, 2, -2), (2, 1, 1, 2, 1, 1), (1, 2, 2, 1, 0, 0)],
     )
     def test_commutator_exact(self, args):
-        assert commutator_check(*args, W62) == 0.0
+        assert commutator_check(W62, [args]) == 0.0
 
     @pytest.mark.parametrize("i, j, n", [(1, 1, 0), (1, 2, 1)])
     def test_cut_shift_exact(self, i, j, n):
@@ -732,7 +836,7 @@ class TestWidestMask:
         real = fock.sigma
         monkeypatch.setattr(fock, "sigma", lambda *a, **kw: flip_middle_hop(real(*a, **kw)))
         for args in [(1, 1, 1, 1, 1, 0), (1, 2, 2, 1, 2, -2), (2, 1, 1, 2, 1, 1)]:
-            assert commutator_check(*args, W62) == 2.0
+            assert commutator_check(W62, [args]) == 2.0
 
     def test_planted_cut_shift_defect_is_caught(self, monkeypatch):
         real = fock.sigma
@@ -919,7 +1023,7 @@ class TestThreeColorWindow:
         ],
     )
     def test_commutator_exact(self, args, cap):
-        assert commutator_check(*args, W51, pair_cap=cap) == 0.0
+        assert commutator_check(W51, [args], pair_cap=cap) == 0.0
 
     @pytest.mark.parametrize("i, j, n", [(1, 1, 0), (2, 3, 1), (3, 3, -2)])
     def test_cut_shift_exact(self, i, j, n):
@@ -961,24 +1065,11 @@ class TestCaches:
         assert sigma(1, 1, 0, W26, cut="5/2") is op
         assert (2.0 * op).hops == tuple((2.0 * a, t, f) for a, t, f in hops)
 
-    def test_safe_block_and_its_images_are_shared_and_read_only(self):
+    def test_safe_block_is_shared_and_read_only(self):
         block = fock._safe_block(W26, 2, 1)
         assert fock._safe_block(W26, 2, 1) is block
         assert not any(arr.flags.writeable for arr in block)
         assert block[0].tolist() == graded_basis(W26, 2).masks[fock._safe_columns(W26, 2, 1)].tolist()
-        op = sigma(1, 2, 1, W26)
-        image = fock._block_image(op, 2, 1)
-        assert fock._block_image(op, 2, 1) is image
-        assert not any(arr.flags.writeable for arr in image)
-        fresh = fock._sum_keys(op._image_parts(block))
-        assert all(np.array_equal(a, b) for a, b in zip(image, fresh))
-
-    def test_an_equal_but_distinct_operator_gets_its_own_image(self):
-        # images are keyed by the operator object: a rebuilt (or planted)
-        # operator never reads the image of the cached current
-        op = sigma(1, 2, 1, W26)
-        copy = SparseOperator(W26, op.hops, op.scalar)
-        assert fock._block_image(copy, 2, 1) is not fock._block_image(op, 2, 1)
 
     def test_default_battery_builds_each_current_once(self, monkeypatch):
         from gerbetool.cli import run_scenario, validate_scenario
