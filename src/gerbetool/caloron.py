@@ -10,15 +10,18 @@ F_ab = d_a A_b - d_b A_a + [A_a, A_b] and mixed components
 G_a = dtheta A_a - d_a Phi + [Phi, A_a]; theta-derivatives are spectral,
 base derivatives 4th-order central.
 
-An analytic family returns each field as real coefficients (..., n^2 - 1),
-and sample_connection broadcasts them to the grid and moves the axis first,
-rejecting a field that is complex, non-finite or of another trailing length,
-so no matrix sample is formed between a family and the forms.  The pipelines
-work on the coefficients: the bracket sums the nonzero a < b terms of the
-structure constants, <X, Y> = -trace(XY) is 2 c(X).c(Y), and the forms are
-real by construction.  A representation acts by one real product with its
-coefficient_map, whose result lies in su(dim) by construction, so no
-matrix image is formed.
+An analytic family returns each field coefficient-leading too, as a
+sequence of n^2 - 1 real arrays broadcastable to the grid, and
+sample_connection writes each coefficient with one broadcast assignment,
+rejecting a field of another coefficient count or one that is complex or
+non-finite, so no matrix sample is formed between a family and the forms.
+The pipelines work on the coefficients: the bracket sums the nonzero a < b
+terms of the structure constants, <X, Y> = -trace(XY) is 2 c(X).c(Y), and
+the forms are real by construction.  A representation acts by one real
+product with its coefficient_map restricted to the map's support (its
+nonzero columns), whose result lies in su(dim) by construction, so no
+matrix image is formed and no coefficient that is zero for every field is
+computed.
 
 The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
@@ -59,8 +62,10 @@ FOUR_PI_SQ = 4.0 * math.pi * math.pi
 # field's count of matrix entries, n^2 per cell (1.6M on the caloron
 # battery's default fine grid).  A field is sampled as n^2 - 1 real
 # coefficients per cell, so an su(2) field holds 3/4 as many floats; at its
-# peak the caloron battery's traced memory (tracemalloc, at its defaults) is
-# 8.7 such su(2) fields on its fine grid, 78 MiB.
+# peak, in the fine grid's circle FFT of dtheta A, the caloron battery's
+# traced memory (tracemalloc, at its defaults) is 8.7 such su(2) fields on
+# its fine grid, 78 MiB (82 MB).  Sampling that grid peaks at its own 4
+# fields, 37.8 MB, as each coefficient is written in place.
 MAX_GRID_ENTRIES = 2**22
 
 # CurvaturePass.identity_check reads a fine residual at or under
@@ -105,8 +110,10 @@ class AnalyticConnection:
     """Closed-form sampler backing a LatticeConnection, used for resampling.
 
     phi(theta, xs) and base(theta, xs, axis) take broadcastable coordinate
-    arrays and return real su(n) coefficient arrays (..., n^2 - 1) in the
-    liealg.su_basis frame (axis last), broadcastable to the grid; n is the matrix size.
+    arrays and return a field coefficient-leading: a sequence of n^2 - 1 real
+    arrays, one per su(n) coefficient in the liealg.su_basis frame, each
+    broadcastable to the grid (an array with the coefficient axis first
+    qualifies); n is the matrix size.
     """
 
     n: int
@@ -186,8 +193,9 @@ def _grid_coords(base_dim, theta_points, base_points, ghost_margin):
 def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=0):
     """Evaluate an analytic family on the (theta, base) grid, one field at a time.
 
-    Each field is broadcast to the grid as it is, then its axis moved first;
-    a field that is complex, non-finite or not (..., n^2 - 1) raises ConsistencyError.
+    Each coefficient of a field is written to the grid by one broadcast
+    assignment; a field that is not n^2 - 1 finite real coefficients raises
+    ConsistencyError naming the family and the field.
     """
     check_grid(theta_points, base_points, base_dim, family.n, ghost_margin)
     th, *xs = _grid_coords(base_dim, theta_points, base_points, ghost_margin)
@@ -196,17 +204,18 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
     fields = np.empty((1 + base_dim, m) + grid)
 
     def fill(out, samples, what):
-        samples = np.asarray(samples)
-        if (
-            np.iscomplexobj(samples)
-            or samples.shape[-1:] != (m,)
-            or not np.isfinite(samples).all()
-        ):
+        try:
+            coeffs = [np.asarray(c) for c in samples]
+        except TypeError:  # a scalar or 0-d array is no coefficient sequence
+            coeffs = [np.asarray(samples)]
+        if len(coeffs) != m or any(np.iscomplexobj(c) or not np.isfinite(c).all() for c in coeffs):
+            dtypes = ", ".join(sorted({str(c.dtype) for c in coeffs}))
             raise ConsistencyError(
-                f"family {family.label!r}: {what} is not a finite real (..., {m}) "
-                f"coefficient field, got {samples.dtype} {samples.shape}"
+                f"family {family.label!r}: {what} is not {m} finite real coefficient "
+                f"fields, got {len(coeffs)} of {dtypes}"
             )
-        out[...] = np.moveaxis(np.broadcast_to(samples, grid + (m,)), -1, 0)
+        for dst, c in zip(out, coeffs):
+            dst[...] = c
 
     fill(fields[0], family.phi(th, xs), "phi")
     for axis in range(base_dim):
@@ -223,28 +232,45 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
     )
 
 
-def _representation_map(conn, rho):
-    """rho.coefficient_map(), for a representation of the connection's su(n)."""
+def _support(m):
+    """The support of a coefficient map: its nonzero columns, the coefficients it reaches."""
+    return tuple(np.flatnonzero((m != 0).any(axis=0)).tolist())
+
+
+def _support_map(conn, rho):
+    """(m, S): rho's coefficient map on its support S, and S; another su(n) raises ArgumentError.
+
+    A pushed field is +-0 off S, so the pipelines hold only its S
+    coefficients.  m keeps every row, so a NaN of any field still reaches S;
+    a bracket term or output off S would only add or pair with a +-0.
+    """
     if rho.n != conn.n:
         raise ArgumentError(f"a representation of su({rho.n}) on an su({conn.n}) connection")
-    return rho.coefficient_map()
+    m = rho.coefficient_map()
+    support = _support(m)
+    return m[:, support], support
 
 
 @functools.cache
-def _bracket_terms(n):
-    """The nonzero f_abc of su(n) with a < b, as (a, b, ((c, f_abc), ...)) per pair."""
+def _bracket_terms(n, support=None):
+    """The nonzero f_abc of su(n) with a < b, as (a, b, ((c, f_abc), ...)) per pair.
+
+    Given a support (increasing coefficient indices), only the terms whose a,
+    b and c all lie in it are kept, renumbered to their positions in it.
+    """
     structure = su_structure_constants(n)
+    position = {c: i for i, c in enumerate(range(len(structure)) if support is None else support)}
     terms = {}
     for a, b, c in zip(*np.nonzero(structure)):
-        if a < b:
-            terms.setdefault((a, b), []).append((c, structure[a, b, c]))
+        if a < b and {a, b, c} <= position.keys():
+            terms.setdefault((position[a], position[b]), []).append((position[c], structure[a, b, c]))
     return tuple((a, b, tuple(cs)) for (a, b), cs in terms.items())
 
 
-def _bracket(x, y, n):
-    """[X, Y] on coefficient-leading su(n) arrays: sum over a < b of (x_a y_b - x_b y_a) f_abc."""
+def _bracket(x, y, terms):
+    """[X, Y] on coefficient-leading arrays: the sum over the terms of (x_a y_b - x_b y_a) f_abc."""
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-    for a, b, cs in _bracket_terms(n):
+    for a, b, cs in terms:
         cross = x[a] * y[b]
         cross -= x[b] * y[a]
         for c, f in cs:
@@ -253,7 +279,7 @@ def _bracket(x, y, n):
 
 
 def _push(x, m):
-    """Coefficient-leading su(n) fields x pushed through the coefficient map m, in one product."""
+    """Coefficient-leading su(n) fields x pushed through the (support) coefficient map m, in one product."""
     return (m.T @ x.reshape(len(x), -1)).reshape(m.shape[1:] + x.shape[1:])
 
 
@@ -263,33 +289,35 @@ def _circle_pairing(x, y):
 
 
 class _Run:
-    """Fields, dtheta A and curvature of su(n) coefficients on one run of circle points.
+    """Fields, dtheta A and curvature of one run of circle points, on their coefficients.
 
-    Arrays are (n^2 - 1, run, M', ...), base axis x at array axis 2 + x;
-    base holds F_ab (a < b); mixed, F_{theta a}, is built when first read,
-    so a pass that reads only the curving never builds it.
+    Arrays are (coefficients, run, M', ...), base axis x at array axis 2 + x:
+    all n^2 - 1 of su(n), or a pushed run's support; terms is the bracket's
+    term table on those coefficients.  base holds F_ab (a < b); mixed,
+    F_{theta a}, is built when first read, so a pass that reads only the
+    curving never builds it.
     """
 
-    def __init__(self, phi, a, d_theta_a, n, spacing):
+    def __init__(self, phi, a, d_theta_a, terms, spacing):
         self.phi, self.a, self.d_theta_a = phi, a, d_theta_a
-        self.n, self.spacing = n, spacing
+        self.terms, self.spacing = terms, spacing
         self.base = {}
         for x, y in itertools.combinations(range(len(a)), 2):
             f_xy = self.base[(x, y)] = central_diff4(a[y], 2 + x, spacing)
             f_xy -= central_diff4(a[x], 2 + y, spacing)
-            f_xy += _bracket(a[x], a[y], n)
+            f_xy += _bracket(a[x], a[y], terms)
 
     @functools.cached_property
     def mixed(self):
         comps = {x: d - central_diff4(self.phi, 2 + x, self.spacing) for x, d in enumerate(self.d_theta_a)}
         for x, c in comps.items():
-            c += _bracket(self.phi, self.a[x], self.n)
+            c += _bracket(self.phi, self.a[x], self.terms)
         return comps
 
-    def pushed(self, m, dim):
-        """The run of the fields pushed through the coefficient map m into su(dim); dtheta commutes with m."""
+    def pushed(self, m, terms):
+        """The run of the fields pushed through the support map m, with its bracket terms; dtheta commutes with m."""
         a, d_theta_a = ([_push(x, m) for x in fields] for fields in (self.a, self.d_theta_a))
-        return _Run(_push(self.phi, m), a, d_theta_a, dim, self.spacing)
+        return _Run(_push(self.phi, m), a, d_theta_a, terms, self.spacing)
 
 
 def _curvature_slices(conn):
@@ -302,9 +330,10 @@ def _curvature_slices(conn):
     """
     d_theta_a = [spectral_theta_derivative(a_x, axis=1) for a_x in conn.a]
     width = max(1, _RUN_CELLS // math.prod(conn.phi.shape[2:]))
+    terms = _bracket_terms(conn.n)
     for t in range(0, conn.theta_points, width):
         s = slice(t, t + width)
-        yield _Run(conn.phi[:, s], conn.a[:, :, s], [d[:, s] for d in d_theta_a], conn.n, conn.spacing())
+        yield _Run(conn.phi[:, s], conn.a[:, :, s], [d[:, s] for d in d_theta_a], terms, conn.spacing())
 
 
 def _circle_means(conn, forms):
@@ -331,7 +360,7 @@ def _curving(run):
 
 
 def _density(mixed, base, ghost_margin, m=None):
-    """Circle sum of the density -(1/4 pi^2) <F ^ G> as a 3-form, F pushed by m if given."""
+    """Circle sum of the density -(1/4 pi^2) <F ^ G> as a 3-form, F pushed by the support map m if given."""
     if m is not None:
         mixed, base = ({k: _push(v, m) for k, v in c.items()} for c in (mixed, base))
     total = (
@@ -355,13 +384,13 @@ def pontryagin_densities(conn, reps):
     with the trace in the representation space, (1/8 pi^2) Int
     tr_rho(F^rho ^ F^rho).  Each representation, of the connection's su(n)
     or ArgumentError, pushes the same F_{theta a} and F_ab through its
-    coefficient map (the fundamental's is the identity, so it skips the
-    push), and one pass serves them all; a raise in any one push fails the
-    whole pass.  Needs a 3-dimensional base; a ghosted sampling keeps its
-    margin on the forms.
+    coefficient map, onto the coefficients the map reaches (the
+    fundamental's map is the identity, so it skips the push), and one pass
+    serves them all; a raise in any one push fails the whole pass.  Needs a
+    3-dimensional base; a ghosted sampling keeps its margin on the forms.
     """
     _require_base3(conn, "the density is a 3-form")
-    maps = [_representation_map(conn, rho) for rho in reps]
+    maps = [_support_map(conn, rho)[0] for rho in reps]
     maps = [None if rho.is_fundamental() else m for rho, m in zip(reps, maps)]
     g = conn.ghost_margin
     return _circle_means(conn, lambda run: [_density(run.mixed, run.base, g, m) for m in maps])
@@ -377,7 +406,8 @@ class CurvaturePass:
     (trapezoid rule on a periodic grid); density (on a 3-dimensional base)
     is pontryagin_densities' fundamental 3-form; given a representation
     rho, pushed is the curving built from the fields pushed through rho's
-    coefficient_map, with su(rho.dim) brackets.  All of them read one
+    coefficient_map onto its support, with su(rho.dim) brackets on the
+    support (the coefficients off it are +-0).  All of them read one
     dtheta A and one set of F_ab per run of circle points.  A ghosted
     sampling raises ArgumentError: the curving cannot integrate it.
     """
@@ -391,8 +421,9 @@ class CurvaturePass:
         if conn.base_dim == 3:
             forms["density"] = lambda run: _density(run.mixed, run.base, 0)
         if rho is not None:
-            m, dim = _representation_map(conn, rho), rho.dim
-            forms["pushed"] = lambda run: _curving(run.pushed(m, dim))
+            m, support = _support_map(conn, rho)
+            terms = _bracket_terms(rho.dim, support)
+            forms["pushed"] = lambda run: _curving(run.pushed(m, terms))
         means = _circle_means(conn, lambda run: [form(run) for form in forms.values()])
         for name, mean in zip(forms, means):
             setattr(self, name, mean)

@@ -5,7 +5,7 @@ paired by <X, Y> = -trace(XY).  The standard basis below is normalized to
 <T_a, T_b> = 2 delta_ab, which gives the coroot h = i diag(1, -1, 0, ...)
 squared length 2 (long roots have length sqrt 2).  An element is also
 stored as its real coefficients c_a in X = sum_a c_a T_a, a trailing axis
-of length n^2 - 1 (caloron's sampled fields put it first): there <X, Y> =
+of length n^2 - 1 (caloron's fields and families put it first): there <X, Y> =
 2 c(X).c(Y), and the bracket contracts the coefficients with the structure
 constants.
 

@@ -250,7 +250,9 @@ class ModuliFamily:
     A Higgs field winding w1 times across the first parameter and a gauge
     component winding w2 times across the third, all along the holonomy
     direction of the chosen loop, plus a smooth modulation; the pairing
-    converges to the model value -2 w1 w2.
+    converges to the model value -2 w1 w2.  family(word) returns each field
+    coefficient-leading, one profile times each su(n) coefficient of the
+    direction.
     """
 
     rep: SurfaceGroupRep
@@ -268,7 +270,7 @@ class ModuliFamily:
         w1, w2 = self.w1, self.w2
 
         def along_k(coeff):
-            return np.asarray(coeff)[..., None] * k
+            return [coeff * k_c for k_c in k]
 
         def phi(th, xs):
             lin = TWO_PI * w1 * xs[0]
@@ -311,9 +313,9 @@ def check_sampling(theta_points, base_points, ghost_margin, n):
 def _seam_check(conn, fam, tolerance=1e-10):
     """Closedness: crossing one base period must shift potentials by a constant.
 
-    For each base axis, the jump field(x + 1) - field(x) must itself be
-    constant over the probe grid (the covering-space formula descends to
-    the torus up to a rigid gauge shift).  A jump that varies by more than
+    For each base axis, the jump field(x + 1) - field(x) of each coefficient
+    must itself be constant over the probe grid (the covering-space formula
+    descends to the torus up to a rigid gauge shift).  A jump that varies by more than
     tolerance times the largest field value it is the difference of (its
     roundoff scale), or by NaN, means the sampled family is not a closed
     connection family.
@@ -323,6 +325,7 @@ def _seam_check(conn, fam, tolerance=1e-10):
         (-1,) + (1,) * d
     )
     probe = np.array([0.05, 0.35, 0.65])
+    grid = (conn.theta_points,) + probe.shape * d
     coords = [
         probe.reshape((1,) * (i + 1) + (-1,) + (1,) * (d - 1 - i))
         for i in range(d)
@@ -335,14 +338,14 @@ def _seam_check(conn, fam, tolerance=1e-10):
         shifted = list(coords)
         shifted[axis] = shifted[axis] + 1.0
         for label, field in fields:
-            there, here = field(thetas, shifted), field(thetas, coords)
-            jump = there - here
-            mean = jump.reshape((-1,) + jump.shape[-1:]).mean(axis=0)
-            spread = float(np.abs(jump - mean).max())
-            scale = max(float(np.abs(there).max()), float(np.abs(here).max()))
+            spreads, scales = [], []
+            for there, here in zip(field(thetas, shifted), field(thetas, coords)):
+                jump = np.broadcast_to(np.subtract(there, here), grid)
+                spreads.append(np.abs(jump - jump.mean()).max())
+                scales += [np.abs(there).max(), np.abs(here).max()]
+            spread, scale = float(np.max(spreads)), float(np.max(scales))
             if not spread <= tolerance * scale:
                 raise ValidationError(
                     f"family {fam.label}: {label} jump across axis {axis} "
                     f"varies by {spread:.3e}; not a closed family"
                 )
-

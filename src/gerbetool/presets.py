@@ -3,11 +3,12 @@
 su2_family is a closed-form periodic field on S1 x T^3, so its connection
 can be resampled at any resolution for convergence studies.  It uses the
 anti-Hermitian generators T_j = i * sigma_j, normalized to
-<T_a, T_b> = 2 delta_ab, and returns real coefficient fields (..., 3) in
-the su_basis(2) frame, which lists T2 before T1: T1 -> (0, 1, 0),
-T2 -> (1, 0, 0), T3 -> (0, 0, 1).  It has theta dependence in every slot,
-so its curving and density are generic, as a convergence-order measurement
-needs.
+<T_a, T_b> = 2 delta_ab, and returns each field coefficient-leading, as
+three real arrays in the su_basis(2) frame, which lists T2 before T1:
+T1 -> (0, 1, 0), T2 -> (1, 0, 0), T3 -> (0, 0, 1).  Each array keeps the
+shape of its own coordinate product, and sample_connection broadcasts it
+to the grid.  It has theta dependence in every slot, so its curving and
+density are generic, as a convergence-order measurement needs.
 
 HOLONOMY_SUITES names the diagonal test holonomies of the cocycle battery.
 """
@@ -22,8 +23,8 @@ T2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
 def _su2(t1=0.0, t2=0.0, t3=0.0):
-    """Coefficients of t1 T1 + t2 T2 + t3 T3, for broadcastable t1, t2, t3."""
-    return np.stack(np.broadcast_arrays(t2, t1, t3), axis=-1)
+    """Coefficients of t1 T1 + t2 T2 + t3 T3 in su_basis(2) order, unstacked: (t2, t1, t3)."""
+    return t2, t1, t3
 
 
 def su2_family(amplitude=0.7):
@@ -33,8 +34,11 @@ def su2_family(amplitude=0.7):
     # the curving degenerates to a constant and the density to zero.
     s, c = np.sin, np.cos
 
+    def field(**coeffs):
+        return [amplitude * t for t in _su2(**coeffs)]
+
     def phi(th, xs):
-        return amplitude * _su2(
+        return field(
             t1=c(TWO_PI * th) * s(TWO_PI * xs[1]),
             t2=s(TWO_PI * th) * c(TWO_PI * xs[2]),
             t3=s(TWO_PI * xs[0]),
@@ -42,18 +46,18 @@ def su2_family(amplitude=0.7):
 
     def base(th, xs, axis):
         if axis == 0:
-            return amplitude * _su2(
+            return field(
                 t1=s(TWO_PI * th) * s(TWO_PI * xs[1]),
                 t2=c(TWO_PI * th) * c(TWO_PI * xs[2]),
                 t3=c(TWO_PI * xs[1]),
             )
         if axis == 1:
-            return amplitude * _su2(
+            return field(
                 t1=c(TWO_PI * th) * s(TWO_PI * xs[2]),
                 t2=s(TWO_PI * xs[2]),
                 t3=s(TWO_PI * th) * s(TWO_PI * xs[0]),
             )
-        return amplitude * _su2(
+        return field(
             t1=s(TWO_PI * xs[0]),
             t2=s(TWO_PI * th) * c(TWO_PI * xs[0]),
             t3=c(TWO_PI * th) * c(TWO_PI * xs[1]),

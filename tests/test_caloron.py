@@ -14,9 +14,12 @@ Oracles, each independent of the code under test:
     matrix_image and back to coefficients;
   * the families' closed-form matrix fields, built here from i sigma_j (for
     flat, the transports u^-1 X u of matrix rotations), read back as
-    coefficients.
+    coefficients;
+  * for the pushes onto a coefficient map's support, the full route: every
+    su(dim) coefficient pushed and bracketed with su(dim)'s whole term table.
 The library has one family, su2_family; the four others the tests sample
-(zero, abelian, flat, su2-axial) are written here, as coefficient fields.
+(zero, abelian, flat, su2-axial) are written here, coefficient-leading as a
+family returns them: one real array per su(2) coefficient.
 Convergence tolerances are frozen from two-grid measurements quoted in the
 assertions.
 """
@@ -34,9 +37,12 @@ from gerbetool.caloron import (
     CurvaturePass,
     LatticeConnection,
     _bracket,
+    _bracket_terms,
     _curvature_slices,
     _curving,
     _density,
+    _support,
+    _support_map,
     pontryagin_densities,
     sample_connection,
 )
@@ -100,9 +106,9 @@ def _conjugate(coeffs, t, j):
     """Coefficients of u^-1 X u, u = exp(2 pi t T_j), from those of X: a turn by 4 pi t."""
     k, l = _PLANES[j]
     c, s = np.cos(2.0 * TWO_PI * t), np.sin(2.0 * TWO_PI * t)
-    out = list(np.moveaxis(coeffs, -1, 0))
+    out = list(coeffs)
     out[k], out[l] = c * out[k] - s * out[l], s * out[k] + c * out[l]
-    return np.stack(np.broadcast_arrays(*out), axis=-1)
+    return out
 
 
 def zero_family():
@@ -244,6 +250,11 @@ def su_matrices(coeffs, n):
     return flat.view(complex).reshape(coeffs.shape[:-1] + (n, n))
 
 
+def stacked(field):
+    """A family's field, a sequence of coefficient arrays, as one array (..., n^2 - 1)."""
+    return np.stack(np.broadcast_arrays(*field), axis=-1)
+
+
 def trailing(coeffs):
     """A coefficient-leading array (n^2 - 1, ...) with its coefficient axis moved last."""
     return np.moveaxis(coeffs, 0, -1)
@@ -255,8 +266,8 @@ def leading(coeffs):
 
 
 def trailing_bracket(x, y, n):
-    """_bracket on coefficient arrays (..., n^2 - 1), the axis moved at the boundary."""
-    return trailing(_bracket(leading(x), leading(y), n))
+    """_bracket with su(n)'s whole term table on arrays (..., n^2 - 1), the axis moved at the boundary."""
+    return trailing(_bracket(leading(x), leading(y), _bracket_terms(n)))
 
 
 def curvature_matrices(conn):
@@ -296,7 +307,8 @@ class TestPresetCatalog:
         for field, matrices in zip(got, matrix_preset_fields(name, amplitude, th, xs)):
             want, off = su_coefficients(matrices)
             assert off <= 1e-15
-            field = np.broadcast_to(field, want.shape)
+            assert len(field) == 3
+            field = np.broadcast_to(stacked(field), want.shape)
             assert np.abs(field - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -436,15 +448,15 @@ class TestBField:
         # a Hermitian (not anti-Hermitian) component is an imaginary
         # coefficient; the sampler rejects it instead of dropping it
         def phi(th, xs):
-            return np.zeros(th.shape + (3,))
+            return [np.zeros(th.shape)] * 3
 
         def base(th, xs, axis):
-            out = np.zeros(th.shape + (3,), dtype=complex if axis else float)
-            out[..., 1] = np.sin(TWO_PI * th) + (1j * np.cos(TWO_PI * th) if axis else 0.0)
+            out = [np.zeros(th.shape)] * 3
+            out[1] = np.sin(TWO_PI * th) + (1j * np.cos(TWO_PI * th) if axis else 0.0)
             return out
 
         family = AnalyticConnection(2, phi, base, "hermitian")
-        with pytest.raises(ConsistencyError, match="'hermitian': base\\[1\\] is not a finite real"):
+        with pytest.raises(ConsistencyError, match="'hermitian': base\\[1\\] is not 3 finite real"):
             sample_connection(family, 2, 8, 8)
 
     def test_non_finite_samples_rejected(self):
@@ -452,24 +464,24 @@ class TestBField:
         good = connection_preset("su2-family", theta_points=8, base_points=8).family
 
         def phi(th, xs):
-            out = np.array(np.broadcast_to(good.phi(th, xs), (8, 8, 8, 8, 3)))
-            out[0, 0, 0, 0, 1] = math.nan
+            out = [np.array(np.broadcast_to(c, (8, 8, 8, 8))) for c in good.phi(th, xs)]
+            out[1][0, 0, 0, 0] = math.nan
             return out
 
         def nan_base(th, xs, axis):
-            return math.nan * good.base(th, xs, axis)
+            return [math.nan * c for c in good.base(th, xs, axis)]
 
         def inf_base(th, xs, axis):
-            return good.base(th, xs, axis) + (math.inf if axis == 2 else 0.0)
+            return [c + (math.inf if axis == 2 else 0.0) for c in good.base(th, xs, axis)]
 
         for family, what in (
             (AnalyticConnection(2, phi, good.base, "nan-higgs"), "phi"),
             (AnalyticConnection(2, good.phi, nan_base, "nan-gauge"), "base\\[0\\]"),
             (AnalyticConnection(2, good.phi, inf_base, "inf-gauge"), "base\\[2\\]"),
         ):
-            with pytest.raises(ConsistencyError, match=f"{family.label}': {what} is not a finite"):
+            with pytest.raises(ConsistencyError, match=f"{family.label}': {what} is not 3 finite"):
                 sample_connection(family, 3, 8, 8)
-        with pytest.raises(ConsistencyError, match="'su2-family': phi is not a finite"):
+        with pytest.raises(ConsistencyError, match="'su2-family': phi is not 3 finite"):
             connection_preset("su2-family", theta_points=8, base_points=8, amplitude=math.nan)
 
 
@@ -509,7 +521,8 @@ class TestDensityAndIdentity:
         # traced peak in fine-grid coefficient fields (8 x 24^3 x 3 floats):
         # 16.3 while every F_{theta a} and F_ab was held on the full grid, 8.5
         # with the curvature streamed one circle point at a time (the fine
-        # connection's 4 fields, dtheta A's 3 and one transform's temporaries)
+        # connection's 4 fields, dtheta A's 3 and one transform's
+        # temporaries); the pushes onto the support left it at 8.5
         conn = connection_preset("su2-family", theta_points=8, base_points=12)
         field = 8 * 24**3 * 3 * np.dtype(float).itemsize
         tracemalloc.start()
@@ -723,7 +736,7 @@ class TestBatchedKernels:
         big = conn.family
 
         def base(th, xs, axis):
-            return su_matrices(big.base(th, xs, axis), 2)
+            return su_matrices(stacked(big.base(th, xs, axis)), 2)
 
         with pytest.raises(ConsistencyError, match="'matrices': base\\[0\\] is not .* complex128"):
             sample_connection(AnalyticConnection(2, big.phi, base, "matrices"), 3, 8, 8)
@@ -775,8 +788,9 @@ class TestRhoScaling:
         # while the whole connection was pushed into 8 adjoint coefficients,
         # 9.9 with each run of circle points pushed as it is sliced, 7.0 with
         # both curvings from one pass and the a < b bracket, which forms no
-        # m x m outer product (the curving alone peaks at 4.2: dtheta A's 3
-        # fields and one run's temporaries)
+        # m x m outer product, 5.2 with each run pushed onto the 3 su(3)
+        # coefficients the adjoint reaches (the curving alone peaks at 4.2:
+        # dtheta A's 3 fields and one run's temporaries)
         conn = connection_preset("su2-family", theta_points=12, base_points=16)
         field = 12 * 16**3 * 3 * np.dtype(float).itemsize
         tracemalloc.start()
@@ -1041,7 +1055,7 @@ class TestOneCurvaturePass:
     @pytest.mark.parametrize("ghost_margin", [0, 4])
     def test_densities_share_a_pass(self, name, ghost_margin):
         conn = sample_connection(self.family(name), 3, 8, 6, ghost_margin)
-        m, g = self.ADJ.coefficient_map(), ghost_margin
+        (m, _), g = _support_map(conn, self.ADJ), ghost_margin
         fund, adj = pontryagin_densities(conn, (FUND, self.ADJ))
         assert same_bits(fund, one_form_pass(conn, lambda run: _density(run.mixed, run.base, g)))
         assert same_bits(adj, one_form_pass(conn, lambda run: _density(run.mixed, run.base, g, m)))
@@ -1052,9 +1066,9 @@ class TestOneCurvaturePass:
         # the winding family is a covering-space sample, not periodic: its
         # forms mean nothing here, but their bits must still agree
         conn = sample_connection(self.family(name), 3, 8, 6)
-        m, iota = self.ADJ.coefficient_map(), 4.0
+        (m, support), iota = _support_map(conn, self.ADJ), 4.0
         forms = CurvaturePass(conn, self.ADJ)
-        pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, 3)))
+        pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, _bracket_terms(3, support))))
         b = one_form_pass(conn, _curving)
         assert same_bits(forms.curving, b)
         assert same_bits(forms.density, pontryagin_densities(conn, [FUND])[0])
@@ -1097,6 +1111,99 @@ class TestOneCurvaturePass:
             CurvaturePass(conn)
 
 
+def full_route(conn, rho):
+    """(pushed curving, density) of rho on all dim^2 - 1 coefficients, from one pass.
+
+    The oracle of the pushes onto the support: the whole coefficient map and
+    su(dim)'s whole term table, with the arithmetic of the pipelines before
+    they were restricted.
+    """
+    m, terms, g = rho.coefficient_map(), _bracket_terms(rho.dim), conn.ghost_margin
+    return caloron._circle_means(
+        conn, lambda run: [_curving(run.pushed(m, terms)), _density(run.mixed, run.base, g, m)]
+    )
+
+
+def noncommuting_slots(dim):
+    """su_basis(dim) slots of the real antisymmetric units E_ij - E_ji whose su(n) frame pair fails to commute.
+
+    ad(X) in the real frame of su(n) is a real antisymmetric matrix, and its
+    (i, j) entry is <e_i, [X, e_j]>, so some X reaches it exactly when e_i and
+    e_j do not commute.  Slot 2k holds the k-th pair i < j.
+    """
+    n = math.isqrt(dim + 1)
+    basis = su_basis(n)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    return tuple(
+        2 * k
+        for k, (i, j) in enumerate(pairs)
+        if np.abs(basis[i] @ basis[j] - basis[j] @ basis[i]).max() > 1e-12
+    )
+
+
+class TestSupport:
+    """Pushes onto a coefficient map's support equal the full route bit for bit."""
+
+    ADJ = Representation.adjoint(2)
+
+    def test_supports_of_the_adjoints(self):
+        assert _support(self.ADJ.coefficient_map()) == (0, 2, 4) == noncommuting_slots(3)
+        want = (0, 2, 4, 6, 8, 10, 14, 16, 18, 20, 22, 26, 28, 30, 32, 34, 36, 38, 40, 42, 44, 46, 48, 50, 52)
+        assert _support(Representation.adjoint(3).coefficient_map()) == want == noncommuting_slots(8)
+        # the fundamental's identity reaches every coefficient, the trivial none
+        assert _support(Representation.fundamental(3).coefficient_map()) == tuple(range(8))
+        assert _support(Representation(2, ()).coefficient_map()) == ()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bracket_on_the_support_is_the_full_bracket_there(self, n):
+        # fields that are +-0 off the support, as pushed fields are
+        rho = Representation.adjoint(n)
+        m = rho.coefficient_map()
+        support = _support(m)
+        x, y = (leading(c @ m) for c in np.random.default_rng(40 + n).standard_normal((2, 64, n * n - 1)))
+        full = _bracket(x, y, _bracket_terms(rho.dim))
+        got = _bracket(x[list(support)], y[list(support)], _bracket_terms(rho.dim, support))
+        assert np.array_equal(got, full[list(support)])
+        # outputs off the support need not vanish in general (the map's
+        # entries carry roundoff), and the curving pairs them only with
+        # fields that are +-0 there; for su(2) the support spans so(3), a
+        # subalgebra of su(3), so no term leaves it
+        if n == 2:
+            assert not np.delete(full, support, axis=0).any()
+
+    @pytest.mark.parametrize("case", ["su2-family", "winding"])
+    def test_pushes_equal_the_full_route(self, case):
+        # su2-family at 8 x 8^3, periodic; the winding family ghosted by 4
+        if case == "winding":
+            conn = ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)))
+        else:
+            conn = connection_preset(case, theta_points=8, base_points=8)
+        want_pushed, want_density = full_route(conn, self.ADJ)
+        (density,) = pontryagin_densities(conn, [self.ADJ])
+        assert same_bits(density, want_density) and density.max_norm() > 0
+        if conn.ghost_margin:
+            m, support = _support_map(conn, self.ADJ)
+            pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, _bracket_terms(3, support))))
+        else:
+            pushed = CurvaturePass(conn, self.ADJ).pushed
+        assert same_bits(pushed, want_pushed) and pushed.max_norm() > 0
+        # the full route's pushed fields are exact zeros off the support
+        run = next(_curvature_slices(conn))
+        full = run.pushed(self.ADJ.coefficient_map(), _bracket_terms(3))
+        for field in (full.phi, *full.a, *full.d_theta_a, *full.base.values()):
+            assert not field[[1, 3, 5, 6, 7]].any()
+
+    def test_support_map_keeps_every_row(self):
+        # a NaN in any su(2) coefficient reaches the support
+        conn = connection_preset("su2-family", theta_points=8, base_points=8)
+        m, support = _support_map(conn, self.ADJ)
+        assert m.shape == (3, 3) and np.array_equal(m, self.ADJ.coefficient_map()[:, [0, 2, 4]])
+        for c in range(3):
+            x = np.zeros((3, 2))
+            x[c, 0] = math.nan
+            assert np.isnan(caloron._push(x, m)[:, 0]).all()
+
+
 class TestLayout:
     """The fields are coefficient-leading: each coefficient one contiguous grid array."""
 
@@ -1127,8 +1234,9 @@ class TestLayout:
                 assert all(c.flags.c_contiguous for c in field)
 
     def test_sampling_places_every_field_shape(self):
-        # a family may return one coefficient vector (m,), a circle profile
-        # (P, 1, 1, 1, m) or the full grid; each lands coefficient first
+        # a family returns its coefficients first: one array (m,) of
+        # constants, or per coefficient a constant, a circle profile
+        # (P, 1, 1, 1) or the full grid; each lands in its coefficient's grid
         coeffs = np.array([1.0, 2.0, 3.0])
 
         def phi(th, xs):
@@ -1136,9 +1244,9 @@ class TestLayout:
 
         def base(th, xs, axis):
             if axis == 0:
-                return th[..., None] * coeffs
+                return [th * c for c in coeffs]
             full = th + xs[0] + 10.0 * xs[1] + 100.0 * xs[2]
-            return full[..., None] * (coeffs + axis)
+            return [full * (c + axis) for c in coeffs]
 
         conn = sample_connection(AnalyticConnection(2, phi, base, "shapes"), 3, 8, 6)
         th, x = np.arange(8) / 8, np.arange(6) / 6
@@ -1150,3 +1258,38 @@ class TestLayout:
             assert np.array_equal(conn.a[0, c], np.broadcast_to(profile * coeffs[c], grid))
             for axis in (1, 2):
                 assert np.array_equal(conn.a[axis, c], full * (coeffs[c] + axis))
+
+    def test_one_field_may_mix_shapes(self):
+        # each coefficient broadcasts on its own: a constant, a profile, a grid
+        def phi(th, xs):
+            return [2.0, th, th + xs[0] + xs[1] + xs[2]]
+
+        def base(th, xs, axis):
+            return [0.0, 0.0, 0.0]
+
+        conn = sample_connection(AnalyticConnection(2, phi, base, "mixed"), 3, 8, 6)
+        th, x = np.arange(8) / 8, np.arange(6) / 6
+        profile = th[:, None, None, None]
+        grid = (8, 6, 6, 6)
+        assert np.array_equal(conn.phi[0], np.full(grid, 2.0))
+        assert np.array_equal(conn.phi[1], np.broadcast_to(profile, grid))
+        assert np.array_equal(conn.phi[2], profile + x[:, None, None] + x[:, None] + x)
+        assert not conn.a.any()
+
+    @pytest.mark.parametrize("count", [2, 4, 1])
+    def test_wrong_coefficient_count_rejected(self, count):
+        # an su(2) field is 3 coefficients; a scalar is one, and every other
+        # count is refused before anything is written, naming the field
+        def phi(th, xs):
+            return [th] * 3
+
+        def base(th, xs, axis):
+            if axis != 1:
+                return [th] * 3
+            return 0.5 if count == 1 else [th] * count
+
+        family = AnalyticConnection(2, phi, base, "miscounted")
+        with pytest.raises(
+            ConsistencyError, match=f"'miscounted': base\\[1\\] is not 3 finite real .* got {count} of"
+        ):
+            sample_connection(family, 3, 8, 6)

@@ -435,6 +435,29 @@ class TestReports:
         assert status["adjoint-scaling"] == "fail"
         assert status["winding-model-value"] == ("fail" if poisoned == "fundamental" else "pass")
 
+    @pytest.mark.parametrize("field", ["phi", "a"])
+    @pytest.mark.parametrize("coefficient", [0, 1, 2])
+    @pytest.mark.parametrize("command, check", [("caloron", "rho-scaling-adjoint"), ("pairing", "adjoint-scaling")])
+    def test_nan_field_coefficient_fails_the_adjoint_check(self, monkeypatch, field, coefficient, command, check):
+        # the push keeps every row of the coefficient map, so a NaN in any
+        # su(2) coefficient reaches the coefficients the adjoint holds; the
+        # pairing samples through moduli's binding of the sampler
+        owner = cli if command == "caloron" else moduli
+        real = owner.sample_connection
+
+        def with_nan(*args, **kwargs):
+            conn = real(*args, **kwargs)
+            cell = (conn.ghost_margin + 2,) * 3
+            samples = conn.phi[coefficient] if field == "phi" else conn.a[1, coefficient]
+            samples[(0,) + cell] = math.nan
+            return conn
+
+        monkeypatch.setattr(owner, "sample_connection", with_nan)
+        params = {"theta_points": 8, "base_points": 8} if command == "caloron" else {}
+        _, full, seed, _ = validate_scenario({"command": command, "params": params})
+        (record,) = [r for r in run_scenario(command, full, seed)["checks"] if r["name"] == check]
+        assert record["status"] == "fail"
+
     @pytest.mark.parametrize("command, grids", [("caloron", [16, 32]), ("pairing", [20])])
     def test_one_curvature_pass_per_grid(self, monkeypatch, command, grids):
         # one circle derivative per base component on each grid: caloron's

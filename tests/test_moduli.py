@@ -34,7 +34,7 @@ from gerbetool.moduli import (
     relation_check,
     standard_genus2_su2,
 )
-from gerbetool.moduli import _loop_direction, _sylvester_stack
+from gerbetool.moduli import _loop_direction, _seam_check, _sylvester_stack
 from gerbetool.spectral import SpectralCut, spectral_flow
 
 TWO_PI = 2.0 * math.pi
@@ -603,11 +603,35 @@ class TestPairing:
                 k = su_coefficients(_loop_direction(self.rep, word))[0]
 
                 def phi(th, xs):
-                    bump = (xs[0] ** 2 + 0.0 * th)[..., None]
-                    return inner(th, xs) + bump * k
+                    bump = xs[0] ** 2 + 0.0 * th
+                    return [p + bump * k_c for p, k_c in zip(inner(th, xs), k)]
 
                 return type(fam)(fam.n, phi, fam.base, fam.label)
 
         fam = QuadraticFamily(standard_genus2_su2())
         with pytest.raises(ValidationError, match="higgs jump across axis 0"):
             fam.connection(WORD)
+
+    @pytest.mark.parametrize("defect", ["quadratic", "nan"])
+    def test_seam_check_reads_every_coefficient(self, defect):
+        # a defect in one coefficient of one gauge component, a coefficient
+        # off the loop direction, is rejected as a defect of the whole field
+        class OneCoefficient(ModuliFamily):
+            def family(self, word):
+                fam = super().family(word)
+
+                def base(th, xs, axis):
+                    out = list(fam.base(th, xs, axis))
+                    if axis == 1:
+                        out[2] = out[2] + (xs[2] ** 2 if defect == "quadratic" else math.nan * xs[2])
+                    return out
+
+                return type(fam)(fam.n, fam.phi, base, fam.label)
+
+        fam = OneCoefficient(standard_genus2_su2())
+        axis = 2 if defect == "quadratic" else 0  # a NaN jump shows across the first axis
+        with pytest.raises(ValidationError, match=rf"gauge\[1\] jump across axis {axis} varies by"):
+            if defect == "nan":  # the sampler refuses a NaN before the seam is probed
+                _seam_check(ModuliFamily(standard_genus2_su2()).connection(WORD), fam.family(WORD))
+            fam.connection(WORD)
+
