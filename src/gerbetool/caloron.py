@@ -194,7 +194,8 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
     """Evaluate an analytic family on the (theta, base) grid, one field at a time.
 
     Each coefficient of a field is written to the grid by one broadcast
-    assignment; a field that is not n^2 - 1 finite real coefficients raises
+    assignment; a field that is not n^2 - 1 finite real coefficients, or
+    whose coefficient does not broadcast to the grid, raises
     ConsistencyError naming the family and the field.
     """
     check_grid(theta_points, base_points, base_dim, family.n, ghost_margin)
@@ -214,8 +215,14 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
                 f"family {family.label!r}: {what} is not {m} finite real coefficient "
                 f"fields, got {len(coeffs)} of {dtypes}"
             )
-        for dst, c in zip(out, coeffs):
-            dst[...] = c
+        for index, (dst, c) in enumerate(zip(out, coeffs)):
+            try:
+                dst[...] = c
+            except ValueError:
+                raise ConsistencyError(
+                    f"family {family.label!r}: {what} coefficient {index} of shape "
+                    f"{c.shape} does not broadcast to the grid {dst.shape}"
+                ) from None
 
     fill(fields[0], family.phi(th, xs), "phi")
     for axis in range(base_dim):

@@ -7,8 +7,10 @@ the same bytes apart from the measured runtime_ms fields.  Exit status is
 0 when every check passes, 1 when any check fails or is indeterminate,
 and 2 on configuration errors.
 
-Each command is declared once in COMMANDS: its param defaults, its
-battery and its config rules.
+Each command is declared once in COMMANDS: its param defaults, bounds,
+tests of single keys and battery.  A config is valid when its battery can
+be built; validation builds it and drops its checks, a run builds it again
+and runs them.
 """
 
 import argparse
@@ -26,9 +28,7 @@ import numpy as np
 
 from .caloron import CurvaturePass, check_grid, pontryagin_densities, sample_connection
 from .detline import CechTable, det_line
-from .errors import (
-    ConfigError, CoverViolationError, GerbeToolError, ResourceError
-)
+from .errors import ConfigError, CoverViolationError, GerbeToolError, ResourceError
 from .fock import (
     FockWindow,
     _require_interior,
@@ -115,19 +115,20 @@ _HALVES = (SpectralCut(Fraction(-1, 2)), SpectralCut(Fraction(1, 2)))
 
 
 class _Command(NamedTuple):
-    """One command: its param defaults, its battery and its config rules.
+    """One command: its param defaults, its battery and the tests of single keys.
 
-    battery(params, seed) returns (name, tolerance, thunk) triples; a thunk
-    returns a residual, or a (residual, status) pair for a verdict it sets
-    itself.  bounds maps a key to (low, high), None for no limit; key_tests
-    maps a key to a test of its value alone; rule checks the whole params.
+    battery(params, seed) raises a GerbeToolError for params it cannot run,
+    or returns (name, tolerance, thunk) rows; a thunk returns a residual, or
+    a (residual, status) pair for a verdict it sets itself.  Validation
+    builds every battery, so a battery leaves each sample, pass, basis,
+    table and path to its thunks.  bounds maps a key to (low, high), None
+    for no limit; key_tests maps a key to a test of its value alone.
     """
 
     defaults: dict
     battery: object
     bounds: dict = {}
     key_tests: dict = {}
-    rule: object = None
 
 
 def _coerce(where, default, value):
@@ -166,18 +167,38 @@ def _suite(where, value):
         raise ConfigError(f"{where} must be 'trivial' or 'standard'")
 
 
+def _phases(where, phases):
+    """At most MAX_PHASES phases, none putting an eigenvalue on the spectrum battery's cuts +-1/2.
+
+    The count is checked before the holonomy is built.  A phase on a cut
+    leaves half-cut-covered failing and unit-band-per-color raising.  The
+    eigenvalues nearest +-1/2 have modes -1 and 0, so the spectrum at
+    n_max 1 answers for every n_max, and the battery asks in_cover only in
+    its checks.
+    """
+    if len(phases) > MAX_PHASES:
+        raise ResourceError(f"{len(phases)} phases, over the cap of {MAX_PHASES}")
+    spec = dirac_spectrum(diagonal_holonomy(phases), 1)
+    for cut in _HALVES:
+        if not in_cover(spec, cut):
+            raise CoverViolationError(f"phases put an eigenvalue on the cut {cut.value}")
+
+
 def _require_modes(n_max, colors):
     """ResourceError when a spectrum of n_max and colors exceeds MAX_MODES."""
     modes = (2 * n_max + 1) * colors
     if modes > MAX_MODES:
         raise ResourceError(
-            f"n_max {n_max} with {colors} colors makes {modes} modes, "
-            f"over the cap of {MAX_MODES}"
+            f"n_max {n_max} with {colors} colors makes {modes} modes, over the cap of {MAX_MODES}"
         )
 
 
 def validate_scenario(obj, cli_command=None):
-    """Strict-schema validation; returns (command, params, seed, output_path)."""
+    """Strict-schema validation; returns (command, params, seed, output_path).
+
+    The params are valid when their battery can be built; a GerbeToolError
+    of a key test or the battery becomes a ConfigError naming the command.
+    """
     if not isinstance(obj, dict):
         raise ConfigError("scenario must be a JSON object")
     for key in obj:
@@ -195,26 +216,6 @@ def validate_scenario(obj, cli_command=None):
     raw = obj.get("params", {})
     if not isinstance(raw, dict):
         raise ConfigError("key 'params' must be an object")
-    decl = COMMANDS[command]
-    params = {k: (list(v) if isinstance(v, list) else v) for k, v in decl.defaults.items()}
-    for key, value in raw.items():
-        where = f"key '{key}' in params for command '{command}'"
-        if key not in params:
-            raise ConfigError(f"unknown {where}")
-        params[key] = _coerce(where, decl.defaults[key], value)
-        if key in decl.key_tests:
-            decl.key_tests[key](where, params[key])
-    for key, (low, high) in decl.bounds.items():
-        where = f"key '{key}' in params for command '{command}'"
-        if low is not None and params[key] < low:
-            raise ConfigError(f"{where} must be >= {low}")
-        if high is not None and params[key] > high:
-            raise ConfigError(f"{where} must be <= {high}")
-    if decl.rule is not None:
-        try:
-            decl.rule(params)
-        except GerbeToolError as exc:
-            raise ConfigError(f"params for command '{command}': {exc}") from None
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("key 'seed' must be an integer")
@@ -223,85 +224,28 @@ def validate_scenario(obj, cli_command=None):
     output_path = obj.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("key 'output_path' must be a string")
+    decl = COMMANDS[command]
+    params = {k: (list(v) if isinstance(v, list) else v) for k, v in decl.defaults.items()}
+    try:
+        for key, value in raw.items():
+            where = f"key '{key}' in params for command '{command}'"
+            if key not in params:
+                raise ConfigError(f"unknown {where}")
+            params[key] = _coerce(where, decl.defaults[key], value)
+            if key in decl.key_tests:
+                decl.key_tests[key](where, params[key])
+        for key, (low, high) in decl.bounds.items():
+            where = f"key '{key}' in params for command '{command}'"
+            if low is not None and params[key] < low:
+                raise ConfigError(f"{where} must be >= {low}")
+            if high is not None and params[key] > high:
+                raise ConfigError(f"{where} must be <= {high}")
+        decl.battery(params, seed)
+    except ConfigError:
+        raise
+    except GerbeToolError as exc:
+        raise ConfigError(f"params for command '{command}': {exc}") from None
     return command, params, seed, output_path
-
-
-def _check_spectrum(params):
-    """At most MAX_PHASES phases and MAX_MODES modes, and the battery's cuts
-    1/2 and -1/2 in the window and off the spectrum.
-
-    Both caps are checked before any holonomy is built; the cuts are asked
-    of the library: a phase on a cut leaves half-cut-covered failing, and
-    the band and flow checks raising.  The eigenvalues nearest +-1/2 have
-    modes -1 and 0, so n_max 1 answers for every n_max.
-    """
-    if len(params["phases"]) > MAX_PHASES:
-        raise ResourceError(
-            f"{len(params['phases'])} phases, over the cap of {MAX_PHASES}"
-        )
-    _require_modes(params["n_max"], len(params["phases"]))
-    _require_window(_HALVES[1], params["n_max"])
-    spec = dirac_spectrum(diagonal_holonomy(params["phases"]), 1)
-    for cut in _HALVES:
-        if not in_cover(spec, cut):
-            raise CoverViolationError(f"phases put an eigenvalue on the cut {cut.value}")
-
-
-def _check_cocycle(params):
-    triples = len(HOLONOMY_SUITES["standard"]) * math.comb(2 * params["n_max"] - 2, 3)
-    if triples > MAX_CECH_TRIPLES:
-        raise ResourceError(
-            f"n_max {params['n_max']} needs {triples} Cech triples, "
-            f"over the cap of {MAX_CECH_TRIPLES}"
-        )
-
-
-def _check_fock(params):
-    """Window, margin, band and cost rules of the fock battery, asked of the library.
-
-    The commutator sweep needs a window margin of 2 * sweep around the cut,
-    the central term and the projective exponential a margin of 1, and the
-    largest basis is built at pair_cap + 1.  The sweep is one
-    commutator_check call.  It sums the tuples in batches of at most
-    MAX_BATCH_ENTRIES hop-kernel entries, however many the sweep has, and
-    holds the images of one margin's currents at a time.  The exponential
-    at _EXP_TIME stays inside check_expm_cost on every basis
-    check_basis_cost admits, so only _expm_multiply asks it; its work is
-    counted on the full compression, not on the rows each probe block
-    reaches.  The rule builds no matrix.
-    """
-    window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
-    _require_interior(window, max(2 * params["sweep"], 1))
-    _transport_modes(window, params["mu"])
-    check_basis_cost(window.n_slots, params["pair_cap"] + 1)
-
-
-def _check_caloron(params):
-    """Grid rules of the caloron battery, asked of the library for both grids.
-
-    The fine grid, refine_factor times the base grid, is the one the cost
-    cap binds.
-    """
-    n = su2_family().n
-    coarse = params["base_points"]
-    for base_points in (coarse, params["refine_factor"] * coarse):
-        check_grid(params["theta_points"], base_points, 3, n)
-
-
-def _check_moduli(params):
-    """The cut 1/2 in the window and the su2-balanced path's spectra in MAX_MODES."""
-    _require_modes(params["n_max"], 2)
-    _require_window(_HALVES[1], params["n_max"])
-
-
-def _check_pairing(params):
-    """Grid rules of the pairing battery's su(2) family samplings."""
-    check_sampling(
-        params["theta_points"],
-        params["base_points"],
-        params["ghost_margin"],
-        standard_genus2_su2().n,
-    )
 
 
 def emit_schema():
@@ -349,21 +293,25 @@ def _run_checks(checks):
 
 
 def _battery_spectrum(params, seed):
+    """MAX_MODES modes and the cut 1/2 in the window; the first check builds the spectrum."""
     n_max = params["n_max"]
     phases = params["phases"]
-    spec = dirac_spectrum(diagonal_holonomy(phases), n_max)
+    _require_modes(n_max, len(phases))
+    _require_window(_HALVES[1], n_max)
+    spec = functools.cache(lambda: dirac_spectrum(diagonal_holonomy(phases), n_max))
     return [
-        ("mode-count", 0.0, lambda: abs(len(spec.modes) - (2 * n_max + 1) * len(phases))),
-        ("half-cut-covered", 0.0, lambda: 0.0 if in_cover(spec, _HALVES[1]) else 1.0),
-        ("unit-band-per-color", 0.0, lambda: abs(len(band(spec, *_HALVES)) - len(phases))),
+        ("mode-count", 0.0, lambda: abs(len(spec().modes) - (2 * n_max + 1) * len(phases))),
+        ("half-cut-covered", 0.0, lambda: 0.0 if in_cover(spec(), _HALVES[1]) else 1.0),
+        ("unit-band-per-color", 0.0, lambda: abs(len(band(spec(), *_HALVES)) - len(phases))),
     ]
 
 
 def _battery_cover(params, seed):
+    """The 2 x 2 identity holonomy's spectrum within MAX_MODES; the first check builds it."""
     n_max = params["n_max"]
     cap = params["denominator_cap"]
-    hol = Holonomy(np.eye(2, dtype=complex))
-    spec = dirac_spectrum(hol, n_max)
+    _require_modes(n_max, 2)
+    spec = functools.cache(lambda: dirac_spectrum(Holonomy(np.eye(2, dtype=complex)), n_max))
 
     def noninteger_covered():
         bad = 0
@@ -372,25 +320,21 @@ def _battery_cover(params, seed):
                 cut = Fraction(p, q)
                 if cut.denominator == 1:
                     continue
-                if not in_cover(spec, SpectralCut(cut)):
+                if not in_cover(spec(), SpectralCut(cut)):
                     bad += 1
         return float(bad)
 
     def integers_excluded():
-        return float(
-            sum(
-                in_cover(spec, SpectralCut(Fraction(k)))
-                for k in range(-(n_max - 1), n_max)
-            )
-        )
+        integers = range(-(n_max - 1), n_max)
+        return float(sum(in_cover(spec(), SpectralCut(Fraction(k))) for k in integers))
 
     def triple_valid():
-        table = CechTable(spec, (*_HALVES, SpectralCut(Fraction(3, 2))), det_line)
+        table = CechTable(spec(), (*_HALVES, SpectralCut(Fraction(3, 2))), det_line)
         return abs(table.deltas()[0] - 1.0)
 
     def triple_rejects_spectrum_cut():
         try:
-            CechTable(spec, (*_HALVES, SpectralCut(Fraction(2))), det_line)
+            CechTable(spec(), (*_HALVES, SpectralCut(Fraction(2))), det_line)
         except CoverViolationError:
             return 0.0
         return 1.0
@@ -404,7 +348,13 @@ def _battery_cover(params, seed):
 
 
 def _battery_cocycle(params, seed):
+    """The standard suite's Cech triples within MAX_CECH_TRIPLES; each check builds its table."""
     n_max = params["n_max"]
+    triples = len(HOLONOMY_SUITES["standard"]) * math.comb(2 * n_max - 2, 3)
+    if triples > MAX_CECH_TRIPLES:
+        raise ResourceError(
+            f"n_max {n_max} needs {triples} Cech triples, over the cap of {MAX_CECH_TRIPLES}"
+        )
     cuts = [SpectralCut(Fraction(2 * k + 1, 2)) for k in range(-n_max + 1, n_max - 1)]
 
     def table(hol):
@@ -427,10 +377,22 @@ def _battery_cocycle(params, seed):
 
 
 def _battery_fock(params, seed):
-    window = FockWindow(params["n_colors"], params["n_max"], Fraction(params["cut"]))
-    mu = Fraction(params["mu"])
+    """Window, margin, cost and band rules, asked of the library; they build no matrix.
+
+    The commutator sweep needs a window margin of 2 * sweep around the cut,
+    the central term and the projective exponential a margin of 1, and the
+    largest basis is built at pair_cap + 1.  The basis cost is checked
+    before the band's modes are listed.  The sweep is one commutator_check
+    call, in batches of at most MAX_BATCH_ENTRIES hop-kernel entries.  The
+    exponential at _EXP_TIME stays inside check_expm_cost on every basis
+    check_basis_cost admits, so only _expm_multiply asks it.
+    """
+    window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
     sweep = params["sweep"]
     cap = params["pair_cap"]
+    _require_interior(window, max(2 * sweep, 1))
+    check_basis_cost(window.n_slots, cap + 1)
+    mu, _ = _transport_modes(window, params["mu"])
 
     def commutator_sweep():
         colors = range(1, window.n_colors + 1)
@@ -465,10 +427,17 @@ def _battery_fock(params, seed):
 
 
 def _battery_caloron(params, seed):
-    conn = sample_connection(su2_family(), 3, params["theta_points"], params["base_points"])
+    """Grid rules of both grids, the fine one binding the cost cap; the first check samples."""
+    family = su2_family()
+    theta_points, base_points = params["theta_points"], params["base_points"]
+    for points in (base_points, params["refine_factor"] * base_points):
+        check_grid(theta_points, points, 3, family.n)
 
-    # one coarse curvature pass serves both checks; the fine pass is ms-identity-order's own
-    coarse = functools.cache(lambda: CurvaturePass(conn, Representation.adjoint(conn.n)))
+    @functools.cache
+    def coarse():
+        # one coarse curvature pass serves both checks; the fine pass is ms-identity-order's own
+        conn = sample_connection(family, 3, theta_points, base_points)
+        return CurvaturePass(conn, Representation.adjoint(conn.n))
 
     def ms_order():
         _, order = coarse().identity_check(params["refine_factor"])
@@ -486,9 +455,12 @@ def _battery_caloron(params, seed):
 
 
 def _battery_moduli(params, seed):
-    rep = standard_genus2_su2()
+    """The cut 1/2 in the window and the su2-balanced path's spectra in MAX_MODES."""
     steps = params["flow_steps"]
     n_max = params["n_max"]
+    _require_modes(n_max, 2)
+    _require_window(_HALVES[1], n_max)
+    rep = standard_genus2_su2()
     half = _HALVES[1]
     # the base point's residual and verdict, each shared by two checks
     base_relation = functools.cache(lambda: relation_check(rep))
@@ -532,7 +504,9 @@ def _battery_moduli(params, seed):
 
 
 def _battery_pairing(params, seed):
+    """Grid rules of the winding family's su(2) sampling; the sample is built by the first check."""
     rep = standard_genus2_su2()
+    check_sampling(params["theta_points"], params["base_points"], params["ghost_margin"], rep.n)
     gamma = LoopWord(((1, 1),))
     reps = (Representation.fundamental(2), Representation.adjoint(2))
     winding = ModuliFamily(rep, modulation=params["modulation"])
@@ -563,11 +537,24 @@ def _battery_pairing(params, seed):
     ]
 
 
+def _battery_all(params, seed):
+    """Every other command's rows at its defaults, named '<command>:<check>'.
+
+    A generator: each battery is built once the one before has run, so one
+    battery's samples are held at a time.
+    """
+    for command, decl in COMMANDS.items():
+        if command == "all":
+            continue
+        for name, tolerance, thunk in decl.battery(dict(decl.defaults), seed):
+            yield f"{command}:{name}", tolerance, thunk
+
+
 COMMANDS = {
     "spectrum": _Command(
         {"n_max": 6, "phases": [0.15, 0.55]},
         _battery_spectrum,
-        rule=_check_spectrum,
+        key_tests={"phases": _phases},
     ),
     "cover": _Command(
         {"n_max": 6, "denominator_cap": 4},
@@ -575,8 +562,6 @@ COMMANDS = {
         # the rejected triple puts a cut at 2, inside (-3, 3); the
         # non-integer cuts need a denominator 2 at least, or none are tested
         bounds={"n_max": (3, None), "denominator_cap": (2, MAX_DENOMINATOR_CAP)},
-        # the spectrum of the 2 x 2 identity holonomy
-        rule=lambda params: _require_modes(params["n_max"], 2),
     ),
     "cocycle": _Command(
         {"n_max": 4, "suite": "standard"},
@@ -585,7 +570,6 @@ COMMANDS = {
         # one quadruple
         bounds={"n_max": (3, None)},
         key_tests={"suite": _suite},
-        rule=_check_cocycle,
     ),
     "fock": _Command(
         {"n_colors": 2, "n_max": 6, "cut": "1/2", "mu": "5/2", "sweep": 2, "pair_cap": 2},
@@ -594,14 +578,12 @@ COMMANDS = {
         # with i != j; the sweep and the pair cap are counts
         bounds={"n_colors": (2, None), "sweep": (0, None), "pair_cap": (1, None)},
         key_tests={"cut": _rational, "mu": _rational},
-        rule=_check_fock,
     ),
     "caloron": _Command(
         {"theta_points": 12, "base_points": 16, "refine_factor": 2},
         _battery_caloron,
         # ms-identity-order measures its order between two base grids
         bounds={"refine_factor": (2, None)},
-        rule=_check_caloron,
     ),
     "moduli": _Command(
         {"conjugations": 10, "flow_steps": 48, "n_max": 4},
@@ -609,7 +591,6 @@ COMMANDS = {
         # a path of flow_steps samples moves each phase 1/flow_steps modes
         # per step, and su2-balanced is first resolved at 5 steps
         bounds={"conjugations": (1, MAX_CONJUGATIONS), "flow_steps": (5, MAX_FLOW_STEPS)},
-        rule=_check_moduli,
     ),
     "pairing": _Command(
         {"modulation": 0.2, "theta_points": 8, "base_points": 12, "ghost_margin": 4},
@@ -617,28 +598,14 @@ COMMANDS = {
         # the pairing is -2 out of density terms of order
         # modulation^2; past 1e6 roundoff cancels it
         bounds={"modulation": (-1e6, 1e6)},
-        rule=_check_pairing,
     ),
-    "all": _Command({}, None),
+    "all": _Command({}, _battery_all),
 }
 
 
-def _battery_all(seed):
-    """Every other command's battery at its defaults, named '<command>:<check>'."""
-    return [
-        {**record, "name": f"{command}:{record['name']}"}
-        for command, decl in COMMANDS.items()
-        if decl.battery is not None
-        for record in _run_checks(decl.battery(dict(decl.defaults), seed))
-    ]
-
-
 def run_scenario(command, params, seed):
-    """Execute one command's battery and assemble the report structure."""
-    if command == "all":
-        records = _battery_all(seed)
-    else:
-        records = _run_checks(COMMANDS[command].battery(params, seed))
+    """Build one command's battery, run its rows and assemble the report structure."""
+    records = _run_checks(COMMANDS[command].battery(params, seed))
     status = "pass" if all(r["status"] == "pass" for r in records) else "fail"
     canonical = json.dumps(
         {"command": command, "params": params, "seed": seed},

@@ -625,12 +625,10 @@ def _transport_modes(window, mu):
         raise ValidationError(f"target cut must be non-integer, got {mu}")
     if not mu > lam:
         raise ArgumentError(f"target cut {mu} must exceed the window cut {lam}")
-    modes = list(range(math.ceil(lam), math.floor(mu) + 1))
-    if modes and modes[-1] > window.N:
-        raise RangeError(
-            f"band ({lam}, {mu}] exits the window: mode {modes[-1]} > N = {window.N}"
-        )
-    return mu, modes
+    top = math.floor(mu)  # the cut lies inside the window, so a top past N is a band mode
+    if top > window.N:
+        raise RangeError(f"band ({lam}, {mu}] exits the window: mode {top} > N = {window.N}")
+    return mu, list(range(math.ceil(lam), top + 1))
 
 
 def bogoliubov_vacuum(window, mu):

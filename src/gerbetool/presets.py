@@ -98,8 +98,12 @@ HOLONOMY_SUITES = {
 
 
 def diagonal_unitaries(phases):
-    """diag(exp(2 pi i phase)) over the last axis of phases (in turns): (..., n) -> (..., n, n)."""
-    entries = np.exp(2j * np.pi * np.asarray(phases, dtype=float))
+    """diag(exp(2 pi i phase)) over the last axis of phases (in turns): (..., n) -> (..., n, n).
+
+    The phases are reduced modulo one turn first, so a huge phase makes no
+    NaN; a phase in [0, 1) is unchanged.
+    """
+    entries = np.exp(2j * np.pi * (np.asarray(phases, dtype=float) % 1.0))
     on_diagonal = np.eye(entries.shape[-1] if entries.ndim else 0, dtype=bool)
     return np.where(on_diagonal, entries[..., None], 0j)
 

@@ -1293,3 +1293,19 @@ class TestLayout:
             ConsistencyError, match=f"'miscounted': base\\[1\\] is not 3 finite real .* got {count} of"
         ):
             sample_connection(family, 3, 8, 6)
+
+    def test_unbroadcastable_coefficient_rejected(self):
+        # three coefficients of shape (5,) fit no axis of the 8 x 8^3 grid;
+        # numpy's bare ValueError named neither the family nor the field
+        def phi(th, xs):
+            return [np.ones(5)] * 3
+
+        def base(th, xs, axis):
+            return [th] * 3
+
+        family = AnalyticConnection(2, phi, base, "misshapen")
+        with pytest.raises(
+            ConsistencyError,
+            match=r"'misshapen': phi coefficient 0 of shape \(5,\) does not broadcast to the grid \(8, 8, 8, 8\)",
+        ):
+            sample_connection(family, 3, 8, 8)

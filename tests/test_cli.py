@@ -154,6 +154,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             validate_scenario({"command": "fock", "params": params})
 
+    def test_fock_basis_cost_is_checked_before_the_band_is_listed(self, monkeypatch):
+        # n_max 10**8 would list ten million band modes before the window's
+        # 400 000 002 slots were refused
+        monkeypatch.setattr(cli, "_transport_modes", lambda window, mu: pytest.fail("listed the band"))
+        with pytest.raises(ConfigError, match="400000002 slots exceed"):
+            validate_scenario({"command": "fock", "params": {"n_max": 10**8, "mu": "20000001/2"}})
+
     def test_fock_cost_model_admits_three_colors(self):
         _, params, _, _ = validate_scenario(
             {"command": "fock", "params": {"n_colors": 3, "n_max": 8}}
@@ -216,6 +223,29 @@ class TestValidation:
         report = run_scenario("caloron", params, seed)
         assert report["status"] == "pass"
 
+    def test_validation_builds_nothing_a_check_builds(self, monkeypatch):
+        # validation builds each battery and drops its rows, so no sample,
+        # curvature pass, Fock basis or matrix, Cech table or holonomy path
+        # may be built before a check asks for it
+        called = []
+
+        def spy(name):
+            return lambda *args, **kwargs: called.append(name)
+
+        for module in (caloron, cli, detline, fock, moduli):
+            for name in (
+                "sample_connection", "CurvaturePass", "pontryagin_densities",
+                "graded_basis", "CechTable", "holonomy_path",
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name))
+        monkeypatch.setattr(fock.SparseOperator, "matrix", spy("SparseOperator.matrix"))
+        scenarios = [{"command": command} for command in COMMANDS]
+        scenarios += [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+        for scenario in scenarios:
+            validate_scenario(scenario)
+        assert called == []
+
     def test_defaults_fill_missing_params(self):
         _, params, seed, out = validate_scenario({"command": "spectrum"})
         assert params == {"n_max": 6, "phases": [0.15, 0.55]}
@@ -274,6 +304,33 @@ class TestReports:
         parsed = json.loads(text)
         assert parsed == json.loads(json.dumps(report))
         assert list(parsed) == sorted(parsed)
+
+    def test_all_builds_each_battery_after_the_last_has_run(self, monkeypatch):
+        # one battery's samples are held at a time: the all battery builds
+        # the next command's battery only when every row before it has run
+        events = []
+
+        def logged(command, battery):
+            def build(params, seed):
+                events.append(("build", command))
+                return [
+                    (name, tolerance, lambda thunk=thunk: events.append(("run", command)) or thunk())
+                    for name, tolerance, thunk in battery(params, seed)
+                ]
+
+            return build
+
+        commands = [command for command in COMMANDS if command != "all"]
+        for command in commands:
+            decl = COMMANDS[command]
+            monkeypatch.setitem(COMMANDS, command, decl._replace(battery=logged(command, decl.battery)))
+        report = run_scenario("all", {}, 0)
+        assert report["status"] == "pass"
+        expected = []
+        for command in commands:
+            checks = [r for r in report["checks"] if r["name"].startswith(f"{command}:")]
+            expected += [("build", command)] + [("run", command)] * len(checks)
+        assert events == expected
 
     def test_config_hash_depends_on_params(self):
         _, params, seed, _ = validate_scenario({"command": "spectrum"})
@@ -649,11 +706,22 @@ class TestExitCodes:
             ({"mu": "1/4"}, "target cut 1/4 must exceed the window cut"),
             ({"sweep": -1}, "key 'sweep' .* must be >= 0"),
             ({"pair_cap": 9}, "exceeds the cap of 50000"),
+            (
+                {"mu": "99999999999999999999/2"},
+                r"band \(1/2, 99999999999999999999/2\] exits the window: mode 49999999999999999999 > N = 6",
+            ),
+            ({"n_max": 10**8, "mu": "20000001/2"}, "400000002 slots exceed the 62-bit occupation mask"),
         ],
-        ids=["n_max", "n_colors", "cut", "n_max-3", "n_max-4", "mu", "sweep", "pair_cap"],
+        ids=[
+            "n_max", "n_colors", "cut", "n_max-3", "n_max-4", "mu", "sweep", "pair_cap",
+            "huge-mu", "wide-window",
+        ],
     )
     def test_meaningless_fock_config_exits_two(self, tmp_path, params, match):
-        # each passes the types but left a check without a meaningful verdict
+        # each passes the types but left a check without a meaningful verdict;
+        # a huge mu listed every band mode before the window was checked (an
+        # OverflowError traceback), and a wide window's band must be refused
+        # by the basis cost before its ten million modes are listed
         cfg = tmp_path / "fock.json"
         cfg.write_text(json.dumps({"command": "fock", "params": params}))
         proc = run_cli("fock", "--config", str(cfg))
@@ -719,6 +787,8 @@ class TestExitCodes:
             ("moduli", {"conjugations": 4097}, "key 'conjugations' .* must be <= 4096"),
             ("spectrum", {"phases": [0.5, 0.1]}, "phases put an eigenvalue on the cut -1/2"),
             ("spectrum", {"phases": [0.15, -0.5 - 1e-12]}, "on the cut -1/2"),
+            # a huge phase made NaN entries and two numpy warnings first
+            ("spectrum", {"phases": [1e308, 0.5]}, "phases put an eigenvalue on the cut -1/2"),
             ("cocycle", {"n_max": 13}, "n_max 13 needs 40480 Cech triples, over the cap of 32000"),
         ],
         ids=[
@@ -734,6 +804,7 @@ class TestExitCodes:
             "moduli-conjugations-cap",
             "spectrum-phase-on-cut",
             "spectrum-phase-near-cut",
+            "spectrum-huge-phase",
             "cocycle-cost",
         ],
     )
@@ -919,7 +990,7 @@ _FOCK_PARAMS = st.one_of(
         optional={
             "n_colors": st.integers(0, 2),
             "cut": _CUTS,
-            "mu": _CUTS,
+            "mu": _CUTS | st.just("99999999999999999999/2"),
             "sweep": st.integers(-1, 2),
             "pair_cap": st.integers(0, 3),
         },
@@ -928,7 +999,7 @@ _FOCK_PARAMS = st.one_of(
         {
             "n_max": st.integers(2, 4),
             "cut": st.sampled_from(["1/2", "-1/2", "1/4", "-3/4"]),
-            "mu": st.sampled_from(["3/2", "5/2", "3/4", "7/4"]),
+            "mu": st.sampled_from(["3/2", "5/2", "3/4", "7/4", "99999999999999999999/2"]),
             "sweep": st.integers(0, 1),
             "pair_cap": st.integers(1, 2),
         }
@@ -947,7 +1018,7 @@ _SPECTRUM_PARAMS = _wide_or_valid(
     {
         "n_max": st.integers(-1, 3),
         "phases": st.lists(
-            st.sampled_from([0.15, 0.5, -0.5, 0.55, 1.5, 0.5 + 1e-12, math.nan]),
+            st.sampled_from([0.15, 0.5, -0.5, 0.55, 1.5, 0.5 + 1e-12, math.nan, 1e308, -1e308]),
             max_size=3,
         ),
     },
