@@ -5,7 +5,7 @@ Modules
 spectral   twisted circle Dirac spectra, spectral cuts, flow counting
 detline    determinant lines over spectral bands and the cocycle check
 fock       Fock space as int64 mask blocks, currents, Bogoliubov transport
-liealg     su(n) bases and coefficients, weight multiplicities, Dynkin indices
+liealg     su(n) bases and coefficients; trivial, fundamental, adjoint representations
 grids      periodic grid forms, stencil derivatives, exterior derivative
 caloron    sampled connections over S1 x T^d and curvature identities
 presets    the caloron battery's su(2) family and the test holonomies
@@ -66,13 +66,7 @@ from .fock import (
     sigma,
     vacuum,
 )
-from .liealg import (
-    Representation,
-    dynkin_index,
-    su_basis,
-    weight_multiplicities,
-    weyl_dimension,
-)
+from .liealg import Representation, su_basis
 from .grids import GridForm, central_diff4, spectral_theta_derivative
 from .caloron import (
     AnalyticConnection,

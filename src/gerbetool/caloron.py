@@ -466,10 +466,10 @@ class CurvaturePass:
         """Max residual of (curving, 3-curvature) scaling under the pass's representation.
 
         Compares the pushed curving B_rho and (on a 3-dimensional base)
-        H_rho = d B_rho with dynkin_index(rho) times the fundamental forms.
-        The identity holds pointwise in the samples, so the residual is
-        roundoff-level.  Returns (worst, scale): the absolute residual and
-        dynkin_index(rho) * max(|B|, |H|) of the fundamental forms, the
+        H_rho = d B_rho with rho.index, the Dynkin index, times the
+        fundamental forms.  The identity holds pointwise in the samples, so
+        the residual is roundoff-level.  Returns (worst, scale): the absolute
+        residual and rho.index * max(|B|, |H|) of the fundamental forms, the
         scale a relative residual divides by.
         """
         if self.rho is None:

@@ -102,7 +102,7 @@ MAX_DENOMINATOR_CAP = 384
 # in one batched pass; 4 096 take about 0.13 s and 50 MB peak (2-core x86, Python 3.11).
 MAX_CONJUGATIONS = 4_096
 
-# adjoint-scaling's tolerance on the gap relative to max(|4 v_fund|, 1)
+# adjoint-scaling's tolerance on the gap relative to max(|iota v_fund|, 1), iota the adjoint's index
 _ADJOINT_TOLERANCE = 1e-6
 
 # the projective check's generator K = e^{11}_0, the color-1 number operator,
@@ -521,15 +521,15 @@ def _battery_pairing(params, seed):
 
     def adjoint_scaling():
         fund, adj_form = densities()
-        v_fund = fund.integrate()
-        gap = abs(adj_form.integrate() - 4.0 * v_fund)
+        v_fund, iota = fund.integrate(), float(reps[1].index)
+        gap = abs(adj_form.integrate() - iota * v_fund)
         # the model values are the integers -8 and -2, and the pairings are
         # sums of density terms that cancel to them: the gap may reach the
-        # tolerance's share of max(|4 v_fund|, 1) or eps times the terms'
+        # tolerance's share of max(|iota v_fund|, 1) or eps times the terms'
         # mean size, their roundoff, whichever is larger; the 1 keeps the
         # scale where a faulted fundamental pairing vanishes
         roundoff = np.finfo(float).eps * abs(adj_form).integrate()
-        return gap / max(abs(4.0 * v_fund), 1.0, roundoff / _ADJOINT_TOLERANCE)
+        return gap / max(abs(iota * v_fund), 1.0, roundoff / _ADJOINT_TOLERANCE)
 
     return [
         ("winding-model-value", 0.15, lambda: abs(densities()[0].integrate() + 2.0)),

@@ -767,7 +767,7 @@ def _row_product(table, x):
     return out
 
 
-def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK, tol=_UNIT_ROUNDOFF):
+def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK):
     """(steps, degree) of exp(t*mat) @ block at |t| * ||mat||_1 = norm_t, within the cost model.
 
     _taylor_schedule picks the steps and the degree.  Each product costs nnz
@@ -779,7 +779,7 @@ def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK, tol=_UNIT_ROUNDOFF):
     """
     if not math.isfinite(norm_t):
         raise PrecisionError(f"|t| * ||mat||_1 = {norm_t} is not finite")
-    steps, degree = _taylor_schedule(norm_t, tol)
+    steps, degree = _taylor_schedule(norm_t, _UNIT_ROUNDOFF)
     work = steps * degree * (nnz * columns + _PRODUCT_OVERHEAD)
     if work > MAX_EXPM_WORK:
         raise ResourceError(
@@ -794,7 +794,7 @@ def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK, tol=_UNIT_ROUNDOFF):
     return steps, degree
 
 
-def _expm_multiply(table, block, t, norm1, nnz, tol=_UNIT_ROUNDOFF):
+def _expm_multiply(table, block, t, norm1, nnz):
     """exp(t*mat) @ block by steps of a truncated Taylor series on a padded row table.
 
     norm1 = ||mat||_1 and nnz are those of the full compression the table
@@ -806,7 +806,7 @@ def _expm_multiply(table, block, t, norm1, nnz, tol=_UNIT_ROUNDOFF):
     if t == 0:
         return block.copy()
     norm_t = abs(t) * norm1
-    steps, degree = check_expm_cost(norm_t, nnz, block.shape[1], tol)
+    steps, degree = check_expm_cost(norm_t, nnz, block.shape[1])
     step = t / steps
     out = block.astype(np.result_type(table[1].dtype, block.dtype, step))
     for _ in range(steps):
@@ -823,7 +823,7 @@ def _expm_multiply(table, block, t, norm1, nnz, tol=_UNIT_ROUNDOFF):
     return out
 
 
-def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_ROUNDOFF):
+def projective_equality_check(terms, t, window, mu, pair_cap=3):
     """Residual of exp(t sigma_mu(K)) = exp(t sigma_lam(K)) exp(-t n_{lam,mu} Tr K).
 
     K is a finite combination [(coeff, i, j, n), ...] of elementary loop
@@ -862,7 +862,7 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3, tail_tol=_UNIT_R
         block = np.zeros((np.count_nonzero(reach), len(cols)), dtype=mats[0][2].dtype)
         block[np.cumsum(reach)[cols] - 1, np.arange(len(cols))] = 1.0
         lhs, rhs = (
-            _expm_multiply(_row_table(mat, reach), block, t, *cost, tail_tol)
+            _expm_multiply(_row_table(mat, reach), block, t, *cost)
             for mat, cost in zip(mats, costs)
         )
         rhs *= factor

@@ -1,4 +1,4 @@
-"""su(n) structure: orthogonal bases, representations, exact Dynkin indices.
+"""su(n) structure: orthogonal bases, coefficients, and three representations.
 
 Conventions: algebra elements are anti-Hermitian traceless n x n matrices,
 paired by <X, Y> = -trace(XY).  The standard basis below is normalized to
@@ -8,24 +8,15 @@ stored as its real coefficients c_a in X = sum_a c_a T_a, a trailing axis
 of length n^2 - 1 (caloron's fields and families put it first): there <X, Y> =
 2 c(X).c(Y), and the bracket contracts the coefficients with the structure
 constants.
-
-The Dynkin index of an irreducible representation with highest weight
-given by a partition is computed exactly over the rationals from the
-weight system (Freudenthal recursion), as tr_rho(H^2) / <H, H> on a test
-coroot, cross-checked on a second coroot.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import functools
-import itertools
 import math
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError, ConsistencyError
-
-_DIM_CAP = 200
+from .errors import ArgumentError, CapabilityError
 
 
 def su_basis(n):
@@ -144,141 +135,34 @@ def _adjoint_map(n):
     return _read_only(out)
 
 
-def _pad_partition(n, part):
-    part = tuple(int(p) for p in part)
-    if len(part) > n:
-        raise CapabilityError(f"partition longer than n = {n}")
-    if any(p < 0 for p in part) or any(
-        part[i] < part[i + 1] for i in range(len(part) - 1)
-    ):
-        raise CapabilityError(f"not a partition: {part}")
-    return part + (0,) * (n - len(part))
-
-
-def weyl_dimension(n, part):
-    """Dimension of the su(n) irrep with the given highest-weight partition."""
-    lam = _pad_partition(n, part)
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    return num // den
-
-
-def _majorizes(lam, mu):
-    s1 = s2 = 0
-    for a, b in zip(lam, mu):
-        s1 += a
-        s2 += b
-        if s2 > s1:
-            return False
-    return True
-
-
-def _inner_su(n, x, y):
-    dot = sum(Fraction(a) * b for a, b in zip(x, y))
-    return dot - Fraction(sum(x) * sum(y), n)
-
-
-def weight_multiplicities(n, part):
-    """All weights (epsilon coordinates) with multiplicities, by Freudenthal.
-
-    The weight set of the irrep is exactly the integer tuples with the same
-    coordinate sum whose decreasing rearrangement is majorized by the
-    highest weight; multiplicities are computed on dominant representatives
-    and extended by Weyl (permutation) invariance.
-    """
-    lam = _pad_partition(n, part)
-    dim = weyl_dimension(n, lam)
-    if dim > _DIM_CAP:
-        raise CapabilityError(f"dimension {dim} exceeds supported cap {_DIM_CAP}")
-    total = sum(lam)
-    lo, hi = lam[-1], lam[0]
-    all_weights = [
-        mu
-        for mu in itertools.product(range(lo, hi + 1), repeat=n)
-        if sum(mu) == total and _majorizes(lam, tuple(sorted(mu, reverse=True)))
-    ]
-    dominant = sorted({tuple(sorted(mu, reverse=True)) for mu in all_weights})
-
-    def level(mu):
-        acc = run = 0
-        for a, b in zip(lam, mu):
-            run += a - b
-            acc += run
-        return acc
-
-    dominant.sort(key=level)
-    rho = tuple(range(n - 1, -1, -1))
-    pos_roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            alpha = [0] * n
-            alpha[i], alpha[j] = 1, -1
-            pos_roots.append(tuple(alpha))
-    weight_set = set(all_weights)
-    mult = {lam: 1}
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    norm_top = _inner_su(n, lam_rho, lam_rho)
-    for mu in dominant:
-        if mu == lam:
-            continue
-        num = Fraction(0)
-        for alpha in pos_roots:
-            k = 1
-            while True:
-                nu = tuple(a + k * b for a, b in zip(mu, alpha))
-                if nu not in weight_set:
-                    break
-                num += 2 * mult[tuple(sorted(nu, reverse=True))] * _inner_su(n, nu, alpha)
-                k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        den = norm_top - _inner_su(n, mu_rho, mu_rho)
-        value = num / den
-        if value.denominator != 1 or value <= 0:
-            raise ConsistencyError(f"non-integral multiplicity {value} at {mu}")
-        mult[mu] = int(value)
-    out = {mu: mult[tuple(sorted(mu, reverse=True))] for mu in all_weights}
-    if sum(out.values()) != dim:
-        raise ConsistencyError(
-            f"weight multiplicities sum to {sum(out.values())}, expected {dim}"
-        )
-    return out
-
-
-def dynkin_index(n, highest_weight):
-    """Exact index: tr_rho(H^2) / <H, H> on the coroot H = diag(1,-1,0,...).
-
-    Returns a Fraction in lowest terms; the same value must come out on the
-    highest-root coroot diag(1,0,...,-1), otherwise ConsistencyError.
-    """
-    weights = weight_multiplicities(n, highest_weight)
-    s_simple = sum(m * (mu[0] - mu[1]) ** 2 for mu, m in weights.items())
-    s_long = sum(m * (mu[0] - mu[-1]) ** 2 for mu, m in weights.items())
-    if s_simple != s_long:
-        raise ConsistencyError(
-            f"index differs between coroots: {s_simple}/2 vs {s_long}/2"
-        )
-    return Fraction(s_simple, 2)
-
-
 @dataclass(frozen=True)
 class Representation:
-    """A representation of su(n) named by its highest-weight partition.
+    """The trivial, fundamental or adjoint representation of su(n).
 
-    Matrix images are available for the trivial, fundamental, and adjoint
-    cases (all the sampled-connection pipelines need); the Dynkin index is
-    available for any partition within the dimension cap.  The pipelines,
-    which hold su(n) coefficients, apply the images as coefficient_map, the
-    real linear map they induce from su(n) to su(dim) coefficients.
+    Named by its highest-weight partition, padded with zeros to length n:
+    () is the trivial, (1,) the fundamental and (2, 1, ..., 1) with n - 2
+    ones the adjoint; any other partition raises CapabilityError.  These
+    are the representations the sampled-connection pipelines act with.
+    The pipelines, which hold su(n) coefficients, apply the images as
+    coefficient_map, the real linear map they induce from su(n) to su(dim)
+    coefficients.
     """
 
     n: int
     partition: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "partition", _pad_partition(self.n, self.partition))
+        n = self.n
+        part = tuple(int(p) for p in self.partition)
+        part += (0,) * (n - len(part))
+        # the first entry, 0, 1 or 2, tells the three apart
+        named = ((0,) * n, (1,) + (0,) * (n - 1), (2,) + (1,) * (n - 2) + (0,))
+        if n < 2 or part not in named:
+            raise CapabilityError(
+                f"su({n}) partition {self.partition}: only the trivial, fundamental "
+                "and adjoint representations of su(n), n >= 2, are supported"
+            )
+        object.__setattr__(self, "partition", part)
 
     @classmethod
     def fundamental(cls, n):
@@ -290,27 +174,26 @@ class Representation:
 
     @property
     def dim(self):
-        return weyl_dimension(self.n, self.partition)
+        """1, n or n^2 - 1."""
+        return (1, self.n, self.n * self.n - 1)[self.partition[0]]
 
     @property
     def index(self):
-        return dynkin_index(self.n, self.partition)
+        """The Dynkin index tr_rho(H^2) / <H, H>: 0, 1 or 2n."""
+        return (0, 1, 2 * self.n)[self.partition[0]]
 
     def is_trivial(self):
-        return all(p == 0 for p in self.partition)
+        return self.partition[0] == 0
 
     def is_fundamental(self):
-        return self.partition == (1,) + (0,) * (self.n - 1)
-
-    def is_adjoint(self):
-        return self.partition == (2,) + (1,) * (self.n - 2) + (0,)
+        return self.partition[0] == 1
 
     def matrix_image(self, samples):
         """Image of su(n)-valued sample arrays (..., n, n) under the representation.
 
-        Vectorized over leading axes.  Supported: trivial (1x1 zeros),
-        fundamental (identity), adjoint (real ad-matrices in the normalized
-        su_basis frame); anything else raises CapabilityError.
+        Vectorized over leading axes: trivial (1x1 zeros), fundamental
+        (identity), adjoint (real ad-matrices in the normalized su_basis
+        frame).
         """
         samples = np.asarray(samples, dtype=complex)
         if samples.shape[-2:] != (self.n, self.n):
@@ -322,12 +205,8 @@ class Representation:
             return np.zeros(samples.shape[:-2] + (1, 1), dtype=complex)
         if self.is_fundamental():
             return samples.copy()
-        if self.is_adjoint():
-            flat = samples.reshape(-1, self.n * self.n) @ _adjoint_map(self.n)
-            return flat.reshape(samples.shape[:-2] + (self.dim, self.dim))
-        raise CapabilityError(
-            f"matrix images not implemented for partition {self.partition}"
-        )
+        flat = samples.reshape(-1, self.n * self.n) @ _adjoint_map(self.n)
+        return flat.reshape(samples.shape[:-2] + (self.dim, self.dim))
 
     @functools.lru_cache(maxsize=None)
     def coefficient_map(self):

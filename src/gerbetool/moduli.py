@@ -136,7 +136,13 @@ def _sylvester_stack(gens):
     ).reshape(gens.shape[:-3] + (-1, n * n))
 
 
-def irreducibility_check(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
+# irreducibility_check's rank threshold on the Sylvester singular values,
+# and the indeterminate band around it
+_NULL_THRESHOLD = 1e-8
+_INDETERMINATE_BAND = (1e-9, 1e-7)
+
+
+def irreducibility_check(rep):
     """Joint-commutant dimension via the null space of stacked Sylvester maps.
 
     Returns (verdict, commutant_dimension): verdict True (irreducible,
@@ -146,8 +152,9 @@ def irreducibility_check(rep, null_threshold=1e-8, band=(1e-9, 1e-7)):
     object array of verdicts and an int array of dimensions.
     """
     svals = np.linalg.svd(_sylvester_stack(rep.generators), compute_uv=False)
-    dims = np.sum(svals < null_threshold, axis=-1)
-    unsure = np.any((svals >= band[0]) & (svals <= band[1]), axis=-1)
+    dims = np.sum(svals < _NULL_THRESHOLD, axis=-1)
+    low, high = _INDETERMINATE_BAND
+    unsure = np.any((svals >= low) & (svals <= high), axis=-1)
     verdicts = np.where(unsure, None, dims == 1)
     if verdicts.ndim == 0:
         return verdicts.item(), int(dims)
@@ -310,13 +317,17 @@ def check_sampling(theta_points, base_points, ghost_margin, n):
     check_grid(theta_points, base_points, 3, n, ghost_margin)
 
 
-def _seam_check(conn, fam, tolerance=1e-10):
+# _seam_check's bound on a jump's spread, relative to the field values
+_SEAM_TOLERANCE = 1e-10
+
+
+def _seam_check(conn, fam):
     """Closedness: crossing one base period must shift potentials by a constant.
 
     For each base axis, the jump field(x + 1) - field(x) of each coefficient
     must itself be constant over the probe grid (the covering-space formula
     descends to the torus up to a rigid gauge shift).  A jump that varies by more than
-    tolerance times the largest field value it is the difference of (its
+    _SEAM_TOLERANCE times the largest field value it is the difference of (its
     roundoff scale), or by NaN, means the sampled family is not a closed
     connection family.
     """
@@ -344,7 +355,7 @@ def _seam_check(conn, fam, tolerance=1e-10):
                 spreads.append(np.abs(jump - jump.mean()).max())
                 scales += [np.abs(there).max(), np.abs(here).max()]
             spread, scale = float(np.max(spreads)), float(np.max(scales))
-            if not spread <= tolerance * scale:
+            if not spread <= _SEAM_TOLERANCE * scale:
                 raise ValidationError(
                     f"family {fam.label}: {label} jump across axis {axis} "
                     f"varies by {spread:.3e}; not a closed family"

@@ -25,6 +25,7 @@ assertions.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -58,7 +59,6 @@ from gerbetool.errors import (
 from gerbetool.grids import GridForm, central_diff4, spectral_theta_derivative
 from gerbetool.liealg import (
     Representation,
-    dynkin_index,
     su_basis,
     su_coefficients,
     su_frame,
@@ -596,22 +596,36 @@ class TestDynkinIndex:
         assert Representation.fundamental(2).index == su2_ladder_index(2) == 1
         assert Representation.adjoint(2).index == su2_ladder_index(3) == 4
         assert Representation(2, ()).index == 0
-        assert dynkin_index(3, ()) == 0
-        assert dynkin_index(2, (4,)) == su2_ladder_index(5) == 20
+        assert Representation(3, ()).index == 0
 
     def test_larger_fundamentals(self):
         assert Representation.fundamental(3).index == 1
         assert Representation.fundamental(4).index == 1
 
     def test_su3_adjoint_matches_root_oracle(self):
-        assert dynkin_index(3, (2, 1)) == su3_adjoint_index() == 6
+        assert Representation.adjoint(3).index == su3_adjoint_index() == 6
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_adjoint_trace_ratio(self, n):
+        # the closed forms of the adjoint, fundamental and trivial against
+        # the trace ratio and the shape of their images
         x = np.zeros((n, n), dtype=complex)
         x[0, 0], x[1, 1] = 1j, -1j
-        got = trace_index(Representation.adjoint(n), x)
-        assert abs(got - float(Representation.adjoint(n).index)) <= 1e-12
+        for rho in (Representation.adjoint(n), Representation.fundamental(n), Representation(n, ())):
+            got = trace_index(rho, x)
+            assert abs(got - float(rho.index)) <= 1e-12, rho
+            assert rho.matrix_image(x).shape == (rho.dim, rho.dim), rho
+
+    # each names no trivial, fundamental or adjoint representation: too
+    # long for n, out of order, or another partition (su(2)'s spin 3/2 and
+    # its determinant (1, 1), su(3)'s antifundamental (1, 1) and its (2, 2))
+    @pytest.mark.parametrize(
+        "n, partition",
+        [(2, (3,)), (2, (1, 1)), (3, (1, 1)), (2, (0, 1)), (2, (1, 1, 1)), (3, (2, 2))],
+    )
+    def test_other_partitions_are_refused_at_construction(self, n, partition):
+        with pytest.raises(CapabilityError, match=re.escape(str(partition))):
+            Representation(n, partition)
 
     def test_adjoint_image_is_a_homomorphism(self):
         rng = np.random.default_rng(3)

@@ -8,18 +8,27 @@ one run.  The set of checks the rows name must equal criterion 9's list,
 so a check added without a row fails this table; a check may have more
 than one row.
 
+A real run plants the fault before validation, and validation itself may
+call a faulted function (the spectrum's `phases` are checked with
+`in_cover`).  So every row also runs `gerbetool <command> --config
+configs/<command>.json` with its fault planted first: the run must not
+exit 0, and a run that stops in validation must say why in one
+`config error:` line.
+
 A faulted run could leave faulty bases, currents, probe blocks or images
 in the Fock caches, so they are cleared before and after every run; the
 table ends with the unfaulted `all` battery passing in the same process.
 """
 
 import dataclasses
+from pathlib import Path
 import sys
 
 import numpy as np
 import pytest
 
 from gerbetool import caloron, fock, grids, liealg, moduli, spectral
+from gerbetool import cli
 from gerbetool.cli import _RAISED, run_scenario, validate_scenario
 from gerbetool.moduli import LoopWord
 from gerbetool.presets import HOLONOMY_SUITES
@@ -29,6 +38,7 @@ from test_acceptance import ALL_CHECK_NAMES
 from test_fock import flip_middle_hop
 
 FOCK_CACHES = (fock.graded_basis, fock._current, fock._safe_block)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def plant(monkeypatch, owner, name, fault):
@@ -172,6 +182,14 @@ FAULTS = [
         ],
     ),
     (
+        "the index reads 2n + 1",
+        (liealg.Representation, "index", lambda real: property(lambda rho: 2 * rho.n + 1)),
+        [
+            ("caloron", {}, ["rho-scaling-adjoint"]),
+            ("pairing", {}, ["adjoint-scaling"]),
+        ],
+    ),
+    (
         "standard_genus2_su2 repeats A_1 as B_1",
         (moduli, "standard_genus2_su2", repeated_first_generator),
         [("moduli", {}, ["relation-residual", "irreducibility"])],
@@ -243,6 +261,25 @@ def test_fault_fails_its_checks(monkeypatch, patch, command, params, checks):
     residual = {r["name"]: r["residual"] for r in report["checks"]}
     measured = [check for check in checks if f"{command}:{check}" not in FAIL_BY_RAISE]
     assert {check: residual[check] < _RAISED for check in measured} == dict.fromkeys(measured, True)
+
+
+@pytest.mark.parametrize("patch, command, params, checks", RUNS)
+def test_fault_planted_before_validation_fails_the_run(
+    monkeypatch, capsys, tmp_path, patch, command, params, checks
+):
+    config, out = CONFIGS / f"{command}.json", tmp_path / "report.json"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    for cache in FOCK_CACHES:
+        cache.cache_clear()
+    try:
+        plant(monkeypatch, *patch)
+        code = cli.main(argv)
+    finally:
+        for cache in FOCK_CACHES:
+            cache.cache_clear()
+    assert code in (1, 2)
+    if code == 2:
+        assert [line[:13] for line in capsys.readouterr().err.splitlines()] == ["config error:"]
 
 
 def test_unfaulted_all_battery_passes():
