@@ -165,16 +165,12 @@ class LatticeConnection:
     def spacing(self):
         return 1.0 / self.base_points
 
-    def resample(self, theta_points=None, base_points=None):
-        """The family sampled again; only None keeps a count (0 meets check_grid)."""
+    def resample(self, base_points):
+        """The family sampled again on base_points per base axis, at the same circle points."""
         if self.family is None:
             raise ArgumentError("connection has no analytic family to resample from")
         return sample_connection(
-            self.family,
-            self.base_dim,
-            self.theta_points if theta_points is None else theta_points,
-            self.base_points if base_points is None else base_points,
-            ghost_margin=self.ghost_margin,
+            self.family, self.base_dim, self.theta_points, base_points, ghost_margin=self.ghost_margin
         )
 
 

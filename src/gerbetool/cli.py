@@ -69,11 +69,12 @@ from .version import __version__
 _RAISED = 1e300
 
 # Cost model of the cocycle battery: the standard suite's Cech triples on
-# the 2 n_max - 2 half-integer cuts, one CechTable per spectrum.  n_max 12
-# (30 800 triples) takes about 0.04 s on a 2-core x86 machine with Python
-# 3.11.7 and numpy 2.4.6 (median of five runs; 0.43 s with one compose per
-# triple), and n_max 16 (81 200) 0.09 s.  The cap no longer binds on time;
-# it is kept so that the admitted configs do not change.
+# the 2 n_max - 2 half-integer cuts, one CechTable per spectrum, whose index
+# arrays hold C(2 n_max - 2, 3) triples.  The cap is the battery's only
+# upper bound on n_max (its bounds are (3, None)) and first refuses n_max 13
+# (40 480 triples).  n_max 12 (30 800 triples) takes about 0.04 s on a
+# 2-core x86 machine with Python 3.11.7 and numpy 2.4.6 (median of five
+# runs; 0.43 s with one compose per triple), and n_max 16 (81 200) 0.09 s.
 MAX_CECH_TRIPLES = 32_000
 
 # Cost model of the spectrum battery: the phases make a dense n x n

@@ -32,13 +32,9 @@ from .spectral import Spectrum, SpectralCut, band
 _PHASE_TOL = 1e-12
 
 
-def _mode_key(mode):
-    return (mode.eigenvalue, mode.color, mode.mode)
-
-
-def permutation_sign(items, key=_mode_key):
-    """Sign of the permutation sorting `items` by `key`; each key is computed once."""
-    keys = [key(item) for item in items]
+def permutation_sign(items):
+    """Sign of the permutation sorting modes into canonical order; each key is computed once."""
+    keys = [(mode.eigenvalue, mode.color, mode.mode) for mode in items]
     order = sorted(range(len(items)), key=keys.__getitem__)
     seen = [False] * len(order)
     cycles = 0

@@ -138,14 +138,13 @@ class FockWindow:
         lam = self.cut if cut is None else rational(cut)
         return min(max(math.floor(lam) + self.N + 1, 0), 2 * self.N + 1)
 
-    def sea_mask(self, cut=None):
+    def sea_mask(self):
         """Occupation mask of every slot whose mode lies strictly below the cut.
 
         The sea is the contiguous run of the lowest slots, so the mask is a
         closed form rather than a loop over modes.
         """
-        lam = self.cut if cut is None else rational(cut)
-        modes = min(max(math.ceil(lam) + self.N, 0), 2 * self.N + 1)
+        modes = min(max(math.ceil(self.cut) + self.N, 0), 2 * self.N + 1)
         return (1 << (modes * self.n_colors)) - 1
 
     def above_slots(self):
@@ -412,10 +411,6 @@ class SparseOperator:
         if other.window != self.window:
             raise ArgumentError("operators live on different windows")
 
-    @classmethod
-    def identity(cls, window, scalar=1.0):
-        return cls(window, (), scalar)
-
     def matrix(self, basis):
         """Compression onto a GradedBasis as (rows, cols, data); see _compress."""
         return _compress(basis, self._image_parts(_unit_block(basis.masks)))
@@ -677,7 +672,7 @@ def cut_shift_check(i, j, n, window, mu, pair_cap=2):
     op_lam = sigma(i, j, n, window)
     diff = op_mu - op_lam
     if i == j and n == 0:
-        diff = diff + SparseOperator.identity(window, float(n_shift))
+        diff = diff + SparseOperator(window, (), float(n_shift))
     block = _safe_block(window, pair_cap, abs(n))
     return _max_abs(_sum_keys(diff._image_parts(block))), n_shift
 
@@ -767,15 +762,15 @@ def _row_product(table, x):
     return out
 
 
-def check_expm_cost(norm_t, nnz, columns=_PROBE_BLOCK):
+def check_expm_cost(norm_t, nnz, columns):
     """(steps, degree) of exp(t*mat) @ block at |t| * ||mat||_1 = norm_t, within the cost model.
 
     _taylor_schedule picks the steps and the degree.  Each product costs nnz
     multiply-adds per block column plus _PRODUCT_OVERHEAD, and work beyond
     MAX_EXPM_WORK raises ResourceError.  A norm_t that is not finite, or
     over _MAX_NORM_T, where the exponential may overflow, raises
-    PrecisionError.  columns defaults to the probe block width of
-    projective_equality_check.
+    PrecisionError.  columns is the block's width, _PROBE_BLOCK or less
+    in projective_equality_check.
     """
     if not math.isfinite(norm_t):
         raise PrecisionError(f"|t| * ||mat||_1 = {norm_t} is not finite")

@@ -28,7 +28,7 @@ from .caloron import AnalyticConnection, check_grid, sample_connection
 from .errors import ArgumentError, ResolutionError, ValidationError
 from .liealg import su_coefficients
 from .presets import T1, T2, diagonal_unitaries
-from .spectral import TWO_PI, _unitary
+from .spectral import _UNITARY_TOLERANCE, TWO_PI, _unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +46,6 @@ class SurfaceGroupRep:
     n: int
     z: complex
     generators: np.ndarray
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.genus < 2:
@@ -54,11 +53,9 @@ class SurfaceGroupRep:
         if self.n < 2:
             raise ValidationError(f"need SU(n) with n >= 2, got {self.n}")
         gens = _generator_array(self.generators, self.genus, self.n)
-        gens = _unitary(
-            gens, self.tolerance, "generator", max(self.tolerance, 1e-9), gens.ndim - 2, name=_generator_name
-        )
+        gens = _unitary(gens, "generator", True, gens.ndim - 2, name=_generator_name)
         object.__setattr__(self, "generators", gens)
-        if not abs(abs(self.z) - 1.0) <= self.tolerance:
+        if not abs(abs(self.z) - 1.0) <= _UNITARY_TOLERANCE:
             raise ValidationError("central defect z must be a unit scalar")
 
 
@@ -169,7 +166,7 @@ def conjugate(rep, h):
     elements moves one point to a (k, 2g, n, n) stack, revalidated once.
     """
     stack = getattr(h, "ndim", 2) > 2
-    h = _unitary(h, rep.tolerance, "conjugating element", max(rep.tolerance, 1e-9), stack, rep.n)
+    h = _unitary(h, "conjugating element", True, stack, rep.n)
     h = h[..., None, :, :]  # each element against all generators of its point
     return replace(rep, generators=h @ rep.generators @ h.conj().swapaxes(-1, -2))
 

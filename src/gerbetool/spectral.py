@@ -31,6 +31,11 @@ _MAX_STEP = 0.25
 
 _PHASE_SNAP = 1e-12
 
+# The one unitarity decision: max |U^dag U - I| of a holonomy, path matrix,
+# generator or conjugating element, and |det U - 1| of the special ones.
+_UNITARY_TOLERANCE = 1e-10
+_DET_TOLERANCE = 1e-9
+
 
 def rational(x):
     """Coerce x to an exact Fraction; floats are rejected, strings allowed."""
@@ -41,17 +46,16 @@ def rational(x):
     )
 
 
-def _unitary(u, tolerance, what, det_tolerance=None, stack=False, n=None, name=None):
+def _unitary(u, what, special=False, stack=False, n=None, name=None):
     """u as a complex array of unitaries: an (n, n) matrix, or a (k, n, n) stack.
 
     stack counts the leading axes: False for none, True for one, an int for
-    more.  One batched U^dag U - I product checks a whole stack, and an
-    error names the first index that fails, as what[i][j] or as name(index)
-    if a name function is given.  det_tolerance, if given, bounds
-    |det U - 1| too, and n, if given, fixes the matrix size.
+    more.  One batched U^dag U - I product checks a whole stack against
+    _UNITARY_TOLERANCE, and an error names the first index that fails, as
+    what[i][j] or as name(index) if a name function is given.  special
+    bounds |det U - 1| by _DET_TOLERANCE too, and n, if given, fixes the
+    matrix size.
     """
-    if not 0 <= tolerance < math.inf:
-        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance}")
     try:
         u = np.asarray(u, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -69,9 +73,9 @@ def _unitary(u, tolerance, what, det_tolerance=None, stack=False, n=None, name=N
             where = name(at) if name else what + "".join(f"[{i}]" for i in at)
             raise ValidationError(f"{where} {failure}: defect {defect[at]:.3e} > {bound:.3e}")
 
-    refuse_over(_unitarity_defect(u), tolerance, "is not unitary within tolerance")
-    if det_tolerance is not None:
-        refuse_over(abs(np.linalg.det(u) - 1.0), det_tolerance, "does not have unit determinant")
+    refuse_over(_unitarity_defect(u), _UNITARY_TOLERANCE, "is not unitary within tolerance")
+    if special:
+        refuse_over(abs(np.linalg.det(u) - 1.0), _DET_TOLERANCE, "does not have unit determinant")
     return u
 
 
@@ -82,13 +86,12 @@ def _unitarity_defect(u):
 
 @dataclass(frozen=True)
 class Holonomy:
-    """A unitary n x n holonomy matrix with a validation tolerance."""
+    """A unitary n x n holonomy matrix, checked within _UNITARY_TOLERANCE."""
 
     matrix: np.ndarray
-    tolerance: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _unitary(self.matrix, self.tolerance, "holonomy"))
+        object.__setattr__(self, "matrix", _unitary(self.matrix, "holonomy"))
 
     @property
     def n(self):
@@ -258,7 +261,7 @@ def spectral_flow(path, cut, N):
     the smaller largest step; tied shifts that wind differently leave the
     step ambiguous and raise ResolutionError.
     """
-    path = _unitary(path, Holonomy.tolerance, "path", stack=True)
+    path = _unitary(path, "path", stack=True)
     if len(path) < 2:
         raise ArgumentError("path needs at least two samples")
     if np.abs(path[0] - path[-1]).max() > 1e-12:

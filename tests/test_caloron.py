@@ -413,10 +413,6 @@ class TestRebagging:
         conn = connection_preset("zero", theta_points=8, base_points=8)
         with pytest.raises(ResolutionError, match="5-point stencil"):
             conn.resample(base_points=0)
-        with pytest.raises(ValidationError, match="circle points"):
-            conn.resample(theta_points=0)
-        kept = conn.resample()
-        assert (kept.theta_points, kept.base_points) == (8, 8)
 
 
 class TestBField:

@@ -1,9 +1,13 @@
 """Every module in src/gerbetool uses each name it imports and defines.
 
-The package __init__ is exempt from the import scan: its imports are the
-public re-exports.  Each module-level private name (a function, class or
-assignment named _x) must be read somewhere in the package.  The scans are
-plain ast walks, so they need neither pyflakes nor ruff.  Importing the CLI
+The package __init__ is scanned like every other module: it holds the
+module map and binds no name, so each name is imported from its own module,
+and importing one module loads only what that module imports.  Each
+module-level private name (a function, class or assignment named _x) must
+be read somewhere in the package.  The scans are plain ast walks, so they
+need neither pyflakes nor ruff.  The settable values (parameters with
+defaults, dataclass fields with defaults and config keys) are counted and
+pinned, so a new knob is a deliberate change.  Importing the CLI
 in a fresh interpreter must leave scipy.optimize unloaded: it took about
 0.6 s of a 1 s process start.  It must leave every scipy module unloaded,
 and so must every battery, `all` included: the package runs on numpy
@@ -82,7 +86,7 @@ def test_modules_were_found():
     assert {"caloron.py", "cli.py", "grids.py"} <= {p.name for p in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -90,6 +94,58 @@ def test_module_has_no_unused_imports(path):
 def test_package_has_no_unreferenced_private_names():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_names(sources) == []
+
+
+def settable_values(sources):
+    """(parameters with defaults, dataclass fields with defaults) in `sources`.
+
+    Parameters count every default of a function, method or lambda,
+    keyword-only ones included; fields count every annotated assignment with
+    a value in a class decorated with dataclass, field(init=False) included.
+    """
+    params = fields = 0
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                params += len(node.args.defaults)
+                params += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+                for d in (getattr(d, "func", d) for d in node.decorator_list)
+            ):
+                fields += sum(
+                    isinstance(item, ast.AnnAssign) and item.value is not None for item in node.body
+                )
+    return params, fields
+
+
+def test_scanner_counts_settable_values():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "def go(a, b=1, *, c=2, d):\n    return lambda x=0: x\n"
+        "@dataclass(frozen=True)\nclass Kit:\n    n: int\n    tol: float = 1e-9\n"
+        "    cache: tuple = field(init=False)\n"
+        "class Plain:\n    size: int = 3\n"
+    )
+    assert settable_values([source]) == (3, 2)
+
+
+# Settable values in src/gerbetool: parameters with defaults, dataclass
+# fields with defaults and the config keys of the commands.
+SETTABLE_VALUES = 69
+
+
+def test_settable_values_are_pinned():
+    import gerbetool.cli as cli
+
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    params, fields = settable_values(sources)
+    keys = sum(len(command.defaults) for command in cli.COMMANDS.values())
+    assert params + fields + keys == SETTABLE_VALUES, (
+        f"{params} parameters with defaults + {fields} dataclass fields with defaults + "
+        f"{keys} config keys = {params + fields + keys}, pinned at {SETTABLE_VALUES}: "
+        "a new knob must update the pin and be justified in CHANGES.md"
+    )
 
 
 # The public names no command calls, each with the test or tool that uses
@@ -200,6 +256,14 @@ def modules_after(script):
         check=True,
     )
     return proc.stdout.splitlines()[-1].split()
+
+
+def test_module_import_loads_only_its_imports():
+    # the package binds no name, so importing one module leaves the others unloaded
+    loaded = modules_after("import gerbetool.fock")
+    assert "gerbetool.fock" in loaded
+    others = ["gerbetool.caloron", "gerbetool.moduli", "gerbetool.presets", "gerbetool.cli"]
+    assert [name for name in others if name in loaded] == []
 
 
 def scipy_modules(names):
