@@ -47,6 +47,7 @@ from .moduli import (
     ModuliFamily,
     check_sampling,
     conjugate,
+    generic_genus2_su2,
     holonomy,
     holonomy_path,
     irreducibility_check,
@@ -280,7 +281,8 @@ def _run_checks(checks):
             residual, status = value
         else:
             residual = float(value)
-            status = "pass" if residual <= tolerance else "fail"
+            # a residual is a size: a negative one is a sign slip, and NaN fails both tests
+            status = "pass" if 0.0 <= residual <= tolerance else "fail"
         records.append(
             {
                 "name": name,
@@ -384,9 +386,12 @@ def _battery_fock(params, seed):
     the central term and the projective exponential a margin of 1, and the
     largest basis is built at pair_cap + 1.  The basis cost is checked
     before the band's modes are listed.  The sweep is one commutator_check
-    call, in batches of at most MAX_BATCH_ENTRIES hop-kernel entries.  The
-    exponential at _EXP_TIME stays inside check_expm_cost on every basis
-    check_basis_cost admits, so only _expm_multiply asks it.
+    call over every ordered tuple of the n_colors**2 * (2 * sweep + 1)
+    currents, of which it evaluates each unordered pair once (210 of the
+    400 at the defaults), in batches of at most MAX_BATCH_ENTRIES
+    hop-kernel entries.  The exponential at _EXP_TIME stays inside
+    check_expm_cost on every basis check_basis_cost admits, so only
+    _expm_multiply asks it.
     """
     window = FockWindow(params["n_colors"], params["n_max"], params["cut"])
     sweep = params["sweep"]
@@ -491,6 +496,21 @@ def _battery_moduli(params, seed):
         gap = holonomy(rep, joined) - holonomy(rep, w1) @ holonomy(rep, w2)
         return float(np.abs(gap).max())
 
+    def letter_map():
+        # each letter, each inverse letter and [a1, b1] at the quaternion
+        # point and a seeded generic one, against the products written out
+        # from the generators (an inverse is the conjugate transpose)
+        worst = 0.0
+        for point in (rep, generic_genus2_su2(np.random.default_rng(seed))):
+            gens = point.generators
+            invs = gens.conj().swapaxes(-1, -2)
+            words = [(((k + 1, 1),), gens[k]) for k in range(len(gens))]
+            words += [(((k + 1, -1),), invs[k]) for k in range(len(gens))]
+            words.append((((1, 1), (2, 1), (1, -1), (2, -1)), gens[0] @ gens[1] @ invs[0] @ invs[1]))
+            for letters, want in words:
+                worst = np.maximum(worst, np.abs(holonomy(point, LoopWord(letters)) - want).max())
+        return worst
+
     def flow(name, expected):
         return lambda: abs(spectral_flow(holonomy_path(name, steps), half, n_max) - expected)
 
@@ -499,6 +519,7 @@ def _battery_moduli(params, seed):
         ("irreducibility", 0.0, irreducibility),
         ("conjugation-invariance", 1e-12, conjugation_invariance),
         ("word-homomorphism", 1e-14, word_homomorphism),
+        ("letter-map", 1e-12, letter_map),
         ("flow-u1-winding", 0.0, flow("u1-winding", 1)),
         ("flow-su2-balanced", 0.0, flow("su2-balanced", 0)),
     ]

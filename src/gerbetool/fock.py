@@ -36,8 +36,12 @@ the column times the number of distinct masks plus the mask's rank.
 Each truncated current and safe probe block is built once per key and
 shared, with read-only arrays.  commutator_check is the one entry point of
 the central-extension identity: it takes any number of index tuples,
-builds each current's image of a safe block once per call, and sums the
-tuples in batches of at most MAX_BATCH_ENTRIES hop-kernel entries.
+evaluates each unordered pair of currents once (a swapped pair's residual
+is the exact negative), builds each current's image of a safe block once
+per call, and sums the pairs in batches of at most MAX_BATCH_ENTRIES
+hop-kernel entries.  car_residual likewise runs three of the four
+anticommutator orders, since {destroy, create} repeats {create, destroy}
+with the labels swapped.
 """
 
 from dataclasses import dataclass
@@ -65,13 +69,16 @@ MAX_BASIS_DIM = 50_000
 MASK_BITS = 62
 # Cost model of one commutator_check batch: the hop-kernel entries (keys x
 # hops of each operator on its inputs, plus the scalar parts) of the tuples
-# summed in one _sum_keys call.  The CLI's default sweep (400 tuples on a
-# 352-state basis), warm, median of three medians of 5 on a 2-core x86 VM:
+# summed in one _sum_keys call.  The CLI's default sweep (210 pairs on a
+# 352-state basis), warm, median of three medians of 5 on a 2-core x86 VM
+# with Python 3.11.7 and numpy 2.4.6:
 #   batch bound (entries)    1    2**15  2**16  2**17  2**18  2**19
-#   time (ms)              167      115    113     98    111     97
-#   tracemalloc peak (MB)  1.2      1.2    2.5    4.0    7.8   11.4
-# A bound of 1 sums each tuple alone.  Past 2**17 (9 to 16 tuples a batch
-# at margins 0 to 2) the time is flat and the peak keeps doubling.
+#   time (ms)               61       48     50     47     45     43
+#   tracemalloc peak (MB)  1.2      1.2    2.5    4.0    5.6    9.4
+# A bound of 1 sums each pair alone.  Past 2**15 the time is flat within
+# the run-to-run spread (a second series read 37 to 40 ms from 2**15 on),
+# and past 2**17 (14 batches of 1 to 36 pairs) the peak keeps doubling.
+# The bound changes no report.
 MAX_BATCH_ENTRIES = 2**17
 # One Taylor exponential of a probe block may cost at most this many
 # multiply-adds: steps * degree sparse products, each nnz * block columns
@@ -536,16 +543,21 @@ def commutator_check(window, tuples, pair_cap=2):
     basis caps the excitation count at pair_cap; the identity itself is
     count-independent.
 
-    The tuples are grouped by margin |m|+|n|, and each current's image of
-    the margin's safe block is built once per call, keyed by the operator
-    object that sigma returns.  Tuples of one margin are summed in batches
-    of at most MAX_BATCH_ENTRIES hop-kernel entries (a lone larger tuple is
-    its own batch): tuple t of a batch owns the columns from t * len(block),
-    each operator acts once on all of the batch's inputs to it, and one
-    _sum_keys call sums the batch.  A NaN in any batch survives.
+    Swapping the two currents negates a tuple's residual exactly, so each
+    tuple is taken in its canonical order (_canonical) and each unordered
+    pair of currents is evaluated once: the CLI's default sweep over 20
+    currents runs their 210 pairs, not 400 ordered tuples, and reads the
+    worst residual of the tuples as given.  The pairs are grouped by margin
+    |m|+|n|, and each current's image of the margin's safe block is built
+    once per call, keyed by the operator object that sigma returns.
+    Tuples of one margin are summed in batches of at most MAX_BATCH_ENTRIES
+    hop-kernel entries (a lone larger tuple is its own batch): tuple t of a
+    batch owns the columns from t * len(block), each operator acts once on
+    all of the batch's inputs to it, and one _sum_keys call sums the batch.
+    A NaN in any batch survives.
     """
     by_margin = {}
-    for t in tuples:
+    for t in dict.fromkeys(map(_canonical, tuples)):
         by_margin.setdefault(abs(t[4]) + abs(t[5]), []).append(t)
     worst = 0.0
     for margin, group in sorted(by_margin.items()):
@@ -575,6 +587,17 @@ def commutator_check(window, tuples, pair_cap=2):
         for batch in batches:
             worst = np.maximum(worst, _max_abs(_sum_keys(_batch_parts(block, batch))))
     return float(worst)
+
+
+def _canonical(t):
+    """The tuple (i, j, k, l, m, n), or (k, l, i, j, n, m) when (i, j, m) > (k, l, n).
+
+    Swapping the two currents negates the commutator, both structure terms
+    and the central term m delta_{m+n,0} (n = -m where it is nonzero), so
+    the swapped tuple's residual is the exact negative of the tuple's.
+    """
+    i, j, k, l, m, n = t
+    return (k, l, i, j, n, m) if (i, j, m) > (k, l, n) else (i, j, k, l, m, n)
 
 
 def _batch_parts(block, batch):
@@ -868,13 +891,16 @@ def projective_equality_check(terms, t, window, mu, pair_cap=3):
 
 
 def car_residual(window, pair_cap=2):
-    """Max residual of the four anticommutator identities on the block engine.
+    """Max residual of the anticommutator identities on the block engine.
 
     Label (c, m) sits on slot(c, m): psi^c_m creates it and psibar^c_{-m}
     destroys it.  Every label pair is formed at once: column
     k + keep * (a + n_slots * b) of the block holds {X_a, Y_b} applied to
     basis state k, for the states with count <= pair_cap - 1 (the first
-    `keep` columns of the graded basis).  Amplitudes are signed integers,
+    `keep` columns of the graded basis).  The anticommutator is symmetric
+    and every pair (a, b) is formed, so {destroy_a, create_b} is
+    {create_b, destroy_a}: three orders (create, create), (create, destroy)
+    and (destroy, destroy) cover all four.  Amplitudes are signed integers,
     so the residual must be exactly 0.
     """
     keep = basis_dimension(window.n_slots, pair_cap - 1)
@@ -891,7 +917,7 @@ def car_residual(window, pair_cap=2):
 
     diag = np.tile(block[0], n), np.add.outer(keep * (n + 1) * slots, block[1]).ravel()
     worst = 0.0
-    for x_creates, y_creates in itertools.product((True, False), repeat=2):
+    for x_creates, y_creates in itertools.combinations_with_replacement((True, False), 2):
         parts = [
             each_label(each_label(block, y_creates, keep * n), x_creates, keep),
             each_label(each_label(block, x_creates, keep), y_creates, keep * n),

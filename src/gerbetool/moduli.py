@@ -194,6 +194,25 @@ def standard_genus2_su2():
     return SurfaceGroupRep(2, 2, -1.0 + 0j, np.stack((T1, T2, eye, eye)))
 
 
+def generic_genus2_su2(rng):
+    """Seeded genus-2 SU(2) point with z = -1 and a generic first handle.
+
+    A_1 and B_1 are Haar-random, and c = [A_1, B_1].  The second handle
+    solves [A_2, B_2] = -c^-1 in closed form: with -c^-1 = V diag(e^{ia},
+    e^{-ia}) V^dag, A_2 = V diag(e^{ia/2}, e^{-ia/2}) V^dag squares to it
+    and B_2 = V ((0, 1), (-1, 0)) V^dag conjugates A_2 to its inverse, so
+    [A_2, B_2] = A_2^2.  V diagonalizes the Hermitian (u - u^dag) / 2i of
+    u = -c^-1, which shares u's eigenvectors, so V is unitary to roundoff.
+    """
+    a1, b1 = random_special_unitary(2, rng, 2)
+    target = -(b1 @ a1 @ b1.conj().T @ a1.conj().T)  # -[A_1, B_1]^-1
+    _, v = np.linalg.eigh((target - target.conj().T) / 2j)
+    half = np.angle((v.conj().T @ target @ v)[0, 0]) / 2
+    a2 = (v * np.exp([1j * half, -1j * half])) @ v.conj().T
+    b2 = v @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ v.conj().T
+    return SurfaceGroupRep(2, 2, -1.0 + 0j, np.stack((a1, b1, a2, b2)))
+
+
 def random_special_unitary(n, rng, count=None):
     """A Haar-random SU(n) element, or a (count, n, n) stack of them.
 

@@ -351,6 +351,29 @@ class TestReports:
         assert record["status"] == "fail"
         assert report["status"] == "fail"
 
+    def test_negative_residual_fails(self):
+        # a residual is a size, so a sign slip in a two-term residual such as
+        # cut-shift's residual + |n_shift - expected| (turned to -) must fail
+        # where it lands below zero; -0.0 is zero and passes
+        records = cli._run_checks(
+            [
+                ("negative", 0.0, lambda: -1.0),
+                ("negative-under-tolerance", 1e-10, lambda: -1e-12),
+                ("nan", 0.0, lambda: math.nan),
+                ("negative-zero", 0.0, lambda: -0.0),
+                ("zero", 0.0, lambda: 0.0),
+            ]
+        )
+        status = {r["name"]: r["status"] for r in records}
+        assert status == {
+            "negative": "fail",
+            "negative-under-tolerance": "fail",
+            "nan": "fail",
+            "negative-zero": "pass",
+            "zero": "pass",
+        }
+        assert [r["residual"] for r in records][:2] == [-1.0, -1e-12]
+
 
     def test_any_raised_exception_is_a_named_fail(self, capsys):
         # identity_check refuses refine_factor 1, which divided by log(1) in
@@ -1085,7 +1108,7 @@ _PROPERTY = {
     "cocycle": (st.fixed_dictionaries({"params": _COCYCLE_PARAMS}), 20, None),
     "fock": (st.fixed_dictionaries({"params": _FOCK_PARAMS, "seed": _SEED}), 60, 6),
     "caloron": (st.fixed_dictionaries({"params": _CALORON_PARAMS}), 40, 2),
-    "moduli": (st.fixed_dictionaries({"params": _MODULI_PARAMS, "seed": _SEED}), 20, 6),
+    "moduli": (st.fixed_dictionaries({"params": _MODULI_PARAMS, "seed": _SEED}), 20, 7),
     "pairing": (st.fixed_dictionaries({"params": _PAIRING_PARAMS}), 20, 2),
 }
 

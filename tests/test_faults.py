@@ -204,6 +204,31 @@ FAULTS = [
         (moduli, "holonomy", lambda real: lambda rep, word: real(rep, LoopWord(word.letters[::-1]))),
         [("moduli", {}, ["word-homomorphism"])],
     ),
+    # holonomy's letter map: which generator a letter reads, and which
+    # exponent inverts it.  Any consistent letter map is a homomorphism, so
+    # only letter-map sees these.  The literal mutant "generator index + 1"
+    # raises an IndexError on the last two letters; the row wraps the last
+    # letter to the first, so the check fails by what it measures.
+    (
+        "holonomy reads the next generator of each letter",
+        (
+            moduli,
+            "holonomy",
+            lambda real: lambda rep, word: real(
+                rep, LoopWord(tuple((index % (2 * rep.genus) + 1, e) for index, e in word.letters))
+            ),
+        ),
+        [("moduli", {}, ["letter-map"])],
+    ),
+    (
+        "holonomy inverts the letters of exponent +1, not -1",
+        (
+            moduli,
+            "holonomy",
+            lambda real: lambda rep, word: real(rep, LoopWord(tuple((i, -e) for i, e in word.letters))),
+        ),
+        [("moduli", {}, ["letter-map"])],
+    ),
     (
         "spectral_flow walks the path backwards",
         (spectral, "spectral_flow", lambda real: lambda path, cut, n: real(path[::-1], cut, n)),

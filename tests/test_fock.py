@@ -520,6 +520,167 @@ class TestCommutator:
         assert commutator_check(w, tuples) == want
 
 
+SWEEP_AT_1 = list(itertools.product((1, 2), (1, 2), (1, 2), (1, 2), (-1, 0, 1), (-1, 0, 1)))
+
+
+def batch_sizes(monkeypatch):
+    """The list that collects the tuple count of every batch reaching fock._batch_parts."""
+    seen = []
+    real = fock._batch_parts
+    monkeypatch.setattr(fock, "_batch_parts", lambda block, batch: seen.append(len(batch)) or real(block, batch))
+    return seen
+
+
+class TestCanonicalPairs:
+    @pytest.mark.parametrize(
+        "defect", [None, (1, 2, 1), (2, 2, 1)], ids=["clean", "sigma12-defect", "sigma22-defect"]
+    )
+    def test_order_of_the_two_currents_does_not_change_the_residual(self, monkeypatch, defect):
+        # the sweep, its tuples swapped, and its canonical tuples alone read
+        # the same worst residual.  sigma(e^{22}_1) sorts last of the sweep's
+        # currents, so its defect is met only as the second current of its
+        # canonical pairs, and the dense oracle must still see it
+        w = FockWindow(2, 4, "1/2")
+        swapped = [(k, l, i, j, n, m) for i, j, k, l, m, n in SWEEP_AT_1]
+        canonical = [t for t in SWEEP_AT_1 if (t[0], t[1], t[4]) <= (t[2], t[3], t[5])]
+        assert len(canonical) == 12 * 13 // 2  # 12 currents: 2 x 2 colors, 3 transfers
+        if defect is not None:
+            real_sigma = fock.sigma
+
+            def defective(i, j, n, window, cut=None):
+                op = real_sigma(i, j, n, window, cut)
+                return flip_middle_hop(op) if (i, j, n) == defect else op
+
+            monkeypatch.setattr(fock, "sigma", defective)
+        got = commutator_check(w, SWEEP_AT_1)
+        assert commutator_check(w, swapped) == got
+        assert commutator_check(w, canonical) == got
+        assert (got > 0.0) == (defect is not None)
+        if defect == (2, 2, 1):
+            flipped = operator_matrix(fock.sigma(2, 2, 1, w))
+            real = oracle_sigma
+            monkeypatch.setattr(
+                sys.modules[__name__],
+                "oracle_sigma",
+                lambda i, j, n, window, cut=None: flipped if (i, j, n) == defect else real(i, j, n, window, cut),
+            )
+            want = 0.0
+            for i, j, k, l, m, n in SWEEP_AT_1:
+                cols = fock._safe_block(w, 2, abs(m) + abs(n))[0]
+                res = commutator_residual_matrix(i, j, k, l, m, n, w, cols)
+                want = max(want, float(np.abs(sp.csr_matrix(res).data).max(initial=0.0)))
+            assert got == want
+
+    def test_fock_battery_sweeps_each_unordered_pair_once(self, monkeypatch):
+        # the default sweep has 20 currents (2 x 2 colors, 5 transfers): 400
+        # ordered tuples, 20 * 21 / 2 = 210 unordered pairs
+        from gerbetool.cli import COMMANDS
+
+        seen = batch_sizes(monkeypatch)
+        decl = COMMANDS["fock"]
+        rows = {name: thunk for name, _, thunk in decl.battery(dict(decl.defaults), 0)}
+        assert rows["commutator-sweep"]() == 0.0
+        assert sum(seen) == 210
+
+    def test_duplicates_are_evaluated_once(self, monkeypatch):
+        seen = batch_sizes(monkeypatch)
+        tuples = [(1, 2, 2, 1, 1, -1), (2, 1, 1, 2, -1, 1), (1, 2, 2, 1, 1, -1), [2, 1, 1, 2, -1, 1]]
+        assert commutator_check(FockWindow(2, 4, "1/2"), tuples) == 0.0
+        assert seen == [1]
+
+
+def car_residual_four_orders(window, pair_cap=2):
+    """car_residual's engine run on all four orders of (X, Y), each creating or destroying."""
+    keep = basis_dimension(window.n_slots, pair_cap - 1)
+    if not keep:
+        return 0.0
+    n = window.n_slots
+    slots, ones = np.arange(n), np.ones(n)
+    block = fock._unit_block(graded_basis(window, pair_cap).masks[:keep])
+
+    def each_label(block, create, weight):
+        to, source = (slots, None) if create else (None, slots)
+        return fock._hop_parts(block, ones, to, source, weight)
+
+    diag = np.tile(block[0], n), np.add.outer(keep * (n + 1) * slots, block[1]).ravel()
+    worst = 0.0
+    for x_creates, y_creates in itertools.product((True, False), repeat=2):
+        parts = [
+            each_label(each_label(block, y_creates, keep * n), x_creates, keep),
+            each_label(each_label(block, x_creates, keep), y_creates, keep * n),
+        ]
+        if x_creates != y_creates:
+            parts.append((*diag, -np.ones(n * keep)))
+        worst = np.maximum(worst, fock._max_abs(fock._sum_keys(parts)))
+    return float(worst)
+
+
+def also_hops_back(create):
+    """A _hop_parts whose lone creators (or destroyers) also apply the opposite mode operator.
+
+    psi_a + psibar_a keeps every {creator, destroyer} relation, since
+    {psibar_a, psibar_b} = 0, and breaks only {psi_a, psi_b}: the defect is
+    seen by the (create, create) order alone, and its mirror by
+    (destroy, destroy) alone.
+    """
+
+    def planted(real):
+        def hop_parts(block, amps, s_to, s_from, hop_weight=0):
+            parts = real(block, amps, s_to, s_from, hop_weight)
+            if (s_from if create else s_to) is not None:
+                return parts
+            back = real(block, amps, s_from, s_to, hop_weight)
+            return tuple(np.concatenate(pair) for pair in zip(parts, back))
+
+        return hop_parts
+
+    return planted
+
+
+def negated_destroyers(real):
+    """A _hop_parts whose lone destroyers carry the sign -1: only {creator, destroyer} sees it."""
+
+    def hop_parts(block, amps, s_to, s_from, hop_weight=0):
+        return real(block, -amps if s_to is None else amps, s_to, s_from, hop_weight)
+
+    return hop_parts
+
+
+class TestCarThreeOrders:
+    @pytest.mark.parametrize(
+        "owner, planted",
+        [
+            (None, None),
+            ("_parities", lambda real: lambda masks: masks & 0),
+            ("_parities", lambda real: lambda masks: real(masks) ^ (masks & 1)),
+            ("_parities", lambda real: lambda masks: real(masks) ^ ((masks >> 3) & 1)),
+            ("_hop_parts", also_hops_back(create=True)),
+            ("_hop_parts", also_hops_back(create=False)),
+            ("_hop_parts", negated_destroyers),
+        ],
+        ids=[
+            "clean",
+            "all-even",
+            "slot0-flips",
+            "slot3-flips",
+            "creator-destroys",
+            "destroyer-creates",
+            "destroyer-negated",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "window, cap",
+        [(FockWindow(2, 3, "1/2"), 2), (FockWindow(1, 3, "-1/2"), 3)],
+        ids=["c2N3", "c1N3-cap3"],
+    )
+    def test_matches_the_four_order_loop(self, monkeypatch, owner, planted, window, cap):
+        if planted is not None:
+            monkeypatch.setattr(fock, owner, planted(getattr(fock, owner)))
+        want = car_residual_four_orders(window, cap)
+        assert car_residual(window, cap) == want
+        assert (want > 0.0) == (planted is not None)
+
+
 def plant_band(monkeypatch, change):
     """Make fock._transport_modes hand on its band of modes through `change`."""
     real = fock._transport_modes

@@ -27,6 +27,7 @@ from gerbetool.moduli import (
     ModuliFamily,
     SurfaceGroupRep,
     conjugate,
+    generic_genus2_su2,
     holonomy,
     holonomy_path,
     irreducibility_check,
@@ -485,6 +486,73 @@ class TestHolonomy:
     def test_non_unit_exponent_rejected(self):
         with pytest.raises(ArgumentError, match="exponent"):
             LoopWord(((1, 2),))
+
+
+class TestGenericPoint:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relation_and_irreducibility(self, seed):
+        rep = generic_genus2_su2(np.random.default_rng(seed))
+        assert (rep.genus, rep.n, rep.z) == (2, 2, -1.0)
+        assert relation_check(rep) <= 1e-14
+        assert oracle_relation_residual(rep) <= 1e-14
+        assert irreducibility_check(rep) == oracle_irreducibility(rep) == (True, 1)
+
+    def test_second_handle_closes_the_first(self):
+        # [A_2, B_2] = A_2^2 = -[A_1, B_1]^-1, with A_2 and B_2 special unitary
+        a1, b1, a2, b2 = generic_genus2_su2(np.random.default_rng(5)).generators
+        c = a1 @ b1 @ a1.conj().T @ b1.conj().T
+        comm = a2 @ b2 @ a2.conj().T @ b2.conj().T
+        assert np.abs(comm - a2 @ a2).max() <= 1e-14
+        assert np.abs(a2 @ a2 + c.conj().T).max() <= 1e-14
+        for g in (a2, b2):
+            assert np.abs(g @ g.conj().T - np.eye(2)).max() <= 1e-14
+            assert abs(np.linalg.det(g) - 1.0) <= 1e-14
+
+    def test_seeded(self):
+        first = generic_genus2_su2(np.random.default_rng(3)).generators
+        assert np.array_equal(first, generic_genus2_su2(np.random.default_rng(3)).generators)
+        assert not np.allclose(first, generic_genus2_su2(np.random.default_rng(4)).generators)
+
+    def test_commutator_sees_the_exponents(self):
+        # [a1, b1] and [a1^-1, b1^-1] agree at the quaternion point, so a
+        # letter map that flips exponents passes there; the generic point
+        # tells them apart (1.09 at seed 5)
+        word = ((1, 1), (2, 1), (1, -1), (2, -1))
+        flipped = tuple((i, -e) for i, e in word)
+        quaternion = standard_genus2_su2()
+        generic = generic_genus2_su2(np.random.default_rng(5))
+        gap = [
+            np.abs(holonomy(rep, LoopWord(word)) - holonomy(rep, LoopWord(flipped))).max()
+            for rep in (quaternion, generic)
+        ]
+        assert gap[0] == 0.0 and gap[1] > 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_holonomy_matches_adjoint_inverse_oracle(self, seed):
+        rep = generic_genus2_su2(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 100)
+        letters = tuple(
+            (int(rng.integers(1, 5)), int(rng.choice((-1, 1)))) for _ in range(6)
+        )
+        got = holonomy(rep, LoopWord(letters))
+        assert np.abs(got - oracle_holonomy(rep, letters)).max() <= 1e-14
+
+    def test_letter_map_row_reads_the_battery_seed(self, monkeypatch):
+        # the moduli battery's letter-map row draws its generic point from
+        # the battery seed, with no config key of its own
+        drawn = []
+
+        def spy(rng):
+            rep = generic_genus2_su2(rng)
+            drawn.append(rep.generators)
+            return rep
+
+        monkeypatch.setattr(cli, "generic_genus2_su2", spy)
+        rows = {name: thunk for name, _, thunk in cli._battery_moduli(dict(cli.COMMANDS["moduli"].defaults), 11)}
+        assert drawn == []  # building the battery draws nothing
+        assert rows["letter-map"]() <= 1e-14
+        (gens,) = drawn
+        assert np.array_equal(gens, generic_genus2_su2(np.random.default_rng(11)).generators)
 
 
 class TestHolonomyPaths:
