@@ -1,8 +1,8 @@
-"""Sampled connections on S1 x T^d, read directly as caloron-side data.
+"""Sampled connections on S1 x T^3, read directly as caloron-side data.
 
 A connection is stored as real su(n) coefficient arrays, coefficient axis
 first (n^2 - 1 in the liealg.su_basis frame): phi, the dtheta component, is
-the Higgs field of the caloron correspondence, and a holds the d base
+the Higgs field of the caloron correspondence, and a holds the three base
 components, which at fixed theta are the loop-algebra gauge field.  The
 correspondence is this reading of the same arrays, so no second type is
 needed.  Curvature splits into base-base components
@@ -48,7 +48,6 @@ import numpy as np
 from .errors import (
     ArgumentError,
     ConsistencyError,
-    DimensionError,
     ResolutionError,
     ResourceError,
     ValidationError,
@@ -58,7 +57,7 @@ from .liealg import su_structure_constants
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 
-# Cap on theta_points * (base_points + 2 ghost_margin)^base_dim * n^2, one
+# Cap on theta_points * (base_points + 2 ghost_margin)^3 * n^2, one
 # field's count of matrix entries, n^2 per cell (1.6M on the caloron
 # battery's default fine grid).  A field is sampled as n^2 - 1 real
 # coefficients per cell, so an su(2) field holds 3/4 as many floats; at its
@@ -82,8 +81,8 @@ _ROUNDOFF_FLOOR = 1e3
 _RUN_CELLS = 4096
 
 
-def check_grid(theta_points, base_points, base_dim, n, ghost_margin=0):
-    """Reject a sampling grid without a meaningful derivative, or past the cap.
+def check_grid(theta_points, base_points, n, ghost_margin=0):
+    """Reject a sampling grid on S1 x T^3 without a meaningful derivative or past the cap.
 
     Runs before any sample is allocated: the circle needs 8 points, each
     base axis the 5 points of the 4th-order stencil, and the entry count
@@ -91,13 +90,11 @@ def check_grid(theta_points, base_points, base_dim, n, ghost_margin=0):
     """
     if theta_points < 8:
         raise ValidationError(f"need at least 8 circle points, got {theta_points}")
-    if base_dim not in (2, 3):
-        raise DimensionError(f"base dimension must be 2 or 3, got {base_dim}")
     if base_points < 5:
         raise ResolutionError(
             f"need at least 5 base points for the 5-point stencil, got {base_points}"
         )
-    entries = theta_points * (base_points + 2 * ghost_margin) ** base_dim * n * n
+    entries = theta_points * (base_points + 2 * ghost_margin) ** 3 * n * n
     if entries > MAX_GRID_ENTRIES:
         raise ResourceError(
             f"grid needs {entries} matrix entries per field, {n * n} per cell, "
@@ -124,9 +121,9 @@ class AnalyticConnection:
 
 @dataclass
 class LatticeConnection:
-    """Connection samples on a uniform grid over S1 x T^d, as su(n) coefficients.
+    """Connection samples on a uniform grid over S1 x T^3, as su(n) coefficients.
 
-    phi has shape (n^2 - 1, P, M', ..., M') and a (d, n^2 - 1, P, M', ...,
+    phi has shape (n^2 - 1, P, M', M', M') and a (3, n^2 - 1, P, M', M',
     M'), M' = base_points + 2*ghost_margin, so each phi[c] and a[x, c] is a
     contiguous grid array.  A nonzero ghost margin means the base arrays
     were sampled from a covering-space formula: edge cells are valid samples,
@@ -135,7 +132,6 @@ class LatticeConnection:
     """
 
     n: int
-    base_dim: int
     theta_points: int
     base_points: int
     phi: np.ndarray
@@ -143,50 +139,40 @@ class LatticeConnection:
     family: AnalyticConnection = None
     ghost_margin: int = 0
 
+    base_dim = 3  # the base torus's dimension: a class constant, not a field
+
     def __post_init__(self):
         check_grid(
             self.theta_points,
             self.base_points,
-            self.base_dim,
             self.n,
             self.ghost_margin,
         )
         ext = self.base_points + 2 * self.ghost_margin
-        want_phi = (self.n * self.n - 1, self.theta_points) + (ext,) * self.base_dim
+        want_phi = (self.n * self.n - 1, self.theta_points) + (ext,) * 3
         self.phi = np.ascontiguousarray(self.phi, dtype=float)
         self.a = np.ascontiguousarray(self.a, dtype=float)
         if self.phi.shape != want_phi:
             raise ArgumentError(f"phi shape {self.phi.shape}, expected {want_phi}")
-        if self.a.shape != (self.base_dim,) + want_phi:
+        if self.a.shape != (3,) + want_phi:
             raise ArgumentError(
-                f"base components shape {self.a.shape}, expected {(self.base_dim,) + want_phi}"
+                f"base components shape {self.a.shape}, expected {(3,) + want_phi}"
             )
 
     def spacing(self):
         return 1.0 / self.base_points
 
-    def resample(self, base_points):
-        """The family sampled again on base_points per base axis, at the same circle points."""
-        if self.family is None:
-            raise ArgumentError("connection has no analytic family to resample from")
-        return sample_connection(
-            self.family, self.base_dim, self.theta_points, base_points, ghost_margin=self.ghost_margin
-        )
+
+def _torus_coords(thetas, xs):
+    """(theta, [x0, x1, x2]) from 1-D coordinates, shaped to broadcast over the grid."""
+    return thetas.reshape(-1, 1, 1, 1), [
+        xs.reshape(1, -1, 1, 1),
+        xs.reshape(1, 1, -1, 1),
+        xs.reshape(1, 1, 1, -1),
+    ]
 
 
-def _grid_coords(base_dim, theta_points, base_points, ghost_margin):
-    thetas = np.arange(theta_points) / theta_points
-    ext = base_points + 2 * ghost_margin
-    xs = (np.arange(ext) - ghost_margin) / base_points
-    axes = [thetas.reshape((-1,) + (1,) * base_dim)]
-    for d in range(base_dim):
-        shape = [1] * (base_dim + 1)
-        shape[d + 1] = ext
-        axes.append(xs.reshape(shape))
-    return axes
-
-
-def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=0):
+def sample_connection(family, theta_points, base_points, ghost_margin=0):
     """Evaluate an analytic family on the (theta, base) grid, one field at a time.
 
     Each coefficient of a field is written to the grid by one broadcast
@@ -194,11 +180,13 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
     whose coefficient does not broadcast to the grid, raises
     ConsistencyError naming the family and the field.
     """
-    check_grid(theta_points, base_points, base_dim, family.n, ghost_margin)
-    th, *xs = _grid_coords(base_dim, theta_points, base_points, ghost_margin)
-    grid = (theta_points,) + (base_points + 2 * ghost_margin,) * base_dim
+    check_grid(theta_points, base_points, family.n, ghost_margin)
+    ext = base_points + 2 * ghost_margin
+    th, xs = _torus_coords(
+        np.arange(theta_points) / theta_points, (np.arange(ext) - ghost_margin) / base_points
+    )
     m = family.n * family.n - 1
-    fields = np.empty((1 + base_dim, m) + grid)
+    fields = np.empty((4, m, theta_points) + (ext,) * 3)
 
     def fill(out, samples, what):
         try:
@@ -221,11 +209,10 @@ def sample_connection(family, base_dim, theta_points, base_points, ghost_margin=
                 ) from None
 
     fill(fields[0], family.phi(th, xs), "phi")
-    for axis in range(base_dim):
+    for axis in range(3):
         fill(fields[1 + axis], family.base(th, xs, axis), f"base[{axis}]")
     return LatticeConnection(
         family.n,
-        base_dim,
         theta_points,
         base_points,
         fields[0],
@@ -359,7 +346,7 @@ def _curving(run):
             - _circle_pairing(run.a[y], run.d_theta_a[x])
         ) - _circle_pairing(f_xy, run.phi)
         comps[(x, y)] = -integrand / FOUR_PI_SQ
-    return GridForm(2, len(run.a), comps, 0)
+    return GridForm(2, comps, 0)
 
 
 def _density(mixed, base, ghost_margin, m=None):
@@ -371,12 +358,7 @@ def _density(mixed, base, ghost_margin, m=None):
         - _circle_pairing(base[(0, 2)], mixed[1])
         + _circle_pairing(base[(1, 2)], mixed[0])
     )
-    return GridForm(3, 3, {(0, 1, 2): -total / FOUR_PI_SQ}, ghost_margin)
-
-
-def _require_base3(conn, what):
-    if conn.base_dim != 3:
-        raise DimensionError(f"{what}; need a 3-dimensional base")
+    return GridForm(3, {(0, 1, 2): -total / FOUR_PI_SQ}, ghost_margin)
 
 
 def pontryagin_densities(conn, reps):
@@ -389,10 +371,9 @@ def pontryagin_densities(conn, reps):
     or ArgumentError, pushes the same F_{theta a} and F_ab through its
     coefficient map, onto the coefficients the map reaches (the
     fundamental's map is the identity, so it skips the push), and one pass
-    serves them all; a raise in any one push fails the whole pass.  Needs a
-    3-dimensional base; a ghosted sampling keeps its margin on the forms.
+    serves them all; a raise in any one push fails the whole pass.  A
+    ghosted sampling keeps its margin on the forms.
     """
-    _require_base3(conn, "the density is a 3-form")
     maps = [_support_map(conn, rho)[0] for rho in reps]
     maps = [None if rho.is_fundamental() else m for rho, m in zip(reps, maps)]
     g = conn.ghost_margin
@@ -406,11 +387,11 @@ class CurvaturePass:
     B_ab = -(1/4 pi^2) Int_0^1 [ 1/2 (<A_a, A_b'> - <A_b, A_a'>)
                                  - <F_ab, Phi> ] dtheta,
     with A' the circle derivative and the circle integral the grid mean
-    (trapezoid rule on a periodic grid); density (on a 3-dimensional base)
-    is pontryagin_densities' fundamental 3-form; given a representation
-    rho, pushed is the curving built from the fields pushed through rho's
-    coefficient_map onto its support, with su(rho.dim) brackets on the
-    support (the coefficients off it are +-0).  All of them read one
+    (trapezoid rule on a periodic grid); density is pontryagin_densities'
+    fundamental 3-form; given a representation rho, pushed is the curving
+    built from the fields pushed through rho's coefficient_map onto its
+    support, with su(rho.dim) brackets on the support (the coefficients
+    off it are +-0).  All of them read one
     dtheta A and one set of F_ab per run of circle points.  A ghosted
     sampling raises ArgumentError: the curving cannot integrate it.
     """
@@ -419,10 +400,8 @@ class CurvaturePass:
         if conn.ghost_margin:
             raise ArgumentError("a curvature pass needs a periodic (ghost-free) sampling")
         self.conn, self.rho = conn, rho
-        self.density = self.pushed = None
-        forms = {"curving": _curving}
-        if conn.base_dim == 3:
-            forms["density"] = lambda run: _density(run.mixed, run.base, 0)
+        self.pushed = None
+        forms = {"curving": _curving, "density": lambda run: _density(run.mixed, run.base, 0)}
         if rho is not None:
             m, support = _support_map(conn, rho)
             terms = _bracket_terms(rho.dim, support)
@@ -431,7 +410,7 @@ class CurvaturePass:
         for name, mean in zip(forms, means):
             setattr(self, name, mean)
 
-    def identity_check(self, refine_factor=2):
+    def identity_check(self, refine_factor):
         """Pointwise residual of [circle-integrated Pontryagin density] = d(curving).
 
         Returns (residual at the input resolution, measured convergence
@@ -440,14 +419,18 @@ class CurvaturePass:
         and the order reflects the base stencils; a fine residual under the
         roundoff floor (_ROUNDOFF_FLOOR) reads order inf, and a residual or
         field that is not finite reads order NaN.  The refined grid is
-        resampled from the connection's analytic family and swept here, once
-        per call; needs a 3-dimensional base and an integer refine_factor >= 2.
+        sampled again from the connection's analytic family, at the same
+        circle points, and swept here, once per call; needs an integer
+        refine_factor >= 2 and a connection that carries its family.
         """
         conn = self.conn
-        _require_base3(conn, "the identity compares 3-forms")
         if not isinstance(refine_factor, numbers.Integral) or refine_factor < 2:
             raise ArgumentError(f"refine factor must be an integer >= 2, got {refine_factor!r}")
-        fine = CurvaturePass(conn.resample(base_points=refine_factor * conn.base_points))
+        if conn.family is None:
+            raise ArgumentError("connection has no analytic family to resample from")
+        fine = CurvaturePass(
+            sample_connection(conn.family, conn.theta_points, refine_factor * conn.base_points)
+        )
         res_coarse, res_fine = (
             (p.density - p.curving.exterior_derivative()).max_norm() for p in (self, fine)
         )
@@ -461,10 +444,10 @@ class CurvaturePass:
     def scaling_check(self):
         """Max residual of (curving, 3-curvature) scaling under the pass's representation.
 
-        Compares the pushed curving B_rho and (on a 3-dimensional base)
-        H_rho = d B_rho with rho.index, the Dynkin index, times the
-        fundamental forms.  The identity holds pointwise in the samples, so
-        the residual is roundoff-level.  Returns (worst, scale): the absolute
+        Compares the pushed curving B_rho and H_rho = d B_rho with
+        rho.index, the Dynkin index, times the fundamental forms.  The
+        identity holds pointwise in the samples, so the residual is
+        roundoff-level.  Returns (worst, scale): the absolute
         residual and rho.index * max(|B|, |H|) of the fundamental forms, the
         scale a relative residual divides by.
         """
@@ -472,11 +455,8 @@ class CurvaturePass:
             raise ArgumentError("the scaling check needs a pass with a representation")
         iota = float(self.rho.index)
         b_fund, b_rho = self.curving, self.pushed
-        worst = (b_rho - iota * b_fund).max_norm()
-        scale = b_fund.max_norm()
-        if self.conn.base_dim == 3:
-            h_fund = b_fund.exterior_derivative()
-            h_rho = b_rho.exterior_derivative()
-            worst = float(np.maximum(worst, (h_rho - iota * h_fund).max_norm()))
-            scale = np.maximum(scale, h_fund.max_norm())
-        return worst, float(iota * scale)
+        h_fund = b_fund.exterior_derivative()
+        h_rho = b_rho.exterior_derivative()
+        worst = np.maximum((b_rho - iota * b_fund).max_norm(), (h_rho - iota * h_fund).max_norm())
+        scale = np.maximum(b_fund.max_norm(), h_fund.max_norm())
+        return float(worst), float(iota * scale)

@@ -408,7 +408,9 @@ def _battery_fock(params, seed):
 
     def bogoliubov():
         (_, _, amps), unannihilated = bogoliubov_vacuum(window, mu)
-        return len(unannihilated) + abs(float(np.linalg.norm(amps)) - 1.0)
+        # the larger of two sizes: no sign slip can cancel one defect against the
+        # other, and np.maximum, unlike max(), keeps a NaN
+        return np.maximum(len(unannihilated), abs(float(np.linalg.norm(amps)) - 1.0))
 
     def projective():
         return projective_equality_check(
@@ -420,7 +422,7 @@ def _battery_fock(params, seed):
         expected = len(
             [k for k in range(-window.N, window.N + 1) if window.cut < k <= mu]
         )
-        return residual + abs(n_shift - expected)
+        return np.maximum(residual, abs(n_shift - expected))
 
     return [
         ("car-relations", 0.0, lambda: car_residual(window, cap)),
@@ -437,12 +439,12 @@ def _battery_caloron(params, seed):
     family = su2_family()
     theta_points, base_points = params["theta_points"], params["base_points"]
     for points in (base_points, params["refine_factor"] * base_points):
-        check_grid(theta_points, points, 3, family.n)
+        check_grid(theta_points, points, family.n)
 
     @functools.cache
     def coarse():
         # one coarse curvature pass serves both checks; the fine pass is ms-identity-order's own
-        conn = sample_connection(family, 3, theta_points, base_points)
+        conn = sample_connection(family, theta_points, base_points)
         return CurvaturePass(conn, Representation.adjoint(conn.n))
 
     def ms_order():

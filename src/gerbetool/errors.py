@@ -46,7 +46,7 @@ class ConsistencyError(GerbeToolError):
 
 
 class DimensionError(GerbeToolError):
-    """Operation requires a specific base dimension."""
+    """A form that is not top-degree was integrated to a number."""
 
 
 class CapabilityError(GerbeToolError):

@@ -51,31 +51,32 @@ def central_diff4(arr, axis, spacing):
 
 @dataclass
 class GridForm:
-    """Real differential form sampled on a d-dimensional periodic grid.
+    """Real differential form sampled on a periodic grid over the base torus T^3.
 
     comps maps ordered axis tuples (strictly increasing, length = degree)
-    to real arrays of identical shape.  ghost_margin marks how many cells
-    per edge are scratch (populated from a covering-space formula rather
-    than by periodic wrap); integrals and norms skip them.
+    to real arrays of one 3-dimensional shape.  ghost_margin marks how many
+    cells per edge are scratch (populated from a covering-space formula
+    rather than by periodic wrap); integrals and norms skip them.
     """
 
     degree: int
-    base_dim: int
     comps: dict
     ghost_margin: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.degree <= self.base_dim:
+        if not 0 <= self.degree <= 3:
             raise ArgumentError(
-                f"degree {self.degree} out of range for base dimension {self.base_dim}"
+                f"degree {self.degree} out of range for a form on T^3"
             )
-        want = set(itertools.combinations(range(self.base_dim), self.degree))
+        want = set(itertools.combinations(range(3), self.degree))
         got = set(self.comps)
         if got != want:
             raise ValidationError(f"component keys {sorted(got)} != {sorted(want)}")
         shapes = {np.shape(v) for v in self.comps.values()}
-        if len(shapes) != 1 or len(next(iter(shapes))) != self.base_dim:
-            raise ValidationError("components must share one d-dimensional shape")
+        if len(shapes) != 1 or len(next(iter(shapes))) != 3:
+            raise ValidationError(
+                f"components must share one 3-dimensional shape, got {sorted(shapes)}"
+            )
         self.comps = {k: np.asarray(v, dtype=float) for k, v in self.comps.items()}
 
     @property
@@ -84,7 +85,7 @@ class GridForm:
 
     def _core(self, arr):
         g = self.ghost_margin
-        return arr[(slice(g, -g or None),) * self.base_dim]
+        return arr[(slice(g, -g or None),) * 3]
 
     def spacing(self):
         return 1.0 / (self.shape[0] - 2 * self.ghost_margin)
@@ -93,16 +94,16 @@ class GridForm:
         h = self.spacing()
         out = {
             key: np.zeros(self.shape)
-            for key in itertools.combinations(range(self.base_dim), self.degree + 1)
+            for key in itertools.combinations(range(3), self.degree + 1)
         }
         for axes, comp in self.comps.items():
-            for a in range(self.base_dim):
+            for a in range(3):
                 if a in axes:
                     continue
                 target = tuple(sorted(axes + (a,)))
                 sign = (-1.0) ** target.index(a)
                 out[target] += sign * central_diff4(comp, a, h)
-        return GridForm(self.degree + 1, self.base_dim, out, self.ghost_margin)
+        return GridForm(self.degree + 1, out, self.ghost_margin)
 
     def max_norm(self):
         # np.max, unlike max(), keeps a NaN found in any component
@@ -110,13 +111,13 @@ class GridForm:
 
     def integrate(self):
         """Integral over the unit torus of a top-degree form (mean value)."""
-        if self.degree != self.base_dim:
+        if self.degree != 3:
             raise DimensionError("only top-degree forms integrate to a number")
         (comp,) = self.comps.values()
         return float(np.mean(self._core(comp)))
 
     def _with(self, comps):
-        return GridForm(self.degree, self.base_dim, comps, self.ghost_margin)
+        return GridForm(self.degree, comps, self.ghost_margin)
 
     def __sub__(self, other):
         self._check_compatible(other)
@@ -131,7 +132,6 @@ class GridForm:
     def _check_compatible(self, other):
         if (
             self.degree != other.degree
-            or self.base_dim != other.base_dim
             or self.shape != other.shape
             or self.ghost_margin != other.ghost_margin
         ):

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .caloron import AnalyticConnection, check_grid, sample_connection
+from .caloron import AnalyticConnection, _torus_coords, check_grid, sample_connection
 from .errors import ArgumentError, ResolutionError, ValidationError
 from .liealg import su_coefficients
 from .presets import T1, T2, diagonal_unitaries
@@ -314,7 +314,7 @@ class ModuliFamily:
     def connection(self, word, theta_points=8, base_points=12, ghost_margin=4):
         check_sampling(theta_points, base_points, ghost_margin, self.rep.n)
         fam = self.family(word)
-        conn = sample_connection(fam, 3, theta_points, base_points, ghost_margin)
+        conn = sample_connection(fam, theta_points, base_points, ghost_margin)
         _seam_check(conn, fam)
         return conn
 
@@ -330,7 +330,7 @@ def check_sampling(theta_points, base_points, ghost_margin, n):
         raise ResolutionError(
             f"ghost margin {ghost_margin} is below the stencil half-width 2"
         )
-    check_grid(theta_points, base_points, 3, n, ghost_margin)
+    check_grid(theta_points, base_points, n, ghost_margin)
 
 
 # _seam_check's bound on a jump's spread, relative to the field values
@@ -347,21 +347,14 @@ def _seam_check(conn, fam):
     roundoff scale), or by NaN, means the sampled family is not a closed
     connection family.
     """
-    d = conn.base_dim
-    thetas = (np.arange(conn.theta_points) / conn.theta_points).reshape(
-        (-1,) + (1,) * d
-    )
     probe = np.array([0.05, 0.35, 0.65])
-    grid = (conn.theta_points,) + probe.shape * d
-    coords = [
-        probe.reshape((1,) * (i + 1) + (-1,) + (1,) * (d - 1 - i))
-        for i in range(d)
-    ]
+    thetas, coords = _torus_coords(np.arange(conn.theta_points) / conn.theta_points, probe)
+    grid = (conn.theta_points,) + probe.shape * 3
     fields = [("higgs", fam.phi)] + [
         (f"gauge[{ax}]", lambda t, c, ax=ax: fam.base(t, c, ax))
-        for ax in range(d)
+        for ax in range(3)
     ]
-    for axis in range(d):
+    for axis in range(3):
         shifted = list(coords)
         shifted[axis] = shifted[axis] + 1.0
         for label, field in fields:

@@ -22,11 +22,6 @@ T1 = np.array([[0.0, 1j], [1j, 0.0]])
 T2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
-def _su2(t1=0.0, t2=0.0, t3=0.0):
-    """Coefficients of t1 T1 + t2 T2 + t3 T3 in su_basis(2) order, unstacked: (t2, t1, t3)."""
-    return t2, t1, t3
-
-
 def su2_family(amplitude=0.7):
     """The three-generator su(2) family "su2-family", unsampled."""
     # Circle harmonics share generators across components on purpose: the
@@ -34,8 +29,9 @@ def su2_family(amplitude=0.7):
     # the curving degenerates to a constant and the density to zero.
     s, c = np.sin, np.cos
 
-    def field(**coeffs):
-        return [amplitude * t for t in _su2(**coeffs)]
+    def field(t1, t2, t3):
+        # t1 T1 + t2 T2 + t3 T3 in su_basis(2) order, which lists T2 before T1
+        return [amplitude * t for t in (t2, t1, t3)]
 
     def phi(th, xs):
         return field(

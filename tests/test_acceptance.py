@@ -134,7 +134,7 @@ def test_criterion_4_vacuum_transport_and_projective_factor():
 
 def test_criterion_5_density_equals_curving_derivative():
     with gate(5, "3-form identity contracts with order >= 1.9 (16 -> 32)", 180.0):
-        conn = sample_connection(su2_family(), 3, 12, 16)
+        conn = sample_connection(su2_family(), 12, 16)
         res, order = CurvaturePass(conn).identity_check(refine_factor=2)
         assert math.isfinite(res)
         assert order >= 1.9, order
@@ -142,7 +142,7 @@ def test_criterion_5_density_equals_curving_derivative():
 
 def test_criterion_6_representation_scaling_and_indices():
     with gate(6, "adjoint forms scale by 4, indices {1,1,1,4,0}", 60.0):
-        pair = sample_connection(su2_family(), 3, 12, 16)
+        pair = sample_connection(su2_family(), 12, 16)
         adjoint = Representation.adjoint(2)
         forms = CurvaturePass(pair, adjoint)
         worst, _ = forms.scaling_check()
@@ -166,7 +166,7 @@ def test_criterion_6_representation_scaling_and_indices():
 
 def test_criterion_7_index_route_matches_curvature_route():
     with gate(7, "index route = curvature route (x1 exact, x4 <= 1e-8)", 60.0):
-        conn = sample_connection(su2_family(), 3, 12, 16)
+        conn = sample_connection(su2_family(), 12, 16)
         density = CurvaturePass(conn).density
         fund, adj = pontryagin_densities(
             conn, [Representation.fundamental(2), Representation.adjoint(2)]

@@ -19,7 +19,7 @@ Oracles, each independent of the code under test:
     su(dim) coefficient pushed and bracketed with su(dim)'s whole term table.
 The library has one family, su2_family; the four others the tests sample
 (zero, abelian, flat, su2-axial) are written here, coefficient-leading as a
-family returns them: one real array per su(2) coefficient.
+family returns them: one real array per su(2) coefficient, laid out by _su2.
 Convergence tolerances are frozen from two-grid measurements quoted in the
 assertions.
 """
@@ -65,7 +65,7 @@ from gerbetool.liealg import (
     su_structure_constants,
 )
 from gerbetool.moduli import LoopWord, ModuliFamily, standard_genus2_su2
-from gerbetool.presets import _su2, su2_family
+from gerbetool.presets import su2_family
 
 TWO_PI = 2.0 * math.pi
 T1 = 1j * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -95,6 +95,11 @@ def random_su(rng, shape, n):
     x = z - np.swapaxes(z.conj(), -1, -2)
     trace = np.trace(x, axis1=-2, axis2=-1)[..., None, None]
     return x - trace / n * np.eye(n)
+
+
+def _su2(t1=0.0, t2=0.0, t3=0.0):
+    """Coefficients of t1 T1 + t2 T2 + t3 T3 in su_basis(2) order, unstacked: (t2, t1, t3)."""
+    return t2, t1, t3
 
 
 # Ad(exp(2 pi t T_j)) turns the plane of the cyclically next generators,
@@ -192,9 +197,9 @@ def preset_family(name, amplitude=0.7):
     return FAMILIES[name](amplitude)
 
 
-def connection_preset(name, theta_points=12, base_points=16, base_dim=3, amplitude=0.7):
+def connection_preset(name, theta_points=12, base_points=16, amplitude=0.7):
     """Sample a named family of FAMILIES; the result carries it for resampling."""
-    return sample_connection(preset_family(name, amplitude), base_dim, theta_points, base_points)
+    return sample_connection(preset_family(name, amplitude), theta_points, base_points)
 
 
 def matrix_preset_fields(name, amp, th, xs):
@@ -374,12 +379,11 @@ class TestCurvature:
 
 class TestRebagging:
     def test_resample_needs_a_family(self):
+        # the identity check samples its refined grid from the connection's family
         conn = connection_preset("zero", theta_points=8, base_points=8)
-        bare = LatticeConnection(
-            conn.n, conn.base_dim, conn.theta_points, conn.base_points, conn.phi, conn.a
-        )
-        with pytest.raises(ArgumentError, match="analytic family"):
-            bare.resample(base_points=16)
+        bare = LatticeConnection(conn.n, conn.theta_points, conn.base_points, conn.phi, conn.a)
+        with pytest.raises(ArgumentError, match="connection has no analytic family to resample from"):
+            CurvaturePass(bare).identity_check(2)
 
     def test_too_few_circle_points_rejected(self):
         with pytest.raises(ValidationError, match="circle points"):
@@ -397,22 +401,20 @@ class TestRebagging:
         assert 8 * 45**3 * 4 <= MAX_GRID_ENTRIES < 8 * 53**3 * 4
         family = connection_preset("zero", 8, 8).family
         with pytest.raises(ResourceError, match="over the cap"):
-            sample_connection(family, 3, 8, 45, ghost_margin=4)
-
-    def test_bad_base_dimension_rejected(self):
-        with pytest.raises(DimensionError):
-            connection_preset("zero", theta_points=8, base_points=8, base_dim=4)
+            sample_connection(family, 8, 45, ghost_margin=4)
 
     def test_mismatched_shapes_rejected(self):
         conn = connection_preset("zero", theta_points=8, base_points=8)
         with pytest.raises(ArgumentError, match="shape"):
-            LatticeConnection(2, 3, 8, 8, conn.phi[:, :4], conn.a)
+            LatticeConnection(2, 8, 8, conn.phi[:, :4], conn.a)
 
-    def test_resample_keeps_a_count_only_for_none(self):
-        # `0 or 8` is 8: a zero count was once read as "keep" and returned the input grid
+    def test_two_base_components_rejected(self):
+        # the base is T^3: a connection on T^2 is refused, not read as one
         conn = connection_preset("zero", theta_points=8, base_points=8)
-        with pytest.raises(ResolutionError, match="5-point stencil"):
-            conn.resample(base_points=0)
+        want = re.escape("base components shape (2, 3, 8, 8, 8, 8), expected (3, 3, 8, 8, 8, 8)")
+        with pytest.raises(ArgumentError, match=want):
+            LatticeConnection(2, 8, 8, conn.phi, conn.a[:2])
+        assert LatticeConnection.base_dim == conn.base_dim == 3
 
 
 class TestBField:
@@ -436,7 +438,7 @@ class TestBField:
 
     def test_ghost_sampling_rejected(self):
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        ghosted = sample_connection(conn.family, 3, 8, 8, ghost_margin=2)
+        ghosted = sample_connection(conn.family, 8, 8, ghost_margin=2)
         with pytest.raises(ArgumentError, match="periodic"):
             CurvaturePass(ghosted)
 
@@ -453,7 +455,7 @@ class TestBField:
 
         family = AnalyticConnection(2, phi, base, "hermitian")
         with pytest.raises(ConsistencyError, match="'hermitian': base\\[1\\] is not 3 finite real"):
-            sample_connection(family, 2, 8, 8)
+            sample_connection(family, 8, 8)
 
     def test_non_finite_samples_rejected(self):
         # one NaN or inf coefficient anywhere must not reach the pipelines
@@ -476,7 +478,7 @@ class TestBField:
             (AnalyticConnection(2, good.phi, inf_base, "inf-gauge"), "base\\[2\\]"),
         ):
             with pytest.raises(ConsistencyError, match=f"{family.label}': {what} is not 3 finite"):
-                sample_connection(family, 3, 8, 8)
+                sample_connection(family, 8, 8)
         with pytest.raises(ConsistencyError, match="'su2-family': phi is not 3 finite"):
             connection_preset("su2-family", theta_points=8, base_points=8, amplitude=math.nan)
 
@@ -486,11 +488,6 @@ class TestDensityAndIdentity:
         conn = connection_preset("zero", theta_points=8, base_points=8)
         (density,) = pontryagin_densities(conn, [FUND])
         assert density.max_norm() == 0.0
-
-    def test_density_needs_three_dimensions(self):
-        conn = connection_preset("zero", theta_points=8, base_points=8, base_dim=2)
-        with pytest.raises(DimensionError):
-            pontryagin_densities(conn, [FUND])
 
     def test_identity_on_generic_family(self):
         # measured residual 3.28e-3 at (P=12, M=16), order 3.87 under 2x refinement
@@ -535,7 +532,7 @@ class TestDensityAndIdentity:
         # coarse and fine residuals 6.5e-13 and 8.1e-13 are roundoff at the
         # field scale 2 pi; an absolute 1e-13 floor read them as order -0.30
         conn = connection_preset("flat", theta_points=12, base_points=16)
-        res, order = CurvaturePass(conn).identity_check()
+        res, order = CurvaturePass(conn).identity_check(2)
         assert res <= 1e-11
         assert order == math.inf
 
@@ -546,7 +543,7 @@ class TestDensityAndIdentity:
         conn = connection_preset(
             "su2-family", theta_points=12, base_points=16, amplitude=amplitude
         )
-        res, order = CurvaturePass(conn).identity_check()
+        res, order = CurvaturePass(conn).identity_check(2)
         assert res <= 1e-2 * amplitude**3
         assert abs(order - 3.875) <= 0.01
 
@@ -556,11 +553,11 @@ class TestDensityAndIdentity:
         conn = connection_preset(
             "su2-family", theta_points=12, base_points=16, amplitude=1e-12
         )
-        assert CurvaturePass(conn).identity_check()[1] == math.inf
+        assert CurvaturePass(conn).identity_check(2)[1] == math.inf
 
     def test_identity_on_zero_preset_is_exact(self):
         conn = connection_preset("zero", theta_points=8, base_points=8)
-        res, order = CurvaturePass(conn).identity_check()
+        res, order = CurvaturePass(conn).identity_check(2)
         assert res == 0.0
         assert order == math.inf
 
@@ -570,7 +567,7 @@ class TestDensityAndIdentity:
         # falls under the roundoff floor; the coarse NaN once read as order inf
         conn = connection_preset(name, theta_points=8, base_points=8, amplitude=amplitude)
         conn.a[2, 0, 0, 4, 4, 4] = math.nan
-        res, order = CurvaturePass(conn).identity_check()
+        res, order = CurvaturePass(conn).identity_check(2)
         assert math.isnan(res) and math.isnan(order)
 
     @pytest.mark.parametrize("factor", [1, 0, 1.5])
@@ -582,9 +579,9 @@ class TestDensityAndIdentity:
 
     def test_identity_needs_periodic_sampling(self):
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        ghosted = sample_connection(conn.family, 3, 8, 8, ghost_margin=2)
+        ghosted = sample_connection(conn.family, 8, 8, ghost_margin=2)
         with pytest.raises(ArgumentError, match="periodic"):
-            CurvaturePass(ghosted).identity_check()
+            CurvaturePass(ghosted).identity_check(2)
 
 
 class TestDynkinIndex:
@@ -737,7 +734,7 @@ class TestBatchedKernels:
         forms = CurvaturePass(conn, Representation.adjoint(2))
         assert np.isfinite(forms.curving.max_norm())
         assert np.isfinite(forms.density.max_norm())
-        res, order = forms.identity_check()
+        res, order = forms.identity_check(2)
         assert math.isfinite(res) and order >= 1.9
         worst, scale = forms.scaling_check()
         assert worst <= 1e-12 * scale
@@ -749,7 +746,7 @@ class TestBatchedKernels:
             return su_matrices(stacked(big.base(th, xs, axis)), 2)
 
         with pytest.raises(ConsistencyError, match="'matrices': base\\[0\\] is not .* complex128"):
-            sample_connection(AnalyticConnection(2, big.phi, base, "matrices"), 3, 8, 8)
+            sample_connection(AnalyticConnection(2, big.phi, base, "matrices"), 8, 8)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_adjoint_image_matches_elementwise_formula(self, n):
@@ -908,31 +905,38 @@ class TestGrids:
             (1,): np.cos(TWO_PI * 2 * g2),
             (2,): np.sin(TWO_PI * (g0 + g2)),
         }
-        w = GridForm(1, 3, comps)
+        w = GridForm(1, comps)
         dd = w.exterior_derivative().exterior_derivative()
         assert dd.max_norm() <= 1e-9
 
     def test_form_validation(self):
         m = 8
-        arr = np.zeros((m, m))
+        arr = np.zeros((m, m, m))
         with pytest.raises(ValidationError, match="component keys"):
-            GridForm(1, 2, {(0, 1): arr})
+            GridForm(1, {(0, 1): arr})
         with pytest.raises(ArgumentError, match="degree"):
-            GridForm(3, 2, {})
+            GridForm(4, {})
         with pytest.raises(DimensionError):
-            GridForm(1, 2, {(0,): arr, (1,): arr}).integrate()
+            GridForm(1, {(0,): arr, (1,): arr, (2,): arr}).integrate()
+
+    def test_components_off_the_three_torus_rejected(self):
+        flat = np.zeros((8, 8))
+        with pytest.raises(ValidationError, match=re.escape("one 3-dimensional shape, got [(8, 8)]")):
+            GridForm(0, {(): flat})
+        with pytest.raises(ValidationError, match="one 3-dimensional shape"):
+            GridForm(1, {(0,): np.zeros((8, 8, 8)), (1,): flat, (2,): flat})
 
     def test_top_form_integral_is_mean(self):
         m = 8
-        vals = np.arange(m * m, dtype=float).reshape(m, m)
-        form = GridForm(2, 2, {(0, 1): vals})
+        vals = np.arange(m**3, dtype=float).reshape(m, m, m)
+        form = GridForm(3, {(0, 1, 2): vals})
         assert form.integrate() == pytest.approx(vals.mean())
 
     def test_ghost_margin_is_skipped_by_norms(self):
         m, g = 8, 2
-        arr = np.zeros((m + 2 * g, m + 2 * g))
-        arr[0, 0] = 7.0  # ghost cell, must not count
-        form = GridForm(0, 2, {(): arr}, ghost_margin=g)
+        arr = np.zeros((m + 2 * g,) * 3)
+        arr[0, 0, 0] = 7.0  # ghost cell, must not count
+        form = GridForm(0, {(): arr}, ghost_margin=g)
         assert form.max_norm() == 0.0
 
     def test_max_norm_keeps_nan_in_any_component(self):
@@ -941,7 +945,7 @@ class TestGrids:
             {(0, 1): ones, (0, 2): nan, (1, 2): ones},
             {(0, 1): nan, (0, 2): ones, (1, 2): ones},
         ):
-            assert math.isnan(GridForm(2, 3, comps).max_norm())
+            assert math.isnan(GridForm(2, comps).max_norm())
 
 
 class TestCoefficientMap:
@@ -1008,8 +1012,7 @@ class TestCoefficientMap:
         pontryagin_densities(conn, [rho])
         CurvaturePass(conn, rho).scaling_check()
 
-    @pytest.mark.parametrize("base_dim", [2, 3])
-    def test_sampling_converts_each_field_once(self, base_dim):
+    def test_sampling_converts_each_field_once(self):
         # one evaluation per field: the Higgs field, then each base axis
         good = connection_preset("abelian", theta_points=8, base_points=8).family
         calls = []
@@ -1023,10 +1026,10 @@ class TestCoefficientMap:
             return good.base(th, xs, axis)
 
         family = AnalyticConnection(2, phi, base, "counted")
-        conn = sample_connection(family, base_dim, 8, 8)
-        assert calls == ["phi"] + list(range(base_dim))
-        assert conn.phi.shape == (3, 8) + (8,) * base_dim
-        assert conn.a.shape == (base_dim,) + conn.phi.shape
+        conn = sample_connection(family, 8, 8)
+        assert calls == ["phi", 0, 1, 2]
+        assert conn.phi.shape == (3, 8, 8, 8, 8)
+        assert conn.a.shape == (3,) + conn.phi.shape
         assert conn.phi.dtype == conn.a.dtype == float
 
     def test_representation_of_another_algebra_rejected(self):
@@ -1064,7 +1067,7 @@ class TestOneCurvaturePass:
     @pytest.mark.parametrize("name", ["su2-family", "flat", "winding"])
     @pytest.mark.parametrize("ghost_margin", [0, 4])
     def test_densities_share_a_pass(self, name, ghost_margin):
-        conn = sample_connection(self.family(name), 3, 8, 6, ghost_margin)
+        conn = sample_connection(self.family(name), 8, 6, ghost_margin)
         (m, _), g = _support_map(conn, self.ADJ), ghost_margin
         fund, adj = pontryagin_densities(conn, (FUND, self.ADJ))
         assert same_bits(fund, one_form_pass(conn, lambda run: _density(run.mixed, run.base, g)))
@@ -1075,7 +1078,7 @@ class TestOneCurvaturePass:
     def test_caloron_forms_share_a_pass(self, name):
         # the winding family is a covering-space sample, not periodic: its
         # forms mean nothing here, but their bits must still agree
-        conn = sample_connection(self.family(name), 3, 8, 6)
+        conn = sample_connection(self.family(name), 8, 6)
         (m, support), iota = _support_map(conn, self.ADJ), 4.0
         forms = CurvaturePass(conn, self.ADJ)
         pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, _bracket_terms(3, support))))
@@ -1096,27 +1099,13 @@ class TestOneCurvaturePass:
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
         assert CurvaturePass(conn, self.ADJ).identity_check(2) == CurvaturePass(conn).identity_check(2)
 
-    def test_two_dimensional_base_has_no_density(self):
-        gen = preset_family("su2-family")  # read on T^2 by repeating x0 as x2
-        family = AnalyticConnection(
-            2,
-            lambda th, xs: gen.phi(th, [*xs, xs[0]]),
-            lambda th, xs, axis: gen.base(th, [*xs, xs[0]], axis),
-        )
-        conn = sample_connection(family, 2, 8, 8)
-        forms = CurvaturePass(conn, self.ADJ)
-        assert forms.density is None and forms.curving.max_norm() > 0
-        assert same_bits(forms.curving, one_form_pass(conn, _curving))
-        with pytest.raises(DimensionError):
-            forms.identity_check()
-
     def test_scaling_needs_a_representation(self):
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
         with pytest.raises(ArgumentError, match="representation"):
             CurvaturePass(conn).scaling_check()
 
     def test_a_pass_needs_periodic_sampling(self):
-        conn = sample_connection(preset_family("su2-family"), 3, 8, 6, 2)
+        conn = sample_connection(preset_family("su2-family"), 8, 6, 2)
         with pytest.raises(ArgumentError, match="periodic"):
             CurvaturePass(conn)
 
@@ -1221,7 +1210,7 @@ class TestLayout:
         conn = connection_preset("su2-family", theta_points=8, base_points=6)
         assert conn.phi.shape == (3, 8, 6, 6, 6) and conn.a.shape == (3, 3, 8, 6, 6, 6)
         # a connection built from Fortran-ordered arrays stores C-ordered copies
-        fortran = LatticeConnection(2, 3, 8, 6, np.asfortranarray(conn.phi), np.asfortranarray(conn.a))
+        fortran = LatticeConnection(2, 8, 6, np.asfortranarray(conn.phi), np.asfortranarray(conn.a))
         assert np.array_equal(fortran.phi, conn.phi) and np.array_equal(fortran.a, conn.a)
         for each in (conn, fortran):
             for c in range(3):
@@ -1258,7 +1247,7 @@ class TestLayout:
             full = th + xs[0] + 10.0 * xs[1] + 100.0 * xs[2]
             return [full * (c + axis) for c in coeffs]
 
-        conn = sample_connection(AnalyticConnection(2, phi, base, "shapes"), 3, 8, 6)
+        conn = sample_connection(AnalyticConnection(2, phi, base, "shapes"), 8, 6)
         th, x = np.arange(8) / 8, np.arange(6) / 6
         profile = th[:, None, None, None]
         full = profile + x[:, None, None] + 10.0 * x[:, None] + 100.0 * x
@@ -1277,7 +1266,7 @@ class TestLayout:
         def base(th, xs, axis):
             return [0.0, 0.0, 0.0]
 
-        conn = sample_connection(AnalyticConnection(2, phi, base, "mixed"), 3, 8, 6)
+        conn = sample_connection(AnalyticConnection(2, phi, base, "mixed"), 8, 6)
         th, x = np.arange(8) / 8, np.arange(6) / 6
         profile = th[:, None, None, None]
         grid = (8, 6, 6, 6)
@@ -1302,7 +1291,7 @@ class TestLayout:
         with pytest.raises(
             ConsistencyError, match=f"'miscounted': base\\[1\\] is not 3 finite real .* got {count} of"
         ):
-            sample_connection(family, 3, 8, 6)
+            sample_connection(family, 8, 6)
 
     def test_unbroadcastable_coefficient_rejected(self):
         # three coefficients of shape (5,) fit no axis of the 8 x 8^3 grid;
@@ -1318,4 +1307,4 @@ class TestLayout:
             ConsistencyError,
             match=r"'misshapen': phi coefficient 0 of shape \(5,\) does not broadcast to the grid \(8, 8, 8, 8\)",
         ):
-            sample_connection(family, 3, 8, 8)
+            sample_connection(family, 8, 8)

@@ -61,6 +61,14 @@ def one_more_band_mode(real):
     return fault
 
 
+def twice_the_norm(real):
+    def fault(window, mu):
+        (masks, cols, amps), unannihilated = real(window, mu)
+        return (masks, cols, 2.0 * amps), unannihilated
+
+    return fault
+
+
 def first_generator_only(real):
     def fault(rep, h):
         moved = real(rep, h).generators
@@ -140,6 +148,19 @@ FAULTS = [
         "_transport_modes counts one mode too many",
         (fock, "_transport_modes", one_more_band_mode),
         [("fock", {}, ["bogoliubov-vacuum", "cut-shift", "projective-exponential"])],
+    ),
+    # the two currents of the cut shift agree, so its count term is 0 and
+    # only the residual term sees it
+    (
+        "sigma ignores the normal-ordering cut it is given",
+        (fock, "sigma", lambda real: lambda i, j, n, window, cut=None: real(i, j, n, window)),
+        [("fock", {}, ["cut-shift", "projective-exponential"])],
+    ),
+    # every operator still annihilates the state, so only the norm term sees it
+    (
+        "bogoliubov_vacuum returns the state at twice its norm",
+        (fock, "bogoliubov_vacuum", twice_the_norm),
+        [("fock", {}, ["bogoliubov-vacuum"])],
     ),
     (
         "central_diff4 weighs the point i + 1 by 7, not 8",

@@ -14,7 +14,10 @@ and so must every battery, `all` included: the package runs on numpy
 alone, and `all` passes with scipy made unimportable.  Every public
 function and method of every module is called by `gerbetool <command>`
 for one of the seven commands or `gerbetool schema`, or is on a short
-allowlist that names why it stays.
+allowlist that names why it stays.  The names the benchmark harness in
+perfbench/ imports from the package, and the attributes of a sampled
+connection its tracer reads, must exist, so a refactor cannot break a
+size probe or a traced run unseen.
 """
 
 import ast
@@ -33,6 +36,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gerbetool"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -132,7 +136,7 @@ def test_scanner_counts_settable_values():
 
 # Settable values in src/gerbetool: parameters with defaults, dataclass
 # fields with defaults and the config keys of the commands.
-SETTABLE_VALUES = 69
+SETTABLE_VALUES = 65
 
 
 def test_settable_values_are_pinned():
@@ -316,3 +320,41 @@ def test_all_passes_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def perfbench_names(source):
+    """(module, name) pairs that `source` imports from gerbetool modules or reads off `cli`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gerbetool."):
+            names.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cli":
+            names.add(("gerbetool.cli", node.attr))
+    return names
+
+
+def test_perfbench_worker_names_exist():
+    names = perfbench_names((PERFBENCH / "worker.py").read_text(encoding="utf-8"))
+    modules = {module for module, _ in names}
+    assert modules == {"gerbetool.fock", "gerbetool.spectral", "gerbetool.cli"}
+    assert {("gerbetool.cli", "run_scenario"), ("gerbetool.fock", "enumerate_states")} <= names
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(names)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
+def test_sampled_connections_carry_what_the_tracer_reads():
+    # perfbench/tracer.py counts theta_points * (base_points + 2 ghost_margin)^base_dim cells
+    from gerbetool.caloron import sample_connection
+    from gerbetool.moduli import LoopWord, ModuliFamily, standard_genus2_su2
+    from gerbetool.presets import su2_family
+
+    for conn in (
+        sample_connection(su2_family(), 8, 6),
+        ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)), 8, 6, 2),
+    ):
+        ext = conn.base_points + 2 * conn.ghost_margin
+        assert conn.theta_points * ext**conn.base_dim == conn.phi[0].size
