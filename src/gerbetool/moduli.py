@@ -20,6 +20,7 @@ genuinely periodic.
 """
 
 from dataclasses import dataclass, replace
+import functools
 import math
 
 import numpy as np
@@ -161,11 +162,11 @@ def irreducibility_check(rep):
 def conjugate(rep, h):
     """The gauge action: every generator g becomes h g h^-1.
 
-    h is one (n, n) element or an array stacking them, checked once; its
-    leading axes broadcast against the rep's, so a (k, n, n) stack of
-    elements moves one point to a (k, 2g, n, n) stack, revalidated once.
+    h is one (n, n) element or an array stacking them on any leading axes,
+    checked once; those axes broadcast against the rep's, so (k, 1, n, n)
+    elements move p points to a (k, p, 2g, n, n) stack, revalidated once.
     """
-    stack = getattr(h, "ndim", 2) > 2
+    stack = max(getattr(h, "ndim", 2) - 2, 0)  # a sequence is one element
     h = _unitary(h, "conjugating element", True, stack, rep.n)
     h = h[..., None, :, :]  # each element against all generators of its point
     return replace(rep, generators=h @ rep.generators @ h.conj().swapaxes(-1, -2))
@@ -230,7 +231,7 @@ def random_special_unitary(n, rng, count=None):
     return q * (det ** (-1.0 / n))[..., None, None]
 
 
-def holonomy_path(name, steps=48):
+def holonomy_path(name, steps):
     """Closed circle-holonomy family feeding spectral flow: one (steps + 1, n, n) array.
 
     "u1-winding": the 1 x 1 loop exp(2 pi i t), one full winding.
@@ -311,7 +312,7 @@ class ModuliFamily:
 
         return AnalyticConnection(self.rep.n, phi, base, "moduli-winding")
 
-    def connection(self, word, theta_points=8, base_points=12, ghost_margin=4):
+    def connection(self, word, theta_points, base_points, ghost_margin):
         check_sampling(theta_points, base_points, ghost_margin, self.rep.n)
         fam = self.family(word)
         conn = sample_connection(fam, theta_points, base_points, ghost_margin)
@@ -351,8 +352,7 @@ def _seam_check(conn, fam):
     thetas, coords = _torus_coords(np.arange(conn.theta_points) / conn.theta_points, probe)
     grid = (conn.theta_points,) + probe.shape * 3
     fields = [("higgs", fam.phi)] + [
-        (f"gauge[{ax}]", lambda t, c, ax=ax: fam.base(t, c, ax))
-        for ax in range(3)
+        (f"gauge[{ax}]", functools.partial(fam.base, axis=ax)) for ax in range(3)
     ]
     for axis in range(3):
         shifted = list(coords)

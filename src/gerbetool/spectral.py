@@ -2,7 +2,9 @@
 
 A flat unitary holonomy U on the circle twists the operator -i d/dtheta.
 Writing the eigenvalues of U as exp(i*phi_c) with phi_c in [0, 2*pi), the
-operator's spectrum is {m + phi_c/(2*pi) : m integer, c = 1..n}.  A window
+operator's spectrum is {m + phi_c/(2*pi) : m integer, c = 1..n}.  So D =
+-i d/dtheta + A, A constant Hermitian, on 2*pi-periodic functions is unitarily
+equivalent (f -> exp(i*theta*A) f) to the twist by U = exp(+2*pi*i*A).  A window
 of Fourier modes |m| <= N truncates this to (2N+1)*n values.  Cuts between
 eigenvalues are exact rationals; membership tests are strict with a
 gap tolerance so float eigenvalues can never sit ambiguously on a cut.

@@ -202,7 +202,7 @@ def test_criterion_8_moduli_point_and_flows():
         assert got_su2 == oracle_flow([(0.0, 1.0), (0.0, -1.0)], 0.5) == 0
 
 
-# The 45 checks of `gerbetool all`, in report order.
+# The 44 checks of `gerbetool all`, in report order.
 ALL_CHECK_NAMES = [
     "spectrum:mode-count",
     "spectrum:half-cut-covered",
@@ -243,7 +243,6 @@ ALL_CHECK_NAMES = [
     "moduli:relation-residual",
     "moduli:irreducibility",
     "moduli:conjugation-invariance",
-    "moduli:word-homomorphism",
     "moduli:letter-map",
     "moduli:flow-u1-winding",
     "moduli:flow-su2-balanced",

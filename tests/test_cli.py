@@ -236,6 +236,7 @@ class TestValidation:
             for name in (
                 "sample_connection", "CurvaturePass", "pontryagin_densities",
                 "graded_basis", "CechTable", "holonomy_path",
+                "generic_genus2_su2", "random_special_unitary",
             ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, spy(name))
@@ -1108,7 +1109,7 @@ _PROPERTY = {
     "cocycle": (st.fixed_dictionaries({"params": _COCYCLE_PARAMS}), 20, None),
     "fock": (st.fixed_dictionaries({"params": _FOCK_PARAMS, "seed": _SEED}), 60, 6),
     "caloron": (st.fixed_dictionaries({"params": _CALORON_PARAMS}), 40, 2),
-    "moduli": (st.fixed_dictionaries({"params": _MODULI_PARAMS, "seed": _SEED}), 20, 7),
+    "moduli": (st.fixed_dictionaries({"params": _MODULI_PARAMS, "seed": _SEED}), 20, 6),
     "pairing": (st.fixed_dictionaries({"params": _PAIRING_PARAMS}), 20, 2),
 }
 

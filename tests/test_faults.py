@@ -36,6 +36,7 @@ from gerbetool.spectral import SpectralCut
 
 from test_acceptance import ALL_CHECK_NAMES
 from test_fock import flip_middle_hop
+from test_moduli import diagonal_generators
 
 FOCK_CACHES = (fock.graded_basis, fock._current, fock._safe_block)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -72,7 +73,7 @@ def twice_the_norm(real):
 def first_generator_only(real):
     def fault(rep, h):
         moved = real(rep, h).generators
-        kept = np.broadcast_to(rep.generators[1:], moved.shape[:-3] + rep.generators[1:].shape)
+        kept = np.broadcast_to(rep.generators[..., 1:, :, :], moved[..., 1:, :, :].shape)
         return dataclasses.replace(rep, generators=np.concatenate((moved[..., :1, :, :], kept), axis=-3))
 
     return fault
@@ -221,15 +222,22 @@ FAULTS = [
         [("moduli", {}, ["conjugation-invariance"])],
     ),
     (
+        "generic_genus2_su2 returns a reducible point, every generator diagonal",
+        (moduli, "generic_genus2_su2", diagonal_generators),
+        [("moduli", {}, ["relation-residual", "irreducibility"])],
+    ),
+    # holonomy's letter map: the order of a word's letters, which generator a
+    # letter reads, and which exponent inverts it.  Only letter-map sees
+    # these.  A reversed word moves [a1, b1] at the generic point alone: at
+    # the quaternion point both orders give -1.  The literal mutant
+    # "generator index + 1" raises an IndexError on the last two letters;
+    # the row wraps the last letter to the first, so the check fails by
+    # what it measures.
+    (
         "holonomy multiplies a word's letters in reverse",
         (moduli, "holonomy", lambda real: lambda rep, word: real(rep, LoopWord(word.letters[::-1]))),
-        [("moduli", {}, ["word-homomorphism"])],
+        [("moduli", {}, ["letter-map"])],
     ),
-    # holonomy's letter map: which generator a letter reads, and which
-    # exponent inverts it.  Any consistent letter map is a homomorphism, so
-    # only letter-map sees these.  The literal mutant "generator index + 1"
-    # raises an IndexError on the last two letters; the row wraps the last
-    # letter to the first, so the check fails by what it measures.
     (
         "holonomy reads the next generator of each letter",
         (

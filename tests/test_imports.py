@@ -136,7 +136,7 @@ def test_scanner_counts_settable_values():
 
 # Settable values in src/gerbetool: parameters with defaults, dataclass
 # fields with defaults and the config keys of the commands.
-SETTABLE_VALUES = 65
+SETTABLE_VALUES = 60
 
 
 def test_settable_values_are_pinned():

@@ -12,6 +12,7 @@ Oracles:
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -272,20 +273,34 @@ def loop_relation_residual(rep):
     return float(np.abs(acc - rep.z * np.eye(rep.n)).max())
 
 
-def loop_conjugation_invariance(rep, k, seed):
-    """conjugation-invariance one element at a time: elements, conjugates, residual."""
-    rng = np.random.default_rng(seed)
-    base, base_verdict = loop_relation_residual(rep), oracle_irreducibility(rep)
+def battery_points(seed):
+    """The moduli battery's two points, one at a time: the quaternion point, the seeded generic one."""
+    return standard_genus2_su2(), generic_genus2_su2(np.random.default_rng(seed))
+
+
+def element_stream(seed):
+    """The conjugating elements' stream: the first child of the seed, not the seed's own stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+def loop_conjugation_invariance(points, k, seed):
+    """conjugation-invariance one element and one point at a time: elements, conjugates, residual.
+
+    ceil(k / 2) elements, each moving every point, so k or k + 1 conjugates.
+    """
+    rng = element_stream(seed)
+    bases = [(loop_relation_residual(rep), oracle_irreducibility(rep)) for rep in points]
     hs, moved, worst = [], [], 0.0
-    for _ in range(k):
-        h = loop_draw(rep.n, rng)
-        point = SurfaceGroupRep(rep.genus, rep.n, rep.z, [h @ g @ h.conj().T for g in rep.generators])
-        worst = np.maximum(worst, abs(loop_relation_residual(point) - base))
-        if oracle_irreducibility(point) != base_verdict:
-            worst = np.maximum(worst, 1.0)
+    for _ in range(-(-k // 2)):
+        h = loop_draw(2, rng)
+        for rep, (base, base_verdict) in zip(points, bases):
+            point = SurfaceGroupRep(rep.genus, rep.n, rep.z, [h @ g @ h.conj().T for g in rep.generators])
+            worst = np.maximum(worst, abs(loop_relation_residual(point) - base))
+            if oracle_irreducibility(point) != base_verdict:
+                worst = np.maximum(worst, 1.0)
+            moved.append(point.generators)
         hs.append(h)
-        moved.append(point.generators)
-    return np.stack(hs), np.stack(moved), worst
+    return np.stack(hs)[:, None], np.stack(moved).reshape(len(hs), len(points), 4, 2, 2), worst
 
 
 def run_conjugation_invariance(conjugations, seed):
@@ -297,27 +312,32 @@ def run_conjugation_invariance(conjugations, seed):
             return value
 
 
-def reducible_point_237(real):
-    """A fault of conjugate: point 237 of the stack becomes the identity point."""
+# a conjugate in the middle of the (200, 2) stack of conjugation-invariance
+# at 400 conjugations: element 118 moving the generic point
+MID = (118, 1)
+
+
+def reducible_point_mid(real):
+    """A fault of conjugate: the conjugate at MID becomes the identity point."""
 
     def fault(rep, h):
         moved = real(rep, h)
         gens = moved.generators.copy()
-        gens[237] = np.eye(2)  # the identity point: reducible, and off the relation
+        gens[MID] = np.eye(2)  # the identity point: reducible, and off the relation
         return dataclasses.replace(moved, generators=gens)
 
     return fault
 
 
-def verdict_at_237(verdict, dim):
-    """A fault of irreducibility_check: a stack's point 237 reads (verdict, dim)."""
+def verdict_at_mid(verdict, dim):
+    """A fault of irreducibility_check: the conjugate at MID reads (verdict, dim)."""
 
     def plant(real):
         def fault(rep):
             verdicts, dims = real(rep)
-            if rep.generators.ndim == 4:
+            if rep.generators.ndim == 5:  # the conjugates, not the two points
                 verdicts, dims = verdicts.copy(), dims.copy()
-                verdicts[237], dims[237] = verdict, dim
+                verdicts[MID], dims[MID] = verdict, dim
             return verdicts, dims
 
         return fault
@@ -325,14 +345,14 @@ def verdict_at_237(verdict, dim):
     return plant
 
 
-def nan_residual_at_237(real):
-    """A fault of relation_check: a stack's point 237 reads NaN."""
+def nan_residual_at_mid(real):
+    """A fault of relation_check: the conjugate at MID reads NaN."""
 
     def fault(rep):
         residuals = real(rep)
-        if rep.generators.ndim == 4:
+        if rep.generators.ndim == 5:
             residuals = residuals.copy()
-            residuals[237] = math.nan
+            residuals[MID] = math.nan
         return residuals
 
     return fault
@@ -352,14 +372,15 @@ class TestConjugationStack:
 
         monkeypatch.setattr(cli, "conjugate", spy)
         residual = run_conjugation_invariance(k, seed)
-        want_h, want_moved, want_residual = loop_conjugation_invariance(standard_genus2_su2(), k, seed)
+        want_h, want_moved, want_residual = loop_conjugation_invariance(battery_points(seed), k, seed)
         [(h, moved)] = seen
-        assert h.shape == (k, 2, 2) and moved.shape == (k, 4, 2, 2)
+        half = -(-k // 2)
+        assert h.shape == (half, 1, 2, 2) and moved.shape == (half, 2, 4, 2, 2)
         assert h.tobytes() == want_h.tobytes()
         assert moved.tobytes() == want_moved.tobytes()
         assert np.float64(residual).tobytes() == np.float64(want_residual).tobytes()
         if (seed, k) == (41, 400):
-            assert residual == 1.1259076319105018e-15
+            assert residual == 1.2582987106621732e-15
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 41, 97])
@@ -395,15 +416,16 @@ class TestConjugationStack:
     @pytest.mark.parametrize(
         "name, plant, residual",
         [
-            ("conjugate", reducible_point_237, 2.0),
-            ("irreducibility_check", verdict_at_237(False, 4), 1.0),
-            ("irreducibility_check", verdict_at_237(None, 1), 1.0),
-            ("relation_check", nan_residual_at_237, math.nan),
+            # the identity point misses z = -1 by 2, less the generic point's own residual
+            ("conjugate", reducible_point_mid, 2.0 - relation_check(battery_points(41)[1])),
+            ("irreducibility_check", verdict_at_mid(False, 4), 1.0),
+            ("irreducibility_check", verdict_at_mid(None, 1), 1.0),
+            ("relation_check", nan_residual_at_mid, math.nan),
         ],
         ids=["reducible-conjugate", "reducible-verdict", "indeterminate-verdict", "nan-relation"],
     )
     def test_one_bad_point_mid_stack_fails(self, monkeypatch, name, plant, residual):
-        # point 237 of 400 is neither first nor last, and NaN must not read pass
+        # element 118 of 200 is neither first nor last, and NaN must not read pass
         monkeypatch.setattr(cli, name, plant(getattr(cli, name)))
         params = {"conjugations": 400, "flow_steps": 48, "n_max": 4}
         records = {r["name"]: r for r in cli.run_scenario("moduli", params, 41)["checks"]}
@@ -436,6 +458,41 @@ class TestConjugationStack:
         h[5] *= 2.0
         with pytest.raises(ValidationError, match=r"conjugating element\[5\] is not unitary"):
             conjugate(standard_genus2_su2(), h)
+        points = conjugate(standard_genus2_su2(), np.stack([np.eye(2)] * 2))
+        with pytest.raises(ValidationError, match=r"conjugating element\[5\]\[0\] is not unitary"):
+            conjugate(points, h[:, None])
+
+    @pytest.mark.parametrize("seed", [0, 7, 41, 97])
+    def test_element_axes_broadcast_against_the_points(self, seed):
+        points = battery_points(seed)
+        stack = SurfaceGroupRep(2, 2, -1.0, np.stack([rep.generators for rep in points]))
+        h = random_special_unitary(2, element_stream(seed), 5)
+        moved = conjugate(stack, h[:, None])
+        assert moved.generators.shape == (5, 2, 4, 2, 2)
+        for i, p in itertools.product(range(5), range(2)):
+            assert moved.generators[i, p].tobytes() == conjugate(points[p], h[i]).generators.tobytes()
+
+    @pytest.mark.parametrize(
+        "h",
+        [[np.eye(2), np.eye(3)], [[np.eye(2)], [np.eye(2), np.eye(2)]], [["a", "b"], ["c", "d"]], "h", None],
+        ids=["ragged", "ragged-stack", "strings", "string", "none"],
+    )
+    def test_ragged_or_non_numeric_element_rejected(self, h):
+        with pytest.raises(ValidationError, match="conjugating element"):
+            conjugate(standard_genus2_su2(), h)
+
+    @pytest.mark.parametrize("seed", [0, 7, 41, 97])
+    def test_elements_are_not_the_generic_generators(self, monkeypatch, seed):
+        # a draw from default_rng(seed) itself would repeat the generic
+        # point's A_1 and B_1 as the first two elements
+        seen = []
+        real = cli.conjugate
+        monkeypatch.setattr(cli, "conjugate", lambda rep, h: seen.append(h) or real(rep, h))
+        run_conjugation_invariance(400, seed)
+        [h] = seen
+        generic = battery_points(seed)[1].generators
+        gaps = np.abs(h[:, 0, None] - generic).max(axis=(-2, -1))
+        assert gaps.shape == (200, 4) and gaps.min() > 0.0
 
 
 class TestHolonomy:
@@ -555,6 +612,56 @@ class TestGenericPoint:
         assert np.array_equal(gens, generic_genus2_su2(np.random.default_rng(11)).generators)
 
 
+def diagonal_generators(real):
+    """A fault of generic_genus2_su2: each generator becomes its diagonal eigenvalue matrix.
+
+    The generators then commute, so the point is reducible and its product
+    of commutators is the identity, not z = -1.
+    """
+
+    def fault(rng):
+        rep = real(rng)
+        eigenvalues = np.linalg.eigvals(rep.generators)
+        return dataclasses.replace(rep, generators=eigenvalues[..., None] * np.eye(rep.n))
+
+    return fault
+
+
+class TestPointStack:
+    def test_reducible_generic_point_fails_by_its_residuals(self, monkeypatch):
+        seen = []
+        real_relation = cli.relation_check
+        monkeypatch.setattr(cli, "generic_genus2_su2", diagonal_generators(cli.generic_genus2_su2))
+        monkeypatch.setattr(cli, "relation_check", lambda rep: seen.append(real_relation(rep)) or seen[-1])
+        params = dict(cli.COMMANDS["moduli"].defaults)
+        records = {r["name"]: r for r in cli.run_scenario("moduli", params, 7)["checks"]}
+        # the quaternion point is untouched: its residual is still exactly 0
+        assert seen[0][0] == 0.0 and abs(seen[0][1] - 2.0) <= 1e-12
+        assert records["relation-residual"]["status"] == "fail"
+        assert records["relation-residual"]["residual"] == seen[0][1]
+        # commuting diagonal generators share a 2-dimensional commutant
+        assert records["irreducibility"]["status"] == "fail"
+        assert records["irreducibility"]["residual"] == 2.0
+
+    def test_points_are_built_once_by_the_first_check(self, monkeypatch):
+        built = []
+        real = cli.standard_genus2_su2
+        monkeypatch.setattr(cli, "standard_genus2_su2", lambda: built.append(1) or real())
+        rows = cli._battery_moduli(dict(cli.COMMANDS["moduli"].defaults), 7)
+        assert built == []  # building the battery builds no point
+        for _, tolerance, thunk in rows:
+            value = thunk()
+            assert (value[0] if isinstance(value, tuple) else value) <= tolerance
+        assert built == [1]
+
+    @pytest.mark.parametrize("seed", [0, 7, 41, 97])
+    def test_rows_do_not_depend_on_their_order(self, seed):
+        params = dict(cli.COMMANDS["moduli"].defaults)
+        forward = [(name, thunk()) for name, _, thunk in cli._battery_moduli(params, seed)]
+        backward = [(name, thunk()) for name, _, thunk in reversed(cli._battery_moduli(params, seed))]
+        assert forward == backward[::-1]
+
+
 class TestHolonomyPaths:
     def test_paths_close_exactly(self):
         for name, n in (("u1-winding", 1), ("su2-balanced", 2)):
@@ -599,7 +706,7 @@ class TestHolonomyPaths:
 
     def test_unknown_path_rejected(self):
         with pytest.raises(ArgumentError, match="unknown holonomy path"):
-            holonomy_path("torus")
+            holonomy_path("torus", 48)
 
 
 class TestLoopDirection:
@@ -617,6 +724,7 @@ class TestLoopDirection:
 
 
 WORD = LoopWord(((1, 1),))
+SAMPLING = (8, 12, 4)  # theta_points, base_points and ghost_margin of the pairing battery's defaults
 FUND = Representation.fundamental(2)
 ADJ = Representation.adjoint(2)
 
@@ -624,14 +732,14 @@ ADJ = Representation.adjoint(2)
 class TestPairing:
     @pytest.mark.parametrize("w1,w2", [(1, 1), (2, 1), (1, -1)])
     def test_winding_family_hits_model_value(self, w1, w2):
-        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD)
+        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD, *SAMPLING)
         (density,) = pontryagin_densities(conn, [FUND])
         got = density.integrate()
         assert abs(got - (-2.0 * w1 * w2)) <= 1e-10
 
     @pytest.mark.parametrize("w1,w2", [(1, 1), (1, -1)])
     def test_adjoint_pairing_scales_by_four(self, w1, w2):
-        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD)
+        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD, *SAMPLING)
         (density,) = pontryagin_densities(conn, [ADJ])
         got = density.integrate()
         assert abs(got - (-8.0 * w1 * w2)) <= 1e-10
@@ -678,7 +786,7 @@ class TestPairing:
 
         fam = QuadraticFamily(standard_genus2_su2())
         with pytest.raises(ValidationError, match="higgs jump across axis 0"):
-            fam.connection(WORD)
+            fam.connection(WORD, *SAMPLING)
 
     @pytest.mark.parametrize("defect", ["quadratic", "nan"])
     def test_seam_check_reads_every_coefficient(self, defect):
@@ -700,6 +808,6 @@ class TestPairing:
         axis = 2 if defect == "quadratic" else 0  # a NaN jump shows across the first axis
         with pytest.raises(ValidationError, match=rf"gauge\[1\] jump across axis {axis} varies by"):
             if defect == "nan":  # the sampler refuses a NaN before the seam is probed
-                _seam_check(ModuliFamily(standard_genus2_su2()).connection(WORD), fam.family(WORD))
-            fam.connection(WORD)
+                _seam_check(ModuliFamily(standard_genus2_su2()).connection(WORD, *SAMPLING), fam.family(WORD))
+            fam.connection(WORD, *SAMPLING)
 

@@ -87,6 +87,34 @@ def random_unitary(n, seed):
 SU2_03 = np.diag([np.exp(2j * np.pi * 0.3), np.exp(-2j * np.pi * 0.3)])
 
 
+def gauge_twisted_eigenvalues(h0, k, k_max):
+    """Eigenvalues of -i d/dtheta + g h0 g^-1 - k on the Fourier modes |m| <= k_max.
+
+    g = exp(i theta k) with k's eigenvalues integers, so g is 2 pi-periodic
+    and the operator is g (-i d/dtheta + h0) g^-1.  In k's eigenframe the
+    entry (a, b) of g h0 g^-1 carries the single Fourier mode k_a - k_b, so
+    the block (m, m') of the dense operator is the part of h0 on the pairs
+    with k_a - k_b = m - m', plus (m - k) on the diagonal.
+    """
+    turns, frame = np.linalg.eigh(k)
+    inner = frame.conj().T @ h0 @ frame
+    jumps = np.rint(turns[:, None] - turns[None, :])
+    modes = np.arange(-k_max, k_max + 1)
+    blocks = [
+        [frame @ np.where(jumps == m - mp, inner, 0) @ frame.conj().T for mp in modes]
+        for m in modes
+    ]
+    for i, m in enumerate(modes):
+        blocks[i][i] = blocks[i][i] + m * np.eye(len(k)) - k
+    return np.linalg.eigvalsh(np.block(blocks))
+
+
+def hermitian_exp(h, sign):
+    """exp(sign * 2 pi i h) of a Hermitian h, through its eigenframe."""
+    values, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(sign * 2j * np.pi * values)) @ vectors.conj().T
+
+
 class TestDiracSpectrum:
     def test_trivial_u1_integer_lattice(self):
         spec = dirac_spectrum(Holonomy(np.eye(1)), N=2)
@@ -118,6 +146,27 @@ class TestDiracSpectrum:
             ref = interior(dense_twisted_eigenvalues(u, N), N - 1)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-10
+
+    def test_constant_potential_twists_by_exp_plus_2_pi_i_a(self):
+        # the module's convention: -i d/dtheta + A on periodic functions has
+        # the spectrum of -i d/dtheta twisted by U = exp(+2 pi i A); here A is
+        # gauge-transformed by a periodic g, so its frame moves along the
+        # circle.  An eigenvector g e^{i m theta} v spans the modes m - 1 to
+        # m + 1, so every eigenvalue with |lambda| < k_max - 2 is exact.
+        k_max, rng = 6, np.random.default_rng(5)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h0 = (x + x.conj().T) / 4
+        w = random_unitary(3, 105)
+        k = w @ np.diag([1.0, 0.0, -1.0]) @ w.conj().T  # eigenvalues 1, 0, -1 in a second frame
+        got = interior(gauge_twisted_eigenvalues(h0, k, k_max), k_max - 2)
+        assert got.shape == (24,)
+
+        def miss(u):
+            spec = dirac_spectrum(Holonomy(u), k_max + 4).eigenvalues()
+            return np.abs(got[:, None] - spec).min(axis=1).max()
+
+        assert miss(hermitian_exp(h0, 1)) <= 1e-13
+        assert miss(hermitian_exp(h0, -1)) > 0.1
 
     def test_canonical_order_breaks_ties_by_color(self):
         spec = dirac_spectrum(Holonomy(np.eye(2)), N=1)
