@@ -46,7 +46,7 @@ from .liealg import Representation
 from .moduli import (
     LoopWord,
     ModuliFamily,
-    check_sampling,
+    _GHOST_MARGIN,
     conjugate,
     generic_genus2_su2,
     holonomy,
@@ -352,7 +352,7 @@ def _battery_cover(params, seed):
 
 
 def _battery_cocycle(params, seed):
-    """The standard suite's Cech triples within MAX_CECH_TRIPLES; each check builds its table."""
+    """The standard suite's Cech triples within MAX_CECH_TRIPLES; each table is built once."""
     n_max = params["n_max"]
     triples = len(HOLONOMY_SUITES["standard"]) * math.comb(2 * n_max - 2, 3)
     if triples > MAX_CECH_TRIPLES:
@@ -361,6 +361,7 @@ def _battery_cocycle(params, seed):
         )
     cuts = [SpectralCut(Fraction(2 * k + 1, 2)) for k in range(-n_max + 1, n_max - 1)]
 
+    @functools.cache  # associativity reads su3-generic-a's table, which its delta row built
     def table(hol):
         """The line of every pair of the spectrum's admissible cuts, each built once."""
         spec = dirac_spectrum(hol, n_max)
@@ -528,8 +529,8 @@ def _battery_moduli(params, seed):
 def _battery_pairing(params, seed):
     """Grid rules of the winding family's su(2) sampling; the sample is built by the first check."""
     rep = standard_genus2_su2()
-    sampling = (params["theta_points"], params["base_points"], params["ghost_margin"])
-    check_sampling(*sampling, rep.n)
+    sampling = (params["theta_points"], params["base_points"])
+    check_grid(*sampling, rep.n, _GHOST_MARGIN)
     gamma = LoopWord(((1, 1),))
     reps = (Representation.fundamental(2), Representation.adjoint(2))
     winding = ModuliFamily(rep, modulation=params["modulation"])
@@ -614,7 +615,7 @@ COMMANDS = {
         bounds={"conjugations": (1, MAX_CONJUGATIONS), "flow_steps": (5, MAX_FLOW_STEPS)},
     ),
     "pairing": _Command(
-        {"modulation": 0.2, "theta_points": 8, "base_points": 12, "ghost_margin": 4},
+        {"modulation": 0.2, "theta_points": 8, "base_points": 12},
         _battery_pairing,
         # the pairing is -2 out of density terms of order
         # modulation^2; past 1e6 roundoff cancels it

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .caloron import AnalyticConnection, _torus_coords, check_grid, sample_connection
-from .errors import ArgumentError, ResolutionError, ValidationError
+from .caloron import AnalyticConnection, _torus_coords, sample_connection
+from .errors import ArgumentError, ValidationError
 from .liealg import su_coefficients
 from .presets import T1, T2, diagonal_unitaries
 from .spectral import _UNITARY_TOLERANCE, TWO_PI, _unitary
@@ -312,26 +312,18 @@ class ModuliFamily:
 
         return AnalyticConnection(self.rep.n, phi, base, "moduli-winding")
 
-    def connection(self, word, theta_points, base_points, ghost_margin):
-        check_sampling(theta_points, base_points, ghost_margin, self.rep.n)
+    def connection(self, word, theta_points, base_points):
+        """The family sampled with a ghost margin of _GHOST_MARGIN cells, its seams checked."""
         fam = self.family(word)
-        conn = sample_connection(fam, theta_points, base_points, ghost_margin)
+        conn = sample_connection(fam, theta_points, base_points, _GHOST_MARGIN)
         _seam_check(conn, fam)
         return conn
 
 
-def check_sampling(theta_points, base_points, ghost_margin, n):
-    """Grid rules of a covering-space family sampling, checked before allocation.
-
-    The sampled potentials are not periodic, so the 5-point base stencil of
-    every core cell must stay inside the ghost margin: ghost_margin >= 2.
-    The rest is caloron.check_grid on S1 x T3.
-    """
-    if ghost_margin < 2:
-        raise ResolutionError(
-            f"ghost margin {ghost_margin} is below the stencil half-width 2"
-        )
-    check_grid(theta_points, base_points, n, ghost_margin)
+# The sampled potentials are not periodic, so a core cell's 5-point base
+# stencil must stay inside the ghost margin, and a density reads nothing
+# further out: the margin is the stencil's half-width.
+_GHOST_MARGIN = 2
 
 
 # _seam_check's bound on a jump's spread, relative to the field values
@@ -354,12 +346,14 @@ def _seam_check(conn, fam):
     fields = [("higgs", fam.phi)] + [
         (f"gauge[{ax}]", functools.partial(fam.base, axis=ax)) for ax in range(3)
     ]
+    # each field at the unshifted probe, evaluated once for the three axes
+    unshifted = [list(field(thetas, coords)) for _, field in fields]
     for axis in range(3):
         shifted = list(coords)
         shifted[axis] = shifted[axis] + 1.0
-        for label, field in fields:
+        for (label, field), heres in zip(fields, unshifted):
             spreads, scales = [], []
-            for there, here in zip(field(thetas, shifted), field(thetas, coords)):
+            for there, here in zip(field(thetas, shifted), heres):
                 jump = np.broadcast_to(np.subtract(there, here), grid)
                 spreads.append(np.abs(jump - jump.mean()).max())
                 scales += [np.abs(there).max(), np.abs(here).max()]

@@ -1172,9 +1172,9 @@ class TestSupport:
 
     @pytest.mark.parametrize("case", ["su2-family", "winding"])
     def test_pushes_equal_the_full_route(self, case):
-        # su2-family at 8 x 8^3, periodic; the winding family ghosted by 4
+        # su2-family at 8 x 8^3, periodic; the winding family ghosted by 2
         if case == "winding":
-            conn = ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)), 8, 12, 4)
+            conn = ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)), 8, 12)
         else:
             conn = connection_preset(case, theta_points=8, base_points=8)
         want_pushed, want_density = full_route(conn, self.ADJ)

@@ -64,7 +64,7 @@ class TestSchema:
             "fock": {"n_colors", "n_max", "cut", "mu", "sweep", "pair_cap"},
             "caloron": {"theta_points", "base_points", "refine_factor"},
             "moduli": {"conjugations", "flow_steps", "n_max"},
-            "pairing": {"modulation", "theta_points", "base_points", "ghost_margin"},
+            "pairing": {"modulation", "theta_points", "base_points"},
             "all": set(),
         }
 
@@ -440,7 +440,7 @@ class TestReports:
         "params",
         [
             {"modulation": -1e6},
-            {"modulation": -1e6, "base_points": 5, "ghost_margin": 2},
+            {"modulation": -1e6, "base_points": 5},
         ],
         ids=["modulation-bottom", "small-grid-bottom"],
     )
@@ -539,12 +539,13 @@ class TestReports:
         (record,) = [r for r in run_scenario(command, full, seed)["checks"] if r["name"] == check]
         assert record["status"] == "fail"
 
-    @pytest.mark.parametrize("command, grids", [("caloron", [16, 32]), ("pairing", [20])])
+    @pytest.mark.parametrize("command, grids", [("caloron", [16, 32]), ("pairing", [16])])
     def test_one_curvature_pass_per_grid(self, monkeypatch, command, grids):
         # one circle derivative per base component on each grid: caloron's
         # coarse pass serves both checks and the fine pass is ms-identity-order's
         # (6 calls, 12 with a pass per form); pairing's one pass serves both
-        # densities (3 calls, 6 with a pass per density)
+        # densities (3 calls, 6 with a pass per density), on its 12-point
+        # base grid with a ghost margin of 2
         real = caloron.spectral_theta_derivative
         calls = []
 
@@ -650,8 +651,9 @@ class TestReports:
         report = run_scenario("cocycle", params, seed)
         assert report["status"] == "pass"
         assert built and max(built.values()) == 1
-        # n_max 4: six admissible cuts, fifteen pairs per spectrum
-        assert len(built) == 15 * (len(HOLONOMY_SUITES["standard"]) + 1)
+        # n_max 4: six admissible cuts, fifteen pairs per spectrum; the
+        # associativity spectrum is su3-generic-a's, whose table is reused
+        assert len(built) == 15 * len(HOLONOMY_SUITES["standard"])
         assert sorts == []
 
     def test_a_bad_shared_line_fails_its_checks(self, monkeypatch):
@@ -763,7 +765,6 @@ class TestExitCodes:
             ("caloron", {"base_points": 2}, "at least 5 base points"),
             ("caloron", {"base_points": 400}, "over the cap of"),
             ("caloron", {"base_points": 24}, "5308416 matrix entries per field, 4 per cell, over the cap"),
-            ("pairing", {"ghost_margin": 0}, "below the stencil half-width 2"),
             ("pairing", {"theta_points": 4}, "need at least 8 circle points"),
             ("pairing", {"base_points": 4}, "at least 5 base points"),
             ("caloron", {"theta_points": 7}, "need at least 8 circle points, got 7"),
@@ -776,7 +777,6 @@ class TestExitCodes:
             "caloron-base",
             "caloron-cost",
             "fine-grid-cost",
-            "ghost-margin",
             "pairing-theta",
             "pairing-base",
             "caloron-theta-floor",
@@ -867,13 +867,15 @@ class TestExitCodes:
             ("pairing", "w1", 1),
             ("pairing", "w2", 1),
             ("fock", "exp_time", 0.35),
+            ("pairing", "ghost_margin", 4),
         ],
-        ids=["preset", "amplitude", "w1", "w2", "exp_time"],
+        ids=["preset", "amplitude", "w1", "w2", "exp_time", "ghost_margin"],
     )
     def test_retired_key_exits_two(self, tmp_path, capsys, command, key, value):
         # each battery keeps the old default as a constant; other values left
         # a verdict that no fault could move (preset zero, amplitude 0, w1 0,
-        # exp_time 0)
+        # exp_time 0), or, past the stencil half-width 2, changed only the cost
+        # (ghost_margin)
         cfg = tmp_path / "retired.json"
         cfg.write_text(json.dumps({"command": command, "params": {key: value}}))
         assert cli.main([command, "--config", str(cfg)]) == 2
@@ -1091,13 +1093,11 @@ _PAIRING_PARAMS = _wide_or_valid(
         "modulation": st.sampled_from([0.0, 0.2, -3.0, 1e6, -1e6, 1e7, math.nan]),
         "theta_points": st.integers(7, 9),
         "base_points": st.integers(4, 6),
-        "ghost_margin": st.integers(1, 2),
     },
     {
         "modulation": st.sampled_from([0.0, 0.2, -3.0, 1e6, -1e6]),
         "theta_points": st.integers(8, 9),
         "base_points": st.integers(5, 6),
-        "ghost_margin": st.just(2),
     },
 )
 _SEED = st.integers(-1, 3)  # a negative seed is refused

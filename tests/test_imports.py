@@ -136,7 +136,7 @@ def test_scanner_counts_settable_values():
 
 # Settable values in src/gerbetool: parameters with defaults, dataclass
 # fields with defaults and the config keys of the commands.
-SETTABLE_VALUES = 60
+SETTABLE_VALUES = 59
 
 
 def test_settable_values_are_pinned():
@@ -354,7 +354,7 @@ def test_sampled_connections_carry_what_the_tracer_reads():
 
     for conn in (
         sample_connection(su2_family(), 8, 6),
-        ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)), 8, 6, 2),
+        ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)), 8, 6),
     ):
         ext = conn.base_points + 2 * conn.ghost_margin
         assert conn.theta_points * ext**conn.base_dim == conn.phi[0].size

@@ -20,8 +20,8 @@ import pytest
 from scipy.linalg import expm
 
 from gerbetool import cli, spectral
-from gerbetool.caloron import pontryagin_densities
-from gerbetool.errors import ArgumentError, ResolutionError, ValidationError
+from gerbetool.caloron import pontryagin_densities, sample_connection
+from gerbetool.errors import ArgumentError, ValidationError
 from gerbetool.liealg import Representation, su_coefficients
 from gerbetool.moduli import (
     LoopWord,
@@ -724,7 +724,7 @@ class TestLoopDirection:
 
 
 WORD = LoopWord(((1, 1),))
-SAMPLING = (8, 12, 4)  # theta_points, base_points and ghost_margin of the pairing battery's defaults
+SAMPLING = (8, 12)  # theta_points and base_points of the pairing battery's defaults
 FUND = Representation.fundamental(2)
 ADJ = Representation.adjoint(2)
 
@@ -746,10 +746,11 @@ class TestPairing:
 
     def test_density_matches_closed_form_pointwise(self):
         # stencil error measured at 9.7e-5 on a density of scale 2
-        eps, m, g = 0.2, 12, 4
+        eps, m = 0.2, 12
         fam = ModuliFamily(standard_genus2_su2(), w1=1, w2=1)
-        conn = fam.connection(WORD, 8, m, g)
+        conn = fam.connection(WORD, 8, m)
         (density,) = pontryagin_densities(conn, [FUND])
+        g = conn.ghost_margin
         comp = density.comps[(0, 1, 2)]
         core = comp[g:-g, g:-g, g:-g]
         xs = np.arange(m) / m
@@ -757,14 +758,29 @@ class TestPairing:
         want = -2.0 + eps**2 * np.sin(TWO_PI * x0) * np.sin(TWO_PI * x2)
         assert np.abs(core - want).max() <= 5e-4
 
-    @pytest.mark.parametrize("margin", [0, 1])
-    def test_ghost_margin_must_cover_the_stencil(self, margin):
-        # covering-space samples are not periodic, so a stencil that leaves
-        # the margin reads across the seam: the model value -2 came out as
-        # 2.5e-17 at margin 0 and -2.85 at margin 1
+    def test_core_densities_equal_a_wider_margin_bit_for_bit(self):
+        # a core cell's density reads samples at most 2 cells away, the
+        # 5-point stencil's half-width, so the connection's margin of 2
+        # gives the core densities of a margin-4 sampling exactly
         fam = ModuliFamily(standard_genus2_su2())
-        with pytest.raises(ResolutionError, match="stencil half-width 2"):
-            fam.connection(WORD, 8, 12, margin)
+        conn = fam.connection(WORD, *SAMPLING)
+        wide = sample_connection(fam.family(WORD), *SAMPLING, ghost_margin=4)
+        assert conn.ghost_margin == 2 and conn.phi[0].shape == (8, 16, 16, 16)
+        for narrow_form, wide_form in zip(
+            pontryagin_densities(conn, [FUND, ADJ]), pontryagin_densities(wide, [FUND, ADJ])
+        ):
+            narrow_core = narrow_form.comps[(0, 1, 2)][2:-2, 2:-2, 2:-2]
+            wide_core = wide_form.comps[(0, 1, 2)][4:-4, 4:-4, 4:-4]
+            assert narrow_core.shape == (12, 12, 12)
+            assert np.array_equal(narrow_core, wide_core)
+            assert narrow_form.integrate() == wide_form.integrate()
+
+    def test_default_residuals_are_pinned(self):
+        # the readings of the pairing battery sampled with a margin of 4
+        _, params, seed, _ = cli.validate_scenario({"command": "pairing"})
+        report = cli.run_scenario("pairing", params, seed)
+        residuals = {r["name"]: r["residual"] for r in report["checks"]}
+        assert residuals == {"winding-model-value": 0.0, "adjoint-scaling": 5.551115123125783e-16}
 
     def test_fractional_winding_rejected(self):
         with pytest.raises(ValidationError, match="integer"):
