@@ -528,17 +528,15 @@ def _battery_moduli(params, seed):
 
 def _battery_pairing(params, seed):
     """Grid rules of the winding family's su(2) sampling; the sample is built by the first check."""
-    rep = standard_genus2_su2()
     sampling = (params["theta_points"], params["base_points"])
-    check_grid(*sampling, rep.n, _GHOST_MARGIN)
-    gamma = LoopWord(((1, 1),))
+    check_grid(*sampling, 2, _GHOST_MARGIN)
     reps = (Representation.fundamental(2), Representation.adjoint(2))
-    winding = ModuliFamily(rep, modulation=params["modulation"])
+    winding = ModuliFamily(modulation=params["modulation"])
 
     @functools.cache
     def densities():
         # one sample and one curvature pass for both checks; a raise is not cached
-        conn = winding.connection(gamma, *sampling)
+        conn = winding.connection(*sampling)
         return pontryagin_densities(conn, reps)
 
     def adjoint_scaling():

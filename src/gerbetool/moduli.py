@@ -9,25 +9,25 @@ Irreducibility is decided through the dimension of the joint commutant
 band around the rank threshold.  Conjugation, the relation and
 irreducibility each act on a whole stack in one batched pass.
 
-Parameter families built from a representation feed the sampled-geometry
-pipelines: circle-holonomy paths drive spectral flow, and winding families
-over a 3-torus of parameters drive the curvature pairing.  Winding
-families are sampled from covering-space formulas (the potentials jump by
-a constant across a period; the declared integer windings make the jump a
-legal gauge transformation), so the base grids carry ghost margins and all
-reported quantities are built from the gauge-invariant density, which is
-genuinely periodic.
+Two parameter families feed the sampled-geometry pipelines, and neither
+reads a representation point: circle-holonomy paths drive spectral flow,
+and a fixed su(2) winding family over a 3-torus of parameters drives the
+curvature pairing.  The winding family is sampled from covering-space
+formulas (the potentials jump by a constant across a period; the declared
+integer windings make the jump a legal gauge transformation), so the base
+grids carry ghost margins and all reported quantities are built from the
+gauge-invariant density, which is genuinely periodic.
 """
 
 from dataclasses import dataclass, replace
 import functools
 import math
+import numbers
 
 import numpy as np
 
 from .caloron import AnalyticConnection, _torus_coords, sample_connection
 from .errors import ArgumentError, ValidationError
-from .liealg import su_coefficients
 from .presets import T1, T2, diagonal_unitaries
 from .spectral import _UNITARY_TOLERANCE, TWO_PI, _unitary
 
@@ -96,12 +96,21 @@ class LoopWord:
     letters: tuple
 
     def __post_init__(self):
-        letters = tuple((int(i), int(e)) for i, e in self.letters)
-        if not letters:
+        if not self.letters:
             raise ArgumentError("loop word must be nonempty")
-        if any(e not in (-1, 1) for _, e in letters):
-            raise ArgumentError("exponents must be +1 or -1")
-        object.__setattr__(self, "letters", letters)
+        for index, exponent in self.letters:
+            if not _is_whole(index):
+                raise ArgumentError(f"generator indices must be integers, got {index!r}")
+            if exponent not in (-1, 1):
+                raise ArgumentError(f"exponents must be +1 or -1, got {exponent!r}")
+        object.__setattr__(self, "letters", tuple((int(i), int(e)) for i, e in self.letters))
+
+
+def _is_whole(value):
+    """Whether value is an integer-valued real number: not NaN, inf, a fraction or a string."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
 
 
 def relation_check(rep):
@@ -247,74 +256,50 @@ def holonomy_path(name, steps):
     return diagonal_unitaries(ts[:, None] * np.array(windings))
 
 
-def _loop_direction(rep, word):
-    """Anti-Hermitian direction of the holonomy, normalized to length 2.
-
-    Falls back to the diagonal block generator when the holonomy is
-    central (no preferred direction).
-    """
-    u = holonomy(rep, word)
-    phases, vecs = np.linalg.eig(u)
-    angles = np.angle(phases)
-    herm = (vecs * angles) @ np.linalg.inv(vecs)
-    herm = 0.5 * (herm + herm.conj().T)
-    herm = herm - np.trace(herm) / rep.n * np.eye(rep.n)
-    norm_sq = float(np.trace(herm @ herm).real)
-    if norm_sq < 1e-12:
-        k = np.zeros((rep.n, rep.n), dtype=complex)
-        k[0, 0], k[1, 1] = 1j, -1j
-        return k
-    return 1j * herm * math.sqrt(2.0 / norm_sq)
-
-
 @dataclass(frozen=True)
 class ModuliFamily:
-    """The winding 3-parameter connection family attached to a representation point.
+    """The fixed su(2) winding family over a 3-torus of parameters; it reads no point.
 
     A Higgs field winding w1 times across the first parameter and a gauge
-    component winding w2 times across the third, all along the holonomy
-    direction of the chosen loop, plus a smooth modulation; the pairing
-    converges to the model value -2 w1 w2.  family(word) returns each field
-    coefficient-leading, one profile times each su(n) coefficient of the
-    direction.
+    component winding w2 times across the third, plus a smooth modulation;
+    every field lies along T1, so the pairing converges to the model value
+    -2 w1 w2.  family() returns each field coefficient-leading in the
+    su_basis(2) order, which lists T2 before T1: [0.0, profile, 0.0], its
+    scalars broadcast by the sampler.
     """
 
-    rep: SurfaceGroupRep
     w1: int = 1
     w2: int = 1
     modulation: float = 0.2
 
     def __post_init__(self):
-        if int(self.w1) != self.w1 or int(self.w2) != self.w2:
-            raise ValidationError("windings must be integers")
+        for name, value in (("w1", self.w1), ("w2", self.w2)):
+            if not _is_whole(value):
+                raise ValidationError(f"windings must be integers, got {name} = {value!r}")
 
-    def family(self, word):
-        k = su_coefficients(_loop_direction(self.rep, word))[0]
+    def family(self):
         eps = self.modulation
         w1, w2 = self.w1, self.w2
-
-        def along_k(coeff):
-            return [coeff * k_c for k_c in k]
 
         def phi(th, xs):
             lin = TWO_PI * w1 * xs[0]
             wave = eps * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[1])
-            return along_k(lin + wave)
+            return [0.0, lin + wave, 0.0]
 
         def base(th, xs, axis):
             if axis == 0:
-                return along_k(eps * np.cos(TWO_PI * th) * np.cos(TWO_PI * xs[2]))
+                return [0.0, eps * np.cos(TWO_PI * th) * np.cos(TWO_PI * xs[2]), 0.0]
             if axis == 1:
-                lin = TWO_PI * w2 * xs[2] + 0.0 * th
+                lin = TWO_PI * w2 * xs[2]
                 wave = eps * np.sin(TWO_PI * th) * np.sin(TWO_PI * xs[0])
-                return along_k(lin + wave)
-            return along_k(0.0 * (th + xs[axis]))
+                return [0.0, lin + wave, 0.0]
+            return [0.0, 0.0, 0.0]
 
-        return AnalyticConnection(self.rep.n, phi, base, "moduli-winding")
+        return AnalyticConnection(2, phi, base, "moduli-winding")
 
-    def connection(self, word, theta_points, base_points):
+    def connection(self, theta_points, base_points):
         """The family sampled with a ghost margin of _GHOST_MARGIN cells, its seams checked."""
-        fam = self.family(word)
+        fam = self.family()
         conn = sample_connection(fam, theta_points, base_points, _GHOST_MARGIN)
         _seam_check(conn, fam)
         return conn

@@ -31,7 +31,6 @@ from gerbetool.fock import (
 )
 from gerbetool.liealg import Representation
 from gerbetool.moduli import (
-    LoopWord,
     conjugate,
     holonomy_path,
     irreducibility_check,

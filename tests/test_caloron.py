@@ -64,7 +64,7 @@ from gerbetool.liealg import (
     su_frame,
     su_structure_constants,
 )
-from gerbetool.moduli import LoopWord, ModuliFamily, standard_genus2_su2
+from gerbetool.moduli import ModuliFamily
 from gerbetool.presets import su2_family
 
 TWO_PI = 2.0 * math.pi
@@ -1061,7 +1061,7 @@ class TestOneCurvaturePass:
     @staticmethod
     def family(name):
         if name == "winding":
-            return ModuliFamily(standard_genus2_su2(), modulation=0.2).family(LoopWord(((1, 1),)))
+            return ModuliFamily(modulation=0.2).family()
         return preset_family(name)
 
     @pytest.mark.parametrize("name", ["su2-family", "flat", "winding"])
@@ -1174,7 +1174,7 @@ class TestSupport:
     def test_pushes_equal_the_full_route(self, case):
         # su2-family at 8 x 8^3, periodic; the winding family ghosted by 2
         if case == "winding":
-            conn = ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)), 8, 12)
+            conn = ModuliFamily().connection(8, 12)
         else:
             conn = connection_preset(case, theta_points=8, base_points=8)
         want_pushed, want_density = full_route(conn, self.ADJ)

@@ -283,7 +283,8 @@ FAULTS = [
 ]
 
 # The checks whose fault row fails them only through the raise sentinel:
-# the band fault makes CompositionError escape (ROADMAP item 5).
+# the band fault makes CompositionError escape, which stays open under
+# ROADMAP item 1.
 FAIL_BY_RAISE = {"cover:triple-delta-trivial"} | {
     f"cocycle:{check}"
     for check in [f"delta-triviality-{label}" for label, _ in HOLONOMY_SUITES["standard"]]
@@ -296,6 +297,23 @@ RUNS = [
     for command, params, checks in runs
 ]
 
+# The pairing's admitted edges: the largest modulation either way and the
+# smallest grid.  Each pairing row must still fail there by what it
+# measures.  The largest grids under the cap (base 46 at theta 8, theta 1438
+# at base 5) fail too, but take about 10 s together.
+PAIRING_EDGES = {
+    "modulation 1e6": {"modulation": 1e6},
+    "modulation -1e6": {"modulation": -1e6},
+    "theta 8 base 5": {"theta_points": 8, "base_points": 5},
+}
+PAIRING_EDGE_RUNS = [
+    pytest.param(patch, command, edge, checks, id=f"{command} at {label}: {fault}")
+    for fault, patch, runs in FAULTS
+    for command, _, checks in runs
+    if command == "pairing"
+    for label, edge in PAIRING_EDGES.items()
+]
+
 
 def test_rows_are_the_checks_of_all():
     rows = [f"{command}:{check}" for _, _, runs in FAULTS for command, _, checks in runs for check in checks]
@@ -306,7 +324,7 @@ def test_rows_are_the_checks_of_all():
         assert len(named) == len(set(named))
 
 
-@pytest.mark.parametrize("patch, command, params, checks", RUNS)
+@pytest.mark.parametrize("patch, command, params, checks", RUNS + PAIRING_EDGE_RUNS)
 def test_fault_fails_its_checks(monkeypatch, patch, command, params, checks):
     _, params, seed, _ = validate_scenario({"command": command, "params": params})
     for cache in FOCK_CACHES:
@@ -342,6 +360,24 @@ def test_fault_planted_before_validation_fails_the_run(
     assert code in (1, 2)
     if code == 2:
         assert [line[:13] for line in capsys.readouterr().err.splitlines()] == ["config error:"]
+
+
+def test_pairing_reads_no_representation_point(monkeypatch):
+    # the winding family is fixed: with the point builders and the holonomy
+    # raising, the pairing validates, runs and reads its unfaulted residuals
+    def refuse(real):
+        def fault(*args, **kwargs):
+            raise AssertionError(f"the pairing called {real.__name__}")
+
+        return fault
+
+    for name in ("standard_genus2_su2", "generic_genus2_su2", "holonomy"):
+        plant(monkeypatch, moduli, name, refuse)
+    _, params, seed, _ = validate_scenario({"command": "pairing"})
+    report = run_scenario("pairing", params, seed)
+    residuals = {r["name"]: r["residual"] for r in report["checks"]}
+    assert residuals == {"winding-model-value": 0.0, "adjoint-scaling": 5.551115123125783e-16}
+    assert report["status"] == "pass"
 
 
 def test_unfaulted_all_battery_passes():

@@ -1,5 +1,7 @@
 """Every module in src/gerbetool uses each name it imports and defines.
 
+The test modules in tests/ are scanned for unused imports too.
+
 The package __init__ is scanned like every other module: it holds the
 module map and binds no name, so each name is imported from its own module,
 and importing one module loads only what that module imports.  Each
@@ -36,6 +38,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gerbetool"
+TESTS = Path(__file__).resolve().parent
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -90,7 +93,9 @@ def test_modules_were_found():
     assert {"caloron.py", "cli.py", "grids.py"} <= {p.name for p in MODULES}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -349,12 +354,12 @@ def test_perfbench_worker_names_exist():
 def test_sampled_connections_carry_what_the_tracer_reads():
     # perfbench/tracer.py counts theta_points * (base_points + 2 ghost_margin)^base_dim cells
     from gerbetool.caloron import sample_connection
-    from gerbetool.moduli import LoopWord, ModuliFamily, standard_genus2_su2
+    from gerbetool.moduli import ModuliFamily
     from gerbetool.presets import su2_family
 
     for conn in (
         sample_connection(su2_family(), 8, 6),
-        ModuliFamily(standard_genus2_su2()).connection(LoopWord(((1, 1),)), 8, 6),
+        ModuliFamily().connection(8, 6),
     ):
         ext = conn.base_points + 2 * conn.ghost_margin
         assert conn.theta_points * ext**conn.base_dim == conn.phi[0].size

@@ -5,8 +5,8 @@ Oracles:
     inverses (the library route uses np.linalg.inv);
   * commutant dimension as n^2 - rank of the stacked Sylvester system;
   * the winding family's curvature density in closed form.  All potentials
-    point along one normalized direction K with <K, K> = 2, so every
-    commutator drops and the density reduces to
+    point along T1, with <T1, T1> = 2, so every commutator drops and the
+    density reduces to
         -2 w1 w2 + eps^2 sin(2 pi x0) sin(2 pi x2),
     whose torus integral is the model value -2 w1 w2 (adjoint route: x4).
 """
@@ -14,6 +14,7 @@ Oracles:
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from scipy.linalg import expm
 from gerbetool import cli, spectral
 from gerbetool.caloron import pontryagin_densities, sample_connection
 from gerbetool.errors import ArgumentError, ValidationError
-from gerbetool.liealg import Representation, su_coefficients
+from gerbetool.liealg import Representation
 from gerbetool.moduli import (
     LoopWord,
     ModuliFamily,
@@ -36,7 +37,7 @@ from gerbetool.moduli import (
     relation_check,
     standard_genus2_su2,
 )
-from gerbetool.moduli import _loop_direction, _seam_check, _sylvester_stack
+from gerbetool.moduli import _seam_check, _sylvester_stack
 from gerbetool.spectral import SpectralCut, spectral_flow
 
 TWO_PI = 2.0 * math.pi
@@ -544,6 +545,26 @@ class TestHolonomy:
         with pytest.raises(ArgumentError, match="exponent"):
             LoopWord(((1, 2),))
 
+    @pytest.mark.parametrize(
+        "letter, refusal",
+        [
+            ((1.5, 1), "generator indices must be integers, got 1.5"),
+            (("a", 1), "generator indices must be integers, got 'a'"),
+            ((1, 1.5), "exponents must be +1 or -1, got 1.5"),
+            ((1, "a"), "exponents must be +1 or -1, got 'a'"),
+        ],
+        ids=["fractional-index", "string-index", "fractional-exponent", "string-exponent"],
+    )
+    def test_non_integer_letter_refused_not_truncated(self, letter, refusal):
+        # int() alone truncates 1.5 to 1 and raises a bare ValueError on "a"
+        with pytest.raises(ArgumentError, match=f"^{re.escape(refusal)}$"):
+            LoopWord((letter,))
+
+    def test_integer_valued_letters_are_kept_as_ints(self):
+        word = LoopWord(((np.int64(2), 1.0), (3.0, -1)))
+        assert word.letters == ((2, 1), (3, -1))
+        assert all(type(v) is int for letter in word.letters for v in letter)
+
 
 class TestGenericPoint:
     @pytest.mark.parametrize("seed", range(6))
@@ -709,21 +730,6 @@ class TestHolonomyPaths:
             holonomy_path("torus", 48)
 
 
-class TestLoopDirection:
-    def test_generic_holonomy_direction_is_normalized(self):
-        rep = standard_genus2_su2()
-        k = _loop_direction(rep, LoopWord(((1, 1),)))
-        assert abs(-np.trace(k @ k).real - 2.0) <= 1e-12
-        assert np.abs(k + k.conj().T).max() <= 1e-12
-        assert abs(np.trace(k)) <= 1e-12
-
-    def test_central_holonomy_falls_back_to_diagonal(self):
-        rep = standard_genus2_su2()
-        k = _loop_direction(rep, LoopWord(((3, 1),)))
-        assert np.array_equal(k, np.diag([1j, -1j]))
-
-
-WORD = LoopWord(((1, 1),))
 SAMPLING = (8, 12)  # theta_points and base_points of the pairing battery's defaults
 FUND = Representation.fundamental(2)
 ADJ = Representation.adjoint(2)
@@ -732,14 +738,14 @@ ADJ = Representation.adjoint(2)
 class TestPairing:
     @pytest.mark.parametrize("w1,w2", [(1, 1), (2, 1), (1, -1)])
     def test_winding_family_hits_model_value(self, w1, w2):
-        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD, *SAMPLING)
+        conn = ModuliFamily(w1=w1, w2=w2).connection(*SAMPLING)
         (density,) = pontryagin_densities(conn, [FUND])
         got = density.integrate()
         assert abs(got - (-2.0 * w1 * w2)) <= 1e-10
 
     @pytest.mark.parametrize("w1,w2", [(1, 1), (1, -1)])
     def test_adjoint_pairing_scales_by_four(self, w1, w2):
-        conn = ModuliFamily(standard_genus2_su2(), w1=w1, w2=w2).connection(WORD, *SAMPLING)
+        conn = ModuliFamily(w1=w1, w2=w2).connection(*SAMPLING)
         (density,) = pontryagin_densities(conn, [ADJ])
         got = density.integrate()
         assert abs(got - (-8.0 * w1 * w2)) <= 1e-10
@@ -747,8 +753,7 @@ class TestPairing:
     def test_density_matches_closed_form_pointwise(self):
         # stencil error measured at 9.7e-5 on a density of scale 2
         eps, m = 0.2, 12
-        fam = ModuliFamily(standard_genus2_su2(), w1=1, w2=1)
-        conn = fam.connection(WORD, 8, m)
+        conn = ModuliFamily(w1=1, w2=1).connection(8, m)
         (density,) = pontryagin_densities(conn, [FUND])
         g = conn.ghost_margin
         comp = density.comps[(0, 1, 2)]
@@ -762,9 +767,9 @@ class TestPairing:
         # a core cell's density reads samples at most 2 cells away, the
         # 5-point stencil's half-width, so the connection's margin of 2
         # gives the core densities of a margin-4 sampling exactly
-        fam = ModuliFamily(standard_genus2_su2())
-        conn = fam.connection(WORD, *SAMPLING)
-        wide = sample_connection(fam.family(WORD), *SAMPLING, ghost_margin=4)
+        fam = ModuliFamily()
+        conn = fam.connection(*SAMPLING)
+        wide = sample_connection(fam.family(), *SAMPLING, ghost_margin=4)
         assert conn.ghost_margin == 2 and conn.phi[0].shape == (8, 16, 16, 16)
         for narrow_form, wide_form in zip(
             pontryagin_densities(conn, [FUND, ADJ]), pontryagin_densities(wide, [FUND, ADJ])
@@ -775,6 +780,21 @@ class TestPairing:
             assert np.array_equal(narrow_core, wide_core)
             assert narrow_form.integrate() == wide_form.integrate()
 
+    @pytest.mark.parametrize(
+        "params, residuals",
+        [
+            ({"modulation": -1e6, "base_points": 5}, (1.9531249999538147e-06, 3.739864831964126e-08)),
+            ({"modulation": 1e6}, (8.280147841821517e-06, 3.5573917273841095e-08)),
+        ],
+        ids=["modulation-min-base-5", "modulation-max"],
+    )
+    def test_edge_residuals_are_pinned(self, params, residuals):
+        # the readings at the admitted modulation edges, where roundoff of
+        # density terms of order modulation^2 sets the residuals
+        _, params, seed, _ = cli.validate_scenario({"command": "pairing", "params": params})
+        report = cli.run_scenario("pairing", params, seed)
+        assert tuple(r["residual"] for r in report["checks"]) == residuals
+
     def test_default_residuals_are_pinned(self):
         # the readings of the pairing battery sampled with a margin of 4
         _, params, seed, _ = cli.validate_scenario({"command": "pairing"})
@@ -783,34 +803,50 @@ class TestPairing:
         assert residuals == {"winding-model-value": 0.0, "adjoint-scaling": 5.551115123125783e-16}
 
     def test_fractional_winding_rejected(self):
-        with pytest.raises(ValidationError, match="integer"):
-            ModuliFamily(standard_genus2_su2(), w1=1.5)
+        with pytest.raises(ValidationError, match="^windings must be integers, got w1 = 1.5$"):
+            ModuliFamily(w1=1.5)
+
+    @pytest.mark.parametrize(
+        "winding, shown",
+        [({"w1": math.nan}, "w1 = nan"), ({"w2": math.inf}, "w2 = inf"), ({"w2": "1"}, "w2 = '1'")],
+        ids=["nan", "inf", "string"],
+    )
+    def test_non_finite_or_non_numeric_winding_rejected(self, winding, shown):
+        # int() alone raises a bare ValueError on NaN and OverflowError on inf
+        with pytest.raises(ValidationError, match=f"^windings must be integers, got {shown}$"):
+            ModuliFamily(**winding)
+
+    def test_family_lies_along_t1(self):
+        # su_basis(2) lists T2 before T1: every field is [0.0, profile, 0.0]
+        assert [f.name for f in dataclasses.fields(ModuliFamily)] == ["w1", "w2", "modulation"]
+        fam = ModuliFamily().family()
+        th, xs = np.zeros((1, 1, 1, 1)), [np.full((1, 1, 1, 1), 0.3)] * 3
+        for field in [fam.phi(th, xs)] + [fam.base(th, xs, axis) for axis in range(3)]:
+            assert field[0] == 0.0 and field[2] == 0.0
+        assert np.all(fam.base(th, xs, 2)[1] == 0.0)
 
     def test_open_family_rejected_by_seam_check(self):
         class QuadraticFamily(ModuliFamily):
-            def family(self, word):
-                fam = super().family(word)
-                inner = fam.phi
-
-                k = su_coefficients(_loop_direction(self.rep, word))[0]
+            def family(self):
+                fam = super().family()
 
                 def phi(th, xs):
-                    bump = xs[0] ** 2 + 0.0 * th
-                    return [p + bump * k_c for p, k_c in zip(inner(th, xs), k)]
+                    higgs = list(fam.phi(th, xs))
+                    higgs[1] = higgs[1] + xs[0] ** 2  # a bump along T1
+                    return higgs
 
                 return type(fam)(fam.n, phi, fam.base, fam.label)
 
-        fam = QuadraticFamily(standard_genus2_su2())
         with pytest.raises(ValidationError, match="higgs jump across axis 0"):
-            fam.connection(WORD, *SAMPLING)
+            QuadraticFamily().connection(*SAMPLING)
 
     @pytest.mark.parametrize("defect", ["quadratic", "nan"])
     def test_seam_check_reads_every_coefficient(self, defect):
         # a defect in one coefficient of one gauge component, a coefficient
-        # off the loop direction, is rejected as a defect of the whole field
+        # off T1, is rejected as a defect of the whole field
         class OneCoefficient(ModuliFamily):
-            def family(self, word):
-                fam = super().family(word)
+            def family(self):
+                fam = super().family()
 
                 def base(th, xs, axis):
                     out = list(fam.base(th, xs, axis))
@@ -820,10 +856,10 @@ class TestPairing:
 
                 return type(fam)(fam.n, fam.phi, base, fam.label)
 
-        fam = OneCoefficient(standard_genus2_su2())
+        fam = OneCoefficient()
         axis = 2 if defect == "quadratic" else 0  # a NaN jump shows across the first axis
         with pytest.raises(ValidationError, match=rf"gauge\[1\] jump across axis {axis} varies by"):
             if defect == "nan":  # the sampler refuses a NaN before the seam is probed
-                _seam_check(ModuliFamily(standard_genus2_su2()).connection(WORD, *SAMPLING), fam.family(WORD))
-            fam.connection(WORD, *SAMPLING)
+                _seam_check(ModuliFamily().connection(*SAMPLING), fam.family())
+            fam.connection(*SAMPLING)
 
