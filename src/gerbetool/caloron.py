@@ -18,10 +18,10 @@ non-finite, so no matrix sample is formed between a family and the forms.
 The pipelines work on the coefficients: the bracket sums the nonzero a < b
 terms of the structure constants, <X, Y> = -trace(XY) is 2 c(X).c(Y), and
 the forms are real by construction.  A representation acts by one real
-product with its coefficient_map restricted to the map's support (its
-nonzero columns), whose result lies in su(dim) by construction, so no
-matrix image is formed and no coefficient that is zero for every field is
-computed.
+product with its coefficient_map restricted to the map's support (the
+nonzero columns of the rows the pass holds), whose result lies in su(dim)
+by construction, so no matrix image is formed and no coefficient that is
+zero for every field is computed.
 
 The degree-2 curving integrates (1/4 pi^2) (<F, Phi> - 1/2 <A, dtheta A>)
 over the circle and its discrete exterior derivative reproduces the
@@ -35,6 +35,19 @@ whose circle sums of all the forms a caller reads are added as they
 arrive.  pontryagin_densities reads one density per representation from
 one pass, and a CurvaturePass the curving, the density and the curving of
 the pushed fields, which the identity and scaling checks compare.
+
+A pass runs on the connection's live subalgebra.  Its live set is the
+coefficients nonzero (a NaN counts) somewhere in phi or a, found by a scan
+that reads one circle point of one grid at a time and stops at a
+coefficient's first nonzero point; its closure adds each c with f_abc != 0
+for a and b already in, until none is added, since [A_x, A_y] reaches
+coefficients no field has.  The pass holds the closure's contiguous hull as
+views of the fields, differentiates only those coefficients, brackets on
+the closure alone (an abelian closure brackets nothing) and restricts each
+coefficient map to the closure's rows before taking its support.  Every
+term dropped is an exact +-0, so the forms equal those of the
+full-coefficient route bit for bit, and a connection live in every
+coefficient runs the same code on all of them.
 """
 
 from dataclasses import dataclass
@@ -227,32 +240,72 @@ def _support(m):
     return tuple(np.flatnonzero((m != 0).any(axis=0)).tolist())
 
 
-def _support_map(conn, rho):
-    """(m, S): rho's coefficient map on its support S, and S; another su(n) raises ArgumentError.
+def _live(conn):
+    """The su(n) coefficients that are nonzero somewhere in phi or a; a NaN is nonzero.
 
-    A pushed field is +-0 off S, so the pipelines hold only its S
-    coefficients.  m keeps every row, so a NaN of any field still reaches S;
-    a bracket term or output off S would only add or pair with a +-0.
+    Each coefficient's grids are read one circle point at a time, and its
+    read stops at its first nonzero point.  count_nonzero reads a point in
+    place; any() casts it to bool through a buffer, which raised the caloron
+    battery's peak RSS by 1.2 MB under glibc malloc.
+    """
+    grids = (conn.phi, *conn.a)
+    return tuple(
+        c for c in range(len(conn.phi)) if any(np.count_nonzero(point) for g in grids for point in g[c])
+    )
+
+
+@functools.cache
+def _closure(n, live):
+    """The Lie closure of the su(n) coefficients live, increasing.
+
+    Coefficient c joins whenever f_abc != 0 with a and b already in, until
+    none does: [A_x, A_y] reaches coefficients no field has, so a curvature
+    off the closure is +-0 but one off the live set need not be.
+    """
+    structure = su_structure_constants(n) != 0
+    closed = np.zeros(len(structure), dtype=bool)
+    closed[list(live)] = True
+    while True:
+        grown = closed | structure[closed][:, closed].any(axis=(0, 1))
+        if (grown == closed).all():
+            return tuple(np.flatnonzero(closed).tolist())
+        closed = grown
+
+
+def _hull(closure):
+    """The closure's contiguous hull: the slice of the coefficient axis a pass holds, as views."""
+    return slice(closure[0], closure[-1] + 1) if closure else slice(0, 0)
+
+
+def _support_map(conn, rho, closure):
+    """(m, S): rho's coefficient map from the closure's hull onto S, and S; another su(n) raises ArgumentError.
+
+    S, the support, is the set of su(dim) coefficients the closure's rows
+    reach: a pushed field is +-0 off S, so the pipelines hold only its S
+    coefficients.  m keeps every row of the hull, whose fields are +-0 off
+    the closure, and a NaN makes its coefficient live, so it reaches S; a
+    bracket term or output off S would only add or pair with a +-0.
     """
     if rho.n != conn.n:
         raise ArgumentError(f"a representation of su({rho.n}) on an su({conn.n}) connection")
     m = rho.coefficient_map()
-    support = _support(m)
-    return m[:, support], support
+    support = _support(m[list(closure)])
+    return m[_hull(closure)][:, support], support
 
 
 @functools.cache
-def _bracket_terms(n, support=None):
+def _bracket_terms(n, keep, rows):
     """The nonzero f_abc of su(n) with a < b, as (a, b, ((c, f_abc), ...)) per pair.
 
-    Given a support (increasing coefficient indices), only the terms whose a,
-    b and c all lie in it are kept, renumbered to their positions in it.
+    Only the terms whose a, b and c all lie in keep are kept, each index
+    renumbered to its position in rows, the increasing coefficients the
+    arrays hold: a pushed field holds its support, a pass its closure's hull.
     """
     structure = su_structure_constants(n)
-    position = {c: i for i, c in enumerate(range(len(structure)) if support is None else support)}
+    position, keep = {c: i for i, c in enumerate(rows)}, set(keep)
     terms = {}
     for a, b, c in zip(*np.nonzero(structure)):
-        if a < b and {a, b, c} <= position.keys():
+        if a < b and {a, b, c} <= keep:
             terms.setdefault((position[a], position[b]), []).append((position[c], structure[a, b, c]))
     return tuple((a, b, tuple(cs)) for (a, b), cs in terms.items())
 
@@ -270,7 +323,7 @@ def _bracket(x, y, terms):
 
 def _push(x, m):
     """Coefficient-leading su(n) fields x pushed through the (support) coefficient map m, in one product."""
-    return (m.T @ x.reshape(len(x), -1)).reshape(m.shape[1:] + x.shape[1:])
+    return (m.T @ x.reshape(len(x), math.prod(x.shape[1:]))).reshape(m.shape[1:] + x.shape[1:])
 
 
 def _circle_pairing(x, y):
@@ -282,10 +335,11 @@ class _Run:
     """Fields, dtheta A and curvature of one run of circle points, on their coefficients.
 
     Arrays are (coefficients, run, M', ...), base axis x at array axis 2 + x:
-    all n^2 - 1 of su(n), or a pushed run's support; terms is the bracket's
-    term table on those coefficients.  base holds F_ab (a < b); mixed,
-    F_{theta a}, is built when first read, so a pass that reads only the
-    curving never builds it.
+    the su(n) coefficients of the pass's closure hull, or a pushed run's
+    support; terms is the bracket's term table on those coefficients, and an
+    empty table (an abelian closure) skips the bracket.  base holds F_ab
+    (a < b); mixed, F_{theta a}, is built when first read, so a pass that
+    reads only the curving never builds it.
     """
 
     def __init__(self, phi, a, d_theta_a, terms, spacing):
@@ -295,13 +349,15 @@ class _Run:
         for x, y in itertools.combinations(range(len(a)), 2):
             f_xy = self.base[(x, y)] = central_diff4(a[y], 2 + x, spacing)
             f_xy -= central_diff4(a[x], 2 + y, spacing)
-            f_xy += _bracket(a[x], a[y], terms)
+            if terms:
+                f_xy += _bracket(a[x], a[y], terms)
 
     @functools.cached_property
     def mixed(self):
         comps = {x: d - central_diff4(self.phi, 2 + x, self.spacing) for x, d in enumerate(self.d_theta_a)}
-        for x, c in comps.items():
-            c += _bracket(self.phi, self.a[x], self.terms)
+        if self.terms:
+            for x, c in comps.items():
+                c += _bracket(self.phi, self.a[x], self.terms)
         return comps
 
     def pushed(self, m, terms):
@@ -310,25 +366,28 @@ class _Run:
         return _Run(_push(self.phi, m), a, d_theta_a, terms, self.spacing)
 
 
-def _curvature_slices(conn):
+def _curvature_slices(conn, closure):
     """Yield the connection's curvature as _Runs of circle points, in circle order.
 
     This is the one curvature pass: only dtheta A, which couples the circle
     points, is taken on the full grid, one base component at a time; each
     run slices it and builds F_ab (and, when read, F_{theta a}) on the
-    run's points alone.  A run's fields are views of the connection.
+    run's points alone.  Everything runs on the closure's hull, whose
+    fields are views of the connection, and brackets on the closure alone.
     """
-    d_theta_a = [spectral_theta_derivative(a_x, axis=1) for a_x in conn.a]
+    hull = _hull(closure)
+    phi, a = conn.phi[hull], conn.a[:, hull]
+    d_theta_a = [spectral_theta_derivative(a_x, axis=1) for a_x in a]
     width = max(1, _RUN_CELLS // math.prod(conn.phi.shape[2:]))
-    terms = _bracket_terms(conn.n)
+    terms = _bracket_terms(conn.n, closure, range(hull.start, hull.stop))
     for t in range(0, conn.theta_points, width):
         s = slice(t, t + width)
-        yield _Run(conn.phi[:, s], conn.a[:, :, s], [d[:, s] for d in d_theta_a], terms, conn.spacing())
+        yield _Run(phi[:, s], a[:, :, s], [d[:, s] for d in d_theta_a], terms, conn.spacing())
 
 
-def _circle_means(conn, forms):
-    """Circle means of the circle-sum forms that forms(run) gives on each run of one pass."""
-    per_run = map(forms, _curvature_slices(conn))  # no run outlives its forms
+def _circle_means(conn, closure, forms):
+    """Circle means of the circle-sum forms that forms(run) gives on each run of one pass on the closure."""
+    per_run = map(forms, _curvature_slices(conn, closure))  # no run outlives its forms
     sums = next(per_run)
     for run_forms in per_run:
         for total, form in zip(sums, run_forms):
@@ -374,10 +433,11 @@ def pontryagin_densities(conn, reps):
     serves them all; a raise in any one push fails the whole pass.  A
     ghosted sampling keeps its margin on the forms.
     """
-    maps = [_support_map(conn, rho)[0] for rho in reps]
+    closure = _closure(conn.n, _live(conn))
+    maps = [_support_map(conn, rho, closure)[0] for rho in reps]
     maps = [None if rho.is_fundamental() else m for rho, m in zip(reps, maps)]
     g = conn.ghost_margin
-    return _circle_means(conn, lambda run: [_density(run.mixed, run.base, g, m) for m in maps])
+    return _circle_means(conn, closure, lambda run: [_density(run.mixed, run.base, g, m) for m in maps])
 
 
 class CurvaturePass:
@@ -401,12 +461,13 @@ class CurvaturePass:
             raise ArgumentError("a curvature pass needs a periodic (ghost-free) sampling")
         self.conn, self.rho = conn, rho
         self.pushed = None
+        closure = _closure(conn.n, _live(conn))
         forms = {"curving": _curving, "density": lambda run: _density(run.mixed, run.base, 0)}
         if rho is not None:
-            m, support = _support_map(conn, rho)
-            terms = _bracket_terms(rho.dim, support)
+            m, support = _support_map(conn, rho, closure)
+            terms = _bracket_terms(rho.dim, support, support)
             forms["pushed"] = lambda run: _curving(run.pushed(m, terms))
-        means = _circle_means(conn, lambda run: [form(run) for form in forms.values()])
+        means = _circle_means(conn, closure, lambda run: [form(run) for form in forms.values()])
         for name, mean in zip(forms, means):
             setattr(self, name, mean)
 

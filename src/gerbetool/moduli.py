@@ -98,7 +98,11 @@ class LoopWord:
     def __post_init__(self):
         if not self.letters:
             raise ArgumentError("loop word must be nonempty")
-        for index, exponent in self.letters:
+        for letter in self.letters:
+            try:
+                index, exponent = letter
+            except (TypeError, ValueError):  # not a sequence, or not of two
+                raise ArgumentError(f"a letter is an (index, exponent) pair, got {letter!r}") from None
             if not _is_whole(index):
                 raise ArgumentError(f"generator indices must be integers, got {index!r}")
             if exponent not in (-1, 1):

@@ -15,8 +15,10 @@ Oracles, each independent of the code under test:
   * the families' closed-form matrix fields, built here from i sigma_j (for
     flat, the transports u^-1 X u of matrix rotations), read back as
     coefficients;
-  * for the pushes onto a coefficient map's support, the full route: every
-    su(dim) coefficient pushed and bracketed with su(dim)'s whole term table.
+  * for the pushes onto a coefficient map's support and the pass on the
+    closure of the live coefficients, the full route (full_pass): all n^2 - 1
+    coefficients of the connection, and every su(dim) coefficient pushed and
+    bracketed with su(dim)'s whole term table.
 The library has one family, su2_family; the four others the tests sample
 (zero, abelian, flat, su2-axial) are written here, coefficient-leading as a
 family returns them: one real array per su(2) coefficient, laid out by _su2.
@@ -270,9 +272,24 @@ def leading(coeffs):
     return np.moveaxis(coeffs, -1, 0)
 
 
+def every_coefficient(n):
+    """All n^2 - 1 coefficients of su(n): the full route's closure, and the rows of its term table."""
+    return tuple(range(n * n - 1))
+
+
+def full_terms(n):
+    """su(n)'s whole bracket term table."""
+    return _bracket_terms(n, every_coefficient(n), every_coefficient(n))
+
+
+def live_closure(conn):
+    """The closure of the connection's live coefficients, which a curvature pass runs on."""
+    return caloron._closure(conn.n, caloron._live(conn))
+
+
 def trailing_bracket(x, y, n):
     """_bracket with su(n)'s whole term table on arrays (..., n^2 - 1), the axis moved at the boundary."""
-    return trailing(_bracket(leading(x), leading(y), _bracket_terms(n)))
+    return trailing(_bracket(leading(x), leading(y), full_terms(n)))
 
 
 def curvature_matrices(conn):
@@ -281,7 +298,7 @@ def curvature_matrices(conn):
     Each component's runs are concatenated over the circle and turned into
     (..., n, n) matrices by su_matrices, so a NaN coefficient reaches them.
     """
-    runs = list(_curvature_slices(conn))
+    runs = list(_curvature_slices(conn, every_coefficient(conn.n)))
     return tuple(
         {
             k: su_matrices(trailing(np.concatenate([c[k] for c in comps], axis=1)), conn.n)
@@ -509,6 +526,30 @@ class TestDensityAndIdentity:
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
         CurvaturePass(conn).identity_check(refine_factor=2)
         assert sorted(calls) == [8, 8, 8, 16, 16, 16]
+
+    def test_each_pass_differentiates_its_closure_alone(self, monkeypatch):
+        # the pairing's winding family lives along T1 alone, so its pass
+        # takes one-coefficient derivatives and no bracket; su2-family is
+        # live in all three, so the caloron pass runs on all of them
+        seen = {name: [] for name in ("spectral_theta_derivative", "central_diff4", "_bracket")}
+
+        def counted(name, real):
+            def wrapper(arr, *args, **kwargs):
+                seen[name].append(len(arr))
+                return real(arr, *args, **kwargs)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(caloron, name, counted(name, getattr(caloron, name)))
+        pontryagin_densities(ModuliFamily().connection(8, 12), (FUND, Representation.adjoint(2)))
+        # dtheta A once per base axis; per circle point, 6 stencils for F_ab and 3 for F_theta a
+        assert seen == {"spectral_theta_derivative": [1] * 3, "central_diff4": [1] * 8 * 9, "_bracket": []}
+        for calls in seen.values():
+            calls.clear()
+        CurvaturePass(connection_preset("su2-family", theta_points=8, base_points=16), Representation.adjoint(2))
+        assert {name: set(calls) for name, calls in seen.items()} == dict.fromkeys(seen, {3})
+        assert len(seen["spectral_theta_derivative"]) == 3
 
     def test_identity_peak_memory_is_bounded(self):
         # traced peak in fine-grid coefficient fields (8 x 24^3 x 3 floats):
@@ -1042,8 +1083,8 @@ class TestCoefficientMap:
 
 
 def one_form_pass(conn, form):
-    """The circle mean of one form over its own curvature pass."""
-    return caloron._circle_means(conn, lambda run: [form(run)])[0]
+    """The circle mean of one form over its own curvature pass, on the connection's live closure."""
+    return caloron._circle_means(conn, live_closure(conn), lambda run: [form(run)])[0]
 
 
 def same_bits(got, want):
@@ -1068,7 +1109,7 @@ class TestOneCurvaturePass:
     @pytest.mark.parametrize("ghost_margin", [0, 4])
     def test_densities_share_a_pass(self, name, ghost_margin):
         conn = sample_connection(self.family(name), 8, 6, ghost_margin)
-        (m, _), g = _support_map(conn, self.ADJ), ghost_margin
+        (m, _), g = _support_map(conn, self.ADJ, live_closure(conn)), ghost_margin
         fund, adj = pontryagin_densities(conn, (FUND, self.ADJ))
         assert same_bits(fund, one_form_pass(conn, lambda run: _density(run.mixed, run.base, g)))
         assert same_bits(adj, one_form_pass(conn, lambda run: _density(run.mixed, run.base, g, m)))
@@ -1079,9 +1120,9 @@ class TestOneCurvaturePass:
         # the winding family is a covering-space sample, not periodic: its
         # forms mean nothing here, but their bits must still agree
         conn = sample_connection(self.family(name), 8, 6)
-        (m, support), iota = _support_map(conn, self.ADJ), 4.0
+        (m, support), iota = _support_map(conn, self.ADJ, live_closure(conn)), 4.0
         forms = CurvaturePass(conn, self.ADJ)
-        pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, _bracket_terms(3, support))))
+        pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, _bracket_terms(3, support, support))))
         b = one_form_pass(conn, _curving)
         assert same_bits(forms.curving, b)
         assert same_bits(forms.density, pontryagin_densities(conn, [FUND])[0])
@@ -1110,17 +1151,22 @@ class TestOneCurvaturePass:
             CurvaturePass(conn)
 
 
-def full_route(conn, rho):
-    """(pushed curving, density) of rho on all dim^2 - 1 coefficients, from one pass.
+def full_pass(conn, rho):
+    """(curving, density, pushed, rho's density) on all n^2 - 1 coefficients, rho not the fundamental.
 
-    The oracle of the pushes onto the support: the whole coefficient map and
-    su(dim)'s whole term table, with the arithmetic of the pipelines before
-    they were restricted.
+    The oracle of the pass on the live closure and of the pushes onto the
+    support: every coefficient of the connection differentiated, bracketed
+    and pushed through rho's whole map with su(dim)'s whole term table, as
+    the pipelines did before they were restricted.
     """
-    m, terms, g = rho.coefficient_map(), _bracket_terms(rho.dim), conn.ghost_margin
-    return caloron._circle_means(
-        conn, lambda run: [_curving(run.pushed(m, terms)), _density(run.mixed, run.base, g, m)]
-    )
+    every, m, g = every_coefficient(conn.n), rho.coefficient_map(), conn.ghost_margin
+    forms = [
+        _curving,
+        lambda run: _density(run.mixed, run.base, g),
+        lambda run: _curving(run.pushed(m, full_terms(rho.dim))),
+        lambda run: _density(run.mixed, run.base, g, m),
+    ]
+    return caloron._circle_means(conn, every, lambda run: [form(run) for form in forms])
 
 
 def noncommuting_slots(dim):
@@ -1160,8 +1206,8 @@ class TestSupport:
         m = rho.coefficient_map()
         support = _support(m)
         x, y = (leading(c @ m) for c in np.random.default_rng(40 + n).standard_normal((2, 64, n * n - 1)))
-        full = _bracket(x, y, _bracket_terms(rho.dim))
-        got = _bracket(x[list(support)], y[list(support)], _bracket_terms(rho.dim, support))
+        full = _bracket(x, y, full_terms(rho.dim))
+        got = _bracket(x[list(support)], y[list(support)], _bracket_terms(rho.dim, support, support))
         assert np.array_equal(got, full[list(support)])
         # outputs off the support need not vanish in general (the map's
         # entries carry roundoff), and the curving pairs them only with
@@ -1177,30 +1223,136 @@ class TestSupport:
             conn = ModuliFamily().connection(8, 12)
         else:
             conn = connection_preset(case, theta_points=8, base_points=8)
-        want_pushed, want_density = full_route(conn, self.ADJ)
+        want_pushed, want_density = full_pass(conn, self.ADJ)[2:]
         (density,) = pontryagin_densities(conn, [self.ADJ])
         assert same_bits(density, want_density) and density.max_norm() > 0
         if conn.ghost_margin:
-            m, support = _support_map(conn, self.ADJ)
-            pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, _bracket_terms(3, support))))
+            m, support = _support_map(conn, self.ADJ, live_closure(conn))
+            pushed = one_form_pass(conn, lambda run: _curving(run.pushed(m, _bracket_terms(3, support, support))))
         else:
             pushed = CurvaturePass(conn, self.ADJ).pushed
         assert same_bits(pushed, want_pushed) and pushed.max_norm() > 0
         # the full route's pushed fields are exact zeros off the support
-        run = next(_curvature_slices(conn))
-        full = run.pushed(self.ADJ.coefficient_map(), _bracket_terms(3))
+        run = next(_curvature_slices(conn, every_coefficient(2)))
+        full = run.pushed(self.ADJ.coefficient_map(), full_terms(3))
         for field in (full.phi, *full.a, *full.d_theta_a, *full.base.values()):
             assert not field[[1, 3, 5, 6, 7]].any()
 
     def test_support_map_keeps_every_row(self):
         # a NaN in any su(2) coefficient reaches the support
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
-        m, support = _support_map(conn, self.ADJ)
+        m, support = _support_map(conn, self.ADJ, live_closure(conn))
         assert m.shape == (3, 3) and np.array_equal(m, self.ADJ.coefficient_map()[:, [0, 2, 4]])
         for c in range(3):
             x = np.zeros((3, 2))
             x[c, 0] = math.nan
             assert np.isnan(caloron._push(x, m)[:, 0]).all()
+
+
+def slot_family(n, slots, amplitude=0.7):
+    """An su(n) family generic in the su_basis slots given, every field zero in the others."""
+
+    def field(th, xs, f):
+        out = [0.0] * (n * n - 1)
+        for k in slots:
+            wave = np.sin(TWO_PI * (th + xs[(k + f) % 3]) + k + f)
+            out[k] = amplitude * wave * np.cos(TWO_PI * xs[(k + 2 * f) % 3])
+        return out
+
+    return AnalyticConnection(
+        n, lambda th, xs: field(th, xs, 0), lambda th, xs, axis: field(th, xs, 1 + axis), f"slots {slots}"
+    )
+
+
+class TestClosure:
+    """A pass on the closure of the live coefficients equals the full-coefficient route bit for bit."""
+
+    # (family, representation, live set, closure): the winding family along
+    # T1 (su_basis(2) slot 1); an su(2) family in T2 and T1 alone, whose
+    # bracket reaches T3; an su(3) family in so(3), slots (0, 2, 4), whose
+    # hull 0..4 holds the dead slots 1 and 3; the zero connection
+    CASES = {
+        "winding": (ModuliFamily().family(), Representation.adjoint(2), (1,), (1,)),
+        "t2-t1": (slot_family(2, (0, 1)), Representation.adjoint(2), (0, 1), (0, 1, 2)),
+        "so3-in-su3": (slot_family(3, (0, 2, 4)), Representation.adjoint(3), (0, 2, 4), (0, 2, 4)),
+        "zero": (zero_family(), Representation.adjoint(2), (), ()),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_closure_pass_equals_the_full_route(self, case):
+        family, rho, live, closure = self.CASES[case]
+        conn = sample_connection(family, 8, 6)
+        assert caloron._live(conn) == live and live_closure(conn) == closure
+        curving, density, pushed, rho_density = full_pass(conn, rho)
+        forms = CurvaturePass(conn, rho)
+        fund_density, got_rho_density = pontryagin_densities(conn, (Representation.fundamental(conn.n), rho))
+        assert same_bits(forms.curving, curving) and same_bits(forms.pushed, pushed)
+        assert same_bits(forms.density, density) and same_bits(fund_density, density)
+        assert same_bits(got_rho_density, rho_density)
+        nonzero = [form.max_norm() > 0 for form in (curving, density, pushed, rho_density)]
+        assert nonzero == [case != "zero"] * 4
+
+    def test_bracket_reaches_past_the_live_set(self):
+        # F_ab's T3 part comes from [A_a, A_b] alone: a pass on the live set
+        # (T2, T1) would drop it, and the density pairs it with G's T3 part
+        conn = sample_connection(self.CASES["t2-t1"][0], 8, 6)
+        run = next(_curvature_slices(conn, every_coefficient(2)))
+        assert not conn.phi[2].any() and not conn.a[:, 2].any()
+        assert all(run.base[key][2].any() and run.mixed[key[0]][2].any() for key in run.base)
+
+    def test_winding_densities_ghosted_equal_the_full_route(self):
+        conn = ModuliFamily().connection(8, 12)
+        _, density, _, adjoint_density = full_pass(conn, Representation.adjoint(2))
+        fund, adj = pontryagin_densities(conn, (FUND, Representation.adjoint(2)))
+        assert same_bits(fund, density) and same_bits(adj, adjoint_density)
+        assert fund.max_norm() > 0 and adj.max_norm() > 0
+
+    def test_runs_are_views_of_the_hull(self):
+        conn = sample_connection(self.CASES["so3-in-su3"][0], 8, 6)
+        for run in _curvature_slices(conn, (0, 2, 4)):
+            assert run.phi.shape[0] == 5 and run.a.shape[1] == 5
+            assert np.shares_memory(run.phi, conn.phi) and np.shares_memory(run.a, conn.a)
+            assert not run.phi[[1, 3]].any() and not run.a[:, [1, 3]].any()
+
+    def test_closures_of_su2_and_su3(self):
+        # any two su(2) coefficients generate the third; so(3) and the Cartan
+        # subalgebra of su(3) are closed, and T1 of su(3) with its diagonal
+        # partner reaches the slots of that root's su(2)
+        assert caloron._closure(2, (0, 1)) == caloron._closure(2, (1, 2)) == (0, 1, 2)
+        assert caloron._closure(2, (2,)) == (2,) and caloron._closure(2, ()) == ()
+        assert caloron._closure(3, (0, 2, 4)) == (0, 2, 4) and caloron._closure(3, (6, 7)) == (6, 7)
+        assert caloron._closure(3, (0, 1)) == (0, 1, 6)
+        # slot 2 with a diagonal slot reaches slot 3 in one step and the other
+        # diagonal slot only in the next, so the closure repeats until nothing joins
+        assert caloron._closure(3, (2, 6)) == (2, 3, 6, 7)
+
+    def test_adjoint_push_reaches_the_closure_rows_support_alone(self):
+        # the su(2) adjoint's map reaches su(3) slots (0, 2, 4); T1 (slot 1)
+        # alone reaches slot 2, so the winding family pushes one coefficient
+        conn = ModuliFamily().connection(8, 12)
+        m, support = _support_map(conn, Representation.adjoint(2), (1,))
+        assert support == (2,) and np.array_equal(m, Representation.adjoint(2).coefficient_map()[1:2, [2]])
+
+    def test_live_scan_sees_a_nan_in_a_dead_coefficient(self):
+        conn = ModuliFamily().connection(8, 12)
+        conn.a[2, 0, 7, 3, 3, 3] = math.nan
+        assert caloron._live(conn) == (0, 1) and live_closure(conn) == (0, 1, 2)
+        assert all(math.isnan(form.integrate()) for form in pontryagin_densities(conn, (FUND, Representation.adjoint(2))))
+
+    def test_live_scan_makes_no_field_sized_temporary(self):
+        # the winding family's two dead coefficients are read in full, one
+        # circle point of one grid at a time, in place
+        conn = ModuliFamily().connection(8, 12)
+        point = np.prod(conn.phi.shape[2:]) * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            assert caloron._live(conn) == (1,)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= point
 
 
 class TestLayout:
@@ -1221,7 +1373,7 @@ class TestLayout:
     def test_runs_are_views_of_the_connection(self, theta_points, base_points, widths):
         # 16^3 cells give one circle point per run; 5^3 cells give runs of 32
         conn = connection_preset("su2-family", theta_points, base_points)
-        runs = list(_curvature_slices(conn))
+        runs = list(_curvature_slices(conn, live_closure(conn)))
         assert [run.phi.shape[1] for run in runs] == widths
         start = 0
         for run, width in zip(runs, widths):

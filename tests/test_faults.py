@@ -380,6 +380,30 @@ def test_pairing_reads_no_representation_point(monkeypatch):
     assert report["status"] == "pass"
 
 
+def test_nan_in_a_coefficient_the_family_leaves_zero_fails_the_pairing(monkeypatch):
+    # the winding family lives along T1 alone, so the pass runs on that one
+    # coefficient; a NaN in T2 (su_basis slot 0) makes T2 live, and the pass
+    # must then read it rather than skip it and pass on the T1 part
+    real = moduli.ModuliFamily.connection
+    planted = []
+
+    def with_nan(self, *sampling):
+        conn = real(self, *sampling)
+        conn.phi[0, 3, 7, 7, 7] = np.nan
+        planted.append(caloron._live(conn))
+        return conn
+
+    monkeypatch.setattr(moduli.ModuliFamily, "connection", with_nan)
+    _, params, seed, _ = validate_scenario({"command": "pairing"})
+    report = run_scenario("pairing", params, seed)
+    assert planted == [(0, 1)]
+    assert {r["name"]: r["status"] for r in report["checks"]} == {
+        "winding-model-value": "fail",
+        "adjoint-scaling": "fail",
+    }
+    assert all(np.isnan(r["residual"]) for r in report["checks"])
+
+
 def test_unfaulted_all_battery_passes():
     report = run_scenario("all", {}, 7)
     assert [r["name"] for r in report["checks"]] == ALL_CHECK_NAMES

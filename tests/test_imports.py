@@ -141,7 +141,7 @@ def test_scanner_counts_settable_values():
 
 # Settable values in src/gerbetool: parameters with defaults, dataclass
 # fields with defaults and the config keys of the commands.
-SETTABLE_VALUES = 59
+SETTABLE_VALUES = 58
 
 
 def test_settable_values_are_pinned():

@@ -560,6 +560,15 @@ class TestHolonomy:
         with pytest.raises(ArgumentError, match=f"^{re.escape(refusal)}$"):
             LoopWord((letter,))
 
+    @pytest.mark.parametrize(
+        "letters, refusal",
+        [((1,), "got 1"), (((1, 2, 3),), "got (1, 2, 3)"), ("ab", "got 'a'")],
+        ids=["bare-index", "triple", "string-word"],
+    )
+    def test_letter_that_is_no_pair_refused(self, letters, refusal):
+        with pytest.raises(ArgumentError, match=f"^a letter is an \\(index, exponent\\) pair, {re.escape(refusal)}$"):
+            LoopWord(letters)
+
     def test_integer_valued_letters_are_kept_as_ints(self):
         word = LoopWord(((np.int64(2), 1.0), (3.0, -1)))
         assert word.letters == ((2, 1), (3, -1))
