@@ -29,7 +29,7 @@ import numpy as np
 
 from .caloron import CurvaturePass, check_grid, pontryagin_densities, sample_connection
 from .detline import CechTable, det_line
-from .errors import ConfigError, CoverViolationError, GerbeToolError, ResourceError
+from .errors import ArgumentError, ConfigError, CoverViolationError, GerbeToolError, ResourceError
 from .fock import (
     FockWindow,
     _require_interior,
@@ -64,6 +64,7 @@ from .spectral import (
     band,
     dirac_spectrum,
     in_cover,
+    rational,
     spectral_flow,
 )
 from .version import __version__
@@ -160,8 +161,8 @@ def _coerce(where, default, value):
 
 def _rational(where, value):
     try:
-        Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        rational(value)
+    except ArgumentError:
         raise ConfigError(f"{where} is not a rational: {value!r}") from None
 
 

@@ -3,12 +3,13 @@
 A determinant line is a one-dimensional space spanned by the ordered wedge
 of the eigenmodes in a band between two cuts.  Reordering the wedge costs
 the sign of the permutation, so a line value is (ordered basis, phase) and
-two values agree when their canonical representatives match.  A band is a
-run of the spectrum's canonical modes, kept as its extent (start, stop).
-Composition concatenates adjacent bands: the lower band's modes lie below
-the shared cut, a cut in the cover, so two bands join into the band over
-the outer cuts with no sort, and one rule (_composed) checks that they do
-and multiplies the canonical phases.
+two values agree when their canonical representatives match.  A band is
+the run of the spectrum's canonical modes between its cuts' positions, and
+a line keeps the extent (start, stop) that spectral placed; no mode is
+searched for.  Composition concatenates adjacent bands, which meet at their
+shared cut's position, so two bands join into the band over the outer cuts
+with no sort, and one rule (_composed) checks that they do and multiplies
+the canonical phases.
 
 A CechTable holds the line of every pair of sorted cuts over one spectrum,
 built once, as arrays of canonical phases and band extents.  It evaluates
@@ -20,14 +21,13 @@ one cocycle entry point: compose, its scalar case, is the oracle the tests
 check it against.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 import itertools
 
 import numpy as np
 
 from .errors import ArgumentError, CompositionError, ValidationError
-from .spectral import Spectrum, SpectralCut, band
+from .spectral import Spectrum, SpectralCut, _band_extent, _ordered
 
 _PHASE_TOL = 1e-12
 
@@ -48,44 +48,19 @@ def permutation_sign(items):
     return -1 if (len(order) - cycles) % 2 else 1
 
 
-def _extent(spectrum, modes):
-    """(start, stop) with modes == spectrum.modes[start:stop]; (0, 0) for no modes.
-
-    The first mode is looked up from its eigenvalue's bisected position, so
-    only modes of equal eigenvalue are passed over; modes that are no run of
-    the spectrum's canonical modes raise ValidationError.
-    """
-    modes = tuple(modes)
-    if not modes:
-        return 0, 0
-    canonical = spectrum.modes
-    try:
-        start = canonical.index(modes[0], bisect_left(spectrum._eigenvalues, modes[0].eigenvalue))
-    except ValueError:
-        start = None
-    if start is None or canonical[start : start + len(modes)] != modes:
-        raise ValidationError("band is not a run of the spectrum's modes")
-    return start, start + len(modes)
-
-
 def _composed(lower, upper, outer, name):
     """Canonical phase of the line `lower` composed with the adjacent line `upper`.
 
     lower and upper are (canonical phase, (start, stop)) pairs and outer the
     extent of the band over their outer cuts, each of scalars or of arrays
     of one shape: compose and CechTable share this one rule.  The two bands
-    must join into the outer band (an empty band is neutral, and two others
-    join where the first stops at the second's start), or CompositionError
-    names the first composition that fails, as name(index) of the raveled
-    arrays; the phases then multiply, with no sort.
+    must join into the outer band, the first stopping where the second
+    starts, or CompositionError names the first composition that fails, as
+    name(index) of the raveled arrays; the phases then multiply, with no
+    sort.
     """
     (lower_phase, (lower_start, lower_stop)), (upper_phase, (upper_start, upper_stop)) = lower, upper
-    lower_empty, upper_empty = lower_start == lower_stop, upper_start == upper_stop
-    fine = (
-        (lower_empty | upper_empty | (lower_stop == upper_start))
-        & (np.where(lower_empty, upper_start, lower_start) == outer[0])
-        & (np.where(upper_empty, lower_stop, upper_stop) == outer[1])
-    )
+    fine = (lower_stop == upper_start) & (lower_start == outer[0]) & (upper_stop == outer[1])
     if not np.all(fine):
         raise CompositionError(f"{name(np.argmin(fine))}: the joined bands are not the outer band")
     return lower_phase * upper_phase
@@ -101,7 +76,7 @@ class DetLine:
     canonical representative sorts the basis ascending and folds the
     permutation sign into the phase; that sign is fixed once, when the
     basis is checked against the band, and the band's extent is kept for
-    canonical() and composition.
+    composition.
     """
 
     spectrum: Spectrum
@@ -116,7 +91,8 @@ class DetLine:
         object.__setattr__(self, "phase", complex(self.phase))
         if not abs(abs(self.phase) - 1.0) <= _PHASE_TOL:
             raise ValidationError(f"phase must be unimodular, |phase| = {abs(self.phase)}")
-        expected = band(self.spectrum, self.lo, self.hi)
+        object.__setattr__(self, "_extent", _band_extent(self.spectrum, self.lo, self.hi))
+        expected = self.spectrum.modes[slice(*self._extent)]
         basis = expected if self.basis is None else tuple(self.basis)
         object.__setattr__(self, "basis", basis)
         # tuple equality short-circuits on identical modes, so only a
@@ -128,7 +104,6 @@ class DetLine:
                 raise ValidationError("basis is not a permutation of the band's modes")
             sign = permutation_sign(self.basis)
         object.__setattr__(self, "_sign", sign)
-        object.__setattr__(self, "_extent", _extent(self.spectrum, expected))
 
     def canonical_phase(self):
         """Phase after re-sorting the basis into canonical band order."""
@@ -156,14 +131,13 @@ def compose(a, b):
         raise CompositionError(
             f"bands are not adjacent: first ends at {a.hi.value}, second starts at {b.lo.value}"
         )
-    whole = band(a.spectrum, a.lo, b.hi)
     phase = _composed(
         (a.canonical_phase(), a._extent),
         (b.canonical_phase(), b._extent),
-        _extent(a.spectrum, whole),
+        _band_extent(a.spectrum, a.lo, b.hi),
         lambda _: f"lines over ({a.lo.value}, {a.hi.value}) and ({b.lo.value}, {b.hi.value})",
     )
-    return DetLine(a.spectrum, a.lo, b.hi, whole, phase)
+    return DetLine(a.spectrum, a.lo, b.hi, None, phase)
 
 
 def _index_tuples(m, r):
@@ -188,14 +162,13 @@ class CechTable:
 
     def __init__(self, spectrum, cuts, line=None):
         cuts = tuple(cuts)
-        # a float "<" that holds is exact: float() of a Fraction is monotone
-        if not all(a.point < b.point or a.value < b.value for a, b in zip(cuts, cuts[1:])):
+        if not all(map(_ordered, cuts, cuts[1:])):
             raise ArgumentError(
                 "cuts must be strictly increasing, got " + ", ".join(str(c.value) for c in cuts)
             )
         line = det_line if line is None else line
         pairs = list(itertools.combinations(cuts, 2))
-        # band raises CoverViolationError for a cut on the spectrum
+        # _band_extent raises CoverViolationError for a cut on the spectrum
         lines = tuple(line(spectrum, lo, hi) for lo, hi in pairs)
         for made, (lo, hi) in zip(lines, pairs):
             if made.spectrum is not spectrum and made.spectrum != spectrum:

@@ -5,12 +5,14 @@ Writing the eigenvalues of U as exp(i*phi_c) with phi_c in [0, 2*pi), the
 operator's spectrum is {m + phi_c/(2*pi) : m integer, c = 1..n}.  So D =
 -i d/dtheta + A, A constant Hermitian, on 2*pi-periodic functions is unitarily
 equivalent (f -> exp(i*theta*A) f) to the twist by U = exp(+2*pi*i*A).  A window
-of Fourier modes |m| <= N truncates this to (2N+1)*n values.  Cuts between
-eigenvalues are exact rationals; membership tests are strict with a
-gap tolerance so float eigenvalues can never sit ambiguously on a cut.
+of Fourier modes |m| <= N truncates this to (2N+1)*n values.  Cuts are
+exact rationals, and this module alone places them: a cut's position is the
+number of eigenvalues below it, or None within its strict gap tolerance of
+one, so no float eigenvalue sits ambiguously on a cut.  The band between two
+cuts is the run of canonical modes between their positions.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 import math
@@ -40,9 +42,12 @@ _DET_TOLERANCE = 1e-9
 
 
 def rational(x):
-    """Coerce x to an exact Fraction; floats are rejected, strings allowed."""
-    if isinstance(x, (Fraction, int, str)):
-        return Fraction(x)
+    """Coerce x to an exact Fraction; floats are rejected, strings parsed."""
+    try:
+        if isinstance(x, (Fraction, int, str)):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):  # "abc", "" or "1/0"
+        raise ArgumentError(f"not a rational: {x!r}") from None
     raise ArgumentError(
         f"cut positions must be exact rationals (Fraction, int or 'p/q' string), got {type(x).__name__}"
     )
@@ -137,7 +142,7 @@ class Spectrum:
     """All (2N+1)*n eigenmodes for a holonomy, in canonical order.
 
     Canonical order sorts by eigenvalue, breaking exact ties (degenerate
-    phases) by (color, mode), so the eigenvalues in_cover and band bisect ascend.
+    phases) by (color, mode), so the eigenvalues _position bisects ascend.
     """
 
     holonomy: Holonomy
@@ -203,8 +208,13 @@ def _require_window(cut, N):
         raise RangeError(f"cut {cut.value} outside the certified window (-{N}, {N})")
 
 
-def in_cover(spectrum, cut):
-    """True iff every eigenvalue keeps a distance > gap_tolerance from the cut.
+def _ordered(lo, hi):
+    """lo < hi exactly: a float "<" that holds is exact, as float() of a Fraction is monotone."""
+    return lo.point < hi.point or lo.value < hi.value
+
+
+def _position(spectrum, cut):
+    """The number of eigenvalues below the cut, or None if one lies within gap_tolerance.
 
     The cut must lie strictly inside (-N, N); outside that range the
     truncation cannot certify membership and a RangeError is raised.  Only
@@ -214,18 +224,30 @@ def in_cover(spectrum, cut):
     _require_window(cut, spectrum.N)
     eigs, lam, tol = spectrum._eigenvalues, cut.point, cut.gap_tolerance
     k = bisect_left(eigs, lam)
-    return (k == 0 or lam - eigs[k - 1] > tol) and eigs[k] - lam > tol
+    return k if (k == 0 or lam - eigs[k - 1] > tol) and eigs[k] - lam > tol else None
+
+
+def in_cover(spectrum, cut):
+    """True iff every eigenvalue keeps a distance > gap_tolerance from the cut; see _position."""
+    return _position(spectrum, cut) is not None
+
+
+def _band_extent(spectrum, lo, hi):
+    """(start, stop), the positions of two ordered cuts in the cover; an empty band's are equal."""
+    if not _ordered(lo, hi):
+        raise ArgumentError(f"cuts out of order: {lo.value} >= {hi.value}")
+    extent = []
+    for cut in (lo, hi):
+        extent.append(_position(spectrum, cut))
+        if extent[-1] is None:
+            raise CoverViolationError(f"cut {cut.value} lies on the spectrum (within gap tolerance)")
+    return tuple(extent)
 
 
 def band(spectrum, lo, hi):
     """Eigenmodes strictly between two cuts, in the spectrum's canonical order."""
-    if not (lo.point < hi.point or lo.value < hi.value):  # a float "<" that holds is exact
-        raise ArgumentError(f"cuts out of order: {lo.value} >= {hi.value}")
-    for cut in (lo, hi):
-        if not in_cover(spectrum, cut):
-            raise CoverViolationError(f"cut {cut.value} lies on the spectrum (within gap tolerance)")
-    eigs = spectrum._eigenvalues
-    return spectrum.modes[bisect_right(eigs, lo.point) : bisect_left(eigs, hi.point)]
+    start, stop = _band_extent(spectrum, lo, hi)
+    return spectrum.modes[start:stop]
 
 
 def _winding(path):

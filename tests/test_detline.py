@@ -52,6 +52,16 @@ def cut(q):
     return SpectralCut(Fraction(q))
 
 
+def without_top_mode(real):
+    """The fault table's band fault: _band_extent stops one mode short of a nonempty band's top."""
+
+    def fault(spectrum, lo, hi):
+        start, stop = real(spectrum, lo, hi)
+        return start, stop - (stop > start)
+
+    return fault
+
+
 def handed(*lines):
     """A CechTable line function handing out `lines`, one per cut pair in combinations order."""
     supply = iter(lines)
@@ -382,10 +392,9 @@ class TestCechTable:
 
     def test_band_without_its_top_mode_raises_as_the_loop_does(self, monkeypatch):
         # the fault table's band fault: on u1 each adjacent band loses its
-        # one mode, so two adjacent empty bands join into no mode, while the
-        # band over both keeps one
-        real = detline.band
-        monkeypatch.setattr(detline, "band", lambda spec, lo, hi: real(spec, lo, hi)[:-1])
+        # one mode, so two adjacent bands no longer meet at their shared cut,
+        # while the band over both keeps one mode
+        monkeypatch.setattr(detline, "_band_extent", without_top_mode(detline._band_extent))
         spec = dirac_spectrum(Holonomy(np.eye(1)), 4)
         cuts = half_cuts(4)
         lines = pair_lines(spec, cuts)
@@ -402,8 +411,7 @@ class TestCechTable:
         )
 
     def test_compose_shares_the_join_rule(self, monkeypatch):
-        real = detline.band
-        monkeypatch.setattr(detline, "band", lambda spec, lo, hi: real(spec, lo, hi)[:-1])
+        monkeypatch.setattr(detline, "_band_extent", without_top_mode(detline._band_extent))
         spec = dirac_spectrum(Holonomy(np.eye(2)), 3)
         a = det_line(spec, cut("-1/2"), cut("1/2"))
         b = det_line(spec, cut("1/2"), cut("3/2"))
@@ -448,12 +456,13 @@ class TestBasisValidation:
         # the basis is the band itself, so it is not looked up again to be checked
         spec = dirac_spectrum(Holonomy(diag_phases(0.2, 0.45, 0.8)), N=4)
         calls = []
+        real = detline._band_extent
 
         def counting(*args):
             calls.append(args)
-            return band(*args)
+            return real(*args)
 
-        monkeypatch.setattr(detline, "band", counting)
+        monkeypatch.setattr(detline, "_band_extent", counting)
         cuts = [cut(q) for q in ("-5/2", "-1/2", "3/2", "7/2")]
         lines = [det_line(spec, lo, hi) for lo, hi in itertools.combinations(cuts, 2)]
         assert len(calls) == len(lines) == 6
@@ -464,6 +473,11 @@ class TestBasisValidation:
         handed = DetLine(spec, cuts[0], cuts[3], lines[2].basis[::-1], 1.0)
         assert len(calls) == 7 and handed._sign == permutation_sign(lines[2].basis[::-1])
         assert handed.canonical() == DetLine(spec, cuts[0], cuts[3], None, handed._sign)
+        # a table looks up the band of each cut pair once, through its line
+        for m in range(len(cuts) + 1):
+            calls.clear()
+            CechTable(spec, cuts[:m])
+            assert len(calls) == math.comb(m, 2)
 
     def test_reordered_basis_is_accepted(self):
         spec = dirac_spectrum(Holonomy(random_unitary(3, 5)), N=3)

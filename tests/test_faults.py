@@ -35,6 +35,7 @@ from gerbetool.presets import HOLONOMY_SUITES
 from gerbetool.spectral import SpectralCut
 
 from test_acceptance import ALL_CHECK_NAMES
+from test_detline import without_top_mode
 from test_fock import flip_middle_hop
 from test_moduli import diagonal_generators
 
@@ -118,7 +119,7 @@ FAULTS = [
     ),
     (
         "band drops each band's top mode",
-        (spectral, "band", lambda real: lambda spec, lo, hi: real(spec, lo, hi)[:-1]),
+        (spectral, "_band_extent", without_top_mode),
         [
             ("spectrum", {}, ["unit-band-per-color"]),
             ("cover", {}, ["triple-delta-trivial"]),
@@ -297,21 +298,44 @@ RUNS = [
     for command, params, checks in runs
 ]
 
-# The pairing's admitted edges: the largest modulation either way and the
-# smallest grid.  Each pairing row must still fail there by what it
-# measures.  The largest grids under the cap (base 46 at theta 8, theta 1438
-# at base 5) fail too, but take about 10 s together.
-PAIRING_EDGES = {
-    "modulation 1e6": {"modulation": 1e6},
-    "modulation -1e6": {"modulation": -1e6},
-    "theta 8 base 5": {"theta_points": 8, "base_points": 5},
+# Admitted edges: each fault row of the command must still fail there by
+# what it measures.  The pairing's are the largest modulation either way and
+# the smallest grid; the largest grids under the cap (base 46 at theta 8,
+# theta 1438 at base 5) fail too, but take about 10 s together.  The
+# cocycle's are the smallest n_max and the largest that MAX_CECH_TRIPLES
+# admits, and the cover's its smallest n_max and denominator cap;
+# denominator_cap 384 takes about 2 s.
+EDGES = {
+    "pairing": {
+        "modulation 1e6": {"modulation": 1e6},
+        "modulation -1e6": {"modulation": -1e6},
+        "theta 8 base 5": {"theta_points": 8, "base_points": 5},
+    },
+    "cocycle": {"n_max 3": {"n_max": 3}, "n_max 12": {"n_max": 12}},
+    "cover": {"n_max 3": {"n_max": 3}, "denominator_cap 2": {"denominator_cap": 2}},
 }
-PAIRING_EDGE_RUNS = [
-    pytest.param(patch, command, edge, checks, id=f"{command} at {label}: {fault}")
+
+# Edge rows whose check cannot see the fault: at denominator_cap 2 the
+# non-integer cuts are the half-integers, 1/2 from the identity's integer
+# spectrum, so a gap tolerance of 0.3 leaves every one covered (cap 3 keeps
+# them 1/3 away; the default cap 4 sees it).  Strict, so a check that comes
+# to see the fault fails here until the row is dropped.
+BLIND_EDGES = {("cover", "denominator_cap 2", "in_cover takes a gap tolerance of 0.3 modes")}
+
+EDGE_RUNS = [
+    pytest.param(
+        patch,
+        command,
+        edge,
+        checks,
+        id=f"{command} at {label}: {fault}",
+        marks=[pytest.mark.xfail(raises=AssertionError, strict=True, reason="blind to this fault here")]
+        if (command, label, fault) in BLIND_EDGES
+        else [],
+    )
     for fault, patch, runs in FAULTS
     for command, _, checks in runs
-    if command == "pairing"
-    for label, edge in PAIRING_EDGES.items()
+    for label, edge in EDGES.get(command, {}).items()
 ]
 
 
@@ -324,7 +348,7 @@ def test_rows_are_the_checks_of_all():
         assert len(named) == len(set(named))
 
 
-@pytest.mark.parametrize("patch, command, params, checks", RUNS + PAIRING_EDGE_RUNS)
+@pytest.mark.parametrize("patch, command, params, checks", RUNS + EDGE_RUNS)
 def test_fault_fails_its_checks(monkeypatch, patch, command, params, checks):
     _, params, seed, _ = validate_scenario({"command": command, "params": params})
     for cache in FOCK_CACHES:

@@ -33,9 +33,11 @@ from gerbetool.errors import (
     ResolutionError,
     ValidationError,
 )
+from gerbetool.fock import FockWindow
 from gerbetool.presets import diagonal_holonomy
 from gerbetool.spectral import (
     _MAX_STEP,
+    _band_extent,
     _unitary,
     Holonomy,
     SpectralCut,
@@ -216,6 +218,12 @@ class TestInCover:
     def test_float_cut_rejected(self):
         with pytest.raises(ArgumentError):
             rational(0.3)
+
+    @pytest.mark.parametrize("text", ["abc", "", "1/0"])
+    def test_string_that_is_no_rational_rejected(self, text):
+        for parse in (rational, SpectralCut, lambda cut: FockWindow(2, 6, cut)):
+            with pytest.raises(ArgumentError, match=f"not a rational: {text!r}"):
+                parse(text)
 
 
 class TestBand:
@@ -507,8 +515,13 @@ class TestSortedSpectrumOracles:
     def test_band_matches_strict_filter(self, label, u, tol):
         spec = dirac_spectrum(Holonomy(u), N=3)
         covered = [c for c in probe_cuts(spec, tol) if scan_in_cover(spec, c)]
+        eigs = spec.eigenvalues()
         for lo, hi in itertools.combinations(covered, 2):
             assert band(spec, lo, hi) == filter_band(spec, lo, hi), (lo.value, hi.value)
+            # each bound of the extent counts the eigenvalues below its cut
+            start, stop = _band_extent(spec, lo, hi)
+            below = tuple(sum(e < cut.point for e in eigs) for cut in (lo, hi))
+            assert (start, stop) == below and filter_band(spec, lo, hi) == spec.modes[start:stop]
 
     def test_eigenvalues_is_a_fresh_ascending_array(self):
         spec = dirac_spectrum(Holonomy(special_unitary(3, 2)), N=2)
