@@ -17,9 +17,10 @@ Vectors are blocks: (masks, cols, amps) arrays, amplitude amps[k] on state
 masks[k] in column cols[k]; vacuum() is the one-column block of the sea.
 Every check works on one graded basis per (window, pair_cap), cached as an
 int64 occupation-mask array with a sorted lookup (graded_basis).  One int64
-hop kernel (_hop), broadcast over keys x hops, builds the matrices, applies
-lone creators and destroyers, and applies operators to blocks whose images
-are never truncated, so exact identities stay exact.
+hop kernel (_hop), one masked compare broadcast over keys x hops with its
+signs from a multiply-fold parity, builds the matrices, applies lone
+creators and destroyers, and applies operators to blocks whose images are
+never truncated, so exact identities stay exact.
 The exponential runs on blocks of probe columns.  The basis size is bounded
 by a declared cost model (check_basis_cost), and so are the exponential's
 work and growth (check_expm_cost).
@@ -31,17 +32,19 @@ smallest row set that holds its columns and is closed under the matrix's
 column -> row entries.  Every other row of exp(t*mat) @ block is exactly 0,
 so the principal submatrix on that set, stored as a padded row table, gives
 the same kept rows, summed in the same column order.
-Equal (mask, column) keys are summed after one stable sort of an int64 key,
-the column times the number of distinct masks plus the mask's rank.
+Equal (mask, column) keys are summed after one stable sort of one int64 key:
+the column times (the largest mask + 1) plus the mask wherever that fits in
+an int64, every call at the defaults, and otherwise the column times the
+number of distinct masks plus the mask's rank.
 Each truncated current and safe probe block is built once per key and
-shared, with read-only arrays.  commutator_check is the one entry point of
-the central-extension identity: it takes any number of index tuples,
-evaluates each unordered pair of currents once (a swapped pair's residual
-is the exact negative), builds each current's image of a safe block once
-per call, and sums the pairs in batches of at most MAX_BATCH_ENTRIES
-hop-kernel entries.  car_residual likewise runs three of the four
-anticommutator orders, since {destroy, create} repeats {create, destroy}
-with the labels swapped.
+shared, with read-only arrays, and each Taylor schedule once per norm.
+commutator_check is the one entry point of the central-extension identity:
+it takes any number of index tuples, evaluates each unordered pair of
+currents once (a swapped pair's residual is the exact negative), builds
+each current's image of a safe block once per call, and sums the pairs in
+batches of at most MAX_BATCH_ENTRIES hop-kernel entries.  car_residual
+likewise runs three of the four anticommutator orders, since {destroy,
+create} repeats {create, destroy} with the labels swapped.
 """
 
 from dataclasses import dataclass
@@ -71,14 +74,15 @@ MASK_BITS = 62
 # hops of each operator on its inputs, plus the scalar parts) of the tuples
 # summed in one _sum_keys call.  The CLI's default sweep (210 pairs on a
 # 352-state basis), warm, median of three medians of 5 on a 2-core x86 VM
-# with Python 3.11.7 and numpy 2.4.6:
+# with Python 3.11.7 and numpy 2.4.6, with the packed sort key and the
+# one-compare hop kernel:
 #   batch bound (entries)    1    2**15  2**16  2**17  2**18  2**19
-#   time (ms)               61       48     50     47     45     43
-#   tracemalloc peak (MB)  1.2      1.2    2.5    4.0    5.6    9.4
+#   time (ms)               57       35     38     38     36     34
+#   tracemalloc peak (MB)  1.2      1.2    2.5    4.0    5.8    9.7
 # A bound of 1 sums each pair alone.  Past 2**15 the time is flat within
-# the run-to-run spread (a second series read 37 to 40 ms from 2**15 on),
-# and past 2**17 (14 batches of 1 to 36 pairs) the peak keeps doubling.
-# The bound changes no report.
+# the run-to-run spread (three more series read 35 to 64 ms from 2**15 on,
+# in no order of the bound), and past 2**17 (14 batches of 1 to 36 pairs)
+# the peak keeps doubling.  The bound changes no report.
 MAX_BATCH_ENTRIES = 2**17
 # One Taylor exponential of a probe block may cost at most this many
 # multiply-adds: steps * degree sparse products, each nnz * block columns
@@ -169,11 +173,23 @@ class FockWindow:
         ]
 
 
+# Bit 4k of every nibble, and the multiplier that sums the 16 nibbles into the top one.
+_NIBBLE_ONES = np.int64(0x1111111111111111)
+
+
 def _parities(masks):
-    """Bit parity (0 or 1) of each non-negative int64 mask, by xor folding."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        masks = masks ^ (masks >> shift)
-    return masks & 1
+    """Bit parity (0 or 1) of each non-negative int64 mask, by a multiply fold.
+
+    Two xor folds leave each nibble's parity in its low bit; the product
+    with _NIBBLE_ONES sums those 16 bits into bits 60 to 63 (the int64
+    product wraps), and bit 60 is the sum's parity.  No np.bitwise_count,
+    which numpy 1.24 lacks.
+    """
+    masks = masks ^ (masks >> 1)
+    masks ^= masks >> 2
+    masks &= _NIBBLE_ONES
+    masks *= _NIBBLE_ONES
+    return (masks >> 60) & 1
 
 
 def _bits(slots, other):
@@ -195,9 +211,9 @@ def _hop(masks, s_to, s_from):
     """
     bit_f, low_f = _bits(s_from, s_to)
     bit_t, low_t = _bits(s_to, s_from)
-    col = masks[:, None]
-    # the source occupied, the target empty once the source is cleared
-    keys, hops = np.nonzero(((col & bit_f) == bit_f) & ((col & (bit_t & ~bit_f)) == 0))
+    # the source occupied and the target empty, one compare: a diagonal hop
+    # tests the source alone, a lone creator the target, a lone destroyer the source
+    keys, hops = np.nonzero((masks[:, None] & (bit_f | bit_t)) == bit_f)
     masks = masks[keys]
     cleared = masks ^ bit_f[hops]
     odd = _parities((masks & low_f[hops]) ^ (cleared & low_t[hops]))
@@ -213,8 +229,12 @@ def _hop_parts(block, amps, s_to, s_from, hop_weight=0):
     """
     masks, cols, values = block
     keys, hops, images, odd = _hop(masks, s_to, s_from)
-    values = values[keys] * np.where(odd, -amps[hops], amps[hops])
-    return images, cols[keys] + hop_weight * hops, values
+    amps = amps[hops]
+    values = values[keys] * np.where(odd, -amps, amps)
+    cols = cols[keys]
+    if hop_weight:
+        cols += hop_weight * hops
+    return images, cols, values
 
 
 def _sum_keys(parts):
@@ -223,13 +243,18 @@ def _sum_keys(parts):
     Equal keys are added one by one in the order the parts list them, as a
     CSR matrix sums its duplicates (np.add.reduceat adds a run of 8 or more
     pairwise, which rounds non-integer sums differently).  The order is one
-    stable sort of cols * len(uniq) + ids, ids the dense ranks of the masks:
-    the permutation of np.lexsort((masks, cols)), from one sort of int64.
+    stable sort of one int64 key, the permutation of np.lexsort((masks,
+    cols)): cols * span + masks with span = masks.max() + 1 when that packs
+    into an int64, else cols * len(uniq) + ids, ids the dense ranks of the
+    masks.
     """
     masks, cols, amps = (np.concatenate(x) for x in zip(*parts))
-    uniq, ids = np.unique(masks, return_inverse=True)
-    # The key is below (cols.max() + 1) * len(uniq), and len(uniq) is at most
-    # the entry count E, so (cols.max() + 1) * E <= 2**63 suffices.  Per caller:
+    span = int(masks.max(initial=0)) + 1
+    # The packed key is below (cols.max() + 1) * span, checked here.  Masks of
+    # up to MASK_BITS slots make span up to 2**62, so only a window with its
+    # top slots in use and a wide column range takes the rank key, which is
+    # below (cols.max() + 1) * len(uniq) <= (cols.max() + 1) * E for E entries.
+    # Per caller, (cols.max() + 1) * E <= 2**63 holds:
     # - _compress sorts (basis column, row) pairs, both < MAX_BASIS_DIM: the
     #   key is below MAX_BASIS_DIM**2 < 2**32;
     # - apply, cut_shift_check and central_term_check take one operator to a
@@ -243,13 +268,18 @@ def _sum_keys(parts):
     #   entry count, at most MAX_BATCH_ENTRIES unless one tuple is the batch;
     #   then cols < MAX_BASIS_DIM and, with at most MASK_BITS hops a current,
     #   E <= MAX_BASIS_DIM * (2 * MASK_BITS**2 + 6 * MASK_BITS + 5): below 2**45.
-    order = np.argsort(cols * len(uniq) + ids, kind="stable")
-    masks, cols, amps = masks[order], cols[order], amps[order]
-    first = np.ones(len(masks), dtype=bool)
-    first[1:] = (masks[1:] != masks[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(first)
+    if (int(cols.max(initial=0)) + 1) * span <= 2**63:
+        keys = cols * span + masks
+    else:
+        uniq, ids = np.unique(masks, return_inverse=True)
+        keys = cols * len(uniq) + ids
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = order[first]
     sums = np.zeros(len(starts), dtype=amps.dtype)
-    np.add.at(sums, np.cumsum(first) - 1, amps)
+    np.add.at(sums, np.cumsum(first) - 1, amps[order])
     return masks[starts], cols[starts], sums
 
 
@@ -719,12 +749,14 @@ def _theta_table(tol):
     return tuple(table)
 
 
+@lru_cache(maxsize=64)
 def _taylor_schedule(norm_t, tol):
     """(steps, degree) of least product count steps * degree for exp(t*mat).
 
     Every step has theta = norm_t / steps <= _THETA_MAX and a degree whose
     tail bound is at most tol: the (m, s) selection of Al-Mohy and Higham
-    (SIAM J. Sci. Comput. 33, 2011) on the bound of _tail_bound.
+    (SIAM J. Sci. Comput. 33, 2011) on the bound of _tail_bound.  Memoised
+    per (norm_t, tol): a battery's probe blocks share their matrices' norms.
     """
     table = enumerate(_theta_table(tol), 1)
     options = [(max(1, math.ceil(norm_t / th)), k) for k, th in table if th > 0]

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 import pytest
 
-from gerbetool import caloron, fock, grids, liealg, moduli, spectral
+from gerbetool import caloron, detline, fock, grids, liealg, moduli, spectral
 from gerbetool import cli
 from gerbetool.cli import _RAISED, run_scenario, validate_scenario
 from gerbetool.moduli import LoopWord
@@ -39,7 +39,7 @@ from test_detline import without_top_mode
 from test_fock import flip_middle_hop
 from test_moduli import diagonal_generators
 
-FOCK_CACHES = (fock.graded_basis, fock._current, fock._safe_block)
+FOCK_CACHES = (fock.graded_basis, fock._current, fock._safe_block, fock._taylor_schedule)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -267,6 +267,12 @@ FAULTS = [
         ),
         [("moduli", {}, ["letter-map"])],
     ),
+    # the winding's sign: the phases' orientation reaches the flow, not the spectrum's rows
+    (
+        "holonomy_phases negates every phase mod 2 pi",
+        (spectral, "holonomy_phases", lambda real: lambda u: np.sort(np.mod(-real(u), 2 * np.pi), axis=-1)),
+        [("moduli", {}, ["flow-u1-winding"])],
+    ),
     (
         "spectral_flow walks the path backwards",
         (spectral, "spectral_flow", lambda real: lambda path, cut, n: real(path[::-1], cut, n)),
@@ -304,7 +310,9 @@ RUNS = [
 # theta 1438 at base 5) fail too, but take about 10 s together.  The
 # cocycle's are the smallest n_max and the largest that MAX_CECH_TRIPLES
 # admits, and the cover's its smallest n_max and denominator cap;
-# denominator_cap 384 takes about 2 s.
+# denominator_cap 384 takes about 2 s.  The fock's are the smallest sweep
+# and pair cap, and the widest occupation mask, 62 slots at n_max 15, whose
+# top slots make _sum_keys take the masks' dense ranks.
 EDGES = {
     "pairing": {
         "modulation 1e6": {"modulation": 1e6},
@@ -313,6 +321,11 @@ EDGES = {
     },
     "cocycle": {"n_max 3": {"n_max": 3}, "n_max 12": {"n_max": 12}},
     "cover": {"n_max 3": {"n_max": 3}, "denominator_cap 2": {"denominator_cap": 2}},
+    "fock": {
+        "sweep 0": {"sweep": 0},
+        "pair_cap 1": {"pair_cap": 1},
+        "n_max 15 pair_cap 1": {"n_max": 15, "pair_cap": 1},
+    },
 }
 
 # Edge rows whose check cannot see the fault: at denominator_cap 2 the
@@ -337,6 +350,116 @@ EDGE_RUNS = [
     for command, _, checks in runs
     for label, edge in EDGES.get(command, {}).items()
 ]
+
+
+def negated_vacuum(real):
+    def fault(window, mu):
+        (masks, cols, amps), unannihilated = real(window, mu)
+        return (masks, cols, -amps), unannihilated
+
+    return fault
+
+
+def deltas_times_the_outer_phase(real):
+    def deltas(self):
+        i, j, k = detline._index_tuples(len(self.cuts), 3)
+        phases = self.phases
+        return self._compose(i, j, k, phases[i, j], phases[j, k]) * phases[i, k]
+
+    return deltas
+
+
+def live_blind_to_nan(real):
+    def fault(conn):
+        fields = (conn.phi, *conn.a)
+        return tuple(
+            c for c in range(len(conn.phi)) if any(np.count_nonzero(np.nan_to_num(g[c], nan=0.0)) for g in fields)
+        )
+
+    return fault
+
+
+# The blind-spot ledger: (fault, (owner, name, fault of the real function)).
+# Each fault breaks a result that tier-1 checks against an oracle, yet
+# `gerbetool all --seed 0` passes all of its checks under it.  The first
+# eight stand for the single-site mutants of the ROADMAP's Baseline;
+# the last two are closure faults the default connections cannot reach:
+# su2_family is live in all three coefficients, and the winding family's
+# {T1} is closed already.  Each row is a strict expected failure: once the
+# battery sees a fault, its row passes, strict mode fails it, and the fault
+# moves into FAULTS under the check that sees it.
+BLIND_SPOTS = [
+    ("caloron._bracket returns -[X, Y]", (caloron, "_bracket", lambda real: lambda *a: -real(*a))),
+    (
+        "su_structure_constants halved",
+        (liealg, "su_structure_constants", lambda real: lambda n: real(n) / 2.0),
+    ),
+    (
+        "spectral_theta_derivative doubled",
+        (grids, "spectral_theta_derivative", lambda real: lambda arr, axis=0: 2.0 * real(arr, axis)),
+    ),
+    (
+        "central_diff4 multiplied by 12 * spacing",
+        (grids, "central_diff4", lambda real: lambda arr, axis, h: real(arr, axis, h) * (12.0 * h)),
+    ),
+    # eigenvalues m - phi_c / 2 pi: the phases negated mod 2 pi in the
+    # spectrum alone, since spectral_flow's winding sees them negated
+    # everywhere (a FAULTS row)
+    (
+        "dirac_spectrum twists by the conjugate holonomy",
+        (spectral, "dirac_spectrum", lambda real: lambda hol, n: real(spectral.Holonomy(np.conj(hol.matrix)), n)),
+    ),
+    (
+        "_composed conjugates the upper phase",
+        (
+            detline,
+            "_composed",
+            lambda real: lambda lower, upper, outer, name: real(lower, (np.conj(upper[0]), upper[1]), outer, name),
+        ),
+    ),
+    ("CechTable.deltas multiplies by phases[i, k]", (detline.CechTable, "deltas", deltas_times_the_outer_phase)),
+    ("bogoliubov_vacuum negates the transported vacuum", (fock, "bogoliubov_vacuum", negated_vacuum)),
+    ("caloron._closure returns the live set unclosed", (caloron, "_closure", lambda real: lambda n, live: live)),
+    ("caloron._live reads a NaN as zero", (caloron, "_live", live_blind_to_nan)),
+]
+
+# Caches that could keep a value computed under a fault, or hide one behind
+# a value computed before it: the structure constants' bracket terms, and
+# the closure cache that the closure row replaces.
+LEDGER_CACHES = FOCK_CACHES + (caloron._bracket_terms, caloron._closure)
+
+
+def counting(fault, calls):
+    """fault, with every call of the function it returns counted into calls."""
+
+    def planted(real):
+        faulty = fault(real)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return faulty(*args, **kwargs)
+
+        return counted
+
+    return planted
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="gerbetool all is blind to this fault")
+@pytest.mark.parametrize("owner, name, fault", [pytest.param(*patch, id=label) for label, patch in BLIND_SPOTS])
+def test_all_sees_the_blind_spot(monkeypatch, owner, name, fault):
+    _, params, seed, _ = validate_scenario({"command": "all", "seed": 0})
+    calls = []
+    for cache in LEDGER_CACHES:
+        cache.cache_clear()
+    try:
+        plant(monkeypatch, owner, name, counting(fault, calls))
+        report = run_scenario("all", params, seed)
+    finally:
+        for cache in LEDGER_CACHES:
+            cache.cache_clear()
+    if not calls:  # not an AssertionError: a fault the battery never calls is no ledger row
+        pytest.fail(f"gerbetool all never called the planted {name}")
+    assert report["status"] == "fail"
 
 
 def test_rows_are_the_checks_of_all():

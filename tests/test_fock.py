@@ -291,6 +291,31 @@ class TestSumKeys:
         assert len(np.unique(masks)) * (int(cols.max()) + 1) == 2**63
         assert_same_sums([(masks, cols, amps), (masks[::-1], cols[::-1], amps[::-1])])
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("past", [False, True], ids=["packed", "ranks"])
+    def test_both_key_forms_match_lexsort(self, monkeypatch, dtype, past):
+        # (cols.max() + 1) * (masks.max() + 1) is 2**63, the packed key's
+        # limit, or just past it, where the key takes the masks' dense ranks
+        rng = np.random.default_rng(11)
+        uniq = np.concatenate([rng.choice(2**40 - 1, 29, replace=False), [2**40 - 1]])
+        col_values = np.array([0, 1, 2**22, 2**23 - 1 + past])
+        masks, cols = rng.choice(uniq, 4000), rng.choice(col_values, 4000)
+        masks[:40], cols[:40] = 2**40 - 1, col_values[-1]  # one run of 40 equal keys
+        amps = rng.standard_normal(4000) * 10.0 ** rng.integers(-8, 8, 4000)
+        if dtype is complex:
+            amps = amps + 1j * rng.standard_normal(4000)
+        amps[::7] *= -0.0  # signed zeros, whole runs of them included
+        amps[masks == uniq[0]] = -0.0
+        assert (int(cols.max()) + 1) * (int(masks.max()) + 1) == 2**63 + past * 2**40
+        real_unique, ranked = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: ranked.append(1) or real_unique(*a, **kw))
+        assert_same_sums([(masks, cols, amps), (masks[::-1], cols[::-1], amps[::-1])])
+        assert bool(ranked) == past
+
+    def test_empty_parts(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert_same_sums([(empty, empty, np.zeros(0))])
+
     def test_callers_stay_below_the_int64_limit(self):
         # the bounds derived beside _sum_keys's key, from the cost model's constants
         dim, bits = fock.MAX_BASIS_DIM, fock.MASK_BITS
@@ -847,7 +872,12 @@ class TestGradedBasisEngine:
 
     def test_parities_match_bit_counts(self):
         rng = np.random.default_rng(0)
-        masks = rng.integers(0, 1 << 62, size=200, dtype=np.int64)
+        # random masks, then the empty and the full 62-slot mask, alternating
+        # bits, and every single bit set and cleared
+        ones = (1 << 62) - 1
+        edges = [0, ones, ones & 0x5555555555555555, ones & 0xAAAAAAAAAAAAAAAA, (1 << 63) - 1]
+        edges += [ones ^ (1 << s) for s in range(62)] + [1 << s for s in range(63)]
+        masks = np.concatenate([rng.integers(0, 1 << 62, size=200, dtype=np.int64), edges])
         want = [bin(m).count("1") & 1 for m in masks.tolist()]
         assert fock._parities(masks).tolist() == want
 
