@@ -544,13 +544,11 @@ def _battery_pairing(params, seed):
         fund, adj_form = densities()
         v_fund, iota = fund.integrate(), float(reps[1].index)
         gap = abs(adj_form.integrate() - iota * v_fund)
-        # the model values are the integers -8 and -2, and the pairings are
-        # sums of density terms that cancel to them: the gap may reach the
-        # tolerance's share of max(|iota v_fund|, 1) or eps times the terms'
-        # mean size, their roundoff, whichever is larger; the 1 keeps the
-        # scale where a faulted fundamental pairing vanishes
-        roundoff = np.finfo(float).eps * abs(adj_form).integrate()
-        return gap / max(abs(iota * v_fund), 1.0, roundoff / _ADJOINT_TOLERANCE)
+        # the family lies along T1, which the adjoint map pushes by exactly
+        # +-2, so the adjoint pairing is exactly 4 times the fundamental one
+        # and the gap reads 0; the 1 keeps the scale where a faulted
+        # fundamental pairing vanishes
+        return gap / max(abs(iota * v_fund), 1.0)
 
     return [
         ("winding-model-value", 0.15, lambda: abs(densities()[0].integrate() + 2.0)),
@@ -580,9 +578,10 @@ COMMANDS = {
     "cover": _Command(
         {"n_max": 6, "denominator_cap": 4},
         _battery_cover,
-        # the rejected triple puts a cut at 2, inside (-3, 3); the
-        # non-integer cuts need a denominator 2 at least, or none are tested
-        bounds={"n_max": (3, None), "denominator_cap": (2, MAX_DENOMINATOR_CAP)},
+        # the rejected triple puts a cut at 2, inside (-3, 3); at cap q the
+        # non-integer cuts keep 1/q from the integer spectrum, so below 4
+        # they cannot see a gap tolerance of 1/q or less
+        bounds={"n_max": (3, None), "denominator_cap": (4, MAX_DENOMINATOR_CAP)},
     ),
     "cocycle": _Command(
         {"n_max": 4, "suite": "standard"},

@@ -123,9 +123,6 @@ class GridForm:
         self._check_compatible(other)
         return self._with({k: v - other.comps[k] for k, v in self.comps.items()})
 
-    def __abs__(self):
-        return self._with({k: np.abs(v) for k, v in self.comps.items()})
-
     def __rmul__(self, scalar):
         return self._with({k: scalar * v for k, v in self.comps.items()})
 

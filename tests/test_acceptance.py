@@ -40,6 +40,7 @@ from gerbetool.moduli import (
 )
 from gerbetool.presets import su2_family
 from gerbetool.spectral import SpectralCut, dirac_spectrum, in_cover, spectral_flow
+from test_caloron import mapped_image
 from test_fock import jw
 
 
@@ -152,7 +153,7 @@ def test_criterion_6_representation_scaling_and_indices():
         def trace_ratio(rho, n):
             x = np.zeros((n, n), dtype=complex)
             x[0, 0], x[1, 1] = 1j, -1j
-            img = rho.matrix_image(x)
+            img = mapped_image(rho, x)
             return np.trace(img @ img).real / np.trace(x @ x).real
 
         for n in (2, 3, 4):

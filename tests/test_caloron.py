@@ -5,13 +5,14 @@ Oracles, each independent of the code under test:
     F_01 = amp * 2 pi * cos(2 pi x0) T3, evaluated on the grid directly;
   * su(2) ladder weights and su(3) root values for Dynkin indices, as
     Cartan-eigenvalue square sums normalized by the defining module;
-  * trace ratios tr_rho(X^2)/tr(X^2) through the adjoint matrix images;
+  * trace ratios tr_rho(X^2)/tr(X^2) of the images a coefficient map gives;
   * the plain matrix formulas the coefficient kernels replace: x @ y - y @ x
     for the bracket, -trace(XY) for the pairing, sum_a c_a T_a for the
-    coefficients, ad(X)_ab = <T_a, [X, T_b]> element by element for the
-    adjoint image;
+    matrices and -trace(T_k X) / 2 for the coefficients, and
+    ad(X)_ab = <e_a, [X, e_b]> by explicit commutators in the orthonormal
+    frame e = T / sqrt 2 for the adjoint image;
   * the matrix route a coefficient map replaces: curvature matrices through
-    matrix_image and back to coefficients;
+    those adjoint images and back to coefficients;
   * the families' closed-form matrix fields, built here from i sigma_j (for
     flat, the transports u^-1 X u of matrix rotations), read back as
     coefficients;
@@ -59,13 +60,7 @@ from gerbetool.errors import (
     ValidationError,
 )
 from gerbetool.grids import GridForm, central_diff4, spectral_theta_derivative
-from gerbetool.liealg import (
-    Representation,
-    su_basis,
-    su_coefficients,
-    su_frame,
-    su_structure_constants,
-)
+from gerbetool.liealg import Representation, su_basis, su_structure_constants
 from gerbetool.moduli import ModuliFamily
 from gerbetool.presets import su2_family
 
@@ -244,7 +239,7 @@ def matrix_preset_fields(name, amp, th, xs):
 
 
 def trace_index(rho, x):
-    img = rho.matrix_image(x)
+    img = mapped_image(rho, x)
     return np.trace(img @ img).real / np.trace(x @ x).real
 
 
@@ -255,6 +250,38 @@ def su_matrices(coeffs, n):
     coeffs = np.asarray(coeffs, dtype=float)
     flat = coeffs.reshape(math.prod(coeffs.shape[:-1]), n * n - 1) @ entries
     return flat.view(complex).reshape(coeffs.shape[:-1] + (n, n))
+
+
+def coefficients(samples):
+    """The coefficients -tr(T_k X) / 2 of (..., n, n) su(n) samples, as (..., n^2 - 1)."""
+    samples = np.asarray(samples, dtype=complex)
+    n = samples.shape[-1]
+    basis = np.array(su_basis(n), dtype=complex).reshape(-1, n, n)
+    return -np.einsum("kji,...ij->...k", basis, samples).real / 2.0
+
+
+def frame(n):
+    """The orthonormal frame e_a = T_a / sqrt 2 of su(n), as an (n^2 - 1, n, n) array."""
+    return np.array(su_basis(n), dtype=complex).reshape(-1, n, n) / math.sqrt(2.0)
+
+
+def adjoint_image(x):
+    """ad(X) of (..., n, n) samples by explicit commutators: ad(X)_ab = -tr(e_a [X, e_b])."""
+    e = frame(x.shape[-1])
+    bracket = np.einsum("...ij,bjk->...bik", x, e) - np.einsum("bij,...jk->...bik", e, x)
+    return -np.einsum("aij,...bji->...ab", e, bracket)
+
+
+def oracle_image(rho, x):
+    """rho's image of (..., n, n) samples: 1 x 1 zeros, x itself, or adjoint_image(x)."""
+    if rho.dim == 1:
+        return np.zeros(x.shape[:-2] + (1, 1), dtype=complex)
+    return x if rho.is_fundamental() else adjoint_image(x)
+
+
+def mapped_image(rho, x):
+    """rho's image of (..., n, n) su(n) samples through its coefficient map, as su(dim) matrices."""
+    return su_matrices(coefficients(x) @ rho.coefficient_map(), rho.dim)
 
 
 def stacked(field):
@@ -327,8 +354,9 @@ class TestPresetCatalog:
         family = preset_family(name, amplitude)
         got = [family.phi(th, xs)] + [family.base(th, xs, axis) for axis in range(3)]
         for field, matrices in zip(got, matrix_preset_fields(name, amplitude, th, xs)):
-            want, off = su_coefficients(matrices)
-            assert off <= 1e-15
+            want = coefficients(matrices)
+            # the matrices lie in su(2): their coefficients give them back
+            assert np.abs(su_matrices(want, 2) - matrices).max() <= 1e-15 * np.abs(matrices).max()
             assert len(field) == 3
             field = np.broadcast_to(stacked(field), want.shape)
             assert np.abs(field - want).max() <= 1e-15 * np.abs(want).max()
@@ -648,7 +676,7 @@ class TestDynkinIndex:
         for rho in (Representation.adjoint(n), Representation.fundamental(n), Representation(n, ())):
             got = trace_index(rho, x)
             assert abs(got - float(rho.index)) <= 1e-12, rho
-            assert rho.matrix_image(x).shape == (rho.dim, rho.dim), rho
+            assert mapped_image(rho, x).shape == (rho.dim, rho.dim), rho
 
     # each names no trivial, fundamental or adjoint representation: too
     # long for n, out of order, or another partition (su(2)'s spin 3/2 and
@@ -669,21 +697,21 @@ class TestDynkinIndex:
             sig = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
             x = 1j * sum(c * s for c, s in zip(c1, sig))
             y = 1j * sum(c * s for c, s in zip(c2, sig))
-            lhs = rho.matrix_image(x @ y - y @ x)
-            img_x, img_y = rho.matrix_image(x), rho.matrix_image(y)
+            lhs = mapped_image(rho, x @ y - y @ x)
+            img_x, img_y = mapped_image(rho, x), mapped_image(rho, y)
             assert np.abs(lhs - (img_x @ img_y - img_y @ img_x)).max() <= 1e-12
 
 
 class TestSuFrame:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_frame_is_orthonormal(self, n):
-        frame = su_frame(n)
-        assert frame.shape == (n * n - 1, n, n)
-        gram = -np.einsum("aij,bji->ab", frame, frame)
+        # the adjoint oracle's frame T / sqrt 2, so su_basis is orthogonal with <T_a, T_a> = 2
+        e = frame(n)
+        assert e.shape == (n * n - 1, n, n)
+        gram = -np.einsum("aij,bji->ab", e, e)
         assert np.abs(gram - np.eye(n * n - 1)).max() <= 1e-15
-        assert np.abs(frame + np.swapaxes(frame.conj(), 1, 2)).max() == 0.0
-        assert np.abs(np.trace(frame, axis1=1, axis2=2)).max() <= 1e-15
-        assert su_frame(n) is frame and not frame.flags.writeable
+        assert np.abs(e + np.swapaxes(e.conj(), 1, 2)).max() == 0.0
+        assert np.abs(np.trace(e, axis1=1, axis2=2)).max() <= 1e-15
 
     def test_su2_structure_constants_are_twice_epsilon(self):
         eps = np.zeros((3, 3, 3))
@@ -692,9 +720,11 @@ class TestSuFrame:
         assert np.array_equal(su_structure_constants(2), 2.0 * eps)
 
     def test_su1_is_zero(self):
-        coeffs, off = su_coefficients(np.zeros((4, 1, 1)))
-        assert coeffs.shape == (4, 0) and off == 0.0
-        assert su_matrices(coeffs, 1).shape == (4, 1, 1)
+        # su(1) = 0, the trivial image: no basis, and the trivial map has no columns
+        assert su_basis(1) == []
+        assert coefficients(np.zeros((4, 1, 1))).shape == (4, 0)
+        assert Representation(2, ()).coefficient_map().shape == (3, 0)
+        assert np.array_equal(su_matrices(np.zeros((4, 0)), 1), np.zeros((4, 1, 1)))
 
 
 class TestBatchedKernels:
@@ -705,7 +735,7 @@ class TestBatchedKernels:
         # 4096 x 20 samples and on one of 7 x 20
         rng = np.random.default_rng(10 + n)
         x, y = random_su(rng, (samples, 5, 4), n), random_su(rng, (samples, 5, 4), n)
-        (cx, _), (cy, _) = su_coefficients(x), su_coefficients(y)
+        cx, cy = coefficients(x), coefficients(y)
         want = x @ y - y @ x
         got = su_matrices(trailing_bracket(cx, cy, n), n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -731,32 +761,13 @@ class TestBatchedKernels:
     def test_coefficient_round_trip(self, n):
         rng = np.random.default_rng(30 + n)
         x, y = random_su(rng, (2, 7), n), random_su(rng, (2, 7), n)
-        scale = np.abs(x).max()
-        coeffs, off = su_coefficients(x)
+        coeffs = coefficients(x)
         assert coeffs.shape == (2, 7, n * n - 1) and coeffs.dtype == float
-        assert off <= 1e-15
-        assert np.abs(su_matrices(coeffs, n) - x).max() <= 1e-14 * scale
+        assert np.abs(su_matrices(coeffs, n) - x).max() <= 1e-14 * np.abs(x).max()
         # <X, Y> = -trace(XY) is twice the coefficient dot product
         pair = -np.einsum("...ij,...ji->...", x, y)
-        dot = 2.0 * (coeffs * su_coefficients(y)[0]).sum(axis=-1)
+        dot = 2.0 * (coeffs * coefficients(y)).sum(axis=-1)
         assert np.abs(pair - dot).max() <= 1e-13 * np.abs(pair).max()
-        # off is the part off su(n) relative to the largest coefficient: a
-        # trace part counts as |tr X| and leaves the coefficients alone
-        largest = np.abs(coeffs).max()
-        shifted, shift_off = su_coefficients(x + 0.25j * np.eye(n))
-        assert np.abs(shifted - coeffs).max() <= 1e-15 * scale
-        assert shift_off == pytest.approx(0.25 * n / largest, rel=1e-14)
-        # the Hermitian i X: Im <T_a, iX> / 2 is X's coefficient c_a
-        tilted, tilt_off = su_coefficients(x + 1e-3j * x)
-        assert np.abs(tilted - coeffs).max() <= 1e-15 * scale
-        assert tilt_off == pytest.approx(1e-3, rel=1e-12)
-        # nothing in su(n) at all
-        herm, herm_off = su_coefficients(1j * x)
-        assert np.abs(herm).max() <= 1e-15 * scale and herm_off == math.inf
-        assert su_coefficients(np.zeros((3, n, n)))[1] == 0.0
-        nan = x.copy()
-        nan[1, 3, 0, 0] = complex(math.nan, 0.0)
-        assert math.isnan(su_coefficients(nan)[1])
 
     def test_large_fields_stay_real(self):
         # the density's imaginary part is roundoff at the field's own scale;
@@ -791,20 +802,17 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_adjoint_image_matches_elementwise_formula(self, n):
-        # ad(X)_ab = <T_a, [X, T_b]> = -tr(T_a (X T_b - T_b X)), frame T / sqrt 2
-        frame = [t / math.sqrt(2.0) for t in su_basis(n)]
-        rng = np.random.default_rng(20 + n)
-        x = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+        # ad(X)_ab = <e_a, [X, e_b]> = -tr(e_a (X e_b - e_b X)), one element at a time
+        e = frame(n)
+        x = random_su(np.random.default_rng(20 + n), (2, 3), n)
         rho = Representation.adjoint(n)
-        got = rho.matrix_image(x)
+        got = mapped_image(rho, x)
         assert got.shape == (2, 3, n * n - 1, n * n - 1)
         for idx in np.ndindex(2, 3):
-            bracket = [x[idx] @ tb - tb @ x[idx] for tb in frame]
-            want = np.array([[-np.trace(ta @ c) for c in bracket] for ta in frame])
+            bracket = [x[idx] @ tb - tb @ x[idx] for tb in e]
+            want = np.array([[-np.trace(ta @ c) for c in bracket] for ta in e])
             assert np.abs(got[idx] - want).max() <= 1e-13
-        single = rho.matrix_image(x[1, 2])
-        assert single.shape == (n * n - 1, n * n - 1)
-        assert np.abs(single - got[1, 2]).max() <= 1e-13
+            assert np.abs(adjoint_image(x[idx]) - want).max() <= 1e-13
 
 
 class TestRhoScaling:
@@ -990,8 +998,9 @@ class TestGrids:
 
 
 class TestCoefficientMap:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rows_are_coefficients_of_the_images(self, n):
+        # row a against the coefficients of the oracle's image of T_a
         m = n * n - 1
         for rho in (
             Representation(n, ()),
@@ -1000,11 +1009,16 @@ class TestCoefficientMap:
         ):
             got = rho.coefficient_map()
             assert got.shape == (m, rho.dim**2 - 1) and not got.flags.writeable
-            for a, t in enumerate(su_basis(n)):
-                want = su_coefficients(rho.matrix_image(t))[0]
-                assert np.abs(got[a] - want).max(initial=0.0) <= 1e-15
+            want = coefficients(oracle_image(rho, np.array(su_basis(n))))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-15
         assert np.array_equal(Representation.fundamental(n).coefficient_map(), np.eye(m))
         assert Representation(n, ()).coefficient_map().shape == (m, 0)
+
+    def test_su2_adjoint_entries_are_exact(self):
+        # f_abc = 2 eps_abc, so each image of T_a is a rotation generator of weight exactly 2
+        m = Representation.adjoint(2).coefficient_map()
+        assert set(np.unique(m)) == {-2.0, 0.0, 2.0}
+        assert np.array_equal(np.count_nonzero(m, axis=1), [1, 1, 1])
 
     def test_other_partitions_raise(self):
         with pytest.raises(CapabilityError):
@@ -1029,7 +1043,7 @@ class TestCoefficientMap:
         mixed, base = curvature_matrices(conn)
 
         def through_images(comps):
-            return {k: leading(su_coefficients(rho.matrix_image(v))[0]) for k, v in comps.items()}
+            return {k: leading(coefficients(adjoint_image(v))) for k, v in comps.items()}
 
         # _density returns the circle sum; the pipeline divides by the point count
         want = _density(through_images(mixed), through_images(base), 0)
@@ -1040,7 +1054,7 @@ class TestCoefficientMap:
     def test_pipelines_stay_on_coefficients(self, monkeypatch):
         conn = connection_preset("su2-family", theta_points=8, base_points=8)
         rho = Representation.adjoint(2)
-        rho.coefficient_map()  # built through matrix_image once, then cached
+        rho.coefficient_map()  # built once, then cached
 
         def fail(*args, **kwargs):
             raise AssertionError("left the coefficient frame")
@@ -1049,7 +1063,6 @@ class TestCoefficientMap:
         assert not hasattr(caloron, "su_coefficients")
         assert not hasattr(caloron, "su_matrices")
         monkeypatch.setattr(caloron, "LatticeConnection", fail)
-        monkeypatch.setattr(Representation, "matrix_image", fail)
         pontryagin_densities(conn, [rho])
         CurvaturePass(conn, rho).scaling_check()
 

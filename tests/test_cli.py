@@ -190,7 +190,7 @@ class TestValidation:
         "command, params",
         [
             ("spectrum", {"n_max": 1}),
-            ("cover", {"n_max": 3, "denominator_cap": 2}),
+            ("cover", {"n_max": 3, "denominator_cap": 4}),
             ("cocycle", {"n_max": 3}),
             ("moduli", {"flow_steps": 5, "conjugations": 1, "n_max": 1}),
         ],
@@ -801,7 +801,9 @@ class TestExitCodes:
         [
             ("spectrum", {"n_max": 0}, "cut 1/2 outside the certified window"),
             ("cover", {"n_max": 1}, "key 'n_max' .* must be >= 3"),
-            ("cover", {"denominator_cap": 1}, "key 'denominator_cap' .* must be >= 2"),
+            ("cover", {"denominator_cap": 1}, "key 'denominator_cap' .* must be >= 4"),
+            ("cover", {"denominator_cap": 2}, "key 'denominator_cap' .* must be >= 4"),
+            ("cover", {"denominator_cap": 3}, "key 'denominator_cap' .* must be >= 4"),
             ("cocycle", {"n_max": 2}, "key 'n_max' .* must be >= 3"),
             ("cocycle", {"tolerance": 1e-12}, "unknown key 'tolerance' in params for command 'cocycle'"),
             ("moduli", {"conjugations": -1}, "key 'conjugations' .* must be >= 1"),
@@ -819,6 +821,8 @@ class TestExitCodes:
             "spectrum-n_max",
             "cover-n_max",
             "cover-denominator",
+            "cover-denominator-2",
+            "cover-denominator-3",
             "cocycle-n_max",
             "cocycle-tolerance",
             "moduli-conjugations",
@@ -1064,7 +1068,7 @@ _CALORON_PARAMS = _wide_or_valid(
 )
 _COVER_PARAMS = _wide_or_valid(
     {"n_max": st.integers(0, 7), "denominator_cap": st.integers(0, 5)},
-    {"n_max": st.integers(3, 7), "denominator_cap": st.integers(2, 5)},
+    {"n_max": st.integers(3, 7), "denominator_cap": st.integers(4, 5)},
 )
 _COCYCLE_PARAMS = _wide_or_valid(
     {

@@ -15,12 +15,15 @@ configs/<command>.json` with its fault planted first: the run must not
 exit 0, and a run that stops in validation must say why in one
 `config error:` line.
 
-A faulted run could leave faulty bases, currents, probe blocks or images
-in the Fock caches, so they are cleared before and after every run; the
-table ends with the unfaulted `all` battery passing in the same process.
+A faulted run could leave faulty values in a package cache (Fock bases,
+currents and probe blocks, bracket terms, coefficient maps), and a value
+cached before the fault could hide it, so every gerbetool cache is cleared
+before and after every run; the table ends with the unfaulted `all`
+battery passing in the same process.
 """
 
 import dataclasses
+import importlib
 from pathlib import Path
 import sys
 
@@ -37,22 +40,31 @@ from gerbetool.spectral import SpectralCut
 from test_acceptance import ALL_CHECK_NAMES
 from test_detline import without_top_mode
 from test_fock import flip_middle_hop
+from test_imports import MODULES, clear_caches
 from test_moduli import diagonal_generators
 
-FOCK_CACHES = (fock.graded_basis, fock._current, fock._safe_block, fock._taylor_schedule)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def clear_package_caches():
+    clear_caches([importlib.import_module(f"gerbetool.{path.stem}") for path in MODULES])
+
+
 def plant(monkeypatch, owner, name, fault):
-    """Replace owner.name, and every gerbetool module's binding of it, by fault(real)."""
+    """Replace owner.name, and every gerbetool module's binding of it, by one fault(real).
+
+    Every binding gets the same object, so a second plant on the name finds
+    them all and stacks its fault on the first.
+    """
     real = getattr(owner, name)
     modules = [
         module
         for key, module in sys.modules.items()
         if key.split(".")[0] == "gerbetool" and getattr(module, name, None) is real
     ]
+    planted = fault(real)
     for target in {owner, *modules}:
-        monkeypatch.setattr(target, name, fault(real))
+        monkeypatch.setattr(target, name, planted)
 
 
 def one_more_band_mode(real):
@@ -212,6 +224,16 @@ FAULTS = [
             ("pairing", {}, ["adjoint-scaling"]),
         ],
     ),
+    # the adjoint map is read off the structure constants, whose scale the
+    # closed-form index 2n then no longer matches
+    (
+        "su_structure_constants halved",
+        (liealg, "su_structure_constants", lambda real: lambda n: real(n) / 2.0),
+        [
+            ("caloron", {}, ["rho-scaling-adjoint"]),
+            ("pairing", {}, ["adjoint-scaling"]),
+        ],
+    ),
     (
         "the index reads 2n + 1",
         (liealg.Representation, "index", lambda real: property(lambda rho: 2 * rho.n + 1)),
@@ -308,32 +330,39 @@ RUNS = [
 # what it measures.  The pairing's are the largest modulation either way and
 # the smallest grid; the largest grids under the cap (base 46 at theta 8,
 # theta 1438 at base 5) fail too, but take about 10 s together.  The
-# cocycle's are the smallest n_max and the largest that MAX_CECH_TRIPLES
-# admits, and the cover's its smallest n_max and denominator cap;
-# denominator_cap 384 takes about 2 s.  The fock's are the smallest sweep
-# and pair cap, and the widest occupation mask, 62 slots at n_max 15, whose
-# top slots make _sum_keys take the masks' dense ranks.
+# caloron's is its smallest grid.  The cocycle's are the smallest n_max and
+# the largest that MAX_CECH_TRIPLES admits, and the cover's its smallest
+# n_max and denominator cap; denominator_cap 384 takes about 2 s.  The
+# fock's are the smallest sweep and pair cap, and the widest occupation
+# mask, 62 slots at n_max 15, whose top slots make _sum_keys take the masks'
+# dense ranks.  The moduli's are the fewest and most conjugations and the
+# shortest and longest flow paths.
 EDGES = {
     "pairing": {
         "modulation 1e6": {"modulation": 1e6},
         "modulation -1e6": {"modulation": -1e6},
         "theta 8 base 5": {"theta_points": 8, "base_points": 5},
     },
+    "caloron": {"theta 8 base 5": {"theta_points": 8, "base_points": 5}},
     "cocycle": {"n_max 3": {"n_max": 3}, "n_max 12": {"n_max": 12}},
-    "cover": {"n_max 3": {"n_max": 3}, "denominator_cap 2": {"denominator_cap": 2}},
+    "cover": {"n_max 3": {"n_max": 3}, "denominator_cap 4": {"denominator_cap": 4}},
     "fock": {
         "sweep 0": {"sweep": 0},
         "pair_cap 1": {"pair_cap": 1},
         "n_max 15 pair_cap 1": {"n_max": 15, "pair_cap": 1},
     },
+    "moduli": {
+        "conjugations 1": {"conjugations": 1},
+        "conjugations 4096": {"conjugations": 4096},
+        "flow_steps 5": {"flow_steps": 5},
+        "flow_steps 32768": {"flow_steps": 32768},
+    },
 }
 
-# Edge rows whose check cannot see the fault: at denominator_cap 2 the
-# non-integer cuts are the half-integers, 1/2 from the identity's integer
-# spectrum, so a gap tolerance of 0.3 leaves every one covered (cap 3 keeps
-# them 1/3 away; the default cap 4 sees it).  Strict, so a check that comes
-# to see the fault fails here until the row is dropped.
-BLIND_EDGES = {("cover", "denominator_cap 2", "in_cover takes a gap tolerance of 0.3 modes")}
+# Edge rows whose check cannot see the fault, as (command, edge, fault).
+# Strict, so a check that comes to see the fault fails here until the row
+# is dropped.
+BLIND_EDGES = set()
 
 EDGE_RUNS = [
     pytest.param(
@@ -382,18 +411,15 @@ def live_blind_to_nan(real):
 # The blind-spot ledger: (fault, (owner, name, fault of the real function)).
 # Each fault breaks a result that tier-1 checks against an oracle, yet
 # `gerbetool all --seed 0` passes all of its checks under it.  The first
-# eight stand for the single-site mutants of the ROADMAP's Baseline;
-# the last two are closure faults the default connections cannot reach:
-# su2_family is live in all three coefficients, and the winding family's
-# {T1} is closed already.  Each row is a strict expected failure: once the
+# seven stand for single-site mutants of the ROADMAP's Baseline (its
+# structure-constants mutant is seen, a FAULTS row); the last two are
+# closure faults the default connections cannot reach: su2_family is live
+# in all three coefficients, and the winding family's {T1} is closed
+# already.  Each row is a strict expected failure: once the
 # battery sees a fault, its row passes, strict mode fails it, and the fault
 # moves into FAULTS under the check that sees it.
 BLIND_SPOTS = [
     ("caloron._bracket returns -[X, Y]", (caloron, "_bracket", lambda real: lambda *a: -real(*a))),
-    (
-        "su_structure_constants halved",
-        (liealg, "su_structure_constants", lambda real: lambda n: real(n) / 2.0),
-    ),
     (
         "spectral_theta_derivative doubled",
         (grids, "spectral_theta_derivative", lambda real: lambda arr, axis=0: 2.0 * real(arr, axis)),
@@ -423,11 +449,6 @@ BLIND_SPOTS = [
     ("caloron._live reads a NaN as zero", (caloron, "_live", live_blind_to_nan)),
 ]
 
-# Caches that could keep a value computed under a fault, or hide one behind
-# a value computed before it: the structure constants' bracket terms, and
-# the closure cache that the closure row replaces.
-LEDGER_CACHES = FOCK_CACHES + (caloron._bracket_terms, caloron._closure)
-
 
 def counting(fault, calls):
     """fault, with every call of the function it returns counted into calls."""
@@ -449,14 +470,12 @@ def counting(fault, calls):
 def test_all_sees_the_blind_spot(monkeypatch, owner, name, fault):
     _, params, seed, _ = validate_scenario({"command": "all", "seed": 0})
     calls = []
-    for cache in LEDGER_CACHES:
-        cache.cache_clear()
+    clear_package_caches()
     try:
         plant(monkeypatch, owner, name, counting(fault, calls))
         report = run_scenario("all", params, seed)
     finally:
-        for cache in LEDGER_CACHES:
-            cache.cache_clear()
+        clear_package_caches()
     if not calls:  # not an AssertionError: a fault the battery never calls is no ledger row
         pytest.fail(f"gerbetool all never called the planted {name}")
     assert report["status"] == "fail"
@@ -474,14 +493,12 @@ def test_rows_are_the_checks_of_all():
 @pytest.mark.parametrize("patch, command, params, checks", RUNS + EDGE_RUNS)
 def test_fault_fails_its_checks(monkeypatch, patch, command, params, checks):
     _, params, seed, _ = validate_scenario({"command": command, "params": params})
-    for cache in FOCK_CACHES:
-        cache.cache_clear()
+    clear_package_caches()
     try:
         plant(monkeypatch, *patch)
         report = run_scenario(command, params, seed)
     finally:
-        for cache in FOCK_CACHES:
-            cache.cache_clear()
+        clear_package_caches()
     status = {r["name"]: r["status"] for r in report["checks"]}
     assert {check: status[check] for check in checks} == dict.fromkeys(checks, "fail")
     # every other faulted check fails by what it measured, not by a raise
@@ -496,17 +513,31 @@ def test_fault_planted_before_validation_fails_the_run(
 ):
     config, out = CONFIGS / f"{command}.json", tmp_path / "report.json"
     argv = [command, "--config", str(config), "--out", str(out)]
-    for cache in FOCK_CACHES:
-        cache.cache_clear()
+    clear_package_caches()
     try:
         plant(monkeypatch, *patch)
         code = cli.main(argv)
     finally:
-        for cache in FOCK_CACHES:
-            cache.cache_clear()
+        clear_package_caches()
     assert code in (1, 2)
     if code == 2:
         assert [line[:13] for line in capsys.readouterr().err.splitlines()] == ["config error:"]
+
+
+def test_plants_stack_in_every_binding(monkeypatch):
+    # the negated vacuum alone is a ledger row the battery cannot see; the
+    # norm fault planted over it must wrap the negation in cli's binding too
+    _, params, seed, _ = validate_scenario({"command": "fock"})
+    clear_package_caches()
+    try:
+        plant(monkeypatch, fock, "bogoliubov_vacuum", negated_vacuum)
+        plant(monkeypatch, fock, "bogoliubov_vacuum", twice_the_norm)
+        assert cli.bogoliubov_vacuum is fock.bogoliubov_vacuum
+        report = run_scenario("fock", params, seed)
+    finally:
+        clear_package_caches()
+    (row,) = [r for r in report["checks"] if r["name"] == "bogoliubov-vacuum"]
+    assert row["status"] == "fail" and row["residual"] < _RAISED
 
 
 def test_pairing_reads_no_representation_point(monkeypatch):
@@ -523,7 +554,7 @@ def test_pairing_reads_no_representation_point(monkeypatch):
     _, params, seed, _ = validate_scenario({"command": "pairing"})
     report = run_scenario("pairing", params, seed)
     residuals = {r["name"]: r["residual"] for r in report["checks"]}
-    assert residuals == {"winding-model-value": 0.0, "adjoint-scaling": 5.551115123125783e-16}
+    assert residuals == {"winding-model-value": 0.0, "adjoint-scaling": 0.0}
     assert report["status"] == "pass"
 
 

@@ -154,27 +154,34 @@ def test_reports_match_the_golden_files(tmp_path):
 
 
 def test_another_build_may_move_only_roundoff():
-    want = json.loads((GOLDEN / "config-pairing.json").read_text(encoding="utf-8"))
+    # an exact 0.0 of a check with a tolerance, and a nonzero roundoff residual
+    want = json.loads((GOLDEN / "config-all.json").read_text(encoding="utf-8"))
     checks = want["report"]["checks"]
-    assert [(c["residual"] != 0.0, c["tolerance"] > 0.0) for c in checks] == [(False, True), (True, True)]
+    names = [c["name"] for c in checks]
+    exact, loose = names.index("pairing:adjoint-scaling"), names.index("caloron:rho-scaling-adjoint")
+    assert [(checks[i]["residual"] != 0.0, checks[i]["tolerance"] > 0.0) for i in (exact, loose)] == [
+        (False, True),
+        (True, True),
+    ]
 
     def moved(index, residual, record=want):
         got = json.loads(json.dumps(record))
         got["report"]["checks"][index]["residual"] = residual
         return got
 
-    assert within_roundoff(want, moved(1, 4.4e-16))
-    assert within_roundoff(want, moved(1, checks[1]["residual"] + GAP_SHARE * checks[1]["tolerance"]))
-    assert not within_roundoff(want, moved(1, 2 * GAP_SHARE * checks[1]["tolerance"]))
+    tolerance = checks[loose]["tolerance"]
+    assert within_roundoff(want, moved(loose, 4.4e-16))
+    assert within_roundoff(want, moved(loose, checks[loose]["residual"] + GAP_SHARE * tolerance))
+    assert not within_roundoff(want, moved(loose, 2 * GAP_SHARE * tolerance))
     # an exact 0.0 compares exactly, whatever its tolerance
-    assert not within_roundoff(want, moved(0, 4.4e-16))
+    assert not within_roundoff(want, moved(exact, 4.4e-16))
     # so does every residual of a tolerance-0 check
-    zero_tolerance = moved(1, checks[1]["residual"])
-    zero_tolerance["report"]["checks"][1]["tolerance"] = 0.0
-    assert not within_roundoff(zero_tolerance, moved(1, 4.4e-16, zero_tolerance))
+    zero_tolerance = moved(loose, checks[loose]["residual"])
+    zero_tolerance["report"]["checks"][loose]["tolerance"] = 0.0
+    assert not within_roundoff(zero_tolerance, moved(loose, 4.4e-16, zero_tolerance))
     # every other field still compares exactly
-    failed = moved(1, 4.4e-16)
-    failed["report"]["checks"][1]["status"] = "fail"
+    failed = moved(loose, 4.4e-16)
+    failed["report"]["checks"][loose]["status"] = "fail"
     assert not within_roundoff(want, failed)
 
 

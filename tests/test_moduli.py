@@ -792,14 +792,16 @@ class TestPairing:
     @pytest.mark.parametrize(
         "params, residuals",
         [
-            ({"modulation": -1e6, "base_points": 5}, (1.9531249999538147e-06, 3.739864831964126e-08)),
-            ({"modulation": 1e6}, (8.280147841821517e-06, 3.5573917273841095e-08)),
+            ({"modulation": -1e6, "base_points": 5}, (1.9531249999538147e-06, 0.0)),
+            ({"modulation": 1e6}, (8.280147841821517e-06, 0.0)),
         ],
         ids=["modulation-min-base-5", "modulation-max"],
     )
     def test_edge_residuals_are_pinned(self, params, residuals):
         # the readings at the admitted modulation edges, where roundoff of
-        # density terms of order modulation^2 sets the residuals
+        # density terms of order modulation^2 sets the model value's
+        # residual; the adjoint map pushes the family's T1 by exactly +-2,
+        # so the adjoint pairing is exactly 4 times the fundamental one
         _, params, seed, _ = cli.validate_scenario({"command": "pairing", "params": params})
         report = cli.run_scenario("pairing", params, seed)
         assert tuple(r["residual"] for r in report["checks"]) == residuals
@@ -809,7 +811,7 @@ class TestPairing:
         _, params, seed, _ = cli.validate_scenario({"command": "pairing"})
         report = cli.run_scenario("pairing", params, seed)
         residuals = {r["name"]: r["residual"] for r in report["checks"]}
-        assert residuals == {"winding-model-value": 0.0, "adjoint-scaling": 5.551115123125783e-16}
+        assert residuals == {"winding-model-value": 0.0, "adjoint-scaling": 0.0}
 
     def test_fractional_winding_rejected(self):
         with pytest.raises(ValidationError, match="^windings must be integers, got w1 = 1.5$"):
